@@ -27,6 +27,7 @@ import json
 import os
 from pathlib import Path
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -318,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
+    # On SIGTERM, unwind like Ctrl-C: subprocess.run kills and reaps the
+    # running worker, and the scratch directory is removed.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     WORK.mkdir(exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="run-", dir=WORK))
     try:
