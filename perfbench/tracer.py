@@ -33,7 +33,7 @@ the engines' fast paths:
   ``_identity_keyed_cleanup`` survive and elided hooks stay elided;
 * never wrap ``step``, ``_run_until``, ``_complete`` or ``_execute``:
   the engines compare those by identity and would fall back to their
-  per-cycle driver.
+  slow per-cycle stepping loop.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _perf = time.perf_counter
 MARKERS = ("_is_default_hook", "_is_base_impl", "_identity_keyed_cleanup")
 
 #: Engine methods the cores compare by identity; wrapping any of them
-#: would silently switch an engine to its slow generic driver.
+#: would silently switch an engine to its slow per-cycle stepping loop.
 IDENTITY_CHECKED = ("step", "_run_until", "_complete", "_execute")
 
 POLICY_HOOKS = ("fetch_order", "fetch_pending", "on_fetch", "on_ll_detect",
