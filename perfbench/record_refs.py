@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the benchmark's reference outputs, one file per RunSpec seed.
 
-    python3 perfbench/record_refs.py [first_seed [last_seed]]
+    python3 perfbench/record_refs.py
 
 For every seed it writes ``perfbench/refs/seedNN.json`` holding
 
@@ -54,7 +54,7 @@ def check_fixture(doc: dict) -> None:
         raise SystemExit(f"seed-0 golden cells differ from {fixture}: {bad}")
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     WORK.mkdir(exist_ok=True)
     env = hermetic_env(WORK / "record-store")
     os.environ.clear()
@@ -62,10 +62,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import workloads as wl
 
-    first = int(argv[1]) if len(argv) > 1 else 0
-    last = int(argv[2]) if len(argv) > 2 else wl.N_REF_SEEDS - 1
     wl.REFS_DIR.mkdir(exist_ok=True)
-    for seed in range(first, last + 1):
+    for seed in range(wl.N_REF_SEEDS):
         doc = record(seed)
         if seed == 0:
             check_fixture(doc)
@@ -77,4 +75,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv))
+    raise SystemExit(main())

@@ -50,9 +50,6 @@ MIN_PASSES = {"fig9_cold": 3, "golden_cext": 5}
 #: Set-up samples per untraced run: pass processes plus set-up-only ones.
 SETUP_SAMPLES = 12
 
-END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "sim_kips": "kinstr/s",
-                    "peak_rss_mb": "MB"}
-
 #: Per-process timeout; a pass that hangs is killed and counted failed.
 PASS_TIMEOUT_S = 150
 
@@ -75,47 +72,12 @@ def hermetic_env(cache_dir: Path) -> dict[str, str]:
     return env
 
 
-def allowed_cpus() -> list[int]:
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity control on this platform
-        return []
-
-
-def fastest_cpu(cpus: list[int]) -> int | None:
-    """The CPU of ``cpus`` on which a short spin runs fastest right now.
-
-    On a shared host each CPU alternates between quiet and contended
-    stretches lasting seconds to tens of seconds, and Python code runs
-    about 1.6x slower in a contended one.  Starting each pass on the
-    currently quietest CPU keeps that interference out of most passes.
-    ``None`` when there is no choice to make.
-    """
-    if len(cpus) < 2:
-        return None
-    before = os.sched_getaffinity(0)
-    best, best_s = None, float("inf")
-    try:
-        for cpu in cpus[:8]:
-            os.sched_setaffinity(0, {cpu})
-            t0 = time.perf_counter()
-            acc = 0
-            for i in range(100_000):
-                acc += i & 7
-            spin_s = time.perf_counter() - t0
-            if spin_s < best_s:
-                best, best_s = cpu, spin_s
-    finally:
-        os.sched_setaffinity(0, before)
-    return best
-
-
 class PassFailed(RuntimeError):
     """A benchmark process exited abnormally or timed out."""
 
 
 def spawn(args: dict, scratch: Path, timeout: float) -> dict:
-    """Run one worker process, on the quietest CPU; returns its report.
+    """Run one worker process; returns its report.
 
     ``setup_s`` is added: host seconds from just before the process was
     started to its first timed operation (both clocks are the system
@@ -123,13 +85,11 @@ def spawn(args: dict, scratch: Path, timeout: float) -> dict:
     """
     cache_dir = Path(tempfile.mkdtemp(prefix="store-", dir=scratch))
     cmd = [sys.executable, str(BENCH / "worker.py"), json.dumps(args)]
-    cpu = fastest_cpu(args.get("cpus", []))
-    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
     t_spawn = time.monotonic()
     try:
         proc = subprocess.run(cmd, env=hermetic_env(cache_dir), cwd=ROOT,
                               capture_output=True, text=True,
-                              timeout=timeout, preexec_fn=pin)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         raise PassFailed(f"{args['mode']} timed out after {timeout:.0f}s") \
             from None
@@ -164,7 +124,7 @@ class Run:
         trace_out = WORK / "traces" / f"{self.workload}-seed{self.seed}.json"
         return {"mode": mode, "workload": self.workload, "seed": self.seed,
                 "seconds": self.seconds, "trace": traced,
-                "trace_out": str(trace_out), "cpus": allowed_cpus()}
+                "trace_out": str(trace_out)}
 
     def record(self, report: dict) -> None:
         self.reports.append(report)
@@ -235,26 +195,26 @@ class Run:
         return [x for r in self.reports for x, t in zip(r[key], r["traced"])
                 if t == traced]
 
+    def wall(self, traced: bool) -> float:
+        return fastest_steps(self.samples("steps", traced))
+
     def end_to_end(self) -> dict[str, float]:
         """One run's end-to-end metrics.
 
-        Interference from other tenants of a shared host only ever
-        slows a pass, and comes in stretches of seconds to minutes that
-        slow Python code 1.6-1.9x.  A run's median pass flips with the
-        share of its time spent in such a stretch (measured: 0.30-0.83
-        IQR/median across runs of ``fig9_warm`` and ``golden_cext``);
-        its least-disturbed pass does not (0.09-0.16).  So ``wall_s`` is
-        the fastest pass and ``sim_kips`` that pass's rate, as in
-        ``repro.perf.harness``; set-up, sampled in separate processes,
-        is a median.
+        Other tenants of a shared host slow a CPU by up to 1.8x in
+        stretches of seconds to minutes, without steal time: process
+        CPU time stretches with wall time, so it is no way out.  A
+        multi-second pass averages whatever stretches it met.  So a pass
+        is timed in short steps, and ``wall_s`` is the sum over its
+        steps of each step's fastest time across the run's passes: it
+        reads undisturbed whenever every step met a quiet spell in some
+        pass.  ``setup_s`` is likewise the fastest set-up.
         """
-        walls = self.samples("walls", False)
-        kips = [i / w / 1e3 for i, w in zip(self.samples("instr", False),
-                                              walls)]
+        wall = self.wall(False)
         return {
-            "wall_s": min(walls),
-            "setup_s": statistics.median(self.setups),
-            "sim_kips": max(kips),
+            "wall_s": wall,
+            "setup_s": min(self.setups),
+            "sim_kips": self.samples("instr", False)[0] / wall / 1e3,
             "peak_rss_mb": statistics.median(r["rss_mb"]
                                              for r in self.reports),
         }
@@ -268,8 +228,7 @@ class Run:
             out[name] = (statistics.median_low(values)
                          if name.endswith((".calls", ".bytes"))
                          else statistics.median(values))
-        out["trace_overhead_s"] = (min(self.samples("walls", True))
-                                   - min(self.samples("walls", False)))
+        out["trace_overhead_s"] = self.wall(True) - self.wall(False)
         out["experiments.paper_gap_pp"] = self.paper_gap()
         return out
 
@@ -279,24 +238,29 @@ class Run:
         return gaps[0] if gaps else 0.0
 
     def has_timings(self) -> bool:
-        if not self.samples("walls", False):
+        if not self.samples("steps", False):
             return False
         if self.trace:
             return bool(self.samples("layers", True))
         return bool(self.setups)
 
 
-def unit_of(name: str) -> str:
-    if name in END_TO_END_UNITS:
-        return END_TO_END_UNITS[name]
-    if name.endswith(".calls"):
-        return "count"
-    if name.endswith(".s") or name.endswith("_s"):
-        return "s"
-    return {"jobs.store_hit_ratio": "ratio",
-            "jobs.keys_per_lookup": "keys/lookup",
-            "jobs.store_put.bytes": "bytes",
-            "experiments.paper_gap_pp": "pp"}[name]
+def fastest_steps(passes: list[list[float]]) -> float:
+    """Sum over the steps of a pass of each step's fastest time.
+
+    Every pass of a run makes the same steps in the same order (the
+    simulations are deterministic), so step ``i`` of one pass is the
+    same work as step ``i`` of any other.
+    """
+    if len({len(steps) for steps in passes}) != 1:
+        raise ValueError("passes of one run made different steps")
+    return sum(min(times) for times in zip(*passes))
+
+
+def metric_units() -> dict[str, str]:
+    """Every metric's unit, as ``BENCHMARK.json`` declares it."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["unit"] for m in doc["end_to_end"] + doc["per_layer"]}
 
 
 def host_context(scratch: Path) -> dict:
@@ -341,43 +305,45 @@ def main(argv: list[str] | None = None) -> int:
         print("perfbench: no pass completed; no result", file=sys.stderr)
         return 1
     metrics = run.per_layer() if run.trace else run.end_to_end()
+    units = metric_units()
     result = {
         "correct": run.failed == 0 and not run.errors,
         "attempted": run.attempted,
         "failed": run.failed,
-        "metrics": {name: {"value": value, "unit": unit_of(name)}
+        "metrics": {name: {"value": value, "unit": units[name]}
                     for name, value in metrics.items()},
     }
-    print_human(run, host, metrics)
+    print_human(run, host, metrics, units)
     with open(WORK / "runs.jsonl", "a") as log:
         log.write(json.dumps({
             "time": time.strftime("%Y-%m-%dT%H:%M:%S"), "host": host,
             "workload": run.workload, "seed": run.seed,
             "seconds": run.seconds, "trace": run.trace,
-            "walls": run.samples("walls", False),
+            "walls": [sum(steps) for steps in run.samples("steps", False)],
             "setups": run.setups, **result}) + "\n")
     print(json.dumps(result))
     return 0
 
 
-def print_human(run: Run, host: dict, metrics: dict[str, float]) -> None:
-    walls = run.samples("walls", False)
+def print_human(run: Run, host: dict, metrics: dict[str, float],
+                units: dict[str, str]) -> None:
     print(f"perfbench {run.workload} seed={run.seed} seconds={run.seconds} "
           f"trace={int(run.trace)}")
     print(f"host: nproc={host['nproc']} python={host['python']} "
           f"spin={host['spin_s']:.4f}s cext={host['cext']}")
-    print(f"samples: {len(walls)} untraced timed passes, "
-          f"{len(run.samples('walls', True))} traced, "
+    print(f"samples: {len(run.samples('steps', False))} untraced timed "
+          f"passes, {len(run.samples('steps', True))} traced, "
           f"{len(run.setups)} set-ups")
     for name, value in metrics.items():
-        print(f"  {name:<36} {value:>14.6g} {unit_of(name)}")
+        print(f"  {name:<36} {value:>14.6g} {units[name]}")
     ratio = run.failed / run.attempted if run.attempted else 1.0
     print(f"  {'fail_ratio':<36} {ratio:>14.6g} "
           f"({run.failed} of {run.attempted} operations)")
     gap = run.paper_gap()
     if run.workload != "golden_cext" and "experiments.paper_gap_pp" \
             not in metrics:
-        print(f"  {'paper_gap_pp':<36} {gap:>14.6g} pp "
+        print(f"  {'paper_gap_pp':<36} {gap:>14.6g} "
+              f"{units['experiments.paper_gap_pp']} "
               f"(deterministic per seed; not gated)")
 
 

@@ -2,7 +2,7 @@
 
 Started by ``run.py`` with a pinned environment and one JSON argument
 (``mode``, ``workload``, ``seed``, ``seconds``, ``trace``,
-``trace_out``, ``cpus``).  Prints one JSON report as its last stdout
+``trace_out``).  Prints one JSON report as its last stdout
 line.  Modes:
 
 * ``host``  -- build or load the extension and describe the host;
@@ -13,7 +13,10 @@ line.  Modes:
   ``seconds``).
 
 Set-up is the imports and the backend probe/load; it ends at
-``t_ready``.  Checks run after each timed pass, outside its timing.
+``t_ready``.  A timed pass is recorded as its steps: one per simulation
+or store lookup (the laps the jobs layer's ``progress`` callback marks,
+as it marks them for ``repro figure fig9``) or one per golden cell, then
+the return.  Checks run after each timed pass, outside its timing.
 """
 
 from __future__ import annotations
@@ -55,6 +58,21 @@ def main(argv: list[str]) -> int:
     return 0
 
 
+class Laps:
+    """Step timer: call it at the end of every step of a timed pass."""
+
+    def __init__(self) -> None:
+        self.marks = [_perf()]
+
+    def __call__(self, _status: str = "") -> None:
+        self.marks.append(_perf())
+
+    def steps(self) -> list[float]:
+        """Close the last step; the durations of all of them."""
+        self()
+        return [b - a for a, b in zip(self.marks, self.marks[1:])]
+
+
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -78,9 +96,9 @@ def traced_layers(tracer, args: dict, store_bytes: int):
     return layers
 
 
-def pass_report(wall: float, rss_mb: float, layers, instr: int,
+def pass_report(steps: list[float], rss_mb: float, layers, instr: int,
                 attempted: int, failed: int, paper_gap) -> dict:
-    return {"walls": [wall], "traced": [layers is not None],
+    return {"steps": [steps], "traced": [layers is not None],
             "instr": [instr], "layers": [layers], "rss_mb": rss_mb,
             "attempted": attempted, "failed": failed,
             "paper_gap_pp": paper_gap}
@@ -91,11 +109,11 @@ def fig9_cold(wl, seed: int, args: dict) -> dict:
     from repro.jobs.store import ResultStore
     tracer = tracer_for(args)
 
-    t0 = _perf()
+    laps = Laps()
     specs = wl.fig9_specs(seed)
     session = Session()
-    results = session.run_many(specs)
-    wall = _perf() - t0
+    results = session.run_many(specs, progress=laps)
+    steps = laps.steps()
 
     rss = peak_rss_mb()
     layers = traced_layers(tracer, args, ResultStore().size_bytes())
@@ -104,7 +122,7 @@ def fig9_cold(wl, seed: int, args: dict) -> dict:
                                  expected)
     instr = sum(sum(r.committed) for r in results) \
         + wl.baseline_instructions(specs, session)
-    return pass_report(wall, rss, layers, instr, len(expected), failed,
+    return pass_report(steps, rss, layers, instr, len(expected), failed,
                        wl.paper_gap_pp(specs, results))
 
 
@@ -112,15 +130,15 @@ def golden_cext(wl, seed: int, args: dict) -> dict:
     cells = wl.golden_cells(seed)
     tracer = tracer_for(args)
 
-    t0 = _perf()
-    snapshots = wl.run_golden(cells, wl.GOLDEN_BACKEND)
-    wall = _perf() - t0
+    laps = Laps()
+    snapshots = wl.run_golden(cells, wl.GOLDEN_BACKEND, progress=laps)
+    steps = laps.steps()
 
     rss = peak_rss_mb()
     layers = traced_layers(tracer, args, 0)
     expected = wl.load_refs(seed)["golden"]
     found = {name: wl.digest(snap) for name, snap in snapshots.items()}
-    return pass_report(wall, rss, layers, wl.golden_instructions(snapshots),
+    return pass_report(steps, rss, layers, wl.golden_instructions(snapshots),
                        len(expected), wl.count_mismatches(found, expected),
                        None)
 
@@ -130,11 +148,7 @@ def fig9_warm(wl, seed: int, args: dict) -> dict:
 
     A traced run alternates untraced and traced passes; the wrappers
     are installed only around traced passes (no core is built then).
-    Every second the process moves to the quietest CPU, as ``run.py``
-    does for each pass process.
     """
-    from run import fastest_cpu
-
     from repro.api import Session
     expected = wl.load_refs(seed)["fig9"]
 
@@ -150,23 +164,17 @@ def fig9_warm(wl, seed: int, args: dict) -> dict:
     if args["trace"]:
         from tracer import Tracer, layer_metrics
         tracer = Tracer()
-    walls, traced, layers = [], [], []
+    passes, traced, layers = [], [], []
     deadline = _perf() + args["seconds"]
-    repin_at = 0.0
-    while _perf() < deadline or len(walls) < 2:
-        if _perf() >= repin_at:
-            cpu = fastest_cpu(args["cpus"])
-            if cpu is not None:
-                os.sched_setaffinity(0, {cpu})
-            repin_at = _perf() + 1.0
-        on = tracer is not None and len(walls) % 2 == 1
+    while _perf() < deadline or len(passes) < 2:
+        on = tracer is not None and len(passes) % 2 == 1
         if on:
             tracer.reset()
             tracer.install()
-        t0 = _perf()
+        laps = Laps()
         specs = wl.fig9_specs(seed)
-        results = Session().run_many(specs)
-        walls.append(_perf() - t0)
+        results = Session().run_many(specs, progress=laps)
+        passes.append(laps.steps())
         traced.append(on)
         if on:
             tracer.uninstall()
@@ -180,7 +188,8 @@ def fig9_warm(wl, seed: int, args: dict) -> dict:
                                       cold)
     if tracer is not None:
         tracer.dump(Path(args["trace_out"]))
-    return {"walls": walls, "traced": traced, "instr": [instr] * len(walls),
+    return {"steps": passes, "traced": traced,
+            "instr": [instr] * len(passes),
             "layers": layers, "attempted": attempted, "failed": failed,
             "rss_mb": peak_rss_mb(), "paper_gap_pp": gap}
 
