@@ -79,9 +79,9 @@ class PassFailed(RuntimeError):
 def spawn(args: dict, scratch: Path, timeout: float) -> dict:
     """Run one worker process; returns its report.
 
-    ``setup_s`` is added: host seconds from just before the process was
+    ``setup_s`` is added: seconds from just before the process was
     started to its first timed operation (both clocks are the system
-    monotonic clock).
+    monotonic clock), scaled by the CPU's speed over the set-up.
     """
     cache_dir = Path(tempfile.mkdtemp(prefix="store-", dir=scratch))
     cmd = [sys.executable, str(BENCH / "worker.py"), json.dumps(args)]
@@ -99,8 +99,7 @@ def spawn(args: dict, scratch: Path, timeout: float) -> dict:
         tail = "\n".join(proc.stderr.strip().splitlines()[-15:])
         raise PassFailed(f"{args['mode']} exited {proc.returncode}:\n{tail}")
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    if "t_ready" in report:
-        report["setup_s"] = report["t_ready"] - t_spawn
+    report["setup_s"] = (report["t_ready"] - t_spawn) * report["setup_speed"]
     return report
 
 
@@ -196,24 +195,18 @@ class Run:
                 if t == traced]
 
     def wall(self, traced: bool) -> float:
-        return fastest_steps(self.samples("steps", traced))
+        """Median pass time, each pass scaled by the CPU's speed over it
+        (see ``worker.SpeedProbe``)."""
+        return statistics.median(
+            w * s for w, s in zip(self.samples("walls", traced),
+                                  self.samples("speeds", traced)))
 
     def end_to_end(self) -> dict[str, float]:
-        """One run's end-to-end metrics.
-
-        Other tenants of a shared host slow a CPU by up to 1.8x in
-        stretches of seconds to minutes, without steal time: process
-        CPU time stretches with wall time, so it is no way out.  A
-        multi-second pass averages whatever stretches it met.  So a pass
-        is timed in short steps, and ``wall_s`` is the sum over its
-        steps of each step's fastest time across the run's passes: it
-        reads undisturbed whenever every step met a quiet spell in some
-        pass.  ``setup_s`` is likewise the fastest set-up.
-        """
+        """One run's end-to-end metrics: medians of speed-scaled times."""
         wall = self.wall(False)
         return {
             "wall_s": wall,
-            "setup_s": min(self.setups),
+            "setup_s": statistics.median(self.setups),
             "sim_kips": self.samples("instr", False)[0] / wall / 1e3,
             "peak_rss_mb": statistics.median(r["rss_mb"]
                                              for r in self.reports),
@@ -238,23 +231,11 @@ class Run:
         return gaps[0] if gaps else 0.0
 
     def has_timings(self) -> bool:
-        if not self.samples("steps", False):
+        if not self.samples("walls", False):
             return False
         if self.trace:
             return bool(self.samples("layers", True))
         return bool(self.setups)
-
-
-def fastest_steps(passes: list[list[float]]) -> float:
-    """Sum over the steps of a pass of each step's fastest time.
-
-    Every pass of a run makes the same steps in the same order (the
-    simulations are deterministic), so step ``i`` of one pass is the
-    same work as step ``i`` of any other.
-    """
-    if len({len(steps) for steps in passes}) != 1:
-        raise ValueError("passes of one run made different steps")
-    return sum(min(times) for times in zip(*passes))
 
 
 def metric_units() -> dict[str, str]:
@@ -319,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
             "time": time.strftime("%Y-%m-%dT%H:%M:%S"), "host": host,
             "workload": run.workload, "seed": run.seed,
             "seconds": run.seconds, "trace": run.trace,
-            "walls": [sum(steps) for steps in run.samples("steps", False)],
+            "walls": run.samples("walls", False),
+            "speeds": run.samples("speeds", False),
             "setups": run.setups, **result}) + "\n")
     print(json.dumps(result))
     return 0
@@ -331,9 +313,12 @@ def print_human(run: Run, host: dict, metrics: dict[str, float],
           f"trace={int(run.trace)}")
     print(f"host: nproc={host['nproc']} python={host['python']} "
           f"spin={host['spin_s']:.4f}s cext={host['cext']}")
-    print(f"samples: {len(run.samples('steps', False))} untraced timed "
-          f"passes, {len(run.samples('steps', True))} traced, "
-          f"{len(run.setups)} set-ups")
+    walls = run.samples("walls", False)
+    print(f"samples: {len(walls)} untraced timed passes, "
+          f"{len(run.samples('walls', True))} traced, "
+          f"{len(run.setups)} set-ups; median unscaled pass "
+          f"{statistics.median(walls):.6g} s at CPU speed "
+          f"{statistics.median(run.samples('speeds', False)):.3f}")
     for name, value in metrics.items():
         print(f"  {name:<36} {value:>14.6g} {units[name]}")
     ratio = run.failed / run.attempted if run.attempted else 1.0

@@ -141,18 +141,9 @@ def golden_cells(seed: int) -> list[SeededScenario]:
             for sc in golden_matrix()]
 
 
-def run_golden(cells, backend: str, progress=None) -> dict[str, dict]:
-    """Simulate every cell; returns each cell's golden snapshot.
-
-    ``progress``, as for ``Session.run_many``, is called with the cell's
-    name after each cell.
-    """
-    snapshots = {}
-    for sc in cells:
-        snapshots[sc.name] = snapshot_cell(sc, backend=backend)
-        if progress is not None:
-            progress(sc.name)
-    return snapshots
+def run_golden(cells, backend: str) -> dict[str, dict]:
+    """Simulate every cell; returns each cell's golden snapshot."""
+    return {sc.name: snapshot_cell(sc, backend=backend) for sc in cells}
 
 
 def digest(snapshot: dict) -> str:
