@@ -14,8 +14,7 @@ the full 128/256, mirroring Figure 4's spread.
 from dataclasses import replace
 
 from bench_common import bench_commits, bench_config, print_header
-from repro.experiments.runner import trace_for
-from repro.pipeline import SMTCore
+from repro.experiments.runner import core_for, trace_for
 from repro.policies import make_policy
 
 LENGTHS = (32, 64, 128, 256)
@@ -25,7 +24,8 @@ PROGRAMS = ("lucas", "mcf")
 def _measured(name, length, budget):
     cfg = bench_config(num_threads=1)
     cfg = replace(cfg, llsr_length_override=length)
-    core = SMTCore(cfg, [trace_for(name, cfg)], make_policy("icount"))
+    pol = make_policy("icount")
+    core = core_for(pol)(cfg, [trace_for(name, cfg)], pol)
     core.run(budget)
     return [d for _, d in core.threads[0].llsr.measured]
 

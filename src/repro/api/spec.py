@@ -4,9 +4,10 @@ A :class:`RunSpec` captures the full coordinate of one cell in the
 paper's evaluation grid — workload mix, machine config, fetch policy
 (with kwargs), commit budget, warmup, and trace seed — and nothing
 about *how* it executes (workers, caching, streaming all live on
-:class:`repro.api.Session`).  Everything is validated at construction:
-a ``RunSpec`` that exists names real benchmarks, a real policy, and
-only kwargs that policy accepts.
+:class:`repro.api.Session`; an optional ``backend`` pins the engine but
+is not part of the spec's identity).  Everything is validated at
+construction: a ``RunSpec`` that exists names real benchmarks, a real
+policy, and only kwargs that policy accepts.
 
 Specs round-trip through JSON (:meth:`RunSpec.to_json` /
 :meth:`RunSpec.from_json`) under the ``repro.runspec/2`` schema
@@ -14,15 +15,15 @@ Specs round-trip through JSON (:meth:`RunSpec.to_json` /
 ``backend`` field existed — still load), and
 :meth:`RunSpec.content_hash` is byte-compatible with the
 :class:`repro.jobs.JobSpec` cache keys, so a reloaded spec resolves
-against results the jobs engine already persisted.  The default
-``backend="object"`` serializes away entirely: its documents and
-content hashes are byte-identical to pre-backend ones.
+against results the jobs engine already persisted.  An unpinned spec
+(``backend=None``) writes no ``backend`` field, and no spec hashes its
+backend, so content hashes are byte-identical to pre-backend ones.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import inspect
 import json
 from typing import Any
@@ -41,8 +42,8 @@ from repro.jobs.spec import (
 #: Stamped into every serialized spec; bump on any layout change.
 SPEC_SCHEMA = "repro.runspec/2"
 
-#: The pre-backend layout; still readable (``backend`` defaults to
-#: ``object``), never written.
+#: The pre-backend layout; still readable (as an unpinned spec), never
+#: written.
 _SPEC_SCHEMA_V1 = "repro.runspec/1"
 
 _DOC_FIELDS_V1 = frozenset({"schema", "workload", "policy",
@@ -121,12 +122,13 @@ class RunSpec:
     default, so equal experiments always compare — and hash — equal.
     ``seed=0`` selects the canonical per-benchmark trace streams that
     every published number uses; other seeds derive independent
-    deterministic instances of the same programs.  ``backend`` names the
-    engine core that executes the run (``repro list backends``); the
-    engines are architecturally bit-identical, so the backend changes
-    wall time, never results — but a non-default backend is still part
-    of the spec's content identity (see
-    :func:`repro.jobs.spec.content_key`).
+    deterministic instances of the same programs.  ``backend`` pins the
+    engine core that executes the run (``repro list backends``);
+    ``None``, the default, runs on the fastest registered engine
+    (:func:`repro.experiments.runner.default_backend`).  The engines are
+    architecturally bit-identical, so the backend changes wall time,
+    never results: it takes no part in equality, hashing or
+    :meth:`content_hash` (see :func:`repro.jobs.spec.content_key`).
     """
 
     workload: tuple[str, ...]
@@ -136,7 +138,7 @@ class RunSpec:
     max_commits: int = 20_000
     warmup: int | None = None
     seed: int = 0
-    backend: str = "object"
+    backend: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         norm = object.__setattr__
@@ -185,11 +187,12 @@ class RunSpec:
             if value < minimum:
                 raise SpecError(
                     f"{name} must be >= {minimum}, got {value}")
-        if not isinstance(self.backend, str):
+        if self.backend is not None and not isinstance(self.backend, str):
             raise SpecError(
-                f"backend must be a string, got "
+                f"backend must be a string or None, got "
                 f"{type(self.backend).__name__}")
-        if self.backend not in registry.backends:
+        if self.backend is not None and \
+                self.backend not in registry.backends:
             known = ", ".join(registry.backends.names())
             raise SpecError(
                 f"unknown backend {self.backend!r}; known: {known}")
@@ -208,8 +211,7 @@ class RunSpec:
         serialized-and-reloaded spec hit the warm jobs cache."""
         return content_key(KIND_WORKLOAD, self.workload, self.config,
                            self.max_commits, self.warmup, self.policy,
-                           self.policy_kwargs, seed=self.seed,
-                           backend=self.backend)
+                           self.policy_kwargs, seed=self.seed)
 
     def to_job(self) -> JobSpec:
         """The executable :class:`~repro.jobs.JobSpec` for this spec."""
@@ -226,9 +228,8 @@ class RunSpec:
     def to_doc(self) -> dict:
         """The canonical JSON-serializable document for this spec.
 
-        The default ``object`` backend is omitted (mirroring the
-        content-key payload), so default-backend documents are
-        byte-identical to the pre-backend ``repro.runspec/1`` layout
+        ``backend`` is written only when pinned, so unpinned documents
+        are byte-identical to the pre-backend ``repro.runspec/1`` layout
         apart from the schema stamp.
         """
         doc = {
@@ -242,7 +243,7 @@ class RunSpec:
             "seed": self.seed,
             "config": config_to_dict(self.config),
         }
-        if self.backend != "object":
+        if self.backend is not None:
             doc["backend"] = self.backend
         return doc
 
@@ -293,7 +294,7 @@ class RunSpec:
                 max_commits=doc["max_commits"],
                 warmup=doc.get("warmup"),
                 seed=doc.get("seed", 0),
-                backend=doc.get("backend", "object"),
+                backend=doc.get("backend"),
             )
         except KeyError as exc:
             raise SpecError(f"run spec is missing {exc.args[0]!r}") from None
@@ -309,6 +310,6 @@ class RunSpec:
     def __str__(self) -> str:
         mix = "-".join(self.workload)
         base = f"{mix}:{self.policy}@{self.max_commits}"
-        if self.backend != "object":
+        if self.backend is not None:
             base += f"+{self.backend}"
         return base

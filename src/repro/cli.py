@@ -121,11 +121,14 @@ def _list_scenarios() -> None:
 
 
 def _list_backends() -> None:
+    from repro.experiments.runner import default_backend
+
     print("engine backends (RunSpec.backend / --backend):")
+    chosen = default_backend()
     for name, cls in registry.backends.items():
         doc = (cls.__doc__ or "").strip()
         summary = doc.splitlines()[0] if doc else cls.__name__
-        default = "  [default]" if name == "object" else ""
+        default = "  [default]" if name == chosen else ""
         print(f"  {name:<10} {summary}{default}")
 
 
@@ -628,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: REPRO_WARMUP or 4000")
     s.add_argument("--seed", type=int, default=0,
                    help="trace-seed salt (0 = canonical streams)")
-    s.add_argument("--backend", default="object",
-                   help="engine core (see `repro list backends`; "
-                        "default: object)")
+    s.add_argument("--backend", default=None,
+                   help="pin the engine core (see `repro list backends`; "
+                        "default: unpinned, the fastest registered)")
     s.add_argument("-o", "--output", help="write the JSON here")
     s.set_defaults(fn=cmd_spec_make)
     s = ssub.add_parser("show",

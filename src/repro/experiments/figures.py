@@ -86,11 +86,13 @@ TARGETS = {
 
 
 def _engine_footer(before: dict[str, int]) -> str | None:
-    """One-line summary of what the jobs engine did for this figure.
+    """One-line summary of what the jobs engine did for this figure,
+    naming the simulator engine its unpinned runs resolved to.
 
     None when the target never touched the engine (table1/fig5 simulate
     directly) — printing "0 simulated" there would misreport real work.
     """
+    from repro.experiments.runner import default_backend
     from repro.jobs import counters, default_store, default_workers
     done = {k: v - before[k] for k, v in counters().items()}
     if not any(done.values()):
@@ -99,7 +101,8 @@ def _engine_footer(before: dict[str, int]) -> str | None:
     where = str(store.root) if store is not None else "disabled"
     return (f"[jobs] {done['executed']} simulated, "
             f"{done['cache_hits']} cache hits; "
-            f"workers={default_workers()}, store={where}")
+            f"engine={default_backend()}, workers={default_workers()}, "
+            f"store={where}")
 
 
 def main(argv: list[str] | None = None) -> int:

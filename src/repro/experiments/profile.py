@@ -18,8 +18,8 @@ from repro.experiments.defaults import (
     default_commits,
     default_warmup,
 )
-from repro.experiments.runner import trace_for
-from repro.pipeline import CoreStats, SMTCore
+from repro.experiments.runner import core_for, trace_for
+from repro.pipeline import CoreStats
 from repro.policies import make_policy
 
 #: Figure 4 measures the MLP distance with a 128-entry LLSR on the
@@ -102,7 +102,8 @@ def profile_benchmark(name: str, cfg: SMTConfig | None = None,
     if cached is not None:
         return cached
     trace = trace_for(name, cfg, slot=0)
-    core = SMTCore(cfg, [trace], make_policy("icount"))
+    pol = make_policy("icount")
+    core = core_for(pol)(cfg, [trace], pol)
     stats = core.run(max_commits, warmup=default_warmup())
     ts = core.threads[0]
     result = ProfileResult(

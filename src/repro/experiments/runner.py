@@ -98,16 +98,30 @@ def _single_config(cfg: SMTConfig) -> SMTConfig:
     return single_thread_variant(cfg)
 
 
+def default_backend() -> str:
+    """The engine an unpinned run executes on: the fastest one that built.
+
+    ``cext`` wherever the lazy toolchain probe built and registered it,
+    ``object`` otherwise (``REPRO_CEXT=0`` forces that).  The engines
+    are bit-identical, so this choice changes wall time, never results.
+    The first call runs the probe; later calls are one registry lookup.
+    """
+    from repro import registry  # lazy: registry sits above experiments
+    return "cext" if "cext" in registry.backends else "object"
+
+
 def core_for(policy: FetchPolicy,
-             backend: str = "object") -> type[SMTCore]:
+             backend: str | None = None) -> type[SMTCore]:
     """The core class for one run: policy requirement, then backend.
 
     A policy's ``core_class`` (e.g. runahead's specialized core) always
     wins — those policies are only implemented on their own engine.  For
     every other policy the named entry of the ``backends`` registry is
-    used; ``object`` (the default) short-circuits to :class:`SMTCore`
-    without touching the registry, so the common path stays
-    import-cycle-free and pays no lookup.
+    used.  ``None`` means an unpinned run and resolves to
+    :func:`default_backend`; this is the one place that resolution
+    happens, so every driver (workloads, baselines, Table I profiles)
+    runs on the same engine.  ``object`` short-circuits to
+    :class:`SMTCore` without a registry lookup.
 
     With ``REPRO_SANITIZE`` set (see :mod:`repro.pipeline.sanitize`) the
     stock engines are swapped for their checked subclasses — bit-exact,
@@ -117,6 +131,8 @@ def core_for(policy: FetchPolicy,
     """
     if policy.core_class is not None:
         return policy.core_class
+    if backend is None:
+        backend = default_backend()
     if backend == "object":
         cls = SMTCore
     else:
@@ -147,14 +163,17 @@ def run_single(name: str, cfg: SMTConfig, max_commits: int,
 
 
 def simulate_baseline(name: str, st_cfg: SMTConfig, max_commits: int,
-                      warmup: int, seed: int = 0) -> SingleThreadResult:
+                      warmup: int, seed: int = 0,
+                      backend: str | None = None) -> SingleThreadResult:
     """Uncached single-threaded ICOUNT run with per-commit cycle stamps.
 
     The simulation primitive behind :func:`single_thread_baseline` and the
     :mod:`repro.jobs` executor; ``st_cfg`` must already be single-threaded.
+    ``backend`` picks the engine as in :func:`core_for`.
     """
     trace = trace_for(name, st_cfg, slot=0, seed=seed)
-    core = SMTCore(st_cfg, [trace], make_policy("icount"))
+    pol = make_policy("icount")
+    core = core_for(pol, backend)(st_cfg, [trace], pol)
     core.threads[0].commit_cycles = []
     stats = core.run(max_commits, warmup=warmup)
     return SingleThreadResult(name, stats, core.threads[0].commit_cycles)
@@ -228,7 +247,7 @@ class WorkloadResult:
 
 def build_core(names: tuple[str, ...] | list[str], cfg: SMTConfig,
                policy: str = "icount", seed: int = 0,
-               backend: str = "object", **policy_kwargs) -> SMTCore:
+               backend: str | None = None, **policy_kwargs) -> SMTCore:
     """Construct the simulation core for a workload.
 
     The single construction path: :func:`run_workload` (and through it
@@ -250,7 +269,7 @@ def build_core(names: tuple[str, ...] | list[str], cfg: SMTConfig,
 def run_workload(names: tuple[str, ...] | list[str], cfg: SMTConfig,
                  policy: str = "icount", max_commits: int = 20_000,
                  warmup: int | None = None, seed: int = 0,
-                 backend: str = "object",
+                 backend: str | None = None,
                  **policy_kwargs) -> tuple[CoreStats, SMTCore]:
     """Simulate a multiprogram workload; returns (stats, core)."""
     core = build_core(names, cfg, policy, seed, backend=backend,

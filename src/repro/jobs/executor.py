@@ -105,7 +105,8 @@ class BatchResult:
 
 def _baseline_job(spec: JobSpec):
     return simulate_baseline(spec.names[0], spec.config, spec.max_commits,
-                             spec.warmup, seed=spec.seed)
+                             spec.warmup, seed=spec.seed,
+                             backend=spec.backend)
 
 
 def _workload_job(spec: JobSpec):

@@ -16,7 +16,7 @@ changes and are identical in every worker process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import hashlib
 import json
 from typing import Any
@@ -55,8 +55,8 @@ def canonical_kwargs(value: Any) -> Any:
 
 
 def content_key(kind: str, names, config: SMTConfig, max_commits: int,
-                warmup: int, policy: str, policy_kwargs, seed: int = 0,
-                backend: str = "object") -> str:
+                warmup: int, policy: str, policy_kwargs,
+                seed: int = 0) -> str:
     """The stable hex content key over one simulation's field tree.
 
     The single hashing authority for the whole repo: :class:`JobSpec`
@@ -64,13 +64,14 @@ def content_key(kind: str, names, config: SMTConfig, max_commits: int,
     makes a spec serialized by the new API hit cache entries written by
     the old jobs path (and vice versa).  ``seed=0`` — the canonical
     per-benchmark trace seeds — is omitted from the payload so that keys
-    predating the seed field are unchanged, and the default ``object``
-    engine backend is omitted the same way: every key minted before the
-    backend axis existed stays valid, and the warm store keeps hitting.
-    (A non-default backend *is* keyed, deliberately — the engines are
-    bit-identical by contract, but a result must still say which engine
-    produced it so an equivalence regression can never be masked by the
-    cache.)
+    predating the seed field are unchanged.
+
+    The engine backend is not an input.  It says how a run executes,
+    not what it computes: every registered engine is bit-identical, which
+    the golden matrix and the cross-engine differential test guard, so a
+    run on any engine shares one store entry.  Keys are byte-identical to
+    those minted before the backend axis existed, and warm stores keep
+    hitting.
     """
     payload = {
         "schema": SCHEMA_VERSION,
@@ -86,8 +87,6 @@ def content_key(kind: str, names, config: SMTConfig, max_commits: int,
     }
     if seed:
         payload["seed"] = seed
-    if backend != "object":
-        payload["backend"] = backend
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -110,12 +109,15 @@ class JobSpec:
     policy: str = "icount"
     policy_kwargs: tuple[tuple[str, Any], ...] = ()
     seed: int = 0                   # 0 = canonical per-benchmark seeds
-    backend: str = "object"         # engine core (see registry backends)
+    #: Engine core (a ``backends`` registry name); ``None`` runs on the
+    #: fastest registered one.  How the job executes, not what it
+    #: computes: left out of equality, hashing and the content key.
+    backend: str | None = field(default=None, compare=False)
 
     @classmethod
     def workload(cls, names, config: SMTConfig, policy: str = "icount",
                  max_commits: int = 20_000, warmup: int | None = None,
-                 seed: int = 0, backend: str = "object",
+                 seed: int = 0, backend: str | None = None,
                  **policy_kwargs) -> JobSpec:
         """A multiprogram run evaluated with STP/ANTT."""
         names = tuple(names)
@@ -132,13 +134,14 @@ class JobSpec:
 
     @classmethod
     def baseline(cls, name: str, config: SMTConfig, max_commits: int,
-                 warmup: int | None = None, seed: int = 0) -> JobSpec:
+                 warmup: int | None = None, seed: int = 0,
+                 backend: str | None = None) -> JobSpec:
         """The single-threaded ICOUNT run that supplies CPI_ST for ``name``."""
         return cls(kind=KIND_BASELINE, names=(name,),
                    config=single_thread_variant(config),
                    max_commits=max_commits,
                    warmup=default_warmup() if warmup is None else warmup,
-                   policy="icount", seed=seed)
+                   policy="icount", seed=seed, backend=backend)
 
     @classmethod
     def from_runspec(cls, spec) -> JobSpec:
@@ -161,24 +164,23 @@ class JobSpec:
         One spec per program *in workload order* (duplicates included, so
         the caller can zip them against per-thread commit counts).
         Baselines always use the environment-default warmup, matching
-        :func:`repro.experiments.runner.single_thread_baseline`, and
-        always run on the default ``object`` engine — the backends are
-        bit-identical, so sharing one baseline across backends is both
-        sound and what keeps CPI_ST cached exactly once.
+        :func:`repro.experiments.runner.single_thread_baseline`, and run
+        on this job's engine, so a grid's CPI_ST comes from the engine
+        that ran its cells.  The backend is not in the key, so one cached
+        baseline serves every engine.
         """
         if self.kind != KIND_WORKLOAD:
             return ()
         return tuple(
             JobSpec.baseline(name, self.config, self.max_commits,
-                             seed=self.seed)
+                             seed=self.seed, backend=self.backend)
             for name in self.names)
 
     def cache_key(self) -> str:
         """Stable hex content key (raises for unserializable kwargs)."""
         return content_key(self.kind, self.names, self.config,
                            self.max_commits, self.warmup, self.policy,
-                           self.policy_kwargs, seed=self.seed,
-                           backend=self.backend)
+                           self.policy_kwargs, seed=self.seed)
 
     def __str__(self) -> str:
         mix = "-".join(self.names)

@@ -21,13 +21,17 @@ percents (perf/PROFILE.md).  This module is that extension's driver:
 The extension is built lazily from the checked-in C source with the
 host's own compiler (``cc``/``gcc``/``clang`` — no Cython, no mypyc) and
 cached by source hash, so the first use on a machine pays one compile
-and later uses load the cached shared object.  When no toolchain exists
-the probe fails quietly: :func:`load_cext_core` returns ``None``, the
-``backends`` registry simply omits ``cext``, and nothing else changes.
+and later uses load the cached shared object.  Wherever it loads, it is
+the engine every unpinned run executes on (see
+:func:`repro.experiments.runner.default_backend`).  When no toolchain
+exists the probe fails quietly: :func:`load_cext_core` returns ``None``,
+the ``backends`` registry simply omits ``cext``, and unpinned runs fall
+back to the object engine with bit-identical results.
 
 Environment knobs:
 
-* ``REPRO_CEXT=0`` disables the backend entirely (probe reports it).
+* ``REPRO_CEXT=0`` disables the backend entirely (probe reports it), so
+  unpinned runs use the object engine.
 * ``REPRO_CEXT_CACHE`` overrides the build-cache directory.
 * ``REPRO_CEXT_STAGES`` (an integer mask of ``ST_*`` bits) selectively
   re-routes individual stages through their Python fallbacks — a

@@ -162,7 +162,9 @@ def _load_backends(reg: Registry) -> None:
     # over the selected backend — see ``repro.experiments.runner``.
     # ``cext`` is the compiled C-extension loop over the same columns; it
     # registers only when the lazy toolchain probe + build succeed, so on
-    # a compiler-less host the table simply lists two entries.
+    # a compiler-less host the table simply lists two entries.  Whether
+    # it registered decides the engine unpinned runs use (``cext`` if
+    # present, else ``object``: ``runner.default_backend``).
     from repro.pipeline import SMTCore
     from repro.pipeline.cext import load_cext_core
     from repro.pipeline.soa import SoACore

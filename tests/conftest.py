@@ -23,6 +23,21 @@ def _isolated_result_store(tmp_path_factory):
         yield
 
 
+@pytest.fixture
+def without_cext():
+    """The ``backends`` registry with ``cext`` taken out, as on a host
+    whose toolchain probe failed; restored afterwards.  Unpinned runs
+    then resolve to the ``object`` engine."""
+    from repro import registry
+    core = (registry.backends.unregister("cext")
+            if "cext" in registry.backends else None)
+    try:
+        yield
+    finally:
+        if core is not None:
+            registry.backends.register("cext", core)
+
+
 class StubTrace:
     """A minimal trace for directed pipeline tests.
 

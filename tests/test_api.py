@@ -192,22 +192,29 @@ class TestRoundTrip:
         warmup_b=st.sampled_from((0, 300)),
         seed_a=st.sampled_from((0, 1)),
         seed_b=st.sampled_from((0, 1)),
+        backend_a=st.sampled_from((None, "object", "soa")),
+        backend_b=st.sampled_from((None, "object", "soa")),
     )
     def test_hash_equality_implies_spec_equality(
             self, policy_a, policy_b, threads_a, threads_b, commits_a,
-            commits_b, warmup_a, warmup_b, seed_a, seed_b):
+            commits_b, warmup_a, warmup_b, seed_a, seed_b, backend_a,
+            backend_b):
         a = _spec(policy_a, threads=threads_a, max_commits=commits_a,
-                  warmup=warmup_a, seed=seed_a)
+                  warmup=warmup_a, seed=seed_a, backend=backend_a)
         b = _spec(policy_b, threads=threads_b, max_commits=commits_b,
-                  warmup=warmup_b, seed=seed_b)
+                  warmup=warmup_b, seed=seed_b, backend=backend_b)
         if a.content_hash() == b.content_hash():
             assert a == b
+            assert hash(a) == hash(b)
         # The converse always holds for a content hash:
         if a == b:
             assert a.content_hash() == b.content_hash()
+        # The backend is execution-only: it never splits an identity.
+        assert a == a.with_(backend=backend_b)
         # And a round-tripped copy never changes identity:
-        assert RunSpec.from_json(a.to_json()).content_hash() \
-            == a.content_hash()
+        again = RunSpec.from_json(a.to_json())
+        assert again.content_hash() == a.content_hash()
+        assert again.backend == a.backend
 
 
 class TestJobSpecCompatibility:

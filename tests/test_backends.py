@@ -1,13 +1,15 @@
 """Per-RunSpec engine-backend selection (the ``backends`` registry kind).
 
 Covers the ``backends`` registry entries and core resolution precedence
-(a policy's ``core_class`` beats the requested backend), the
+(a policy's ``core_class`` beats the requested backend; an unpinned run
+gets the fastest registered engine, falling back to ``object``), the
 ``repro.runspec/2`` schema — backend validation, serialization that
-omits the default, v1 document compatibility — the content-hash
-stability guarantee (default-backend hashes are byte-identical to the
-pre-backend scheme, pinned by literal), the baseline mode naming for
-per-backend perf sections, and end-to-end execution equivalence of the
-two engines through the public :class:`repro.api.Session` entry points.
+writes only a pinned backend, v1 document compatibility — the
+content-hash stability guarantee (hashes are byte-identical to the
+pre-backend scheme, pinned by literal, whatever the backend), the
+baseline mode naming for per-backend perf sections, and end-to-end
+execution equivalence of the engines through the public
+:class:`repro.api.Session` entry points.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from repro import registry
 from repro.api import RunSpec, Session, SpecError
 from repro.config import scaled_config
-from repro.experiments.runner import core_for
+from repro.experiments.runner import core_for, default_backend
 from repro.jobs import JobSpec
 from repro.perf.baselines import BaselineError, mode_name, validate_doc
 from repro.pipeline import SMTCore, SoACore
@@ -35,7 +37,7 @@ needs_cext = pytest.mark.skipif(
     not _CEXT_BUILDABLE, reason="cext backend not buildable here")
 
 
-def _spec(backend="object", **kw):
+def _spec(backend=None, **kw):
     kw.setdefault("max_commits", 800)
     kw.setdefault("warmup", 400)
     return RunSpec(workload=("mcf", "swim"), config=CFG2,
@@ -100,9 +102,18 @@ class TestCextRegistration:
 
 
 class TestCoreResolution:
-    def test_default_is_object_engine(self):
-        assert core_for(make_policy("icount")) is SMTCore
+    def test_default_is_fastest_registered_engine(self):
+        expected = "cext" if _CEXT_BUILDABLE else "object"
+        assert default_backend() == expected
+        assert core_for(make_policy("icount")) is \
+            registry.backends.get(expected)
         assert core_for(make_policy("icount"), "object") is SMTCore
+
+    def test_default_is_object_engine(self, without_cext):
+        # Without the compiled engine (no toolchain, or REPRO_CEXT=0)
+        # an unpinned run falls back to the object engine.
+        assert default_backend() == "object"
+        assert core_for(make_policy("icount")) is SMTCore
 
     def test_soa_backend_selects_soa_core(self):
         assert core_for(make_policy("mlp_flush"), "soa") is SoACore
@@ -137,6 +148,9 @@ class TestSerialization:
         doc = _spec(backend="soa").to_doc()
         assert doc["backend"] == "soa"
 
+    def test_pinned_object_backend_serializes(self):
+        assert _spec(backend="object").to_doc()["backend"] == "object"
+
     @pytest.mark.parametrize("backend", ["object", "soa"])
     def test_json_roundtrip(self, backend):
         spec = _spec(backend=backend)
@@ -149,7 +163,7 @@ class TestSerialization:
         doc["schema"] = "repro.runspec/1"
         spec = RunSpec.from_doc(doc)
         assert spec == _spec()
-        assert spec.backend == "object"
+        assert spec.backend is None
 
     def test_v1_document_with_backend_refused(self):
         # A /1-stamped doc carrying the /2-only field is mis-stamped,
@@ -162,6 +176,7 @@ class TestSerialization:
     def test_str_names_non_default_backend(self):
         assert str(_spec()).endswith("@800")
         assert str(_spec(backend="soa")).endswith("@800+soa")
+        assert str(_spec(backend="object")).endswith("@800+object")
 
 
 class TestHashStability:
@@ -174,20 +189,21 @@ class TestHashStability:
     def test_default_backend_hash_unchanged(self):
         assert _spec().content_hash() == self._PINNED
 
-    def test_non_default_backend_changes_the_hash(self):
-        # The engines are bit-identical by contract, but caching a soa
-        # run under the object key would mask an equivalence regression.
-        assert _spec(backend="soa").content_hash() != self._PINNED
+    @pytest.mark.parametrize("backend", ["object", "soa"])
+    def test_pinned_backend_keeps_the_unpinned_hash(self, backend):
+        # The backend says how a run executes, not what it computes:
+        # every engine's run of one experiment shares one store entry,
+        # and pinned specs equal (and hash like) the unpinned one.
+        spec = _spec(backend=backend)
+        assert spec.content_hash() == self._PINNED
+        assert spec == _spec()
+        assert hash(spec) == hash(_spec())
 
     @needs_cext
-    def test_cext_hash_is_its_own_and_stable(self):
-        # Its own cache key (never aliases another backend's results)
-        # and a pure function of the spec document — the toolchain,
-        # compiler version, and probe outcome must not leak into it.
-        h = _spec(backend="cext").content_hash()
-        assert h != self._PINNED
-        assert h != _spec(backend="soa").content_hash()
-        assert h == _spec(backend="cext").content_hash()
+    def test_cext_hash_is_the_unpinned_hash(self):
+        # The toolchain, compiler version and probe outcome must not
+        # leak into a key either.
+        assert _spec(backend="cext").content_hash() == self._PINNED
 
     @pytest.mark.parametrize("backend", ["object", "soa"])
     def test_content_hash_matches_jobspec_cache_key(self, backend):
@@ -259,14 +275,22 @@ class TestExecutionEquivalence:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         session = Session()
         r_obj = session.run(self._small("object"))
+        assert session.last_report.executed == 3     # cell + 2 baselines
+        # The backend is not in the key: the soa run of the same
+        # experiment is the object run's store entry.
         r_soa = session.run(self._small("soa"))
-        assert r_obj.stp == r_soa.stp
-        assert r_obj.antt == r_soa.antt
-        assert r_obj.ipcs == r_soa.ipcs
-        # The single-thread baselines carry no backend, so the soa run
-        # reuses the object run's cached CPI_ST cells.
-        assert session.last_report.baselines_cached == 2
-        assert session.last_report.baselines_executed == 0
+        assert session.last_report.cache_hits == 1
+        assert session.last_report.executed == 0
+        assert r_soa == r_obj
+        # Uncached, the soa engine scores the cell identically.
+        r_fresh = Session(store=None).run(self._small("soa"))
+        assert r_fresh == r_obj
+
+    def test_baselines_run_on_the_cells_engine(self):
+        job = self._small("soa").to_job()
+        assert [b.backend for b in job.baseline_specs()] == ["soa", "soa"]
+        assert all(b.backend is None
+                   for b in self._small(None).to_job().baseline_specs())
 
     @needs_cext
     def test_simulate_matches_on_cext(self):

@@ -65,6 +65,28 @@ class TestCommands:
         assert main(["list", "scenario"]) == 0   # singular alias
         assert "smt2_mlp_stall" in capsys.readouterr().out
 
+    @staticmethod
+    def _marked_backends(capsys) -> list[str]:
+        assert main(["list", "backends"]) == 0
+        return [line.split()[0] for line in
+                capsys.readouterr().out.splitlines()
+                if line.endswith("[default]")]
+
+    def test_list_backends_marks_the_engine_in_use(self, capsys):
+        from repro.experiments.runner import default_backend
+        assert self._marked_backends(capsys) == [default_backend()]
+
+    def test_list_backends_marks_the_fallback(self, capsys, without_cext):
+        assert self._marked_backends(capsys) == ["object"]
+
+    def test_figure_footer_names_the_engine(self):
+        from repro.experiments.figures import _engine_footer
+        from repro.experiments.runner import default_backend
+        from repro.jobs import counters
+        before = counters()
+        before["executed"] -= 1
+        assert f"engine={default_backend()}," in _engine_footer(before)
+
     def test_list_unknown_kind_fails_helpfully(self, capsys):
         assert main(["list", "widgets"]) == 2
         err = capsys.readouterr().err
@@ -202,6 +224,11 @@ class TestSpecCommands:
                      "-c", "1500"]) == 0
         out = capsys.readouterr().out
         assert '"schema": "repro.runspec/2"' in out
+        # Unpinned unless asked: the spec runs on the default engine.
+        assert '"backend"' not in out
+        assert main(["spec", "make", "-w", "mcf,twolf", "-c", "1500",
+                     "--backend", "object"]) == 0
+        assert '"backend": "object"' in capsys.readouterr().out
 
     def test_spec_make_rejects_bad_policy(self):
         with pytest.raises(SystemExit):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import registry
 from repro.config import scaled_config
 from repro.experiments.runner import (
     core_for,
+    default_backend,
     run_single,
     run_workload,
     trace_for,
@@ -28,8 +30,12 @@ class TestCoreSelection:
         assert core_for(MLPRunaheadPolicy()) is RunaheadCore
 
     def test_plain_policies_request_base_core(self):
-        assert core_for(make_policy("icount")) is SMTCore
-        assert core_for(make_policy("mlp_flush")) is SMTCore
+        # No core_class: the requested backend decides, and an unpinned
+        # run gets the default engine.
+        default = registry.backends.get(default_backend())
+        assert core_for(make_policy("icount")) is default
+        assert core_for(make_policy("mlp_flush")) is default
+        assert core_for(make_policy("mlp_flush"), "object") is SMTCore
 
     def test_base_core_reports_no_runahead(self):
         cfg = scaled_config(num_threads=1, scale=16)

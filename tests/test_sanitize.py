@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import registry
 from repro.config import scaled_config
-from repro.experiments.runner import core_for, trace_for
+from repro.experiments.runner import core_for, default_backend, trace_for
 from repro.pipeline.core import SMTCore
 from repro.pipeline.sanitize import (
     CheckedFreeList,
@@ -45,23 +46,31 @@ def _run(core_cls, commits=1_500):
     return core, stats
 
 
+def _default_core() -> type:
+    """The stock core an unpinned run resolves to."""
+    return registry.backends.get(default_backend())
+
+
 class TestWiring:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert not sanitize_enabled()
-        assert core_for(make_policy("icount")) is SMTCore
+        assert core_for(make_policy("icount")) is _default_core()
+        assert core_for(make_policy("icount"), "object") is SMTCore
         assert core_for(make_policy("icount"), "soa") is SoACore
 
     def test_env_selects_checked_cores(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert sanitize_enabled()
-        assert core_for(make_policy("icount")) is CheckedSMTCore
+        assert core_for(make_policy("icount")) is \
+            checked_variant(_default_core())
+        assert core_for(make_policy("icount"), "object") is CheckedSMTCore
         assert core_for(make_policy("icount"), "soa") is CheckedSoACore
 
     def test_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         assert not sanitize_enabled()
-        assert core_for(make_policy("icount")) is SMTCore
+        assert core_for(make_policy("icount")) is _default_core()
 
     def test_specialized_cores_bypass(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
