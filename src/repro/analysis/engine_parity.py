@@ -1,31 +1,29 @@
-"""engine-parity-lint: the SoA engine mirrors the object engine.
+"""engine-parity-lint: the compiled engine mirrors the object engine.
 
-The struct-of-arrays backend (``soa.py``) re-implements the object
-engine's hot methods and must stay *architecturally identical* — the
-34-cell golden matrix pins the numbers, but only for the policies and
-stats it samples.  This checker pins the structural contract directly:
+The ``cext`` backend (``_cext_engine.c``, driven by ``cext.py``) runs
+the object engine's stage loop over struct-of-arrays columns and must
+stay *architecturally identical* — the 34-cell golden matrix pins the
+numbers, but only for the policies and stats it samples.  This checker
+pins two structural contracts directly:
 
-1. **Hook parity** — the set of policy hooks the two files invoke
+1. **Hook parity** — the set of policy hooks the object engine invokes
    (``self.policy.on_X`` reads plus the ``_policy_*`` elision
-   attributes bound in ``SMTCore.__init__``) must be equal.  A hook
-   called by one engine and not the other means one backend silently
-   ignores a whole policy mechanism.
-2. **Stat parity** — the set of golden-relevant stat fields written by
-   the methods ``soa.py`` replaces must equal the set written anywhere
-   in ``soa.py``.  (Fields written only by *inherited* methods —
-   ``advance_to``'s cycle refresh, stall settlement — are shared code
-   and out of scope by construction.)  The replaced-method set is read
-   from the SoA class body itself: the ``NotImplementedError`` guard
-   stubs make it self-describing.
-3. **Column coverage** — every ``DynInstr`` ``__slots__`` entry must map
+   attributes bound in ``SMTCore.__init__``) must equal the set the
+   cext backend reaches: the call sites of its Python side (``cext.py``
+   and the ``SoACore`` state in ``soa.py``) plus the hook spellings in
+   the C source.  A hook called by one engine and not the
+   other means one backend silently ignores a whole policy mechanism.
+2. **Column coverage** — every ``DynInstr`` ``__slots__`` entry must map
    to a ``SoAView`` accessor: an explicit property, a ``_col_*`` column
    property from the generation loop, or a packed flag bit.  A new
-   DynInstr field without a column is invisible to the SoA engine.
+   DynInstr field without a column is invisible to policy hooks on the
+   compiled engine.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.base import (Finding, SRC_ROOT, dotted_name,
@@ -72,7 +70,7 @@ def _hooks_used_c(text: str) -> set[str]:
     """Hook call sites in the C engine source (text scan, not AST).
 
     The compiled loop reaches each hook through the same artifacts the
-    Python engines use — the ``_policy_*`` elision slots (resolved by
+    object engine uses — the ``_policy_*`` elision slots (resolved by
     name in its offset table) and the literal hook attribute names it
     interns — so their spellings appearing in the source *is* the
     call-site set.
@@ -85,64 +83,6 @@ def _hooks_used_c(text: str) -> set[str]:
         if f'"{hook}"' in text:
             used.add(hook)
     return used
-
-
-def _stat_fields(stats_tree: ast.Module) -> set[str]:
-    """All dataclass field names of stats.py (the stat universe)."""
-    fields: set[str] = set()
-    for node in ast.walk(stats_tree):
-        if isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    fields.add(stmt.target.id)
-    return fields
-
-
-def _stat_writes(func: ast.AST, universe: set[str]) -> set[str]:
-    """Stat fields stored under ``func``, with local alias tracking.
-
-    Catches both direct ``<expr>.stats.X = ...`` stores and the hot-path
-    idiom ``st = ts.stats; st.X += 1`` (any local assigned from an
-    expression ending in ``.stats``).
-    """
-    aliases: set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            tgt, val = node.targets[0], node.value
-            name = dotted_name(val)
-            if (isinstance(tgt, ast.Name) and name is not None
-                    and (name == "stats" or name.endswith(".stats"))):
-                aliases.add(tgt.id)
-
-    written: set[str] = set()
-    for node in ast.walk(func):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for tgt in targets:
-            if not isinstance(tgt, ast.Attribute) or tgt.attr not in universe:
-                continue
-            base = tgt.value
-            base_name = dotted_name(base)
-            if base_name is not None and (
-                    base_name in aliases or base_name == "stats"
-                    or base_name.endswith(".stats")):
-                written.add(tgt.attr)
-    return written
-
-
-def _methods(tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    """Method name -> def node, over every class in the module."""
-    out: dict[str, ast.FunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out[stmt.name] = stmt
-    return out
 
 
 def _soa_view_accessors(tree: ast.Module) -> set[str]:
@@ -189,78 +129,43 @@ def _dyninstr_slots(tree: ast.Module) -> list[str]:
     return []
 
 
+def _cext_hooks(files: Sequence[Path]) -> set[str]:
+    """Hooks the cext backend reaches: ``.py`` by AST, C by text."""
+    used: set[str] = set()
+    for path in files:
+        if path.suffix == ".py":
+            used |= _hooks_used(parse_file(path))
+        else:
+            used |= _hooks_used_c(path.read_text())
+    return used
+
+
 def check(core_path: Path | None = None,
-          soa_path: Path | None = None,
-          dyninstr_path: Path | None = None,
-          stats_path: Path | None = None,
-          cext_path: Path | None = None,
-          cext_c_path: Path | None = None) -> list[Finding]:
+          cext_files: Sequence[Path] | None = None,
+          dyninstr_path: Path | None = None) -> list[Finding]:
     """Run engine-parity-lint (default: the real pipeline modules)."""
     core_path = core_path or _PIPELINE / "core.py"
-    soa_path = soa_path or _PIPELINE / "soa.py"
+    cext_files = cext_files or (_PIPELINE / "cext.py", _PIPELINE / "soa.py",
+                                _PIPELINE / "_cext_engine.c")
     dyninstr_path = dyninstr_path or _PIPELINE / "dyninstr.py"
-    stats_path = stats_path or _PIPELINE / "stats.py"
-    cext_path = cext_path or _PIPELINE / "cext.py"
-    cext_c_path = cext_c_path or _PIPELINE / "_cext_engine.c"
-    core_tree = parse_file(core_path)
-    soa_tree = parse_file(soa_path)
     findings: list[Finding] = []
 
-    # 1. hook parity
-    core_hooks = _hooks_used(core_tree)
-    soa_hooks = _hooks_used(soa_tree)
-    for hook in sorted(core_hooks - soa_hooks):
+    # 1. hook parity between the object engine and the cext backend
+    core_hooks = _hooks_used(parse_file(core_path))
+    cext_hooks = _cext_hooks(cext_files)
+    cext_where = rel(cext_files[-1])
+    for hook in sorted(core_hooks - cext_hooks):
         findings.append(Finding(
-            CHECKER, rel(soa_path), 1,
-            f"policy hook {hook!r} is invoked by {rel(core_path)} but "
-            f"never by the SoA engine"))
-    for hook in sorted(soa_hooks - core_hooks):
-        findings.append(Finding(
-            CHECKER, rel(core_path), 1,
-            f"policy hook {hook!r} is invoked by {rel(soa_path)} but "
-            f"never by the object engine"))
-
-    # 1b. hook parity for the compiled backend: the cext driver + the C
-    # engine together must reach exactly the hooks the object engine
-    # does.  (The driver's Python side contributes the elision markers
-    # it caches; the C side contributes every offset-table/interned
-    # call site.)
-    if cext_path.exists() and cext_c_path.exists():
-        cext_hooks = (_hooks_used(parse_file(cext_path))
-                      | _hooks_used_c(cext_c_path.read_text()))
-        for hook in sorted(core_hooks - cext_hooks):
-            findings.append(Finding(
-                CHECKER, rel(cext_c_path), 1,
-                f"policy hook {hook!r} is invoked by {rel(core_path)} "
-                f"but never by the cext backend"))
-        for hook in sorted(cext_hooks - core_hooks):
-            findings.append(Finding(
-                CHECKER, rel(core_path), 1,
-                f"policy hook {hook!r} is invoked by the cext backend "
-                f"but never by the object engine"))
-
-    # 2. stat-write parity over the replaced methods
-    universe = _stat_fields(parse_file(stats_path))
-    core_methods = _methods(core_tree)
-    replaced = set(_methods(soa_tree))
-    required: set[str] = set()
-    for name in replaced & set(core_methods):
-        required |= _stat_writes(core_methods[name], universe)
-    actual: set[str] = set()
-    for func in _methods(soa_tree).values():
-        actual |= _stat_writes(func, universe)
-    for fld in sorted(required - actual):
-        findings.append(Finding(
-            CHECKER, rel(soa_path), 1,
-            f"stat field {fld!r} is written by an object-engine method "
-            f"the SoA engine replaces, but never by the SoA engine"))
-    for fld in sorted(actual - required):
+            CHECKER, cext_where, 1,
+            f"policy hook {hook!r} is invoked by {rel(core_path)} "
+            f"but never by the cext backend"))
+    for hook in sorted(cext_hooks - core_hooks):
         findings.append(Finding(
             CHECKER, rel(core_path), 1,
-            f"stat field {fld!r} is written by the SoA engine but not "
-            f"by the object-engine methods it replaces"))
+            f"policy hook {hook!r} is invoked by the cext backend "
+            f"but never by the object engine"))
 
-    # 3. DynInstr slot -> SoAView accessor coverage
+    # 2. DynInstr slot -> SoAView accessor coverage
     dyn_tree = parse_file(dyninstr_path)
     accessors = _soa_view_accessors(dyn_tree)
     for slot in _dyninstr_slots(dyn_tree):

@@ -24,11 +24,11 @@ The fixture is backend-independent: every selectable engine core must
 reproduce it bit for bit, so it is always *regenerated* with the default
 object engine and *checked* against any backend::
 
-    python -m repro.perf.golden --check --backend soa
+    python -m repro.perf.golden --check --backend cext
 
 ``--check`` simulates every cell and compares against the committed
 fixture without writing anything (exit 1 on any mismatch) — the CI leg
-that holds the SoA engine to the cycle-exactness contract.
+that holds the compiled engine to the cycle-exactness contract.
 """
 
 from __future__ import annotations

@@ -5,18 +5,20 @@ change alone is not enough — the SoA columns are "the right substrate for
 a C extension", which is the only remaining path to multiples rather than
 percents (perf/PROFILE.md).  This module is that extension's driver:
 
-* ``_cext_engine.c`` (checked in next to this file) implements the five
-  hot stage bodies — the fused ``_run_until`` loop, fetch, dispatch,
-  issue, commit and the event-wheel drains — directly against the SoA
-  columns of :class:`~repro.pipeline.soa.SoACore`, crossing back into
-  Python only at policy-hook points.  The existing ``_is_default_hook``
-  elision applies unchanged: hook-free configurations never leave C.
+* ``_cext_engine.c`` (checked in next to this file) implements the fused
+  ``_run_until`` loop and every hot stage body — the event-wheel drains,
+  commit, issue, dispatch and fetch — directly against the columns of
+  :class:`~repro.pipeline.soa.SoACore`, crossing back into Python only
+  at policy-hook points and the few helpers ``SoACore`` keeps
+  (``flush_thread``, ``_next_cycle``, ``_soa_grow``).  The existing
+  ``_is_default_hook`` elision applies unchanged: hook-free
+  configurations never leave C.
 * :class:`CextCore` is a thin :class:`SoACore` subclass whose only
   override is ``_run_until``; all state lives in the ordinary Python
   objects (columns, wheels, heaps, ``ThreadState``), so every
   introspection path — stats, golden fixtures, sanitizers, policies —
-  sees exactly what the pure-Python engines see.  Architectural behavior
-  is bit-identical; the golden matrix pins it.
+  sees exactly what the object engine's records would show.
+  Architectural behavior is bit-identical; the golden matrix pins it.
 
 The extension is built lazily from the checked-in C source with the
 host's own compiler (``cc``/``gcc``/``clang`` — no Cython, no mypyc) and
@@ -33,12 +35,9 @@ Environment knobs:
 * ``REPRO_CEXT=0`` disables the backend entirely (probe reports it), so
   unpinned runs use the object engine.
 * ``REPRO_CEXT_CACHE`` overrides the build-cache directory.
-* ``REPRO_CEXT_STAGES`` (an integer mask of ``ST_*`` bits) selectively
-  re-routes individual stages through their Python fallbacks — a
-  debugging aid for bisecting a divergence to one stage.
-* ``REPRO_SANITIZE=1`` runs the checked engine instead — see
-  :mod:`repro.pipeline.sanitize`; the C loop is bypassed, not silently
-  unchecked.
+* ``REPRO_SANITIZE=1`` runs :class:`~repro.pipeline.sanitize.
+  CheckedCextCore` instead: the same compiled loop, with the arena
+  checked at every ``advance_to`` boundary.
 """
 
 from __future__ import annotations
@@ -206,23 +205,13 @@ def cext_status() -> str:
         + _state[1]
 
 
-def _stage_mask(engine: ModuleType) -> int:
-    raw = os.environ.get("REPRO_CEXT_STAGES", "").strip()
-    if not raw:
-        return int(engine.ALL_STAGES)
-    try:
-        return int(raw, 0)
-    except ValueError:
-        return int(engine.ALL_STAGES)
-
-
 class CextCore(SoACore):
-    """The SoA engine with its fused loop compiled to C.
+    """The struct-of-arrays pipeline, driven by the compiled loop.
 
     State layout is exactly :class:`SoACore`'s; only ``_run_until`` is
     replaced.  The two extra slots cache the policy-class hook markers
-    the Python loop reads via ``getattr`` each run — the C side wants
-    them as plain slot loads.
+    (``getattr`` probes on the policy class), so the C side reads them
+    as plain slot loads.
     """
 
     __slots__ = ("_cext_olc_cleanup_only", "_cext_ll_detect_is_base")
@@ -239,17 +228,17 @@ class CextCore(SoACore):
 
     def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
         engine = _engine()
-        if engine is None or type(self).step is not SoACore.step:
-            # No compiled loop (shouldn't happen via the registry, which
-            # only offers this class when the probe passed) or a subclass
-            # changed per-cycle behavior: the SoA driver handles both.
-            SoACore._run_until(self, max_commits, max_cycles)
-            return
+        if engine is None:
+            # The registry only offers this class when the probe passed;
+            # a core built by hand on a host without the extension has
+            # no loop to run.
+            raise RuntimeError(
+                f"CextCore needs the compiled engine ({cext_status()})")
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
-        engine.run_until(self, max_commits, limit, _stage_mask(engine))
+        engine.run_until(self, max_commits, limit)
 
 
-def load_cext_core() -> type[SoACore] | None:
+def load_cext_core() -> type[CextCore] | None:
     """:class:`CextCore` when the extension builds and loads, else ``None``.
 
     The ``backends`` registry's conditional entry point; never raises.

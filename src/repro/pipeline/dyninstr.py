@@ -5,14 +5,15 @@ Two representations share this module:
 * :class:`DynInstr` — the classic one-object-per-instruction record used
   by the ``object`` engine backend (and by :class:`repro.runahead.core.
   RunaheadCore`, which subclasses the object engine's commit machinery).
-* The **struct-of-arrays column schema** used by the ``soa`` backend
-  (:class:`repro.pipeline.soa.SoACore`): every ``DynInstr`` field becomes
-  a flat per-slot column, the eleven booleans collapse into one integer
-  ``flags`` word (bit layout below), and cross-record references become
-  slot indices.  :class:`SoAView` is the thin per-slot proxy handed to
-  policies and hooks so the policy surface never sees a raw slot number.
+* The **struct-of-arrays column schema** of
+  :class:`repro.pipeline.soa.SoACore`, the state the compiled ``cext``
+  backend runs on: every ``DynInstr`` field becomes a flat per-slot
+  column, the eleven booleans collapse into one integer ``flags`` word
+  (bit layout below), and cross-record references become slot indices.
+  :class:`SoAView` is the thin per-slot proxy handed to policies and
+  hooks so the policy surface never sees a raw slot number.
 
-Heap and event-wheel entries in the SoA engine are *packed* ints,
+Heap and event-wheel entries in the SoA layout are *packed* ints,
 ``(gseq << SLOT_SHIFT) | slot``: the global age stamp in the high bits
 makes plain integer comparison reproduce oldest-first ordering (``gseq``
 is unique per dynamic instruction), and the embedded stamp doubles as a

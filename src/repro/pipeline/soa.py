@@ -1,27 +1,30 @@
-"""Struct-of-arrays engine backend: the ``soa`` entry in ``backends``.
+"""Struct-of-arrays pipeline state: the columns the compiled loop runs on.
 
-:class:`SoACore` re-implements every hot body of :class:`repro.pipeline.
-core.SMTCore` over parallel flat columns indexed by *arena slot* (see
-:mod:`repro.pipeline.dyninstr` for the column schema and the packed
-heap/wheel entry encoding).  The architectural contract is the object
-engine's, bit for bit: the golden-stats matrix runs under both backends
-and asserts identical counters cell by cell (``tests/test_golden_stats.
-py``), which is what licenses selecting the backend per
-:class:`repro.api.RunSpec` without touching result semantics.
+:class:`SoACore` holds every in-flight instruction of an
+:class:`repro.pipeline.core.SMTCore` as parallel flat columns indexed by
+*arena slot* (see :mod:`repro.pipeline.dyninstr` for the column schema
+and the packed heap/wheel entry encoding).  It is not an engine on its
+own: the stage loop that runs over these columns is compiled
+(``_cext_engine.c``), and :class:`~repro.pipeline.cext.CextCore`, the
+``cext`` entry in the ``backends`` registry, is the class that drives
+it.  What stays in Python here is what that loop and the policy hooks
+call back into — the arena (:meth:`SoACore.view`,
+:meth:`SoACore._soa_grow`), the policy-triggered squash
+(:meth:`SoACore.flush_thread`) and the fast-forward probe
+(:meth:`SoACore._next_cycle`).  The architectural contract is the
+object engine's, bit for bit: the golden-stats matrix asserts identical
+counters cell by cell (``tests/test_golden_stats.py``).
 
-What changes relative to the object engine, and why it is faster:
+The arena's contract, which the C loop and :meth:`flush_thread` share:
 
-* **No per-instruction objects on the hot path.**  A dynamic instruction
-  is a slot number; its fields live in parallel Python lists, so the
-  stage loops do list indexing (a C-level fast path on small ints)
-  instead of attribute loads through ``__slots__`` descriptors, and the
-  eleven per-record booleans collapse into single-mask tests against one
-  ``flags`` word.
+* **A dynamic instruction is a slot number.**  Its fields live in
+  parallel Python lists, and the eleven per-record booleans collapse
+  into one ``flags`` word.
 * **Packed int heap/wheel entries.**  Ready queues and the event wheels
-  hold ``(gseq << SLOT_SHIFT) | slot`` ints: heap pushes allocate no
-  ``(gseq, di)`` tuples, bucket age-sorts are key-less int sorts, and
-  the embedded age stamp doubles as the generation check that replaces
-  the object engine's reliance on GC liveness.
+  hold ``(gseq << SLOT_SHIFT) | slot`` ints: bucket age-sorts are
+  key-less int sorts, and the embedded age stamp doubles as the
+  generation check that replaces the object engine's reliance on GC
+  liveness.
 * **Explicit slot reclamation.**  The object engine pools retired
   records and lets the GC keep squashed ones alive for any straggling
   reference (queued events, waiter lists, policy-retained records).  The
@@ -34,36 +37,30 @@ What changes relative to the object engine, and why it is faster:
 * **Pristine free-list discipline.**  Mirroring ``DynInstr.reinit``'s
   pool invariant, every free site leaves its slot with ``pending == 0``,
   ``refs == 0``, ``waiter0 == -1``, ``waiters``/``old_map``/
-  ``ll_parents``/``fill_line``/``view`` cleared — most of which the
-  retire path gets for free from the commit/drain invariants — so the
-  per-fetch allocation writes only the six columns that actually vary
-  (instr, thread, seq, gseq, fe_ready, flags).
+  ``ll_parents``/``fill_line``/``view`` cleared, so the per-fetch
+  allocation writes only the six columns that actually vary (instr,
+  thread, seq, gseq, fe_ready, flags).  ``REPRO_SANITIZE=1`` checks
+  this at every ``advance_to`` boundary (:mod:`repro.pipeline.sanitize`).
 
 Views are created lazily, only when a policy hook or test actually
 touches a record, so hook-free policies (plain ICOUNT) allocate nothing
 per instruction at all.
 
 Deliberately unsupported: :class:`repro.runahead.RunaheadCore`-style
-subclassing of the commit/dispatch internals.  Policies that declare a
+subclassing of the per-cycle internals.  Policies that declare a
 ``core_class`` keep riding the object engine (``experiments.runner.
-build_core`` gives ``core_class`` precedence over the backend), and the
-overridable object-engine extension points (``_complete``, ``_execute``,
-``_commit_one``, ``_try_dispatch``) raise loudly here instead of
-silently desynchronizing.
+core_for`` gives ``core_class`` precedence over the backend), and the
+overridable object-engine extension points (``step``, ``_complete``,
+``_execute``, ``_commit_one``, ``_try_dispatch``) raise loudly here
+instead of running the object engine's bodies over slot numbers.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.isa import NUM_ARCH_REGS
-from repro.memory.hierarchy import MemoryHierarchy, ServiceLevel
-from repro.pipeline.core import (
-    SimulationDeadlock,
-    SimulationLimitExceeded,
-    SMTCore,
-)
+from repro.pipeline.core import SimulationDeadlock, SMTCore
 from repro.pipeline.dyninstr import (
     F_COMPLETED,
     F_DEST_FP,
@@ -72,23 +69,19 @@ from repro.pipeline.dyninstr import (
     F_IN_DETECTS,
     F_IN_IQ,
     F_IQ_FP,
-    F_IS_BRANCH,
-    F_IS_LL,
     F_IS_LOAD,
     F_IS_STORE,
-    F_ISSUED,
-    F_LL_DEP,
     F_RETIRED,
     F_SQUASHED,
-    SLOT_MASK,
     SLOT_SHIFT,
     SoAView,
     instr_flags,
 )
-from repro.pipeline.thread_state import ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import SMTConfig
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.pipeline.thread_state import ThreadState
     from repro.policies.base import FetchPolicy
     from repro.workloads.trace import SyntheticTrace
 
@@ -97,13 +90,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _INITIAL_CAPACITY = 2048
 
 _F_MEM = F_IS_LOAD | F_IS_STORE
-_F_DEAD_OR_DONE = F_SQUASHED | F_ISSUED | F_COMPLETED
-_F_NO_WAKE = F_SQUASHED | F_ISSUED
-_F_RETIRED_FREED = F_RETIRED | F_FREED
 
 
 class SoACore(SMTCore):
-    """The struct-of-arrays engine (cycle-exact with :class:`SMTCore`)."""
+    """The pipeline state as slot-indexed columns (see the module doc).
+
+    Cycle-exact with :class:`SMTCore` when driven by the compiled loop
+    (:class:`~repro.pipeline.cext.CextCore`); it has no stage loop of
+    its own, so a bare instance cannot run.
+    """
 
     __slots__ = (
         "_capacity", "_free",
@@ -205,20 +200,26 @@ class SoACore(SMTCore):
     # object-engine extension points that cannot apply here
     # ------------------------------------------------------------------ #
 
+    def step(self) -> None:
+        raise NotImplementedError(
+            "SoACore has no stage loop of its own; run the compiled "
+            "engine (backend 'cext') or the object engine (backend "
+            "'object')")
+
     def _complete(self, di, cycle):  # pragma: no cover - guard
         raise NotImplementedError(
-            "SoACore inlines completion handling; subclass the object "
-            "engine (backend 'object') instead")
+            "the cext loop inlines completion handling; subclass the "
+            "object engine (backend 'object') instead")
 
     def _process_events(self, cycle):  # pragma: no cover - guard
         raise NotImplementedError(
-            "SoACore inlines event draining; subclass the object engine "
-            "(backend 'object') instead")
+            "the cext loop inlines event draining; subclass the object "
+            "engine (backend 'object') instead")
 
     def _execute(self, di, cycle):  # pragma: no cover - guard
         raise NotImplementedError(
-            "SoACore inlines execution in _issue; subclass the object "
-            "engine (backend 'object') instead")
+            "the cext loop inlines execution in its issue stage; "
+            "subclass the object engine (backend 'object') instead")
 
     def _commit_one(self, ts, cycle):  # pragma: no cover - guard
         raise NotImplementedError(
@@ -229,1295 +230,6 @@ class SoACore(SMTCore):
         raise NotImplementedError(
             "SoACore has no per-record dispatch path; subclass the "
             "object engine (backend 'object') instead")
-
-    # ------------------------------------------------------------------ #
-    # top-level driving
-    # ------------------------------------------------------------------ #
-
-    def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
-        limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
-        if type(self).step is not SoACore.step:
-            # A subclass changed per-cycle behavior: drive it generically.
-            step = self.step
-            while True:
-                step()
-                if self._committed_watermark >= max_commits:
-                    return
-                if self.cycle >= limit:
-                    raise SimulationLimitExceeded(
-                        f"exceeded {limit} cycles without reaching "
-                        f"{max_commits} commits")
-        # The fused copy of step(), mirroring SMTCore._run_until body for
-        # body on the columns — keep the two engines in sync; the golden
-        # matrix pins them to identical architectural behavior.
-        mask = self._wheel_mask
-        ev_buckets = self._ev_buckets
-        ev_marks = self._ev_marks
-        ev_over = self._ev_over
-        dt_buckets = self._dt_buckets
-        dt_marks = self._dt_marks
-        dt_over = self._dt_over
-        wb_buckets = self._wb_buckets
-        wb_marks = self._wb_marks
-        wb_over = self._wb_over
-        ready_int = self._ready_int
-        ready_ldst = self._ready_ldst
-        ready_fp = self._ready_fp
-        ready_by_op = self._ready_by_op
-        threads = self.threads
-        commit_stage = self._commit_stage
-        dispatch_stage = self._dispatch_stage
-        issue_stage = self._issue_stage
-        fetch_thread = self._fetch_thread
-        next_cycle = self._next_cycle
-        policy_fetch_order = self._policy_fetch_order
-        policy_fetch_pending = self._policy_fetch_pending
-        on_load_complete = self._policy_on_load_complete
-        olc_cleanup_only = getattr(
-            type(self.policy).on_load_complete,
-            "_identity_keyed_cleanup", False)
-        on_ll_detect = self.policy.on_ll_detect
-        ll_detect_is_base = getattr(
-            type(self.policy).on_ll_detect, "_is_default_hook", False)
-        fetch_width = self._fetch_width
-        fetch_max_threads = self._fetch_max_threads
-        fast_forward = self._fast_forward
-        fetch_order_is_base = self._fetch_order_is_base
-        fe_capacity = self._fe_capacity
-        can_fetch_one = fetch_max_threads >= 1 and fetch_width >= 1
-        fetch_candidates = self._fetch_candidates
-        col_instr = self._col_instr
-        col_thread = self._col_thread
-        col_gseq = self._col_gseq
-        col_packed = self._col_packed
-        col_pending = self._col_pending
-        col_flags = self._col_flags
-        col_refs = self._col_refs
-        col_waiter0 = self._col_waiter0
-        col_waiters = self._col_waiters
-        col_views = self._col_views
-        free = self._free
-        view = self.view
-        while True:
-            cycle = self.cycle
-            bucket = ev_buckets[cycle & mask]
-            if bucket or (ev_over and ev_over[0][0] <= cycle):
-                # completion loop — keep in sync with step()
-                if bucket is None:
-                    bucket = ev_buckets[cycle & mask] = []
-                while ev_over and ev_over[0][0] <= cycle:
-                    bucket.append(heappop(ev_over)[1])
-                while ev_marks and ev_marks[0] <= cycle:
-                    heappop(ev_marks)
-                n_due = len(bucket)
-                if n_due > 1:
-                    if n_due == 2:
-                        a, b = bucket
-                        if b < a:   # packed ints sort in age order
-                            bucket[0] = b
-                            bucket[1] = a
-                    else:
-                        bucket.sort()
-                for packed in bucket:
-                    s = packed & SLOT_MASK
-                    if col_packed[s] != packed:
-                        continue   # slot reclaimed and refetched
-                    fl = col_flags[s]
-                    ts = threads[col_thread[s]]
-                    if fl & F_IS_LOAD and col_pending[s] == -1:
-                        # The outstanding-miss count drops even for a
-                        # squashed load (object-engine semantics); clear
-                        # the marker so the slot becomes reclaimable.
-                        ts.outstanding_misses -= 1
-                        col_pending[s] = 0
-                    if fl & F_SQUASHED:
-                        if not fl & (F_FREED | F_IN_DETECTS) \
-                                and not col_refs[s] \
-                                and not col_pending[s]:
-                            v = col_views[s]
-                            if v is None or v not in ts.ll_owners:
-                                # Flush skipped this slot (its miss was
-                                # still counted); restore the pristine
-                                # invariant flush couldn't.
-                                col_waiter0[s] = -1
-                                col_waiters[s] = None
-                                self._col_old_map[s] = -1
-                                self._col_fill_line[s] = None
-                                col_views[s] = None
-                                col_flags[s] = fl | F_FREED
-                                free.append(s)
-                        continue
-                    fl |= F_COMPLETED
-                    col_flags[s] = fl
-                    window = ts.window
-                    if window and window[0] == s:
-                        ts.head_ready = True
-                        self._heads_mask |= ts.tid_bit
-                        self._commit_pending = True
-                    w0 = col_waiter0[s]
-                    if w0 >= 0:
-                        col_waiter0[s] = -1
-                        ws = w0 & SLOT_MASK
-                        if col_packed[ws] == w0:
-                            # A flush-freed waiter still gen-matches until
-                            # realloc; F_FREED keeps its pristine columns
-                            # untouched on the free list.
-                            wfl = col_flags[ws]
-                            if not wfl & F_FREED:
-                                p = col_pending[ws] - 1
-                                col_pending[ws] = p
-                                if (not p and not wfl & _F_NO_WAKE
-                                        and wfl & F_IN_IQ):
-                                    heappush(
-                                        ready_by_op[col_instr[ws].op_i],
-                                        w0)
-                        wl = col_waiters[s]
-                        if wl is not None:
-                            col_waiters[s] = None
-                            for w in wl:
-                                ws = w & SLOT_MASK
-                                if col_packed[ws] != w:
-                                    continue
-                                wfl = col_flags[ws]
-                                if wfl & F_FREED:
-                                    continue
-                                p = col_pending[ws] - 1
-                                col_pending[ws] = p
-                                if (not p and not wfl & _F_NO_WAKE
-                                        and wfl & F_IN_IQ):
-                                    heappush(
-                                        ready_by_op[col_instr[ws].op_i],
-                                        w)
-                    if fl & F_IS_BRANCH and ts.waiting_branch == s:
-                        ts.waiting_branch = None
-                        ts.stats.branch_stall_cycles += \
-                            cycle - ts.branch_wait_since
-                        if ts.fetch_blocked_until < cycle + 1:
-                            ts.fetch_blocked_until = cycle + 1
-                        self._fetch_wake = 0
-                    if fl & F_IS_LOAD and on_load_complete is not None:
-                        v = col_views[s]
-                        if v is not None:
-                            on_load_complete(v, ts)
-                        elif not olc_cleanup_only:
-                            # A cleanup-only hook is a no-op for a record
-                            # it was never handed; skip materializing one.
-                            v = col_views[s] = SoAView(self, s,
-                                                       col_gseq[s])
-                            on_load_complete(v, ts)
-                bucket.clear()
-            bucket = dt_buckets[cycle & mask]
-            if bucket or (dt_over and dt_over[0][0] <= cycle):
-                if bucket is None:
-                    bucket = dt_buckets[cycle & mask] = []
-                while dt_over and dt_over[0][0] <= cycle:
-                    bucket.append(heappop(dt_over)[1])
-                while dt_marks and dt_marks[0] <= cycle:
-                    heappop(dt_marks)
-                n_due = len(bucket)
-                if n_due > 1:
-                    if n_due == 2:
-                        a, b = bucket
-                        if b < a:
-                            bucket[0] = b
-                            bucket[1] = a
-                    else:
-                        bucket.sort()
-                for packed in bucket:
-                    # F_IN_DETECTS pins the slot: no generation check.
-                    s = packed & SLOT_MASK
-                    fl = col_flags[s] & ~F_IN_DETECTS
-                    col_flags[s] = fl
-                    if fl & (F_SQUASHED | F_COMPLETED):
-                        if (fl & (F_SQUASHED | F_RETIRED)
-                                and not fl & F_FREED and not col_refs[s]
-                                and col_pending[s] != -1):
-                            ts = threads[col_thread[s]]
-                            v = col_views[s]
-                            if v is None or v not in ts.ll_owners:
-                                col_waiter0[s] = -1
-                                col_waiters[s] = None
-                                self._col_old_map[s] = -1
-                                self._col_fill_line[s] = None
-                                col_views[s] = None
-                                col_flags[s] = fl | F_FREED
-                                free.append(s)
-                        continue
-                    if not ll_detect_is_base:
-                        on_ll_detect(view(s), threads[col_thread[s]])
-                bucket.clear()
-            wcnt = wb_buckets[cycle & mask]
-            if wcnt:
-                wb_buckets[cycle & mask] = 0
-                self._wb_used -= wcnt
-                while wb_marks and wb_marks[0] <= cycle:
-                    heappop(wb_marks)
-            if wb_over and wb_over[0] <= cycle:
-                while wb_over and wb_over[0] <= cycle:
-                    heappop(wb_over)
-                    self._wb_used -= 1
-            if self._commit_pending:
-                commit_stage(cycle)
-            if ready_int or ready_ldst or ready_fp:
-                issue_stage(cycle)
-            if cycle >= self._dispatch_wake:
-                if (cycle < self._stall_latch_until
-                        and self._stall_latch_epoch == self._release_epoch):
-                    self.stats.resource_stall_cycles += 1
-                else:
-                    dispatch_stage(cycle)
-            if cycle >= self._fetch_wake:
-                if fetch_order_is_base:
-                    candidates = fetch_candidates
-                    if candidates:
-                        first = None
-                        rest = None
-                        for ts in candidates:
-                            if (ts.fetch_blocked_until <= cycle
-                                    and ts.waiting_branch is None
-                                    and len(ts.fe_queue) < fe_capacity):
-                                if first is None:
-                                    first = ts
-                                elif rest is None:
-                                    rest = [first, ts]
-                                else:
-                                    rest.append(ts)
-                        if rest is None:
-                            if first is None:
-                                self._fetch_wake = \
-                                    self._compute_fetch_wake(cycle)
-                            elif can_fetch_one:
-                                fetch_thread(first, fetch_width, cycle,
-                                             False)
-                        else:
-                            if len(rest) == 2:
-                                a, b = rest
-                                if b.icount < a.icount:
-                                    rest[0] = b
-                                    rest[1] = a
-                            else:
-                                rest.sort(key=_by_icount)
-                            budget = fetch_width
-                            remaining_threads = fetch_max_threads
-                            for ts in rest:
-                                if remaining_threads == 0 or budget == 0:
-                                    break
-                                remaining_threads -= 1
-                                budget -= fetch_thread(ts, budget, cycle,
-                                                       False)
-                    else:
-                        order = policy_fetch_order(cycle)
-                        if order:
-                            budget = fetch_width
-                            remaining_threads = fetch_max_threads
-                            for ts, ignore_stall in order:
-                                if remaining_threads == 0 or budget == 0:
-                                    break
-                                remaining_threads -= 1
-                                budget -= fetch_thread(ts, budget, cycle,
-                                                       ignore_stall)
-                        else:
-                            self._fetch_wake = \
-                                self._compute_fetch_wake(cycle)
-                else:
-                    order = policy_fetch_order(cycle)
-                    if order:
-                        budget = fetch_width
-                        remaining_threads = fetch_max_threads
-                        for ts, ignore_stall in order:
-                            if remaining_threads == 0 or budget == 0:
-                                break
-                            remaining_threads -= 1
-                            budget -= fetch_thread(ts, budget, cycle,
-                                                   ignore_stall)
-            nxt = cycle + 1
-            if not fast_forward or ready_int or ready_ldst or ready_fp:
-                self.cycle = nxt
-            elif nxt < self._fetch_wake:
-                self.cycle = nxt = next_cycle(cycle)
-            elif fetch_order_is_base:
-                pending = False
-                for ts in (fetch_candidates or threads):
-                    if (ts.fetch_blocked_until <= nxt
-                            and ts.waiting_branch is None
-                            and len(ts.fe_queue) < fe_capacity):
-                        pending = True
-                        break
-                if pending:
-                    self.cycle = nxt
-                else:
-                    self.cycle = nxt = next_cycle(cycle)
-            elif policy_fetch_pending(nxt):
-                self.cycle = nxt
-            else:
-                self.cycle = nxt = next_cycle(cycle)
-            if self._committed_watermark >= max_commits:
-                return
-            if nxt >= limit:
-                raise SimulationLimitExceeded(
-                    f"exceeded {limit} cycles without reaching "
-                    f"{max_commits} commits")
-
-    def step(self) -> None:
-        """Advance one cycle (or fast-forward to the next event).
-
-        The standalone form of one fused-loop iteration; incremental
-        drivers and tests step through here, measured runs take
-        :meth:`_run_until`.
-        """
-        cycle = self.cycle
-        mask = self._wheel_mask
-        ev_bucket = self._ev_buckets[cycle & mask]
-        dt_bucket = self._dt_buckets[cycle & mask]
-        if (ev_bucket or dt_bucket
-                or (self._ev_over and self._ev_over[0][0] <= cycle)
-                or (self._dt_over and self._dt_over[0][0] <= cycle)):
-            self._soa_drain_events(cycle)
-        wcnt = self._wb_buckets[cycle & mask]
-        if wcnt:
-            self._wb_buckets[cycle & mask] = 0
-            self._wb_used -= wcnt
-            wb_marks = self._wb_marks
-            while wb_marks and wb_marks[0] <= cycle:
-                heappop(wb_marks)
-        wb_over = self._wb_over
-        if wb_over and wb_over[0] <= cycle:
-            while wb_over and wb_over[0] <= cycle:
-                heappop(wb_over)
-                self._wb_used -= 1
-        if self._commit_pending:
-            self._commit_stage(cycle)
-        if self._ready_int or self._ready_ldst or self._ready_fp:
-            self._issue_stage(cycle)
-        if cycle >= self._dispatch_wake:
-            if (cycle < self._stall_latch_until
-                    and self._stall_latch_epoch == self._release_epoch):
-                self.stats.resource_stall_cycles += 1
-            else:
-                self._dispatch_stage(cycle)
-        if cycle >= self._fetch_wake:
-            order = self._policy_fetch_order(cycle)
-            if order:
-                budget = self._fetch_width
-                remaining_threads = self._fetch_max_threads
-                fetch_thread = self._fetch_thread
-                for ts, ignore_stall in order:
-                    if remaining_threads == 0 or budget == 0:
-                        break
-                    remaining_threads -= 1
-                    budget -= fetch_thread(ts, budget, cycle, ignore_stall)
-            elif self._fetch_order_is_base:
-                self._fetch_wake = self._compute_fetch_wake(cycle)
-        nxt = cycle + 1
-        if self._fast_forward:
-            if (self._ready_int or self._ready_ldst or self._ready_fp
-                    or (nxt >= self._fetch_wake
-                        and self._policy_fetch_pending(nxt))):
-                self.cycle = nxt
-            else:
-                self.cycle = self._next_cycle(cycle)
-        else:
-            self.cycle = nxt
-
-    def _soa_drain_events(self, cycle: int) -> None:
-        """Completion + detection drains for :meth:`step` (cold form).
-
-        Same body as the fused loop's inline drains — keep in sync.
-        """
-        mask = self._wheel_mask
-        threads = self.threads
-        col_instr = self._col_instr
-        col_thread = self._col_thread
-        col_gseq = self._col_gseq
-        col_packed = self._col_packed
-        col_pending = self._col_pending
-        col_flags = self._col_flags
-        col_refs = self._col_refs
-        col_waiter0 = self._col_waiter0
-        col_waiters = self._col_waiters
-        col_views = self._col_views
-        ready_by_op = self._ready_by_op
-        free = self._free
-        view = self.view
-        on_load_complete = self._policy_on_load_complete
-        olc_cleanup_only = getattr(
-            type(self.policy).on_load_complete,
-            "_identity_keyed_cleanup", False)
-        bucket = self._ev_buckets[cycle & mask]
-        ev_over = self._ev_over
-        if bucket or (ev_over and ev_over[0][0] <= cycle):
-            ev_marks = self._ev_marks
-            if bucket is None:
-                bucket = self._ev_buckets[cycle & mask] = []
-            while ev_over and ev_over[0][0] <= cycle:
-                bucket.append(heappop(ev_over)[1])
-            while ev_marks and ev_marks[0] <= cycle:
-                heappop(ev_marks)
-            if len(bucket) > 1:
-                bucket.sort()
-            for packed in bucket:
-                s = packed & SLOT_MASK
-                if col_packed[s] != packed:
-                    continue
-                fl = col_flags[s]
-                ts = threads[col_thread[s]]
-                if fl & F_IS_LOAD and col_pending[s] == -1:
-                    ts.outstanding_misses -= 1
-                    col_pending[s] = 0
-                if fl & F_SQUASHED:
-                    if not fl & (F_FREED | F_IN_DETECTS) \
-                            and not col_refs[s] and not col_pending[s]:
-                        v = col_views[s]
-                        if v is None or v not in ts.ll_owners:
-                            col_waiter0[s] = -1
-                            col_waiters[s] = None
-                            self._col_old_map[s] = -1
-                            self._col_fill_line[s] = None
-                            col_views[s] = None
-                            col_flags[s] = fl | F_FREED
-                            free.append(s)
-                    continue
-                fl |= F_COMPLETED
-                col_flags[s] = fl
-                window = ts.window
-                if window and window[0] == s:
-                    ts.head_ready = True
-                    self._heads_mask |= ts.tid_bit
-                    self._commit_pending = True
-                w0 = col_waiter0[s]
-                if w0 >= 0:
-                    col_waiter0[s] = -1
-                    ws = w0 & SLOT_MASK
-                    if col_packed[ws] == w0:
-                        wfl = col_flags[ws]
-                        if not wfl & F_FREED:
-                            p = col_pending[ws] - 1
-                            col_pending[ws] = p
-                            if (not p and not wfl & _F_NO_WAKE
-                                    and wfl & F_IN_IQ):
-                                heappush(
-                                    ready_by_op[col_instr[ws].op_i], w0)
-                    wl = col_waiters[s]
-                    if wl is not None:
-                        col_waiters[s] = None
-                        for w in wl:
-                            ws = w & SLOT_MASK
-                            if col_packed[ws] != w:
-                                continue
-                            wfl = col_flags[ws]
-                            if wfl & F_FREED:
-                                continue
-                            p = col_pending[ws] - 1
-                            col_pending[ws] = p
-                            if (not p and not wfl & _F_NO_WAKE
-                                    and wfl & F_IN_IQ):
-                                heappush(
-                                    ready_by_op[col_instr[ws].op_i], w)
-                if fl & F_IS_BRANCH and ts.waiting_branch == s:
-                    ts.waiting_branch = None
-                    ts.stats.branch_stall_cycles += \
-                        cycle - ts.branch_wait_since
-                    if ts.fetch_blocked_until < cycle + 1:
-                        ts.fetch_blocked_until = cycle + 1
-                    self._fetch_wake = 0
-                if fl & F_IS_LOAD and on_load_complete is not None:
-                    v = col_views[s]
-                    if v is not None:
-                        on_load_complete(v, ts)
-                    elif not olc_cleanup_only:
-                        on_load_complete(view(s), ts)
-            bucket.clear()
-        bucket = self._dt_buckets[cycle & mask]
-        dt_over = self._dt_over
-        if bucket or (dt_over and dt_over[0][0] <= cycle):
-            dt_marks = self._dt_marks
-            if bucket is None:
-                bucket = self._dt_buckets[cycle & mask] = []
-            while dt_over and dt_over[0][0] <= cycle:
-                bucket.append(heappop(dt_over)[1])
-            while dt_marks and dt_marks[0] <= cycle:
-                heappop(dt_marks)
-            if len(bucket) > 1:
-                bucket.sort()
-            on_ll_detect = self.policy.on_ll_detect
-            for packed in bucket:
-                s = packed & SLOT_MASK
-                fl = col_flags[s] & ~F_IN_DETECTS
-                col_flags[s] = fl
-                if fl & (F_SQUASHED | F_COMPLETED):
-                    if (fl & (F_SQUASHED | F_RETIRED)
-                            and not fl & F_FREED and not col_refs[s]
-                            and col_pending[s] != -1):
-                        ts = threads[col_thread[s]]
-                        v = col_views[s]
-                        if v is None or v not in ts.ll_owners:
-                            col_waiter0[s] = -1
-                            col_waiters[s] = None
-                            self._col_old_map[s] = -1
-                            self._col_fill_line[s] = None
-                            col_views[s] = None
-                            col_flags[s] = fl | F_FREED
-                            free.append(s)
-                    continue
-                on_ll_detect(view(s), threads[col_thread[s]])
-            bucket.clear()
-
-    # ------------------------------------------------------------------ #
-    # commit
-    # ------------------------------------------------------------------ #
-
-    def _commit(self, cycle: int) -> None:
-        # Mirrors SMTCore._commit on the columns — keep in sync.
-        threads = self.threads
-        n = self._n_threads
-        budget = self._commit_width
-        heads_mask = self._heads_mask
-        if n == 1:
-            order = threads
-        else:
-            rot_cache = self._rot_cache
-            if rot_cache is None:
-                order = self._rotations[cycle % n]
-            else:
-                slot = heads_mask * n + cycle % n
-                order = rot_cache[slot]
-                if order is None:
-                    order = tuple(
-                        ts for ts in self._rotations[cycle % n]
-                        if heads_mask >> ts.tid & 1)
-                    rot_cache[slot] = order
-        wb_entries = self._wb_entries
-        col_instr = self._col_instr
-        col_flags = self._col_flags
-        col_refs = self._col_refs
-        col_old_map = self._col_old_map
-        col_ll_parents = self._col_ll_parents
-        col_fill_line = self._col_fill_line
-        col_views = self._col_views
-        free = self._free
-        rob_used = self.rob_used
-        lsq_used = self.lsq_used
-        int_regs_used = self.int_regs_used
-        fp_regs_used = self.fp_regs_used
-        watermark = self._committed_watermark
-        measure_start = self._measure_start
-        while budget > 0:
-            progress = False
-            for ts in order:
-                if budget == 0:
-                    break
-                if not ts.head_ready:
-                    continue
-                window = ts.window
-                s = window[0]
-                fl = col_flags[s]
-                instr = col_instr[s]
-                if fl & F_IS_STORE:
-                    if self._wb_used >= wb_entries:
-                        continue
-                    result = self._hier_store(ts.tid, instr.pc,
-                                              instr.addr, cycle)
-                    self._schedule_wb_drain(result.complete_cycle, cycle)
-                window.popleft()
-                if not window or not col_flags[window[0]] & F_COMPLETED:
-                    ts.head_ready = False
-                    heads_mask &= ~ts.tid_bit
-                rob_used -= 1
-                ts.rob_count -= 1
-                st = ts.stats
-                committed = st.committed + 1
-                st.committed = committed
-                if committed > watermark:
-                    watermark = committed
-                if ts.commit_cycles is not None:
-                    ts.commit_cycles.append(cycle - measure_start)
-                if fl & _F_MEM:
-                    ts.lsq_count -= 1
-                    lsq_used -= 1
-                if fl & F_HAS_DEST:
-                    if fl & F_DEST_FP:
-                        ts.fp_regs -= 1
-                        fp_regs_used -= 1
-                    else:
-                        ts.int_regs -= 1
-                        int_regs_used -= 1
-                dependent = False
-                parents = col_ll_parents[s]
-                if parents is not None:
-                    col_ll_parents[s] = None
-                    ll_owners = ts.ll_owners
-                    for p in parents:
-                        if col_flags[p] & (F_IS_LL | F_LL_DEP):
-                            dependent = True
-                            break
-                    if dependent:
-                        fl |= F_LL_DEP
-                        col_flags[s] = fl
-                    for p in parents:
-                        r = col_refs[p] - 1
-                        col_refs[p] = r
-                        if not r:
-                            pfl = col_flags[p]
-                            if (pfl & F_RETIRED
-                                    and not pfl & (F_IN_DETECTS | F_FREED)):
-                                v = col_views[p]
-                                if v is None or v not in ll_owners:
-                                    # Retire left the slot pristine but
-                                    # for these two (see module docstring).
-                                    col_fill_line[p] = None
-                                    col_views[p] = None
-                                    col_flags[p] = pfl | F_FREED
-                                    free.append(p)
-                # F_IS_LL is only ever set in the issue load body, so it
-                # implies F_IS_LOAD (the object engine tests both).
-                if fl & F_IS_LL:
-                    z = ts.llsr_zeros
-                    if z:
-                        ts.llsr_zeros = 0
-                        ts.llsr_commit_zeros(z)
-                    ts.llsr_commit(True, instr.pc, dependent)
-                else:
-                    ts.llsr_zeros += 1
-                old = col_old_map[s]
-                if old >= 0:
-                    col_old_map[s] = -1
-                    r = col_refs[old] - 1
-                    col_refs[old] = r
-                    if not r:
-                        ofl = col_flags[old]
-                        if (ofl & F_RETIRED
-                                and not ofl & (F_IN_DETECTS | F_FREED)):
-                            v = col_views[old]
-                            if v is None or v not in ts.ll_owners:
-                                col_fill_line[old] = None
-                                col_views[old] = None
-                                col_flags[old] = ofl | F_FREED
-                                free.append(old)
-                freed = False
-                if not col_refs[s] and not fl & F_IN_DETECTS:
-                    v = col_views[s]
-                    if v is None or v not in ts.ll_owners:
-                        col_fill_line[s] = None
-                        col_views[s] = None
-                        free.append(s)
-                        freed = True
-                # One merged store boxes a single result int instead of
-                # two (|= then |=).
-                col_flags[s] = fl | (_F_RETIRED_FREED if freed
-                                     else F_RETIRED)
-                budget -= 1
-                progress = True
-            if not progress:
-                break
-        if budget < self._commit_width:   # at least one retire happened
-            for ts in order:
-                z = ts.llsr_zeros
-                if z:
-                    ts.llsr_zeros = 0
-                    ts.llsr_commit_zeros(z)
-            self._committed_watermark = watermark
-            self._release_epoch += 1
-            self.rob_used = rob_used
-            self.lsq_used = lsq_used
-            self.int_regs_used = int_regs_used
-            self.fp_regs_used = fp_regs_used
-            self._heads_mask = heads_mask
-        self._commit_pending = heads_mask != 0
-
-    # ------------------------------------------------------------------ #
-    # event-wheel scheduling (cold-path form; hot paths inline the push)
-    # ------------------------------------------------------------------ #
-
-    def _schedule_completion(self, di, when: int, cycle: int) -> None:
-        """Queue a completion for ``di`` (a view or a slot number)."""
-        s = di if isinstance(di, int) else di._slot
-        packed = self._col_packed[s]
-        if when <= cycle:
-            when = cycle + 1
-        mask = self._wheel_mask
-        if when - cycle <= mask:
-            idx = when & mask
-            bucket = self._ev_buckets[idx]
-            if bucket:
-                bucket.append(packed)
-            else:
-                if bucket is None:
-                    self._ev_buckets[idx] = [packed]
-                else:
-                    bucket.append(packed)
-                heappush(self._ev_marks, when)
-        else:
-            heappush(self._ev_over, (when, packed))
-
-    # ------------------------------------------------------------------ #
-    # issue / execute
-    # ------------------------------------------------------------------ #
-
-    def _issue(self, cycle: int) -> None:
-        # Mirrors SMTCore._issue with _execute's body (both branches)
-        # inlined — keep in sync.  There is no _execute dispatch here:
-        # SoACore does not support overriding execution.
-        threads = self.threads
-        ev_buckets = self._ev_buckets
-        ev_marks = self._ev_marks
-        mask = self._wheel_mask
-        col_instr = self._col_instr
-        col_thread = self._col_thread
-        col_packed = self._col_packed
-        col_flags = self._col_flags
-        issued = False
-        queue = self._ready_int
-        if queue:
-            slots = self._num_int_alu
-            while queue and slots > 0:
-                packed = heappop(queue)
-                s = packed & SLOT_MASK
-                if col_packed[s] != packed:
-                    continue
-                fl = col_flags[s]
-                if fl & _F_DEAD_OR_DONE:
-                    continue
-                if fl & F_IN_IQ:
-                    ts = threads[col_thread[s]]
-                    if fl & F_IQ_FP:
-                        ts.fq_count -= 1
-                        self.fq_used -= 1
-                    else:
-                        ts.iq_count -= 1
-                        self.iq_used -= 1
-                    ts.icount -= 1
-                    fl &= ~F_IN_IQ
-                col_flags[s] = fl | F_ISSUED
-                completion = cycle + col_instr[s].latency
-                idx = completion & mask   # always in-horizon (<= 4)
-                bucket = ev_buckets[idx]
-                if bucket:
-                    bucket.append(packed)
-                else:
-                    if bucket is None:
-                        ev_buckets[idx] = [packed]
-                    else:
-                        bucket.append(packed)
-                    heappush(ev_marks, completion)
-                slots -= 1
-                issued = True
-        queue = self._ready_ldst
-        if queue:
-            slots = self._num_ldst
-            while queue and slots > 0:
-                packed = heappop(queue)
-                s = packed & SLOT_MASK
-                if col_packed[s] != packed:
-                    continue
-                fl = col_flags[s]
-                if fl & _F_DEAD_OR_DONE:
-                    continue
-                ts = threads[col_thread[s]]
-                if fl & F_IN_IQ:
-                    if fl & F_IQ_FP:
-                        ts.fq_count -= 1
-                        self.fq_used -= 1
-                    else:
-                        ts.iq_count -= 1
-                        self.iq_used -= 1
-                    ts.icount -= 1
-                    fl &= ~F_IN_IQ
-                fl |= F_ISSUED
-                instr = col_instr[s]
-                if fl & F_IS_LOAD:
-                    # _execute's load body, columnized.
-                    result = self._hier_load(
-                        ts.tid, instr.pc, instr.addr, cycle + instr.latency)
-                    completion = result.complete_cycle
-                    is_ll = result.long_latency
-                    if is_ll:
-                        fl |= F_IS_LL
-                    self._col_level[s] = result.level
-                    stats = ts.stats
-                    stats.loads_executed += 1
-                    ts.lll_pred.train(instr.pc, is_ll)
-                    predicted = self._col_pred_ll[s]
-                    if predicted is not None:
-                        stats.lll_pred_loads += 1
-                        if predicted == is_ll:
-                            stats.lll_pred_correct += 1
-                        if is_ll:
-                            stats.lll_pred_miss_actual += 1
-                            if predicted:
-                                stats.lll_pred_miss_correct += 1
-                    if is_ll:
-                        stats.ll_loads += 1
-                    if result.trigger:
-                        fl |= F_IN_DETECTS
-                        when = result.detect_cycle
-                        if when <= cycle:
-                            when = cycle + 1
-                        if when - cycle <= mask:
-                            idx = when & mask
-                            bucket = self._dt_buckets[idx]
-                            if bucket:
-                                bucket.append(packed)
-                            else:
-                                if bucket is None:
-                                    self._dt_buckets[idx] = [packed]
-                                else:
-                                    bucket.append(packed)
-                                heappush(self._dt_marks, when)
-                        else:
-                            heappush(self._dt_over, (when, packed))
-                    self._col_fill_line[s] = result.fill_line
-                    if result.level is not ServiceLevel.L1:
-                        ts.outstanding_misses += 1
-                        self._col_pending[s] = -1
-                    col_flags[s] = fl
-                    if completion - cycle <= mask:
-                        idx = completion & mask
-                        bucket = ev_buckets[idx]
-                        if bucket:
-                            bucket.append(packed)
-                        else:
-                            if bucket is None:
-                                ev_buckets[idx] = [packed]
-                            else:
-                                bucket.append(packed)
-                            heappush(ev_marks, completion)
-                    else:
-                        heappush(self._ev_over, (completion, packed))
-                else:
-                    # Stores: address generation only; memory access
-                    # happens at commit via the write buffer.
-                    col_flags[s] = fl
-                    completion = cycle + instr.latency
-                    idx = completion & mask
-                    bucket = ev_buckets[idx]
-                    if bucket:
-                        bucket.append(packed)
-                    else:
-                        if bucket is None:
-                            ev_buckets[idx] = [packed]
-                        else:
-                            bucket.append(packed)
-                        heappush(ev_marks, completion)
-                slots -= 1
-                issued = True
-        queue = self._ready_fp
-        if queue:
-            slots = self._num_fp
-            while queue and slots > 0:
-                packed = heappop(queue)
-                s = packed & SLOT_MASK
-                if col_packed[s] != packed:
-                    continue
-                fl = col_flags[s]
-                if fl & _F_DEAD_OR_DONE:
-                    continue
-                if fl & F_IN_IQ:
-                    ts = threads[col_thread[s]]
-                    if fl & F_IQ_FP:
-                        ts.fq_count -= 1
-                        self.fq_used -= 1
-                    else:
-                        ts.iq_count -= 1
-                        self.iq_used -= 1
-                    ts.icount -= 1
-                    fl &= ~F_IN_IQ
-                col_flags[s] = fl | F_ISSUED
-                completion = cycle + col_instr[s].latency
-                idx = completion & mask
-                bucket = ev_buckets[idx]
-                if bucket:
-                    bucket.append(packed)
-                else:
-                    if bucket is None:
-                        ev_buckets[idx] = [packed]
-                    else:
-                        bucket.append(packed)
-                    heappush(ev_marks, completion)
-                slots -= 1
-                issued = True
-        if issued:
-            self._release_epoch += 1
-
-    # ------------------------------------------------------------------ #
-    # dispatch (rename + resource allocation)
-    # ------------------------------------------------------------------ #
-
-    def _dispatch(self, cycle: int) -> None:
-        # Mirrors SMTCore._dispatch on the columns — keep in sync.
-        budget = self._decode_width
-        any_ready = False
-        blocked_by_resource = False
-        dispatched = 0
-        n = self._n_threads
-        release_epoch = self._release_epoch
-        # Only the ready-probe column eagerly; the rest hoist on the first
-        # thread that actually has a dispatchable head, so idle probes pay
-        # one attribute load instead of ten.
-        hoisted = False
-        col_fe_ready = self._col_fe_ready
-        if n == 1:
-            order = self.threads
-        else:
-            rot_cache = self._rot_cache
-            slot = (cycle + 1) % n
-            fe_mask = self._fe_mask
-            if rot_cache is None or fe_mask == self._full_mask:
-                order = self._rotations[slot]
-            else:
-                key = fe_mask * n + slot
-                order = rot_cache[key]
-                if order is None:
-                    order = tuple(
-                        ts for ts in self._rotations[slot]
-                        if fe_mask >> ts.tid & 1)
-                    rot_cache[key] = order
-        for ts in order:
-            if budget == 0:
-                break
-            if cycle < ts.dispatch_wait_until:
-                continue  # head not through the front end yet
-            fe = ts.fe_queue
-            if not fe:
-                continue
-            head = fe[0]
-            # The latch holds a bare slot: within one release epoch the
-            # head cannot change (only a dispatch or a flush moves it,
-            # and both invalidate the latch), so a slot match is an
-            # instruction match.
-            if head == ts.dispatch_blocked_head:
-                if ts.dispatch_blocked_epoch == release_epoch:
-                    any_ready = True
-                    blocked_by_resource = True
-                    continue
-                ts.dispatch_blocked_head = None
-            if col_fe_ready[head] > cycle:
-                ts.dispatch_wait_until = col_fe_ready[head]
-                continue
-            if not hoisted:
-                hoisted = True
-                col_instr = self._col_instr
-                col_gseq = self._col_gseq
-                col_packed = self._col_packed
-                col_pending = self._col_pending
-                col_flags = self._col_flags
-                col_refs = self._col_refs
-                col_waiter0 = self._col_waiter0
-                col_waiters = self._col_waiters
-                col_old_map = self._col_old_map
-                col_ll_parents = self._col_ll_parents
-                col_views = self._col_views
-                rob_used = self.rob_used
-                lsq_used = self.lsq_used
-                iq_used = self.iq_used
-                fq_used = self.fq_used
-                int_regs_used = self.int_regs_used
-                fp_regs_used = self.fp_regs_used
-                track_dep = self._track_ll_dep
-                can_dispatch = self._policy_can_dispatch  # None: allow-all
-                ready_by_op = self._ready_by_op
-                rob_size = self._rob_size
-                lsq_size = self._lsq_size
-                int_iq_size = self._int_iq_size
-                fp_iq_size = self._fp_iq_size
-                int_rename_regs = self._int_rename_regs
-                fp_rename_regs = self._fp_rename_regs
-                fe_capacity = self._fe_capacity
-                gates_free = (
-                    rob_size - rob_used >= budget
-                    and lsq_size - lsq_used >= budget
-                    and int_iq_size - iq_used >= budget
-                    and fp_iq_size - fq_used >= budget
-                    and int_rename_regs - int_regs_used >= budget
-                    and fp_rename_regs - fp_regs_used >= budget)
-            rename_map = ts.rename_map
-            window_append = ts.window.append
-            fe_was_full = len(fe) >= fe_capacity
-            tl_rob = ts.rob_count
-            tl_lsq = ts.lsq_count
-            tl_iq = ts.iq_count
-            tl_fq = ts.fq_count
-            tl_ir = ts.int_regs
-            tl_fr = ts.fp_regs
-            tl_dirty = False
-            while budget > 0 and fe:
-                s = fe[0]
-                if col_fe_ready[s] > cycle:
-                    ts.dispatch_wait_until = col_fe_ready[s]
-                    break
-                any_ready = True
-                instr = col_instr[s]
-                fl = col_flags[s]
-                is_mem = fl & _F_MEM
-                fp_queue = instr.fp_queue
-                if not gates_free:
-                    if rob_used >= rob_size:
-                        ts.dispatch_blocked_head = s
-                        ts.dispatch_blocked_epoch = release_epoch
-                        blocked_by_resource = True
-                        break
-                    if is_mem and lsq_used >= lsq_size:
-                        ts.dispatch_blocked_head = s
-                        ts.dispatch_blocked_epoch = release_epoch
-                        blocked_by_resource = True
-                        break
-                    if fp_queue:
-                        if fq_used >= fp_iq_size:
-                            ts.dispatch_blocked_head = s
-                            ts.dispatch_blocked_epoch = release_epoch
-                            blocked_by_resource = True
-                            break
-                    elif iq_used >= int_iq_size:
-                        ts.dispatch_blocked_head = s
-                        ts.dispatch_blocked_epoch = release_epoch
-                        blocked_by_resource = True
-                        break
-                    if fl & F_HAS_DEST:
-                        if fl & F_DEST_FP:
-                            if fp_regs_used >= fp_rename_regs:
-                                ts.dispatch_blocked_head = s
-                                ts.dispatch_blocked_epoch = release_epoch
-                                blocked_by_resource = True
-                                break
-                        elif int_regs_used >= int_rename_regs:
-                            ts.dispatch_blocked_head = s
-                            ts.dispatch_blocked_epoch = release_epoch
-                            blocked_by_resource = True
-                            break
-                if can_dispatch is not None:
-                    if tl_dirty:
-                        tl_dirty = False
-                        ts.rob_count = tl_rob
-                        ts.lsq_count = tl_lsq
-                        ts.iq_count = tl_iq
-                        ts.fq_count = tl_fq
-                        ts.int_regs = tl_ir
-                        ts.fp_regs = tl_fr
-                    v = col_views[s]
-                    if v is None:
-                        v = col_views[s] = SoAView(self, s, col_gseq[s])
-                    if not can_dispatch(ts, v):
-                        break  # policy cap, not a resource stall
-                # All checks passed: allocate and rename.
-                rob_used += 1
-                tl_rob += 1
-                tl_dirty = True
-                if is_mem:
-                    lsq_used += 1
-                    tl_lsq += 1
-                if fp_queue:
-                    fq_used += 1
-                    tl_fq += 1
-                    fl |= F_IN_IQ | F_IQ_FP
-                else:
-                    iq_used += 1
-                    tl_iq += 1
-                    fl |= F_IN_IQ
-                packed_s = col_packed[s]
-                pending = 0
-                parents = [] if track_dep else None
-                for src in instr.srcs:
-                    prod = rename_map[src]
-                    if prod < 0:
-                        continue
-                    pfl = col_flags[prod]
-                    if track_dep and (pfl & (F_IS_LOAD | F_LL_DEP)
-                                      or col_ll_parents[prod] is not None):
-                        parents.append(prod)
-                        col_refs[prod] += 1
-                    if not pfl & F_COMPLETED:
-                        pending += 1
-                        if col_waiter0[prod] < 0:
-                            col_waiter0[prod] = packed_s
-                        else:
-                            wl = col_waiters[prod]
-                            if wl is None:
-                                col_waiters[prod] = [packed_s]
-                            else:
-                                wl.append(packed_s)
-                if pending:
-                    col_pending[s] = pending
-                if parents:
-                    col_ll_parents[s] = tuple(parents)
-                if fl & F_HAS_DEST:
-                    dest = instr.dest
-                    col_old_map[s] = rename_map[dest]
-                    rename_map[dest] = s
-                    col_refs[s] += 1  # rename-current; the old entry's
-                    #                   ref transfers to the old_map slot
-                    if fl & F_DEST_FP:
-                        fp_regs_used += 1
-                        tl_fr += 1
-                    else:
-                        int_regs_used += 1
-                        tl_ir += 1
-                col_flags[s] = fl
-                window_append(s)
-                if not pending:
-                    heappush(ready_by_op[instr.op_i], packed_s)
-                fe.popleft()
-                budget -= 1
-                dispatched += 1
-            if tl_dirty:
-                ts.rob_count = tl_rob
-                ts.lsq_count = tl_lsq
-                ts.iq_count = tl_iq
-                ts.fq_count = tl_fq
-                ts.int_regs = tl_ir
-                ts.fp_regs = tl_fr
-            if fe_was_full and len(fe) < fe_capacity:
-                self._fetch_wake = 0
-            if not fe:
-                self._fe_mask &= ~ts.tid_bit
-        if dispatched:
-            self.rob_used = rob_used
-            self.lsq_used = lsq_used
-            self.iq_used = iq_used
-            self.fq_used = fq_used
-            self.int_regs_used = int_regs_used
-            self.fp_regs_used = fp_regs_used
-        elif not any_ready and self._policy_can_dispatch is None:
-            wake = cycle + (1 << 30)
-            for ts in self.threads:
-                wait_until = ts.dispatch_wait_until
-                if cycle < wait_until < wake:
-                    wake = wait_until
-            self._dispatch_wake = wake
-        if any_ready and dispatched == 0 and blocked_by_resource:
-            self.stats.resource_stall_cycles += 1
-            on_resource_stall = self._policy_on_resource_stall
-            if on_resource_stall is not None:   # None: marked no-op hook
-                on_resource_stall(cycle)
-            elif self._policy_can_dispatch is None:
-                wake = cycle + (1 << 30)
-                for ts in self.threads:
-                    wait_until = ts.dispatch_wait_until
-                    if cycle < wait_until < wake:
-                        wake = wait_until
-                self._stall_latch_until = wake
-                self._stall_latch_epoch = release_epoch
-
-    # ------------------------------------------------------------------ #
-    # fetch
-    # ------------------------------------------------------------------ #
-
-    def _fetch_thread(self, ts: ThreadState, budget: int, cycle: int,
-                      ignore_stall: bool) -> int:
-        # Mirrors SMTCore._fetch_thread; the DynInstr allocation/reinit
-        # becomes a free-list pop plus column writes.  Keep in sync.
-        trace_get = ts.trace_get
-        trace_static = ts.trace_static   # None: duck-typed stub trace
-        trace_flags = ts.trace_flags
-        body_len = ts.trace_body_len
-        pc_origin = ts.pc_origin
-        on_fetch = self._policy_on_fetch       # None: no-op for all instrs
-        on_fetch_load = self._policy_on_fetch_load  # None: not loads-only
-        fe_queue = ts.fe_queue
-        fe_append = ts.fe_append
-        line_shift = self._line_shift
-        fe_ready = cycle + self._frontend_depth
-        tid = ts.tid
-        gseq = self._gseq
-        allowed_end = ts.allowed_end
-        count = 0
-        fe_was_empty = not fe_queue
-        limit = self._fe_capacity - len(fe_queue)
-        if budget < limit:
-            limit = budget
-        free = self._free
-        col_instr = self._col_instr
-        col_thread = self._col_thread
-        col_seq = self._col_seq
-        col_gseq = self._col_gseq
-        col_packed = self._col_packed
-        col_fe_ready = self._col_fe_ready
-        col_flags = self._col_flags
-        col_pred_ll = self._col_pred_ll
-        col_views = self._col_views
-        while count < limit:
-            fetch_index = ts.fetch_index
-            if not ignore_stall and allowed_end is not None \
-                    and fetch_index > allowed_end:
-                break
-            if trace_static is not None:
-                i = fetch_index % body_len
-                instr = trace_static[i]
-                if instr is None:
-                    instr = trace_get(fetch_index)
-                    flags = instr_flags(instr)
-                else:
-                    flags = trace_flags[i]
-            else:
-                instr = trace_get(fetch_index)
-                flags = instr_flags(instr)
-            pc_addr = pc_origin + instr.pc * 4
-            line = pc_addr >> line_shift
-            if line != ts.last_ifetch_line:
-                done = self._hier_ifetch(tid, pc_addr, cycle)
-                ts.last_ifetch_line = line
-                if done > cycle:
-                    ts.fetch_blocked_until = done
-                    break
-            gseq += 1
-            if not free:
-                self._soa_grow()   # extends ``free`` in place
-            # The popped slot is pristine (see the free-list invariant in
-            # __init__): only the varying columns are written here.  The
-            # packed stamp is boxed once per instruction; every later
-            # generation check compares against it allocation-free.
-            s = free.pop()
-            col_instr[s] = instr
-            col_thread[s] = tid
-            col_seq[s] = fetch_index
-            col_gseq[s] = gseq
-            col_packed[s] = (gseq << SLOT_SHIFT) | s
-            col_fe_ready[s] = fe_ready
-            col_flags[s] = flags
-            fe_append(s)
-            ts.fetch_index = fetch_index + 1
-            ts.icount += 1
-            count += 1
-            if flags & F_IS_LOAD:
-                col_pred_ll[s] = ts.lll_predict(instr.pc)
-                if on_fetch_load is not None:
-                    v = col_views[s]
-                    if v is None:
-                        v = col_views[s] = SoAView(self, s, gseq)
-                    on_fetch_load(v, ts)
-                    allowed_end = ts.allowed_end  # the hook may update it
-            if flags & F_IS_BRANCH:
-                taken = instr.taken
-                prediction = self.gshare.update(instr.pc, taken, tid)
-                target_known = True
-                if taken:
-                    target_known = self.btb.lookup(instr.pc)
-                    self.btb.insert(instr.pc)
-                if prediction != taken or not target_known:
-                    ts.waiting_branch = s
-                    ts.branch_wait_since = cycle
-                    if on_fetch is not None:
-                        on_fetch(self.view(s), ts)
-                    break
-                if on_fetch is not None:
-                    on_fetch(self.view(s), ts)
-                if taken:
-                    # A correctly-predicted taken branch ends the block.
-                    break
-            elif on_fetch is not None:
-                v = col_views[s]
-                if v is None:
-                    v = col_views[s] = SoAView(self, s, gseq)
-                on_fetch(v, ts)
-            if on_fetch is not None:
-                allowed_end = ts.allowed_end  # the hook may update it
-        self._gseq = gseq
-        if count:
-            ts.stats.fetched += count
-            if fe_was_empty:
-                self._dispatch_wake = 0
-                self._stall_latch_until = 0
-                self._fe_mask |= 1 << tid
-        ts._sync_policy_stall(cycle)
-        return count
 
     # ------------------------------------------------------------------ #
     # flush (policy-triggered squash)
@@ -1727,6 +439,3 @@ class SoACore(SMTCore):
             return nxt
         return target
 
-
-def _by_icount(ts: ThreadState) -> int:
-    return ts.icount

@@ -199,9 +199,10 @@ class LongLatencyAwarePolicy(FetchPolicy):
 
 # Marks on_load_complete implementations that only *de-register* state
 # keyed by record identity (owner grants, episode anchors): for a record
-# the policy was never handed, the call is provably a no-op.  The SoA
-# engine uses this to skip both the call and the view materialization for
-# loads that never reached a policy hook; the object engine ignores it.
+# the policy was never handed, the call is provably a no-op.  The compiled
+# (cext) engine uses this to skip both the call and the view
+# materialization for loads that never reached a policy hook; the object
+# engine ignores it.
 # Like the default-hook markers above, the marker lives on the function
 # object, so any unmarked override is automatically excluded.
 LongLatencyAwarePolicy.on_load_complete._identity_keyed_cleanup = True

@@ -155,21 +155,18 @@ def _load_checkers(reg: Registry) -> None:
 
 
 def _load_backends(reg: Registry) -> None:
-    # ``object`` is the original DynInstr-object engine; ``soa`` is the
-    # struct-of-arrays rewrite of the same pipeline (bit-identical
-    # architectural outcome, different in-memory representation).  A
-    # policy's ``core_class`` (e.g. runahead) always takes precedence
-    # over the selected backend — see ``repro.experiments.runner``.
-    # ``cext`` is the compiled C-extension loop over the same columns; it
+    # ``object`` is the DynInstr-object engine and is always present.
+    # ``cext`` is the same pipeline over struct-of-arrays columns, its
+    # stage loop compiled to C (bit-identical architectural outcome); it
     # registers only when the lazy toolchain probe + build succeed, so on
-    # a compiler-less host the table simply lists two entries.  Whether
-    # it registered decides the engine unpinned runs use (``cext`` if
-    # present, else ``object``: ``runner.default_backend``).
+    # a compiler-less host the table lists ``object`` alone.  Whether it
+    # registered decides the engine unpinned runs use (``cext`` if
+    # present, else ``object``: ``runner.default_backend``).  A policy's
+    # ``core_class`` (e.g. runahead) always takes precedence over the
+    # selected backend — see ``repro.experiments.runner``.
     from repro.pipeline import SMTCore
     from repro.pipeline.cext import load_cext_core
-    from repro.pipeline.soa import SoACore
     reg._entries.setdefault("object", SMTCore)
-    reg._entries.setdefault("soa", SoACore)
     cext_core = load_cext_core()
     if cext_core is not None:
         reg._entries.setdefault("cext", cext_core)

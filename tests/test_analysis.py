@@ -98,13 +98,11 @@ class TestEngineParityFixture:
     def test_flags_planted_violations(self):
         findings = engine_parity.check(
             core_path=DATA / "bad_core.py",
-            soa_path=DATA / "bad_soa.py",
-            dyninstr_path=DATA / "bad_dyninstr.py",
-            stats_path=DATA / "bad_stats.py")
+            cext_files=[DATA / "bad_cext_engine.c"],
+            dyninstr_path=DATA / "bad_dyninstr.py")
         text = _messages(findings)
-        assert "'on_ll_detect'" in text          # hook lost in the SoA twin
-        assert "'flushes'" in text               # stat write lost
-        assert "'committed'" not in text         # written by both
+        assert "'on_ll_detect'" in text          # hook lost in the C twin
+        assert "'can_dispatch'" not in text      # spelled by both
         assert "'mystery'" in text               # slot with no accessor
         assert "'seq'" not in text               # covered by the property
 
@@ -126,7 +124,9 @@ class TestRegistryLintFixture:
         text = _messages(findings)
         # The sparse doc backticks only `icount` and `object`.
         assert "'mlp_flush' is not documented" in text
-        assert "'soa' is not documented" in text
+        assert "'mcf' is not documented" in text
         assert "'slots-lint' is not documented" in text
+        if "cext" in registry.backends:
+            assert "'cext' is not documented" in text
         assert "'icount' is not" not in text
         assert "'object' is not" not in text

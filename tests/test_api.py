@@ -192,8 +192,8 @@ class TestRoundTrip:
         warmup_b=st.sampled_from((0, 300)),
         seed_a=st.sampled_from((0, 1)),
         seed_b=st.sampled_from((0, 1)),
-        backend_a=st.sampled_from((None, "object", "soa")),
-        backend_b=st.sampled_from((None, "object", "soa")),
+        backend_a=st.sampled_from((None, "object")),
+        backend_b=st.sampled_from((None, "object")),
     )
     def test_hash_equality_implies_spec_equality(
             self, policy_a, policy_b, threads_a, threads_b, commits_a,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import needs_cext
 from repro import registry
 from repro.api import RunSpec, Session, SpecError
 from repro.config import scaled_config
-from repro.experiments.runner import core_for, default_backend
+from repro.experiments.runner import core_for, default_backend, trace_for
 from repro.jobs import JobSpec
 from repro.perf.baselines import BaselineError, mode_name, validate_doc
 from repro.pipeline import SMTCore, SoACore
@@ -33,8 +34,8 @@ CFG2 = scaled_config(num_threads=2, scale=16)
 #: The compiled backend exists only where the lazy toolchain probe and
 #: build succeed; everything cext-specific is gated on this.
 _CEXT_BUILDABLE = load_cext_core() is not None
-needs_cext = pytest.mark.skipif(
-    not _CEXT_BUILDABLE, reason="cext backend not buildable here")
+#: ``cext`` as a parametrize entry, skipped where it does not build.
+CEXT = pytest.param("cext", marks=needs_cext)
 
 
 def _spec(backend=None, **kw):
@@ -46,20 +47,20 @@ def _spec(backend=None, **kw):
 
 class TestRegistry:
     def test_both_engines_registered(self):
-        assert set(registry.backends.names()) >= {"object", "soa"}
+        expected = {"object"} | ({"cext"} if _CEXT_BUILDABLE else set())
+        assert set(registry.backends.names()) == expected
         assert registry.backends.get("object") is SMTCore
-        assert registry.backends.get("soa") is SoACore
 
     def test_kind_aliases(self):
         assert registry.canonical_kind("backend") == "backends"
         assert registry.canonical_kind("backends") == "backends"
         assert "backends" in registry.KINDS
-        assert registry.get("backend", "soa") is SoACore
+        assert registry.get("backend", "object") is SMTCore
 
     def test_unknown_backend_error_names_known(self):
         with pytest.raises(registry.RegistryError) as exc:
             registry.backends.get("simd")
-        assert "soa" in str(exc.value)
+        assert "object" in str(exc.value)
 
 
 class TestCextRegistration:
@@ -78,27 +79,38 @@ class TestCextRegistration:
 
     def test_disabled_probe_omits_the_entry(self, monkeypatch):
         # Simulate a toolchain-less host: with the probe reporting
-        # unavailable, a fresh backends registry lists exactly the two
-        # pure-Python engines and load_cext_core() degrades to None
-        # without raising.
+        # unavailable, a fresh backends registry lists only the object
+        # engine and load_cext_core() degrades to None without raising.
         monkeypatch.setenv("REPRO_CEXT", "0")
         monkeypatch.setattr(cext_mod, "_state", None)
         assert load_cext_core() is None
         assert cext_status() == "unavailable: disabled by REPRO_CEXT=0"
         fresh = registry.Registry("backend", registry._load_backends)
-        assert fresh.names() == ("object", "soa")
+        assert fresh.names() == ("object",)
         monkeypatch.setattr(cext_mod, "_state", None)  # re-probe later
 
-    @needs_cext
-    def test_driver_falls_back_without_engine(self, monkeypatch):
-        # Belt and braces: a CextCore instantiated while the engine is
-        # unavailable must still simulate (via the SoA loop), because a
-        # spec naming the backend can outlive the probe result.
-        from repro.perf.golden import golden_matrix, snapshot_cell
-        cell = min(golden_matrix(), key=lambda sc: sc.num_threads)
-        expected = snapshot_cell(cell, backend="soa")
+    def test_driver_refuses_to_run_without_engine(self, monkeypatch):
+        # The registry never offers CextCore without its compiled loop;
+        # one built by hand then must fail loudly, naming the probe
+        # outcome, rather than run something else.
+        pol = make_policy("icount")
+        core = CextCore(CFG2, [trace_for(name, CFG2, slot=i)
+                               for i, name in enumerate(("mcf", "swim"))],
+                        pol)
         monkeypatch.setattr(cext_mod, "_state", (None, "forced off"))
-        assert snapshot_cell(cell, backend="cext") == expected
+        with pytest.raises(RuntimeError, match="forced off"):
+            core.run(200)
+
+    def test_bare_soa_state_cannot_run(self):
+        # SoACore is the column state the compiled loop runs on, not an
+        # engine: the object engine's driver must not run its per-cycle
+        # bodies over slot numbers.
+        pol = make_policy("icount")
+        core = SoACore(CFG2, [trace_for(name, CFG2, slot=i)
+                              for i, name in enumerate(("mcf", "swim"))],
+                       pol)
+        with pytest.raises(NotImplementedError, match="no stage loop"):
+            core.run(200)
 
 
 class TestCoreResolution:
@@ -115,13 +127,17 @@ class TestCoreResolution:
         assert default_backend() == "object"
         assert core_for(make_policy("icount")) is SMTCore
 
-    def test_soa_backend_selects_soa_core(self):
-        assert core_for(make_policy("mlp_flush"), "soa") is SoACore
+    def test_soa_backend_is_refused(self):
+        # The struct-of-arrays state is no engine of its own any more.
+        with pytest.raises(registry.RegistryError):
+            core_for(make_policy("mlp_flush"), "soa")
+        with pytest.raises(SpecError, match="backend"):
+            _spec(backend="soa")
 
     def test_policy_core_class_beats_backend(self):
-        # Runahead is only implemented on its own engine; asking for the
-        # soa backend must not desynchronize it.
-        assert core_for(make_policy("runahead"), "soa") is RunaheadCore
+        # Runahead is only implemented on its own engine; asking for a
+        # pinned backend must not desynchronize it.
+        assert core_for(make_policy("runahead"), "object") is RunaheadCore
 
     def test_unknown_backend_raises(self):
         with pytest.raises(registry.RegistryError):
@@ -144,14 +160,15 @@ class TestSerialization:
         assert doc["schema"] == "repro.runspec/2"
         assert "backend" not in doc
 
+    @needs_cext
     def test_non_default_backend_serializes(self):
-        doc = _spec(backend="soa").to_doc()
-        assert doc["backend"] == "soa"
+        doc = _spec(backend="cext").to_doc()
+        assert doc["backend"] == "cext"
 
     def test_pinned_object_backend_serializes(self):
         assert _spec(backend="object").to_doc()["backend"] == "object"
 
-    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("backend", ["object", CEXT])
     def test_json_roundtrip(self, backend):
         spec = _spec(backend=backend)
         again = RunSpec.from_json(spec.to_json())
@@ -168,14 +185,13 @@ class TestSerialization:
     def test_v1_document_with_backend_refused(self):
         # A /1-stamped doc carrying the /2-only field is mis-stamped,
         # not forward-compatible.
-        doc = _spec(backend="soa").to_doc()
+        doc = _spec(backend="object").to_doc()
         doc["schema"] = "repro.runspec/1"
         with pytest.raises(SpecError, match="backend"):
             RunSpec.from_doc(doc)
 
     def test_str_names_non_default_backend(self):
         assert str(_spec()).endswith("@800")
-        assert str(_spec(backend="soa")).endswith("@800+soa")
         assert str(_spec(backend="object")).endswith("@800+object")
 
 
@@ -189,23 +205,19 @@ class TestHashStability:
     def test_default_backend_hash_unchanged(self):
         assert _spec().content_hash() == self._PINNED
 
-    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("backend", ["object", CEXT])
     def test_pinned_backend_keeps_the_unpinned_hash(self, backend):
         # The backend says how a run executes, not what it computes:
         # every engine's run of one experiment shares one store entry,
-        # and pinned specs equal (and hash like) the unpinned one.
+        # and pinned specs equal (and hash like) the unpinned one.  For
+        # cext, the toolchain, compiler version and probe outcome must
+        # not leak into a key either.
         spec = _spec(backend=backend)
         assert spec.content_hash() == self._PINNED
         assert spec == _spec()
         assert hash(spec) == hash(_spec())
 
-    @needs_cext
-    def test_cext_hash_is_the_unpinned_hash(self):
-        # The toolchain, compiler version and probe outcome must not
-        # leak into a key either.
-        assert _spec(backend="cext").content_hash() == self._PINNED
-
-    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("backend", ["object", CEXT])
     def test_content_hash_matches_jobspec_cache_key(self, backend):
         spec = _spec(backend=backend)
         assert spec.content_hash() == JobSpec.from_runspec(spec).cache_key()
@@ -215,22 +227,20 @@ class TestBaselineModes:
     def test_mode_names(self):
         assert mode_name(False) == "full"
         assert mode_name(True) == "quick"
-        assert mode_name(False, "soa") == "full-soa"
-        assert mode_name(True, "soa") == "quick-soa"
         assert mode_name(False, "cext") == "full-cext"
         assert mode_name(True, "cext") == "quick-cext"
 
     def test_validate_accepts_suffixed_modes(self):
         entry = {"wall_s": 1.0, "cycles": 10, "instructions": 5}
         doc = {"schema": "repro.perf/1",
-               "modes": {"full-soa": {"calibration_s": 0.1,
-                                      "scenarios": {"s": dict(entry)}}}}
+               "modes": {"full-cext": {"calibration_s": 0.1,
+                                       "scenarios": {"s": dict(entry)}}}}
         validate_doc(doc)  # must not raise
 
     def test_validate_rejects_unknown_mode_base(self):
         doc = {"schema": "repro.perf/1",
-               "modes": {"warm-soa": {"calibration_s": 0.1,
-                                      "scenarios": {}}}}
+               "modes": {"warm-cext": {"calibration_s": 0.1,
+                                       "scenarios": {}}}}
         with pytest.raises(BaselineError, match="unknown mode"):
             validate_doc(doc)
 
@@ -240,14 +250,14 @@ class TestGoldenCli:
                                                       capsys):
         from repro.perf.golden import main
         out = tmp_path / "golden.json"
-        assert main(["--backend", "soa", str(out)]) == 2
+        assert main(["--backend", "cext", str(out)]) == 2
         assert not out.exists()
         assert "--check" in capsys.readouterr().err
 
     def test_check_requires_a_fixture(self, tmp_path, capsys):
         from repro.perf.golden import main
         missing = tmp_path / "nope.json"
-        assert main(["--check", "--backend", "soa", str(missing)]) == 1
+        assert main(["--check", "--backend", "object", str(missing)]) == 1
         assert "no golden fixture" in capsys.readouterr().err
 
 
@@ -257,58 +267,50 @@ class TestExecutionEquivalence:
                        policy="mlp_flush", max_commits=600, warmup=200,
                        backend=backend)
 
+    @needs_cext
     def test_simulate_is_backend_independent(self):
         stats_o, core_o = Session(store=None).simulate(self._small("object"))
-        stats_s, core_s = Session(store=None).simulate(self._small("soa"))
-        assert type(core_o) is SMTCore
-        assert type(core_s) is SoACore
-        assert stats_o.cycles == stats_s.cycles
-        assert core_o.cycle == core_s.cycle
-        assert [t.committed for t in stats_o.threads] == \
-            [t.committed for t in stats_s.threads]
-        assert [t.fetched for t in stats_o.threads] == \
-            [t.fetched for t in stats_s.threads]
-        assert stats_o.total_ipc == stats_s.total_ipc
-
-    def test_scored_run_is_backend_independent(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        session = Session()
-        r_obj = session.run(self._small("object"))
-        assert session.last_report.executed == 3     # cell + 2 baselines
-        # The backend is not in the key: the soa run of the same
-        # experiment is the object run's store entry.
-        r_soa = session.run(self._small("soa"))
-        assert session.last_report.cache_hits == 1
-        assert session.last_report.executed == 0
-        assert r_soa == r_obj
-        # Uncached, the soa engine scores the cell identically.
-        r_fresh = Session(store=None).run(self._small("soa"))
-        assert r_fresh == r_obj
-
-    def test_baselines_run_on_the_cells_engine(self):
-        job = self._small("soa").to_job()
-        assert [b.backend for b in job.baseline_specs()] == ["soa", "soa"]
-        assert all(b.backend is None
-                   for b in self._small(None).to_job().baseline_specs())
-
-    @needs_cext
-    def test_simulate_matches_on_cext(self):
-        stats_o, core_o = Session(store=None).simulate(self._small("object"))
         stats_c, core_c = Session(store=None).simulate(self._small("cext"))
+        assert type(core_o) is SMTCore
         assert type(core_c) is CextCore
         assert stats_o.cycles == stats_c.cycles
+        assert core_o.cycle == core_c.cycle
         assert [t.committed for t in stats_o.threads] == \
             [t.committed for t in stats_c.threads]
         assert [t.fetched for t in stats_o.threads] == \
             [t.fetched for t in stats_c.threads]
         assert stats_o.total_ipc == stats_c.total_ipc
 
+    @needs_cext
+    def test_scored_run_is_backend_independent(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        session = Session()
+        r_obj = session.run(self._small("object"))
+        assert session.last_report.executed == 3     # cell + 2 baselines
+        # The backend is not in the key: the cext run of the same
+        # experiment is the object run's store entry.
+        r_cext = session.run(self._small("cext"))
+        assert session.last_report.cache_hits == 1
+        assert session.last_report.executed == 0
+        assert r_cext == r_obj
+        # Uncached, the cext engine scores the cell identically.
+        r_fresh = Session(store=None).run(self._small("cext"))
+        assert r_fresh == r_obj
+
+    def test_baselines_run_on_the_cells_engine(self):
+        job = self._small("object").to_job()
+        assert [b.backend for b in job.baseline_specs()] == \
+            ["object", "object"]
+        assert all(b.backend is None
+                   for b in self._small(None).to_job().baseline_specs())
+
+    @needs_cext
     def test_iter_intervals_is_backend_independent(self):
         session = Session(store=None)
         snaps_o = list(session.iter_intervals(self._small("object"),
                                               every=200))
-        snaps_s = list(session.iter_intervals(self._small("soa"),
+        snaps_c = list(session.iter_intervals(self._small("cext"),
                                               every=200))
-        assert snaps_o == snaps_s
+        assert snaps_o == snaps_c
         assert snaps_o[-1].done

@@ -11,15 +11,18 @@ pool, and bit-identical architectural stats with pooling force-disabled.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubTrace, alu, branch, load, store
+from conftest import StubTrace, alu, branch, load, needs_cext, store
 from repro.config import SMTConfig
 from repro.perf.golden import snapshot_cell
 from repro.perf.scenarios import Scenario, run_scenario
+from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
-from repro.pipeline.dyninstr import DynInstr
+from repro.pipeline.dyninstr import F_FREED, DynInstr
 from repro.policies import make_policy
 
 _ALL_SLOTS = DynInstr.__slots__
@@ -148,18 +151,16 @@ def test_detect_queued_records_are_not_pooled():
 
 
 # --------------------------------------------------------------------- #
-# SoA arena: the free list is the pool, slots are the records
+# compiled engine's arena: the free list is the pool, slots are the records
 # --------------------------------------------------------------------- #
 
 def _soa_assert_free_list_pristine(core):
-    """The SoA analogue of the pool invariants, on the columns.
+    """The arena analogue of the pool invariants, on the columns.
 
     Every slot on the free list must carry exactly the state the alloc
     fast path relies on without re-writing (see the ``soa`` module
     docstring), and no live engine structure may still reference it.
     """
-    from repro.pipeline.dyninstr import F_FREED
-
     free = set(core._free)
     assert free, "expected the engine to have recycled slots"
     for s in free:
@@ -179,29 +180,34 @@ def _soa_assert_free_list_pristine(core):
             s for s in ts.rename_map if s >= 0)
 
 
-@settings(max_examples=20, deadline=None)
+@needs_cext
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**20),
-       cycles=st.integers(min_value=150, max_value=600),
-       flush_points=st.lists(st.integers(min_value=1, max_value=80),
-                             max_size=3))
-def test_soa_free_slots_are_pristine(seed, cycles, flush_points):
-    """Random runs + flush injections leave only pristine free slots."""
-    import random
+       segments=st.lists(st.tuples(st.integers(min_value=5, max_value=80),
+                                   st.booleans(),
+                                   st.integers(min_value=0, max_value=20)),
+                         min_size=1, max_size=6))
+def test_cext_free_slots_are_pristine(seed, segments):
+    """Random runs + flush injections leave only pristine free slots.
 
-    from repro.pipeline.soa import SoACore
-
+    The compiled loop has no per-cycle ``step``: it advances in
+    ``advance_to`` commit segments, and flushes land between them.
+    """
     rng = random.Random(seed)
     cfg = SMTConfig(num_threads=2)
     bodies = []
     for tid in range(2):
         body = []
         for pc in range(rng.randint(4, 8)):
+            # Destinations share r1-r8 with the fixed sources (r1-r4), so
+            # loads feed later instructions and squashes catch producers
+            # with registered waiters.
             kind = rng.randrange(4)
             if kind == 0:
-                body.append(alu(pc, dest=rng.randint(1, 31)))
+                body.append(alu(pc, dest=rng.randint(1, 8)))
             elif kind == 1:
                 body.append(load(pc, addr=rng.randrange(1 << 12) * 8,
-                                 dest=rng.randint(1, 31)))
+                                 dest=rng.randint(1, 8)))
             elif kind == 2:
                 body.append(store(pc, addr=rng.randrange(1 << 12) * 8))
             else:
@@ -209,14 +215,12 @@ def test_soa_free_slots_are_pristine(seed, cycles, flush_points):
         bodies.append(body)
     traces = [StubTrace(body, base=(tid + 1) << 33)
               for tid, body in enumerate(bodies)]
-    core = SoACore(cfg, traces, make_policy("mlp_flush"))
-    budget = iter(sorted(flush_points))
-    next_flush = next(budget, None)
-    for step in range(cycles):
-        core.step()
-        if next_flush is not None and step == next_flush:
+    core = CextCore(cfg, traces, make_policy("mlp_flush"))
+    target = 0
+    for commits, do_flush, rewind in segments:
+        target += commits
+        core.advance_to(target)
+        if do_flush:
             ts = core.threads[rng.randrange(2)]
-            core.flush_thread(ts, max(ts.fetch_index - 1
-                                      - rng.randrange(20), 0))
-            next_flush = next(budget, None)
-    _soa_assert_free_list_pristine(core)
+            core.flush_thread(ts, max(ts.fetch_index - 1 - rewind, 0))
+        _soa_assert_free_list_pristine(core)

@@ -21,10 +21,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StubTrace
+from conftest import StubTrace, needs_cext
 from repro.config import SMTConfig
 from repro.isa import NUM_ARCH_REGS, Instr, Op
+from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
+from repro.pipeline.dyninstr import F_COMPLETED, F_RETIRED, F_SQUASHED
 from repro.policies import make_policy
 
 
@@ -152,20 +154,14 @@ def test_array_rename_matches_dict_oracle(data):
 
 
 def _soa_rename_shape(core):
-    """The SoA columns' rename state, in the object engine's shape.
+    """The arena's rename state, in the object engine's shape.
 
-    The soa map holds slot numbers; project each mapped slot's columns
+    The arena map holds slot numbers; project each mapped slot's columns
     onto the same (reg, seq, gseq, retired, completed, squashed) tuple
     ``_rename_shape`` builds from record attributes.  Reference counts
     are *not* compared: the arena counts rename-current occupancy as a
     reference (slot lifetime), the object engine does not (GC does).
     """
-    from repro.pipeline.dyninstr import (
-        F_COMPLETED,
-        F_RETIRED,
-        F_SQUASHED,
-    )
-
     shape = []
     for ts in core.threads:
         regs = []
@@ -183,19 +179,20 @@ def _soa_rename_shape(core):
     return shape
 
 
+@needs_cext
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_soa_rename_columns_match_object_records(data):
-    """Object engine as the oracle for the SoA rename columns.
+def test_cext_rename_columns_match_object_records(data):
+    """Object engine as the oracle for the compiled engine's rename columns.
 
     The same random programs and flush injections drive an
-    :class:`SMTCore` and a :class:`SoACore` in lockstep; at every
-    checkpoint the arena's slot-number map must project onto exactly
-    the object engine's record map (minus identity and refcounts), and
-    the architectural stats must agree cycle for cycle.
+    :class:`SMTCore` and a :class:`CextCore` in lockstep — in
+    ``advance_to`` commit segments, since the compiled loop has no
+    per-cycle ``step`` — and at every segment boundary the arena's
+    slot-number map must project onto exactly the object engine's record
+    map (minus identity and refcounts), with the cycle and the
+    architectural stats equal.
     """
-    from repro.pipeline.soa import SoACore
-
     draw = data.draw
     num_threads = draw(st.sampled_from((1, 2, 4)))
     programs = [_random_program(draw, draw(st.integers(6, 14)))
@@ -204,7 +201,7 @@ def test_soa_rename_columns_match_object_records(data):
     cfg = SMTConfig(num_threads=num_threads)
     traces = [StubTrace(body, base=(tid + 1) << 33)
               for tid, body in enumerate(programs)]
-    soa = SoACore(cfg, traces, make_policy("icount"))
+    arena = CextCore(cfg, traces, make_policy("icount"))
 
     def _obj_shape_no_refs():
         return [[None if entry is None else entry[:6]
@@ -217,23 +214,21 @@ def test_soa_rename_columns_match_object_records(data):
                   st.integers(min_value=0, max_value=num_threads - 1),
                   st.integers(min_value=0, max_value=40)),
         min_size=2, max_size=8))
-    for cycles, do_flush, tid, rewind in segments:
-        for _ in range(cycles):
-            obj.step()
-            soa.step()
+    target = 0
+    for commits, do_flush, tid, rewind in segments:
+        target += commits
+        obj.advance_to(target)
+        arena.advance_to(target)
+        assert obj.cycle == arena.cycle
         if do_flush:
             ts_o = obj.threads[tid]
-            ts_s = soa.threads[tid]
-            assert ts_o.fetch_index == ts_s.fetch_index
+            ts_a = arena.threads[tid]
+            assert ts_o.fetch_index == ts_a.fetch_index
             after_seq = max(ts_o.fetch_index - 1 - rewind, 0)
             obj.flush_thread(ts_o, after_seq)
-            soa.flush_thread(ts_s, after_seq)
-        assert obj.cycle == soa.cycle
-        assert _obj_shape_no_refs() == _soa_rename_shape(soa)
-        assert _stats_shape(obj) == _stats_shape(soa)
-
-    assert _obj_shape_no_refs() == _soa_rename_shape(soa)
-    assert _stats_shape(obj) == _stats_shape(soa)
+            arena.flush_thread(ts_a, after_seq)
+        assert _obj_shape_no_refs() == _soa_rename_shape(arena)
+        assert _stats_shape(obj) == _stats_shape(arena)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,29 +4,35 @@ Pins the three contracts of :mod:`repro.pipeline.sanitize`: the env
 knob swaps the checked engine subclasses in through ``core_for`` (and
 only then — off means the module is not even imported); a sanitized
 run is bit-exact with a stock one on both backends; and the checks
-actually fire — planted double-frees, a record mutated while pooled,
-and a slot mutated while on the arena free list all raise
-:class:`~repro.pipeline.sanitize.SanitizerError`.
+actually fire.  On the object engine, planted double-frees and a record
+mutated while pooled raise
+:class:`~repro.pipeline.sanitize.SanitizerError` at the operation.  On
+the compiled engine's arena, a duplicate free-list entry, a non-pristine
+free slot, a leaked slot, a freed slot missing from the free list and a
+wheel mark behind the current cycle raise it from the boundary check.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import pytest
 
+from conftest import needs_cext
 from repro import registry
 from repro.config import scaled_config
 from repro.experiments.runner import core_for, default_backend, trace_for
+from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
+from repro.pipeline.dyninstr import F_FREED
 from repro.pipeline.sanitize import (
-    CheckedFreeList,
+    CheckedCextCore,
     CheckedPool,
     CheckedSMTCore,
-    CheckedSoACore,
     SanitizerError,
     checked_variant,
     sanitize_enabled,
 )
-from repro.pipeline.soa import SoACore
 from repro.policies import make_policy
 from repro.runahead import RunaheadCore
 
@@ -57,7 +63,6 @@ class TestWiring:
         assert not sanitize_enabled()
         assert core_for(make_policy("icount")) is _default_core()
         assert core_for(make_policy("icount"), "object") is SMTCore
-        assert core_for(make_policy("icount"), "soa") is SoACore
 
     def test_env_selects_checked_cores(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -65,7 +70,7 @@ class TestWiring:
         assert core_for(make_policy("icount")) is \
             checked_variant(_default_core())
         assert core_for(make_policy("icount"), "object") is CheckedSMTCore
-        assert core_for(make_policy("icount"), "soa") is CheckedSoACore
+        assert checked_variant(CextCore) is CheckedCextCore
 
     def test_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
@@ -84,10 +89,12 @@ class TestBitExactness:
         _, checked = _run(CheckedSMTCore)
         assert checked == stock
 
-    def test_soa_engine(self):
-        _, stock = _run(SoACore)
-        _, checked = _run(CheckedSoACore)
+    @needs_cext
+    def test_cext_engine(self):
+        stock_core, stock = _run(CextCore)
+        checked_core, checked = _run(CheckedCextCore)
         assert checked == stock
+        assert checked_core.cycle == stock_core.cycle
 
 
 class TestObjectEngineDetection:
@@ -126,40 +133,62 @@ class TestObjectEngineDetection:
         core.sanitize_check()   # restored state passes again
 
 
-class TestSoAEngineDetection:
+@needs_cext
+class TestCextEngineDetection:
+    """Defects planted in the arena after a clean compiled run."""
+
     def test_double_free_caught(self):
-        core, _ = _run(CheckedSoACore)
+        core, _ = _run(CheckedCextCore)
         free = core._free
-        assert isinstance(free, CheckedFreeList) and free
+        free.append(free[-1])
         with pytest.raises(SanitizerError, match="double free"):
-            free.append(free[-1])
+            core.sanitize_check()
+        free.pop()
+        core.sanitize_check()   # restored state passes again
 
     def test_dirty_slot_free_caught(self):
-        core, _ = _run(CheckedSoACore)
-        free = core._free
-        s = free.pop()
+        core, _ = _run(CheckedCextCore)
+        s = core._free[-1]
         core._col_pending[s] = 1
         with pytest.raises(SanitizerError, match="not pristine"):
-            free.append(s)
+            core.sanitize_check()
         core._col_pending[s] = 0
-        free.append(s)
+        core.sanitize_check()
 
     def test_mutated_while_freed_caught(self):
-        core, _ = _run(CheckedSoACore)
-        free = core._free
-        s = free[-1]
+        # A stale waiter0 on a free slot, left while the compiled loop
+        # keeps running: the next boundary reports it.  The bottom of
+        # the free-list stack is the slot reused last.
+        core, _ = _run(CheckedCextCore)
+        s = core._free[0]
         core._col_waiter0[s] = 7
-        with pytest.raises(SanitizerError, match="mutated while freed"):
-            free.pop()
+        with pytest.raises(SanitizerError,
+                           match=rf"_col_waiter0\[{s}\] == 7"):
+            core.advance_to(core._committed_watermark + 200)
         core._col_waiter0[s] = -1
 
     def test_leak_scan_flags_lost_slot(self):
-        from repro.pipeline.dyninstr import F_FREED
-        core, _ = _run(CheckedSoACore)
+        core, _ = _run(CheckedCextCore)
         s = core._free.pop()                 # allocated...
         core._col_flags[s] &= ~F_FREED      # ...but reachable from nowhere
         with pytest.raises(SanitizerError, match="leak"):
             core.sanitize_check()
         core._col_flags[s] |= F_FREED
         core._free.append(s)
+        core.sanitize_check()
+
+    def test_freed_slot_off_the_free_list_caught(self):
+        core, _ = _run(CheckedCextCore)
+        s = core._free.pop(0)               # F_FREED, yet unallocatable
+        with pytest.raises(SanitizerError, match="not on the free list"):
+            core.sanitize_check()
+        core._free.insert(0, s)
+        core.sanitize_check()
+
+    def test_wheel_mark_behind_the_cycle_caught(self):
+        core, _ = _run(CheckedCextCore)
+        heappush(core._ev_marks, core.cycle - 1)
+        with pytest.raises(SanitizerError, match="non-monotonic"):
+            core.sanitize_check()
+        heappop(core._ev_marks)
         core.sanitize_check()
