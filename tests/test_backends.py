@@ -209,13 +209,22 @@ class TestHashStability:
     def test_pinned_backend_keeps_the_unpinned_hash(self, backend):
         # The backend says how a run executes, not what it computes:
         # every engine's run of one experiment shares one store entry,
-        # and pinned specs equal (and hash like) the unpinned one.  For
-        # cext, the toolchain, compiler version and probe outcome must
-        # not leak into a key either.
+        # and pinned specs equal (and hash like) the unpinned one.
         spec = _spec(backend=backend)
         assert spec.content_hash() == self._PINNED
         assert spec == _spec()
         assert hash(spec) == hash(_spec())
+
+    @needs_cext
+    def test_cext_hash_is_the_unpinned_hash(self, monkeypatch):
+        # The toolchain, compiler version and probe outcome must not
+        # leak into a key either: dropping the probe result leaves a
+        # cext spec's key where it was.
+        spec = _spec(backend="cext")
+        assert spec.content_hash() == self._PINNED
+        monkeypatch.setattr(cext_mod, "_state", (None, "forced off"))
+        assert spec.content_hash() == self._PINNED
+        assert JobSpec.from_runspec(spec).cache_key() == self._PINNED
 
     @pytest.mark.parametrize("backend", ["object", CEXT])
     def test_content_hash_matches_jobspec_cache_key(self, backend):
@@ -267,19 +276,20 @@ class TestExecutionEquivalence:
                        policy="mlp_flush", max_commits=600, warmup=200,
                        backend=backend)
 
-    @needs_cext
     def test_simulate_is_backend_independent(self):
+        # An unpinned run takes the fastest registered engine; whichever
+        # that is, it simulates exactly what the object engine does.
         stats_o, core_o = Session(store=None).simulate(self._small("object"))
-        stats_c, core_c = Session(store=None).simulate(self._small("cext"))
+        stats_d, core_d = Session(store=None).simulate(self._small(None))
         assert type(core_o) is SMTCore
-        assert type(core_c) is CextCore
-        assert stats_o.cycles == stats_c.cycles
-        assert core_o.cycle == core_c.cycle
+        assert type(core_d) is registry.backends.get(default_backend())
+        assert stats_o.cycles == stats_d.cycles
+        assert core_o.cycle == core_d.cycle
         assert [t.committed for t in stats_o.threads] == \
-            [t.committed for t in stats_c.threads]
+            [t.committed for t in stats_d.threads]
         assert [t.fetched for t in stats_o.threads] == \
-            [t.fetched for t in stats_c.threads]
-        assert stats_o.total_ipc == stats_c.total_ipc
+            [t.fetched for t in stats_d.threads]
+        assert stats_o.total_ipc == stats_d.total_ipc
 
     @needs_cext
     def test_scored_run_is_backend_independent(self, tmp_path,
@@ -304,6 +314,18 @@ class TestExecutionEquivalence:
             ["object", "object"]
         assert all(b.backend is None
                    for b in self._small(None).to_job().baseline_specs())
+
+    @needs_cext
+    def test_simulate_matches_on_cext(self):
+        stats_o, core_o = Session(store=None).simulate(self._small("object"))
+        stats_c, core_c = Session(store=None).simulate(self._small("cext"))
+        assert type(core_c) is CextCore
+        assert stats_o.cycles == stats_c.cycles
+        assert [t.committed for t in stats_o.threads] == \
+            [t.committed for t in stats_c.threads]
+        assert [t.fetched for t in stats_o.threads] == \
+            [t.fetched for t in stats_c.threads]
+        assert stats_o.total_ipc == stats_c.total_ipc
 
     @needs_cext
     def test_iter_intervals_is_backend_independent(self):
