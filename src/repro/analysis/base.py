@@ -24,7 +24,9 @@ REPO_ROOT = SRC_ROOT.parent
 #: The packages whose classes are performance-critical: everything the
 #: engine touches per simulated cycle.  slots-lint and determinism-lint
 #: police exactly these.
-ENGINE_PACKAGES = ("repro/pipeline", "repro/policies", "repro/runahead")
+ENGINE_PACKAGES = ("repro/pipeline", "repro/policies", "repro/runahead",
+                   "repro/memory", "repro/predictors", "repro/branch",
+                   "repro/workloads")
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,8 +2,8 @@
 
 Every class in the engine packages (:data:`~repro.analysis.base.ENGINE_PACKAGES`)
 must either declare ``__slots__`` (a literal of strings), be a
-``@dataclass(slots=True)``, be an exception type, or appear on the
-explicit allowlist.  Additionally every ``self.X`` assignment anywhere
+``@dataclass(slots=True)``, be an exception or ``Enum`` type, or appear
+on the explicit allowlist.  Additionally every ``self.X`` assignment anywhere
 in a class must resolve to a slot declared by the class or one of its
 (in-scope) bases — the mistake this catches is the stray attribute that
 silently re-grows a ``__dict__``-free class a per-instance dict, or dies
@@ -13,6 +13,11 @@ A ``"__dict__"`` entry anywhere in the slots chain is a deliberate
 wildcard (``SMTCore`` uses it so tests can monkeypatch instance
 methods): the declaration requirement still applies, the per-assignment
 resolution is skipped.
+
+Classes are identified by module and name: two modules may each define
+an ``_Entry``.  A base class named in a module resolves to the class of
+that name defined in the same module, else to the one it imports by
+``from ... import``, else to the only in-scope class of that name.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ ALLOWED_DICT_CLASSES: dict[str, str] = {}
 #: Builtin bases that do not hand their subclasses a ``__dict__``.
 _SLOTTED_BUILTINS = {"object", "list", "dict", "tuple", "int", "str"}
 
+#: Enum bases: members are class attributes, instances carry no state.
+_ENUM_BASES = {"Enum", "IntEnum", "Flag", "IntFlag", "StrEnum"}
+
 _EXCEPTION_BUILTINS = {
     "BaseException", "Exception", "ArithmeticError", "AssertionError",
     "AttributeError", "KeyError", "LookupError", "NotImplementedError",
@@ -49,6 +57,8 @@ class _ClassInfo:
     path: Path
     line: int
     bases: list[str]
+    #: local name -> dotted module it is imported from (``from m import``)
+    imports: dict[str, str] = field(default_factory=dict)
     slots: list[str] | None = None      # None: no literal __slots__
     has_slots_stmt: bool = False        # a __slots__ assignment exists
     is_dataclass: bool = False
@@ -99,11 +109,23 @@ def _collect_self_writes(body: Iterable[ast.stmt],
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _class_info(cls: ast.ClassDef, path: Path) -> _ClassInfo:
+def _module_imports(tree: ast.Module) -> dict[str, str]:
+    """``{local name: source module}`` of a module's ``from`` imports."""
+    out: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.module
+    return out
+
+
+def _class_info(cls: ast.ClassDef, path: Path,
+                imports: dict[str, str]) -> _ClassInfo:
     info = _ClassInfo(
         name=cls.name, path=path, line=cls.lineno,
         bases=[n for n in (dotted_name(b) for b in cls.bases)
-               if n is not None])
+               if n is not None],
+        imports=imports)
     for dec in cls.decorator_list:
         is_dc, slots = _is_dataclass_decorator(dec)
         if is_dc:
@@ -133,20 +155,64 @@ def _class_info(cls: ast.ClassDef, path: Path) -> _ClassInfo:
     return info
 
 
-def _is_exception(info: _ClassInfo, table: dict[str, _ClassInfo],
-                  seen: frozenset[str] = frozenset()) -> bool:
-    for base in info.bases:
-        tail = base.split(".")[-1]
-        if tail in _EXCEPTION_BUILTINS or tail.endswith("Error"):
-            return True
-        parent = table.get(tail)
-        if parent is not None and tail not in seen:
-            if _is_exception(parent, table, seen | {tail}):
+class _Table:
+    """The in-scope classes, by (module path, name)."""
+
+    def __init__(self, infos: list[_ClassInfo]):
+        self._by_key = {(i.path, i.name): i for i in infos}
+        self._by_name: dict[str, list[_ClassInfo]] = {}
+        for info in infos:
+            self._by_name.setdefault(info.name, []).append(info)
+
+    def base(self, info: _ClassInfo, base: str) -> _ClassInfo | None:
+        """The in-scope class ``base`` names inside ``info``'s module."""
+        parts = base.split(".")
+        tail = parts[-1]
+        candidates = self._by_name.get(tail, [])
+        if len(parts) == 1:
+            own = self._by_key.get((info.path, tail))
+            if own is not None and own is not info:
+                return own
+            module = info.imports.get(tail)
+        else:
+            module = ".".join(parts[:-1])
+        if module is not None:
+            suffix = "/".join(module.split(".")) + ".py"
+            for cand in candidates:
+                if cand.path.as_posix().endswith(suffix):
+                    return cand
+        others = [c for c in candidates if c is not info]
+        return others[0] if len(others) == 1 else None
+
+
+def _inherits(info: _ClassInfo, table: _Table, builtins: set[str],
+              suffix: str | None = None) -> bool:
+    """Does ``info`` derive from one of ``builtins`` (or a ``*suffix``)?"""
+    stack, seen = [info], set()
+    while stack:
+        cur = stack.pop()
+        if id(cur) in seen:
+            continue
+        seen.add(id(cur))
+        for base in cur.bases:
+            tail = base.split(".")[-1]
+            if tail in builtins or (suffix and tail.endswith(suffix)):
                 return True
+            parent = table.base(cur, base)
+            if parent is not None:
+                stack.append(parent)
     return False
 
 
-def _slot_chain(info: _ClassInfo, table: dict[str, _ClassInfo],
+def _is_exception(info: _ClassInfo, table: _Table) -> bool:
+    return _inherits(info, table, _EXCEPTION_BUILTINS, "Error")
+
+
+def _is_enum(info: _ClassInfo, table: _Table) -> bool:
+    return _inherits(info, table, _ENUM_BASES)
+
+
+def _slot_chain(info: _ClassInfo, table: _Table,
                 ) -> tuple[set[str], bool]:
     """(union of declared slots/fields up the chain, chain is wildcard).
 
@@ -157,17 +223,13 @@ def _slot_chain(info: _ClassInfo, table: dict[str, _ClassInfo],
     """
     names: set[str] = set()
     wildcard = False
-    stack, seen = [info.name], set()
+    stack: list[_ClassInfo] = [info]
+    seen: set[int] = set()
     while stack:
-        cur = stack.pop()
-        if cur in seen:
+        ci = stack.pop()
+        if id(ci) in seen:
             continue
-        seen.add(cur)
-        ci = table.get(cur)
-        if ci is None:
-            if cur.split(".")[-1] not in _SLOTTED_BUILTINS:
-                wildcard = True
-            continue
+        seen.add(id(ci))
         if ci.name in ALLOWED_DICT_CLASSES:
             wildcard = True
         if ci.is_dataclass:
@@ -181,7 +243,12 @@ def _slot_chain(info: _ClassInfo, table: dict[str, _ClassInfo],
                 names.update(ci.slots)
         else:
             wildcard = True
-        stack.extend(b.split(".")[-1] for b in ci.bases)
+        for base in ci.bases:
+            parent = table.base(ci, base)
+            if parent is not None:
+                stack.append(parent)
+            elif base.split(".")[-1] not in _SLOTTED_BUILTINS:
+                wildcard = True
     return names, wildcard
 
 
@@ -189,17 +256,18 @@ def check(files: Sequence[Path] | None = None) -> list[Finding]:
     """Run slots-lint over ``files`` (default: the engine packages)."""
     if files is None:
         files = package_files()
-    table: dict[str, _ClassInfo] = {}
     order: list[_ClassInfo] = []
     for path in files:
-        for cls in walk_classes(parse_file(path)):
-            info = _class_info(cls, path)
-            table[info.name] = info
-            order.append(info)
+        tree = parse_file(path)
+        imports = _module_imports(tree)
+        for cls in walk_classes(tree):
+            order.append(_class_info(cls, path, imports))
+    table = _Table(order)
 
     findings: list[Finding] = []
     for info in order:
-        if info.name in ALLOWED_DICT_CLASSES or _is_exception(info, table):
+        if (info.name in ALLOWED_DICT_CLASSES or _is_exception(info, table)
+                or _is_enum(info, table)):
             continue
         if info.is_dataclass:
             if not info.dataclass_slots:

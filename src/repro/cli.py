@@ -399,7 +399,9 @@ def _perf_suite(args):
         raise SystemExit(
             f"perf: unknown backend {args.backend!r}; "
             f"see `python -m repro list backends`")
-    suite = perf.run_suite(repeats=args.repeat, quick=args.quick,
+    repeats = (perf.DEFAULT_REPEATS if args.repeat is None
+               else args.repeat)
+    suite = perf.run_suite(repeats=repeats, quick=args.quick,
                            backend=args.backend,
                            progress=None if args.json else print)
     return perf, suite, _json
@@ -697,8 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced budgets (CI smoke mode)")
         q.add_argument("--json", action="store_true",
                        help="emit the schema-stamped JSON document")
-        q.add_argument("-r", "--repeat", type=int, default=3,
-                       help="timed repeats per scenario (min is reported)")
+        q.add_argument("-r", "--repeat", type=int, default=None,
+                       help="timed samples per scenario, interleaved "
+                            "across scenarios; the median is reported "
+                            "(default 5)")
         q.add_argument("--backend", default="object",
                        help="engine core to time (see `repro list "
                             "backends`; default: object)")

@@ -77,7 +77,19 @@ class AccessResult:
 
 
 class MemoryHierarchy:
-    """Shared (SMT) memory hierarchy with per-access timing."""
+    """Shared (SMT) memory hierarchy with per-access timing.
+
+    Slotted so the compiled engine reads it by slot offset: its loop
+    resolves L1/TLB hits of ``load``, ``store`` and ``ifetch`` itself
+    (``_cext_engine.c``) and calls these methods for everything else.
+    """
+
+    __slots__ = ("cfg", "_l1_latency", "_l2_latency", "_l3_latency",
+                 "_mem_latency", "_tlb_miss_penalty", "_mshr_entries",
+                 "_serialize_ll", "l1i", "l1d", "l2", "l3", "itlb", "dtlb",
+                 "prefetcher", "_pending", "_fill_ends", "_last_ll_end",
+                 "ll_intervals", "ll_loads_per_thread", "demand_loads",
+                 "merged_loads", "prefetch_covered")
 
     def __init__(self, cfg: MemoryConfig):
         self.cfg = cfg

@@ -22,6 +22,7 @@ from repro.perf.baselines import (
     write_baseline,
 )
 from repro.perf.harness import (
+    DEFAULT_REPEATS,
     BenchResult,
     DuelResult,
     SuiteResult,
@@ -46,6 +47,7 @@ from repro.perf.scenarios import (
 
 __all__ = [
     "BASELINE_NAME",
+    "DEFAULT_REPEATS",
     "CANONICAL_2T",
     "CANONICAL_SCENARIOS",
     "DEFAULT_MAX_REGRESSION",

@@ -1,7 +1,8 @@
 """Schema-stamped throughput baselines (``BENCH_perf.json``).
 
 The committed baseline at the repo root records, per canonical scenario
-and per mode (``full`` / ``quick``), the min-of-N wall time together with
+and per mode (``full`` / ``quick``, object and ``-cext``), the median of
+N interleaved samples (see :mod:`repro.perf.harness`) together with
 the simulated-cycle and committed-instruction counts of the run, plus a
 machine calibration score (see :func:`repro.perf.harness.calibrate`).
 

@@ -1,19 +1,23 @@
-"""Warmup / repeat / min-of-N wall-clock timing of the canonical scenarios.
+"""Warmup / interleaved repeat / median-of-N timing of the scenarios.
 
 Methodology: each scenario gets one untimed priming run (OS page cache,
-allocator arenas, imported-module warmup), then ``repeats`` timed runs;
-the *minimum* wall time is the reported number — the run least disturbed
-by scheduler noise — while the per-run times are kept for dispersion
-checks.  Simulated cycles and committed instructions are recorded with
-every measurement so throughput (simulated cycles per second) is
-well-defined and drift in the *simulated* outcome is detectable when two
-measurements are compared.
+allocator arenas, imported-module warmup), then ``repeats`` timed rounds
+in which every scenario is timed once, after a ``gc.collect()``, so a
+slow stretch of the host spreads over all scenarios instead of landing
+on one.  The *median* of a scenario's samples is the reported number in
+every mode and on every backend, so the perf gate means the same thing
+everywhere; the per-run times are kept for dispersion checks.  Simulated
+cycles and committed instructions are recorded with every measurement
+so throughput (simulated cycles per second) is well-defined and drift in
+the *simulated* outcome is detectable when two measurements are
+compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import gc
+import statistics
 import time
 
 from repro.perf.scenarios import CANONICAL_SCENARIOS, Scenario, run_scenario
@@ -21,13 +25,16 @@ from repro.perf.scenarios import CANONICAL_SCENARIOS, Scenario, run_scenario
 #: Iterations of the calibration spin (see :func:`calibrate`).
 _CALIBRATION_ITERS = 400_000
 
+#: Timed samples per scenario in every mode (``repro perf --repeat``).
+DEFAULT_REPEATS = 5
+
 
 @dataclass
 class BenchResult:
     """Timing of one scenario on this machine, this code version."""
 
     name: str
-    wall_s: float                     # min over the timed repeats
+    wall_s: float                     # median of the timed repeats
     runs: list[float]                 # every timed repeat, in order
     cycles: int                       # simulated cycles (incl. warmup)
     instructions: int                 # committed instructions (measured)
@@ -48,46 +55,50 @@ class BenchResult:
 
 
 def calibrate(iters: int = _CALIBRATION_ITERS) -> float:
-    """Time a fixed pure-Python spin; a machine-speed yardstick.
+    """Time one run of a fixed pure-Python spin; a machine-speed yardstick.
 
     Stored alongside every baseline so that comparisons across hosts
     (laptop vs CI runner) can normalize out raw machine speed instead of
-    failing on it.  Min of 3, same as the scenarios.
+    failing on it.  :func:`run_suite` spins once per sampling round and
+    records the median, so the yardstick is measured in the same
+    stretch of time as the walls, with the walls' statistic.
     """
-    def spin() -> int:
-        acc = 0
-        d = {0: 0, 1: 1}
-        for i in range(iters):
-            acc += d[i & 1] + (i >> 3)
-        return acc
-
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        spin()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    t0 = time.perf_counter()
+    acc = 0
+    d = {0: 0, 1: 1}
+    for i in range(iters):
+        acc += d[i & 1] + (i >> 3)
+    return time.perf_counter() - t0
 
 
-def time_scenario(sc: Scenario, repeats: int = 3, quick: bool = False,
+def _prime(sc: Scenario, quick: bool, backend: str) -> BenchResult:
+    """One untimed run: the simulated work, with no samples yet."""
+    stats, core = run_scenario(sc, quick=quick, backend=backend)
+    return BenchResult(
+        name=sc.name, wall_s=0.0, runs=[], cycles=core.cycle,
+        instructions=sum(t.committed for t in stats.threads), quick=quick,
+        policy=sc.policy, threads=sc.num_threads, commits=sc.budget(quick),
+        backend=backend)
+
+
+def _sample(result: BenchResult, sc: Scenario) -> None:
+    gc.collect()
+    t0 = time.perf_counter()
+    run_scenario(sc, quick=result.quick, backend=result.backend)
+    result.runs.append(time.perf_counter() - t0)
+    result.wall_s = statistics.median(result.runs)
+
+
+def time_scenario(sc: Scenario, repeats: int = DEFAULT_REPEATS,
+                  quick: bool = False,
                   backend: str = "object") -> BenchResult:
     """Prime once, then time ``repeats`` full simulations of ``sc``."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    # priming run (untimed)
-    stats, core = run_scenario(sc, quick=quick, backend=backend)
-    cycles = core.cycle
-    instructions = sum(t.committed for t in stats.threads)
-    runs: list[float] = []
+    result = _prime(sc, quick, backend)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_scenario(sc, quick=quick, backend=backend)
-        runs.append(time.perf_counter() - t0)
-    return BenchResult(
-        name=sc.name, wall_s=min(runs), runs=runs, cycles=cycles,
-        instructions=instructions, quick=quick, policy=sc.policy,
-        threads=sc.num_threads, commits=sc.budget(quick),
-        backend=backend)
+        _sample(result, sc)
+    return result
 
 
 @dataclass
@@ -158,19 +169,26 @@ class SuiteResult:
 
 
 def run_suite(scenarios: tuple[Scenario, ...] = CANONICAL_SCENARIOS,
-              repeats: int = 3, quick: bool = False,
+              repeats: int = DEFAULT_REPEATS, quick: bool = False,
               backend: str = "object", progress=None) -> SuiteResult:
-    """Time every scenario (min-of-``repeats``) plus the calibration spin."""
-    suite = SuiteResult(quick=quick, backend=backend,
-                        calibration_s=calibrate())
+    """Time every scenario (median of ``repeats`` interleaved samples)
+    plus the calibration spin."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    suite = SuiteResult(quick=quick, backend=backend)
     for sc in scenarios:
         if progress is not None:
             progress(f"[perf] {sc.name}: {sc.num_threads}t {sc.policy} "
                      f"x{sc.budget(quick)} commits ({backend}) ...")
-        result = time_scenario(sc, repeats=repeats, quick=quick,
-                               backend=backend)
-        suite.results.append(result)
-        if progress is not None:
-            progress(f"[perf]   {result.wall_s:.3f}s  "
+        suite.results.append(_prime(sc, quick, backend))
+    spins = []
+    for _ in range(repeats):
+        spins.append(calibrate())
+        for sc, result in zip(scenarios, suite.results):
+            _sample(result, sc)
+    suite.calibration_s = statistics.median(spins)
+    if progress is not None:
+        for result in suite.results:
+            progress(f"[perf] {result.name}: {result.wall_s:.3f}s  "
                      f"{result.cycles_per_sec / 1e3:.1f} kcyc/s")
     return suite

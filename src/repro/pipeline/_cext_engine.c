@@ -7,9 +7,13 @@
  * ready heaps and the ThreadState slots stay the single source of
  * truth, and this module reads/writes them through the C API.  Policy
  * hooks and SoACore.flush_thread re-enter Python mid-stage on that same
- * state, with no conversion.  The golden matrix pins the backend
- * bit-exact with the object engine; engine-parity-lint checks that the
- * policy hook call sites here match core.py's set.
+ * state, with no conversion.  The fast-forward target, LLSR.commit_zeros,
+ * TLB/L1 hits of the memory hierarchy and the iteration-varying slots of
+ * SyntheticTrace are computed here too, on those objects' slots; their
+ * Python bodies remain the reference (tests/test_cext_paths.py).  The
+ * golden matrix pins the backend bit-exact with the object engine;
+ * engine-parity-lint checks that the policy hook call sites here match
+ * core.py's set.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -63,7 +67,7 @@ typedef struct {
     Py_ssize_t policy_fetch_order, policy_fetch_pending,
         policy_can_dispatch, policy_on_fetch, policy_on_fetch_load,
         policy_on_load_complete, policy_on_resource_stall;
-    Py_ssize_t hier_load, hier_ifetch, hier_store;
+    Py_ssize_t hierarchy, hier_load, hier_ifetch, hier_store;
     Py_ssize_t gshare, btb;
     Py_ssize_t n_threads, full_mask, fe_mask, heads_mask;
     Py_ssize_t rotations, rot_cache, fetch_candidates;
@@ -98,6 +102,7 @@ typedef struct {
     Py_ssize_t ts_trace_get, ts_fe_append, ts_lll_predict, ts_pc_origin,
         ts_llsr_commit, ts_llsr_commit_zeros, ts_trace_static,
         ts_trace_body_len, ts_llsr_zeros, ts_trace_flags, ts_lll_pred;
+    Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag;
     /* ThreadStats */
     Py_ssize_t st_fetched, st_committed, st_loads_executed, st_ll_loads,
         st_branch_stall_cycles, st_lll_pred_loads, st_lll_pred_correct,
@@ -111,6 +116,23 @@ typedef struct {
     /* AccessResult */
     Py_ssize_t ar_complete_cycle, ar_detect_cycle, ar_level,
         ar_long_latency, ar_trigger, ar_fill_line;
+    /* LLSR */
+    Py_ssize_t ll_length, ll_bits, ll_pcs, ll_head, ll_filled, ll_total,
+        ll_last_one_total, ll_on_measure, ll_measured;
+    /* MemoryHierarchy */
+    Py_ssize_t mh_pending, mh_l1i, mh_l1d, mh_itlb, mh_dtlb, mh_prefetcher,
+        mh_demand_loads, mh_l1_latency, mh_l2_latency;
+    /* Cache */
+    Py_ssize_t ca_sets, ca_num_sets, ca_line_shift, ca_hits;
+    /* TLB */
+    Py_ssize_t tl_entries, tl_page_shift, tl_hits;
+    /* StreamBufferPrefetcher */
+    Py_ssize_t pf_stride_predictor;
+    /* StridePredictor and its table entries */
+    Py_ssize_t sp_table, sp_entries, sp_max_conf;
+    Py_ssize_t se_last_addr, se_stride, se_confidence;
+    /* SyntheticTrace */
+    Py_ssize_t tr_dyn;
 } Offsets;
 
 typedef struct {
@@ -118,16 +140,27 @@ typedef struct {
     Offsets off;
     PyObject *view_cls;     /* SoAView */
     PyObject *limit_exc;    /* SimulationLimitExceeded */
+    PyObject *deadlock_exc; /* SimulationDeadlock */
     PyObject *l1_level;     /* ServiceLevel.L1 (identity compare) */
+    /* exact types the in-C paths apply to (anything else calls Python) */
+    PyTypeObject *core_type, *hier_type, *cache_type, *tlb_type,
+        *prefetcher_type, *stride_type, *llsr_type, *trace_type,
+        *instr_type;
+    PyObject *stride_entry_cls;   /* stride_predictor._Entry */
+    /* every Instr slot offset, for cloning a trace prototype */
+    Py_ssize_t instr_offs[32];
+    int n_instr_offs;
     PyObject *small_ints[SMALL_INT_LIMIT];
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
     PyObject *s_append, *s_popleft, *s_update, *s_lookup, *s_insert,
-        *s_train, *s_on_ll_detect, *s_soa_grow, *s_next_cycle,
-        *s_sync_policy_stall;
+        *s_train, *s_on_ll_detect, *s_soa_grow, *s_sync_policy_stall,
+        *s_observe;
 } Globals;
 
 static Globals g;
+
+#define OFF (g.off)
 
 /* ------------------------------------------------------------------ */
 /* small helpers                                                       */
@@ -417,6 +450,685 @@ static PyObject *ensure_view(PyObject *core, PyObject *col_views,
 }
 
 /* ------------------------------------------------------------------ */
+/* checked ints (the in-C paths take the Python path when these fail)  */
+/* ------------------------------------------------------------------ */
+
+/* Values at most this large leave room to add two of them without
+ * leaving a long long. */
+#define SAFE_MAX (1LL << 62)
+
+/* *out = `v` when it is an int that fits a long long; else 0 (with no
+ * error set). */
+static inline int obj_fits(PyObject *v, long long *out)
+{
+    if (v == NULL || !PyLong_Check(v))
+        return 0;
+    int overflow = 0;
+    long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (overflow || (x == -1 && PyErr_Occurred())) {
+        PyErr_Clear();
+        return 0;
+    }
+    *out = x;
+    return 1;
+}
+
+/* obj_fits on slot `off` of `o` (0 when the slot is unset). */
+static inline int slot_fits(PyObject *o, Py_ssize_t off, long long *out)
+{
+    return obj_fits(SLOT(o, off), out);
+}
+
+/* Python's floor modulo for b > 0. */
+static inline long long py_mod(long long a, long long b)
+{
+    long long r = a % b;
+    return r < 0 ? r + b : r;
+}
+
+/* ------------------------------------------------------------------ */
+/* LLSR.commit_zeros over the register's slots                         */
+/* ------------------------------------------------------------------ */
+
+/* repro.predictors.llsr.LLSR.commit_zeros, transliterated: k zero-bit
+ * commits, firing on_measure for every 1 that exits the head, in order.
+ * Returns 1 when done, 0 when the register's state is not what the
+ * Python class builds (nothing touched: the caller runs the Python
+ * method), -1 on error. */
+static int llsr_zeros_c(PyObject *llsr, long long k)
+{
+    long long length, filled, total, last_one, head;
+    if (!slot_fits(llsr, OFF.ll_length, &length)
+        || !slot_fits(llsr, OFF.ll_filled, &filled)
+        || !slot_fits(llsr, OFF.ll_total, &total)
+        || !slot_fits(llsr, OFF.ll_last_one_total, &last_one)
+        || !slot_fits(llsr, OFF.ll_head, &head))
+        return 0;
+    PyObject *bits = SLOT(llsr, OFF.ll_bits);
+    PyObject *pcs = SLOT(llsr, OFF.ll_pcs);
+    PyObject *measured = SLOT(llsr, OFF.ll_measured);
+    PyObject *on_measure = SLOT(llsr, OFF.ll_on_measure);
+    if (length < 2 || length >= SAFE_MAX || k < 0 || k >= SAFE_MAX
+        || filled < 0 || filled > length || total < 0 || total >= SAFE_MAX
+        || last_one < 0 || last_one >= SAFE_MAX
+        || head < 0 || head >= length
+        || bits == NULL || !PyList_CheckExact(bits)
+        || PyList_GET_SIZE(bits) != length
+        || pcs == NULL || !PyList_CheckExact(pcs)
+        || PyList_GET_SIZE(pcs) != length
+        || measured == NULL || !PyList_CheckExact(measured)
+        || on_measure == NULL)
+        return 0;
+    if (filled < length) {
+        long long take = length - filled;
+        if (take > k)
+            take = k;
+        if (slot_store_ll(llsr, OFF.ll_filled, filled + take) < 0
+            || slot_store_ll(llsr, OFF.ll_total, total + take) < 0)
+            return -1;
+        total += take;
+        k -= take;
+        if (!k)
+            return 1;
+    }
+    if (last_one + length <= total) {
+        /* no 1 left in the live window: a head/total bump */
+        if (slot_store_ll(llsr, OFF.ll_total, total + k) < 0
+            || slot_store_ll(llsr, OFF.ll_head, (head + k) % length) < 0)
+            return -1;
+        return 1;
+    }
+    long long live = last_one + length - total;
+    long long tail = k > live ? k - live : 0;
+    k -= tail;
+    /* the hook may rebind the register's attributes: hold what the
+     * Python body holds as locals */
+    Py_INCREF(bits);
+    Py_INCREF(pcs);
+    Py_INCREF(measured);
+    Py_INCREF(on_measure);
+    int rc = -1;
+    for (long long i = 0; i < k; i++) {
+        total += 1;
+        if (head >= PyList_GET_SIZE(bits) || head >= PyList_GET_SIZE(pcs)) {
+            PyErr_SetString(PyExc_IndexError, "LLSR ring resized");
+            goto done;
+        }
+        int set = PyObject_IsTrue(PyList_GET_ITEM(bits, head));
+        if (set < 0)
+            goto done;
+        if (set) {
+            PyObject *head_pc = PyList_GET_ITEM(pcs, head);
+            Py_INCREF(head_pc);
+            Py_INCREF(g.small_ints[0]);
+            lset(bits, head, g.small_ints[0]);
+            Py_INCREF(g.neg_one);
+            lset(pcs, head, g.neg_one);
+            long long distance = last_one - total + length;
+            if (distance < 0)
+                distance = 0;
+            PyObject *d = box_ll(distance);
+            if (d == NULL) {
+                Py_DECREF(head_pc);
+                goto done;
+            }
+            PyObject *pair = PyTuple_Pack(2, head_pc, d);
+            int bad = pair == NULL || PyList_Append(measured, pair) < 0;
+            Py_XDECREF(pair);
+            if (!bad && on_measure != Py_None) {
+                PyObject *margs[2] = {head_pc, d};
+                PyObject *r = PyObject_Vectorcall(on_measure, margs, 2,
+                                                  NULL);
+                if (r == NULL)
+                    bad = 1;
+                Py_XDECREF(r);
+            }
+            Py_DECREF(d);
+            Py_DECREF(head_pc);
+            if (bad)
+                goto done;
+        }
+        head += 1;
+        if (head == length)
+            head = 0;
+    }
+    if (tail) {
+        head = (head + tail) % length;
+        total += tail;
+    }
+    if (slot_store_ll(llsr, OFF.ll_head, head) < 0
+        || slot_store_ll(llsr, OFF.ll_total, total) < 0)
+        goto done;
+    rc = 1;
+done:
+    Py_DECREF(bits);
+    Py_DECREF(pcs);
+    Py_DECREF(measured);
+    Py_DECREF(on_measure);
+    return rc;
+}
+
+/* ts.llsr_commit_zeros(k): in C on an exact LLSR, else the bound method. */
+static int llsr_commit_zeros(PyObject *ts, long long k)
+{
+    PyObject *llsr = SLOT(ts, OFF.ts_llsr);
+    if (llsr != NULL && Py_TYPE(llsr) == g.llsr_type) {
+        int rc = llsr_zeros_c(llsr, k);
+        if (rc != 0)
+            return rc < 0 ? -1 : 0;
+    }
+    PyObject *kb = box_ll(k);
+    if (kb == NULL)
+        return -1;
+    PyObject *r = PyObject_CallOneArg(SLOT(ts, OFF.ts_llsr_commit_zeros),
+                                      kb);
+    Py_DECREF(kb);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* the L1/TLB-hit path of MemoryHierarchy                              */
+/* ------------------------------------------------------------------ */
+
+/* The hierarchy's parts, resolved once per run.  `ok` is set only for an
+ * exact MemoryHierarchy built from exact Cache/TLB/prefetcher parts;
+ * anything else (an injected subclass, a stub) keeps the Python path.
+ * References are owned, so a hook rebinding a part cannot free them. */
+typedef struct {
+    int ok;
+    PyObject *hier, *pending, *l1i, *l1d, *itlb, *dtlb;
+    PyObject *l1i_sets, *l1d_sets, *itlb_entries, *dtlb_entries;
+    PyObject *stride;         /* StridePredictor, NULL without prefetcher */
+    PyObject *stride_table;
+    long long l1i_nsets, l1i_shift, l1d_nsets, l1d_shift;
+    long long itlb_shift, dtlb_shift, l1_latency, l2_latency;
+    long long stride_entries, stride_max_conf;
+} MemFast;
+
+static void mem_fast_clear(MemFast *m)
+{
+    Py_CLEAR(m->hier);
+    Py_CLEAR(m->pending);
+    Py_CLEAR(m->l1i);
+    Py_CLEAR(m->l1d);
+    Py_CLEAR(m->itlb);
+    Py_CLEAR(m->dtlb);
+    Py_CLEAR(m->l1i_sets);
+    Py_CLEAR(m->l1d_sets);
+    Py_CLEAR(m->itlb_entries);
+    Py_CLEAR(m->dtlb_entries);
+    Py_CLEAR(m->stride);
+    Py_CLEAR(m->stride_table);
+    m->ok = 0;
+}
+
+/* An owned reference to slot `off` of `o` if it is set and exactly of
+ * `type`, else NULL. */
+static PyObject *part_of(PyObject *o, Py_ssize_t off, PyTypeObject *type)
+{
+    PyObject *v = SLOT(o, off);
+    if (v == NULL || Py_TYPE(v) != type)
+        return NULL;
+    Py_INCREF(v);
+    return v;
+}
+
+static void mem_fast_init(MemFast *m, PyObject *hier)
+{
+    memset(m, 0, sizeof(*m));
+    if (hier == NULL || Py_TYPE(hier) != g.hier_type)
+        return;
+    Py_INCREF(hier);
+    m->hier = hier;
+    m->pending = part_of(hier, OFF.mh_pending, &PyDict_Type);
+    m->l1i = part_of(hier, OFF.mh_l1i, g.cache_type);
+    m->l1d = part_of(hier, OFF.mh_l1d, g.cache_type);
+    m->itlb = part_of(hier, OFF.mh_itlb, g.tlb_type);
+    m->dtlb = part_of(hier, OFF.mh_dtlb, g.tlb_type);
+    if (m->pending == NULL || m->l1i == NULL || m->l1d == NULL
+        || m->itlb == NULL || m->dtlb == NULL)
+        goto off;
+    m->l1i_sets = part_of(m->l1i, OFF.ca_sets, &PyList_Type);
+    m->l1d_sets = part_of(m->l1d, OFF.ca_sets, &PyList_Type);
+    m->itlb_entries = part_of(m->itlb, OFF.tl_entries, &PyDict_Type);
+    m->dtlb_entries = part_of(m->dtlb, OFF.tl_entries, &PyDict_Type);
+    if (m->l1i_sets == NULL || m->l1d_sets == NULL
+        || m->itlb_entries == NULL || m->dtlb_entries == NULL)
+        goto off;
+    if (!slot_fits(m->l1i, OFF.ca_num_sets, &m->l1i_nsets)
+        || !slot_fits(m->l1i, OFF.ca_line_shift, &m->l1i_shift)
+        || !slot_fits(m->l1d, OFF.ca_num_sets, &m->l1d_nsets)
+        || !slot_fits(m->l1d, OFF.ca_line_shift, &m->l1d_shift)
+        || !slot_fits(m->itlb, OFF.tl_page_shift, &m->itlb_shift)
+        || !slot_fits(m->dtlb, OFF.tl_page_shift, &m->dtlb_shift)
+        || !slot_fits(hier, OFF.mh_l1_latency, &m->l1_latency)
+        || !slot_fits(hier, OFF.mh_l2_latency, &m->l2_latency))
+        goto off;
+    if (m->l1i_nsets <= 0 || m->l1d_nsets <= 0
+        || m->l1i_nsets != PyList_GET_SIZE(m->l1i_sets)
+        || m->l1d_nsets != PyList_GET_SIZE(m->l1d_sets)
+        || m->l1i_shift < 0 || m->l1i_shift > 62
+        || m->l1d_shift < 0 || m->l1d_shift > 62
+        || m->itlb_shift < 0 || m->itlb_shift > 62
+        || m->dtlb_shift < 0 || m->dtlb_shift > 62
+        || m->l1_latency < 0 || m->l1_latency >= SAFE_MAX
+        || m->l2_latency < 0 || m->l2_latency >= SAFE_MAX)
+        goto off;
+    PyObject *pf = SLOT(hier, OFF.mh_prefetcher);
+    if (pf == NULL)
+        goto off;
+    if (pf != Py_None) {
+        if (Py_TYPE(pf) != g.prefetcher_type)
+            goto off;
+        m->stride = part_of(pf, OFF.pf_stride_predictor, g.stride_type);
+        if (m->stride == NULL)
+            goto off;
+        m->stride_table = part_of(m->stride, OFF.sp_table, &PyDict_Type);
+        if (m->stride_table == NULL
+            || !slot_fits(m->stride, OFF.sp_entries, &m->stride_entries)
+            || !slot_fits(m->stride, OFF.sp_max_conf,
+                          &m->stride_max_conf)
+            || m->stride_entries <= 0)
+            goto off;
+    }
+    m->ok = 1;
+    return;
+off:
+    mem_fast_clear(m);
+}
+
+/* StridePredictor.observe(pc, addr), transliterated; the Python method
+ * (at the same point of the access) when a value does not fit. */
+static int stride_observe(MemFast *m, PyObject *pc_obj, PyObject *addr_obj,
+                          long long addr)
+{
+    long long pc;
+    if (!obj_fits(pc_obj, &pc))
+        goto python;
+    PyObject *key = box_ll(py_mod(pc, m->stride_entries));
+    if (key == NULL)
+        return -1;
+    PyObject *e = PyDict_GetItemWithError(m->stride_table, key);
+    if (e == NULL) {
+        if (PyErr_Occurred()) {
+            Py_DECREF(key);
+            return -1;
+        }
+        e = PyObject_CallNoArgs(g.stride_entry_cls);
+        if (e == NULL || PyDict_SetItem(m->stride_table, key, e) < 0) {
+            Py_XDECREF(e);
+            Py_DECREF(key);
+            return -1;
+        }
+    } else {
+        Py_INCREF(e);
+    }
+    Py_DECREF(key);
+    long long last, stride, conf;
+    if ((PyObject *)Py_TYPE(e) != g.stride_entry_cls
+        || !slot_fits(e, OFF.se_last_addr, &last)
+        || !slot_fits(e, OFF.se_stride, &stride)
+        || !slot_fits(e, OFF.se_confidence, &conf)
+        || last >= SAFE_MAX || last < -SAFE_MAX) {
+        Py_DECREF(e);
+        goto python;
+    }
+    int rc = 0;
+    if (last >= 0) {
+        long long delta = addr - last;
+        if (delta == stride) {
+            if (conf < m->stride_max_conf)
+                rc = slot_store_ll(e, OFF.se_confidence, conf + 1);
+        } else if (conf > 0) {
+            rc = slot_store_ll(e, OFF.se_confidence, conf - 1);
+        } else {
+            rc = slot_store_ll(e, OFF.se_stride, delta);
+        }
+    }
+    if (rc == 0) {
+        Py_INCREF(addr_obj);
+        slot_store(e, OFF.se_last_addr, addr_obj);
+    }
+    Py_DECREF(e);
+    return rc;
+python:;
+    PyObject *args[2] = {pc_obj, addr_obj};
+    PyObject *r = call_method(m->stride, g.s_observe, args, 2);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Move `key` to the most-recent end of an LRU dict (del + reinsert). */
+static int lru_refresh(PyObject *d, PyObject *key)
+{
+    if (PyDict_DelItem(d, key) < 0)
+        return -1;
+    return PyDict_SetItem(d, key, g.small_ints[0]);
+}
+
+/* The hit path of MemoryHierarchy.load (demand) / store (!demand) at
+ * `cycle`: the page is in the D-TLB, the line has no live fill, and the
+ * line is in its L1D set.  All three are checked before any side
+ * effect; only then are Python's effects applied, in Python's order.
+ * Returns 1 with *done and *detect set (the completion and the L2-miss
+ * detection cycle; the level is L1 and nothing is long-latency), 0 when
+ * the access is not such a hit (nothing touched: call the Python
+ * method), -1 on error. */
+static int mem_fast_data(MemFast *m, PyObject *pc_obj, PyObject *addr_obj,
+                         long long cycle, int demand, long long *done,
+                         long long *detect)
+{
+    long long addr;
+    if (!m->ok || !obj_fits(addr_obj, &addr) || addr < 0
+        || cycle < 0 || cycle >= SAFE_MAX)
+        return 0;
+    PyObject *page = box_ll(addr >> m->dtlb_shift);
+    if (page == NULL)
+        return -1;
+    PyObject *line = NULL;
+    int rc = PyDict_Contains(m->dtlb_entries, page);
+    if (rc <= 0)
+        goto out;
+    line = box_ll(addr >> m->l1d_shift);
+    if (line == NULL) {
+        rc = -1;
+        goto out;
+    }
+    PyObject *pend = PyDict_GetItemWithError(m->pending, line);
+    if (pend == NULL && PyErr_Occurred()) {
+        rc = -1;
+        goto out;
+    }
+    if (pend != NULL) {
+        long long ready;
+        if (!PyTuple_CheckExact(pend) || PyTuple_GET_SIZE(pend) < 1
+            || !obj_fits(PyTuple_GET_ITEM(pend, 0), &ready)
+            || ready > cycle) {
+            rc = 0;            /* a live fill (or an unexpected entry) */
+            goto out;
+        }
+    }
+    Py_ssize_t si = (Py_ssize_t)((addr >> m->l1d_shift) % m->l1d_nsets);
+    if (si >= PyList_GET_SIZE(m->l1d_sets)) {
+        rc = 0;
+        goto out;
+    }
+    PyObject *set = PyList_GET_ITEM(m->l1d_sets, si);
+    if (!PyDict_CheckExact(set)) {
+        rc = 0;
+        goto out;
+    }
+    rc = PyDict_Contains(set, line);
+    if (rc <= 0)
+        goto out;
+    Py_INCREF(set);
+    /* a hit: the side effects of load/store -> _data_access, in order */
+    rc = -1;
+    if ((demand && stat_add(m->hier, OFF.mh_demand_loads, 1) < 0)
+        || lru_refresh(m->dtlb_entries, page) < 0
+        || stat_add(m->dtlb, OFF.tl_hits, 1) < 0
+        || (demand && m->stride != NULL
+            && stride_observe(m, pc_obj, addr_obj, addr) < 0)
+        || (pend != NULL && PyDict_DelItem(m->pending, line) < 0)
+        || lru_refresh(set, line) < 0
+        || stat_add(m->l1d, OFF.ca_hits, 1) < 0) {
+        Py_DECREF(set);
+        goto out;
+    }
+    Py_DECREF(set);
+    *done = cycle + m->l1_latency;
+    *detect = cycle + m->l2_latency + 3;
+    rc = 1;
+out:
+    Py_DECREF(page);
+    Py_XDECREF(line);
+    return rc;
+}
+
+/* The hit path of MemoryHierarchy.ifetch: the page is in the I-TLB and
+ * the line either has a live fill (whose ready cycle is the answer, as
+ * in Python) or is in its L1I set.  Same contract as mem_fast_data. */
+static int mem_fast_ifetch(MemFast *m, long long addr, long long cycle,
+                           long long *done)
+{
+    if (!m->ok || addr < 0 || cycle < 0 || cycle >= SAFE_MAX)
+        return 0;
+    PyObject *page = box_ll(addr >> m->itlb_shift);
+    if (page == NULL)
+        return -1;
+    PyObject *line = NULL;
+    PyObject *set = NULL;
+    int rc = PyDict_Contains(m->itlb_entries, page);
+    if (rc <= 0)
+        goto out;
+    line = box_ll(addr >> m->l1i_shift);
+    if (line == NULL) {
+        rc = -1;
+        goto out;
+    }
+    PyObject *pend = PyDict_GetItemWithError(m->pending, line);
+    if (pend == NULL && PyErr_Occurred()) {
+        rc = -1;
+        goto out;
+    }
+    long long ready = 0;
+    int live = 0;
+    if (pend != NULL) {
+        if (!PyTuple_CheckExact(pend) || PyTuple_GET_SIZE(pend) < 1
+            || !obj_fits(PyTuple_GET_ITEM(pend, 0), &ready)) {
+            rc = 0;
+            goto out;
+        }
+        live = ready > cycle;
+    }
+    if (!live) {
+        Py_ssize_t si = (Py_ssize_t)((addr >> m->l1i_shift)
+                                     % m->l1i_nsets);
+        if (si >= PyList_GET_SIZE(m->l1i_sets)) {
+            rc = 0;
+            goto out;
+        }
+        set = PyList_GET_ITEM(m->l1i_sets, si);
+        if (!PyDict_CheckExact(set)) {
+            set = NULL;
+            rc = 0;
+            goto out;
+        }
+        Py_INCREF(set);
+        rc = PyDict_Contains(set, line);
+        if (rc <= 0)
+            goto out;
+    }
+    rc = -1;
+    if (lru_refresh(m->itlb_entries, page) < 0
+        || stat_add(m->itlb, OFF.tl_hits, 1) < 0)
+        goto out;
+    if (live) {
+        *done = ready;
+    } else {
+        if (lru_refresh(set, line) < 0
+            || stat_add(m->l1i, OFF.ca_hits, 1) < 0)
+            goto out;
+        *done = cycle;
+    }
+    rc = 1;
+out:
+    Py_DECREF(page);
+    Py_XDECREF(line);
+    Py_XDECREF(set);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* the iteration-varying slots of SyntheticTrace                       */
+/* ------------------------------------------------------------------ */
+
+/* SlotKind values: must mirror repro/workloads/spec.py (verified in
+ * setup). */
+#define SK_STREAM_LOAD 1
+#define SK_CHASE_LOAD 2
+#define SK_BURST_LOAD 3
+#define SK_RANDOM_LOAD 4
+#define SK_HOT_LOAD 5
+#define SK_STORE 6
+#define SK_STREAM_STORE 7
+#define SK_COND_BRANCH 10
+
+#define CHASE_WALK_MULT 2654435761LL
+
+/* repro.util.hashing.mix64 over three keys, in uint64_t. */
+static inline uint64_t mix64_3(uint64_t a, uint64_t b, uint64_t c)
+{
+    uint64_t keys[3] = {a, b, c};
+    uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (int i = 0; i < 3; i++) {
+        h += keys[i];
+        h ^= h >> 30;
+        h *= 0xBF58476D1CE4E5B9ULL;
+        h ^= h >> 27;
+        h *= 0x94D049BB133111EBULL;
+        h ^= h >> 31;
+    }
+    return h;
+}
+
+/* Read `n` long long parameters of a slot tuple starting at `first`. */
+static int dyn_params(PyObject *t, Py_ssize_t first, int n, long long *out)
+{
+    if (PyTuple_GET_SIZE(t) < first + n)
+        return 0;
+    for (int i = 0; i < n; i++)
+        if (!obj_fits(PyTuple_GET_ITEM(t, first + i), &out[i]))
+            return 0;
+    return 1;
+}
+
+/* A clone of prototype `proto` with `addr` and `taken` replaced (the
+ * trace module's _from_proto).  Returns a new reference or NULL. */
+static PyObject *clone_instr(PyObject *proto, PyObject *addr,
+                             PyObject *taken)
+{
+    PyTypeObject *tp = g.instr_type;
+    PyObject *ins = tp->tp_alloc(tp, 0);
+    if (ins == NULL)
+        return NULL;
+    for (int i = 0; i < g.n_instr_offs; i++) {
+        Py_ssize_t off = g.instr_offs[i];
+        PyObject *v = off == OFF.in_addr ? addr
+            : off == OFF.in_taken ? taken : SLOT(proto, off);
+        Py_XINCREF(v);
+        *(PyObject **)((char *)ins + off) = v;
+    }
+    return ins;
+}
+
+/* mix64(spec[3], spec[4], iteration): the (seed, local_pc) hash that
+ * random, burst and branch slots share; 0 when a key is not an int. */
+static int slot_hash(PyObject *spec, long long iteration, uint64_t *out)
+{
+    PyObject *seed = PyTuple_GET_ITEM(spec, 3);
+    PyObject *pc = PyTuple_GET_ITEM(spec, 4);
+    if (!PyLong_Check(seed) || !PyLong_Check(pc))
+        return 0;
+    *out = mix64_3(PyLong_AsUnsignedLongLongMask(seed),
+                   PyLong_AsUnsignedLongLongMask(pc), (uint64_t)iteration);
+    return 1;
+}
+
+/* SyntheticTrace.get(index) for an iteration-varying slot, from the
+ * slot's entry in the trace's ``_dyn`` (see SyntheticTrace._dyn_params
+ * for the layouts).  Every intermediate value is checked to fit 64
+ * bits.  Returns 1 with *out a new reference, 0 when the slot cannot be
+ * computed here (call get), or -1 on error. */
+static int trace_dyn(PyObject *spec, long long iteration, PyObject **out)
+{
+    long long kind, p[5], addr, off;
+    uint64_t h;
+    if (!PyTuple_CheckExact(spec) || PyTuple_GET_SIZE(spec) < 5
+        || iteration < 0 || !obj_fits(PyTuple_GET_ITEM(spec, 0), &kind)
+        || Py_TYPE(PyTuple_GET_ITEM(spec, 1)) != g.instr_type)
+        return 0;
+    PyObject *proto = PyTuple_GET_ITEM(spec, 1);
+    PyObject *taken = Py_False;
+    PyObject *addr_obj = NULL;      /* owned */
+    switch (kind) {
+    case SK_STREAM_LOAD:
+    case SK_STREAM_STORE:
+        /* base + (iteration * stride) % footprint */
+        if (!dyn_params(spec, 2, 3, p) || p[2] <= 0
+            || __builtin_mul_overflow(iteration, p[1], &off)
+            || __builtin_add_overflow(p[0], py_mod(off, p[2]), &addr))
+            return 0;
+        break;
+    case SK_HOT_LOAD:
+    case SK_STORE:
+        /* base + ((local_pc * 811 + iteration) % lines) * line */
+        if (!dyn_params(spec, 2, 4, p) || p[2] <= 0
+            || __builtin_add_overflow(p[1], iteration, &off)
+            || __builtin_mul_overflow(py_mod(off, p[2]), p[3], &off)
+            || __builtin_add_overflow(p[0], off, &addr))
+            return 0;
+        break;
+    case SK_CHASE_LOAD:
+        /* base + (((iteration // every) * 2654435761 + index) % lines)
+         *        * line */
+        if (!dyn_params(spec, 2, 5, p) || p[1] <= 0 || p[3] <= 0
+            || __builtin_mul_overflow(iteration / p[1], CHASE_WALK_MULT,
+                                      &off)
+            || __builtin_add_overflow(off, p[2], &off)
+            || __builtin_mul_overflow(py_mod(off, p[3]), p[4], &off)
+            || __builtin_add_overflow(p[0], off, &addr))
+            return 0;
+        break;
+    case SK_BURST_LOAD:
+        /* the random-line address on every `every`-th iteration, the
+         * fixed hot address spec[8] on the others */
+        if (PyTuple_GET_SIZE(spec) != 9
+            || !obj_fits(PyTuple_GET_ITEM(spec, 7), &p[4]) || p[4] <= 0)
+            return 0;
+        if (iteration % p[4] != 0) {
+            addr_obj = PyTuple_GET_ITEM(spec, 8);
+            Py_INCREF(addr_obj);
+            break;
+        }
+        /* fall through */
+    case SK_RANDOM_LOAD:
+        /* base + (mix64(seed, local_pc, iteration) % lines) * line */
+        if (!obj_fits(PyTuple_GET_ITEM(spec, 2), &p[0])
+            || !dyn_params(spec, 5, 2, &p[2]) || p[2] <= 0
+            || !slot_hash(spec, iteration, &h)
+            || __builtin_mul_overflow((long long)(h % (uint64_t)p[2]),
+                                      p[3], &off)
+            || __builtin_add_overflow(p[0], off, &addr))
+            return 0;
+        break;
+    case SK_COND_BRANCH: {
+        /* uniform_double(seed, local_pc, iteration) < taken_prob */
+        PyObject *prob = PyTuple_GET_ITEM(spec, 2);
+        if (!PyFloat_CheckExact(prob) || !slot_hash(spec, iteration, &h))
+            return 0;
+        taken = (double)h / 18446744073709551616.0 < PyFloat_AS_DOUBLE(prob)
+            ? Py_True : Py_False;
+        addr_obj = Py_None;
+        Py_INCREF(addr_obj);
+        break;
+    }
+    default:
+        return 0;
+    }
+    if (addr_obj == NULL && (addr_obj = PyLong_FromLongLong(addr)) == NULL)
+        return -1;
+    *out = clone_instr(proto, addr_obj, taken);
+    Py_DECREF(addr_obj);
+    return *out == NULL ? -1 : 1;
+}
+
+/* ------------------------------------------------------------------ */
 /* run context (the fused loop's hoisted locals)                       */
 /* ------------------------------------------------------------------ */
 
@@ -442,9 +1154,9 @@ typedef struct {
         n_threads, full_mask, rob_size, lsq_size, int_iq_size, fp_iq_size,
         int_rename_regs, fp_rename_regs, num_int_alu, num_ldst, num_fp;
     int fast_forward, fetch_order_is_base, can_fetch_one, track_dep;
+    MemFast mf;             /* the hierarchy's L1/TLB-hit path */
 } Ctx;
 
-#define OFF (g.off)
 
 /* ------------------------------------------------------------------ */
 /* event-wheel pushes (issue/commit helpers)                           */
@@ -947,15 +1659,24 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             if (fl & F_IS_STORE) {
                 if (slot_ll(core, OFF.wb_used) >= c->wb_entries)
                     continue;
-                PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
-                                     SLOT(instr, OFF.in_pc),
-                                     SLOT(instr, OFF.in_addr), cycle_obj};
-                PyObject *result = PyObject_Vectorcall(
-                    SLOT(core, OFF.hier_store), args, 4, NULL);
-                if (result == NULL)
+                long long when, detect;
+                int hit = mem_fast_data(&c->mf, SLOT(instr, OFF.in_pc),
+                                        SLOT(instr, OFF.in_addr), cycle, 0,
+                                        &when, &detect);
+                if (hit < 0)
                     return -1;
-                long long when = slot_ll(result, OFF.ar_complete_cycle);
-                Py_DECREF(result);
+                if (!hit) {
+                    PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
+                                         SLOT(instr, OFF.in_pc),
+                                         SLOT(instr, OFF.in_addr),
+                                         cycle_obj};
+                    PyObject *result = PyObject_Vectorcall(
+                        SLOT(core, OFF.hier_store), args, 4, NULL);
+                    if (result == NULL)
+                        return -1;
+                    when = slot_ll(result, OFF.ar_complete_cycle);
+                    Py_DECREF(result);
+                }
                 if (schedule_wb_drain(c, when, cycle) < 0)
                     return -1;
             }
@@ -1049,17 +1770,9 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             if (fl & F_IS_LL) {
                 long long z = slot_ll(ts, OFF.ts_llsr_zeros);
                 if (z) {
-                    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0)
+                    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
+                        || llsr_commit_zeros(ts, z) < 0)
                         return -1;
-                    PyObject *zb = box_ll(z);
-                    if (zb == NULL)
-                        return -1;
-                    PyObject *r = PyObject_CallOneArg(
-                        SLOT(ts, OFF.ts_llsr_commit_zeros), zb);
-                    Py_DECREF(zb);
-                    if (r == NULL)
-                        return -1;
-                    Py_DECREF(r);
                 }
                 PyObject *args[3] = {Py_True, SLOT(instr, OFF.in_pc),
                                      dependent ? Py_True : Py_False};
@@ -1122,17 +1835,9 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             PyObject *ts = seq_item(order, oi);
             long long z = slot_ll(ts, OFF.ts_llsr_zeros);
             if (z) {
-                if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0)
+                if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
+                    || llsr_commit_zeros(ts, z) < 0)
                     return -1;
-                PyObject *zb = box_ll(z);
-                if (zb == NULL)
-                    return -1;
-                PyObject *r = PyObject_CallOneArg(
-                    SLOT(ts, OFF.ts_llsr_commit_zeros), zb);
-                Py_DECREF(zb);
-                if (r == NULL)
-                    return -1;
-                Py_DECREF(r);
             }
         }
         if (slot_store_ll(core, OFF.committed_watermark, watermark) < 0
@@ -1254,25 +1959,41 @@ static int stage_issue(Ctx *c, long long cycle, PyObject *cycle_obj)
             PyObject *instr = PyList_GET_ITEM(c->col_instr, s);
             long long completion;
             if (fl & F_IS_LOAD) {
-                /* _execute's load body, columnized */
-                PyObject *when_obj = box_ll(
-                    cycle + slot_ll(instr, OFF.in_latency));
-                if (when_obj == NULL)
+                /* _execute's load body, columnized; an L1/TLB hit is
+                 * resolved in C, anything else by hierarchy.load */
+                long long when = cycle + slot_ll(instr, OFF.in_latency);
+                PyObject *result = NULL;
+                int is_ll = 0, trigger = 0;
+                long long detect = 0;
+                PyObject *level = g.l1_level, *fill = Py_None;
+                int hit = mem_fast_data(&c->mf, SLOT(instr, OFF.in_pc),
+                                        SLOT(instr, OFF.in_addr), when, 1,
+                                        &completion, &detect);
+                if (hit < 0)
                     goto err;
-                PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
-                                     SLOT(instr, OFF.in_pc),
-                                     SLOT(instr, OFF.in_addr), when_obj};
-                PyObject *result = PyObject_Vectorcall(
-                    SLOT(c->core, OFF.hier_load), args, 4, NULL);
-                Py_DECREF(when_obj);
-                if (result == NULL)
-                    goto err;
-                completion = slot_ll(result, OFF.ar_complete_cycle);
-                int is_ll =
-                    PyObject_IsTrue(SLOT(result, OFF.ar_long_latency));
+                if (!hit) {
+                    PyObject *when_obj = box_ll(when);
+                    if (when_obj == NULL)
+                        goto err;
+                    PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
+                                         SLOT(instr, OFF.in_pc),
+                                         SLOT(instr, OFF.in_addr),
+                                         when_obj};
+                    result = PyObject_Vectorcall(
+                        SLOT(c->core, OFF.hier_load), args, 4, NULL);
+                    Py_DECREF(when_obj);
+                    if (result == NULL)
+                        goto err;
+                    completion = slot_ll(result, OFF.ar_complete_cycle);
+                    is_ll = PyObject_IsTrue(
+                        SLOT(result, OFF.ar_long_latency));
+                    trigger = PyObject_IsTrue(SLOT(result, OFF.ar_trigger));
+                    detect = slot_ll(result, OFF.ar_detect_cycle);
+                    level = SLOT(result, OFF.ar_level);
+                    fill = SLOT(result, OFF.ar_fill_line);
+                }
                 if (is_ll)
                     fl |= F_IS_LL;
-                PyObject *level = SLOT(result, OFF.ar_level);
                 Py_INCREF(level);
                 lset(c->col_level, s, level);
                 PyObject *stats = SLOT(ts, OFF.ts_stats);
@@ -1309,25 +2030,22 @@ static int stage_issue(Ctx *c, long long cycle, PyObject *cycle_obj)
                 }
                 if (is_ll && stat_add(stats, OFF.st_ll_loads, 1) < 0)
                     goto err_res;
-                if (PyObject_IsTrue(SLOT(result, OFF.ar_trigger))) {
+                if (trigger) {
                     fl |= F_IN_DETECTS;
-                    long long when =
-                        slot_ll(result, OFF.ar_detect_cycle);
-                    if (when <= cycle)
-                        when = cycle + 1;
-                    if (when - cycle <= c->mask) {
+                    if (detect <= cycle)
+                        detect = cycle + 1;
+                    if (detect - cycle <= c->mask) {
                         if (wheel_push(c->dt_buckets, c->dt_marks,
-                                       c->mask, when, packed_obj) < 0)
+                                       c->mask, detect, packed_obj) < 0)
                             goto err_res;
-                    } else if (over_push(c->dt_over, when,
+                    } else if (over_push(c->dt_over, detect,
                                          packed_obj) < 0) {
                         goto err_res;
                     }
                 }
-                PyObject *fill = SLOT(result, OFF.ar_fill_line);
                 Py_INCREF(fill);
                 lset(c->col_fill_line, s, fill);
-                if (SLOT(result, OFF.ar_level) != g.l1_level) {
+                if (level != g.l1_level) {
                     if (stat_add(ts, OFF.ts_outstanding_misses, 1) < 0)
                         goto err_res;
                     if (lset_ll(c->col_pending, s, -1) < 0)
@@ -1343,10 +2061,10 @@ static int stage_issue(Ctx *c, long long cycle, PyObject *cycle_obj)
                                      packed_obj) < 0) {
                     goto err_res;
                 }
-                Py_DECREF(result);
+                Py_XDECREF(result);
                 goto issued_one;
             err_res:
-                Py_DECREF(result);
+                Py_XDECREF(result);
                 goto err;
             } else {
                 /* stores: address generation only; memory access
@@ -1769,6 +2487,17 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     PyObject *trace_static = SLOT(ts, OFF.ts_trace_static);
     PyObject *trace_flags = SLOT(ts, OFF.ts_trace_flags);
     long long body_len = slot_ll(ts, OFF.ts_trace_body_len);
+    /* an exact SyntheticTrace's iteration-varying slots are built here
+     * from its precomputed parameters; other traces keep calling get */
+    PyObject *trace = SLOT(ts, OFF.ts_trace);
+    PyObject *dyn = NULL;
+    if (trace_static != Py_None && trace != NULL
+        && Py_TYPE(trace) == g.trace_type) {
+        dyn = SLOT(trace, OFF.tr_dyn);
+        if (dyn != NULL && (!PyList_CheckExact(dyn)
+                            || PyList_GET_SIZE(dyn) != body_len))
+            dyn = NULL;
+    }
     long long pc_origin = slot_ll(ts, OFF.ts_pc_origin);
     PyObject *on_fetch = SLOT(core, OFF.policy_on_fetch);
     PyObject *on_fetch_load = SLOT(core, OFF.policy_on_fetch_load);
@@ -1799,13 +2528,20 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             Py_ssize_t i = (Py_ssize_t)(fetch_index % body_len);
             instr = PyList_GET_ITEM(trace_static, i);
             if (instr == Py_None) {
-                PyObject *fi = box_ll(fetch_index);
-                if (fi == NULL)
+                int built = dyn == NULL ? 0 : trace_dyn(
+                    PyList_GET_ITEM(dyn, i), fetch_index / body_len,
+                    &instr_ref);
+                if (built < 0)
                     goto fail;
-                instr_ref = PyObject_CallOneArg(trace_get, fi);
-                Py_DECREF(fi);
-                if (instr_ref == NULL)
-                    goto fail;
+                if (!built) {
+                    PyObject *fi = box_ll(fetch_index);
+                    if (fi == NULL)
+                        goto fail;
+                    instr_ref = PyObject_CallOneArg(trace_get, fi);
+                    Py_DECREF(fi);
+                    if (instr_ref == NULL)
+                        goto fail;
+                }
                 instr = instr_ref;
                 flags = instr_flags_c(instr);
             } else {
@@ -1825,17 +2561,24 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         long long pc_addr = pc_origin + slot_ll(instr, OFF.in_pc) * 4;
         long long line = pc_addr >> c->line_shift;
         if (line != slot_ll(ts, OFF.ts_last_ifetch_line)) {
-            PyObject *pa = box_ll(pc_addr);
-            if (pa == NULL)
+            long long done;
+            int hit = mem_fast_ifetch(&c->mf, pc_addr, cycle, &done);
+            if (hit < 0)
                 goto fail_instr;
-            PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa, cycle_obj};
-            PyObject *done_obj = PyObject_Vectorcall(
-                SLOT(core, OFF.hier_ifetch), iargs, 3, NULL);
-            Py_DECREF(pa);
-            if (done_obj == NULL)
-                goto fail_instr;
-            long long done = ll_of(done_obj);
-            Py_DECREF(done_obj);
+            if (!hit) {
+                PyObject *pa = box_ll(pc_addr);
+                if (pa == NULL)
+                    goto fail_instr;
+                PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa,
+                                      cycle_obj};
+                PyObject *done_obj = PyObject_Vectorcall(
+                    SLOT(core, OFF.hier_ifetch), iargs, 3, NULL);
+                Py_DECREF(pa);
+                if (done_obj == NULL)
+                    goto fail_instr;
+                done = ll_of(done_obj);
+                Py_DECREF(done_obj);
+            }
             if (slot_store_ll(ts, OFF.ts_last_ifetch_line, line) < 0)
                 goto fail_instr;
             if (done > cycle) {
@@ -2017,11 +2760,25 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         }
     }
     {
-        PyObject *sargs[1] = {cycle_obj};
-        PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
-        if (r == NULL)
-            goto fail;
-        Py_DECREF(r);
+        /* ThreadState._sync_policy_stall acts only when the stall
+         * predicate (fetch_index > allowed_end) differs from
+         * policy_stalled_flag: call it only then */
+        PyObject *ae_now = SLOT(ts, OFF.ts_allowed_end);
+        long long ae_v, fi;
+        int flip = 1;
+        if (ae_now == Py_None)
+            flip = slot_true(ts, OFF.ts_policy_stalled_flag);
+        else if (obj_fits(ae_now, &ae_v)
+                 && slot_fits(ts, OFF.ts_fetch_index, &fi))
+            flip = (fi > ae_v)
+                != slot_true(ts, OFF.ts_policy_stalled_flag);
+        if (flip) {
+            PyObject *sargs[1] = {cycle_obj};
+            PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
+            if (r == NULL)
+                goto fail;
+            Py_DECREF(r);
+        }
     }
     Py_DECREF(fe_ready_obj);
     return count;
@@ -2046,6 +2803,75 @@ static long long compute_fetch_wake(Ctx *c, long long cycle)
             wake = blocked_until;
     }
     return wake;
+}
+
+/* SMTCore._next_cycle over the columns: the earliest future cycle at
+ * which anything can happen, once the loop has established that nothing
+ * can fetch or issue at cycle + 1.  Raises SimulationDeadlock when no
+ * future event exists. */
+static int next_cycle_c(Ctx *c, long long cycle, long long *out)
+{
+    long long nxt = cycle + 1;
+    long long target = 0;
+    int have = 0;
+#define CANDIDATE(v) do {              \
+        long long v_ = (v);               \
+        if (!have || v_ < target)         \
+            target = v_;                  \
+        have = 1;                         \
+    } while (0)
+    int wb_full = slot_ll(c->core, OFF.wb_used) >= c->wb_entries;
+    Py_ssize_t nt = PyTuple_GET_SIZE(c->threads);
+    for (Py_ssize_t i = 0; i < nt; i++) {
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+        /* a retirable ROB head (SMTCore._head_retirable) */
+        PyObject *window = SLOT(ts, OFF.ts_window);
+        Py_ssize_t n = deq_len(window);
+        if (n < 0)
+            return -1;
+        if (n > 0) {
+            long long h = deq_peek0_ll(window);
+            if (h < 0)
+                return -1;
+            long long fl = lget_ll(c->col_flags, h);
+            if ((fl & F_COMPLETED) && (!(fl & F_IS_STORE) || !wb_full)) {
+                *out = nxt;
+                return 0;
+            }
+        }
+        PyObject *fe = SLOT(ts, OFF.ts_fe_queue);
+        n = deq_len(fe);
+        if (n < 0)
+            return -1;
+        if (n > 0) {
+            long long h = deq_peek0_ll(fe);
+            if (h < 0)
+                return -1;
+            long long head_ready = lget_ll(c->col_fe_ready, h);
+            if (head_ready <= nxt) {
+                *out = nxt;
+                return 0;
+            }
+            CANDIDATE(head_ready);
+        }
+        long long blocked = slot_ll(ts, OFF.ts_fetch_blocked_until);
+        if (blocked > nxt)
+            CANDIDATE(blocked);
+    }
+    PyObject *heaps[6] = {c->ev_marks, c->ev_over, c->dt_marks, c->dt_over,
+                          c->wb_marks, c->wb_over};
+    for (int i = 0; i < 6; i++)
+        if (PyList_GET_SIZE(heaps[i]) > 0)
+            CANDIDATE(heap_min_key(heaps[i]));
+#undef CANDIDATE
+    if (!have) {
+        PyErr_Format(g.deadlock_exc,
+                     "no future events at cycle %lld; pipeline is wedged",
+                     cycle);
+        return -1;
+    }
+    *out = target <= nxt ? nxt : target;
+    return 0;
 }
 
 /* The ``policy_fetch_order(cycle)`` fetch path (shared by the base
@@ -2239,6 +3065,7 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->can_fetch_one =
         c->fetch_max_threads >= 1 && c->fetch_width >= 1;
     c->track_dep = slot_true(core, OFF.track_ll_dep);
+    mem_fast_init(&c->mf, SLOT(core, OFF.hierarchy));
     return 0;
 }
 
@@ -2246,6 +3073,7 @@ static void ctx_clear(Ctx *c)
 {
     Py_XDECREF(c->on_ll_detect);
     c->on_ll_detect = NULL;
+    mem_fast_clear(&c->mf);
 }
 
 static PyObject *run_until(PyObject *self, PyObject *const *args,
@@ -2383,15 +3211,9 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
             }
             goto advanced;
         next_event:
-            {
-                PyObject *nargs1[1] = {cycle_obj};
-                PyObject *r = call_method(core, g.s_next_cycle,
-                                          nargs1, 1);
-                if (r == NULL)
-                    goto fail_cycle;
-                nxt = ll_of(r);
-                slot_store(core, OFF.cycle, r);   /* steals r */
-            }
+            if (next_cycle_c(c, cycle, &nxt) < 0
+                || slot_store_ll(core, OFF.cycle, nxt) < 0)
+                goto fail_cycle;
         advanced:
             Py_DECREF(cycle_obj);
             if (slot_ll(core, OFF.committed_watermark) >= max_commits) {
@@ -2447,6 +3269,7 @@ static const struct OffSpec SPECS[] = {
     O("core", "_policy_on_fetch_load", policy_on_fetch_load),
     O("core", "_policy_on_load_complete", policy_on_load_complete),
     O("core", "_policy_on_resource_stall", policy_on_resource_stall),
+    O("core", "hierarchy", hierarchy),
     O("core", "_hier_load", hier_load), O("core", "_hier_ifetch", hier_ifetch),
     O("core", "_hier_store", hier_store),
     O("core", "gshare", gshare), O("core", "btb", btb),
@@ -2530,6 +3353,8 @@ static const struct OffSpec SPECS[] = {
     O("ts", "llsr_zeros", ts_llsr_zeros),
     O("ts", "trace_flags", ts_trace_flags),
     O("ts", "lll_pred", ts_lll_pred),
+    O("ts", "trace", ts_trace), O("ts", "llsr", ts_llsr),
+    O("ts", "policy_stalled_flag", ts_policy_stalled_flag),
     O("stats", "fetched", st_fetched), O("stats", "committed", st_committed),
     O("stats", "loads_executed", st_loads_executed),
     O("stats", "ll_loads", st_ll_loads),
@@ -2553,15 +3378,40 @@ static const struct OffSpec SPECS[] = {
     O("result", "long_latency", ar_long_latency),
     O("result", "trigger", ar_trigger),
     O("result", "fill_line", ar_fill_line),
+    O("llsr", "length", ll_length), O("llsr", "_bits", ll_bits),
+    O("llsr", "_pcs", ll_pcs), O("llsr", "_head", ll_head),
+    O("llsr", "_filled", ll_filled), O("llsr", "_total", ll_total),
+    O("llsr", "_last_one_total", ll_last_one_total),
+    O("llsr", "_on_measure", ll_on_measure),
+    O("llsr", "measured", ll_measured),
+    O("hier", "_pending", mh_pending), O("hier", "l1i", mh_l1i),
+    O("hier", "l1d", mh_l1d), O("hier", "itlb", mh_itlb),
+    O("hier", "dtlb", mh_dtlb), O("hier", "prefetcher", mh_prefetcher),
+    O("hier", "demand_loads", mh_demand_loads),
+    O("hier", "_l1_latency", mh_l1_latency),
+    O("hier", "_l2_latency", mh_l2_latency),
+    O("cache", "_sets", ca_sets), O("cache", "_num_sets", ca_num_sets),
+    O("cache", "_line_shift", ca_line_shift), O("cache", "hits", ca_hits),
+    O("tlb", "_entries", tl_entries), O("tlb", "_page_shift", tl_page_shift),
+    O("tlb", "hits", tl_hits),
+    O("prefetcher", "stride_predictor", pf_stride_predictor),
+    O("stride", "_table", sp_table), O("stride", "_entries", sp_entries),
+    O("stride", "_max_conf", sp_max_conf),
+    O("stride_entry", "last_addr", se_last_addr),
+    O("stride_entry", "stride", se_stride),
+    O("stride_entry", "confidence", se_confidence),
+    O("trace", "_dyn", tr_dyn),
 };
 
 #undef O
 
-/* Flag constants double-checked against the Python source of truth. */
-static const struct {
+typedef struct {
     const char *name;
     long long value;
-} FLAG_SPECS[] = {
+} ConstSpec;
+
+/* Flag constants double-checked against the Python source of truth. */
+static const ConstSpec FLAG_SPECS[] = {
     {"F_IN_IQ", F_IN_IQ}, {"F_IQ_FP", F_IQ_FP}, {"F_ISSUED", F_ISSUED},
     {"F_COMPLETED", F_COMPLETED}, {"F_HAS_DEST", F_HAS_DEST},
     {"F_DEST_FP", F_DEST_FP}, {"F_SQUASHED", F_SQUASHED},
@@ -2571,6 +3421,53 @@ static const struct {
     {"F_IN_DETECTS", F_IN_DETECTS}, {"F_FREED", F_FREED},
     {"SLOT_SHIFT", SLOT_SHIFT},
 };
+
+/* SlotKind values double-checked the same way. */
+static const ConstSpec KIND_SPECS[] = {
+    {"STREAM_LOAD", SK_STREAM_LOAD}, {"CHASE_LOAD", SK_CHASE_LOAD},
+    {"BURST_LOAD", SK_BURST_LOAD}, {"RANDOM_LOAD", SK_RANDOM_LOAD},
+    {"HOT_LOAD", SK_HOT_LOAD}, {"STORE", SK_STORE},
+    {"STREAM_STORE", SK_STREAM_STORE}, {"COND_BRANCH", SK_COND_BRANCH},
+};
+
+/* Check ns[table_name] (name -> int) against the C copies. */
+static int check_constants(PyObject *ns, const char *table_name,
+                           const ConstSpec *specs, size_t n)
+{
+    PyObject *table = PyDict_GetItemString(ns, table_name);
+    if (table == NULL || !PyDict_Check(table)) {
+        PyErr_Format(PyExc_KeyError, "setup(): missing %s dict",
+                     table_name);
+        return -1;
+    }
+    for (size_t i = 0; i < n; i++) {
+        PyObject *v = PyDict_GetItemString(table, specs[i].name);
+        if (v == NULL) {
+            PyErr_Format(PyExc_KeyError, "setup(): missing %s %s",
+                         table_name, specs[i].name);
+            return -1;
+        }
+        if (PyLong_AsLongLong(v) != specs[i].value) {
+            PyErr_Format(PyExc_ValueError,
+                         "setup(): %s %s drifted from the C copy",
+                         table_name, specs[i].name);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A strong reference to the type stored under `key`, or NULL + error. */
+static PyTypeObject *type_of(PyObject *ns, const char *key)
+{
+    PyObject *t = PyDict_GetItemString(ns, key);
+    if (t == NULL || !PyType_Check(t)) {
+        PyErr_Format(PyExc_KeyError, "setup(): missing class %s", key);
+        return NULL;
+    }
+    Py_INCREF(t);
+    return (PyTypeObject *)t;
+}
 
 static PyObject *intern_or_null(const char *s)
 {
@@ -2608,41 +3505,88 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         Py_DECREF(descr);
         *(Py_ssize_t *)((char *)&g.off + SPECS[i].field) = off;
     }
-    /* flag-word constants: fail loudly if the Python side drifts */
-    PyObject *flags = PyDict_GetItemString(ns, "flags");
-    if (flags == NULL || !PyDict_Check(flags)) {
-        PyErr_SetString(PyExc_KeyError, "setup(): missing flags dict");
+    /* flag-word and slot-kind constants: fail loudly if the Python side
+     * drifts */
+    if (check_constants(ns, "flags", FLAG_SPECS,
+                        sizeof(FLAG_SPECS) / sizeof(FLAG_SPECS[0])) < 0
+        || check_constants(ns, "slot_kinds", KIND_SPECS,
+                           sizeof(KIND_SPECS) / sizeof(KIND_SPECS[0])) < 0)
         return NULL;
-    }
-    size_t n_flags = sizeof(FLAG_SPECS) / sizeof(FLAG_SPECS[0]);
-    for (size_t i = 0; i < n_flags; i++) {
-        PyObject *v = PyDict_GetItemString(flags, FLAG_SPECS[i].name);
-        if (v == NULL) {
-            PyErr_Format(PyExc_KeyError, "setup(): missing flag %s",
-                         FLAG_SPECS[i].name);
-            return NULL;
-        }
-        if (PyLong_AsLongLong(v) != FLAG_SPECS[i].value) {
-            PyErr_Format(PyExc_ValueError,
-                         "setup(): flag %s drifted from the C copy",
-                         FLAG_SPECS[i].name);
-            return NULL;
-        }
-    }
     PyObject *view_cls = PyDict_GetItemString(ns, "view_cls");
     PyObject *limit_exc = PyDict_GetItemString(ns, "limit_exc");
+    PyObject *deadlock_exc = PyDict_GetItemString(ns, "deadlock_exc");
     PyObject *l1_level = PyDict_GetItemString(ns, "l1_level");
-    if (view_cls == NULL || limit_exc == NULL || l1_level == NULL) {
+    PyObject *entry_cls = PyDict_GetItemString(ns, "stride_entry");
+    if (view_cls == NULL || limit_exc == NULL || deadlock_exc == NULL
+        || l1_level == NULL || entry_cls == NULL) {
         PyErr_SetString(PyExc_KeyError,
-                        "setup(): missing view_cls/limit_exc/l1_level");
+                        "setup(): missing view_cls/limit_exc/deadlock_exc/"
+                        "l1_level/stride_entry");
         return NULL;
     }
     Py_INCREF(view_cls);
     Py_XSETREF(g.view_cls, view_cls);
     Py_INCREF(limit_exc);
     Py_XSETREF(g.limit_exc, limit_exc);
+    Py_INCREF(deadlock_exc);
+    Py_XSETREF(g.deadlock_exc, deadlock_exc);
     Py_INCREF(l1_level);
     Py_XSETREF(g.l1_level, l1_level);
+    Py_INCREF(entry_cls);
+    Py_XSETREF(g.stride_entry_cls, entry_cls);
+    /* the exact types the in-C paths apply to */
+    {
+        static const char *keys[9] = {"core", "hier", "cache", "tlb",
+                                      "prefetcher", "stride", "llsr",
+                                      "trace", "instr"};
+        PyTypeObject **dst[9] = {&g.core_type, &g.hier_type, &g.cache_type,
+                                 &g.tlb_type, &g.prefetcher_type,
+                                 &g.stride_type, &g.llsr_type,
+                                 &g.trace_type, &g.instr_type};
+        for (int i = 0; i < 9; i++) {
+            PyTypeObject *t = type_of(ns, keys[i]);
+            if (t == NULL)
+                return NULL;
+            Py_XSETREF(*dst[i], t);
+        }
+    }
+    /* every Instr slot, for cloning trace prototypes */
+    {
+        PyObject *names = PyObject_GetAttrString((PyObject *)g.instr_type,
+                                                 "__slots__");
+        if (names == NULL)
+            return NULL;
+        PyObject *fast = PySequence_Fast(names, "Instr.__slots__");
+        Py_DECREF(names);
+        if (fast == NULL)
+            return NULL;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+        if (n > (Py_ssize_t)(sizeof(g.instr_offs) / sizeof(g.instr_offs[0]))
+            || g.instr_type->tp_dictoffset != 0) {
+            Py_DECREF(fast);
+            PyErr_SetString(PyExc_TypeError,
+                            "setup(): Instr must be a plain slotted class");
+            return NULL;
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *descr = PyObject_GetAttr(
+                (PyObject *)g.instr_type, PySequence_Fast_GET_ITEM(fast, i));
+            if (descr == NULL || !PyObject_TypeCheck(descr,
+                                                     &PyMemberDescr_Type)) {
+                Py_XDECREF(descr);
+                Py_DECREF(fast);
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_TypeError,
+                                    "setup(): Instr slot is not a member");
+                return NULL;
+            }
+            g.instr_offs[i] =
+                ((PyMemberDescrObject *)descr)->d_member->offset;
+            Py_DECREF(descr);
+        }
+        g.n_instr_offs = (int)n;
+        Py_DECREF(fast);
+    }
     /* small-int table + interned method names (idempotent) */
     if (g.small_ints[0] == NULL) {
         for (long long i = 0; i < SMALL_INT_LIMIT; i++) {
@@ -2662,9 +3606,9 @@ static PyObject *setup(PyObject *self, PyObject *ns)
             || (g.s_on_ll_detect =
                     intern_or_null("on_ll_detect")) == NULL
             || (g.s_soa_grow = intern_or_null("_soa_grow")) == NULL
-            || (g.s_next_cycle = intern_or_null("_next_cycle")) == NULL
             || (g.s_sync_policy_stall =
-                    intern_or_null("_sync_policy_stall")) == NULL)
+                    intern_or_null("_sync_policy_stall")) == NULL
+            || (g.s_observe = intern_or_null("observe")) == NULL)
             return NULL;
     }
     g.ready = 1;
@@ -2675,11 +3619,190 @@ static PyObject *setup(PyObject *self, PyObject *ns)
 /* module definition                                                   */
 /* ------------------------------------------------------------------ */
 
+/* ------------------------------------------------------------------ */
+/* the in-C paths one at a time, for the equivalence tests             */
+/* ------------------------------------------------------------------ */
+
+static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
+{
+    if (!g.ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_cext_engine.setup() has not run");
+        return -1;
+    }
+    if (nargs != want) {
+        PyErr_SetString(PyExc_TypeError, sig);
+        return -1;
+    }
+    return 0;
+}
+
+/* _next_cycle(core, cycle) -> int: the fast-forward target as run_until
+ * computes it for a CextCore; raises SimulationDeadlock as
+ * SMTCore._next_cycle does. */
+static PyObject *t_next_cycle(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_args(nargs, 2, "_next_cycle(core, cycle)") < 0)
+        return NULL;
+    if (!PyObject_TypeCheck(args[0], g.core_type)) {
+        PyErr_SetString(PyExc_TypeError, "_next_cycle needs a CextCore");
+        return NULL;
+    }
+    long long cycle = PyLong_AsLongLong(args[1]);
+    if (cycle == -1 && PyErr_Occurred())
+        return NULL;
+    Ctx ctx;
+    if (ctx_init(&ctx, args[0]) < 0)
+        return NULL;
+    long long nxt;
+    int rc = next_cycle_c(&ctx, cycle, &nxt);
+    ctx_clear(&ctx);
+    return rc < 0 ? NULL : PyLong_FromLongLong(nxt);
+}
+
+/* _llsr_commit_zeros(llsr, k) -> bool: LLSR.commit_zeros as the commit
+ * stage runs it; True when C did the work. */
+static PyObject *t_llsr_commit_zeros(PyObject *self, PyObject *const *args,
+                                     Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_args(nargs, 2, "_llsr_commit_zeros(llsr, k)") < 0)
+        return NULL;
+    long long k = PyLong_AsLongLong(args[1]);
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    int rc = 0;
+    if (Py_TYPE(args[0]) == g.llsr_type)
+        rc = llsr_zeros_c(args[0], k);
+    if (rc < 0)
+        return NULL;
+    if (rc)
+        Py_RETURN_TRUE;
+    PyObject *r = PyObject_CallMethod(args[0], "commit_zeros", "L", k);
+    if (r == NULL)
+        return NULL;
+    Py_DECREF(r);
+    Py_RETURN_FALSE;
+}
+
+/* _trace_dyn(trace, index) -> Instr | None: the fetch stage's in-C build
+ * of an iteration-varying slot; None where the stage calls get. */
+static PyObject *t_trace_dyn(PyObject *self, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_args(nargs, 2, "_trace_dyn(trace, index)") < 0)
+        return NULL;
+    PyObject *trace = args[0];
+    long long index = PyLong_AsLongLong(args[1]);
+    if (index == -1 && PyErr_Occurred())
+        return NULL;
+    if (Py_TYPE(trace) != g.trace_type || index < 0)
+        Py_RETURN_NONE;
+    PyObject *dyn = SLOT(trace, OFF.tr_dyn);
+    if (dyn == NULL || !PyList_CheckExact(dyn)
+        || PyList_GET_SIZE(dyn) == 0)
+        Py_RETURN_NONE;
+    long long body_len = PyList_GET_SIZE(dyn);
+    PyObject *out = NULL;
+    int rc = trace_dyn(PyList_GET_ITEM(dyn, index % body_len),
+                       index / body_len, &out);
+    if (rc < 0)
+        return NULL;
+    if (rc == 0)
+        Py_RETURN_NONE;
+    return out;
+}
+
+/* _mem_data(hier, demand, thread, pc, addr, cycle) -> (complete_cycle,
+ * detect_cycle, level, tlb_miss, long_latency, trigger, fill_line,
+ * in_c): hierarchy.load (demand) or .store as the issue and commit
+ * stages run them, the hit path in C and everything else in Python. */
+static PyObject *t_mem_data(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_args(nargs, 6,
+                   "_mem_data(hier, demand, thread, pc, addr, cycle)") < 0)
+        return NULL;
+    int demand = PyObject_IsTrue(args[1]);
+    long long cycle = PyLong_AsLongLong(args[5]);
+    if (demand < 0 || (cycle == -1 && PyErr_Occurred()))
+        return NULL;
+    MemFast m;
+    mem_fast_init(&m, args[0]);
+    long long done = 0, detect = 0;
+    int hit = mem_fast_data(&m, args[3], args[4], cycle, demand, &done,
+                            &detect);
+    mem_fast_clear(&m);
+    if (hit < 0)
+        return NULL;
+    if (hit)
+        return Py_BuildValue("LLOOOOOO", done, detect, g.l1_level,
+                             Py_False, Py_False, Py_False, Py_None,
+                             Py_True);
+    PyObject *r = PyObject_CallMethod(args[0], demand ? "load" : "store",
+                                      "OOOO", args[2], args[3], args[4],
+                                      args[5]);
+    if (r == NULL)
+        return NULL;
+    PyObject *out = Py_BuildValue(
+        "OOONOOOO", SLOT(r, OFF.ar_complete_cycle),
+        SLOT(r, OFF.ar_detect_cycle), SLOT(r, OFF.ar_level),
+        PyObject_GetAttrString(r, "tlb_miss"),
+        SLOT(r, OFF.ar_long_latency), SLOT(r, OFF.ar_trigger),
+        SLOT(r, OFF.ar_fill_line), Py_False);
+    Py_DECREF(r);
+    return out;
+}
+
+/* _mem_ifetch(hier, thread, addr, cycle) -> (done, in_c): hierarchy.
+ * ifetch as the fetch stage runs it. */
+static PyObject *t_mem_ifetch(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_args(nargs, 4, "_mem_ifetch(hier, thread, addr, cycle)") < 0)
+        return NULL;
+    long long addr = PyLong_AsLongLong(args[2]);
+    long long cycle = PyLong_AsLongLong(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    MemFast m;
+    mem_fast_init(&m, args[0]);
+    long long done = 0;
+    int hit = mem_fast_ifetch(&m, addr, cycle, &done);
+    mem_fast_clear(&m);
+    if (hit < 0)
+        return NULL;
+    if (hit)
+        return Py_BuildValue("LO", done, Py_True);
+    PyObject *r = PyObject_CallMethod(args[0], "ifetch", "OOO", args[1],
+                                      args[2], args[3]);
+    if (r == NULL)
+        return NULL;
+    PyObject *out = Py_BuildValue("NO", r, Py_False);
+    return out;
+}
+
 static PyMethodDef cext_methods[] = {
     {"setup", setup, METH_O,
      "Resolve slot offsets and constants from the driver's class table."},
     {"run_until", (PyCFunction)(void (*)(void))run_until, METH_FASTCALL,
      "run_until(core, max_commits, limit) -> None"},
+    {"_next_cycle", (PyCFunction)(void (*)(void))t_next_cycle,
+     METH_FASTCALL, "Test hook: run_until's fast-forward target."},
+    {"_llsr_commit_zeros",
+     (PyCFunction)(void (*)(void))t_llsr_commit_zeros, METH_FASTCALL,
+     "Test hook: the commit stage's LLSR.commit_zeros."},
+    {"_trace_dyn", (PyCFunction)(void (*)(void))t_trace_dyn, METH_FASTCALL,
+     "Test hook: the fetch stage's build of a varying trace slot."},
+    {"_mem_data", (PyCFunction)(void (*)(void))t_mem_data, METH_FASTCALL,
+     "Test hook: the issue/commit stages' hierarchy load/store."},
+    {"_mem_ifetch", (PyCFunction)(void (*)(void))t_mem_ifetch,
+     METH_FASTCALL, "Test hook: the fetch stage's hierarchy ifetch."},
     {NULL, NULL, 0, NULL},
 };
 

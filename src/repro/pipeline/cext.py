@@ -8,11 +8,23 @@ percents (perf/PROFILE.md).  This module is that extension's driver:
 * ``_cext_engine.c`` (checked in next to this file) implements the fused
   ``_run_until`` loop and every hot stage body — the event-wheel drains,
   commit, issue, dispatch and fetch — directly against the columns of
-  :class:`~repro.pipeline.soa.SoACore`, crossing back into Python only
-  at policy-hook points and the few helpers ``SoACore`` keeps
-  (``flush_thread``, ``_next_cycle``, ``_soa_grow``).  The existing
-  ``_is_default_hook`` elision applies unchanged: hook-free
-  configurations never leave C.
+  :class:`~repro.pipeline.soa.SoACore`.  It also does four kinds of work
+  whose Python bodies stay the object engine's code and the reference
+  the equivalence tests compare against (``tests/test_cext_paths.py``):
+  the fast-forward target (``SMTCore._next_cycle``); ``LLSR.
+  commit_zeros`` on an exact :class:`~repro.predictors.LLSR`; loads,
+  store drains and instruction fetches that hit the TLB and L1 with no
+  live fill, on an exact :class:`~repro.memory.hierarchy.
+  MemoryHierarchy`; and the iteration-varying slots of an exact
+  :class:`~repro.workloads.trace.SyntheticTrace`, from the per-slot
+  parameters it precomputes.  What still crosses into Python per cycle
+  or instruction: the policy hooks (the existing ``_is_default_hook``
+  elision applies unchanged, so hook-free configurations never call
+  one), the other memory accesses (``load``/``store``/``ifetch``), the
+  branch predictor and BTB, the long-latency load predictor, ``LLSR.
+  commit`` for long-latency loads, ``get`` of other trace types, and
+  the helpers ``SoACore`` keeps (``flush_thread``, ``_soa_grow``,
+  ``ThreadState._sync_policy_stall`` when the stall predicate flips).
 * :class:`CextCore` is a thin :class:`SoACore` subclass whose only
   override is ``_run_until``; all state lives in the ordinary Python
   objects (columns, wheels, heaps, ``ThreadState``), so every
@@ -54,7 +66,7 @@ from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy, ServiceLevel
-from repro.pipeline.core import SimulationLimitExceeded
+from repro.pipeline.core import SimulationDeadlock, SimulationLimitExceeded
 from repro.pipeline.dyninstr import (
     F_COMPLETED,
     F_DEST_FP,
@@ -145,6 +157,13 @@ def _build(compiler: str) -> Path:
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
     from repro.isa.instruction import Instr
+    from repro.memory.cache import Cache
+    from repro.memory.stream_buffer import StreamBufferPrefetcher
+    from repro.memory.stride_predictor import StridePredictor, _Entry
+    from repro.memory.tlb import TLB
+    from repro.predictors.llsr import LLSR
+    from repro.workloads.spec import SlotKind
+    from repro.workloads.trace import SyntheticTrace
     return {
         "core": CextCore,
         "ts": ThreadState,
@@ -152,9 +171,19 @@ def _setup_namespace() -> dict[str, Any]:
         "core_stats": CoreStats,
         "instr": Instr,
         "result": AccessResult,
+        "llsr": LLSR,
+        "hier": MemoryHierarchy,
+        "cache": Cache,
+        "tlb": TLB,
+        "prefetcher": StreamBufferPrefetcher,
+        "stride": StridePredictor,
+        "stride_entry": _Entry,
+        "trace": SyntheticTrace,
         "view_cls": SoAView,
         "limit_exc": SimulationLimitExceeded,
+        "deadlock_exc": SimulationDeadlock,
         "l1_level": ServiceLevel.L1,
+        "slot_kinds": {kind.name: int(kind) for kind in SlotKind},
         # setup() cross-checks these against the compiled-in copies so a
         # drift in the Python flag layout fails loudly, not bit-rottenly.
         "flags": {

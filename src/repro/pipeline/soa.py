@@ -9,11 +9,11 @@ own: the stage loop that runs over these columns is compiled
 ``cext`` entry in the ``backends`` registry, is the class that drives
 it.  What stays in Python here is what that loop and the policy hooks
 call back into — the arena (:meth:`SoACore.view`,
-:meth:`SoACore._soa_grow`), the policy-triggered squash
-(:meth:`SoACore.flush_thread`) and the fast-forward probe
-(:meth:`SoACore._next_cycle`).  The architectural contract is the
-object engine's, bit for bit: the golden-stats matrix asserts identical
-counters cell by cell (``tests/test_golden_stats.py``).
+:meth:`SoACore._soa_grow`) and the policy-triggered squash
+(:meth:`SoACore.flush_thread`); the fast-forward target is computed in
+C.  The architectural contract is the object engine's, bit for bit: the
+golden-stats matrix asserts identical counters cell by cell
+(``tests/test_golden_stats.py``).
 
 The arena's contract, which the C loop and :meth:`flush_thread` share:
 
@@ -51,8 +51,9 @@ subclassing of the per-cycle internals.  Policies that declare a
 ``core_class`` keep riding the object engine (``experiments.runner.
 core_for`` gives ``core_class`` precedence over the backend), and the
 overridable object-engine extension points (``step``, ``_complete``,
-``_execute``, ``_commit_one``, ``_try_dispatch``) raise loudly here
-instead of running the object engine's bodies over slot numbers.
+``_execute``, ``_commit_one``, ``_try_dispatch``, ``_head_retirable``,
+``_next_cycle``) raise loudly here instead of running the object
+engine's bodies over slot numbers.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.isa import NUM_ARCH_REGS
-from repro.pipeline.core import SimulationDeadlock, SMTCore
+from repro.pipeline.core import SMTCore
 from repro.pipeline.dyninstr import (
     F_COMPLETED,
     F_DEST_FP,
@@ -231,6 +232,16 @@ class SoACore(SMTCore):
             "SoACore has no per-record dispatch path; subclass the "
             "object engine (backend 'object') instead")
 
+    def _head_retirable(self, ts, wb_full):  # pragma: no cover - guard
+        raise NotImplementedError(
+            "the cext loop computes the fast-forward target itself; "
+            "subclass the object engine (backend 'object') instead")
+
+    def _next_cycle(self, cycle):  # pragma: no cover - guard
+        raise NotImplementedError(
+            "the cext loop computes the fast-forward target itself; "
+            "subclass the object engine (backend 'object') instead")
+
     # ------------------------------------------------------------------ #
     # flush (policy-triggered squash)
     # ------------------------------------------------------------------ #
@@ -388,54 +399,3 @@ class SoACore(SMTCore):
         self._stall_latch_until = 0
         ts._sync_policy_stall(cycle)
         return squashed
-
-    # ------------------------------------------------------------------ #
-    # fast-forward
-    # ------------------------------------------------------------------ #
-
-    def _head_retirable(self, ts: ThreadState, wb_full: bool) -> bool:
-        window = ts.window
-        if not window:
-            return False
-        fl = self._col_flags[window[0]]
-        if not fl & F_COMPLETED:
-            return False
-        return not fl & F_IS_STORE or not wb_full
-
-    def _next_cycle(self, cycle: int) -> int:
-        nxt = cycle + 1
-        candidates = []
-        wb_full = self._wb_used >= self._wb_entries
-        head_retirable = self._head_retirable
-        col_fe_ready = self._col_fe_ready
-        for ts in self.threads:
-            if head_retirable(ts, wb_full):
-                return nxt
-            fe = ts.fe_queue
-            if fe:
-                head_ready = col_fe_ready[fe[0]]
-                if head_ready <= nxt:
-                    return nxt
-                candidates.append(head_ready)
-            if ts.fetch_blocked_until > nxt:
-                candidates.append(ts.fetch_blocked_until)
-        if self._ev_marks:
-            candidates.append(self._ev_marks[0])
-        if self._ev_over:
-            candidates.append(self._ev_over[0][0])
-        if self._dt_marks:
-            candidates.append(self._dt_marks[0])
-        if self._dt_over:
-            candidates.append(self._dt_over[0][0])
-        if self._wb_marks:
-            candidates.append(self._wb_marks[0])
-        if self._wb_over:
-            candidates.append(self._wb_over[0])
-        if not candidates:
-            raise SimulationDeadlock(
-                f"no future events at cycle {cycle}; pipeline is wedged")
-        target = min(candidates)
-        if target <= nxt:
-            return nxt
-        return target
-

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.workloads.spec import BenchmarkSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableIRow:
     """Published Table I values for one benchmark."""
 

@@ -49,7 +49,7 @@ class SlotKind(IntEnum):
     CONSUMER = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """One static instruction of the loop body."""
 
@@ -62,7 +62,7 @@ class Slot:
     taken_prob: float = 1.0  # branches only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkSpec:
     """Parameters of one synthetic benchmark analog."""
 

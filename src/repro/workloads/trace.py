@@ -61,7 +61,18 @@ def _from_proto(proto: Instr, addr: int | None, taken: bool) -> Instr:
 
 
 class SyntheticTrace:
-    """Lazy, stateless dynamic instruction stream for one thread."""
+    """Lazy, stateless dynamic instruction stream for one thread.
+
+    Slotted so the compiled engine reads it by slot offset: its fetch
+    stage builds the iteration-varying instructions itself from
+    :attr:`_dyn` and calls :meth:`get` only for other trace types.
+    """
+
+    __slots__ = ("spec", "seed", "base", "pc_base", "body", "body_len",
+                 "_line", "code_base", "hot_base", "hot_lines", "stream_fp",
+                 "stream_bases", "chase_fp_lines", "chase_bases",
+                 "burst_base", "burst_lines", "random_base", "random_lines",
+                 "stout_bases", "stout_fp", "_static", "_protos", "_dyn")
 
     def __init__(self, spec: BenchmarkSpec, mem_cfg: MemoryConfig,
                  seed: int = 0, base: int = 0, pc_base: int = 0):
@@ -121,6 +132,12 @@ class SyntheticTrace:
         self._protos: list[Instr] = [
             self._proto_instr(slot) if static is None else static
             for slot, static in zip(self.body, self._static)]
+        #: Per-slot parameters of the iteration-varying slots (None for
+        #: static ones), read by the compiled fetch stage.
+        self._dyn: list[tuple | None] = [
+            None if static is not None else self._dyn_params(slot, proto)
+            for slot, static, proto in zip(self.body, self._static,
+                                           self._protos)]
 
     def _proto_instr(self, slot: Slot) -> Instr:
         """Prototype for an iteration-varying slot, one per kind.
@@ -138,6 +155,48 @@ class SyntheticTrace:
             return Instr(slot.pc, Op.STORE, None, slot.srcs)
         if kind is SlotKind.COND_BRANCH:
             return Instr(slot.pc, Op.BRANCH, None, slot.srcs)
+        raise AssertionError(
+            f"unhandled slot kind {kind!r}")  # pragma: no cover
+
+    def _dyn_params(self, slot: Slot, proto: Instr) -> tuple:
+        """``get``'s branch for ``slot`` as ``(kind, prototype, *terms)``.
+
+        Every iteration-independent term of the branch is folded in
+        here; ``trace_dyn`` in ``_cext_engine.c`` evaluates the rest in
+        64-bit arithmetic and calls ``get`` instead wherever a value
+        would not fit.  ``get`` stays the reference: the equivalence
+        tests compare the two slot by slot.  Random and burst loads
+        share one layout (burst adds its period and off-period
+        address), and like branches keep the hash keys at [3] and [4].
+        """
+        kind = slot.kind
+        spec = self.spec
+        line = self._line
+        local_pc = slot.pc - self.pc_base
+        head = (int(kind), proto)
+        if kind is SlotKind.STREAM_LOAD:
+            return head + (self.stream_bases[slot.index],
+                           spec.stream_stride, self.stream_fp)
+        if kind is SlotKind.STREAM_STORE:
+            return head + (self.stout_bases[slot.index],
+                           spec.stream_stride, self.stout_fp)
+        if kind is SlotKind.HOT_LOAD or kind is SlotKind.STORE:
+            return head + (self.hot_base, local_pc * 811, self.hot_lines,
+                           line)
+        if kind is SlotKind.CHASE_LOAD:
+            return head + (self.chase_bases[slot.index], spec.chase_every,
+                           slot.index, self.chase_fp_lines, line)
+        if kind is SlotKind.RANDOM_LOAD:
+            return head + (self.random_base, self.seed, local_pc,
+                           self.random_lines, line)
+        if kind is SlotKind.BURST_LOAD:
+            hot_addr = self.hot_base + (
+                (local_pc * 811 + slot.index * 67) % self.hot_lines) * line
+            return head + (self.burst_base, self.seed, local_pc,
+                           self.burst_lines, line, spec.burst_every,
+                           hot_addr)
+        if kind is SlotKind.COND_BRANCH:
+            return head + (slot.taken_prob, self.seed, local_pc)
         raise AssertionError(
             f"unhandled slot kind {kind!r}")  # pragma: no cover
 

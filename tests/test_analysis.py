@@ -82,6 +82,16 @@ class TestSlotsLintFixture:
         assert ".a is assigned" not in text
         assert ".c is assigned" not in text
 
+    def test_same_name_classes_in_two_modules(self):
+        # Both modules define ``_Entry``: each class is checked against
+        # its own module's slots, and bases resolve through the module
+        # (own class first, then ``from ... import``).  Enums are exempt.
+        findings = slots_lint.check(files=[DATA / "slots_twin_a.py",
+                                           DATA / "slots_twin_b.py"])
+        assert [(Path(f.path).name, f.message) for f in findings] == [
+            ("slots_twin_b.py", "Tagged.stride is assigned but is not a "
+             "declared slot of Tagged or its bases")]
+
 
 class TestDeterminismLintFixture:
     def test_flags_planted_violations(self):
