@@ -553,21 +553,21 @@ def cmd_perf_duel(args) -> int:
             "quick": result.quick,
             "samples_s": {k: [round(t, 6) for t in v]
                           for k, v in result.samples.items()},
-            "best_s": {k: round(result.best(k), 6)
-                       for k in result.backends},
+            "median_s": {k: round(result.median(k), 6)
+                         for k in result.backends},
             "ratio": round(result.ratio, 3),
         }
         print(_json.dumps(doc, indent=2, sort_keys=True))
     else:
         mode = "quick" if result.quick else "full"
-        print(f"duel: {result.name} ({mode}, best of {result.rounds}, "
+        print(f"duel: {result.name} ({mode}, median of {result.rounds}, "
               f"interleaved order-fair, gc.collect() between samples)")
         for backend in result.backends:
             runs = " ".join(f"{t:.3f}" for t in result.samples[backend])
-            print(f"  {backend:>8}: best {result.best(backend):.3f}s  "
+            print(f"  {backend:>8}: median {result.median(backend):.3f}s  "
                   f"[{runs}]")
         print(f"  {b} is {result.ratio:.2f}x vs {a} "
-              f"(best-of-{result.rounds} wall ratio)")
+              f"(median-of-{result.rounds} wall ratio)")
     return 0
 
 

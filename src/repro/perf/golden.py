@@ -126,18 +126,14 @@ def collect_golden(backend: str = "object") -> dict:
 
 
 def check_against_fixture(path: Path, backend: str = "object",
-                          progress=None,
-                          max_threads: int | None = None) -> list[str]:
+                          progress=None) -> list[str]:
     """Simulate every cell under ``backend``; return mismatched names.
 
     The bit-exactness check behind ``--check``: each cell's fresh
     snapshot must equal the committed fixture's, field for field.  Cells
     absent from the fixture count as mismatches (a matrix/fixture drift
-    is a failure, not a skip).  ``max_threads`` restricts the run to
-    cells with at most that many threads — a smoke subset for slow
-    configurations (the sanitized CI leg); full equivalence claims use
-    the whole matrix.  Raises :class:`ValueError` for a missing or
-    wrong-schema fixture.
+    is a failure, not a skip).  Raises :class:`ValueError` for a missing
+    or wrong-schema fixture.
     """
     if not path.exists():
         raise ValueError(f"no golden fixture at {path}")
@@ -145,8 +141,6 @@ def check_against_fixture(path: Path, backend: str = "object",
     fixture = json.loads(path.read_text())["cells"]
     bad: list[str] = []
     for sc in golden_matrix():
-        if max_threads is not None and sc.num_threads > max_threads:
-            continue
         fresh = snapshot_cell(sc, backend=backend)
         ok = fixture.get(sc.name) == fresh
         if not ok:
@@ -202,33 +196,18 @@ def main(argv: list[str] | None = None) -> int:
             print("--backend requires a value", file=sys.stderr)
             return 2
         del argv[i:i + 2]
-    max_threads: int | None = None
-    if "--max-threads" in argv:
-        i = argv.index("--max-threads")
-        try:
-            max_threads = int(argv[i + 1])
-        except (IndexError, ValueError):
-            print("--max-threads requires an integer", file=sys.stderr)
-            return 2
-        del argv[i:i + 2]
     out = Path(argv[0]) if argv else _default_fixture()
     if check:
         try:
             bad = check_against_fixture(out, backend=backend,
-                                        progress=print,
-                                        max_threads=max_threads)
+                                        progress=print)
         except ValueError as exc:
             print(f"cannot check: {exc}", file=sys.stderr)
             return 1
-        total = sum(1 for sc in golden_matrix()
-                    if max_threads is None or sc.num_threads <= max_threads)
-        print(f"BAD: {len(bad)} of {total} cells ({backend} backend)"
+        print(f"BAD: {len(bad)} of {len(golden_matrix())} cells "
+              f"({backend} backend)"
               + (f": {', '.join(bad)}" if bad else ""))
         return 1 if bad else 0
-    if max_threads is not None:
-        print("--max-threads only applies to --check (the fixture is "
-              "always regenerated in full)", file=sys.stderr)
-        return 2
     if backend != "object":
         # The fixture is the object engine's output by definition;
         # regenerating it from another backend would make the contract

@@ -110,8 +110,8 @@ class DuelResult:
     then ``rounds`` alternations are timed with the *starting* backend
     swapped each round (so neither side systematically inherits a warmer
     cache) and a ``gc.collect()`` before every sample (so no sample pays
-    for the other's garbage).  Best-of-N is the headline: the run least
-    disturbed by scheduler noise, same rationale as :func:`time_scenario`.
+    for the other's garbage).  The median of each backend's samples is
+    the headline, the statistic :func:`time_scenario` reports too.
     """
 
     name: str
@@ -120,23 +120,23 @@ class DuelResult:
     quick: bool
     rounds: int
 
-    def best(self, backend: str) -> float:
-        return min(self.samples[backend])
+    def median(self, backend: str) -> float:
+        return statistics.median(self.samples[backend])
 
     @property
     def ratio(self) -> float:
-        """Best-of-N wall of the first backend over the second.
+        """Median wall of the first backend over the second.
 
         ``> 1`` means the second backend is faster (``ratio`` times).
         """
         a, b = self.backends
-        best_b = self.best(b)
-        return self.best(a) / best_b if best_b else float("inf")
+        median_b = self.median(b)
+        return self.median(a) / median_b if median_b else float("inf")
 
 
 def duel(sc: Scenario, backends: tuple[str, str], rounds: int = 5,
          quick: bool = False) -> DuelResult:
-    """Interleaved order-fair best-of-``rounds`` backend comparison."""
+    """Interleaved order-fair median-of-``rounds`` backend comparison."""
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     a, b = backends

@@ -23,10 +23,11 @@ committable instruction) by jumping to the next scheduled event; tests
 verify cycle-exact equivalence with the naive loop.
 
 Implementation notes (perf): this file is the simulator's hot loop — every
-experiment bottoms out in :meth:`SMTCore.step` (or its fused copy inside
-:meth:`SMTCore._run_until`).  Beyond the usual local/bound-method hoists,
-per-op tables and config snapshotting, the engine is *event-driven where
-the original was per-cycle*: fetch eligibility lives in an incrementally
+object-engine run bottoms out in the loop of :meth:`SMTCore._run_until`,
+the engine's one cycle body (:meth:`SMTCore.step` runs one pass of it).
+Beyond the usual local/bound-method hoists, per-op tables and config
+snapshotting, the engine is *event-driven where the original was
+per-cycle*: fetch eligibility lives in an incrementally
 maintained candidate list updated only on stall/unstall transitions
 (``ThreadState._sync_policy_stall``), branch- and policy-stall cycles are
 accounted as wait intervals, dispatch latches rejected heads against a
@@ -42,11 +43,10 @@ heaps, each thread's rename map is a flat array indexed by the dense
 architectural register number, and the dispatch/commit rotations are
 filtered through activity bitmasks (``_fe_mask``/``_heads_mask``) with a
 lazily built per-(mask, start) rotation cache.  Several bodies are
-deliberately duplicated for speed (``step``/the fused loop,
-``_commit``/``_commit_one``, ``_dispatch``/``_try_dispatch``,
-``_complete``/its inlined copies, the base fetch_order/fetch_pending and
-non-memory ``_execute`` bodies inlined into the fused loop and
-``_issue``) — keep them in sync; the golden-stats matrix
+deliberately duplicated for speed (``_commit``/``_commit_one``,
+``_dispatch``/``_try_dispatch``, ``_complete``/its inlined copy, the base
+fetch_order/fetch_pending and non-memory ``_execute`` bodies inlined into
+the run loop and ``_issue``) — keep them in sync; the golden-stats matrix
 (``tests/test_golden_stats.py``, {1,2,4,8} threads x all eight paper
 policies plus runahead) pins every copy to the pre-optimization core
 cycle-for-cycle.
@@ -80,8 +80,8 @@ _DI_POOL_CAP = 4096
 #: the old heaps' (cycle, age) pop order exactly.
 _BY_GSEQ = attrgetter("gseq")
 
-#: ICOUNT priority for the fetch-order fast path inlined into the fused
-#: run loop (keep in sync with :mod:`repro.policies.base`).
+#: ICOUNT priority for the fetch-order fast path inlined into the run
+#: loop (keep in sync with :mod:`repro.policies.base`).
 _BY_ICOUNT = attrgetter("icount")
 
 
@@ -122,8 +122,7 @@ class SMTCore:
         "_release_epoch", "_committed_watermark", "_commit_pending",
         "_di_pool", "_policy_fetch_order", "_policy_fetch_pending",
         "_policy_can_dispatch", "_policy_on_fetch", "_policy_on_fetch_load",
-        "_policy_on_load_complete", "_commit_stage", "_dispatch_stage",
-        "_issue_stage", "_complete_is_base", "_execute_is_base",
+        "_policy_on_load_complete", "_execute_is_base",
         "_hier_load", "_hier_ifetch", "_hier_store", "_n_threads",
         "_fetch_wake", "_fetch_order_is_base", "_dispatch_wake",
         "_stall_latch_until", "_stall_latch_epoch",
@@ -305,14 +304,6 @@ class SMTCore:
         self._policy_on_resource_stall = (
             None if getattr(cls.on_resource_stall, "_is_default_hook", False)
             else policy.on_resource_stall)
-        # Stage methods bound once (subclass overrides resolve here); saves
-        # a method lookup per stage per cycle in step().
-        self._commit_stage = self._commit
-        self._dispatch_stage = self._dispatch
-        self._issue_stage = self._issue
-        # step() inlines the completion-event loop only when _complete is
-        # not overridden (RunaheadCore adds exit-runahead handling there).
-        self._complete_is_base = type(self)._complete is SMTCore._complete
         # _issue inlines _execute's non-memory fast path only while the
         # class implementation is the base one (instance monkeypatches
         # are re-checked per stage call against ``__dict__``).
@@ -320,8 +311,8 @@ class SMTCore:
         # Fetch-wake latch: earliest cycle fetch_order could be non-empty
         # again after returning empty (0 = probe every cycle).  Armed only
         # for the marked base eligibility rules; disarmed (reset to 0) by
-        # branch resolution, front-end pops, flushes and candidate
-        # rebuilds — the only non-time-bound eligibility changes.
+        # branch resolution, front-end pops, flushes and stall/unstall
+        # transitions — the only non-time-bound eligibility changes.
         self._fetch_wake = 0
         self._fetch_order_is_base = (
             getattr(cls.fetch_order, "_is_base_impl", False)
@@ -396,13 +387,19 @@ class SMTCore:
         self.stats.ll_intervals = self.hierarchy.ll_intervals
         return self._committed_watermark >= commits
 
-    def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
+    def _run_until(self, max_commits: int, max_cycles: int | None,
+                   one_pass: bool = False) -> None:
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         # The commit watermark is maintained by the commit stage and reset
         # with the measurement phase, so the stop check is O(1) per cycle
         # instead of a per-thread scan.
-        if type(self).step is not SMTCore.step or not self._complete_is_base:
-            # A subclass changed per-cycle behavior: drive it generically.
+        if one_pass:
+            # step(): every pass meets a target of -1, so the loop returns
+            # after one pass, before the cycle-limit check.
+            max_commits = -1
+        elif type(self).step is not SMTCore.step:
+            # A subclass hooks every cycle (the sanitizer's checked core):
+            # drive it one step() per cycle.
             step = self.step
             while True:
                 step()
@@ -412,13 +409,10 @@ class SMTCore:
                     raise SimulationLimitExceeded(
                         f"exceeded {limit} cycles without reaching "
                         f"{max_commits} commits")
-        # step(), fused into the driving loop so the run-lifetime
-        # invariants (event/ready/write-buffer structures, stage bindings,
-        # policy hooks, fetch limits) are hoisted once per run instead of
-        # re-read every cycle.  This is the third copy of the cycle body
-        # (step() and _complete() remain the canonical, overridable
-        # forms); the golden-stats matrix pins all of them to identical
-        # architectural behavior.  Keep them in sync.
+        # The object engine's only cycle body.  The run-lifetime
+        # invariants (event/ready/write-buffer structures, stage methods,
+        # policy hooks, fetch limits) are hoisted once per call instead of
+        # re-read every cycle; step() is one pass of this loop.
         mask = self._wheel_mask
         ev_buckets = self._ev_buckets
         ev_marks = self._ev_marks
@@ -434,11 +428,15 @@ class SMTCore:
         ready_fp = self._ready_fp
         ready_by_op = self._ready_by_op
         threads = self.threads
-        commit_stage = self._commit_stage
-        dispatch_stage = self._dispatch_stage
-        issue_stage = self._issue_stage
+        commit_stage = self._commit
+        dispatch_stage = self._dispatch
+        issue_stage = self._issue
         fetch_thread = self._fetch_thread
         next_cycle = self._next_cycle
+        # An overridden _complete (RunaheadCore exits runahead there) is
+        # called per event; the base body is inlined in the drain below.
+        complete = (None if type(self)._complete is SMTCore._complete
+                    else self._complete)
         policy_fetch_order = self._policy_fetch_order
         policy_fetch_pending = self._policy_fetch_pending
         on_load_complete = self._policy_on_load_complete
@@ -456,7 +454,6 @@ class SMTCore:
             cycle = self.cycle
             bucket = ev_buckets[cycle & mask]
             if bucket or (ev_over and ev_over[0][0] <= cycle):
-                # completion loop — keep in sync with step()/_complete()
                 if bucket is None:
                     bucket = ev_buckets[cycle & mask] = []
                 while ev_over and ev_over[0][0] <= cycle:
@@ -472,46 +469,51 @@ class SMTCore:
                             bucket[1] = a
                     else:
                         bucket.sort(key=_BY_GSEQ)
-                for di in bucket:
-                    ts = threads[di.thread]
-                    if di.is_load and di.pending == -1:
-                        ts.outstanding_misses -= 1
-                    if di.squashed:
-                        continue
-                    di.completed = True
-                    window = ts.window
-                    if window and window[0] is di:
-                        # Only a completed *head* can unblock commit: the
-                        # gate and the head mask move together.
-                        ts.head_ready = True
-                        self._heads_mask |= ts.tid_bit
-                        self._commit_pending = True
-                    w = di.waiter0
-                    if w is not None:
-                        di.waiter0 = None
-                        w.pending -= 1
-                        if (w.pending == 0 and not w.squashed
-                                and w.in_iq and not w.issued):
-                            heappush(ready_by_op[w.instr.op_i],
-                                     (w.gseq, w))
-                        waiters = di.waiters
-                        if waiters is not None:
-                            di.waiters = None
-                            for w in waiters:
-                                w.pending -= 1
-                                if (w.pending == 0 and not w.squashed
-                                        and w.in_iq and not w.issued):
-                                    heappush(ready_by_op[w.instr.op_i],
-                                             (w.gseq, w))
-                    if di.is_branch and ts.waiting_branch is di:
-                        ts.waiting_branch = None
-                        ts.stats.branch_stall_cycles += \
-                            cycle - ts.branch_wait_since
-                        if ts.fetch_blocked_until < cycle + 1:
-                            ts.fetch_blocked_until = cycle + 1
-                        self._fetch_wake = 0
-                    if di.is_load and on_load_complete is not None:
-                        on_load_complete(di, ts)
+                if complete is not None:
+                    for di in bucket:
+                        complete(di, cycle)
+                else:
+                    # _complete, inlined (keep in sync).
+                    for di in bucket:
+                        ts = threads[di.thread]
+                        if di.is_load and di.pending == -1:
+                            ts.outstanding_misses -= 1
+                        if di.squashed:
+                            continue
+                        di.completed = True
+                        window = ts.window
+                        if window and window[0] is di:
+                            # Only a completed *head* can unblock commit:
+                            # the gate and the head mask move together.
+                            ts.head_ready = True
+                            self._heads_mask |= ts.tid_bit
+                            self._commit_pending = True
+                        w = di.waiter0
+                        if w is not None:
+                            di.waiter0 = None
+                            w.pending -= 1
+                            if (w.pending == 0 and not w.squashed
+                                    and w.in_iq and not w.issued):
+                                heappush(ready_by_op[w.instr.op_i],
+                                         (w.gseq, w))
+                            waiters = di.waiters
+                            if waiters is not None:
+                                di.waiters = None
+                                for w in waiters:
+                                    w.pending -= 1
+                                    if (w.pending == 0 and not w.squashed
+                                            and w.in_iq and not w.issued):
+                                        heappush(ready_by_op[w.instr.op_i],
+                                                 (w.gseq, w))
+                        if di.is_branch and ts.waiting_branch is di:
+                            ts.waiting_branch = None
+                            ts.stats.branch_stall_cycles += \
+                                cycle - ts.branch_wait_since
+                            if ts.fetch_blocked_until < cycle + 1:
+                                ts.fetch_blocked_until = cycle + 1
+                            self._fetch_wake = 0
+                        if di.is_load and on_load_complete is not None:
+                            on_load_complete(di, ts)
                 bucket.clear()
             bucket = dt_buckets[cycle & mask]
             if bucket or (dt_over and dt_over[0][0] <= cycle):
@@ -559,69 +561,49 @@ class SMTCore:
                 else:
                     dispatch_stage(cycle)
             if cycle >= self._fetch_wake:
-                if fetch_order_is_base:
+                if fetch_order_is_base and fetch_candidates:
                     # Base ICOUNT eligibility, inlined from
-                    # FetchPolicy.fetch_order (keep in sync): candidates
-                    # are event-maintained, only time-varying conditions
-                    # are probed, and the single-eligible case — the
-                    # overwhelmingly common shape — drives the fetch
-                    # burst directly without materializing an order.
-                    candidates = fetch_candidates
-                    if candidates:
-                        first = None
-                        rest = None
-                        for ts in candidates:
-                            if (ts.fetch_blocked_until <= cycle
-                                    and ts.waiting_branch is None
-                                    and len(ts.fe_queue) < fe_capacity):
-                                if first is None:
-                                    first = ts
-                                elif rest is None:
-                                    rest = [first, ts]
-                                else:
-                                    rest.append(ts)
-                        if rest is None:
+                    # FetchPolicy.fetch_order (keep in sync): candidates are
+                    # event-maintained, only time-varying conditions are
+                    # probed, and the single-eligible case — the
+                    # overwhelmingly common shape — drives the fetch burst
+                    # directly without materializing an order.
+                    first = None
+                    rest = None
+                    for ts in fetch_candidates:
+                        if (ts.fetch_blocked_until <= cycle
+                                and ts.waiting_branch is None
+                                and len(ts.fe_queue) < fe_capacity):
                             if first is None:
-                                self._fetch_wake = \
-                                    self._compute_fetch_wake(cycle)
-                            elif can_fetch_one:
-                                fetch_thread(first, fetch_width, cycle,
-                                             False)
-                        else:
-                            if len(rest) == 2:
-                                a, b = rest
-                                # Matches the stable sort: ties keep
-                                # tid order.
-                                if b.icount < a.icount:
-                                    rest[0] = b
-                                    rest[1] = a
+                                first = ts
+                            elif rest is None:
+                                rest = [first, ts]
                             else:
-                                rest.sort(key=_BY_ICOUNT)
-                            budget = fetch_width
-                            remaining_threads = fetch_max_threads
-                            for ts in rest:
-                                if remaining_threads == 0 or budget == 0:
-                                    break
-                                remaining_threads -= 1
-                                budget -= fetch_thread(ts, budget, cycle,
-                                                       False)
+                                rest.append(ts)
+                    if rest is None:
+                        if first is None:
+                            self._fetch_wake = self._compute_fetch_wake(cycle)
+                        elif can_fetch_one:
+                            fetch_thread(first, fetch_width, cycle, False)
                     else:
-                        # COT (every thread policy-stalled): cold path,
-                        # through the policy method.
-                        order = policy_fetch_order(cycle)
-                        if order:
-                            budget = fetch_width
-                            remaining_threads = fetch_max_threads
-                            for ts, ignore_stall in order:
-                                if remaining_threads == 0 or budget == 0:
-                                    break
-                                remaining_threads -= 1
-                                budget -= fetch_thread(ts, budget, cycle,
-                                                       ignore_stall)
+                        if len(rest) == 2:
+                            a, b = rest
+                            # Matches the stable sort: ties keep tid order.
+                            if b.icount < a.icount:
+                                rest[0] = b
+                                rest[1] = a
                         else:
-                            self._fetch_wake = \
-                                self._compute_fetch_wake(cycle)
+                            rest.sort(key=_BY_ICOUNT)
+                        budget = fetch_width
+                        remaining_threads = fetch_max_threads
+                        for ts in rest:
+                            if remaining_threads == 0 or budget == 0:
+                                break
+                            remaining_threads -= 1
+                            budget -= fetch_thread(ts, budget, cycle, False)
                 else:
+                    # A policy's own order, or the base rules' COT case
+                    # (every thread policy-stalled): through the policy.
                     order = policy_fetch_order(cycle)
                     if order:
                         budget = fetch_width
@@ -632,6 +614,8 @@ class SMTCore:
                             remaining_threads -= 1
                             budget -= fetch_thread(ts, budget, cycle,
                                                    ignore_stall)
+                    elif fetch_order_is_base:
+                        self._fetch_wake = self._compute_fetch_wake(cycle)
             nxt = cycle + 1
             if not fast_forward or ready_int or ready_ldst or ready_fp:
                 self.cycle = nxt
@@ -717,220 +701,23 @@ class SMTCore:
         self._measure_start = self.cycle
 
     def step(self) -> None:
-        """Advance one cycle (or fast-forward to the next event)."""
-        cycle = self.cycle
-        mask = self._wheel_mask
-        ev_bucket = self._ev_buckets[cycle & mask]
-        ev_over = self._ev_over
-        dt_bucket = self._dt_buckets[cycle & mask]
-        dt_over = self._dt_over
-        if (ev_bucket or dt_bucket
-                or (ev_over and ev_over[0][0] <= cycle)
-                or (dt_over and dt_over[0][0] <= cycle)):
-            if not self._complete_is_base:
-                self._process_events(cycle)
-            else:
-                # _process_events/_complete, inlined (the completion loop
-                # runs nearly every active cycle and the two calls per
-                # event were measurable).  Keep in sync with _complete.
-                if ev_bucket or (ev_over and ev_over[0][0] <= cycle):
-                    threads = self.threads
-                    on_load_complete = self._policy_on_load_complete
-                    ev_marks = self._ev_marks
-                    if ev_bucket is None:
-                        ev_bucket = self._ev_buckets[cycle & mask] = []
-                    while ev_over and ev_over[0][0] <= cycle:
-                        ev_bucket.append(heappop(ev_over)[2])
-                    while ev_marks and ev_marks[0] <= cycle:
-                        heappop(ev_marks)
-                    n_due = len(ev_bucket)
-                    if n_due > 1:
-                        if n_due == 2:
-                            a, b = ev_bucket
-                            if b.gseq < a.gseq:   # age order, no key array
-                                ev_bucket[0] = b
-                                ev_bucket[1] = a
-                        else:
-                            ev_bucket.sort(key=_BY_GSEQ)
-                    for di in ev_bucket:
-                        ts = threads[di.thread]
-                        if di.is_load and di.pending == -1:
-                            ts.outstanding_misses -= 1
-                        if di.squashed:
-                            continue
-                        di.completed = True
-                        window = ts.window
-                        if window and window[0] is di:
-                            ts.head_ready = True
-                            self._heads_mask |= ts.tid_bit
-                            self._commit_pending = True
-                        w = di.waiter0
-                        if w is not None:
-                            di.waiter0 = None
-                            ready_by_op = self._ready_by_op
-                            w.pending -= 1
-                            if (w.pending == 0 and not w.squashed
-                                    and w.in_iq and not w.issued):
-                                heappush(ready_by_op[w.instr.op_i],
-                                         (w.gseq, w))
-                            waiters = di.waiters
-                            if waiters is not None:
-                                di.waiters = None
-                                for w in waiters:
-                                    w.pending -= 1
-                                    if (w.pending == 0 and not w.squashed
-                                            and w.in_iq and not w.issued):
-                                        heappush(ready_by_op[w.instr.op_i],
-                                                 (w.gseq, w))
-                        if di.is_branch and ts.waiting_branch is di:
-                            ts.waiting_branch = None
-                            ts.stats.branch_stall_cycles += \
-                                cycle - ts.branch_wait_since
-                            if ts.fetch_blocked_until < cycle + 1:
-                                ts.fetch_blocked_until = cycle + 1
-                            self._fetch_wake = 0
-                        if di.is_load and on_load_complete is not None:
-                            on_load_complete(di, ts)
-                    ev_bucket.clear()
-                if dt_bucket or (dt_over and dt_over[0][0] <= cycle):
-                    on_ll_detect = self.policy.on_ll_detect
-                    threads = self.threads
-                    dt_marks = self._dt_marks
-                    if dt_bucket is None:
-                        dt_bucket = self._dt_buckets[cycle & mask] = []
-                    while dt_over and dt_over[0][0] <= cycle:
-                        dt_bucket.append(heappop(dt_over)[2])
-                    while dt_marks and dt_marks[0] <= cycle:
-                        heappop(dt_marks)
-                    n_due = len(dt_bucket)
-                    if n_due > 1:
-                        if n_due == 2:
-                            a, b = dt_bucket
-                            if b.gseq < a.gseq:   # age order, no key array
-                                dt_bucket[0] = b
-                                dt_bucket[1] = a
-                        else:
-                            dt_bucket.sort(key=_BY_GSEQ)
-                    for di in dt_bucket:
-                        di.in_detects = False
-                        if di.squashed or di.completed:
-                            continue
-                        on_ll_detect(di, threads[di.thread])
-                    dt_bucket.clear()
-        # drain the write buffer
-        wcnt = self._wb_buckets[cycle & mask]
-        if wcnt:
-            self._wb_buckets[cycle & mask] = 0
-            self._wb_used -= wcnt
-            wb_marks = self._wb_marks
-            while wb_marks and wb_marks[0] <= cycle:
-                heappop(wb_marks)
-        wb_over = self._wb_over
-        if wb_over and wb_over[0] <= cycle:
-            while wb_over and wb_over[0] <= cycle:
-                heappop(wb_over)
-                self._wb_used -= 1
-        if self._commit_pending:
-            self._commit_stage(cycle)
-        if self._ready_int or self._ready_ldst or self._ready_fp:
-            self._issue_stage(cycle)
-        if cycle >= self._dispatch_wake:
-            if (cycle < self._stall_latch_until
-                    and self._stall_latch_epoch == self._release_epoch):
-                # Proven stall verdict still holds (see _dispatch).
-                self.stats.resource_stall_cycles += 1
-            else:
-                self._dispatch_stage(cycle)
-        # fetch (inlined driver; _fetch_thread does the per-thread work)
-        if cycle >= self._fetch_wake:
-            order = self._policy_fetch_order(cycle)
-            if order:
-                budget = self._fetch_width
-                remaining_threads = self._fetch_max_threads
-                fetch_thread = self._fetch_thread
-                for ts, ignore_stall in order:
-                    if remaining_threads == 0 or budget == 0:
-                        break
-                    remaining_threads -= 1
-                    budget -= fetch_thread(ts, budget, cycle, ignore_stall)
-            elif self._fetch_order_is_base:
-                self._fetch_wake = self._compute_fetch_wake(cycle)
-        # (policy-stall cycles are accounted as stall intervals by
-        # ThreadState._sync_policy_stall / _settle_stall_accounting, not by
-        # an all-threads scan here.)
-        nxt = cycle + 1
-        if self._fast_forward:
-            # Fast path of the fast-forward probe: if next cycle can issue
-            # or fetch, there is nothing to skip and no need to build the
-            # candidate list in _next_cycle.  Ready-queue checks come
-            # first — three slot loads against a policy call.
-            if (self._ready_int or self._ready_ldst or self._ready_fp
-                    or (nxt >= self._fetch_wake
-                        and self._policy_fetch_pending(nxt))):
-                self.cycle = nxt
-            else:
-                self.cycle = self._next_cycle(cycle)
-        else:
-            self.cycle = nxt
+        """Advance one cycle (or fast-forward to the next event).
+
+        One pass of :meth:`_run_until`'s loop, with no commit target and
+        no cycle limit.
+        """
+        self._run_until(0, None, one_pass=True)
 
     # ------------------------------------------------------------------ #
     # events (execution completions, long-latency detections)
     # ------------------------------------------------------------------ #
 
-    def _process_events(self, cycle: int) -> None:
-        mask = self._wheel_mask
-        bucket = self._ev_buckets[cycle & mask]
-        ev_over = self._ev_over
-        if bucket or (ev_over and ev_over[0][0] <= cycle):
-            ev_marks = self._ev_marks
-            if bucket is None:
-                bucket = self._ev_buckets[cycle & mask] = []
-            while ev_over and ev_over[0][0] <= cycle:
-                bucket.append(heappop(ev_over)[2])
-            while ev_marks and ev_marks[0] <= cycle:
-                heappop(ev_marks)
-            n_due = len(bucket)
-            if n_due > 1:
-                if n_due == 2:
-                    a, b = bucket
-                    if b.gseq < a.gseq:   # age order, no key array
-                        bucket[0] = b
-                        bucket[1] = a
-                else:
-                    bucket.sort(key=_BY_GSEQ)
-            complete = self._complete
-            for di in bucket:
-                complete(di, cycle)
-            bucket.clear()
-        bucket = self._dt_buckets[cycle & mask]
-        dt_over = self._dt_over
-        if bucket or (dt_over and dt_over[0][0] <= cycle):
-            dt_marks = self._dt_marks
-            if bucket is None:
-                bucket = self._dt_buckets[cycle & mask] = []
-            while dt_over and dt_over[0][0] <= cycle:
-                bucket.append(heappop(dt_over)[2])
-            while dt_marks and dt_marks[0] <= cycle:
-                heappop(dt_marks)
-            n_due = len(bucket)
-            if n_due > 1:
-                if n_due == 2:
-                    a, b = bucket
-                    if b.gseq < a.gseq:   # age order, no key array
-                        bucket[0] = b
-                        bucket[1] = a
-                else:
-                    bucket.sort(key=_BY_GSEQ)
-            on_ll_detect = self.policy.on_ll_detect
-            threads = self.threads
-            for di in bucket:
-                di.in_detects = False
-                if di.squashed or di.completed:
-                    continue
-                on_ll_detect(di, threads[di.thread])
-            bucket.clear()
-
     def _complete(self, di: DynInstr, cycle: int) -> None:
+        """Handle one due completion event: ``di``'s result is ready.
+
+        The run loop inlines this body and calls the method only when a
+        subclass overrides it.
+        """
         ts = self.threads[di.thread]
         if di.is_load and di.pending == -1:  # counted as outstanding miss
             ts.outstanding_misses -= 1
@@ -1831,21 +1618,6 @@ class SMTCore:
                 and ts.waiting_branch is None
                 and len(ts.fe_queue) < self._fe_capacity)
 
-    def _rebuild_fetch_candidates(self) -> None:
-        """Re-derive the policy-unstalled thread list (tid order).
-
-        Normal operation maintains the list *incrementally* (a remove or
-        tid-ordered insert per stall/unstall transition — see
-        :meth:`ThreadState._sync_policy_stall`); this full rebuild is the
-        recovery form for tests and tools that mutate stall state behind
-        the transition function's back.  The list object's identity is
-        stable for the core's lifetime (the fused run loop hoists it), so
-        the rebuild mutates in place.
-        """
-        self._fetch_candidates[:] = [ts for ts in self.threads
-                                     if not ts.policy_stalled_flag]
-        self._fetch_wake = 0
-
     def _compute_fetch_wake(self, cycle: int) -> int:
         """Earliest cycle an empty fetch order could refill by *time*.
 
@@ -2125,9 +1897,9 @@ class SMTCore:
         return not window[0].is_store or not wb_full
 
     def _next_cycle(self, cycle: int) -> int:
-        # step() has already established that nothing can fetch or issue
-        # at ``nxt``; find the earliest future cycle where anything can
-        # happen, or prove the pipeline is wedged.  The wheel mark heaps
+        # The run loop has already established that nothing can fetch or
+        # issue at ``nxt``; find the earliest future cycle where anything
+        # can happen, or prove the pipeline is wedged.  The wheel mark heaps
         # are exact indexes of the pending bucket cycles (one int per
         # armed cycle, stale marks popped at drain), so the earliest-
         # event peeks stay O(1) without the old tuple heaps.

@@ -22,9 +22,9 @@ The two engines are checked at different grains:
 
 * :class:`CheckedSMTCore` swaps its pool for a :class:`CheckedPool` and
   overrides :meth:`step`, which the object engine's ``_run_until``
-  answers by driving the simulation one ``step()`` per cycle instead of
-  through its fused loop.  Every free, every allocation and every cycle
-  is checked.
+  answers by calling ``step()`` once per cycle; each call runs one pass
+  of the engine's run loop.  Every free, every allocation and every
+  cycle is checked.
 * :class:`CheckedCextCore` runs the compiled loop unchanged and checks
   the whole arena at every measurement boundary (``begin_measurement``
   and ``advance_to``).  Per-operation checks cannot see the C loop: it
@@ -180,8 +180,8 @@ class CheckedSMTCore(SMTCore):
         if self._di_pool is not None:
             self._di_pool = CheckedPool(self._di_pool)
 
-    # Overriding step() makes _run_until drive the core generically —
-    # one observable call per cycle instead of the fused loop.
+    # Overriding step() makes _run_until call it once per cycle; the base
+    # step() runs one pass of the same loop, so the checks see every cycle.
     def step(self) -> None:
         cycle = self.cycle
         _check_wheels(self, cycle)

@@ -212,11 +212,6 @@ class SoACore(SMTCore):
             "the cext loop inlines completion handling; subclass the "
             "object engine (backend 'object') instead")
 
-    def _process_events(self, cycle):  # pragma: no cover - guard
-        raise NotImplementedError(
-            "the cext loop inlines event draining; subclass the object "
-            "engine (backend 'object') instead")
-
     def _execute(self, di, cycle):  # pragma: no cover - guard
         raise NotImplementedError(
             "the cext loop inlines execution in its issue stage; "

@@ -176,9 +176,9 @@ FetchPolicy.on_resource_stall._is_default_hook = True
 # may cache "no thread can fetch before cycle X" (the fetch-wake latch),
 # because every eligibility change is either time-bound
 # (fetch_blocked_until) or flows through an invalidation the core owns
-# (branch resolution, front-end pop, flush, candidate rebuild).  Policies
-# that override fetch_order/fetch_pending lose the marker automatically
-# and are probed every cycle.
+# (branch resolution, front-end pop, flush, stall/unstall transition).
+# Policies that override fetch_order/fetch_pending lose the marker
+# automatically and are probed every cycle.
 FetchPolicy.fetch_order._is_base_impl = True
 FetchPolicy.fetch_pending._is_base_impl = True
 

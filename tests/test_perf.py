@@ -1,9 +1,10 @@
 """Unit tests for the repro.perf benchmark subsystem.
 
-Covers the JSON schema round-trip, baseline merge semantics, and the
-compare/tolerance logic (including calibration normalization) without
-running full-size simulations; one smoke test drives the real harness on
-a miniature scenario.
+Covers the JSON schema round-trip, baseline merge semantics, the
+compare/tolerance logic (including calibration normalization) and the
+duel's statistic and sampling order without running full-size
+simulations; smoke tests drive the real harness and the duel verb on
+small scenarios.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import json
 
 import pytest
 
-from repro import perf
+from repro import perf, registry
+from repro.cli import main
+from repro.perf import harness
 from repro.perf.baselines import result_from_dict, result_to_dict
-from repro.perf.harness import BenchResult, SuiteResult
+from repro.perf.harness import BenchResult, DuelResult, SuiteResult
+from repro.pipeline.core import SMTCore
 
 
 def _result(name="smt2_mlp_stall", wall=0.5, cycles=26_000,
@@ -205,6 +209,58 @@ class TestHarnessSmoke:
         assert perf.scenario_by_name(perf.CANONICAL_2T).num_threads == 2
         with pytest.raises(KeyError):
             perf.scenario_by_name("definitely_not_a_scenario")
+
+
+class TestDuel:
+    _SC = perf.Scenario("mini_2t", ("mcf", "swim"), "icount",
+                        commits=400, warmup=100, quick_commits=400)
+
+    def test_ratio_is_a_ratio_of_medians(self):
+        result = DuelResult(
+            name="synthetic", backends=("slow", "fast"),
+            samples={"slow": [0.9, 3.0, 2.0], "fast": [1.0, 0.6, 1.2]},
+            quick=True, rounds=3)
+        assert result.median("slow") == 2.0
+        assert result.median("fast") == 1.0
+        assert result.ratio == 2.0        # best-of-3 would say 1.5
+
+    def test_starting_backend_alternates(self, monkeypatch):
+        order = []
+
+        def fake_run(sc, quick=False, backend="object"):
+            order.append(backend)
+
+        monkeypatch.setattr(harness, "run_scenario", fake_run)
+        result = perf.duel(self._SC, ("a", "b"), rounds=3)
+        # Two untimed primes, then rounds started by a, b, a.
+        assert order == ["a", "b", "a", "b", "b", "a", "a", "b"]
+        assert {k: len(v) for k, v in result.samples.items()} \
+            == {"a": 3, "b": 3}
+
+    def test_refuses_identical_backends_and_no_rounds(self):
+        with pytest.raises(ValueError, match="two distinct backends"):
+            perf.duel(self._SC, ("object", "object"))
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            perf.duel(self._SC, ("object", "cext"), rounds=0)
+
+    def test_cli_json_smoke(self, capsys):
+        # A second name for the object engine: the duel needs two
+        # registered backends, and a host without a compiler has one.
+        registry.backends.register("object_twin", SMTCore)
+        try:
+            assert main(["perf", "duel", "st_icount", "--quick", "-n", "1",
+                         "--backends", "object,object_twin",
+                         "--json"]) == 0
+        finally:
+            registry.backends.unregister("object_twin")
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["backends"] == ["object", "object_twin"]
+        assert doc["rounds"] == 1
+        assert {k: len(v) for k, v in doc["samples_s"].items()} \
+            == {"object": 1, "object_twin": 1}
+        assert doc["median_s"] == {k: v[0]
+                                   for k, v in doc["samples_s"].items()}
+        assert doc["ratio"] > 0
 
 
 class TestSchemaMismatchGuards:

@@ -3,8 +3,10 @@
 Pins the three contracts of :mod:`repro.pipeline.sanitize`: the env
 knob swaps the checked engine subclasses in through ``core_for`` (and
 only then — off means the module is not even imported); a sanitized
-run is bit-exact with a stock one on both backends; and the checks
-actually fire.  On the object engine, planted double-frees and a record
+run is bit-exact with a stock one on both backends (on the object
+engine for every golden policy, runahead through a ``step()``-driven
+twin because the sanitizer bypasses it); and the checks actually
+fire.  On the object engine, planted double-frees and a record
 mutated while pooled raise
 :class:`~repro.pipeline.sanitize.SanitizerError` at the operation.  On
 the compiled engine's arena, a duplicate free-list entry, a non-pristine
@@ -22,6 +24,7 @@ from conftest import needs_cext
 from repro import registry
 from repro.config import scaled_config
 from repro.experiments.runner import core_for, default_backend, trace_for
+from repro.perf.golden import GOLDEN_POLICIES, GOLDEN_RUNAHEAD_POLICIES
 from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
 from repro.pipeline.dyninstr import F_FREED
@@ -46,10 +49,31 @@ def _build(core_cls, policy="mlp_flush", cfg=CFG2):
     return core_cls(cfg, traces, pol)
 
 
-def _run(core_cls, commits=1_500):
-    core = _build(core_cls)
+def _run(core_cls, commits=1_500, policy="mlp_flush"):
+    core = _build(core_cls, policy)
     stats = core.run(commits, warmup=300)
     return core, stats
+
+
+class _SteppedRunaheadCore(RunaheadCore):
+    """Runahead driven one ``step()`` per cycle, as the checked core is.
+
+    The sanitizer bypasses specialized cores, so this is the runahead
+    counterpart of :class:`CheckedSMTCore` for the stepping comparison.
+    """
+
+    __slots__ = ()
+
+    def step(self) -> None:
+        super().step()
+
+
+#: (policy, the run-loop core, its step()-driven twin) for every golden
+#: policy.
+_STEPPED_TWINS = (
+    [(p, SMTCore, CheckedSMTCore) for p in GOLDEN_POLICIES]
+    + [(p, RunaheadCore, _SteppedRunaheadCore)
+       for p in GOLDEN_RUNAHEAD_POLICIES])
 
 
 def _default_core() -> type:
@@ -84,10 +108,22 @@ class TestWiring:
 
 
 class TestBitExactness:
-    def test_object_engine(self):
-        _, stock = _run(SMTCore)
-        _, checked = _run(CheckedSMTCore)
-        assert checked == stock
+    @pytest.mark.parametrize(("policy", "stock_cls", "stepped_cls"),
+                             _STEPPED_TWINS,
+                             ids=[twin[0] for twin in _STEPPED_TWINS])
+    def test_object_engine(self, policy, stock_cls, stepped_cls):
+        """One ``step()`` per cycle matches the run loop driving itself.
+
+        ``step()`` is one pass of the loop, so a value the loop hoists
+        once per run and lets go stale between cycles shows up here.
+        """
+        stock_core, stock = _run(stock_cls, policy=policy)
+        stepped_core, stepped = _run(stepped_cls, policy=policy)
+        assert stepped == stock
+        assert stepped_core.cycle == stock_core.cycle
+        if stock_cls is RunaheadCore:
+            # The overridden _complete's runahead exit actually ran.
+            assert sum(t.runahead_exits for t in stock.threads) > 0
 
     @needs_cext
     def test_cext_engine(self):
