@@ -10,24 +10,25 @@ pins two structural contracts directly:
    (``self.policy.on_X`` reads plus the ``_policy_*`` elision
    attributes bound in ``SMTCore.__init__``) must equal the set the
    cext backend reaches: the call sites of its Python side (``cext.py``
-   and the ``SoACore`` state in ``soa.py``) plus the hook spellings in
+   and the ``SoACore`` arena state in ``soa.py``) plus the hook spellings in
    the C source.  A hook called by one engine and not the
    other means one backend silently ignores a whole policy mechanism.
 2. **Column coverage** — every ``DynInstr`` ``__slots__`` entry must map
-   to a ``SoAView`` accessor: an explicit property, a ``_col_*`` column
-   property from the generation loop, or a packed flag bit.  A new
-   DynInstr field without a column is invisible to policy hooks on the
-   compiled engine.
+   to a ``SoAView`` accessor: an entry of the C view type's
+   ``View_getset`` table in ``_cext_engine.c`` (a column, a flag bit or
+   a slot link).  A new DynInstr field without one is invisible to
+   policy hooks on the compiled engine.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Sequence
+import re
 from pathlib import Path
 
-from repro.analysis.base import (Finding, SRC_ROOT, dotted_name,
-                                 parse_file, rel, string_elements)
+from repro.analysis.base import (Finding, SRC_ROOT, parse_file, rel,
+                                 string_elements)
 
 CHECKER = "engine-parity-lint"
 
@@ -85,35 +86,18 @@ def _hooks_used_c(text: str) -> set[str]:
     return used
 
 
-def _soa_view_accessors(tree: ast.Module) -> set[str]:
-    """Every attribute name SoAView exposes (explicit + generated)."""
+#: The C view type's getset table, and the attribute name each entry
+#: opens with (``{"name", ...}`` or a ``VFLAG("name", ...)``-style
+#: entry macro).
+_GETSET_TABLE = re.compile(r"View_getset\[\]\s*=\s*\{(.*?)\n\};", re.S)
+_GETSET_NAME = re.compile(r"(?:\{|\b[A-Z]\w*\()\s*\"(\w+)\"")
+
+
+def _soa_view_accessors(text: str) -> set[str]:
+    """Every attribute name the C ``SoAView`` type exposes."""
     names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "SoAView":
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(stmt.name)
-                elif isinstance(stmt, ast.Assign):
-                    for tgt in stmt.targets:
-                        if isinstance(tgt, ast.Name):
-                            names.add(tgt.id)
-        elif isinstance(node, ast.For):
-            # for _name, _x in ((...), ...): setattr(SoAView, _name, ...)
-            is_view_loop = any(
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Call)
-                and dotted_name(stmt.value.func) == "setattr"
-                and stmt.value.args
-                and dotted_name(stmt.value.args[0]) == "SoAView"
-                for stmt in node.body)
-            if not is_view_loop or not isinstance(node.iter,
-                                                  (ast.Tuple, ast.List)):
-                continue
-            for elt in node.iter.elts:
-                if (isinstance(elt, (ast.Tuple, ast.List)) and elt.elts
-                        and isinstance(elt.elts[0], ast.Constant)
-                        and isinstance(elt.elts[0].value, str)):
-                    names.add(elt.elts[0].value)
+    for table in _GETSET_TABLE.findall(text):
+        names.update(_GETSET_NAME.findall(table))
     return names
 
 
@@ -166,12 +150,14 @@ def check(core_path: Path | None = None,
             f"but never by the object engine"))
 
     # 2. DynInstr slot -> SoAView accessor coverage
-    dyn_tree = parse_file(dyninstr_path)
-    accessors = _soa_view_accessors(dyn_tree)
-    for slot in _dyninstr_slots(dyn_tree):
+    accessors: set[str] = set()
+    for path in cext_files:
+        if path.suffix == ".c":
+            accessors |= _soa_view_accessors(path.read_text())
+    for slot in _dyninstr_slots(parse_file(dyninstr_path)):
         if slot not in accessors:
             findings.append(Finding(
                 CHECKER, rel(dyninstr_path), 1,
                 f"DynInstr slot {slot!r} has no SoAView accessor "
-                f"(column property, flag bit, or explicit property)"))
+                f"(no entry in the C View_getset table)"))
     return findings

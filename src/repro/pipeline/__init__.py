@@ -4,14 +4,13 @@ Two interchangeable engines implement the same pipeline:
 :class:`SMTCore` keeps one :class:`DynInstr` object per in-flight
 instruction, while the compiled ``cext`` engine
 (:mod:`repro.pipeline.cext`) runs a C stage loop over :class:`SoACore`,
-the same state as parallel flat arrays indexed by pool slot
-(struct-of-arrays).  They are bit-identical architecturally — the
-golden-stats matrix pins every policy under both — and are selected per
-run through the ``backends`` registry (see :mod:`repro.registry` and
-``RunSpec.backend``).
+the same state as a native arena of columns indexed by slot.  They are
+bit-identical architecturally — the golden-stats matrix pins every
+policy under both — and are selected per run through the ``backends``
+registry (see :mod:`repro.registry` and ``RunSpec.backend``).
 
 ``SoACore`` is re-exported lazily: importing the package must not pay
-for the column state unless it is actually used.
+for the arena state unless it is actually used.
 """
 
 from repro.pipeline.core import SMTCore

@@ -2,18 +2,23 @@
  *
  * The object engine's stage loop (repro/pipeline/core.py: _run_until,
  * the inline event drains, _commit, _issue, _dispatch, _fetch_thread),
- * stage for stage, over the struct-of-arrays state of SoACore
- * (repro/pipeline/soa.py): the column lists, the event wheels, the
- * ready heaps and the ThreadState slots stay the single source of
- * truth, and this module reads/writes them through the C API.  Policy
- * hooks and SoACore.flush_thread re-enter Python mid-stage on that same
- * state, with no conversion.  The fast-forward target, LLSR.commit_zeros,
- * TLB/L1 hits of the memory hierarchy and the iteration-varying slots of
- * SyntheticTrace are computed here too, on those objects' slots; their
- * Python bodies remain the reference (tests/test_cext_paths.py).  The
- * golden matrix pins the backend bit-exact with the object engine;
- * engine-parity-lint checks that the policy hook call sites here match
- * core.py's set.
+ * stage for stage, over one native Arena per core (the contract is in
+ * repro/pipeline/soa.py): int64 instruction columns, the free list, the
+ * ready heaps, the three event wheels and each thread's front-end
+ * queue, window and rename map live in C memory, so no arena access
+ * boxes, unboxes or allocates.  ThreadState, core, stats and Instr
+ * slots stay Python objects, read and written through the C API.
+ * Policy hooks re-enter Python mid-stage through SoAView (a C type
+ * reading the arena) and may call flush_thread, which runs here too; a
+ * fetch may grow the arena.  Every column pointer is therefore re-read
+ * from the arena after any call that can do either.  The fast-forward
+ * target, LLSR.commit_zeros, TLB/L1 hits of the memory hierarchy and the
+ * iteration-varying slots of SyntheticTrace are computed here too, on
+ * those objects' slots; their Python bodies remain the reference
+ * (tests/test_cext_paths.py).  The golden matrix pins the backend
+ * bit-exact with the object engine; engine-parity-lint checks that the
+ * policy hook call sites here match core.py's set and that SoAView's
+ * getset table covers every DynInstr field.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -58,11 +63,8 @@
 
 typedef struct {
     /* core */
-    Py_ssize_t cycle, gseq, wheel_mask;
-    Py_ssize_t ev_buckets, ev_marks, ev_over;
-    Py_ssize_t dt_buckets, dt_marks, dt_over;
-    Py_ssize_t wb_buckets, wb_marks, wb_over, wb_used;
-    Py_ssize_t ready_int, ready_ldst, ready_fp, ready_by_op;
+    Py_ssize_t cycle, gseq;
+    Py_ssize_t arena, wb_used;
     Py_ssize_t threads, policy, stats;
     Py_ssize_t policy_fetch_order, policy_fetch_pending,
         policy_can_dispatch, policy_on_fetch, policy_on_fetch_load,
@@ -83,28 +85,25 @@ typedef struct {
         fp_regs_used;
     Py_ssize_t num_int_alu, num_ldst, num_fp;
     Py_ssize_t track_ll_dep;
-    Py_ssize_t free_list;
-    Py_ssize_t col_instr, col_thread, col_seq, col_gseq, col_packed,
-        col_pending, col_fe_ready, col_flags, col_refs, col_waiter0,
-        col_waiters, col_old_map, col_ll_parents, col_pred_ll,
-        col_fill_line, col_level, col_views;
     Py_ssize_t cext_olc_cleanup_only, cext_ll_detect_is_base;
     /* ThreadState */
     Py_ssize_t ts_tid, ts_tid_bit, ts_icount, ts_rob_count, ts_lsq_count,
         ts_iq_count, ts_fq_count, ts_int_regs, ts_fp_regs;
     Py_ssize_t ts_fetch_blocked_until, ts_waiting_branch,
-        ts_branch_wait_since, ts_allowed_end, ts_ll_owners;
+        ts_branch_wait_since, ts_allowed_end, ts_ll_owners,
+        ts_policy_data;
     Py_ssize_t ts_last_ifetch_line, ts_outstanding_misses;
     Py_ssize_t ts_stats, ts_commit_cycles;
     Py_ssize_t ts_fe_queue, ts_window, ts_rename_map;
     Py_ssize_t ts_fetch_index, ts_head_ready, ts_dispatch_blocked_head,
         ts_dispatch_blocked_epoch, ts_dispatch_wait_until;
-    Py_ssize_t ts_trace_get, ts_fe_append, ts_lll_predict, ts_pc_origin,
+    Py_ssize_t ts_trace_get, ts_lll_predict, ts_pc_origin,
         ts_llsr_commit, ts_llsr_commit_zeros, ts_trace_static,
         ts_trace_body_len, ts_llsr_zeros, ts_trace_flags, ts_lll_pred;
     Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag;
     /* ThreadStats */
-    Py_ssize_t st_fetched, st_committed, st_loads_executed, st_ll_loads,
+    Py_ssize_t st_fetched, st_committed, st_squashed, st_flushes,
+        st_loads_executed, st_ll_loads,
         st_branch_stall_cycles, st_lll_pred_loads, st_lll_pred_correct,
         st_lll_pred_miss_actual, st_lll_pred_miss_correct;
     /* CoreStats */
@@ -138,14 +137,13 @@ typedef struct {
 typedef struct {
     int ready;
     Offsets off;
-    PyObject *view_cls;     /* SoAView */
     PyObject *limit_exc;    /* SimulationLimitExceeded */
     PyObject *deadlock_exc; /* SimulationDeadlock */
     PyObject *l1_level;     /* ServiceLevel.L1 (identity compare) */
     /* exact types the in-C paths apply to (anything else calls Python) */
     PyTypeObject *core_type, *hier_type, *cache_type, *tlb_type,
         *prefetcher_type, *stride_type, *llsr_type, *trace_type,
-        *instr_type;
+        *instr_type, *ts_type;
     PyObject *stride_entry_cls;   /* stride_predictor._Entry */
     /* every Instr slot offset, for cloning a trace prototype */
     Py_ssize_t instr_offs[32];
@@ -153,9 +151,8 @@ typedef struct {
     PyObject *small_ints[SMALL_INT_LIMIT];
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
-    PyObject *s_append, *s_popleft, *s_update, *s_lookup, *s_insert,
-        *s_train, *s_on_ll_detect, *s_soa_grow, *s_sync_policy_stall,
-        *s_observe;
+    PyObject *s_update, *s_lookup, *s_insert, *s_train, *s_on_ll_detect,
+        *s_sync_policy_stall, *s_observe, *s_cancel_fill, *s_clear_owner;
 } Globals;
 
 static Globals g;
@@ -234,20 +231,6 @@ static inline void lset(PyObject *l, Py_ssize_t i, PyObject *v)
     Py_XDECREF(old);
 }
 
-static inline int lset_ll(PyObject *l, Py_ssize_t i, long long v)
-{
-    PyObject *b = box_ll(v);
-    if (b == NULL)
-        return -1;
-    lset(l, i, b);
-    return 0;
-}
-
-static inline long long lget_ll(PyObject *l, Py_ssize_t i)
-{
-    return ll_of(PyList_GET_ITEM(l, i));
-}
-
 static inline int stat_add(PyObject *obj, Py_ssize_t off, long long d)
 {
     return slot_store_ll(obj, off, slot_ll(obj, off) + d);
@@ -268,154 +251,6 @@ static inline Py_ssize_t seq_size(PyObject *seq)
     return PyList_GET_SIZE(seq);
 }
 
-/* ------------------------------------------------------------------ */
-/* heap ops (bit-compatible with heapq on lists of ints / int pairs)   */
-/* ------------------------------------------------------------------ */
-
-/* Entries are unique ints (packed stamps, cycle marks) or (int, int)
- * tuples, so the ordering is strict and total: any valid binary heap
- * pops the same element heapq would, which is what licenses mixing C
- * and Python pushes/pops on the same list. */
-
-static inline int ent_lt(PyObject *a, PyObject *b)
-{
-    if (PyTuple_CheckExact(a)) {
-        long long a0 = ll_of(PyTuple_GET_ITEM(a, 0));
-        long long b0 = ll_of(PyTuple_GET_ITEM(b, 0));
-        if (a0 != b0)
-            return a0 < b0;
-        return ll_of(PyTuple_GET_ITEM(a, 1)) < ll_of(PyTuple_GET_ITEM(b, 1));
-    }
-    return ll_of(a) < ll_of(b);
-}
-
-static int heap_push(PyObject *heap, PyObject *item)
-{
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    Py_ssize_t pos = PyList_GET_SIZE(heap) - 1;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        PyObject *pa = PyList_GET_ITEM(heap, parent);
-        PyObject *it = PyList_GET_ITEM(heap, pos);
-        if (!ent_lt(it, pa))
-            break;
-        PyList_SET_ITEM(heap, pos, pa);
-        PyList_SET_ITEM(heap, parent, it);
-        pos = parent;
-    }
-    return 0;
-}
-
-static int heap_push_ll(PyObject *heap, long long v)
-{
-    PyObject *b = box_ll(v);
-    if (b == NULL)
-        return -1;
-    int rc = heap_push(heap, b);
-    Py_DECREF(b);
-    return rc;
-}
-
-/* Pop the minimum; returns a new reference (NULL on error). */
-static PyObject *heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject *last = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(last);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(last);
-        return NULL;
-    }
-    n--;
-    if (n == 0)
-        return last;
-    PyObject *ret = PyList_GET_ITEM(heap, 0);
-    /* the list's reference to ret transfers to us; last moves to root */
-    PyList_SET_ITEM(heap, 0, last);
-    Py_ssize_t pos = 0;
-    for (;;) {
-        Py_ssize_t child = 2 * pos + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n
-            && ent_lt(PyList_GET_ITEM(heap, child + 1),
-                      PyList_GET_ITEM(heap, child)))
-            child++;
-        PyObject *c = PyList_GET_ITEM(heap, child);
-        PyObject *p = PyList_GET_ITEM(heap, pos);
-        if (!ent_lt(c, p))
-            break;
-        PyList_SET_ITEM(heap, pos, c);
-        PyList_SET_ITEM(heap, child, p);
-        pos = child;
-    }
-    return ret;
-}
-
-/* Discard the minimum (for mark heaps). */
-static int heap_pop_drop(PyObject *heap)
-{
-    PyObject *r = heap_pop(heap);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* heap[0] key for int heaps / heap[0][0] for tuple heaps. */
-static inline long long heap_min_key(PyObject *heap)
-{
-    PyObject *root = PyList_GET_ITEM(heap, 0);
-    if (PyTuple_CheckExact(root))
-        return ll_of(PyTuple_GET_ITEM(root, 0));
-    return ll_of(root);
-}
-
-/* ------------------------------------------------------------------ */
-/* deque helpers                                                       */
-/* ------------------------------------------------------------------ */
-
-static inline Py_ssize_t deq_len(PyObject *d)
-{
-    return PyObject_Size(d);
-}
-
-static inline long long deq_peek0_ll(PyObject *d)
-{
-    PyObject *o = PySequence_GetItem(d, 0);
-    if (o == NULL)
-        return -1;
-    long long v = ll_of(o);
-    Py_DECREF(o);
-    return v;
-}
-
-static inline int deq_popleft_drop(PyObject *d)
-{
-    PyObject *r = PyObject_CallMethodNoArgs(d, g.s_popleft);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-static inline int deq_append_ll(PyObject *d, long long v)
-{
-    PyObject *b = box_ll(v);
-    if (b == NULL)
-        return -1;
-    PyObject *r = PyObject_CallMethodOneArg(d, g.s_append, b);
-    Py_DECREF(b);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* call helpers                                                        */
-/* ------------------------------------------------------------------ */
 
 static PyObject *call_method(PyObject *obj, PyObject *name,
                              PyObject *const *args, Py_ssize_t n)
@@ -425,28 +260,6 @@ static PyObject *call_method(PyObject *obj, PyObject *name,
     for (Py_ssize_t i = 0; i < n; i++)
         stack[i + 1] = args[i];
     return PyObject_VectorcallMethod(name, stack, (size_t)(n + 1), NULL);
-}
-
-/* Ensure the lazily-cached SoAView for slot s; returns a NEW reference. */
-static PyObject *ensure_view(PyObject *core, PyObject *col_views,
-                             PyObject *col_gseq, long long s)
-{
-    PyObject *v = PyList_GET_ITEM(col_views, s);
-    if (v != Py_None) {
-        Py_INCREF(v);
-        return v;
-    }
-    PyObject *s_obj = box_ll(s);
-    if (s_obj == NULL)
-        return NULL;
-    PyObject *args[3] = {core, s_obj, PyList_GET_ITEM(col_gseq, s)};
-    PyObject *nv = PyObject_Vectorcall(g.view_cls, args, 3, NULL);
-    Py_DECREF(s_obj);
-    if (nv == NULL)
-        return NULL;
-    Py_INCREF(nv);
-    lset(col_views, s, nv);
-    return nv;
 }
 
 /* ------------------------------------------------------------------ */
@@ -608,9 +421,14 @@ done:
     return rc;
 }
 
-/* ts.llsr_commit_zeros(k): in C on an exact LLSR, else the bound method. */
+/* Shift ts's k staged zero commits into its LLSR, clearing the stage:
+ * in C on an exact LLSR, else ts.llsr_commit_zeros(k). */
 static int llsr_commit_zeros(PyObject *ts, long long k)
 {
+    if (k == 0)
+        return 0;
+    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0)
+        return -1;
     PyObject *llsr = SLOT(ts, OFF.ts_llsr);
     if (llsr != NULL && Py_TYPE(llsr) == g.llsr_type) {
         int rc = llsr_zeros_c(llsr, k);
@@ -1128,24 +946,511 @@ static int trace_dyn(PyObject *spec, long long iteration, PyObject **out)
     return *out == NULL ? -1 : 1;
 }
 
+
+/* ------------------------------------------------------------------ */
+/* the slot arena: native memory for everything that holds slots      */
+/* ------------------------------------------------------------------ */
+
+/* A growable int64 vector: the free list, the heaps (entries of `w`
+ * int64s, compared lexicographically), the wheels' entry pools and the
+ * per-slot waiter and long-latency-parent lists. */
+typedef struct {
+    int64_t *v;
+    int32_t n, cap;
+} IVec;
+
+static int ivec_reserve(IVec *x, Py_ssize_t need)
+{
+    if (need <= x->cap)
+        return 0;
+    Py_ssize_t cap = x->cap ? x->cap : 4;
+    while (cap < need)
+        cap *= 2;
+    int64_t *v = cap > INT32_MAX ? NULL
+        : PyMem_Realloc(x->v, (size_t)cap * sizeof(int64_t));
+    if (v == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    x->v = v;
+    x->cap = (int32_t)cap;
+    return 0;
+}
+
+static inline int ivec_push(IVec *x, int64_t e)
+{
+    if (x->n == x->cap && ivec_reserve(x, x->n + 1) < 0)
+        return -1;
+    x->v[x->n++] = e;
+    return 0;
+}
+
+/* Heap entries are unique packed stamps, cycle marks or (cycle, packed)
+ * pairs: the order is strict and total, so this heap pops exactly what
+ * heapq would. */
+static inline int ent_lt(const int64_t *a, const int64_t *b, int w)
+{
+    return a[0] != b[0] ? a[0] < b[0] : (w == 2 && a[1] < b[1]);
+}
+
+static int heap_push(IVec *h, int64_t k, int64_t p, int w)
+{
+    if (ivec_reserve(h, h->n + w) < 0)
+        return -1;
+    int64_t e[2] = {k, p};
+    Py_ssize_t pos = h->n / w;
+    h->n += w;
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!ent_lt(e, h->v + parent * w, w))
+            break;
+        memcpy(h->v + pos * w, h->v + parent * w, w * sizeof(int64_t));
+        pos = parent;
+    }
+    memcpy(h->v + pos * w, e, w * sizeof(int64_t));
+    return 0;
+}
+
+/* Pop the minimum of a non-empty heap into out[0..w). */
+static void heap_pop(IVec *h, int64_t *out, int w)
+{
+    int64_t last[2];
+    memcpy(out, h->v, w * sizeof(int64_t));
+    h->n -= w;
+    Py_ssize_t n = h->n / w, pos = 0;
+    memcpy(last, h->v + n * w, w * sizeof(int64_t));
+    for (;;) {
+        Py_ssize_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && ent_lt(h->v + (child + 1) * w, h->v + child * w,
+                                    w))
+            child++;
+        if (!ent_lt(h->v + child * w, last, w))
+            break;
+        memcpy(h->v + pos * w, h->v + child * w, w * sizeof(int64_t));
+        pos = child;
+    }
+    if (n)
+        memcpy(h->v + pos * w, last, w * sizeof(int64_t));
+}
+
+/* A thread's front-end queue or window (a ring of slots) or its rename
+ * map (64 slots, -1 = no in-flight producer).  Python sees a read-only
+ * sequence of ints: `len(ts.fe_queue)` is what the base fetch_order
+ * reads. */
+typedef struct {
+    PyObject_HEAD
+    int64_t *v;
+    Py_ssize_t head, n, cap;    /* cap is a power of two */
+} SlotSeq;
+
+static PyTypeObject SlotSeq_Type;
+
+#define SQ_AT(q, i) ((q)->v[((q)->head + (i)) & ((q)->cap - 1)])
+
+static inline int64_t sq_pop_front(SlotSeq *q)
+{
+    int64_t s = q->v[q->head];
+    q->head = (q->head + 1) & (q->cap - 1);
+    q->n--;
+    return s;
+}
+
+static int sq_push(SlotSeq *q, int64_t s)
+{
+    if (q->n == q->cap) {
+        int64_t *v = PyMem_Malloc(2 * (size_t)q->cap * sizeof(int64_t));
+        if (v == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < q->n; i++)
+            v[i] = SQ_AT(q, i);
+        PyMem_Free(q->v);
+        q->v = v;
+        q->head = 0;
+        q->cap *= 2;
+    }
+    SQ_AT(q, q->n) = s;
+    q->n++;
+    return 0;
+}
+
+static SlotSeq *sq_new(Py_ssize_t cap, Py_ssize_t n)
+{
+    SlotSeq *q = PyObject_New(SlotSeq, &SlotSeq_Type);
+    if (q == NULL)
+        return NULL;
+    q->v = PyMem_Malloc((size_t)cap * sizeof(int64_t));
+    q->head = 0;
+    q->n = n;
+    q->cap = cap;
+    if (q->v == NULL) {
+        Py_DECREF(q);
+        return (SlotSeq *)PyErr_NoMemory();
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        q->v[i] = -1;
+    return q;
+}
+
+static void sq_dealloc(PyObject *self)
+{
+    PyMem_Free(((SlotSeq *)self)->v);
+    PyObject_Free(self);
+}
+
+static Py_ssize_t sq_length(PyObject *self)
+{
+    return ((SlotSeq *)self)->n;
+}
+
+static PyObject *sq_item(PyObject *self, Py_ssize_t i)
+{
+    SlotSeq *q = (SlotSeq *)self;
+    if (i < 0 || i >= q->n) {
+        PyErr_SetString(PyExc_IndexError, "slot sequence index out of range");
+        return NULL;
+    }
+    return PyLong_FromLongLong(SQ_AT(q, i));
+}
+
+static PySequenceMethods sq_as_sequence = {
+    .sq_length = sq_length,
+    .sq_item = sq_item,
+};
+
+static PyTypeObject SlotSeq_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.SlotSeq",
+    .tp_doc = "A thread's slot queue or rename map in the arena.",
+    .tp_basicsize = sizeof(SlotSeq),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_dealloc = sq_dealloc,
+    .tp_as_sequence = &sq_as_sequence,
+};
+
+/* The per-instruction columns.  Integer columns are int64 arrays; the
+ * object columns hold owned references, NULL meaning None. */
+enum { C_THREAD, C_SEQ, C_GSEQ, C_PENDING, C_FE_READY, C_FLAGS, C_REFS,
+       C_WAITER0, C_OLD_MAP, N_ICOLS };
+enum { O_INSTR, O_PRED_LL, O_FILL_LINE, O_LEVEL, O_VIEW, N_OCOLS };
+
+static const char *const ICOL_NAMES[N_ICOLS] = {
+    "thread", "seq", "gseq", "pending", "fe_ready", "flags", "refs",
+    "waiter0", "old_map"};
+/* A never-used slot's value; gseq -1 matches no packed stamp (its gseq
+ * is >= 1). */
+static const int64_t ICOL_INIT[N_ICOLS] = {0, 0, -1, 0, 0, F_FREED, 0, -1,
+                                           -1};
+static const char *const OCOL_NAMES[N_OCOLS] = {
+    "instr", "predicted_ll", "fill_line", "level", "views"};
+
+/* An event wheel: per-cycle buckets of packed stamps, each a chain
+ * through one shared pool of (packed, next) entries (a free chain
+ * recycles them), the int heap of armed bucket cycles and the (cycle,
+ * packed) heap past the horizon. */
+typedef struct {
+    int32_t *head;      /* per bucket: first pool entry, -1 = empty */
+    IVec pool;
+    int64_t free_ent;   /* first free pool entry, -1 = none */
+    IVec marks, over;
+} Wheel;
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t cap;
+    union {
+        int64_t *ic[N_ICOLS];
+        struct {
+            int64_t *thread, *seq, *gseq, *pending, *fe_ready, *flags,
+                *refs, *waiter0, *old_map;
+        };
+    };
+    union {
+        PyObject **oc[N_OCOLS];
+        struct {
+            PyObject **instr, **pred_ll, **fill_line, **level, **views;
+        };
+    };
+    IVec *waiters, *parents;    /* per slot; empty = None */
+    IVec free;                  /* stack: the next allocation is on top */
+    IVec ready[3];              /* by FuClass: int, ld/st, fp */
+    unsigned char op_class[256];
+    Py_ssize_t n_ops;
+    Py_ssize_t wheel;           /* wheel size, a power of two */
+    Wheel ev, dt;
+    IVec due;                   /* the bucket being drained, age-sorted */
+    int64_t *wb_cnt;            /* write-buffer drains per cycle bucket */
+    IVec wb_marks, wb_over;
+    Py_ssize_t n_threads;
+    PyObject **queues;          /* per thread: fe_queue, window, rename_map */
+} Arena;
+
+typedef struct {
+    PyObject_HEAD
+    Arena *arena;
+    Py_ssize_t slot;
+    int64_t gseq;
+} View;
+
+static PyTypeObject Arena_Type, View_Type;
+
+/* Whether packed stamp p (>= 0) still denotes its slot's occupant: the
+ * generation check that defuses stale heap, wheel and waiter entries. */
+static inline int current(Arena *A, int64_t p)
+{
+    Py_ssize_t s = (Py_ssize_t)(p & SLOT_MASK);
+    return s < A->cap && A->gseq[s] == p >> SLOT_SHIFT;
+}
+
+/* Store a new reference (or NULL for None) into an object column. */
+static inline void ocol_set(PyObject **col, Py_ssize_t s, PyObject *v)
+{
+    PyObject *old = col[s];
+    if (v == Py_None)
+        v = NULL;
+    Py_XINCREF(v);
+    col[s] = v;
+    Py_XDECREF(old);
+}
+
+/* Grow every column from `from` to `to` slots, new slots free. */
+static int arena_resize(Arena *A, Py_ssize_t from, Py_ssize_t to)
+{
+    for (int k = 0; k < N_ICOLS; k++) {
+        int64_t *v = PyMem_Realloc(A->ic[k], (size_t)to * sizeof(int64_t));
+        if (v == NULL)
+            goto nomem;
+        A->ic[k] = v;
+        for (Py_ssize_t s = from; s < to; s++)
+            v[s] = ICOL_INIT[k];
+    }
+    for (int k = 0; k < N_OCOLS; k++) {
+        PyObject **v = PyMem_Realloc(A->oc[k], (size_t)to * sizeof(*v));
+        if (v == NULL)
+            goto nomem;
+        A->oc[k] = v;
+        memset(v + from, 0, (size_t)(to - from) * sizeof(*v));
+    }
+    IVec **lists[2] = {&A->waiters, &A->parents};
+    for (int k = 0; k < 2; k++) {
+        IVec *v = PyMem_Realloc(*lists[k], (size_t)to * sizeof(IVec));
+        if (v == NULL)
+            goto nomem;
+        *lists[k] = v;
+        memset(v + from, 0, (size_t)(to - from) * sizeof(IVec));
+    }
+    if (ivec_reserve(&A->free, A->free.n + (to - from)) < 0)
+        return -1;
+    for (Py_ssize_t s = to - 1; s >= from; s--)
+        A->free.v[A->free.n++] = s;
+    A->cap = to;
+    return 0;
+nomem:
+    PyErr_NoMemory();
+    return -1;
+}
+
+/* Double the arena (cold): the allocation path calls it on an empty
+ * free list. */
+static int arena_grow(Arena *A)
+{
+    if (A->cap * 2 > (1 << SLOT_SHIFT)) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "SoA arena cannot grow past %d slots", 1 << SLOT_SHIFT);
+        return -1;
+    }
+    return arena_resize(A, A->cap, A->cap * 2);
+}
+
+/* Return slot s to the free list, pristine (see soa.py): the allocation
+ * path writes only the columns that vary per fetch. */
+static int arena_free(Arena *A, Py_ssize_t s, int64_t fl)
+{
+    A->pending[s] = 0;
+    A->waiter0[s] = -1;
+    A->waiters[s].n = 0;
+    A->old_map[s] = -1;
+    ocol_set(A->fill_line, s, NULL);
+    ocol_set(A->views, s, NULL);
+    A->flags[s] = fl | F_FREED;
+    return ivec_push(&A->free, s);
+}
+
+/* The (cached, generation-stamped) view of slot s; a new reference. */
+static PyObject *ensure_view(Arena *A, Py_ssize_t s)
+{
+    PyObject *v = A->views[s];
+    if (v == NULL) {
+        View *nv = PyObject_GC_New(View, &View_Type);
+        if (nv == NULL)
+            return NULL;
+        Py_INCREF(A);
+        nv->arena = A;
+        nv->slot = s;
+        nv->gseq = A->gseq[s];
+        PyObject_GC_Track(nv);
+        A->views[s] = v = (PyObject *)nv;
+    }
+    Py_INCREF(v);
+    return v;
+}
+
+/* 1 when slot s's view is one of ts's fetch-gating owners (a policy
+ * still holds it), 0 when not, -1 on error. */
+static int owned(Arena *A, Py_ssize_t s, PyObject *ts)
+{
+    PyObject *v = A->views[s];
+    return v == NULL ? 0 : PyDict_Contains(SLOT(ts, OFF.ts_ll_owners), v);
+}
+
+/* Thread ts's queue at slot `off`: one of the arena's SlotSeqs, or NULL
+ * with an error when Python rebound it. */
+static SlotSeq *seq_of(PyObject *ts, Py_ssize_t off)
+{
+    PyObject *q = SLOT(ts, off);
+    if (q == NULL || !Py_IS_TYPE(q, &SlotSeq_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a cext thread's queues must stay the arena's");
+        return NULL;
+    }
+    return (SlotSeq *)q;
+}
+
+static PyObject *Arena_new(PyTypeObject *type, PyObject *args,
+                           PyObject *kwds)
+{
+    Py_ssize_t wheel;
+    PyObject *threads, *ops;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds)) {
+        PyErr_SetString(PyExc_TypeError, "Arena takes no keywords");
+        return NULL;
+    }
+    if (!g.ready || !PyArg_ParseTuple(args, "O!nO:Arena", &PyTuple_Type,
+                                      &threads, &wheel, &ops))
+        return NULL;
+    PyObject *fast = PySequence_Fast(ops, "op classes");
+    if (fast == NULL)
+        return NULL;
+    Arena *A = NULL;
+    Py_ssize_t n_ops = PySequence_Fast_GET_SIZE(fast);
+    Py_ssize_t n_threads = PyTuple_GET_SIZE(threads);
+    int bad = n_threads < 1 || n_threads > MAX_THREADS || wheel < 2
+        || (wheel & (wheel - 1)) || n_ops > 256;
+    for (Py_ssize_t i = 0; i < n_threads && !bad; i++)
+        bad = !PyObject_TypeCheck(PyTuple_GET_ITEM(threads, i), g.ts_type);
+    if (bad) {
+        PyErr_SetString(PyExc_ValueError, "Arena(threads, wheel, ops)");
+        goto done;
+    }
+    A = (Arena *)type->tp_alloc(type, 0);
+    if (A == NULL)
+        goto done;
+    A->n_ops = n_ops;
+    for (Py_ssize_t i = 0; i < n_ops; i++) {
+        long k = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
+        if (k < 0 || k > 2) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "op class out of range");
+            goto fail;
+        }
+        A->op_class[i] = (unsigned char)k;
+    }
+    A->wheel = wheel;
+    A->ev.head = PyMem_Malloc((size_t)wheel * sizeof(int32_t));
+    A->dt.head = PyMem_Malloc((size_t)wheel * sizeof(int32_t));
+    A->wb_cnt = PyMem_Calloc((size_t)wheel, sizeof(int64_t));
+    A->queues = PyMem_Calloc(3 * (size_t)n_threads, sizeof(PyObject *));
+    if (A->ev.head == NULL || A->dt.head == NULL || A->wb_cnt == NULL
+        || A->queues == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    memset(A->ev.head, 0xff, (size_t)wheel * sizeof(int32_t));
+    memset(A->dt.head, 0xff, (size_t)wheel * sizeof(int32_t));
+    A->ev.free_ent = A->dt.free_ent = -1;
+    A->n_threads = n_threads;
+    /* each thread's fe_queue, window and rename_map become the arena's */
+    static const Py_ssize_t *qoffs[3] = {
+        &OFF.ts_fe_queue, &OFF.ts_window, &OFF.ts_rename_map};
+    for (Py_ssize_t i = 0; i < 3 * n_threads; i++) {
+        PyObject *q = (PyObject *)(i % 3 == 2 ? sq_new(64, 64)
+                                              : sq_new(16, 0));
+        if ((A->queues[i] = q) == NULL)
+            goto fail;
+        Py_INCREF(q);
+        slot_store(PyTuple_GET_ITEM(threads, i / 3), *qoffs[i % 3], q);
+    }
+    if (arena_resize(A, 0, 2048) < 0)
+        goto fail;
+    goto done;
+fail:
+    Py_CLEAR(A);
+done:
+    Py_DECREF(fast);
+    return (PyObject *)A;
+}
+
+static int Arena_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Arena *A = (Arena *)self;
+    for (int k = 0; k < N_OCOLS; k++)
+        for (Py_ssize_t s = 0; s < A->cap; s++)
+            Py_VISIT(A->oc[k][s]);
+    return 0;
+}
+
+static int Arena_clear(PyObject *self)
+{
+    Arena *A = (Arena *)self;
+    for (int k = 0; k < N_OCOLS; k++)
+        for (Py_ssize_t s = 0; s < A->cap; s++)
+            Py_CLEAR(A->oc[k][s]);
+    return 0;
+}
+
+static void Arena_dealloc(PyObject *self)
+{
+    Arena *A = (Arena *)self;
+    PyObject_GC_UnTrack(self);
+    Arena_clear(self);
+    for (int k = 0; k < N_ICOLS; k++)
+        PyMem_Free(A->ic[k]);
+    for (int k = 0; k < N_OCOLS; k++)
+        PyMem_Free(A->oc[k]);
+    for (Py_ssize_t s = 0; s < A->cap; s++) {
+        PyMem_Free(A->waiters[s].v);
+        PyMem_Free(A->parents[s].v);
+    }
+    PyMem_Free(A->waiters);
+    PyMem_Free(A->parents);
+    IVec *vecs[13] = {&A->free, &A->ready[0], &A->ready[1], &A->ready[2],
+                      &A->ev.pool, &A->ev.marks, &A->ev.over, &A->dt.pool,
+                      &A->dt.marks, &A->dt.over, &A->due, &A->wb_marks,
+                      &A->wb_over};
+    for (int k = 0; k < 13; k++)
+        PyMem_Free(vecs[k]->v);
+    PyMem_Free(A->ev.head);
+    PyMem_Free(A->dt.head);
+    PyMem_Free(A->wb_cnt);
+    for (Py_ssize_t i = 0; A->queues && i < 3 * A->n_threads; i++)
+        Py_XDECREF(A->queues[i]);
+    PyMem_Free(A->queues);
+    Py_TYPE(self)->tp_free(self);
+}
+
 /* ------------------------------------------------------------------ */
 /* run context (the fused loop's hoisted locals)                       */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
     PyObject *core;
+    Arena *A;               /* owned */
     /* hoisted, identity-stable objects (borrowed from slots) */
-    PyObject *ev_buckets, *ev_marks, *ev_over;
-    PyObject *dt_buckets, *dt_marks, *dt_over;
-    PyObject *wb_buckets, *wb_marks, *wb_over;
-    PyObject *ready_int, *ready_ldst, *ready_fp, *ready_by_op;
     PyObject *threads;
     PyObject *fetch_candidates;
-    PyObject *free_list;
-    PyObject *col_instr, *col_thread, *col_seq, *col_gseq, *col_packed,
-        *col_pending, *col_fe_ready, *col_flags, *col_refs, *col_waiter0,
-        *col_waiters, *col_old_map, *col_ll_parents, *col_pred_ll,
-        *col_fill_line, *col_level, *col_views;
     PyObject *on_ll_detect; /* owned: policy.on_ll_detect bound method */
     int olc_cleanup_only, ll_detect_is_base;
     /* immutable config scalars */
@@ -1162,62 +1467,42 @@ typedef struct {
 /* event-wheel pushes (issue/commit helpers)                           */
 /* ------------------------------------------------------------------ */
 
-/* Append `packed` to buckets[when & mask], arming the mark heap when
- * the bucket was empty — the in-horizon wheel push. */
-static int wheel_push(PyObject *buckets, PyObject *marks, long long mask,
-                      long long when, PyObject *packed)
+/* Push `packed` due at `when`: into its bucket (arming the mark heap
+ * when the bucket was empty) within the horizon, else the spill heap. */
+static int wheel_push(Wheel *w, long long mask, long long cycle,
+                      long long when, int64_t packed)
 {
-    Py_ssize_t idx = (Py_ssize_t)(when & mask);
-    PyObject *bucket = PyList_GET_ITEM(buckets, idx);
-    if (bucket != Py_None && PyList_GET_SIZE(bucket) > 0)
-        return PyList_Append(bucket, packed);
-    if (bucket == Py_None) {
-        PyObject *nb = PyList_New(1);
-        if (nb == NULL)
+    if (when - cycle > mask)
+        return heap_push(&w->over, when, packed, 2);
+    int64_t e = w->free_ent;
+    if (e >= 0) {
+        w->free_ent = w->pool.v[2 * e + 1];
+    } else {
+        if (ivec_reserve(&w->pool, (Py_ssize_t)w->pool.n + 2) < 0)
             return -1;
-        Py_INCREF(packed);
-        PyList_SET_ITEM(nb, 0, packed);
-        lset(buckets, idx, nb);
-    } else if (PyList_Append(bucket, packed) < 0) {
-        return -1;
+        e = w->pool.n / 2;
+        w->pool.n += 2;
     }
-    return heap_push_ll(marks, when);
-}
-
-/* heappush(over, (when, packed)) — the over-horizon spill. */
-static int over_push(PyObject *over, long long when, PyObject *packed)
-{
-    PyObject *w = box_ll(when);
-    if (w == NULL)
-        return -1;
-    PyObject *t = PyTuple_New(2);
-    if (t == NULL) {
-        Py_DECREF(w);
-        return -1;
-    }
-    PyTuple_SET_ITEM(t, 0, w);
-    Py_INCREF(packed);
-    PyTuple_SET_ITEM(t, 1, packed);
-    int rc = heap_push(over, t);
-    Py_DECREF(t);
-    return rc;
+    int32_t *head = &w->head[when & mask];
+    int was_empty = *head < 0;
+    w->pool.v[2 * e] = packed;
+    w->pool.v[2 * e + 1] = *head;
+    *head = (int32_t)e;
+    return was_empty ? heap_push(&w->marks, when, 0, 1) : 0;
 }
 
 /* SMTCore._schedule_wb_drain, transliterated (commit's store path). */
 static int schedule_wb_drain(Ctx *c, long long when, long long cycle)
 {
+    Arena *A = c->A;
     if (when <= cycle)
         when = cycle + 1;
     if (when - cycle <= c->mask) {
-        Py_ssize_t idx = (Py_ssize_t)(when & c->mask);
-        if (lget_ll(c->wb_buckets, idx) == 0) {
-            if (heap_push_ll(c->wb_marks, when) < 0)
-                return -1;
-        }
-        if (lset_ll(c->wb_buckets, idx,
-                    lget_ll(c->wb_buckets, idx) + 1) < 0)
+        int64_t *cnt = &A->wb_cnt[when & c->mask];
+        if (*cnt == 0 && heap_push(&A->wb_marks, when, 0, 1) < 0)
             return -1;
-    } else if (heap_push_ll(c->wb_over, when) < 0) {
+        *cnt += 1;
+    } else if (heap_push(&A->wb_over, when, 0, 1) < 0) {
         return -1;
     }
     return stat_add(c->core, OFF.wb_used, 1);
@@ -1227,336 +1512,178 @@ static int schedule_wb_drain(Ctx *c, long long when, long long cycle)
 /* stage: event drains (the two inline wheel drains of the fused loop) */
 /* ------------------------------------------------------------------ */
 
-static int drain_one_bucket_sort(PyObject *bucket)
+static int cmp_i64(const void *a, const void *b)
 {
-    Py_ssize_t n_due = PyList_GET_SIZE(bucket);
-    if (n_due == 2) {
-        PyObject *a = PyList_GET_ITEM(bucket, 0);
-        PyObject *b = PyList_GET_ITEM(bucket, 1);
-        if (ll_of(b) < ll_of(a)) { /* packed ints sort in age order */
-            PyList_SET_ITEM(bucket, 0, b);
-            PyList_SET_ITEM(bucket, 1, a);
-        }
-    } else if (n_due > 2) {
-        if (PyList_Sort(bucket) < 0)
-            return -1;
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The entries due at `cycle` (its bucket, emptied, and the due spills)
+ * in `due`, in age order, with the due marks dropped; NULL when nothing
+ * is due. */
+static IVec *wheel_due(Wheel *w, IVec *due, long long mask, long long cycle,
+                       int *err)
+{
+    int32_t *head = &w->head[cycle & mask];
+    if (*head < 0 && (w->over.n == 0 || w->over.v[0] > cycle))
+        return NULL;
+    due->n = 0;
+    for (int64_t e = *head; e >= 0; e = *head) {
+        if (ivec_push(due, w->pool.v[2 * e]) < 0)
+            goto fail;
+        *head = (int32_t)w->pool.v[2 * e + 1];
+        w->pool.v[2 * e + 1] = w->free_ent;
+        w->free_ent = e;
+    }
+    int64_t e[2];
+    while (w->over.n && w->over.v[0] <= cycle) {
+        heap_pop(&w->over, e, 2);
+        if (ivec_push(due, e[1]) < 0)
+            goto fail;
+    }
+    while (w->marks.n && w->marks.v[0] <= cycle)
+        heap_pop(&w->marks, e, 1);
+    if (due->n > 1)     /* packed stamps sort in age order */
+        qsort(due->v, (size_t)due->n, sizeof(int64_t), cmp_i64);
+    return due;
+fail:
+    *err = 1;
+    return NULL;
+}
+
+/* One completion's wake-up of waiter `w` (a packed stamp). */
+static int wake(Arena *A, int64_t w)
+{
+    Py_ssize_t ws = (Py_ssize_t)(w & SLOT_MASK);
+    if (!current(A, w))
+        return 0;
+    int64_t wfl = A->flags[ws];
+    if (wfl & F_FREED)
+        return 0;
+    if (--A->pending[ws] == 0 && !(wfl & F_NO_WAKE) && (wfl & F_IN_IQ)) {
+        long long op = slot_ll(A->instr[ws], OFF.in_op_i);
+        return heap_push(&A->ready[A->op_class[op]], w, 0, 1);
     }
     return 0;
 }
 
-static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
+/* Free a squashed or retired slot whose last engine reference just
+ * drained, unless a policy still owns its view. */
+static int free_unowned(Arena *A, Py_ssize_t s, int64_t fl, PyObject *ts)
+{
+    int owner = owned(A, s, ts);
+    if (owner < 0)
+        return -1;
+    return owner ? 0 : arena_free(A, s, fl);
+}
+
+/* hook(view of s, ts): the per-instruction policy hooks. */
+static int call_hook(Arena *A, PyObject *hook, Py_ssize_t s, PyObject *ts)
+{
+    PyObject *v = ensure_view(A, s);
+    if (v == NULL)
+        return -1;
+    PyObject *hargs[2] = {v, ts};
+    PyObject *r = PyObject_Vectorcall(hook, hargs, 2, NULL);
+    Py_DECREF(v);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+static int stage_drain(Ctx *c, long long cycle)
 {
     PyObject *core = c->core;
-    Py_ssize_t idx = (Py_ssize_t)(cycle & c->mask);
-    PyObject *bucket = PyList_GET_ITEM(c->ev_buckets, idx);
-    int due = (bucket != Py_None && PyList_GET_SIZE(bucket) > 0)
-        || (PyList_GET_SIZE(c->ev_over) > 0
-            && heap_min_key(c->ev_over) <= cycle);
+    Arena *A = c->A;
     PyObject *on_load_complete = SLOT(core, OFF.policy_on_load_complete);
-    if (due) {
-        /* completion loop */
-        if (bucket == Py_None) {
-            PyObject *nb = PyList_New(0);
-            if (nb == NULL)
+    int err = 0;
+    IVec *b = wheel_due(&A->ev, &A->due, c->mask, cycle, &err);
+    if (err)
+        return -1;
+    for (Py_ssize_t bi = 0; b != NULL && bi < b->n; bi++) {
+        int64_t packed = b->v[bi];
+        Py_ssize_t s = (Py_ssize_t)(packed & SLOT_MASK);
+        if (!current(A, packed))
+            continue; /* slot reclaimed and refetched */
+        int64_t fl = A->flags[s];
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, A->thread[s]);
+        if ((fl & F_IS_LOAD) && A->pending[s] == -1) {
+            if (stat_add(ts, OFF.ts_outstanding_misses, -1) < 0)
                 return -1;
-            lset(c->ev_buckets, idx, nb);
-            bucket = nb; /* borrowed: the bucket list owns it */
+            A->pending[s] = 0;
         }
-        while (PyList_GET_SIZE(c->ev_over) > 0
-               && heap_min_key(c->ev_over) <= cycle) {
-            PyObject *pair = heap_pop(c->ev_over);
-            if (pair == NULL)
+        if (fl & F_SQUASHED) {
+            if (!(fl & (F_FREED | F_IN_DETECTS)) && A->refs[s] == 0
+                && A->pending[s] == 0 && free_unowned(A, s, fl, ts) < 0)
                 return -1;
-            int rc = PyList_Append(bucket, PyTuple_GET_ITEM(pair, 1));
-            Py_DECREF(pair);
-            if (rc < 0)
-                return -1;
+            continue;
         }
-        while (PyList_GET_SIZE(c->ev_marks) > 0
-               && heap_min_key(c->ev_marks) <= cycle) {
-            if (heap_pop_drop(c->ev_marks) < 0)
-                return -1;
-        }
-        if (drain_one_bucket_sort(bucket) < 0)
+        A->flags[s] = fl |= F_COMPLETED;
+        SlotSeq *window = seq_of(ts, OFF.ts_window);
+        if (window == NULL)
             return -1;
-        for (Py_ssize_t bi = 0; bi < PyList_GET_SIZE(bucket); bi++) {
-            long long packed = ll_of(PyList_GET_ITEM(bucket, bi));
-            Py_ssize_t s = (Py_ssize_t)(packed & SLOT_MASK);
-            if (lget_ll(c->col_packed, s) != packed)
-                continue; /* slot reclaimed and refetched */
-            long long fl = lget_ll(c->col_flags, s);
-            PyObject *ts = PyTuple_GET_ITEM(
-                c->threads, (Py_ssize_t)lget_ll(c->col_thread, s));
-            if ((fl & F_IS_LOAD) && lget_ll(c->col_pending, s) == -1) {
-                if (stat_add(ts, OFF.ts_outstanding_misses, -1) < 0)
-                    return -1;
-                if (lset_ll(c->col_pending, s, 0) < 0)
-                    return -1;
-            }
-            if (fl & F_SQUASHED) {
-                if (!(fl & (F_FREED | F_IN_DETECTS))
-                    && lget_ll(c->col_refs, s) == 0
-                    && lget_ll(c->col_pending, s) == 0) {
-                    PyObject *v = PyList_GET_ITEM(c->col_views, s);
-                    int owner = 0;
-                    if (v != Py_None) {
-                        owner = PyDict_Contains(
-                            SLOT(ts, OFF.ts_ll_owners), v);
-                        if (owner < 0)
-                            return -1;
-                    }
-                    if (v == Py_None || !owner) {
-                        if (lset_ll(c->col_waiter0, s, -1) < 0)
-                            return -1;
-                        Py_INCREF(Py_None);
-                        lset(c->col_waiters, s, Py_None);
-                        if (lset_ll(c->col_old_map, s, -1) < 0)
-                            return -1;
-                        Py_INCREF(Py_None);
-                        lset(c->col_fill_line, s, Py_None);
-                        Py_INCREF(Py_None);
-                        lset(c->col_views, s, Py_None);
-                        if (lset_ll(c->col_flags, s, fl | F_FREED) < 0)
-                            return -1;
-                        PyObject *sb = box_ll(s);
-                        if (sb == NULL)
-                            return -1;
-                        int rc = PyList_Append(c->free_list, sb);
-                        Py_DECREF(sb);
-                        if (rc < 0)
-                            return -1;
-                    }
-                }
-                continue;
-            }
-            fl |= F_COMPLETED;
-            if (lset_ll(c->col_flags, s, fl) < 0)
+        if (window->n > 0 && SQ_AT(window, 0) == s) {
+            slot_store_bool(ts, OFF.ts_head_ready, 1);
+            if (slot_store_ll(core, OFF.heads_mask,
+                              slot_ll(core, OFF.heads_mask)
+                              | slot_ll(ts, OFF.ts_tid_bit)) < 0)
                 return -1;
-            PyObject *window = SLOT(ts, OFF.ts_window);
-            Py_ssize_t wlen = deq_len(window);
-            if (wlen < 0)
+            slot_store_bool(core, OFF.commit_pending, 1);
+        }
+        int64_t w0 = A->waiter0[s];
+        if (w0 >= 0) {
+            A->waiter0[s] = -1;
+            if (wake(A, w0) < 0)
                 return -1;
-            if (wlen > 0 && deq_peek0_ll(window) == s) {
-                slot_store_bool(ts, OFF.ts_head_ready, 1);
-                if (slot_store_ll(core, OFF.heads_mask,
-                                  slot_ll(core, OFF.heads_mask)
-                                  | slot_ll(ts, OFF.ts_tid_bit)) < 0)
+            IVec *wl = &A->waiters[s];
+            for (Py_ssize_t wi = 0; wi < wl->n; wi++)
+                if (wake(A, wl->v[wi]) < 0)
                     return -1;
-                slot_store_bool(core, OFF.commit_pending, 1);
-            }
-            PyObject *w0_obj = PyList_GET_ITEM(c->col_waiter0, s);
-            long long w0 = ll_of(w0_obj);
-            if (w0 >= 0) {
-                Py_INCREF(w0_obj);
-                if (lset_ll(c->col_waiter0, s, -1) < 0) {
-                    Py_DECREF(w0_obj);
+            wl->n = 0;
+        }
+        if ((fl & F_IS_BRANCH)) {
+            PyObject *wb = SLOT(ts, OFF.ts_waiting_branch);
+            if (wb != Py_None && ll_of(wb) == s) {
+                Py_INCREF(Py_None);
+                slot_store(ts, OFF.ts_waiting_branch, Py_None);
+                PyObject *st = SLOT(ts, OFF.ts_stats);
+                if (stat_add(st, OFF.st_branch_stall_cycles,
+                             cycle - slot_ll(
+                                 ts, OFF.ts_branch_wait_since)) < 0)
                     return -1;
-                }
-                Py_ssize_t ws = (Py_ssize_t)(w0 & SLOT_MASK);
-                if (lget_ll(c->col_packed, ws) == w0) {
-                    long long wfl = lget_ll(c->col_flags, ws);
-                    if (!(wfl & F_FREED)) {
-                        long long p = lget_ll(c->col_pending, ws) - 1;
-                        if (lset_ll(c->col_pending, ws, p) < 0) {
-                            Py_DECREF(w0_obj);
-                            return -1;
-                        }
-                        if (p == 0 && !(wfl & F_NO_WAKE)
-                            && (wfl & F_IN_IQ)) {
-                            PyObject *instr =
-                                PyList_GET_ITEM(c->col_instr, ws);
-                            PyObject *q = PyTuple_GET_ITEM(
-                                c->ready_by_op,
-                                (Py_ssize_t)slot_ll(instr, OFF.in_op_i));
-                            if (heap_push(q, w0_obj) < 0) {
-                                Py_DECREF(w0_obj);
-                                return -1;
-                            }
-                        }
-                    }
-                }
-                Py_DECREF(w0_obj);
-                PyObject *wl = PyList_GET_ITEM(c->col_waiters, s);
-                if (wl != Py_None) {
-                    Py_INCREF(wl);
-                    Py_INCREF(Py_None);
-                    lset(c->col_waiters, s, Py_None);
-                    for (Py_ssize_t wi = 0; wi < PyList_GET_SIZE(wl);
-                         wi++) {
-                        PyObject *w_obj = PyList_GET_ITEM(wl, wi);
-                        long long w = ll_of(w_obj);
-                        Py_ssize_t ws2 = (Py_ssize_t)(w & SLOT_MASK);
-                        if (lget_ll(c->col_packed, ws2) != w)
-                            continue;
-                        long long wfl = lget_ll(c->col_flags, ws2);
-                        if (wfl & F_FREED)
-                            continue;
-                        long long p = lget_ll(c->col_pending, ws2) - 1;
-                        if (lset_ll(c->col_pending, ws2, p) < 0) {
-                            Py_DECREF(wl);
-                            return -1;
-                        }
-                        if (p == 0 && !(wfl & F_NO_WAKE)
-                            && (wfl & F_IN_IQ)) {
-                            PyObject *instr =
-                                PyList_GET_ITEM(c->col_instr, ws2);
-                            PyObject *q = PyTuple_GET_ITEM(
-                                c->ready_by_op,
-                                (Py_ssize_t)slot_ll(instr, OFF.in_op_i));
-                            if (heap_push(q, w_obj) < 0) {
-                                Py_DECREF(wl);
-                                return -1;
-                            }
-                        }
-                    }
-                    Py_DECREF(wl);
-                }
-            }
-            if ((fl & F_IS_BRANCH)) {
-                PyObject *wb = SLOT(ts, OFF.ts_waiting_branch);
-                if (wb != Py_None && ll_of(wb) == s) {
-                    Py_INCREF(Py_None);
-                    slot_store(ts, OFF.ts_waiting_branch, Py_None);
-                    PyObject *st = SLOT(ts, OFF.ts_stats);
-                    if (stat_add(st, OFF.st_branch_stall_cycles,
-                                 cycle - slot_ll(
-                                     ts, OFF.ts_branch_wait_since)) < 0)
-                        return -1;
-                    if (slot_ll(ts, OFF.ts_fetch_blocked_until)
-                        < cycle + 1) {
-                        if (slot_store_ll(ts, OFF.ts_fetch_blocked_until,
-                                          cycle + 1) < 0)
-                            return -1;
-                    }
-                    if (slot_store_ll(core, OFF.fetch_wake, 0) < 0)
-                        return -1;
-                }
-            }
-            if ((fl & F_IS_LOAD) && on_load_complete != Py_None) {
-                PyObject *v = PyList_GET_ITEM(c->col_views, s);
-                if (v != Py_None) {
-                    Py_INCREF(v);
-                    PyObject *args[2] = {v, ts};
-                    PyObject *r = PyObject_Vectorcall(on_load_complete,
-                                                      args, 2, NULL);
-                    Py_DECREF(v);
-                    if (r == NULL)
-                        return -1;
-                    Py_DECREF(r);
-                } else if (!c->olc_cleanup_only) {
-                    PyObject *nv = ensure_view(core, c->col_views,
-                                               c->col_gseq, s);
-                    if (nv == NULL)
-                        return -1;
-                    PyObject *args[2] = {nv, ts};
-                    PyObject *r = PyObject_Vectorcall(on_load_complete,
-                                                      args, 2, NULL);
-                    Py_DECREF(nv);
-                    if (r == NULL)
-                        return -1;
-                    Py_DECREF(r);
-                }
+                if ((slot_ll(ts, OFF.ts_fetch_blocked_until) < cycle + 1
+                     && slot_store_ll(ts, OFF.ts_fetch_blocked_until,
+                                      cycle + 1) < 0)
+                    || slot_store_ll(core, OFF.fetch_wake, 0) < 0)
+                    return -1;
             }
         }
-        if (PyList_SetSlice(bucket, 0, PY_SSIZE_T_MAX, NULL) < 0)
+        if ((fl & F_IS_LOAD) && on_load_complete != Py_None
+            && (A->views[s] != NULL || !c->olc_cleanup_only)
+            && call_hook(A, on_load_complete, s, ts) < 0)
             return -1;
     }
     /* detection wheel */
-    bucket = PyList_GET_ITEM(c->dt_buckets, idx);
-    due = (bucket != Py_None && PyList_GET_SIZE(bucket) > 0)
-        || (PyList_GET_SIZE(c->dt_over) > 0
-            && heap_min_key(c->dt_over) <= cycle);
-    if (due) {
-        if (bucket == Py_None) {
-            PyObject *nb = PyList_New(0);
-            if (nb == NULL)
+    b = wheel_due(&A->dt, &A->due, c->mask, cycle, &err);
+    if (err)
+        return -1;
+    for (Py_ssize_t bi = 0; b != NULL && bi < b->n; bi++) {
+        /* F_IN_DETECTS pins the slot: no generation check. */
+        Py_ssize_t s = (Py_ssize_t)(b->v[bi] & SLOT_MASK);
+        int64_t fl = A->flags[s] &= ~F_IN_DETECTS;
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, A->thread[s]);
+        if (fl & (F_SQUASHED | F_COMPLETED)) {
+            if ((fl & (F_SQUASHED | F_RETIRED)) && !(fl & F_FREED)
+                && A->refs[s] == 0 && A->pending[s] != -1
+                && free_unowned(A, s, fl, ts) < 0)
                 return -1;
-            lset(c->dt_buckets, idx, nb);
-            bucket = nb;
+            continue;
         }
-        while (PyList_GET_SIZE(c->dt_over) > 0
-               && heap_min_key(c->dt_over) <= cycle) {
-            PyObject *pair = heap_pop(c->dt_over);
-            if (pair == NULL)
-                return -1;
-            int rc = PyList_Append(bucket, PyTuple_GET_ITEM(pair, 1));
-            Py_DECREF(pair);
-            if (rc < 0)
-                return -1;
-        }
-        while (PyList_GET_SIZE(c->dt_marks) > 0
-               && heap_min_key(c->dt_marks) <= cycle) {
-            if (heap_pop_drop(c->dt_marks) < 0)
-                return -1;
-        }
-        if (drain_one_bucket_sort(bucket) < 0)
-            return -1;
-        for (Py_ssize_t bi = 0; bi < PyList_GET_SIZE(bucket); bi++) {
-            /* F_IN_DETECTS pins the slot: no generation check. */
-            long long packed = ll_of(PyList_GET_ITEM(bucket, bi));
-            Py_ssize_t s = (Py_ssize_t)(packed & SLOT_MASK);
-            long long fl = lget_ll(c->col_flags, s) & ~F_IN_DETECTS;
-            if (lset_ll(c->col_flags, s, fl) < 0)
-                return -1;
-            if (fl & (F_SQUASHED | F_COMPLETED)) {
-                if ((fl & (F_SQUASHED | F_RETIRED)) && !(fl & F_FREED)
-                    && lget_ll(c->col_refs, s) == 0
-                    && lget_ll(c->col_pending, s) != -1) {
-                    PyObject *ts = PyTuple_GET_ITEM(
-                        c->threads,
-                        (Py_ssize_t)lget_ll(c->col_thread, s));
-                    PyObject *v = PyList_GET_ITEM(c->col_views, s);
-                    int owner = 0;
-                    if (v != Py_None) {
-                        owner = PyDict_Contains(
-                            SLOT(ts, OFF.ts_ll_owners), v);
-                        if (owner < 0)
-                            return -1;
-                    }
-                    if (v == Py_None || !owner) {
-                        if (lset_ll(c->col_waiter0, s, -1) < 0)
-                            return -1;
-                        Py_INCREF(Py_None);
-                        lset(c->col_waiters, s, Py_None);
-                        if (lset_ll(c->col_old_map, s, -1) < 0)
-                            return -1;
-                        Py_INCREF(Py_None);
-                        lset(c->col_fill_line, s, Py_None);
-                        Py_INCREF(Py_None);
-                        lset(c->col_views, s, Py_None);
-                        if (lset_ll(c->col_flags, s, fl | F_FREED) < 0)
-                            return -1;
-                        PyObject *sb = box_ll(s);
-                        if (sb == NULL)
-                            return -1;
-                        int rc = PyList_Append(c->free_list, sb);
-                        Py_DECREF(sb);
-                        if (rc < 0)
-                            return -1;
-                    }
-                }
-                continue;
-            }
-            if (!c->ll_detect_is_base) {
-                PyObject *v = ensure_view(core, c->col_views,
-                                          c->col_gseq, s);
-                if (v == NULL)
-                    return -1;
-                PyObject *ts = PyTuple_GET_ITEM(
-                    c->threads, (Py_ssize_t)lget_ll(c->col_thread, s));
-                PyObject *args[2] = {v, ts};
-                PyObject *r = PyObject_Vectorcall(c->on_ll_detect, args,
-                                                  2, NULL);
-                Py_DECREF(v);
-                if (r == NULL)
-                    return -1;
-                Py_DECREF(r);
-            }
-        }
-        if (PyList_SetSlice(bucket, 0, PY_SSIZE_T_MAX, NULL) < 0)
+        if (!c->ll_detect_is_base
+            && call_hook(A, c->on_ll_detect, s, ts) < 0)
             return -1;
     }
-    (void)cycle_obj;
     return 0;
 }
 
@@ -1564,77 +1691,90 @@ static int stage_drain(Ctx *c, long long cycle, PyObject *cycle_obj)
 /* stage: commit                                                       */
 /* ------------------------------------------------------------------ */
 
-/* Try to free slot `p` after its ref count hit zero at retire time
- * (the parents / old_map decrement paths of commit). */
-static int commit_try_free(Ctx *c, long long p, PyObject *ll_owners)
+/* hierarchy.load (demand) or .store of instr at `when`, the L1/TLB hit
+ * path in C: sets *done (and, on a hit, *detect); *result is the
+ * AccessResult when Python ran (a new reference), else NULL. */
+static int data_access(Ctx *c, PyObject *ts, PyObject *instr, long long when,
+                       int demand, long long *done, long long *detect,
+                       PyObject **result)
 {
-    long long pfl = lget_ll(c->col_flags, p);
-    if (!(pfl & F_RETIRED) || (pfl & (F_IN_DETECTS | F_FREED)))
-        return 0;
-    PyObject *v = PyList_GET_ITEM(c->col_views, p);
-    if (v != Py_None) {
-        int owner = PyDict_Contains(ll_owners, v);
-        if (owner < 0)
-            return -1;
-        if (owner)
-            return 0;
-    }
-    Py_INCREF(Py_None);
-    lset(c->col_fill_line, p, Py_None);
-    Py_INCREF(Py_None);
-    lset(c->col_views, p, Py_None);
-    if (lset_ll(c->col_flags, p, pfl | F_FREED) < 0)
+    *result = NULL;
+    int hit = mem_fast_data(&c->mf, SLOT(instr, OFF.in_pc),
+                            SLOT(instr, OFF.in_addr), when, demand, done,
+                            detect);
+    if (hit)
+        return hit < 0 ? -1 : 0;
+    PyObject *when_obj = box_ll(when);
+    if (when_obj == NULL)
         return -1;
-    PyObject *pb = box_ll(p);
-    if (pb == NULL)
+    PyObject *args[4] = {SLOT(ts, OFF.ts_tid), SLOT(instr, OFF.in_pc),
+                         SLOT(instr, OFF.in_addr), when_obj};
+    *result = PyObject_Vectorcall(
+        SLOT(c->core, demand ? OFF.hier_load : OFF.hier_store), args, 4,
+        NULL);
+    Py_DECREF(when_obj);
+    if (*result == NULL)
         return -1;
-    int rc = PyList_Append(c->free_list, pb);
-    Py_DECREF(pb);
-    return rc;
+    *done = slot_ll(*result, OFF.ar_complete_cycle);
+    return 0;
 }
 
-static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
+/* Drop one reference to slot p at retire time (the parents / old_map
+ * decrement paths of commit); free it if that was the last. */
+static int commit_unref(Ctx *c, Py_ssize_t p, PyObject *ts)
+{
+    Arena *A = c->A;
+    if (--A->refs[p])
+        return 0;
+    int64_t pfl = A->flags[p];
+    if (!(pfl & F_RETIRED) || (pfl & (F_IN_DETECTS | F_FREED)))
+        return 0;
+    return free_unowned(A, p, pfl, ts);
+}
+
+/* The rotation order of `threads` starting at `rot`, filtered through
+ * `mask` via the core's lazily built cache (borrowed). */
+static PyObject *rotation(Ctx *c, Py_ssize_t rot, long long mask, int full)
+{
+    PyObject *rot_cache = SLOT(c->core, OFF.rot_cache);
+    PyObject *rotations = SLOT(c->core, OFF.rotations);
+    if (rot_cache == Py_None || full)
+        return seq_item(rotations, rot);
+    Py_ssize_t key = (Py_ssize_t)(mask * c->n_threads) + rot;
+    PyObject *order = PyList_GET_ITEM(rot_cache, key);
+    if (order != Py_None)
+        return order;
+    PyObject *all = seq_item(rotations, rot);
+    Py_ssize_t rn = seq_size(all);
+    PyObject *lst = PyList_New(0);
+    if (lst == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < rn; i++) {
+        PyObject *ts = seq_item(all, i);
+        if (((mask >> slot_ll(ts, OFF.ts_tid)) & 1)
+            && PyList_Append(lst, ts) < 0) {
+            Py_DECREF(lst);
+            return NULL;
+        }
+    }
+    PyObject *tup = PyList_AsTuple(lst);
+    Py_DECREF(lst);
+    if (tup != NULL)
+        lset(rot_cache, key, tup);      /* the cache owns it now */
+    return tup;
+}
+
+static int stage_commit(Ctx *c, long long cycle)
 {
     PyObject *core = c->core;
+    Arena *A = c->A;
     long long n = c->n_threads;
     long long budget = c->commit_width;
     long long heads_mask = slot_ll(core, OFF.heads_mask);
-    PyObject *order;
-    if (n == 1) {
-        order = c->threads;
-    } else {
-        PyObject *rot_cache = SLOT(core, OFF.rot_cache);
-        PyObject *rotations = SLOT(core, OFF.rotations);
-        Py_ssize_t rot = (Py_ssize_t)(cycle % n);
-        if (rot_cache == Py_None) {
-            order = seq_item(rotations, rot);
-        } else {
-            Py_ssize_t key = (Py_ssize_t)(heads_mask * n) + rot;
-            order = PyList_GET_ITEM(rot_cache, key);
-            if (order == Py_None) {
-                PyObject *full = seq_item(rotations, rot);
-                Py_ssize_t rn = seq_size(full);
-                PyObject *lst = PyList_New(0);
-                if (lst == NULL)
-                    return -1;
-                for (Py_ssize_t i = 0; i < rn; i++) {
-                    PyObject *ts = seq_item(full, i);
-                    if ((heads_mask >> slot_ll(ts, OFF.ts_tid)) & 1) {
-                        if (PyList_Append(lst, ts) < 0) {
-                            Py_DECREF(lst);
-                            return -1;
-                        }
-                    }
-                }
-                PyObject *tup = PyList_AsTuple(lst);
-                Py_DECREF(lst);
-                if (tup == NULL)
-                    return -1;
-                lset(rot_cache, key, tup);      /* cache owns it now */
-                order = tup;
-            }
-        }
-    }
+    PyObject *order = n == 1 ? c->threads
+        : rotation(c, (Py_ssize_t)(cycle % n), heads_mask, 0);
+    if (order == NULL)
+        return -1;
     long long rob_used = slot_ll(core, OFF.rob_used);
     long long lsq_used = slot_ll(core, OFF.lsq_used);
     long long int_regs_used = slot_ll(core, OFF.int_regs_used);
@@ -1650,46 +1790,26 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
                 break;
             if (!slot_true(ts, OFF.ts_head_ready))
                 continue;
-            PyObject *window = SLOT(ts, OFF.ts_window);
-            long long s = deq_peek0_ll(window);
-            if (s < 0)
+            SlotSeq *window = seq_of(ts, OFF.ts_window);
+            if (window == NULL)
                 return -1;
-            long long fl = lget_ll(c->col_flags, s);
-            PyObject *instr = PyList_GET_ITEM(c->col_instr, s);
+            Py_ssize_t s = (Py_ssize_t)SQ_AT(window, 0);
+            int64_t fl = A->flags[s];
+            PyObject *instr = A->instr[s];
             if (fl & F_IS_STORE) {
                 if (slot_ll(core, OFF.wb_used) >= c->wb_entries)
                     continue;
                 long long when, detect;
-                int hit = mem_fast_data(&c->mf, SLOT(instr, OFF.in_pc),
-                                        SLOT(instr, OFF.in_addr), cycle, 0,
-                                        &when, &detect);
-                if (hit < 0)
+                PyObject *result;
+                if (data_access(c, ts, instr, cycle, 0, &when, &detect,
+                                &result) < 0)
                     return -1;
-                if (!hit) {
-                    PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
-                                         SLOT(instr, OFF.in_pc),
-                                         SLOT(instr, OFF.in_addr),
-                                         cycle_obj};
-                    PyObject *result = PyObject_Vectorcall(
-                        SLOT(core, OFF.hier_store), args, 4, NULL);
-                    if (result == NULL)
-                        return -1;
-                    when = slot_ll(result, OFF.ar_complete_cycle);
-                    Py_DECREF(result);
-                }
+                Py_XDECREF(result);
                 if (schedule_wb_drain(c, when, cycle) < 0)
                     return -1;
             }
-            if (deq_popleft_drop(window) < 0)
-                return -1;
-            int next_ready = 0;
-            if (deq_len(window) > 0) {
-                long long h = deq_peek0_ll(window);
-                if (h < 0)
-                    return -1;
-                next_ready = (lget_ll(c->col_flags, h) & F_COMPLETED) != 0;
-            }
-            if (!next_ready) {
+            sq_pop_front(window);
+            if (!window->n || !(A->flags[SQ_AT(window, 0)] & F_COMPLETED)) {
                 slot_store_bool(ts, OFF.ts_head_ready, 0);
                 heads_mask &= ~slot_ll(ts, OFF.ts_tid_bit);
             }
@@ -1718,62 +1838,33 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
                 lsq_used -= 1;
             }
             if (fl & F_HAS_DEST) {
-                if (fl & F_DEST_FP) {
-                    if (stat_add(ts, OFF.ts_fp_regs, -1) < 0)
-                        return -1;
-                    fp_regs_used -= 1;
-                } else {
-                    if (stat_add(ts, OFF.ts_int_regs, -1) < 0)
-                        return -1;
-                    int_regs_used -= 1;
-                }
+                int fp = (fl & F_DEST_FP) != 0;
+                if (stat_add(ts, fp ? OFF.ts_fp_regs : OFF.ts_int_regs,
+                             -1) < 0)
+                    return -1;
+                *(fp ? &fp_regs_used : &int_regs_used) -= 1;
             }
             int dependent = 0;
-            PyObject *parents = PyList_GET_ITEM(c->col_ll_parents, s);
-            if (parents != Py_None) {
-                Py_INCREF(parents);
-                Py_INCREF(Py_None);
-                lset(c->col_ll_parents, s, Py_None);
-                PyObject *ll_owners = SLOT(ts, OFF.ts_ll_owners);
-                Py_ssize_t pn = PyTuple_GET_SIZE(parents);
-                for (Py_ssize_t i = 0; i < pn; i++) {
-                    long long p = ll_of(PyTuple_GET_ITEM(parents, i));
-                    if (lget_ll(c->col_flags, p)
-                            & (F_IS_LL | F_LL_DEP)) {
-                        dependent = 1;
-                        break;
-                    }
-                }
-                if (dependent) {
-                    fl |= F_LL_DEP;
-                    if (lset_ll(c->col_flags, s, fl) < 0) {
-                        Py_DECREF(parents);
+            Py_ssize_t pn = A->parents[s].n;
+            if (pn) {
+                int64_t parents[MAX_SRCS];
+                memcpy(parents, A->parents[s].v, pn * sizeof(int64_t));
+                A->parents[s].n = 0;
+                for (Py_ssize_t i = 0; i < pn && !dependent; i++)
+                    dependent = (A->flags[parents[i]]
+                                 & (F_IS_LL | F_LL_DEP)) != 0;
+                if (dependent)
+                    A->flags[s] = fl |= F_LL_DEP;
+                for (Py_ssize_t i = 0; i < pn; i++)
+                    if (commit_unref(c, parents[i], ts) < 0)
                         return -1;
-                    }
-                }
-                for (Py_ssize_t i = 0; i < pn; i++) {
-                    long long p = ll_of(PyTuple_GET_ITEM(parents, i));
-                    long long r = lget_ll(c->col_refs, p) - 1;
-                    if (lset_ll(c->col_refs, p, r) < 0) {
-                        Py_DECREF(parents);
-                        return -1;
-                    }
-                    if (r == 0 && commit_try_free(c, p, ll_owners) < 0) {
-                        Py_DECREF(parents);
-                        return -1;
-                    }
-                }
-                Py_DECREF(parents);
             }
             /* F_IS_LL implies F_IS_LOAD (set only in the issue load
              * body), matching the object engine's two-flag test. */
             if (fl & F_IS_LL) {
-                long long z = slot_ll(ts, OFF.ts_llsr_zeros);
-                if (z) {
-                    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
-                        || llsr_commit_zeros(ts, z) < 0)
-                        return -1;
-                }
+                if (llsr_commit_zeros(ts, slot_ll(ts, OFF.ts_llsr_zeros))
+                    < 0)
+                    return -1;
                 PyObject *args[3] = {Py_True, SLOT(instr, OFF.in_pc),
                                      dependent ? Py_True : Py_False};
                 PyObject *r = PyObject_Vectorcall(
@@ -1784,46 +1875,23 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
             } else if (stat_add(ts, OFF.ts_llsr_zeros, 1) < 0) {
                 return -1;
             }
-            long long old = lget_ll(c->col_old_map, s);
+            int64_t old = A->old_map[s];
             if (old >= 0) {
-                if (lset_ll(c->col_old_map, s, -1) < 0)
-                    return -1;
-                long long r = lget_ll(c->col_refs, old) - 1;
-                if (lset_ll(c->col_refs, old, r) < 0)
-                    return -1;
-                if (r == 0
-                    && commit_try_free(c, old,
-                                       SLOT(ts, OFF.ts_ll_owners)) < 0)
+                A->old_map[s] = -1;
+                if (commit_unref(c, old, ts) < 0)
                     return -1;
             }
-            int freed = 0;
-            if (lget_ll(c->col_refs, s) == 0 && !(fl & F_IN_DETECTS)) {
-                PyObject *v = PyList_GET_ITEM(c->col_views, s);
-                int owner = 0;
-                if (v != Py_None) {
-                    owner = PyDict_Contains(SLOT(ts, OFF.ts_ll_owners), v);
-                    if (owner < 0)
-                        return -1;
-                }
-                if (v == Py_None || !owner) {
-                    Py_INCREF(Py_None);
-                    lset(c->col_fill_line, s, Py_None);
-                    Py_INCREF(Py_None);
-                    lset(c->col_views, s, Py_None);
-                    PyObject *sb = box_ll(s);
-                    if (sb == NULL)
-                        return -1;
-                    int rc = PyList_Append(c->free_list, sb);
-                    Py_DECREF(sb);
-                    if (rc < 0)
-                        return -1;
-                    freed = 1;
-                }
-            }
-            /* one merged store boxes a single result int */
-            if (lset_ll(c->col_flags, s,
-                        fl | (freed ? F_RETIRED_FREED : F_RETIRED)) < 0)
+            fl |= F_RETIRED;
+            int owner = 0;
+            if (A->refs[s] == 0 && !(fl & F_IN_DETECTS)
+                && (owner = owned(A, s, ts)) == 0) {
+                if (arena_free(A, s, fl) < 0)
+                    return -1;
+            } else if (owner < 0) {
                 return -1;
+            } else {
+                A->flags[s] = fl;
+            }
             budget -= 1;
             progress = 1;
         }
@@ -1833,12 +1901,8 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
     if (budget < c->commit_width) {   /* at least one retire happened */
         for (Py_ssize_t oi = 0; oi < order_n; oi++) {
             PyObject *ts = seq_item(order, oi);
-            long long z = slot_ll(ts, OFF.ts_llsr_zeros);
-            if (z) {
-                if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0
-                    || llsr_commit_zeros(ts, z) < 0)
-                    return -1;
-            }
+            if (llsr_commit_zeros(ts, slot_ll(ts, OFF.ts_llsr_zeros)) < 0)
+                return -1;
         }
         if (slot_store_ll(core, OFF.committed_watermark, watermark) < 0
             || stat_add(core, OFF.release_epoch, 1) < 0
@@ -1857,242 +1921,158 @@ static int stage_commit(Ctx *c, long long cycle, PyObject *cycle_obj)
 /* stage: issue (with _execute's two branches inlined)                */
 /* ------------------------------------------------------------------ */
 
-/* The int/fp queues share one body: dequeue bookkeeping plus a fixed
- * cycle+latency completion (always in-horizon). */
-static int issue_simple_queue(Ctx *c, PyObject *queue, long long slots,
-                              Py_ssize_t used_off, long long cycle,
-                              int *issued)
+/* Pop the oldest live, unissued entry of `queue` and take it out of
+ * its issue queue; returns its slot, or -1 once the queue runs dry
+ * (-2 on error). */
+static Py_ssize_t issue_pop(Ctx *c, IVec *queue, int64_t *packed,
+                            int64_t *flp, PyObject **tsp)
 {
-    while (PyList_GET_SIZE(queue) > 0 && slots > 0) {
-        PyObject *packed_obj = heap_pop(queue);
-        if (packed_obj == NULL)
-            return -1;
-        long long packed = ll_of(packed_obj);
-        Py_ssize_t s = (Py_ssize_t)(packed & SLOT_MASK);
-        if (lget_ll(c->col_packed, s) != packed) {
-            Py_DECREF(packed_obj);
+    Arena *A = c->A;
+    while (queue->n > 0) {
+        heap_pop(queue, packed, 1);
+        Py_ssize_t s = (Py_ssize_t)(*packed & SLOT_MASK);
+        if (!current(A, *packed))
             continue;
-        }
-        long long fl = lget_ll(c->col_flags, s);
-        if (fl & F_DEAD_OR_DONE) {
-            Py_DECREF(packed_obj);
+        int64_t fl = A->flags[s];
+        if (fl & F_DEAD_OR_DONE)
             continue;
-        }
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, A->thread[s]);
         if (fl & F_IN_IQ) {
-            PyObject *ts = PyTuple_GET_ITEM(
-                c->threads, (Py_ssize_t)lget_ll(c->col_thread, s));
-            if (fl & F_IQ_FP) {
-                if (stat_add(ts, OFF.ts_fq_count, -1) < 0
-                    || stat_add(c->core, OFF.fq_used, -1) < 0)
-                    goto err;
-            } else {
-                if (stat_add(ts, OFF.ts_iq_count, -1) < 0
-                    || stat_add(c->core, OFF.iq_used, -1) < 0)
-                    goto err;
-            }
-            if (stat_add(ts, OFF.ts_icount, -1) < 0)
-                goto err;
+            int fp = (fl & F_IQ_FP) != 0;
+            if (stat_add(ts, fp ? OFF.ts_fq_count : OFF.ts_iq_count, -1) < 0
+                || stat_add(c->core, fp ? OFF.fq_used : OFF.iq_used, -1) < 0
+                || stat_add(ts, OFF.ts_icount, -1) < 0)
+                return -2;
             fl &= ~F_IN_IQ;
         }
-        if (lset_ll(c->col_flags, s, fl | F_ISSUED) < 0)
-            goto err;
-        long long completion = cycle
-            + slot_ll(PyList_GET_ITEM(c->col_instr, s), OFF.in_latency);
-        /* always in-horizon (latency <= 4) */
-        if (wheel_push(c->ev_buckets, c->ev_marks, c->mask, completion,
-                       packed_obj) < 0)
-            goto err;
-        slots -= 1;
-        *issued = 1;
-        Py_DECREF(packed_obj);
-        continue;
-    err:
-        Py_DECREF(packed_obj);
-        return -1;
+        *flp = fl | F_ISSUED;
+        *tsp = ts;
+        return s;
     }
-    (void)used_off;
+    return -1;
+}
+
+/* The int/fp queues share one body: dequeue bookkeeping plus a fixed
+ * cycle+latency completion (always in-horizon: latency <= 4). */
+static int issue_simple_queue(Ctx *c, IVec *queue, long long slots,
+                              long long cycle, int *issued)
+{
+    Arena *A = c->A;
+    for (; slots > 0; slots--) {
+        int64_t packed, fl;
+        PyObject *ts;
+        Py_ssize_t s = issue_pop(c, queue, &packed, &fl, &ts);
+        if (s < 0)
+            return s == -1 ? 0 : -1;
+        A->flags[s] = fl;
+        if (wheel_push(&A->ev, c->mask, cycle,
+                       cycle + slot_ll(A->instr[s], OFF.in_latency),
+                       packed) < 0)
+            return -1;
+        *issued = 1;
+    }
     return 0;
 }
 
-static int stage_issue(Ctx *c, long long cycle, PyObject *cycle_obj)
+/* _execute's load body, columnized: an L1/TLB hit is resolved in C,
+ * anything else by hierarchy.load. */
+static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
+                      PyObject *ts, long long cycle)
 {
-    int issued = 0;
-    if (PyList_GET_SIZE(c->ready_int) > 0
-        && issue_simple_queue(c, c->ready_int, c->num_int_alu,
-                              OFF.iq_used, cycle, &issued) < 0)
+    Arena *A = c->A;
+    PyObject *instr = A->instr[s];
+    long long when = cycle + slot_ll(instr, OFF.in_latency);
+    long long completion, detect = 0;
+    PyObject *result;
+    int is_ll = 0, trigger = 0, rc = -1;
+    PyObject *level = g.l1_level, *fill = Py_None;
+    if (data_access(c, ts, instr, when, 1, &completion, &detect, &result)
+        < 0)
         return -1;
-    PyObject *queue = c->ready_ldst;
-    if (PyList_GET_SIZE(queue) > 0) {
-        long long slots = c->num_ldst;
-        while (PyList_GET_SIZE(queue) > 0 && slots > 0) {
-            PyObject *packed_obj = heap_pop(queue);
-            if (packed_obj == NULL)
-                return -1;
-            long long packed = ll_of(packed_obj);
-            Py_ssize_t s = (Py_ssize_t)(packed & SLOT_MASK);
-            if (lget_ll(c->col_packed, s) != packed) {
-                Py_DECREF(packed_obj);
-                continue;
-            }
-            long long fl = lget_ll(c->col_flags, s);
-            if (fl & F_DEAD_OR_DONE) {
-                Py_DECREF(packed_obj);
-                continue;
-            }
-            PyObject *ts = PyTuple_GET_ITEM(
-                c->threads, (Py_ssize_t)lget_ll(c->col_thread, s));
-            if (fl & F_IN_IQ) {
-                if (fl & F_IQ_FP) {
-                    if (stat_add(ts, OFF.ts_fq_count, -1) < 0
-                        || stat_add(c->core, OFF.fq_used, -1) < 0)
-                        goto err;
-                } else {
-                    if (stat_add(ts, OFF.ts_iq_count, -1) < 0
-                        || stat_add(c->core, OFF.iq_used, -1) < 0)
-                        goto err;
-                }
-                if (stat_add(ts, OFF.ts_icount, -1) < 0)
-                    goto err;
-                fl &= ~F_IN_IQ;
-            }
-            fl |= F_ISSUED;
-            PyObject *instr = PyList_GET_ITEM(c->col_instr, s);
-            long long completion;
-            if (fl & F_IS_LOAD) {
-                /* _execute's load body, columnized; an L1/TLB hit is
-                 * resolved in C, anything else by hierarchy.load */
-                long long when = cycle + slot_ll(instr, OFF.in_latency);
-                PyObject *result = NULL;
-                int is_ll = 0, trigger = 0;
-                long long detect = 0;
-                PyObject *level = g.l1_level, *fill = Py_None;
-                int hit = mem_fast_data(&c->mf, SLOT(instr, OFF.in_pc),
-                                        SLOT(instr, OFF.in_addr), when, 1,
-                                        &completion, &detect);
-                if (hit < 0)
-                    goto err;
-                if (!hit) {
-                    PyObject *when_obj = box_ll(when);
-                    if (when_obj == NULL)
-                        goto err;
-                    PyObject *args[4] = {SLOT(ts, OFF.ts_tid),
-                                         SLOT(instr, OFF.in_pc),
-                                         SLOT(instr, OFF.in_addr),
-                                         when_obj};
-                    result = PyObject_Vectorcall(
-                        SLOT(c->core, OFF.hier_load), args, 4, NULL);
-                    Py_DECREF(when_obj);
-                    if (result == NULL)
-                        goto err;
-                    completion = slot_ll(result, OFF.ar_complete_cycle);
-                    is_ll = PyObject_IsTrue(
-                        SLOT(result, OFF.ar_long_latency));
-                    trigger = PyObject_IsTrue(SLOT(result, OFF.ar_trigger));
-                    detect = slot_ll(result, OFF.ar_detect_cycle);
-                    level = SLOT(result, OFF.ar_level);
-                    fill = SLOT(result, OFF.ar_fill_line);
-                }
-                if (is_ll)
-                    fl |= F_IS_LL;
-                Py_INCREF(level);
-                lset(c->col_level, s, level);
-                PyObject *stats = SLOT(ts, OFF.ts_stats);
-                if (stat_add(stats, OFF.st_loads_executed, 1) < 0)
-                    goto err_res;
-                {
-                    PyObject *targs[2] = {SLOT(instr, OFF.in_pc),
-                                          is_ll ? Py_True : Py_False};
-                    PyObject *r = call_method(SLOT(ts, OFF.ts_lll_pred),
-                                              g.s_train, targs, 2);
-                    if (r == NULL)
-                        goto err_res;
-                    Py_DECREF(r);
-                }
-                PyObject *predicted = PyList_GET_ITEM(c->col_pred_ll, s);
-                if (predicted != Py_None) {
-                    if (stat_add(stats, OFF.st_lll_pred_loads, 1) < 0)
-                        goto err_res;
-                    int pred = PyObject_IsTrue(predicted);
-                    if (pred == is_ll
-                        && stat_add(stats, OFF.st_lll_pred_correct,
-                                    1) < 0)
-                        goto err_res;
-                    if (is_ll) {
-                        if (stat_add(stats, OFF.st_lll_pred_miss_actual,
-                                     1) < 0)
-                            goto err_res;
-                        if (pred
-                            && stat_add(stats,
-                                        OFF.st_lll_pred_miss_correct,
-                                        1) < 0)
-                            goto err_res;
-                    }
-                }
-                if (is_ll && stat_add(stats, OFF.st_ll_loads, 1) < 0)
-                    goto err_res;
-                if (trigger) {
-                    fl |= F_IN_DETECTS;
-                    if (detect <= cycle)
-                        detect = cycle + 1;
-                    if (detect - cycle <= c->mask) {
-                        if (wheel_push(c->dt_buckets, c->dt_marks,
-                                       c->mask, detect, packed_obj) < 0)
-                            goto err_res;
-                    } else if (over_push(c->dt_over, detect,
-                                         packed_obj) < 0) {
-                        goto err_res;
-                    }
-                }
-                Py_INCREF(fill);
-                lset(c->col_fill_line, s, fill);
-                if (level != g.l1_level) {
-                    if (stat_add(ts, OFF.ts_outstanding_misses, 1) < 0)
-                        goto err_res;
-                    if (lset_ll(c->col_pending, s, -1) < 0)
-                        goto err_res;
-                }
-                if (lset_ll(c->col_flags, s, fl) < 0)
-                    goto err_res;
-                if (completion - cycle <= c->mask) {
-                    if (wheel_push(c->ev_buckets, c->ev_marks, c->mask,
-                                   completion, packed_obj) < 0)
-                        goto err_res;
-                } else if (over_push(c->ev_over, completion,
-                                     packed_obj) < 0) {
-                    goto err_res;
-                }
-                Py_XDECREF(result);
-                goto issued_one;
-            err_res:
-                Py_XDECREF(result);
-                goto err;
-            } else {
-                /* stores: address generation only; memory access
-                 * happens at commit via the write buffer */
-                if (lset_ll(c->col_flags, s, fl) < 0)
-                    goto err;
-                completion = cycle + slot_ll(instr, OFF.in_latency);
-                if (wheel_push(c->ev_buckets, c->ev_marks, c->mask,
-                               completion, packed_obj) < 0)
-                    goto err;
-            }
-        issued_one:
-            slots -= 1;
-            issued = 1;
-            Py_DECREF(packed_obj);
-            continue;
-        err:
-            Py_DECREF(packed_obj);
-            return -1;
-        }
+    if (result != NULL) {
+        is_ll = PyObject_IsTrue(SLOT(result, OFF.ar_long_latency));
+        trigger = PyObject_IsTrue(SLOT(result, OFF.ar_trigger));
+        detect = slot_ll(result, OFF.ar_detect_cycle);
+        level = SLOT(result, OFF.ar_level);
+        fill = SLOT(result, OFF.ar_fill_line);
     }
-    if (PyList_GET_SIZE(c->ready_fp) > 0
-        && issue_simple_queue(c, c->ready_fp, c->num_fp,
-                              OFF.fq_used, cycle, &issued) < 0)
+    if (is_ll)
+        fl |= F_IS_LL;
+    ocol_set(A->level, s, level);
+    PyObject *stats = SLOT(ts, OFF.ts_stats);
+    if (stat_add(stats, OFF.st_loads_executed, 1) < 0)
+        goto out;
+    PyObject *targs[2] = {SLOT(instr, OFF.in_pc), is_ll ? Py_True : Py_False};
+    PyObject *r = call_method(SLOT(ts, OFF.ts_lll_pred), g.s_train, targs, 2);
+    if (r == NULL)
+        goto out;
+    Py_DECREF(r);
+    PyObject *predicted = A->pred_ll[s];
+    if (predicted != NULL) {
+        int pred = PyObject_IsTrue(predicted);
+        if (stat_add(stats, OFF.st_lll_pred_loads, 1) < 0
+            || (pred == is_ll
+                && stat_add(stats, OFF.st_lll_pred_correct, 1) < 0)
+            || (is_ll && stat_add(stats, OFF.st_lll_pred_miss_actual, 1) < 0)
+            || (is_ll && pred
+                && stat_add(stats, OFF.st_lll_pred_miss_correct, 1) < 0))
+            goto out;
+    }
+    if (is_ll && stat_add(stats, OFF.st_ll_loads, 1) < 0)
+        goto out;
+    if (trigger) {
+        fl |= F_IN_DETECTS;
+        if (detect <= cycle)
+            detect = cycle + 1;
+        if (wheel_push(&A->dt, c->mask, cycle, detect, packed) < 0)
+            goto out;
+    }
+    ocol_set(A->fill_line, s, fill);
+    if (level != g.l1_level) {
+        if (stat_add(ts, OFF.ts_outstanding_misses, 1) < 0)
+            goto out;
+        A->pending[s] = -1;
+    }
+    A->flags[s] = fl;
+    rc = wheel_push(&A->ev, c->mask, cycle, completion, packed);
+out:
+    Py_XDECREF(result);
+    return rc;
+}
+
+static int stage_issue(Ctx *c, long long cycle)
+{
+    Arena *A = c->A;
+    int issued = 0;
+    if (issue_simple_queue(c, &A->ready[0], c->num_int_alu, cycle,
+                           &issued) < 0)
+        return -1;
+    for (long long slots = c->num_ldst; slots > 0; slots--) {
+        int64_t packed, fl;
+        PyObject *ts;
+        Py_ssize_t s = issue_pop(c, &A->ready[1], &packed, &fl, &ts);
+        if (s == -1)
+            break;
+        if (s < 0)
+            return -1;
+        if (fl & F_IS_LOAD) {
+            if (issue_load(c, s, packed, fl, ts, cycle) < 0)
+                return -1;
+        } else {
+            /* stores: address generation only; memory access happens
+             * at commit via the write buffer */
+            A->flags[s] = fl;
+            if (wheel_push(&A->ev, c->mask, cycle,
+                           cycle + slot_ll(A->instr[s], OFF.in_latency),
+                           packed) < 0)
+                return -1;
+        }
+        issued = 1;
+    }
+    if (issue_simple_queue(c, &A->ready[2], c->num_fp, cycle, &issued) < 0)
         return -1;
     if (issued && stat_add(c->core, OFF.release_epoch, 1) < 0)
         return -1;
-    (void)cycle_obj;
     return 0;
 }
 
@@ -2100,51 +2080,47 @@ static int stage_issue(Ctx *c, long long cycle, PyObject *cycle_obj)
 /* stage: dispatch (rename + resource allocation)                      */
 /* ------------------------------------------------------------------ */
 
+/* The earliest value past `cycle` of ThreadState slot `off` over all
+ * threads (SMTCore._compute_fetch_wake and the dispatch wake latches). */
+static long long wake_after(Ctx *c, long long cycle, Py_ssize_t off)
+{
+    long long wake = cycle + (1LL << 30);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
+        long long wu = slot_ll(PyTuple_GET_ITEM(c->threads, i), off);
+        if (cycle < wu && wu < wake)
+            wake = wu;
+    }
+    return wake;
+}
+
+static int store_thread_counts(PyObject *ts, const long long *tl)
+{
+    static const Py_ssize_t *offs[6] = {
+        &OFF.ts_rob_count, &OFF.ts_lsq_count, &OFF.ts_iq_count,
+        &OFF.ts_fq_count, &OFF.ts_int_regs, &OFF.ts_fp_regs};
+    for (int i = 0; i < 6; i++)
+        if (slot_store_ll(ts, *offs[i], tl[i]) < 0)
+            return -1;
+    return 0;
+}
+
 static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
 {
     PyObject *core = c->core;
+    Arena *A = c->A;
     long long budget = c->decode_width;
     int any_ready = 0;
     int blocked_by_resource = 0;
     long long dispatched = 0;
     long long n = c->n_threads;
     long long release_epoch = slot_ll(core, OFF.release_epoch);
-    PyObject *order;
-    if (n == 1) {
-        order = c->threads;
-    } else {
-        PyObject *rot_cache = SLOT(core, OFF.rot_cache);
-        PyObject *rotations = SLOT(core, OFF.rotations);
-        Py_ssize_t rot = (Py_ssize_t)((cycle + 1) % n);
+    PyObject *order = c->threads;
+    if (n > 1) {
         long long fe_mask = slot_ll(core, OFF.fe_mask);
-        if (rot_cache == Py_None || fe_mask == c->full_mask) {
-            order = seq_item(rotations, rot);
-        } else {
-            Py_ssize_t key = (Py_ssize_t)(fe_mask * n) + rot;
-            order = PyList_GET_ITEM(rot_cache, key);
-            if (order == Py_None) {
-                PyObject *full = seq_item(rotations, rot);
-                Py_ssize_t rn = seq_size(full);
-                PyObject *lst = PyList_New(0);
-                if (lst == NULL)
-                    return -1;
-                for (Py_ssize_t i = 0; i < rn; i++) {
-                    PyObject *ts = seq_item(full, i);
-                    if ((fe_mask >> slot_ll(ts, OFF.ts_tid)) & 1) {
-                        if (PyList_Append(lst, ts) < 0) {
-                            Py_DECREF(lst);
-                            return -1;
-                        }
-                    }
-                }
-                PyObject *tup = PyList_AsTuple(lst);
-                Py_DECREF(lst);
-                if (tup == NULL)
-                    return -1;
-                lset(rot_cache, key, tup);
-                order = tup;
-            }
-        }
+        order = rotation(c, (Py_ssize_t)((cycle + 1) % n), fe_mask,
+                         fe_mask == c->full_mask);
+        if (order == NULL)
+            return -1;
     }
     /* lazily hoisted used counters */
     int hoisted = 0;
@@ -2159,12 +2135,14 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             break;
         if (cycle < slot_ll(ts, OFF.ts_dispatch_wait_until))
             continue;   /* head not through the front end yet */
-        PyObject *fe = SLOT(ts, OFF.ts_fe_queue);
-        if (deq_len(fe) == 0)
-            continue;
-        long long head = deq_peek0_ll(fe);
-        if (head < 0)
+        SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
+        SlotSeq *window = seq_of(ts, OFF.ts_window);
+        SlotSeq *rename_map = seq_of(ts, OFF.ts_rename_map);
+        if (fe == NULL || window == NULL || rename_map == NULL)
             return -1;
+        if (fe->n == 0)
+            continue;
+        Py_ssize_t head = (Py_ssize_t)SQ_AT(fe, 0);
         /* The latch holds a bare slot: within one release epoch the
          * head cannot change, so a slot match is an instruction match. */
         PyObject *dbh = SLOT(ts, OFF.ts_dispatch_blocked_head);
@@ -2178,9 +2156,9 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             Py_INCREF(Py_None);
             slot_store(ts, OFF.ts_dispatch_blocked_head, Py_None);
         }
-        if (lget_ll(c->col_fe_ready, head) > cycle) {
+        if (A->fe_ready[head] > cycle) {
             if (slot_store_ll(ts, OFF.ts_dispatch_wait_until,
-                              lget_ll(c->col_fe_ready, head)) < 0)
+                              A->fe_ready[head]) < 0)
                 return -1;
             continue;
         }
@@ -2201,30 +2179,25 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
                 && c->int_rename_regs - int_regs_used >= budget
                 && c->fp_rename_regs - fp_regs_used >= budget;
         }
-        PyObject *rename_map = SLOT(ts, OFF.ts_rename_map);
-        PyObject *window = SLOT(ts, OFF.ts_window);
-        int fe_was_full = deq_len(fe) >= c->fe_capacity;
-        long long tl_rob = slot_ll(ts, OFF.ts_rob_count);
-        long long tl_lsq = slot_ll(ts, OFF.ts_lsq_count);
-        long long tl_iq = slot_ll(ts, OFF.ts_iq_count);
-        long long tl_fq = slot_ll(ts, OFF.ts_fq_count);
-        long long tl_ir = slot_ll(ts, OFF.ts_int_regs);
-        long long tl_fr = slot_ll(ts, OFF.ts_fp_regs);
+        int fe_was_full = fe->n >= c->fe_capacity;
+        /* rob, lsq, iq, fq, int regs, fp regs of this thread */
+        long long tl[6] = {
+            slot_ll(ts, OFF.ts_rob_count), slot_ll(ts, OFF.ts_lsq_count),
+            slot_ll(ts, OFF.ts_iq_count), slot_ll(ts, OFF.ts_fq_count),
+            slot_ll(ts, OFF.ts_int_regs), slot_ll(ts, OFF.ts_fp_regs)};
         int tl_dirty = 0;
-        while (budget > 0 && deq_len(fe) > 0) {
-            long long s = deq_peek0_ll(fe);
-            if (s < 0)
-                return -1;
-            if (lget_ll(c->col_fe_ready, s) > cycle) {
+        while (budget > 0 && fe->n > 0) {
+            Py_ssize_t s = (Py_ssize_t)SQ_AT(fe, 0);
+            if (A->fe_ready[s] > cycle) {
                 if (slot_store_ll(ts, OFF.ts_dispatch_wait_until,
-                                  lget_ll(c->col_fe_ready, s)) < 0)
+                                  A->fe_ready[s]) < 0)
                     return -1;
                 break;
             }
             any_ready = 1;
-            PyObject *instr = PyList_GET_ITEM(c->col_instr, s);
-            long long fl = lget_ll(c->col_flags, s);
-            long long is_mem = fl & F_MEM;
+            PyObject *instr = A->instr[s];
+            int64_t fl = A->flags[s];
+            int64_t is_mem = fl & F_MEM;
             int fp_queue = SLOT(instr, OFF.in_fp_queue) == Py_True;
             if (!gates_free) {
                 int blocked =
@@ -2250,17 +2223,10 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             if (can_dispatch != Py_None) {
                 if (tl_dirty) {
                     tl_dirty = 0;
-                    if (slot_store_ll(ts, OFF.ts_rob_count, tl_rob) < 0
-                        || slot_store_ll(ts, OFF.ts_lsq_count,
-                                         tl_lsq) < 0
-                        || slot_store_ll(ts, OFF.ts_iq_count, tl_iq) < 0
-                        || slot_store_ll(ts, OFF.ts_fq_count, tl_fq) < 0
-                        || slot_store_ll(ts, OFF.ts_int_regs, tl_ir) < 0
-                        || slot_store_ll(ts, OFF.ts_fp_regs, tl_fr) < 0)
+                    if (store_thread_counts(ts, tl) < 0)
                         return -1;
                 }
-                PyObject *v = ensure_view(core, c->col_views,
-                                          c->col_gseq, s);
+                PyObject *v = ensure_view(A, s);
                 if (v == NULL)
                     return -1;
                 PyObject *cargs[2] = {ts, v};
@@ -2278,130 +2244,94 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             }
             /* all checks passed: allocate and rename */
             rob_used += 1;
-            tl_rob += 1;
+            tl[0] += 1;
             tl_dirty = 1;
             if (is_mem) {
                 lsq_used += 1;
-                tl_lsq += 1;
+                tl[1] += 1;
             }
             if (fp_queue) {
                 fq_used += 1;
-                tl_fq += 1;
+                tl[3] += 1;
                 fl |= F_IN_IQ | F_IQ_FP;
             } else {
                 iq_used += 1;
-                tl_iq += 1;
+                tl[2] += 1;
                 fl |= F_IN_IQ;
             }
-            PyObject *packed_obj = PyList_GET_ITEM(c->col_packed, s);
+            int64_t packed = (A->gseq[s] << SLOT_SHIFT) | s;
             long long pending = 0;
-            long long parents_arr[MAX_SRCS];
+            int64_t parents[MAX_SRCS];
             int pn = 0;
             PyObject *srcs = SLOT(instr, OFF.in_srcs);
             Py_ssize_t nsrc = PyTuple_GET_SIZE(srcs);
             for (Py_ssize_t i = 0; i < nsrc; i++) {
-                long long src = ll_of(PyTuple_GET_ITEM(srcs, i));
-                long long prod = lget_ll(rename_map, src);
+                int64_t prod = rename_map->v[ll_of(PyTuple_GET_ITEM(srcs,
+                                                                    i))];
                 if (prod < 0)
                     continue;
-                long long pfl = lget_ll(c->col_flags, prod);
+                int64_t pfl = A->flags[prod];
                 if (c->track_dep
                     && ((pfl & (F_IS_LOAD | F_LL_DEP))
-                        || PyList_GET_ITEM(c->col_ll_parents, prod)
-                               != Py_None)) {
+                        || A->parents[prod].n)) {
                     if (pn >= MAX_SRCS) {
                         PyErr_SetString(PyExc_RuntimeError,
                                         "too many source operands");
                         return -1;
                     }
-                    parents_arr[pn++] = prod;
-                    if (lset_ll(c->col_refs, prod,
-                                lget_ll(c->col_refs, prod) + 1) < 0)
-                        return -1;
+                    parents[pn++] = prod;
+                    A->refs[prod] += 1;
                 }
                 if (!(pfl & F_COMPLETED)) {
                     pending += 1;
-                    if (lget_ll(c->col_waiter0, prod) < 0) {
-                        Py_INCREF(packed_obj);
-                        lset(c->col_waiter0, prod, packed_obj);
-                    } else {
-                        PyObject *wl =
-                            PyList_GET_ITEM(c->col_waiters, prod);
-                        if (wl == Py_None) {
-                            PyObject *nl = PyList_New(1);
-                            if (nl == NULL)
-                                return -1;
-                            Py_INCREF(packed_obj);
-                            PyList_SET_ITEM(nl, 0, packed_obj);
-                            lset(c->col_waiters, prod, nl);
-                        } else if (PyList_Append(wl, packed_obj) < 0) {
-                            return -1;
-                        }
-                    }
+                    if (A->waiter0[prod] < 0)
+                        A->waiter0[prod] = packed;
+                    else if (ivec_push(&A->waiters[prod], packed) < 0)
+                        return -1;
                 }
             }
-            if (pending && lset_ll(c->col_pending, s, pending) < 0)
-                return -1;
+            if (pending)
+                A->pending[s] = pending;
             if (pn) {
-                PyObject *tup = PyTuple_New(pn);
-                if (tup == NULL)
+                IVec *pv = &A->parents[s];
+                if (ivec_reserve(pv, pn) < 0)
                     return -1;
-                for (int i = 0; i < pn; i++) {
-                    PyObject *b = box_ll(parents_arr[i]);
-                    if (b == NULL) {
-                        Py_DECREF(tup);
-                        return -1;
-                    }
-                    PyTuple_SET_ITEM(tup, i, b);
-                }
-                lset(c->col_ll_parents, s, tup);
+                memcpy(pv->v, parents, pn * sizeof(int64_t));
+                pv->n = pn;
             }
             if (fl & F_HAS_DEST) {
                 long long dest = slot_ll(instr, OFF.in_dest);
-                if (lset_ll(c->col_old_map, s,
-                            lget_ll(rename_map, dest)) < 0
-                    || lset_ll(rename_map, dest, s) < 0
-                    /* rename-current ref; the old entry's ref transfers
-                     * to the old_map slot */
-                    || lset_ll(c->col_refs, s,
-                               lget_ll(c->col_refs, s) + 1) < 0)
-                    return -1;
+                A->old_map[s] = rename_map->v[dest];
+                rename_map->v[dest] = s;
+                /* rename-current ref; the old entry's ref transfers to
+                 * the old_map slot */
+                A->refs[s] += 1;
                 if (fl & F_DEST_FP) {
                     fp_regs_used += 1;
-                    tl_fr += 1;
+                    tl[5] += 1;
                 } else {
                     int_regs_used += 1;
-                    tl_ir += 1;
+                    tl[4] += 1;
                 }
             }
-            if (lset_ll(c->col_flags, s, fl) < 0)
-                return -1;
-            if (deq_append_ll(window, s) < 0)
+            A->flags[s] = fl;
+            if (sq_push(window, s) < 0)
                 return -1;
             if (!pending) {
-                PyObject *q = seq_item(c->ready_by_op,
-                                       slot_ll(instr, OFF.in_op_i));
-                if (heap_push(q, packed_obj) < 0)
+                long long op = slot_ll(instr, OFF.in_op_i);
+                if (heap_push(&A->ready[A->op_class[op]], packed, 0, 1) < 0)
                     return -1;
             }
-            if (deq_popleft_drop(fe) < 0)
-                return -1;
+            sq_pop_front(fe);
             budget -= 1;
             dispatched += 1;
         }
-        if (tl_dirty) {
-            if (slot_store_ll(ts, OFF.ts_rob_count, tl_rob) < 0
-                || slot_store_ll(ts, OFF.ts_lsq_count, tl_lsq) < 0
-                || slot_store_ll(ts, OFF.ts_iq_count, tl_iq) < 0
-                || slot_store_ll(ts, OFF.ts_fq_count, tl_fq) < 0
-                || slot_store_ll(ts, OFF.ts_int_regs, tl_ir) < 0
-                || slot_store_ll(ts, OFF.ts_fp_regs, tl_fr) < 0)
-                return -1;
-        }
-        if (fe_was_full && deq_len(fe) < c->fe_capacity
+        if (tl_dirty && store_thread_counts(ts, tl) < 0)
+            return -1;
+        if (fe_was_full && fe->n < c->fe_capacity
             && slot_store_ll(core, OFF.fetch_wake, 0) < 0)
             return -1;
-        if (deq_len(fe) == 0
+        if (fe->n == 0
             && slot_store_ll(core, OFF.fe_mask,
                              slot_ll(core, OFF.fe_mask)
                                  & ~slot_ll(ts, OFF.ts_tid_bit)) < 0)
@@ -2417,14 +2347,8 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             return -1;
     } else if (!any_ready
                && SLOT(core, OFF.policy_can_dispatch) == Py_None) {
-        long long wake = cycle + (1LL << 30);
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
-            long long wu = slot_ll(PyTuple_GET_ITEM(c->threads, i),
-                                   OFF.ts_dispatch_wait_until);
-            if (cycle < wu && wu < wake)
-                wake = wu;
-        }
-        if (slot_store_ll(core, OFF.dispatch_wake, wake) < 0)
+        if (slot_store_ll(core, OFF.dispatch_wake, wake_after(
+                              c, cycle, OFF.ts_dispatch_wait_until)) < 0)
             return -1;
     }
     if (any_ready && dispatched == 0 && blocked_by_resource) {
@@ -2438,15 +2362,8 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
                 return -1;
             Py_DECREF(r);
         } else if (SLOT(core, OFF.policy_can_dispatch) == Py_None) {
-            long long wake = cycle + (1LL << 30);
-            for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads);
-                 i++) {
-                long long wu = slot_ll(PyTuple_GET_ITEM(c->threads, i),
-                                       OFF.ts_dispatch_wait_until);
-                if (cycle < wu && wu < wake)
-                    wake = wu;
-            }
-            if (slot_store_ll(core, OFF.stall_latch_until, wake) < 0
+            if (slot_store_ll(core, OFF.stall_latch_until, wake_after(
+                                  c, cycle, OFF.ts_dispatch_wait_until)) < 0
                 || slot_store_ll(core, OFF.stall_latch_epoch,
                                  release_epoch) < 0)
                 return -1;
@@ -2476,13 +2393,14 @@ static long long instr_flags_c(PyObject *instr)
     return flags;
 }
 
-/* One thread's fetch burst (SMTCore._fetch_thread over the columns);
+/* One thread's fetch burst (SMTCore._fetch_thread over the arena);
  * returns the fetch count, or -1 on error. */
 static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                                 long long cycle, PyObject *cycle_obj,
                                 int ignore_stall)
 {
     PyObject *core = c->core;
+    Arena *A = c->A;
     PyObject *trace_get = SLOT(ts, OFF.ts_trace_get);
     PyObject *trace_static = SLOT(ts, OFF.ts_trace_static);
     PyObject *trace_flags = SLOT(ts, OFF.ts_trace_flags);
@@ -2501,60 +2419,49 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     long long pc_origin = slot_ll(ts, OFF.ts_pc_origin);
     PyObject *on_fetch = SLOT(core, OFF.policy_on_fetch);
     PyObject *on_fetch_load = SLOT(core, OFF.policy_on_fetch_load);
-    PyObject *fe_queue = SLOT(ts, OFF.ts_fe_queue);
-    long long fe_ready = cycle + c->frontend_depth;
-    PyObject *fe_ready_obj = box_ll(fe_ready);
-    if (fe_ready_obj == NULL)
+    SlotSeq *fe_queue = seq_of(ts, OFF.ts_fe_queue);
+    if (fe_queue == NULL)
         return -1;
+    long long fe_ready = cycle + c->frontend_depth;
     long long tid = slot_ll(ts, OFF.ts_tid);
     long long gseq = slot_ll(core, OFF.gseq);
     PyObject *ae = SLOT(ts, OFF.ts_allowed_end);
     int has_allowed = ae != Py_None;
     long long allowed_end = has_allowed ? ll_of(ae) : 0;
     long long count = 0;
-    Py_ssize_t fe_len0 = deq_len(fe_queue);
-    int fe_was_empty = fe_len0 == 0;
-    long long limit = c->fe_capacity - fe_len0;
+    int fe_was_empty = fe_queue->n == 0;
+    long long limit = c->fe_capacity - fe_queue->n;
     if (budget < limit)
         limit = budget;
     while (count < limit) {
         long long fetch_index = slot_ll(ts, OFF.ts_fetch_index);
         if (!ignore_stall && has_allowed && fetch_index > allowed_end)
             break;
-        PyObject *instr;
-        PyObject *instr_ref = NULL;   /* owned when trace_get was called */
-        long long flags;
+        PyObject *instr = Py_None;
+        PyObject *instr_ref = NULL;   /* owned when built or fetched */
+        long long flags = 0;
+        Py_ssize_t i = 0;
+        int built = 0;
         if (trace_static != Py_None) {
-            Py_ssize_t i = (Py_ssize_t)(fetch_index % body_len);
+            i = (Py_ssize_t)(fetch_index % body_len);
             instr = PyList_GET_ITEM(trace_static, i);
-            if (instr == Py_None) {
-                int built = dyn == NULL ? 0 : trace_dyn(
-                    PyList_GET_ITEM(dyn, i), fetch_index / body_len,
-                    &instr_ref);
-                if (built < 0)
-                    goto fail;
-                if (!built) {
-                    PyObject *fi = box_ll(fetch_index);
-                    if (fi == NULL)
-                        goto fail;
-                    instr_ref = PyObject_CallOneArg(trace_get, fi);
-                    Py_DECREF(fi);
-                    if (instr_ref == NULL)
-                        goto fail;
-                }
-                instr = instr_ref;
-                flags = instr_flags_c(instr);
-            } else {
-                flags = lget_ll(trace_flags, i);
+            if (instr != Py_None)
+                flags = ll_of(PyList_GET_ITEM(trace_flags, i));
+            else if (dyn != NULL && (built = trace_dyn(
+                         PyList_GET_ITEM(dyn, i), fetch_index / body_len,
+                         &instr_ref)) < 0)
+                return -1;
+        }
+        if (instr == Py_None) {
+            if (!built) {
+                PyObject *fi = box_ll(fetch_index);
+                if (fi == NULL)
+                    return -1;
+                instr_ref = PyObject_CallOneArg(trace_get, fi);
+                Py_DECREF(fi);
+                if (instr_ref == NULL)
+                    return -1;
             }
-        } else {
-            PyObject *fi = box_ll(fetch_index);
-            if (fi == NULL)
-                goto fail;
-            instr_ref = PyObject_CallOneArg(trace_get, fi);
-            Py_DECREF(fi);
-            if (instr_ref == NULL)
-                goto fail;
             instr = instr_ref;
             flags = instr_flags_c(instr);
         }
@@ -2590,64 +2497,34 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             }
         }
         gseq += 1;
-        if (PyList_GET_SIZE(c->free_list) == 0) {
-            /* extends ``free`` in place */
-            PyObject *r = PyObject_CallMethodNoArgs(core, g.s_soa_grow);
-            if (r == NULL)
-                goto fail_instr;
-            Py_DECREF(r);
-        }
-        Py_ssize_t fn = PyList_GET_SIZE(c->free_list);
-        long long s = lget_ll(c->free_list, fn - 1);
-        if (PyList_SetSlice(c->free_list, fn - 1, fn, NULL) < 0)
+        if (A->free.n == 0 && arena_grow(A) < 0)
             goto fail_instr;
         /* the popped slot is pristine: only the varying columns are
-         * written (see the free-list invariant in SoACore.__init__) */
-        Py_INCREF(instr);
-        lset(c->col_instr, s, instr);
-        if (lset_ll(c->col_thread, s, tid) < 0
-            || lset_ll(c->col_seq, s, fetch_index) < 0
-            || lset_ll(c->col_gseq, s, gseq) < 0
-            || lset_ll(c->col_packed, s,
-                       (gseq << SLOT_SHIFT) | s) < 0)
-            goto fail_instr;
-        Py_INCREF(fe_ready_obj);
-        lset(c->col_fe_ready, s, fe_ready_obj);
-        if (lset_ll(c->col_flags, s, flags) < 0)
-            goto fail_instr;
-        {
-            PyObject *sb = box_ll(s);
-            if (sb == NULL)
-                goto fail_instr;
-            PyObject *r = PyObject_CallOneArg(SLOT(ts, OFF.ts_fe_append),
-                                              sb);
-            Py_DECREF(sb);
-            if (r == NULL)
-                goto fail_instr;
-            Py_DECREF(r);
-        }
-        if (slot_store_ll(ts, OFF.ts_fetch_index, fetch_index + 1) < 0
+         * written (see the arena contract in soa.py) */
+        Py_ssize_t s = (Py_ssize_t)A->free.v[--A->free.n];
+        ocol_set(A->instr, s, instr);
+        Py_XDECREF(instr_ref);
+        A->thread[s] = tid;
+        A->seq[s] = fetch_index;
+        A->gseq[s] = gseq;
+        A->fe_ready[s] = fe_ready;
+        A->flags[s] = flags;
+        if (sq_push(fe_queue, s) < 0
+            || slot_store_ll(ts, OFF.ts_fetch_index, fetch_index + 1) < 0
             || stat_add(ts, OFF.ts_icount, 1) < 0)
-            goto fail_instr;
+            return -1;
         count += 1;
+        /* instr stays alive in the arena's column from here on */
         if (flags & F_IS_LOAD) {
             PyObject *p = PyObject_CallOneArg(
                 SLOT(ts, OFF.ts_lll_predict), SLOT(instr, OFF.in_pc));
             if (p == NULL)
-                goto fail_instr;
-            lset(c->col_pred_ll, s, p);
+                return -1;
+            ocol_set(A->pred_ll, s, p);
+            Py_DECREF(p);
             if (on_fetch_load != Py_None) {
-                PyObject *v = ensure_view(core, c->col_views,
-                                          c->col_gseq, s);
-                if (v == NULL)
-                    goto fail_instr;
-                PyObject *hargs[2] = {v, ts};
-                PyObject *r = PyObject_Vectorcall(on_fetch_load, hargs,
-                                                  2, NULL);
-                Py_DECREF(v);
-                if (r == NULL)
-                    goto fail_instr;
-                Py_DECREF(r);
+                if (call_hook(A, on_fetch_load, s, ts) < 0)
+                    return -1;
                 ae = SLOT(ts, OFF.ts_allowed_end);   /* hook may update */
                 has_allowed = ae != Py_None;
                 allowed_end = has_allowed ? ll_of(ae) : 0;
@@ -2661,156 +2538,101 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             PyObject *pr = call_method(SLOT(core, OFF.gshare),
                                        g.s_update, gargs, 3);
             if (pr == NULL)
-                goto fail_instr;
+                return -1;
             int prediction = PyObject_IsTrue(pr);
             Py_DECREF(pr);
             if (prediction < 0)
-                goto fail_instr;
+                return -1;
             int target_known = 1;
             if (taken) {
                 PyObject *largs[1] = {SLOT(instr, OFF.in_pc)};
                 PyObject *r = call_method(SLOT(core, OFF.btb),
                                           g.s_lookup, largs, 1);
                 if (r == NULL)
-                    goto fail_instr;
+                    return -1;
                 target_known = PyObject_IsTrue(r);
                 Py_DECREF(r);
                 if (target_known < 0)
-                    goto fail_instr;
-                r = call_method(SLOT(core, OFF.btb), g.s_insert,
-                                largs, 1);
+                    return -1;
+                r = call_method(SLOT(core, OFF.btb), g.s_insert, largs, 1);
                 if (r == NULL)
-                    goto fail_instr;
+                    return -1;
                 Py_DECREF(r);
             }
             if (prediction != taken || !target_known) {
                 if (slot_store_ll(ts, OFF.ts_waiting_branch, s) < 0
                     || slot_store_ll(ts, OFF.ts_branch_wait_since,
-                                     cycle) < 0)
-                    goto fail_instr;
-                if (on_fetch != Py_None) {
-                    PyObject *v = ensure_view(core, c->col_views,
-                                              c->col_gseq, s);
-                    if (v == NULL)
-                        goto fail_instr;
-                    PyObject *hargs[2] = {v, ts};
-                    PyObject *r = PyObject_Vectorcall(on_fetch, hargs,
-                                                      2, NULL);
-                    Py_DECREF(v);
-                    if (r == NULL)
-                        goto fail_instr;
-                    Py_DECREF(r);
-                }
-                Py_XDECREF(instr_ref);
+                                     cycle) < 0
+                    || (on_fetch != Py_None
+                        && call_hook(A, on_fetch, s, ts) < 0))
+                    return -1;
                 break;
             }
-            if (on_fetch != Py_None) {
-                PyObject *v = ensure_view(core, c->col_views,
-                                          c->col_gseq, s);
-                if (v == NULL)
-                    goto fail_instr;
-                PyObject *hargs[2] = {v, ts};
-                PyObject *r = PyObject_Vectorcall(on_fetch, hargs, 2,
-                                                  NULL);
-                Py_DECREF(v);
-                if (r == NULL)
-                    goto fail_instr;
-                Py_DECREF(r);
-            }
-            if (taken) {
-                /* a correctly-predicted taken branch ends the block */
-                Py_XDECREF(instr_ref);
-                break;
-            }
-        } else if (on_fetch != Py_None) {
-            PyObject *v = ensure_view(core, c->col_views, c->col_gseq,
-                                      s);
-            if (v == NULL)
-                goto fail_instr;
-            PyObject *hargs[2] = {v, ts};
-            PyObject *r = PyObject_Vectorcall(on_fetch, hargs, 2, NULL);
-            Py_DECREF(v);
-            if (r == NULL)
-                goto fail_instr;
-            Py_DECREF(r);
+            if (on_fetch != Py_None
+                && call_hook(A, on_fetch, s, ts) < 0)
+                return -1;
+            if (taken)
+                break;   /* a correctly-predicted taken branch ends it */
+        } else if (on_fetch != Py_None
+                   && call_hook(A, on_fetch, s, ts) < 0) {
+            return -1;
         }
         if (on_fetch != Py_None) {
             ae = SLOT(ts, OFF.ts_allowed_end);   /* hook may update */
             has_allowed = ae != Py_None;
             allowed_end = has_allowed ? ll_of(ae) : 0;
         }
-        Py_XDECREF(instr_ref);
         continue;
     fail_instr:
         Py_XDECREF(instr_ref);
-        goto fail;
+        return -1;
     }
     if (slot_store_ll(core, OFF.gseq, gseq) < 0)
-        goto fail;
+        return -1;
     if (count) {
         if (stat_add(SLOT(ts, OFF.ts_stats), OFF.st_fetched, count) < 0)
-            goto fail;
+            return -1;
         if (fe_was_empty) {
             if (slot_store_ll(core, OFF.dispatch_wake, 0) < 0
                 || slot_store_ll(core, OFF.stall_latch_until, 0) < 0
                 || slot_store_ll(core, OFF.fe_mask,
                                  slot_ll(core, OFF.fe_mask)
                                      | (1LL << tid)) < 0)
-                goto fail;
+                return -1;
         }
     }
-    {
-        /* ThreadState._sync_policy_stall acts only when the stall
-         * predicate (fetch_index > allowed_end) differs from
-         * policy_stalled_flag: call it only then */
-        PyObject *ae_now = SLOT(ts, OFF.ts_allowed_end);
-        long long ae_v, fi;
-        int flip = 1;
-        if (ae_now == Py_None)
-            flip = slot_true(ts, OFF.ts_policy_stalled_flag);
-        else if (obj_fits(ae_now, &ae_v)
-                 && slot_fits(ts, OFF.ts_fetch_index, &fi))
-            flip = (fi > ae_v)
-                != slot_true(ts, OFF.ts_policy_stalled_flag);
-        if (flip) {
-            PyObject *sargs[1] = {cycle_obj};
-            PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
-            if (r == NULL)
-                goto fail;
-            Py_DECREF(r);
-        }
+    /* ThreadState._sync_policy_stall acts only when the stall predicate
+     * (fetch_index > allowed_end) differs from policy_stalled_flag: call
+     * it only then */
+    PyObject *ae_now = SLOT(ts, OFF.ts_allowed_end);
+    long long ae_v, fi;
+    int flip = 1;
+    if (ae_now == Py_None)
+        flip = slot_true(ts, OFF.ts_policy_stalled_flag);
+    else if (obj_fits(ae_now, &ae_v)
+             && slot_fits(ts, OFF.ts_fetch_index, &fi))
+        flip = (fi > ae_v) != slot_true(ts, OFF.ts_policy_stalled_flag);
+    if (flip) {
+        PyObject *sargs[1] = {cycle_obj};
+        PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
     }
-    Py_DECREF(fe_ready_obj);
     return count;
-fail:
-    Py_DECREF(fe_ready_obj);
-    return -1;
 }
 
 /* ------------------------------------------------------------------ */
 /* the fused run loop (SMTCore._run_until's while True body)          */
 /* ------------------------------------------------------------------ */
 
-/* SMTCore._compute_fetch_wake, transliterated. */
-static long long compute_fetch_wake(Ctx *c, long long cycle)
-{
-    long long wake = cycle + (1LL << 30);
-    Py_ssize_t nt = PyTuple_GET_SIZE(c->threads);
-    for (Py_ssize_t i = 0; i < nt; i++) {
-        long long blocked_until = slot_ll(PyTuple_GET_ITEM(c->threads, i),
-                                          OFF.ts_fetch_blocked_until);
-        if (cycle < blocked_until && blocked_until < wake)
-            wake = blocked_until;
-    }
-    return wake;
-}
-
-/* SMTCore._next_cycle over the columns: the earliest future cycle at
+/* SMTCore._next_cycle over the arena: the earliest future cycle at
  * which anything can happen, once the loop has established that nothing
  * can fetch or issue at cycle + 1.  Raises SimulationDeadlock when no
  * future event exists. */
 static int next_cycle_c(Ctx *c, long long cycle, long long *out)
 {
+    Arena *A = c->A;
     long long nxt = cycle + 1;
     long long target = 0;
     int have = 0;
@@ -2824,30 +2646,20 @@ static int next_cycle_c(Ctx *c, long long cycle, long long *out)
     Py_ssize_t nt = PyTuple_GET_SIZE(c->threads);
     for (Py_ssize_t i = 0; i < nt; i++) {
         PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
-        /* a retirable ROB head (SMTCore._head_retirable) */
-        PyObject *window = SLOT(ts, OFF.ts_window);
-        Py_ssize_t n = deq_len(window);
-        if (n < 0)
+        SlotSeq *window = seq_of(ts, OFF.ts_window);
+        SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
+        if (window == NULL || fe == NULL)
             return -1;
-        if (n > 0) {
-            long long h = deq_peek0_ll(window);
-            if (h < 0)
-                return -1;
-            long long fl = lget_ll(c->col_flags, h);
+        /* a retirable ROB head (SMTCore._head_retirable) */
+        if (window->n > 0) {
+            int64_t fl = A->flags[SQ_AT(window, 0)];
             if ((fl & F_COMPLETED) && (!(fl & F_IS_STORE) || !wb_full)) {
                 *out = nxt;
                 return 0;
             }
         }
-        PyObject *fe = SLOT(ts, OFF.ts_fe_queue);
-        n = deq_len(fe);
-        if (n < 0)
-            return -1;
-        if (n > 0) {
-            long long h = deq_peek0_ll(fe);
-            if (h < 0)
-                return -1;
-            long long head_ready = lget_ll(c->col_fe_ready, h);
+        if (fe->n > 0) {
+            long long head_ready = A->fe_ready[SQ_AT(fe, 0)];
             if (head_ready <= nxt) {
                 *out = nxt;
                 return 0;
@@ -2858,11 +2670,11 @@ static int next_cycle_c(Ctx *c, long long cycle, long long *out)
         if (blocked > nxt)
             CANDIDATE(blocked);
     }
-    PyObject *heaps[6] = {c->ev_marks, c->ev_over, c->dt_marks, c->dt_over,
-                          c->wb_marks, c->wb_over};
+    IVec *heaps[6] = {&A->ev.marks, &A->ev.over, &A->dt.marks, &A->dt.over,
+                      &A->wb_marks, &A->wb_over};
     for (int i = 0; i < 6; i++)
-        if (PyList_GET_SIZE(heaps[i]) > 0)
-            CANDIDATE(heap_min_key(heaps[i]));
+        if (heaps[i]->n > 0)
+            CANDIDATE(heaps[i]->v[0]);
 #undef CANDIDATE
     if (!have) {
         PyErr_Format(g.deadlock_exc,
@@ -2920,13 +2732,23 @@ static int fetch_via_policy_order(Ctx *c, long long cycle,
         }
         Py_DECREF(fast);
     } else if (base_fallback_wake
-               && slot_store_ll(c->core, OFF.fetch_wake,
-                                compute_fetch_wake(c, cycle)) < 0) {
+               && slot_store_ll(c->core, OFF.fetch_wake, wake_after(
+                       c, cycle, OFF.ts_fetch_blocked_until)) < 0) {
         Py_DECREF(order);
         return -1;
     }
     Py_DECREF(order);
     return 0;
+}
+
+/* Whether ts could fetch at `cycle` (SMTCore.fetchable): 1, 0, or -1. */
+static int fetchable(Ctx *c, PyObject *ts, long long cycle)
+{
+    if (slot_ll(ts, OFF.ts_fetch_blocked_until) > cycle
+        || SLOT(ts, OFF.ts_waiting_branch) != Py_None)
+        return 0;
+    SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
+    return fe == NULL ? -1 : fe->n < c->fe_capacity;
 }
 
 /* The fetch-selection block of the fused loop. */
@@ -2944,9 +2766,10 @@ static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
     Py_ssize_t cn = PyList_GET_SIZE(candidates);
     for (Py_ssize_t i = 0; i < cn && rn < MAX_THREADS; i++) {
         PyObject *ts = PyList_GET_ITEM(candidates, i);
-        if (slot_ll(ts, OFF.ts_fetch_blocked_until) <= cycle
-            && SLOT(ts, OFF.ts_waiting_branch) == Py_None
-            && deq_len(SLOT(ts, OFF.ts_fe_queue)) < c->fe_capacity) {
+        int ok = fetchable(c, ts, cycle);
+        if (ok < 0)
+            return -1;
+        if (ok) {
             if (first == NULL) {
                 first = ts;
             } else if (rn == 0) {
@@ -2959,8 +2782,8 @@ static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
     }
     if (rn == 0) {
         if (first == NULL)
-            return slot_store_ll(c->core, OFF.fetch_wake,
-                                 compute_fetch_wake(c, cycle));
+            return slot_store_ll(c->core, OFF.fetch_wake, wake_after(
+                                     c, cycle, OFF.ts_fetch_blocked_until));
         if (c->can_fetch_one
             && fetch_thread_c(c, first, c->fetch_width, cycle, cycle_obj,
                               0) < 0)
@@ -2997,50 +2820,47 @@ static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
     return 0;
 }
 
+/* The core's arena (a new reference), its thread queues checked. */
+static Arena *arena_of(PyObject *core)
+{
+    PyObject *a = SLOT(core, OFF.arena);
+    PyObject *threads = SLOT(core, OFF.threads);
+    if (a == NULL || !Py_IS_TYPE(a, &Arena_Type) || threads == NULL
+        || !PyTuple_Check(threads)
+        || PyTuple_GET_SIZE(threads) != ((Arena *)a)->n_threads) {
+        PyErr_SetString(PyExc_TypeError, "the core has no usable arena");
+        return NULL;
+    }
+    Arena *A = (Arena *)a;
+    for (Py_ssize_t i = 0; i < A->n_threads; i++) {
+        PyObject *ts = PyTuple_GET_ITEM(threads, i);
+        if (SLOT(ts, OFF.ts_fe_queue) != A->queues[3 * i]
+            || SLOT(ts, OFF.ts_window) != A->queues[3 * i + 1]
+            || SLOT(ts, OFF.ts_rename_map) != A->queues[3 * i + 2]) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a cext thread's queues must stay the arena's");
+            return NULL;
+        }
+    }
+    Py_INCREF(A);
+    return A;
+}
+
 static int ctx_init(Ctx *c, PyObject *core)
 {
     memset(c, 0, sizeof(*c));
     c->core = core;
-    c->ev_buckets = SLOT(core, OFF.ev_buckets);
-    c->ev_marks = SLOT(core, OFF.ev_marks);
-    c->ev_over = SLOT(core, OFF.ev_over);
-    c->dt_buckets = SLOT(core, OFF.dt_buckets);
-    c->dt_marks = SLOT(core, OFF.dt_marks);
-    c->dt_over = SLOT(core, OFF.dt_over);
-    c->wb_buckets = SLOT(core, OFF.wb_buckets);
-    c->wb_marks = SLOT(core, OFF.wb_marks);
-    c->wb_over = SLOT(core, OFF.wb_over);
-    c->ready_int = SLOT(core, OFF.ready_int);
-    c->ready_ldst = SLOT(core, OFF.ready_ldst);
-    c->ready_fp = SLOT(core, OFF.ready_fp);
-    c->ready_by_op = SLOT(core, OFF.ready_by_op);
+    if ((c->A = arena_of(core)) == NULL)
+        return -1;
     c->threads = SLOT(core, OFF.threads);
     c->fetch_candidates = SLOT(core, OFF.fetch_candidates);
-    c->free_list = SLOT(core, OFF.free_list);
-    c->col_instr = SLOT(core, OFF.col_instr);
-    c->col_thread = SLOT(core, OFF.col_thread);
-    c->col_seq = SLOT(core, OFF.col_seq);
-    c->col_gseq = SLOT(core, OFF.col_gseq);
-    c->col_packed = SLOT(core, OFF.col_packed);
-    c->col_pending = SLOT(core, OFF.col_pending);
-    c->col_fe_ready = SLOT(core, OFF.col_fe_ready);
-    c->col_flags = SLOT(core, OFF.col_flags);
-    c->col_refs = SLOT(core, OFF.col_refs);
-    c->col_waiter0 = SLOT(core, OFF.col_waiter0);
-    c->col_waiters = SLOT(core, OFF.col_waiters);
-    c->col_old_map = SLOT(core, OFF.col_old_map);
-    c->col_ll_parents = SLOT(core, OFF.col_ll_parents);
-    c->col_pred_ll = SLOT(core, OFF.col_pred_ll);
-    c->col_fill_line = SLOT(core, OFF.col_fill_line);
-    c->col_level = SLOT(core, OFF.col_level);
-    c->col_views = SLOT(core, OFF.col_views);
     c->on_ll_detect = PyObject_GetAttr(SLOT(core, OFF.policy),
                                        g.s_on_ll_detect);
     if (c->on_ll_detect == NULL)
         return -1;
     c->olc_cleanup_only = slot_true(core, OFF.cext_olc_cleanup_only);
     c->ll_detect_is_base = slot_true(core, OFF.cext_ll_detect_is_base);
-    c->mask = slot_ll(core, OFF.wheel_mask);
+    c->mask = c->A->wheel - 1;
     c->fetch_width = slot_ll(core, OFF.fetch_width);
     c->fetch_max_threads = slot_ll(core, OFF.fetch_max_threads);
     c->fe_capacity = slot_ll(core, OFF.fe_capacity);
@@ -3071,25 +2891,32 @@ static int ctx_init(Ctx *c, PyObject *core)
 
 static void ctx_clear(Ctx *c)
 {
-    Py_XDECREF(c->on_ll_detect);
-    c->on_ll_detect = NULL;
+    Py_CLEAR(c->on_ll_detect);
+    Py_CLEAR(c->A);
     mem_fast_clear(&c->mf);
+}
+
+/* The entry points' guard: setup() has run and `want` arguments came. */
+static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
+{
+    if (!g.ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_cext_engine.setup() has not run");
+        return -1;
+    }
+    if (nargs != want) {
+        PyErr_SetString(PyExc_TypeError, sig);
+        return -1;
+    }
+    return 0;
 }
 
 static PyObject *run_until(PyObject *self, PyObject *const *args,
                            Py_ssize_t nargs)
 {
     (void)self;
-    if (!g.ready) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_cext_engine.setup() has not run");
+    if (check_args(nargs, 3, "run_until(core, max_commits, limit)") < 0)
         return NULL;
-    }
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "run_until(core, max_commits, limit)");
-        return NULL;
-    }
     PyObject *core = args[0];
     long long max_commits = PyLong_AsLongLong(args[1]);
     long long limit = PyLong_AsLongLong(args[2]);
@@ -3098,7 +2925,8 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
     Ctx ctx;
     Ctx *c = &ctx;
     if (ctx_init(c, core) < 0)
-        return NULL;
+        goto fail;
+    Arena *A = c->A;
     unsigned long loop_n = 0;
     for (;;) {
         if (((++loop_n) & 0xFFF) == 0 && PyErr_CheckSignals() < 0)
@@ -3107,38 +2935,33 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
         PyObject *cycle_obj = SLOT(core, OFF.cycle);
         Py_INCREF(cycle_obj);
         /* completion + detection drains */
-        if (stage_drain(c, cycle, cycle_obj) < 0)
+        if (stage_drain(c, cycle) < 0)
             goto fail_cycle;
         /* write-buffer drain */
         {
-            Py_ssize_t widx = (Py_ssize_t)(cycle & c->mask);
-            long long wcnt = lget_ll(c->wb_buckets, widx);
-            if (wcnt) {
-                if (lset_ll(c->wb_buckets, widx, 0) < 0
-                    || stat_add(core, OFF.wb_used, -wcnt) < 0)
+            int64_t *cnt = &A->wb_cnt[cycle & c->mask];
+            int64_t e;
+            if (*cnt) {
+                long long wcnt = *cnt;
+                *cnt = 0;
+                if (stat_add(core, OFF.wb_used, -wcnt) < 0)
                     goto fail_cycle;
-                while (PyList_GET_SIZE(c->wb_marks) > 0
-                       && heap_min_key(c->wb_marks) <= cycle) {
-                    if (heap_pop_drop(c->wb_marks) < 0)
-                        goto fail_cycle;
-                }
+                while (A->wb_marks.n && A->wb_marks.v[0] <= cycle)
+                    heap_pop(&A->wb_marks, &e, 1);
             }
-            while (PyList_GET_SIZE(c->wb_over) > 0
-                   && heap_min_key(c->wb_over) <= cycle) {
-                if (heap_pop_drop(c->wb_over) < 0
-                    || stat_add(core, OFF.wb_used, -1) < 0)
+            while (A->wb_over.n && A->wb_over.v[0] <= cycle) {
+                heap_pop(&A->wb_over, &e, 1);
+                if (stat_add(core, OFF.wb_used, -1) < 0)
                     goto fail_cycle;
             }
         }
         /* commit */
         if (SLOT(core, OFF.commit_pending) == Py_True
-            && stage_commit(c, cycle, cycle_obj) < 0)
+            && stage_commit(c, cycle) < 0)
             goto fail_cycle;
         /* issue */
-        if ((PyList_GET_SIZE(c->ready_int) > 0
-             || PyList_GET_SIZE(c->ready_ldst) > 0
-             || PyList_GET_SIZE(c->ready_fp) > 0)
-            && stage_issue(c, cycle, cycle_obj) < 0)
+        if ((A->ready[0].n || A->ready[1].n || A->ready[2].n)
+            && stage_issue(c, cycle) < 0)
             goto fail_cycle;
         /* dispatch */
         if (cycle >= slot_ll(core, OFF.dispatch_wake)) {
@@ -3158,63 +2981,35 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
             goto fail_cycle;
         /* cycle advance / fast-forward */
         {
+            /* one cycle on, unless provably nothing can fetch or issue
+             * at cycle + 1: then to the next event */
             long long nxt = cycle + 1;
-            int ready_any = PyList_GET_SIZE(c->ready_int) > 0
-                || PyList_GET_SIZE(c->ready_ldst) > 0
-                || PyList_GET_SIZE(c->ready_fp) > 0;
-            if (!c->fast_forward || ready_any) {
-                if (slot_store_ll(core, OFF.cycle, nxt) < 0)
-                    goto fail_cycle;
-            } else if (nxt < slot_ll(core, OFF.fetch_wake)) {
-                goto next_event;
-            } else if (c->fetch_order_is_base) {
-                PyObject *probe =
-                    PyList_GET_SIZE(c->fetch_candidates) > 0
-                        ? c->fetch_candidates : c->threads;
-                Py_ssize_t pn = seq_size(probe);
-                int pending = 0;
-                for (Py_ssize_t i = 0; i < pn; i++) {
-                    PyObject *ts = seq_item(probe, i);
-                    if (slot_ll(ts, OFF.ts_fetch_blocked_until) <= nxt
-                        && SLOT(ts, OFF.ts_waiting_branch) == Py_None
-                        && deq_len(SLOT(ts, OFF.ts_fe_queue))
-                               < c->fe_capacity) {
-                        pending = 1;
-                        break;
-                    }
-                }
-                if (pending) {
-                    if (slot_store_ll(core, OFF.cycle, nxt) < 0)
-                        goto fail_cycle;
+            int step = !c->fast_forward || A->ready[0].n || A->ready[1].n
+                || A->ready[2].n;
+            if (!step && nxt >= slot_ll(core, OFF.fetch_wake)) {
+                if (c->fetch_order_is_base) {
+                    PyObject *probe =
+                        PyList_GET_SIZE(c->fetch_candidates) > 0
+                            ? c->fetch_candidates : c->threads;
+                    for (Py_ssize_t i = 0; i < seq_size(probe) && !step; i++)
+                        if ((step = fetchable(c, seq_item(probe, i), nxt))
+                            < 0)
+                            goto fail_cycle;
                 } else {
-                    goto next_event;
-                }
-            } else {
-                PyObject *nxt_obj = box_ll(nxt);
-                if (nxt_obj == NULL)
-                    goto fail_cycle;
-                PyObject *r = PyObject_CallOneArg(
-                    SLOT(core, OFF.policy_fetch_pending), nxt_obj);
-                Py_DECREF(nxt_obj);
-                if (r == NULL)
-                    goto fail_cycle;
-                int pend = PyObject_IsTrue(r);
-                Py_DECREF(r);
-                if (pend < 0)
-                    goto fail_cycle;
-                if (pend) {
-                    if (slot_store_ll(core, OFF.cycle, nxt) < 0)
+                    PyObject *nxt_obj = box_ll(nxt);
+                    PyObject *r = nxt_obj == NULL ? NULL
+                        : PyObject_CallOneArg(
+                            SLOT(core, OFF.policy_fetch_pending), nxt_obj);
+                    Py_XDECREF(nxt_obj);
+                    step = r == NULL ? -1 : PyObject_IsTrue(r);
+                    Py_XDECREF(r);
+                    if (step < 0)
                         goto fail_cycle;
-                } else {
-                    goto next_event;
                 }
             }
-            goto advanced;
-        next_event:
-            if (next_cycle_c(c, cycle, &nxt) < 0
+            if ((!step && next_cycle_c(c, cycle, &nxt) < 0)
                 || slot_store_ll(core, OFF.cycle, nxt) < 0)
                 goto fail_cycle;
-        advanced:
             Py_DECREF(cycle_obj);
             if (slot_ll(core, OFF.committed_watermark) >= max_commits) {
                 ctx_clear(c);
@@ -3237,6 +3032,790 @@ fail:
     return NULL;
 }
 
+
+/* ------------------------------------------------------------------ */
+/* SoAView: the per-slot proxy policies and hooks see                  */
+/* ------------------------------------------------------------------ */
+
+/* A view reads and writes its slot through the arena.  Once the slot
+ * is reclaimed and refetched its stamp no longer matches and the view
+ * is dead: flags then read as the squashed tombstone (squashed True,
+ * every other flag False), which is what a policy that kept a record
+ * past a flush observes on the object engine; other fields of a dead
+ * view are unspecified. */
+static int view_live(View *v)
+{
+    return v->arena != NULL && v->arena->gseq[v->slot] == v->gseq;
+}
+
+static Arena *view_arena(PyObject *self)
+{
+    Arena *A = ((View *)self)->arena;
+    if (A == NULL)
+        PyErr_SetString(PyExc_RuntimeError, "view of a cleared arena");
+    return A;
+}
+
+static PyObject *view_get_flag(PyObject *self, void *bit)
+{
+    View *v = (View *)self;
+    if (!view_live(v))
+        return PyBool_FromLong((intptr_t)bit == F_SQUASHED);
+    return PyBool_FromLong((v->arena->flags[v->slot] & (intptr_t)bit) != 0);
+}
+
+/* The arena a setter writes to, or NULL with an error set. */
+static Arena *view_target(PyObject *self, PyObject *value)
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete a field");
+        return NULL;
+    }
+    return view_arena(self);
+}
+
+static int view_set_flag(PyObject *self, PyObject *value, void *bit)
+{
+    Arena *A = view_target(self, value);
+    int on = A == NULL ? -1 : PyObject_IsTrue(value);
+    if (on < 0)
+        return -1;
+    int64_t *fl = &A->flags[((View *)self)->slot];
+    *fl = on ? *fl | (intptr_t)bit : *fl & ~(int64_t)(intptr_t)bit;
+    return 0;
+}
+
+static PyObject *view_get_icol(PyObject *self, void *col)
+{
+    Arena *A = view_arena(self);
+    return A == NULL ? NULL : PyLong_FromLongLong(
+        A->ic[(intptr_t)col][((View *)self)->slot]);
+}
+
+static int view_set_icol(PyObject *self, PyObject *value, void *col)
+{
+    Arena *A = view_target(self, value);
+    long long x = A == NULL ? -1 : PyLong_AsLongLong(value);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    A->ic[(intptr_t)col][((View *)self)->slot] = x;
+    return 0;
+}
+
+static PyObject *view_get_ocol(PyObject *self, void *col)
+{
+    Arena *A = view_arena(self);
+    if (A == NULL)
+        return NULL;
+    PyObject *o = A->oc[(intptr_t)col][((View *)self)->slot];
+    o = o == NULL ? Py_None : o;
+    Py_INCREF(o);
+    return o;
+}
+
+static int view_set_ocol(PyObject *self, PyObject *value, void *col)
+{
+    Arena *A = view_target(self, value);
+    if (A == NULL)
+        return -1;
+    ocol_set(A->oc[(intptr_t)col], ((View *)self)->slot, value);
+    return 0;
+}
+
+/* The live view of the slot packed stamp `p` denotes, or None. */
+static PyObject *view_of_packed(Arena *A, int64_t p)
+{
+    Py_ssize_t s = (Py_ssize_t)(p & SLOT_MASK);
+    if (p < 0 || !current(A, p))
+        Py_RETURN_NONE;      /* stale: the slot was reclaimed */
+    return ensure_view(A, s);
+}
+
+static PyObject *view_get_waiter0(PyObject *self, void *closure)
+{
+    (void)closure;
+    Arena *A = view_arena(self);
+    return A == NULL ? NULL
+        : view_of_packed(A, A->waiter0[((View *)self)->slot]);
+}
+
+/* `waiters` (live ones, as a list) or `ll_parents` (as a tuple). */
+static PyObject *view_get_list(PyObject *self, void *parents)
+{
+    Arena *A = view_arena(self);
+    if (A == NULL)
+        return NULL;
+    IVec *x = parents ? &A->parents[((View *)self)->slot]
+                      : &A->waiters[((View *)self)->slot];
+    if (x->n == 0)
+        Py_RETURN_NONE;
+    PyObject *out = PyList_New(0);
+    for (Py_ssize_t i = 0; out != NULL && i < x->n; i++) {
+        PyObject *v = parents ? ensure_view(A, (Py_ssize_t)x->v[i])
+                              : view_of_packed(A, x->v[i]);
+        if (v == NULL || (v != Py_None && PyList_Append(out, v) < 0))
+            Py_CLEAR(out);
+        Py_XDECREF(v);
+    }
+    if (out != NULL && parents)
+        Py_SETREF(out, PyList_AsTuple(out));
+    return out;
+}
+
+static PyObject *view_get_old_map(PyObject *self, void *closure)
+{
+    (void)closure;
+    Arena *A = view_arena(self);
+    if (A == NULL)
+        return NULL;
+    int64_t s = A->old_map[((View *)self)->slot];
+    if (s < 0)
+        Py_RETURN_NONE;
+    return ensure_view(A, (Py_ssize_t)s);
+}
+
+static PyObject *view_get_slot(PyObject *self, void *closure)
+{
+    (void)closure;
+    return PyLong_FromSsize_t(((View *)self)->slot);
+}
+
+static PyObject *view_get_live(PyObject *self, void *closure)
+{
+    (void)closure;
+    return PyBool_FromLong(view_live((View *)self));
+}
+
+#define VFLAG(name, bit) \
+    {name, view_get_flag, view_set_flag, NULL, (void *)(intptr_t)(bit)}
+#define VICOL(name, col) \
+    {name, view_get_icol, view_set_icol, NULL, (void *)(intptr_t)(col)}
+#define VOCOL(name, col) \
+    {name, view_get_ocol, view_set_ocol, NULL, (void *)(intptr_t)(col)}
+#define VLINK(name, get, arg) {name, get, NULL, NULL, (void *)(arg)}
+
+/* Every DynInstr field (engine-parity-lint checks the coverage). */
+static PyGetSetDef View_getset[] = {
+    VOCOL("instr", O_INSTR), VICOL("thread", C_THREAD),
+    VICOL("seq", C_SEQ), VICOL("gseq", C_GSEQ),
+    VICOL("pending", C_PENDING), VICOL("fe_ready", C_FE_READY),
+    VICOL("refs", C_REFS), VOCOL("predicted_ll", O_PRED_LL),
+    VOCOL("fill_line", O_FILL_LINE), VOCOL("level", O_LEVEL),
+    VFLAG("in_iq", F_IN_IQ), VFLAG("iq_is_fp", F_IQ_FP),
+    VFLAG("issued", F_ISSUED), VFLAG("completed", F_COMPLETED),
+    VFLAG("has_dest", F_HAS_DEST), VFLAG("dest_fp", F_DEST_FP),
+    VFLAG("squashed", F_SQUASHED), VFLAG("is_load", F_IS_LOAD),
+    VFLAG("is_store", F_IS_STORE), VFLAG("is_branch", F_IS_BRANCH),
+    VFLAG("is_ll", F_IS_LL), VFLAG("inv", F_INV),
+    VFLAG("ll_dep", F_LL_DEP), VFLAG("retired", F_RETIRED),
+    VFLAG("in_detects", F_IN_DETECTS),
+    VLINK("waiter0", view_get_waiter0, 0),
+    VLINK("waiters", view_get_list, 0),
+    VLINK("old_map", view_get_old_map, 0),
+    VLINK("ll_parents", view_get_list, 1),
+    VLINK("slot", view_get_slot, 0), VLINK("live", view_get_live, 0),
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyObject *view_repr(PyObject *self)
+{
+    View *v = (View *)self;
+    if (!view_live(v))
+        return PyUnicode_FromFormat("<SoAView s%zd dead>", v->slot);
+    int64_t fl = v->arena->flags[v->slot];
+    return PyUnicode_FromFormat(
+        "<SoAView s%zd t%lld #%lld %s%s%s%s%s>", v->slot,
+        (long long)v->arena->thread[v->slot],
+        (long long)v->arena->seq[v->slot], fl & F_IN_IQ ? "Q" : "",
+        fl & F_ISSUED ? "I" : "", fl & F_COMPLETED ? "C" : "",
+        fl & F_SQUASHED ? "X" : "", fl & F_IS_LL ? "L" : "");
+}
+
+static int view_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(((View *)self)->arena);
+    return 0;
+}
+
+static int view_clear(PyObject *self)
+{
+    Py_CLEAR(((View *)self)->arena);
+    return 0;
+}
+
+static void view_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    view_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyTypeObject View_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.SoAView",
+    .tp_doc = "One arena slot presented as a DynInstr (created lazily, at "
+              "most one per dynamic instruction).",
+    .tp_basicsize = sizeof(View),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_dealloc = view_dealloc,
+    .tp_traverse = view_traverse,
+    .tp_clear = view_clear,
+    .tp_repr = view_repr,
+    .tp_getset = View_getset,
+};
+
+/* ------------------------------------------------------------------ */
+/* the arena's Python surface: views, flush, checks, state            */
+/* ------------------------------------------------------------------ */
+
+static PyObject *Arena_view(PyObject *self, PyObject *arg)
+{
+    Arena *A = (Arena *)self;
+    Py_ssize_t s = PyLong_AsSsize_t(arg);
+    if (s == -1 && PyErr_Occurred())
+        return NULL;
+    if (s < 0 || s >= A->cap) {
+        PyErr_SetString(PyExc_IndexError, "slot out of range");
+        return NULL;
+    }
+    return ensure_view(A, s);
+}
+
+/* Whether `core` runs on arena A (and `ts`, unless NULL, is one of its
+ * threads); 0 with an error set when not. */
+static int owns(Arena *A, PyObject *core, PyObject *ts)
+{
+    Arena *own = arena_of(core);
+    Py_XDECREF(own);
+    if (own == NULL)
+        return 0;
+    PyObject *threads = SLOT(core, OFF.threads);
+    int mine = own == A && ts == NULL;
+    for (Py_ssize_t i = 0; own == A && i < PyTuple_GET_SIZE(threads); i++)
+        mine |= PyTuple_GET_ITEM(threads, i) == ts;
+    if (!mine)
+        PyErr_SetString(PyExc_ValueError, "not this arena's core or thread");
+    return mine;
+}
+
+/* flush(core, ts, after_seq, cancel_fills) -> squashed: SMTCore.
+ * flush_thread over the arena.  Squashed slots are reclaimed here
+ * unless a queued event (the completion of a counted miss, a pending
+ * detection) or a policy ownership still needs them; those free at
+ * their drains. */
+static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    Arena *A = (Arena *)self;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "flush(core, ts, after_seq, cancel_fills)");
+        return NULL;
+    }
+    PyObject *core = args[0], *ts = args[1];
+    long long after_seq = PyLong_AsLongLong(args[2]);
+    int cancel = PyObject_IsTrue(args[3]);
+    if ((after_seq == -1 && PyErr_Occurred()) || cancel < 0
+        || !owns(A, core, ts))
+        return NULL;
+    SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
+    SlotSeq *window = seq_of(ts, OFF.ts_window);
+    SlotSeq *rename_map = seq_of(ts, OFF.ts_rename_map);
+    if (fe == NULL || window == NULL || rename_map == NULL)
+        return NULL;
+    long long squashed = 0, icount_delta = 0;
+    while (fe->n && A->seq[SQ_AT(fe, fe->n - 1)] > after_seq) {
+        /* never dispatched: still pristine but for a possible view, and
+         * only a policy's fetch-gating ownership can still reach it */
+        Py_ssize_t s = (Py_ssize_t)SQ_AT(fe, fe->n - 1);
+        fe->n--;
+        icount_delta++;
+        squashed++;
+        A->flags[s] |= F_SQUASHED;
+        if (free_unowned(A, s, A->flags[s], ts) < 0)
+            return NULL;
+    }
+    PyObject *cycle_obj = SLOT(core, OFF.cycle);
+    long long cycle = ll_of(cycle_obj);
+    /* rob, lsq, iq, fq, int regs, fp regs released */
+    long long d[6] = {0, 0, 0, 0, 0, 0};
+    while (window->n && A->seq[SQ_AT(window, window->n - 1)] > after_seq) {
+        Py_ssize_t s = (Py_ssize_t)SQ_AT(window, window->n - 1);
+        window->n--;
+        int64_t fl = A->flags[s] | F_SQUASHED;
+        squashed++;
+        PyObject *fill = A->fill_line[s];
+        if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
+            PyObject *cargs[3] = {fill, SLOT(A->instr[s], OFF.in_addr),
+                                  cycle_obj};
+            Py_INCREF(fill);
+            PyObject *r = call_method(SLOT(core, OFF.hierarchy),
+                                      g.s_cancel_fill, cargs, 3);
+            Py_DECREF(fill);
+            if (r == NULL)
+                return NULL;
+            Py_DECREF(r);
+        }
+        d[0]++;
+        if (fl & F_MEM)
+            d[1]++;
+        if (fl & F_IN_IQ) {
+            fl &= ~F_IN_IQ;
+            icount_delta++;
+            d[fl & F_IQ_FP ? 3 : 2]++;
+        }
+        if (fl & F_HAS_DEST) {
+            /* undo the rename: the old mapping becomes current again;
+             * the squashed slot drops its own current-entry ref */
+            rename_map->v[slot_ll(A->instr[s], OFF.in_dest)] = A->old_map[s];
+            A->refs[s]--;
+            d[fl & F_DEST_FP ? 5 : 4]++;
+        }
+        Py_ssize_t pn = A->parents[s].n;
+        int64_t parents[MAX_SRCS];
+        if (pn)
+            memcpy(parents, A->parents[s].v, pn * sizeof(int64_t));
+        A->parents[s].n = 0;
+        for (Py_ssize_t i = 0; i < pn; i++) {
+            Py_ssize_t p = (Py_ssize_t)parents[i];
+            int64_t pfl = A->flags[p];
+            if (!--A->refs[p] && (pfl & F_RETIRED)
+                && !(pfl & (F_IN_DETECTS | F_FREED))
+                && free_unowned(A, p, pfl, ts) < 0)
+                return NULL;
+        }
+        int owner = owned(A, s, ts);
+        if (owner < 0)
+            return NULL;
+        if (owner) {
+            PyObject *oargs[2] = {A->views[s], cycle_obj};
+            PyObject *r = call_method(ts, g.s_clear_owner, oargs, 2);
+            if (r == NULL)
+                return NULL;
+            Py_DECREF(r);
+        }
+        /* a live producer may still hold this slot's waiter
+         * registration: the drains defuse it on F_FREED */
+        if (!A->refs[s] && A->pending[s] != -1
+            && !(fl & (F_IN_DETECTS | F_FREED))) {
+            if (arena_free(A, s, fl) < 0)
+                return NULL;
+        } else {
+            A->flags[s] = fl;
+        }
+    }
+    static const Py_ssize_t *ts_offs[6] = {
+        &OFF.ts_rob_count, &OFF.ts_lsq_count, &OFF.ts_iq_count,
+        &OFF.ts_fq_count, &OFF.ts_int_regs, &OFF.ts_fp_regs};
+    static const Py_ssize_t *core_offs[6] = {
+        &OFF.rob_used, &OFF.lsq_used, &OFF.iq_used, &OFF.fq_used,
+        &OFF.int_regs_used, &OFF.fp_regs_used};
+    for (int i = 0; i < 6; i++)
+        if (d[i] && (stat_add(ts, *ts_offs[i], -d[i]) < 0
+                     || stat_add(core, *core_offs[i], -d[i]) < 0))
+            return NULL;
+    if (icount_delta && stat_add(ts, OFF.ts_icount, -icount_delta) < 0)
+        return NULL;
+    PyObject *st = SLOT(ts, OFF.ts_stats);
+    PyObject *wb = SLOT(ts, OFF.ts_waiting_branch);
+    if (wb != Py_None && (A->flags[ll_of(wb)] & F_SQUASHED)) {
+        Py_INCREF(Py_None);
+        slot_store(ts, OFF.ts_waiting_branch, Py_None);
+        if (stat_add(st, OFF.st_branch_stall_cycles,
+                     cycle - slot_ll(ts, OFF.ts_branch_wait_since)) < 0)
+            return NULL;
+    }
+    long long bit = slot_ll(ts, OFF.ts_tid_bit);
+    int head = window->n && (A->flags[SQ_AT(window, 0)] & F_COMPLETED);
+    slot_store_bool(ts, OFF.ts_head_ready, head);
+    long long heads = slot_ll(core, OFF.heads_mask);
+    long long fem = slot_ll(core, OFF.fe_mask);
+    if (slot_store_ll(ts, OFF.ts_fetch_index, after_seq + 1) < 0
+        || slot_store_ll(ts, OFF.ts_last_ifetch_line, -1) < 0
+        || slot_store_ll(core, OFF.heads_mask,
+                         head ? heads | bit : heads & ~bit) < 0
+        || slot_store_ll(core, OFF.fe_mask,
+                         fe->n ? fem | bit : fem & ~bit) < 0
+        || stat_add(st, OFF.st_squashed, squashed) < 0
+        || stat_add(st, OFF.st_flushes, 1) < 0
+        || stat_add(core, OFF.release_epoch, 1) < 0
+        || slot_store_ll(core, OFF.fetch_wake, 0) < 0
+        || slot_store_ll(core, OFF.dispatch_wake, 0) < 0
+        || slot_store_ll(core, OFF.stall_latch_until, 0) < 0)
+        return NULL;
+    PyObject *sargs[1] = {cycle_obj};
+    PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
+    if (r == NULL)
+        return NULL;
+    Py_DECREF(r);
+    return PyLong_FromLongLong(squashed);
+}
+
+/* The reachability scan of check(): mark slot s (and queue it). */
+static void reach(Arena *A, unsigned char *live, IVec *pend, int64_t s)
+{
+    if (s >= 0 && s < A->cap && !live[s]) {
+        live[s] = 1;
+        pend->v[pend->n++] = s;    /* capacity: one entry per slot */
+    }
+}
+
+/* A packed stamp reaches its slot while the stamp is current. */
+static void reach_packed(Arena *A, unsigned char *live, IVec *pend,
+                         int64_t p)
+{
+    if (p >= 0 && current(A, p))
+        reach(A, live, pend, p & SLOT_MASK);
+}
+
+/* Every SoAView reachable from `o` through plain containers, bounded
+ * at depth 4 (policy-held views: ll_owners, policy_data). */
+static int reach_views(Arena *A, unsigned char *live, IVec *pend,
+                       PyObject *o, int depth)
+{
+    if (Py_IS_TYPE(o, &View_Type)) {
+        reach(A, live, pend, ((View *)o)->slot);
+        return 0;
+    }
+    if (depth >= 4)
+        return 0;
+    if (PyDict_Check(o)) {
+        Py_ssize_t pos = 0;
+        PyObject *k, *v;
+        while (PyDict_Next(o, &pos, &k, &v))
+            if (reach_views(A, live, pend, k, depth + 1) < 0
+                || reach_views(A, live, pend, v, depth + 1) < 0)
+                return -1;
+    } else if (PyList_Check(o) || PyTuple_Check(o) || PyAnySet_Check(o)) {
+        PyObject *it = PyObject_GetIter(o), *x;
+        if (it == NULL)
+            return -1;
+        while ((x = PyIter_Next(it)) != NULL) {
+            int rc = reach_views(A, live, pend, x, depth + 1);
+            Py_DECREF(x);
+            if (rc < 0)
+                break;
+        }
+        Py_DECREF(it);
+        if (PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* The pristine-slot contract the allocation path relies on: the first
+ * dirty column of free slot s, or NULL (value/expected via out). */
+static const char *dirty_column(Arena *A, Py_ssize_t s, long long *value,
+                                long long *expected)
+{
+    static const int cols[4] = {C_PENDING, C_REFS, C_WAITER0, C_OLD_MAP};
+    for (int i = 0; i < 4; i++) {
+        *expected = ICOL_INIT[cols[i]];
+        if ((*value = A->ic[cols[i]][s]) != *expected)
+            return ICOL_NAMES[cols[i]];
+    }
+    *expected = 0;
+    if ((*value = A->waiters[s].n))
+        return "waiters";
+    if ((*value = A->parents[s].n))
+        return "ll_parents";
+    *value = 1;
+    if (A->fill_line[s] != NULL)
+        return "fill_line";
+    if (A->views[s] != NULL)
+        return "views";
+    return NULL;
+}
+
+/* check(core) -> str | None: the sanitizer's arena check at a
+ * measurement boundary (see sanitize.py): wheel monotonicity, the free
+ * list (no duplicate, every entry F_FREED and pristine, every F_FREED
+ * slot on it) and the leak scan from the live roots. */
+static PyObject *Arena_check(PyObject *self, PyObject *core)
+{
+    Arena *A = (Arena *)self;
+    if (!owns(A, core, NULL))
+        return NULL;
+    long long cycle = slot_ll(core, OFF.cycle);
+    IVec *marks[3] = {&A->ev.marks, &A->dt.marks, &A->wb_marks};
+    IVec *over[3] = {&A->ev.over, &A->dt.over, &A->wb_over};
+    static const char *names[3] = {"ev", "dt", "wb"};
+    for (int i = 0; i < 3; i++) {
+        if (marks[i]->n && marks[i]->v[0] < cycle)
+            return PyUnicode_FromFormat(
+                "event wheel non-monotonic: %s_marks[0]=%lld is before "
+                "cycle %lld (skipped bucket)", names[i],
+                (long long)marks[i]->v[0], cycle);
+        if (over[i]->n && over[i]->v[0] < cycle)
+            return PyUnicode_FromFormat(
+                "event wheel non-monotonic: %s_over head due at %lld is "
+                "before cycle %lld", names[i], (long long)over[i]->v[0],
+                cycle);
+    }
+    PyObject *msg = NULL;
+    unsigned char *on_free = PyMem_Calloc((size_t)A->cap, 2);
+    IVec pend = {PyMem_Malloc((size_t)A->cap * sizeof(int64_t)), 0, A->cap};
+    if (on_free == NULL || pend.v == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    unsigned char *live = on_free + A->cap;
+    for (Py_ssize_t i = 0; i < A->free.n; i++) {
+        int64_t s = A->free.v[i];
+        if (s < 0 || s >= A->cap || on_free[s]) {
+            msg = PyUnicode_FromFormat(
+                "double free: slot %lld is on the arena free list twice "
+                "(cycle %lld)", (long long)s, cycle);
+            goto done;
+        }
+        on_free[s] = 1;
+    }
+    for (Py_ssize_t i = 0; i < A->free.n; i++) {
+        Py_ssize_t s = (Py_ssize_t)A->free.v[i];
+        long long value, expected;
+        const char *col;
+        if (!(A->flags[s] & F_FREED)) {
+            msg = PyUnicode_FromFormat(
+                "boundary at cycle %lld: slot %zd is on the free list "
+                "without F_FREED", cycle, s);
+            goto done;
+        }
+        if ((col = dirty_column(A, s, &value, &expected)) != NULL) {
+            msg = PyUnicode_FromFormat(
+                "boundary at cycle %lld: freed slot %zd is not pristine: "
+                "%s[%zd] == %lld (expected %lld)", cycle, s, col, s, value,
+                expected);
+            goto done;
+        }
+    }
+    /* the live roots: thread queues, rename maps, waiting branches,
+     * policy-held views, queued events and ready entries */
+    PyObject *threads = SLOT(core, OFF.threads);
+    for (Py_ssize_t t = 0; t < A->n_threads; t++) {
+        PyObject *ts = PyTuple_GET_ITEM(threads, t);
+        for (int k = 0; k < 3; k++) {
+            SlotSeq *q = (SlotSeq *)A->queues[3 * t + k];
+            for (Py_ssize_t i = 0; i < q->n; i++)
+                reach(A, live, &pend, SQ_AT(q, i));
+        }
+        PyObject *wb = SLOT(ts, OFF.ts_waiting_branch);
+        if (wb != Py_None)
+            reach(A, live, &pend, ll_of(wb));
+        if (reach_views(A, live, &pend, SLOT(ts, OFF.ts_ll_owners), 0) < 0
+            || reach_views(A, live, &pend, SLOT(ts, OFF.ts_policy_data),
+                           0) < 0)
+            goto done;
+    }
+    for (Py_ssize_t b = 0; b < A->wheel; b++)
+        for (int k = 0; k < 2; k++) {
+            Wheel *w = k ? &A->dt : &A->ev;
+            for (int64_t e = w->head[b]; e >= 0; e = w->pool.v[2 * e + 1])
+                reach_packed(A, live, &pend, w->pool.v[2 * e]);
+        }
+    for (int k = 0; k < 2; k++)
+        for (Py_ssize_t i = 1; i < over[k]->n; i += 2)
+            reach_packed(A, live, &pend, over[k]->v[i]);
+    for (int k = 0; k < 3; k++)
+        for (Py_ssize_t i = 0; i < A->ready[k].n; i++)
+            reach_packed(A, live, &pend, A->ready[k].v[i]);
+    /* ... and everything they reach */
+    while (pend.n) {
+        Py_ssize_t s = (Py_ssize_t)pend.v[--pend.n];
+        reach(A, live, &pend, A->old_map[s]);
+        reach_packed(A, live, &pend, A->waiter0[s]);
+        for (Py_ssize_t i = 0; i < A->waiters[s].n; i++)
+            reach_packed(A, live, &pend, A->waiters[s].v[i]);
+        for (Py_ssize_t i = 0; i < A->parents[s].n; i++)
+            reach(A, live, &pend, A->parents[s].v[i]);
+    }
+    for (Py_ssize_t s = 0; s < A->cap; s++) {
+        if ((A->flags[s] & F_FREED) && !on_free[s]) {
+            msg = PyUnicode_FromFormat(
+                "boundary at cycle %lld: slot %zd has F_FREED but is not "
+                "on the free list (lost to the allocator)", cycle, s);
+            goto done;
+        }
+        if (!(A->flags[s] & F_FREED) && !live[s]) {
+            msg = PyUnicode_FromFormat(
+                "boundary at cycle %lld: leak: slot %zd (t%lld#%lld) is "
+                "neither freed nor reachable from any live root", cycle, s,
+                (long long)A->thread[s], (long long)A->seq[s]);
+            goto done;
+        }
+    }
+    msg = Py_None;
+    Py_INCREF(msg);
+done:
+    PyMem_Free(on_free);
+    PyMem_Free(pend.v);
+    return msg;
+}
+
+/* arena[name] / arena[name] = values: the arena's state as Python
+ * lists, for tests and diagnostics: a column, waiters, ll_parents, the
+ * free list or a ready or mark heap. */
+typedef struct {
+    int kind;       /* 0 int column, 1 object column, 2 per-slot lists,
+                     * 3 int vector */
+    int idx;
+    IVec *vec;
+} Field;
+
+static int arena_field(Arena *A, PyObject *key, Field *f)
+{
+    const char *name = PyUnicode_Check(key) ? PyUnicode_AsUTF8(key) : NULL;
+    memset(f, 0, sizeof(*f));
+    for (int k = 0; name != NULL && k < N_ICOLS; k++)
+        if (!strcmp(name, ICOL_NAMES[k])) {
+            f->idx = k;
+            return 0;
+        }
+    for (int k = 0; name != NULL && k < N_OCOLS; k++)
+        if (!strcmp(name, OCOL_NAMES[k])) {
+            f->kind = 1;
+            f->idx = k;
+            return 0;
+        }
+    struct { const char *name; int kind, idx; IVec *vec; } named[] = {
+        {"waiters", 2, 0, NULL}, {"ll_parents", 2, 1, NULL},
+        {"free", 3, 0, &A->free}, {"ready_int", 3, 0, &A->ready[0]},
+        {"ready_ldst", 3, 0, &A->ready[1]},
+        {"ready_fp", 3, 0, &A->ready[2]},
+        {"ev_marks", 3, 0, &A->ev.marks}, {"dt_marks", 3, 0, &A->dt.marks},
+        {"wb_marks", 3, 0, &A->wb_marks}, {"wb_over", 3, 0, &A->wb_over},
+    };
+    for (size_t k = 0; name != NULL && k < sizeof(named) / sizeof(*named);
+         k++)
+        if (!strcmp(name, named[k].name)) {
+            f->kind = named[k].kind;
+            f->idx = named[k].idx;
+            f->vec = named[k].vec;
+            return 0;
+        }
+    PyErr_SetObject(PyExc_KeyError, key);
+    return -1;
+}
+
+static PyObject *ivec_list(const int64_t *v, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        PyObject *x = PyLong_FromLongLong(v[i]);
+        if (x == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+static PyObject *Arena_getitem(PyObject *self, PyObject *key)
+{
+    Arena *A = (Arena *)self;
+    Field f;
+    if (arena_field(A, key, &f) < 0)
+        return NULL;
+    if (f.kind == 0 || f.kind == 3)
+        return f.kind ? ivec_list(f.vec->v, f.vec->n)
+                      : ivec_list(A->ic[f.idx], A->cap);
+    PyObject *out = PyList_New(A->cap);
+    for (Py_ssize_t i = 0; out != NULL && i < A->cap; i++) {
+        PyObject *x;
+        if (f.kind == 1) {
+            x = A->oc[f.idx][i] ? A->oc[f.idx][i] : Py_None;
+            Py_INCREF(x);
+        } else {
+            IVec *l = f.idx ? &A->parents[i] : &A->waiters[i];
+            if (l->n == 0) {
+                x = Py_None;
+                Py_INCREF(x);
+            } else {
+                x = ivec_list(l->v, l->n);
+                if (x != NULL && f.idx)
+                    Py_SETREF(x, PyList_AsTuple(x));
+            }
+        }
+        if (x == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+/* Plant an int column (a list of one value per slot) or an int vector
+ * (the free list, a ready or mark heap: any list of ints, in heap order
+ * for a heap).  Nothing is written unless every value is valid. */
+static int Arena_setitem(PyObject *self, PyObject *key, PyObject *value)
+{
+    Arena *A = (Arena *)self;
+    Field f;
+    if (arena_field(A, key, &f) < 0)
+        return -1;
+    Py_ssize_t n = value != NULL && PyList_Check(value)
+        ? PyList_GET_SIZE(value) : -1;
+    if ((f.kind != 0 && f.kind != 3) || n < 0
+        || (f.kind == 0 && n != A->cap)) {
+        PyErr_Format(PyExc_TypeError, "cannot assign %R like that", key);
+        return -1;
+    }
+    int64_t *vals = PyMem_Malloc((size_t)(n + 1) * sizeof(int64_t));
+    if (vals == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
+        vals[i] = PyLong_AsLongLong(PyList_GET_ITEM(value, i));
+        if (vals[i] == -1 && PyErr_Occurred())
+            rc = -1;
+        else if (f.vec == &A->free && (vals[i] < 0 || vals[i] >= A->cap)) {
+            PyErr_SetString(PyExc_ValueError, "free slot out of range");
+            rc = -1;
+        }
+    }
+    if (rc == 0 && f.kind == 3)
+        rc = ivec_reserve(f.vec, n);
+    if (rc == 0 && n)
+        memcpy(f.kind == 0 ? A->ic[f.idx] : f.vec->v, vals,
+               (size_t)n * sizeof(int64_t));
+    if (rc == 0 && f.kind == 3)
+        f.vec->n = n;
+    PyMem_Free(vals);
+    return rc;
+}
+
+static PyMappingMethods Arena_as_mapping = {
+    .mp_subscript = Arena_getitem,
+    .mp_ass_subscript = Arena_setitem,
+};
+
+static PyMethodDef Arena_methods[] = {
+    {"view", Arena_view, METH_O,
+     "view(slot) -> the slot's cached SoAView."},
+    {"flush", (PyCFunction)(void (*)(void))Arena_flush, METH_FASTCALL,
+     "flush(core, ts, after_seq, cancel_fills) -> squashed count."},
+    {"check", Arena_check, METH_O,
+     "check(core) -> the first arena invariant violated, or None."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject Arena_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.Arena",
+    .tp_doc = "Arena(threads, wheel, op_classes): a cext core's slot "
+              "state in native memory; it takes over each thread's "
+              "fe_queue, window and rename_map.",
+    .tp_basicsize = sizeof(Arena),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = Arena_new,
+    .tp_dealloc = Arena_dealloc,
+    .tp_traverse = Arena_traverse,
+    .tp_clear = Arena_clear,
+    .tp_as_mapping = &Arena_as_mapping,
+    .tp_methods = Arena_methods,
+};
+
 /* ------------------------------------------------------------------ */
 /* setup: resolve slot offsets from the classes the driver passes in   */
 /* ------------------------------------------------------------------ */
@@ -3251,15 +3830,7 @@ struct OffSpec {
 
 static const struct OffSpec SPECS[] = {
     O("core", "cycle", cycle), O("core", "_gseq", gseq),
-    O("core", "_wheel_mask", wheel_mask),
-    O("core", "_ev_buckets", ev_buckets), O("core", "_ev_marks", ev_marks),
-    O("core", "_ev_over", ev_over),
-    O("core", "_dt_buckets", dt_buckets), O("core", "_dt_marks", dt_marks),
-    O("core", "_dt_over", dt_over),
-    O("core", "_wb_buckets", wb_buckets), O("core", "_wb_marks", wb_marks),
-    O("core", "_wb_over", wb_over), O("core", "_wb_used", wb_used),
-    O("core", "_ready_int", ready_int), O("core", "_ready_ldst", ready_ldst),
-    O("core", "_ready_fp", ready_fp), O("core", "_ready_by_op", ready_by_op),
+    O("core", "_arena", arena), O("core", "_wb_used", wb_used),
     O("core", "threads", threads), O("core", "policy", policy),
     O("core", "stats", stats),
     O("core", "_policy_fetch_order", policy_fetch_order),
@@ -3307,20 +3878,6 @@ static const struct OffSpec SPECS[] = {
     O("core", "_num_int_alu", num_int_alu), O("core", "_num_ldst", num_ldst),
     O("core", "_num_fp", num_fp),
     O("core", "_track_ll_dep", track_ll_dep),
-    O("core", "_free", free_list),
-    O("core", "_col_instr", col_instr), O("core", "_col_thread", col_thread),
-    O("core", "_col_seq", col_seq), O("core", "_col_gseq", col_gseq),
-    O("core", "_col_packed", col_packed),
-    O("core", "_col_pending", col_pending),
-    O("core", "_col_fe_ready", col_fe_ready),
-    O("core", "_col_flags", col_flags), O("core", "_col_refs", col_refs),
-    O("core", "_col_waiter0", col_waiter0),
-    O("core", "_col_waiters", col_waiters),
-    O("core", "_col_old_map", col_old_map),
-    O("core", "_col_ll_parents", col_ll_parents),
-    O("core", "_col_pred_ll", col_pred_ll),
-    O("core", "_col_fill_line", col_fill_line),
-    O("core", "_col_level", col_level), O("core", "_col_views", col_views),
     O("core", "_cext_olc_cleanup_only", cext_olc_cleanup_only),
     O("core", "_cext_ll_detect_is_base", cext_ll_detect_is_base),
     O("ts", "tid", ts_tid), O("ts", "tid_bit", ts_tid_bit),
@@ -3333,6 +3890,7 @@ static const struct OffSpec SPECS[] = {
     O("ts", "branch_wait_since", ts_branch_wait_since),
     O("ts", "allowed_end", ts_allowed_end),
     O("ts", "ll_owners", ts_ll_owners),
+    O("ts", "policy_data", ts_policy_data),
     O("ts", "last_ifetch_line", ts_last_ifetch_line),
     O("ts", "outstanding_misses", ts_outstanding_misses),
     O("ts", "stats", ts_stats), O("ts", "commit_cycles", ts_commit_cycles),
@@ -3343,7 +3901,7 @@ static const struct OffSpec SPECS[] = {
     O("ts", "dispatch_blocked_head", ts_dispatch_blocked_head),
     O("ts", "dispatch_blocked_epoch", ts_dispatch_blocked_epoch),
     O("ts", "dispatch_wait_until", ts_dispatch_wait_until),
-    O("ts", "trace_get", ts_trace_get), O("ts", "fe_append", ts_fe_append),
+    O("ts", "trace_get", ts_trace_get),
     O("ts", "lll_predict", ts_lll_predict),
     O("ts", "pc_origin", ts_pc_origin),
     O("ts", "llsr_commit", ts_llsr_commit),
@@ -3356,6 +3914,7 @@ static const struct OffSpec SPECS[] = {
     O("ts", "trace", ts_trace), O("ts", "llsr", ts_llsr),
     O("ts", "policy_stalled_flag", ts_policy_stalled_flag),
     O("stats", "fetched", st_fetched), O("stats", "committed", st_committed),
+    O("stats", "squashed", st_squashed), O("stats", "flushes", st_flushes),
     O("stats", "loads_executed", st_loads_executed),
     O("stats", "ll_loads", st_ll_loads),
     O("stats", "branch_stall_cycles", st_branch_stall_cycles),
@@ -3512,20 +4071,17 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         || check_constants(ns, "slot_kinds", KIND_SPECS,
                            sizeof(KIND_SPECS) / sizeof(KIND_SPECS[0])) < 0)
         return NULL;
-    PyObject *view_cls = PyDict_GetItemString(ns, "view_cls");
     PyObject *limit_exc = PyDict_GetItemString(ns, "limit_exc");
     PyObject *deadlock_exc = PyDict_GetItemString(ns, "deadlock_exc");
     PyObject *l1_level = PyDict_GetItemString(ns, "l1_level");
     PyObject *entry_cls = PyDict_GetItemString(ns, "stride_entry");
-    if (view_cls == NULL || limit_exc == NULL || deadlock_exc == NULL
-        || l1_level == NULL || entry_cls == NULL) {
+    if (limit_exc == NULL || deadlock_exc == NULL || l1_level == NULL
+        || entry_cls == NULL) {
         PyErr_SetString(PyExc_KeyError,
-                        "setup(): missing view_cls/limit_exc/deadlock_exc/"
-                        "l1_level/stride_entry");
+                        "setup(): missing limit_exc/deadlock_exc/l1_level/"
+                        "stride_entry");
         return NULL;
     }
-    Py_INCREF(view_cls);
-    Py_XSETREF(g.view_cls, view_cls);
     Py_INCREF(limit_exc);
     Py_XSETREF(g.limit_exc, limit_exc);
     Py_INCREF(deadlock_exc);
@@ -3536,14 +4092,14 @@ static PyObject *setup(PyObject *self, PyObject *ns)
     Py_XSETREF(g.stride_entry_cls, entry_cls);
     /* the exact types the in-C paths apply to */
     {
-        static const char *keys[9] = {"core", "hier", "cache", "tlb",
-                                      "prefetcher", "stride", "llsr",
-                                      "trace", "instr"};
-        PyTypeObject **dst[9] = {&g.core_type, &g.hier_type, &g.cache_type,
-                                 &g.tlb_type, &g.prefetcher_type,
-                                 &g.stride_type, &g.llsr_type,
-                                 &g.trace_type, &g.instr_type};
-        for (int i = 0; i < 9; i++) {
+        static const char *keys[10] = {"core", "hier", "cache", "tlb",
+                                       "prefetcher", "stride", "llsr",
+                                       "trace", "instr", "ts"};
+        PyTypeObject **dst[10] = {&g.core_type, &g.hier_type, &g.cache_type,
+                                  &g.tlb_type, &g.prefetcher_type,
+                                  &g.stride_type, &g.llsr_type,
+                                  &g.trace_type, &g.instr_type, &g.ts_type};
+        for (int i = 0; i < 10; i++) {
             PyTypeObject *t = type_of(ns, keys[i]);
             if (t == NULL)
                 return NULL;
@@ -3597,15 +4153,14 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         g.neg_one = PyLong_FromLong(-1);
         if (g.neg_one == NULL)
             return NULL;
-        if ((g.s_append = intern_or_null("append")) == NULL
-            || (g.s_popleft = intern_or_null("popleft")) == NULL
-            || (g.s_update = intern_or_null("update")) == NULL
+        if ((g.s_update = intern_or_null("update")) == NULL
             || (g.s_lookup = intern_or_null("lookup")) == NULL
             || (g.s_insert = intern_or_null("insert")) == NULL
             || (g.s_train = intern_or_null("train")) == NULL
             || (g.s_on_ll_detect =
                     intern_or_null("on_ll_detect")) == NULL
-            || (g.s_soa_grow = intern_or_null("_soa_grow")) == NULL
+            || (g.s_cancel_fill = intern_or_null("cancel_fill")) == NULL
+            || (g.s_clear_owner = intern_or_null("clear_owner")) == NULL
             || (g.s_sync_policy_stall =
                     intern_or_null("_sync_policy_stall")) == NULL
             || (g.s_observe = intern_or_null("observe")) == NULL)
@@ -3622,20 +4177,6 @@ static PyObject *setup(PyObject *self, PyObject *ns)
 /* ------------------------------------------------------------------ */
 /* the in-C paths one at a time, for the equivalence tests             */
 /* ------------------------------------------------------------------ */
-
-static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
-{
-    if (!g.ready) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_cext_engine.setup() has not run");
-        return -1;
-    }
-    if (nargs != want) {
-        PyErr_SetString(PyExc_TypeError, sig);
-        return -1;
-    }
-    return 0;
-}
 
 /* _next_cycle(core, cycle) -> int: the fast-forward target as run_until
  * computes it for a CextCore; raises SimulationDeadlock as
@@ -3817,10 +4358,15 @@ static struct PyModuleDef cext_module = {
 
 PyMODINIT_FUNC PyInit__cext_engine(void)
 {
+    if (PyType_Ready(&SlotSeq_Type) < 0 || PyType_Ready(&View_Type) < 0
+        || PyType_Ready(&Arena_Type) < 0)
+        return NULL;
     PyObject *m = PyModule_Create(&cext_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0) {
+    if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0
+        || PyModule_AddObjectRef(m, "Arena", (PyObject *)&Arena_Type) < 0
+        || PyModule_AddObjectRef(m, "SoAView", (PyObject *)&View_Type) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -1,36 +1,39 @@
 """Compiled C-extension engine backend (``cext``).
 
-PR 7's struct-of-arrays pass concluded that on CPython the representation
-change alone is not enough — the SoA columns are "the right substrate for
-a C extension", which is the only remaining path to multiples rather than
-percents (perf/PROFILE.md).  This module is that extension's driver:
+This module drives the compiled engine (its history: perf/PROFILE.md):
 
 * ``_cext_engine.c`` (checked in next to this file) implements the fused
   ``_run_until`` loop and every hot stage body — the event-wheel drains,
-  commit, issue, dispatch and fetch — directly against the columns of
-  :class:`~repro.pipeline.soa.SoACore`.  It also does four kinds of work
-  whose Python bodies stay the object engine's code and the reference
-  the equivalence tests compare against (``tests/test_cext_paths.py``):
-  the fast-forward target (``SMTCore._next_cycle``); ``LLSR.
-  commit_zeros`` on an exact :class:`~repro.predictors.LLSR`; loads,
-  store drains and instruction fetches that hit the TLB and L1 with no
-  live fill, on an exact :class:`~repro.memory.hierarchy.
-  MemoryHierarchy`; and the iteration-varying slots of an exact
-  :class:`~repro.workloads.trace.SyntheticTrace`, from the per-slot
-  parameters it precomputes.  What still crosses into Python per cycle
-  or instruction: the policy hooks (the existing ``_is_default_hook``
-  elision applies unchanged, so hook-free configurations never call
-  one), the other memory accesses (``load``/``store``/``ifetch``), the
-  branch predictor and BTB, the long-latency load predictor, ``LLSR.
-  commit`` for long-latency loads, ``get`` of other trace types, and
-  the helpers ``SoACore`` keeps (``flush_thread``, ``_soa_grow``,
-  ``ThreadState._sync_policy_stall`` when the stall predicate flips).
+  commit, issue, dispatch and fetch — over the native slot arena of
+  :class:`~repro.pipeline.soa.SoACore` (instruction columns, free list,
+  ready heaps, event wheels, thread queues and rename maps as C memory),
+  along with arena growth, ``flush_thread``, the ``SoAView`` proxy and
+  the sanitizer's arena check.  It also does four kinds of work whose
+  Python bodies stay the object engine's code and the reference the
+  equivalence tests compare against (``tests/test_cext_paths.py``): the
+  fast-forward target (``SMTCore._next_cycle``); ``LLSR.commit_zeros``
+  on an exact :class:`~repro.predictors.LLSR`; loads, store drains and
+  instruction fetches that hit the TLB and L1 with no live fill, on an
+  exact :class:`~repro.memory.hierarchy.MemoryHierarchy`; and the
+  iteration-varying slots of an exact
+  :class:`~repro.workloads.trace.SyntheticTrace`.
+
+  What still crosses into Python per cycle or instruction: the
+  ``ThreadState``, core, stats and ``Instr`` slots (read and written as
+  Python objects; no arena access boxes or allocates), the policy hooks
+  (the ``_is_default_hook`` elision applies unchanged, so hook-free
+  configurations never call one), the other memory accesses
+  (``load``/``store``/``ifetch``), the branch predictor and BTB, the
+  long-latency load predictor, ``LLSR.commit`` for long-latency loads,
+  ``get`` of other trace types, ``cancel_fill`` and
+  ``ThreadState.clear_owner`` at a flush, and
+  ``ThreadState._sync_policy_stall`` when the stall predicate flips.
 * :class:`CextCore` is a thin :class:`SoACore` subclass whose only
-  override is ``_run_until``; all state lives in the ordinary Python
-  objects (columns, wheels, heaps, ``ThreadState``), so every
-  introspection path — stats, golden fixtures, sanitizers, policies —
-  sees exactly what the object engine's records would show.
-  Architectural behavior is bit-identical; the golden matrix pins it.
+  override is ``_run_until``.  Stats and ``ThreadState`` are the object
+  engine's, so stats, golden fixtures and policies see exactly what the
+  object engine's records would show; instruction state is read through
+  views and ``core._arena[name]``.  Architectural behavior is
+  bit-identical; the golden matrix pins it.
 
 The extension is built lazily from the checked-in C source with the
 host's own compiler (``cc``/``gcc``/``clang`` — no Cython, no mypyc) and
@@ -85,7 +88,6 @@ from repro.pipeline.dyninstr import (
     F_RETIRED,
     F_SQUASHED,
     SLOT_SHIFT,
-    SoAView,
 )
 from repro.pipeline.soa import SoACore
 from repro.pipeline.stats import CoreStats, ThreadStats
@@ -179,7 +181,6 @@ def _setup_namespace() -> dict[str, Any]:
         "stride": StridePredictor,
         "stride_entry": _Entry,
         "trace": SyntheticTrace,
-        "view_cls": SoAView,
         "limit_exc": SimulationLimitExceeded,
         "deadlock_exc": SimulationDeadlock,
         "l1_level": ServiceLevel.L1,
@@ -235,7 +236,7 @@ def cext_status() -> str:
 
 
 class CextCore(SoACore):
-    """The struct-of-arrays pipeline, driven by the compiled loop.
+    """The slot-arena pipeline, driven by the compiled loop.
 
     State layout is exactly :class:`SoACore`'s; only ``_run_until`` is
     replaced.  The two extra slots cache the policy-class hook markers

@@ -5,22 +5,23 @@ Two representations share this module:
 * :class:`DynInstr` — the classic one-object-per-instruction record used
   by the ``object`` engine backend (and by :class:`repro.runahead.core.
   RunaheadCore`, which subclasses the object engine's commit machinery).
-* The **struct-of-arrays column schema** of
-  :class:`repro.pipeline.soa.SoACore`, the state the compiled ``cext``
-  backend runs on: every ``DynInstr`` field becomes a flat per-slot
-  column, the eleven booleans collapse into one integer ``flags`` word
-  (bit layout below), and cross-record references become slot indices.
-  :class:`SoAView` is the thin per-slot proxy handed to policies and
-  hooks so the policy surface never sees a raw slot number.
+* The **slot layout** of the compiled ``cext`` backend's native arena
+  (:mod:`repro.pipeline.soa`): every ``DynInstr`` field is a per-slot
+  column in C memory, the eleven booleans collapse into one integer
+  ``flags`` word (bit layout below, mirrored by ``_cext_engine.c`` and
+  cross-checked when it loads), and cross-record references become slot
+  numbers.  Policies and hooks never see a raw slot: they get the C
+  ``SoAView`` proxy, whose getset table maps every ``DynInstr`` field
+  (``engine-parity-lint`` checks the coverage).
 
-Heap and event-wheel entries in the SoA layout are *packed* ints,
+Heap and event-wheel entries in the arena are *packed* stamps,
 ``(gseq << SLOT_SHIFT) | slot``: the global age stamp in the high bits
 makes plain integer comparison reproduce oldest-first ordering (``gseq``
 is unique per dynamic instruction), and the embedded stamp doubles as a
 generation check — an entry whose stamp no longer matches the slot's
-current ``gseq`` refers to a squashed instruction whose slot was
-reclaimed, and is skipped exactly where the object engine skips the
-squashed record it still holds a reference to.
+current one refers to a squashed instruction whose slot was reclaimed,
+and is skipped exactly where the object engine skips the squashed
+record it still holds a reference to.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from __future__ import annotations
 from repro.isa import Instr
 
 #: Slot-index width of packed heap/wheel entries: supports arenas up to
-#: ``2**SLOT_SHIFT`` slots (the arena asserts this bound when growing).
+#: ``2**SLOT_SHIFT`` slots (the arena enforces this bound when growing).
 SLOT_SHIFT = 20
-SLOT_MASK = (1 << SLOT_SHIFT) - 1
 
 # ``flags`` column bit layout (one bit per DynInstr boolean).  The five
 # F_CLS_* bits are instruction-class constants copied from the immutable
@@ -55,10 +55,6 @@ F_IN_DETECTS = 1 << 14
 #: more than one stale structure (e.g. a squashed instruction freed at
 #: flush whose completion event is still queued).
 F_FREED = 1 << 15
-
-_CLS_BITS = ((F_HAS_DEST, "has_dest"), (F_DEST_FP, "dest_fp"),
-             (F_IS_LOAD, "is_load"), (F_IS_STORE, "is_store"),
-             (F_IS_BRANCH, "is_branch"))
 
 
 def instr_flags(instr: Instr) -> int:
@@ -206,143 +202,3 @@ class DynInstr:
         ))
         return (f"<DynInstr t{self.thread} #{self.seq} "
                 f"{self.instr.op.name} {flags}>")
-
-
-class SoAView:
-    """Read/write proxy presenting one SoA arena slot as a ``DynInstr``.
-
-    Views are created *lazily*, at most one per dynamic instruction (the
-    arena caches the live occupant's view in ``SoACore._col_views``), so
-    object identity is as stable as the underlying instruction: every
-    hook invocation for the same dynamic instruction passes the same
-    view, and identity-keyed policy state (``ThreadState.ll_owners``,
-    PDG's in-flight set) behaves exactly as with real records.  Policies
-    that never touch a record cost the engine nothing.
-
-    A view is stamped with its instruction's ``gseq``.  Once the slot is
-    reclaimed and refetched the stamp no longer matches and the view is
-    *dead*: its boolean properties then report the squashed tombstone
-    (``squashed`` True, every other flag False), which is how a policy
-    that retained a reference past a flush observes exactly what it
-    would have observed on the GC-kept object record.  Non-boolean
-    properties of a dead view are unspecified (no surviving caller reads
-    them — the retaining policies all filter on ``squashed`` first).
-
-    Views are the *cold* interface — policies, hooks, and tests.  The
-    engine's hot loops index the columns directly.
-    """
-
-    __slots__ = ("_core", "_slot", "_gseq")
-
-    def __init__(self, core, slot: int, gseq: int):
-        self._core = core
-        self._slot = slot
-        self._gseq = gseq
-
-    @property
-    def slot(self) -> int:
-        return self._slot
-
-    @property
-    def live(self) -> bool:
-        """Whether this view still denotes its original instruction."""
-        return self._core._col_gseq[self._slot] == self._gseq
-
-    @property
-    def waiter0(self) -> SoAView | None:
-        packed = self._core._col_waiter0[self._slot]
-        if packed < 0:
-            return None
-        core = self._core
-        slot = packed & SLOT_MASK
-        if core._col_gseq[slot] != packed >> SLOT_SHIFT:
-            return None          # stale: the waiter's slot was reclaimed
-        return core.view(slot)
-
-    @property
-    def waiters(self) -> list[SoAView] | None:
-        packed_list = self._core._col_waiters[self._slot]
-        if packed_list is None:
-            return None
-        core = self._core
-        gseq = core._col_gseq
-        return [core.view(p & SLOT_MASK) for p in packed_list
-                if gseq[p & SLOT_MASK] == p >> SLOT_SHIFT]
-
-    @property
-    def old_map(self) -> SoAView | None:
-        slot = self._core._col_old_map[self._slot]
-        return None if slot < 0 else self._core.view(slot)
-
-    @property
-    def ll_parents(self) -> tuple[SoAView, ...] | None:
-        slots = self._core._col_ll_parents[self._slot]
-        if slots is None:
-            return None
-        core = self._core
-        return tuple(core.view(s) for s in slots)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = "".join((
-            "Q" if self.in_iq else "",
-            "I" if self.issued else "",
-            "C" if self.completed else "",
-            "X" if self.squashed else "",
-            "L" if self.is_ll else "",
-        ))
-        return (f"<SoAView s{self._slot} t{self.thread} #{self.seq} "
-                f"{self.instr.op.name} {flags}>")
-
-
-def _column_property(col: str) -> property:
-    def _get(self):
-        return getattr(self._core, col)[self._slot]
-
-    def _set(self, value):
-        getattr(self._core, col)[self._slot] = value
-
-    return property(_get, _set)
-
-
-def _flag_property(bit: int) -> property:
-    # Dead views (slot reclaimed and refetched) tombstone as "squashed":
-    # the retaining policies filter on ``squashed``/``completed`` before
-    # touching anything else, and a squashed-True/others-False read is
-    # exactly what the GC-kept object record would have produced.
-    dead_value = bit == F_SQUASHED
-
-    def _get(self):
-        core = self._core
-        slot = self._slot
-        if core._col_gseq[slot] != self._gseq:
-            return dead_value
-        return bool(core._col_flags[slot] & bit)
-
-    def _set(self, value):
-        col = self._core._col_flags
-        if value:
-            col[self._slot] |= bit
-        else:
-            col[self._slot] &= ~bit
-
-    return property(_get, _set)
-
-
-for _name, _col in (("instr", "_col_instr"), ("thread", "_col_thread"),
-                    ("seq", "_col_seq"), ("gseq", "_col_gseq"),
-                    ("pending", "_col_pending"),
-                    ("fe_ready", "_col_fe_ready"), ("refs", "_col_refs"),
-                    ("predicted_ll", "_col_pred_ll"),
-                    ("fill_line", "_col_fill_line"),
-                    ("level", "_col_level")):
-    setattr(SoAView, _name, _column_property(_col))
-for _name, _bit in (("in_iq", F_IN_IQ), ("iq_is_fp", F_IQ_FP),
-                    ("issued", F_ISSUED), ("completed", F_COMPLETED),
-                    ("has_dest", F_HAS_DEST), ("dest_fp", F_DEST_FP),
-                    ("squashed", F_SQUASHED), ("is_load", F_IS_LOAD),
-                    ("is_store", F_IS_STORE), ("is_branch", F_IS_BRANCH),
-                    ("is_ll", F_IS_LL), ("inv", F_INV),
-                    ("ll_dep", F_LL_DEP), ("retired", F_RETIRED),
-                    ("in_detects", F_IN_DETECTS)):
-    setattr(SoAView, _name, _flag_property(_bit))
-del _name, _col, _bit

@@ -25,13 +25,22 @@ The two engines are checked at different grains:
   answers by calling ``step()`` once per cycle; each call runs one pass
   of the engine's run loop.  Every free, every allocation and every
   cycle is checked.
-* :class:`CheckedCextCore` runs the compiled loop unchanged and checks
-  the whole arena at every measurement boundary (``begin_measurement``
-  and ``advance_to``).  Per-operation checks cannot see the C loop: it
-  edits the free list through ``PyList_Append``/``PyList_SetSlice``,
-  which bypass a list subclass's methods, and it has no per-cycle
-  ``step``.  A defect goes unseen only if it is made and repaired
-  between two boundaries.
+* :class:`CheckedCextCore` runs the compiled loop unchanged and calls
+  the arena's C ``check`` at every measurement boundary
+  (``begin_measurement`` and ``advance_to``, also when the run fails:
+  a violated invariant is then raised in place of the engine's error).
+  It checks, in order:
+  that no wheel mark or spill-heap head is dated before the cycle; that
+  no slot is on the free list twice; that every free slot has
+  ``F_FREED`` and is pristine (``pending`` 0, ``refs`` 0, ``waiter0``
+  and ``old_map`` -1, no waiters, parents, ``fill_line`` or view); that
+  every ``F_FREED`` slot is on the free list; and the leak scan, from
+  the thread queues, rename maps, waiting branches, queued events,
+  ready heaps and the views policies hold (``ll_owners``,
+  ``policy_data``) through the ``old_map``, waiter and parent edges.
+  The arena lives in C memory, so per-operation checks cannot see it:
+  a defect goes unseen only if it is made and repaired between two
+  boundaries.
 
 Sanitized runs stay **bit-exact**: the golden matrix passes under
 ``REPRO_SANITIZE=1`` on both backends, and the ``golden-sanitize`` CI
@@ -47,14 +56,12 @@ engine exceptions.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 import os
 from typing import TYPE_CHECKING, Any
 
 from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
-from repro.pipeline.dyninstr import F_FREED, SLOT_MASK, SoAView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.dyninstr import DynInstr
@@ -87,7 +94,7 @@ def checked_variant(cls: type) -> type:
 
 
 # --------------------------------------------------------------------- #
-# event-wheel monotonicity (shared by both engines)
+# event-wheel monotonicity (the object engine's wheels)
 # --------------------------------------------------------------------- #
 
 def _check_wheels(core: SMTCore, cycle: int) -> None:
@@ -239,34 +246,6 @@ class CheckedSMTCore(SMTCore):
 # compiled engine: the slot arena, checked at measurement boundaries
 # --------------------------------------------------------------------- #
 
-def _assert_pristine_slot(core: CextCore, s: int, when: str) -> None:
-    """The free-list pristine-slot contract (the alloc path relies on
-    these columns being clear and does not re-write them)."""
-    for col, clear in (("_col_pending", 0), ("_col_refs", 0),
-                       ("_col_waiter0", -1), ("_col_waiters", None),
-                       ("_col_old_map", -1), ("_col_ll_parents", None),
-                       ("_col_fill_line", None), ("_col_views", None)):
-        value = getattr(core, col)[s]
-        if value is not clear and value != clear:
-            raise SanitizerError(
-                f"{when}: freed slot {s} is not pristine: "
-                f"{col}[{s}] == {value!r} (expected {clear!r})")
-
-
-def _iter_views(obj: Any, depth: int = 0) -> Iterator[SoAView]:
-    """Every SoAView reachable through plain containers (bounded)."""
-    if isinstance(obj, SoAView):
-        yield obj
-    elif depth < 4:
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                yield from _iter_views(k, depth + 1)
-                yield from _iter_views(v, depth + 1)
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            for v in obj:
-                yield from _iter_views(v, depth + 1)
-
-
 class CheckedCextCore(CextCore):
     """The ``cext`` backend under ``REPRO_SANITIZE=1``.
 
@@ -278,106 +257,20 @@ class CheckedCextCore(CextCore):
 
     def begin_measurement(self, warmup: int,
                           max_cycles: int | None = None) -> None:
-        super().begin_measurement(warmup, max_cycles)
-        self.sanitize_check()
+        try:
+            super().begin_measurement(warmup, max_cycles)
+        finally:
+            self.sanitize_check()
 
     def advance_to(self, commits: int,
                    max_cycles: int | None = None) -> bool:
-        done = super().advance_to(commits, max_cycles)
-        self.sanitize_check()
-        return done
+        try:
+            return super().advance_to(commits, max_cycles)
+        finally:
+            self.sanitize_check()
 
     def sanitize_check(self) -> None:
-        """Wheels, free list, pristine free slots, then the leak scan."""
-        cycle = self.cycle
-        _check_wheels(self, cycle)
-        free = self._free
-        free_slots = set(free)
-        if len(free_slots) != len(free):
-            dup = next(s for s, n in Counter(free).items() if n > 1)
-            raise SanitizerError(
-                f"double free: slot {dup} is on the arena free list "
-                f"twice (cycle {cycle})")
-        flags = self._col_flags
-        when = f"boundary at cycle {cycle}"
-        for s in free:
-            if not flags[s] & F_FREED:
-                raise SanitizerError(
-                    f"{when}: slot {s} is on the free list without "
-                    f"F_FREED")
-            _assert_pristine_slot(self, s, when)
-        live = self._live_slots()
-        for s in range(self._capacity):
-            if flags[s] & F_FREED:
-                if s not in free_slots:
-                    raise SanitizerError(
-                        f"{when}: slot {s} has F_FREED but is not on the "
-                        f"free list (lost to the allocator)")
-            elif s not in live:
-                raise SanitizerError(
-                    f"{when}: leak: slot {s} (t{self._col_thread[s]}"
-                    f"#{self._col_seq[s]}) is neither freed nor "
-                    f"reachable from any live root")
-
-    def _live_slots(self) -> set[int]:
-        """Slots reachable from the live roots, transitively."""
-        cap = self._capacity
-        packed_col = self._col_packed
-        live: set[int] = set()
-        pend: list[int] = []
-
-        def add(s: int) -> None:
-            if 0 <= s < cap and s not in live:
-                live.add(s)
-                pend.append(s)
-
-        def add_packed(p: int) -> None:
-            s = p & SLOT_MASK
-            if 0 <= s < cap and packed_col[s] == p:
-                add(s)
-
-        for ts in self.threads:
-            for s in ts.fe_queue:
-                add(s)
-            for s in ts.window:
-                add(s)
-            for s in ts.rename_map:
-                if s >= 0:
-                    add(s)
-            if ts.waiting_branch is not None:
-                add(ts.waiting_branch)
-            for view in _iter_views(ts.ll_owners):
-                add(view._slot)
-            for view in _iter_views(ts.policy_data):
-                add(view._slot)
-        for name in ("_ev_buckets", "_dt_buckets"):
-            for bucket in getattr(self, name):
-                if bucket:
-                    for p in bucket:
-                        add_packed(p)
-        for name in ("_ev_over", "_dt_over"):
-            for entry in getattr(self, name):
-                add_packed(entry[1])
-        for queue in (self._ready_int, self._ready_ldst, self._ready_fp):
-            for p in queue:
-                add_packed(p)
-        old_map = self._col_old_map
-        waiter0 = self._col_waiter0
-        waiters = self._col_waiters
-        ll_parents = self._col_ll_parents
-        while pend:
-            s = pend.pop()
-            if old_map[s] >= 0:
-                add(old_map[s])
-            w0 = waiter0[s]
-            if w0 != -1:
-                add_packed(w0)
-            wl = waiters[s]
-            if wl is not None:
-                for w in wl:
-                    add_packed(w)
-            ps = ll_parents[s]
-            if ps is not None:
-                for p in ps:
-                    add(p)
-        return live
+        """The arena's ``check``: wheels, free list, leaks (module doc)."""
+        problem = self._arena.check(self)
+        if problem is not None:
+            raise SanitizerError(problem)

@@ -1,15 +1,10 @@
 """DynInstr half of the known-bad engine-parity fixture (parsed only).
 
-``mystery`` has no SoAView accessor — the slot would silently read as
-garbage through the struct-of-arrays view layer.
+``mystery`` has no entry in the fixture's C ``View_getset`` table
+(``bad_cext_engine.c``) — the slot would silently read as garbage
+through the compiled engine's view type.
 """
 
 
 class DynInstr:
     __slots__ = ("seq", "mystery")
-
-
-class SoAView:
-    @property
-    def seq(self):
-        return 0

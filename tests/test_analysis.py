@@ -114,7 +114,8 @@ class TestEngineParityFixture:
         assert "'on_ll_detect'" in text          # hook lost in the C twin
         assert "'can_dispatch'" not in text      # spelled by both
         assert "'mystery'" in text               # slot with no accessor
-        assert "'seq'" not in text               # covered by the property
+        assert "'seq'" not in text               # covered by the table
+        assert text.count("has no SoAView accessor") == 1
 
 
 class TestHookElisionFixture:

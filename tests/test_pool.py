@@ -158,21 +158,26 @@ def _soa_assert_free_list_pristine(core):
     """The arena analogue of the pool invariants, on the columns.
 
     Every slot on the free list must carry exactly the state the alloc
-    fast path relies on without re-writing (see the ``soa`` module
-    docstring), and no live engine structure may still reference it.
+    fast path relies on without re-writing (see the arena contract in
+    the ``soa`` module docstring), and no live engine structure may
+    still reference it.
     """
-    free = set(core._free)
+    arena = core._arena
+    free = set(arena["free"])
     assert free, "expected the engine to have recycled slots"
+    col = {name: arena[name] for name in (
+        "flags", "pending", "refs", "waiter0", "waiters", "old_map",
+        "ll_parents", "fill_line", "views")}
     for s in free:
-        assert core._col_flags[s] & F_FREED, s
-        assert core._col_pending[s] == 0, s
-        assert core._col_refs[s] == 0, s
-        assert core._col_waiter0[s] == -1, s
-        assert core._col_waiters[s] is None, s
-        assert core._col_old_map[s] == -1, s
-        assert core._col_ll_parents[s] is None, s
-        assert core._col_fill_line[s] is None, s
-        assert core._col_views[s] is None, s
+        assert col["flags"][s] & F_FREED, s
+        assert col["pending"][s] == 0, s
+        assert col["refs"][s] == 0, s
+        assert col["waiter0"][s] == -1, s
+        assert col["waiters"][s] is None, s
+        assert col["old_map"][s] == -1, s
+        assert col["ll_parents"][s] is None, s
+        assert col["fill_line"][s] is None, s
+        assert col["views"][s] is None, s
     for ts in core.threads:
         assert not free.intersection(ts.window)
         assert not free.intersection(ts.fe_queue)

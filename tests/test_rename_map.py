@@ -163,15 +163,16 @@ def _soa_rename_shape(core):
     reference (slot lifetime), the object engine does not (GC does).
     """
     shape = []
+    flags, seq, gseq = (core._arena[name] for name in ("flags", "seq",
+                                                       "gseq"))
     for ts in core.threads:
         regs = []
         for reg, slot in enumerate(ts.rename_map):
             if slot < 0:
                 regs.append(None)
             else:
-                fl = core._col_flags[slot]
-                regs.append((reg, core._col_seq[slot],
-                             core._col_gseq[slot],
+                fl = flags[slot]
+                regs.append((reg, seq[slot], gseq[slot],
                              bool(fl & F_RETIRED),
                              bool(fl & F_COMPLETED),
                              bool(fl & F_SQUASHED)))

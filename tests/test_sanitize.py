@@ -16,7 +16,7 @@ wheel mark behind the current cycle raise it from the boundary check.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 
 import pytest
 
@@ -171,24 +171,30 @@ class TestObjectEngineDetection:
 
 @needs_cext
 class TestCextEngineDetection:
-    """Defects planted in the arena after a clean compiled run."""
+    """Defects planted in the arena (through ``core._arena[name]``)
+    after a clean compiled run."""
 
     def test_double_free_caught(self):
         core, _ = _run(CheckedCextCore)
-        free = core._free
-        free.append(free[-1])
+        arena = core._arena
+        free = arena["free"]
+        arena["free"] = free + [free[-1]]
         with pytest.raises(SanitizerError, match="double free"):
             core.sanitize_check()
-        free.pop()
+        arena["free"] = free
         core.sanitize_check()   # restored state passes again
 
     def test_dirty_slot_free_caught(self):
         core, _ = _run(CheckedCextCore)
-        s = core._free[-1]
-        core._col_pending[s] = 1
+        arena = core._arena
+        s = arena["free"][-1]
+        pending = arena["pending"]
+        pending[s] = 1
+        arena["pending"] = pending
         with pytest.raises(SanitizerError, match="not pristine"):
             core.sanitize_check()
-        core._col_pending[s] = 0
+        pending[s] = 0
+        arena["pending"] = pending
         core.sanitize_check()
 
     def test_mutated_while_freed_caught(self):
@@ -196,35 +202,51 @@ class TestCextEngineDetection:
         # keeps running: the next boundary reports it.  The bottom of
         # the free-list stack is the slot reused last.
         core, _ = _run(CheckedCextCore)
-        s = core._free[0]
-        core._col_waiter0[s] = 7
+        arena = core._arena
+        s = arena["free"][0]
+        waiter0 = arena["waiter0"]
+        waiter0[s] = 7
+        arena["waiter0"] = waiter0
         with pytest.raises(SanitizerError,
-                           match=rf"_col_waiter0\[{s}\] == 7"):
+                           match=rf"waiter0\[{s}\] == 7"):
             core.advance_to(core._committed_watermark + 200)
-        core._col_waiter0[s] = -1
+        waiter0 = arena["waiter0"]
+        waiter0[s] = -1
+        arena["waiter0"] = waiter0
 
     def test_leak_scan_flags_lost_slot(self):
         core, _ = _run(CheckedCextCore)
-        s = core._free.pop()                 # allocated...
-        core._col_flags[s] &= ~F_FREED      # ...but reachable from nowhere
+        arena = core._arena
+        free, flags = arena["free"], arena["flags"]
+        s = free.pop()                      # allocated...
+        arena["free"] = free
+        flags[s] &= ~F_FREED                # ...but reachable from nowhere
+        arena["flags"] = flags
         with pytest.raises(SanitizerError, match="leak"):
             core.sanitize_check()
-        core._col_flags[s] |= F_FREED
-        core._free.append(s)
+        flags[s] |= F_FREED
+        arena["flags"] = flags
+        arena["free"] = free + [s]
         core.sanitize_check()
 
     def test_freed_slot_off_the_free_list_caught(self):
         core, _ = _run(CheckedCextCore)
-        s = core._free.pop(0)               # F_FREED, yet unallocatable
+        arena = core._arena
+        free = arena["free"]
+        arena["free"] = free[1:]            # F_FREED, yet unallocatable
         with pytest.raises(SanitizerError, match="not on the free list"):
             core.sanitize_check()
-        core._free.insert(0, s)
+        arena["free"] = free
         core.sanitize_check()
 
     def test_wheel_mark_behind_the_cycle_caught(self):
         core, _ = _run(CheckedCextCore)
-        heappush(core._ev_marks, core.cycle - 1)
+        arena = core._arena
+        marks = arena["ev_marks"]
+        planted = list(marks)
+        heappush(planted, core.cycle - 1)
+        arena["ev_marks"] = planted
         with pytest.raises(SanitizerError, match="non-monotonic"):
             core.sanitize_check()
-        heappop(core._ev_marks)
+        arena["ev_marks"] = marks
         core.sanitize_check()
