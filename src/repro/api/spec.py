@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+import functools
 import inspect
 import json
 from typing import Any
@@ -67,6 +68,16 @@ def policy_kwarg_names(policy: str) -> frozenset[str] | None:
         cls = registry.policies.get(policy)
     except registry.RegistryError as exc:
         raise SpecError(str(exc)) from None
+    return _constructor_kwargs(cls)
+
+
+@functools.cache
+def _constructor_kwargs(cls: type) -> frozenset[str] | None:
+    """:func:`policy_kwarg_names` of a class, its signature read once.
+
+    Keyed by the class itself (classes hash by identity), so a name
+    registered again with another class gets its own entry.
+    """
     params = [p for name, p in
               inspect.signature(cls.__init__).parameters.items()
               if name != "self"]
@@ -208,10 +219,19 @@ class RunSpec:
     def content_hash(self) -> str:
         """Stable hex content key, identical to the equivalent
         :meth:`repro.jobs.JobSpec.cache_key` — the property that lets a
-        serialized-and-reloaded spec hit the warm jobs cache."""
-        return content_key(KIND_WORKLOAD, self.workload, self.config,
-                           self.max_commits, self.warmup, self.policy,
-                           self.policy_kwargs, seed=self.seed)
+        serialized-and-reloaded spec hit the warm jobs cache.
+
+        Computed once and kept on this instance, outside the fields (it
+        takes no part in equality, ``repr`` or :meth:`to_doc`);
+        :meth:`with_` builds a new instance, which starts without it.
+        """
+        key = self.__dict__.get("_content_hash")
+        if key is None:
+            key = content_key(KIND_WORKLOAD, self.workload, self.config,
+                              self.max_commits, self.warmup, self.policy,
+                              self.policy_kwargs, seed=self.seed)
+            object.__setattr__(self, "_content_hash", key)
+        return key
 
     def to_job(self) -> JobSpec:
         """The executable :class:`~repro.jobs.JobSpec` for this spec."""

@@ -186,10 +186,22 @@ class SMTConfig:
         ``repr``, so the key survives repr-format changes and is identical
         across processes.  :mod:`repro.jobs` uses it to key the persistent
         result store.
+
+        The digest is computed on the first call and kept on this
+        instance, outside the dataclass fields (so it takes no part in
+        equality, hashing, ``repr`` or :func:`config_to_dict`).  It is
+        memoized per instance, never by equality: ``mem_latency=350``
+        and ``350.0`` compare equal but hash to different keys.
+        ``dataclasses.replace`` builds a new instance, so a memo never
+        outlives a field change.
         """
-        blob = json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            blob = json.dumps(asdict(self), sort_keys=True,
+                              separators=(",", ":"))
+            key = hashlib.sha256(blob.encode("ascii")).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 def config_to_dict(cfg: SMTConfig) -> dict:
@@ -261,10 +273,18 @@ def single_thread_variant(cfg: SMTConfig) -> SMTConfig:
     Single-threaded CPI baselines and multithreaded runs must share every
     other parameter, so this is the only sanctioned way to derive the
     baseline machine from a workload machine.
+
+    The variant is built once per ``cfg`` instance and kept on it (like
+    :meth:`SMTConfig.cache_key`), so every baseline of one machine
+    shares one config and hashes it once.
     """
     if cfg.num_threads == 1:
         return cfg
-    return replace(cfg, num_threads=1)
+    variant = cfg.__dict__.get("_single_thread")
+    if variant is None:
+        variant = replace(cfg, num_threads=1)
+        object.__setattr__(cfg, "_single_thread", variant)
+    return variant
 
 
 def scaled_memory(scale: int = 16) -> MemoryConfig:

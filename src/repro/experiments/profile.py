@@ -119,6 +119,7 @@ def profile_benchmark(name: str, cfg: SMTConfig | None = None,
         mlp_binary_accuracy=ts.mlp_pred.binary_accuracy,
         mlp_distance_accuracy=ts.mlp_pred.distance_accuracy,
     )
+    core.detach()
     _profile_cache[key] = result
     return result
 

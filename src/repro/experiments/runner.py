@@ -159,6 +159,7 @@ def run_single(name: str, cfg: SMTConfig, max_commits: int,
                      warmup=default_warmup() if warmup is None else warmup)
     if record_commits:
         stats.commit_cycle_trace = core.threads[0].commit_cycles
+    core.detach()
     return stats
 
 
@@ -176,10 +177,14 @@ def simulate_baseline(name: str, st_cfg: SMTConfig, max_commits: int,
     core = core_for(pol, backend)(st_cfg, [trace], pol)
     core.threads[0].commit_cycles = []
     stats = core.run(max_commits, warmup=warmup)
-    return SingleThreadResult(name, stats, core.threads[0].commit_cycles)
+    commit_cycles = core.threads[0].commit_cycles
+    core.detach()
+    return SingleThreadResult(name, stats, commit_cycles)
 
 
-_baseline_cache: dict = {}
+#: Content key -> result.  Keyed by content, not by spec equality:
+#: equal specs can differ in key (``mem_latency`` 350 and 350.0).
+_baseline_cache: dict[str, SingleThreadResult] = {}
 
 
 def single_thread_baseline(name: str, cfg: SMTConfig,
@@ -195,7 +200,8 @@ def single_thread_baseline(name: str, cfg: SMTConfig,
     from repro.jobs.spec import JobSpec          # lazy: layering rule
     from repro.jobs.store import default_store
     spec = JobSpec.baseline(name, cfg, max_commits, warmup, seed=seed)
-    cached = _baseline_cache.get(spec)
+    key = spec.cache_key()
+    cached = _baseline_cache.get(key)
     if cached is not None:
         return cached
     store = default_store()
@@ -205,7 +211,7 @@ def single_thread_baseline(name: str, cfg: SMTConfig,
                                    spec.warmup, seed=seed)
         if store is not None:
             store.put(spec, result)
-    _baseline_cache[spec] = result
+    _baseline_cache[key] = result
     return result
 
 
@@ -306,8 +312,9 @@ def evaluate_workload(names: tuple[str, ...] | list[str], cfg: SMTConfig,
                       **policy_kwargs) -> WorkloadResult:
     """Run a workload and score it with STP and ANTT (Section 5)."""
     names = tuple(names)
-    stats, _core = run_workload(names, cfg, policy, max_commits,
-                                warmup=warmup, seed=seed, **policy_kwargs)
+    stats, core = run_workload(names, cfg, policy, max_commits,
+                               warmup=warmup, seed=seed, **policy_kwargs)
+    core.detach()
     baselines = [single_thread_baseline(name, cfg, max_commits, seed=seed)
                  for name in names]
     return build_workload_result(names, policy, stats, baselines)

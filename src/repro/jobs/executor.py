@@ -110,10 +110,11 @@ def _baseline_job(spec: JobSpec):
 
 
 def _workload_job(spec: JobSpec):
-    stats, _core = run_workload(spec.names, spec.config, spec.policy,
-                                spec.max_commits, warmup=spec.warmup,
-                                seed=spec.seed, backend=spec.backend,
-                                **dict(spec.policy_kwargs))
+    stats, core = run_workload(spec.names, spec.config, spec.policy,
+                               spec.max_commits, warmup=spec.warmup,
+                               seed=spec.seed, backend=spec.backend,
+                               **dict(spec.policy_kwargs))
+    core.detach()
     return stats
 
 

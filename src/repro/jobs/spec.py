@@ -171,16 +171,32 @@ class JobSpec:
         """
         if self.kind != KIND_WORKLOAD:
             return ()
-        return tuple(
-            JobSpec.baseline(name, self.config, self.max_commits,
-                             seed=self.seed, backend=self.backend)
-            for name in self.names)
+        specs = self.__dict__.get("_baseline_specs")
+        if specs is None:
+            specs = tuple(
+                JobSpec.baseline(name, self.config, self.max_commits,
+                                 seed=self.seed, backend=self.backend)
+                for name in self.names)
+            object.__setattr__(self, "_baseline_specs", specs)
+        return specs
 
     def cache_key(self) -> str:
-        """Stable hex content key (raises for unserializable kwargs)."""
-        return content_key(self.kind, self.names, self.config,
-                           self.max_commits, self.warmup, self.policy,
-                           self.policy_kwargs, seed=self.seed)
+        """Stable hex content key (raises for unserializable kwargs).
+
+        Computed on the first call and kept on this instance, outside
+        the dataclass fields, so the executor's repeat calls are one
+        attribute read.  The memo is per instance, never by equality
+        (equal specs can carry configs with different keys, such as
+        ``350`` and ``350.0``).  An uncacheable spec raises on every
+        call.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = content_key(self.kind, self.names, self.config,
+                              self.max_commits, self.warmup, self.policy,
+                              self.policy_kwargs, seed=self.seed)
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def __str__(self) -> str:
         mix = "-".join(self.names)

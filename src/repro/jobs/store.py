@@ -6,8 +6,8 @@ processes and runs.  Entries live as one JSON file per job under
 ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), named by the job's
 content key, with the layout::
 
-    {"schema": 1, "repro": "<package version>", "kind": "...",
-     "payload": {...}}
+    {"schema": 1, "repro": "<package version>", "code": "<sha256>",
+     "kind": "...", "payload": {...}}
 
 Robustness rules:
 
@@ -16,6 +16,14 @@ Robustness rules:
 * An entry written under a different schema or package version is stale
   and also reads as a miss (the package version participates in the
   content key too, so version bumps simply re-key the cache).
+* So is an entry written by other simulator code: ``code`` is
+  :func:`code_fingerprint`, a sha256 over the sources that decide
+  results (:data:`CODE_SOURCES`).  Editing the engine, a policy or the
+  runner turns every entry into a miss, which the next ``put``
+  overwrites; editing the CLI, the reports or the jobs layer does not.
+  The fingerprint is checked in the entry rather than hashed into the
+  key, so keys (and users' saved hashes) stay unchanged.  The cost: two
+  code versions sharing one store overwrite each other's entries.
 * Writes are atomic (temp file + ``os.replace``), so parallel workers can
   race on the same entry without tearing it.
 
@@ -28,6 +36,8 @@ time only, while this module may not pull them in at load time.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -35,6 +45,7 @@ from pathlib import Path
 import tempfile
 from typing import Any
 
+import repro
 from repro import __version__
 from repro.jobs.spec import SCHEMA_VERSION, JobSpec, UncacheableJobError
 from repro.pipeline.stats import CoreStats, ThreadStats
@@ -51,6 +62,49 @@ def cache_root() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro"
+
+
+# --------------------------------------------------------------------- #
+# code fingerprint
+# --------------------------------------------------------------------- #
+
+#: The sources that decide a simulation's results, relative to the
+#: ``repro`` package: every ``.py`` and ``.c`` file under a directory,
+#: or the named file.
+CODE_SOURCES = ("pipeline", "memory", "policies", "predictors", "branch",
+                "workloads", "runahead", "isa", "config.py",
+                "experiments/runner.py")
+
+
+def source_fingerprint(root: Path) -> str:
+    """sha256 over :data:`CODE_SOURCES` under the package dir ``root``.
+
+    Each file contributes its path relative to ``root`` and its bytes,
+    in sorted order, so a rename, an edit, an added or a deleted file
+    all change it.  A comment-only edit changes it too.
+    """
+    digest = hashlib.sha256()
+    for name in CODE_SOURCES:
+        path = root / name
+        files = ([path] if path.is_file() else
+                 sorted(p for p in path.rglob("*")
+                        if p.suffix in (".py", ".c")))
+        for file in files:
+            digest.update(file.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """:func:`source_fingerprint` of the running ``repro`` package.
+
+    Computed on first use (2–3 ms for some 50 files), never at
+    import, and then kept for the life of the process.
+    """
+    return source_fingerprint(Path(repro.__file__).resolve().parent)
 
 
 # --------------------------------------------------------------------- #
@@ -150,6 +204,7 @@ class ResultStore:
         try:
             if (entry["schema"] != SCHEMA_VERSION
                     or entry["repro"] != __version__
+                    or entry.get("code") != code_fingerprint()
                     or entry["kind"] != spec.kind):
                 return None
             return decode_result(entry["kind"], entry["payload"])
@@ -165,7 +220,8 @@ class ResultStore:
         except UncacheableJobError:
             return False
         entry = {"schema": SCHEMA_VERSION, "repro": __version__,
-                 "kind": spec.kind, "payload": encode_result(result)}
+                 "code": code_fingerprint(), "kind": spec.kind,
+                 "payload": encode_result(result)}
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

@@ -86,7 +86,7 @@ def golden_matrix() -> tuple[Scenario, ...]:
 def snapshot_cell(sc: Scenario, backend: str = "object") -> dict:
     """Simulate one cell and capture every architecturally-visible count."""
     stats, core = run_scenario(sc, backend=backend)
-    return {
+    snapshot = {
         "workload": list(sc.workload),
         "policy": sc.policy,
         "commits": sc.commits,
@@ -115,6 +115,8 @@ def snapshot_cell(sc: Scenario, backend: str = "object") -> dict:
             for i, t in enumerate(stats.threads)
         ],
     }
+    core.detach()
+    return snapshot
 
 
 def collect_golden(backend: str = "object") -> dict:

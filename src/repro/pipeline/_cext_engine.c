@@ -3281,6 +3281,18 @@ static PyObject *Arena_view(PyObject *self, PyObject *arg)
     return ensure_view(A, s);
 }
 
+/* release(): drop every object column of a finished core's arena.  A
+ * slot's view references the arena and the arena its views, so without
+ * this a core that ends with views alive (any policy hook received one)
+ * waits for the cyclic collector.  Views read the dropped columns as
+ * None afterwards; SoACore.detach also unhooks the arena from its core,
+ * so the loop never runs on it again. */
+static PyObject *Arena_release(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    Arena_clear(self);
+    Py_RETURN_NONE;
+}
+
 /* Whether `core` runs on arena A (and `ts`, unless NULL, is one of its
  * threads); 0 with an error set when not. */
 static int owns(Arena *A, PyObject *core, PyObject *ts)
@@ -3797,6 +3809,8 @@ static PyMethodDef Arena_methods[] = {
      "flush(core, ts, after_seq, cancel_fills) -> squashed count."},
     {"check", Arena_check, METH_O,
      "check(core) -> the first arena invariant violated, or None."},
+    {"release", Arena_release, METH_NOARGS,
+     "release() -> drop the object columns of a finished core's arena."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -387,6 +387,23 @@ class SMTCore:
         self.stats.ll_intervals = self.hierarchy.ll_intervals
         return self._committed_watermark >= commits
 
+    def detach(self) -> None:
+        """Unhook a finished core so reference counting frees it at once.
+
+        The inverse of ``policy.attach``: clears ``policy.core`` and each
+        ``ThreadState.core``.  It also drops each thread's other
+        self-references, its interned fetch-order entries and its LLSR
+        (whose training callback is a method of the thread).  Without
+        this a finished core is cyclic garbage and holds its whole
+        pipeline state until the collector runs.  Call it once the
+        run's statistics and ``commit_cycles`` are read: the statistics
+        stay valid, but the core cannot run again.
+        """
+        self.policy.core = None
+        for ts in self.threads:
+            ts.core = ts.fetch_entry = ts.fetch_one = None
+            ts.llsr = ts.llsr_commit = ts.llsr_commit_zeros = None
+
     def _run_until(self, max_commits: int, max_cycles: int | None,
                    one_pass: bool = False) -> None:
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles

@@ -74,6 +74,15 @@ class SoACore(SMTCore):
                                   instr_flags(instr)
                                   for instr in ts.trace_static]
 
+    def detach(self) -> None:
+        super().detach()
+        if self._arena is not None:
+            # A slot's view references the arena and the arena its
+            # views: drop the arena's side, and unhook the arena so the
+            # loop never runs on it again.
+            self._arena.release()
+            self._arena = None
+
     def view(self, slot: int):
         """The (cached, generation-stamped) view of ``slot``'s occupant."""
         return self._arena.view(slot)

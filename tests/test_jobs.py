@@ -3,15 +3,30 @@ result store, and the parallel batch executor."""
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+import hashlib
 import json
 import os
 from pathlib import Path
+import pickle
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from repro.config import scaled_config
+import repro
+from repro.api import RunSpec
+import repro.api.spec as api_spec
+import repro.config as config_module
+from repro.config import (
+    SMTConfig,
+    paper_baseline,
+    scaled_config,
+    single_thread_variant,
+    with_memory_latency,
+    with_window_size,
+)
 from repro.experiments import (
     clear_baseline_cache,
     default_config,
@@ -27,7 +42,13 @@ from repro.jobs import (
     run_jobs,
 )
 from repro.jobs.executor import counters, default_workers
-from repro.jobs.store import default_store
+from repro.jobs.store import (
+    code_fingerprint,
+    default_store,
+    source_fingerprint,
+)
+from repro.policies import MAIN_COMPARISON
+from repro.workloads import TWO_THREAD_MIXED, TWO_THREAD_MLP
 
 CFG = scaled_config(num_threads=2, scale=16)
 COMMITS = 1500
@@ -91,6 +112,209 @@ class TestJobSpec:
                                                 scale=16).cache_key()
         assert CFG.cache_key() != scaled_config(num_threads=4,
                                                 scale=16).cache_key()
+
+
+def _fresh_config_key(cfg: SMTConfig) -> str:
+    """The config key computed from scratch, as the parent code did."""
+    blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+class TestKeyMemo:
+    """Each instance computes its key once; the key itself never moves."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: paper_baseline(),
+        lambda: paper_baseline(num_threads=4, rob_size=128),
+        lambda: scaled_config(num_threads=2),
+        lambda: with_window_size(scaled_config(num_threads=2), 128),
+        lambda: with_memory_latency(scaled_config(num_threads=2), 500),
+    ], ids=["paper_baseline", "paper_baseline_4t", "scaled_config",
+            "with_window_size", "with_memory_latency"])
+    def test_config_memo_equals_a_fresh_computation(self, make):
+        cfg = make()
+        key = cfg.cache_key()
+        assert key == _fresh_config_key(cfg)
+        assert cfg.cache_key() is key          # the memo, not a rehash
+        assert make().cache_key() == key       # a new instance agrees
+
+    def test_memo_stays_out_of_identity(self):
+        cfg = scaled_config(num_threads=2)
+        fresh = scaled_config(num_threads=2)
+        cfg.cache_key()
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert repr(cfg) == repr(fresh)
+        assert config_module.config_to_dict(cfg) == asdict(fresh)
+        spec = RunSpec(("mcf", "twolf"), cfg, "flush", max_commits=COMMITS,
+                       warmup=WARMUP)
+        doc = spec.to_doc()
+        spec.content_hash()
+        assert spec.to_doc() == doc
+
+    def test_replace_never_returns_the_old_key(self):
+        cfg = scaled_config(num_threads=2)
+        key = cfg.cache_key()
+        for changed in (replace(cfg, rob_size=128),
+                        with_window_size(cfg, 128),
+                        with_memory_latency(cfg, 500),
+                        single_thread_variant(cfg)):
+            assert changed.cache_key() != key
+            assert changed.cache_key() == _fresh_config_key(changed)
+        assert replace(cfg).cache_key() == key
+
+    def test_with_never_returns_the_old_hash(self):
+        spec = RunSpec(("mcf", "twolf"), CFG, "flush", max_commits=COMMITS,
+                       warmup=WARMUP)
+        content = spec.content_hash()
+        for changed in (spec.with_(policy="icount"), spec.with_(seed=1),
+                        spec.with_(max_commits=COMMITS + 1),
+                        spec.with_(config=with_window_size(CFG, 128))):
+            assert changed.content_hash() != content
+            assert changed.content_hash() == changed.to_job().cache_key()
+        # The backend is not part of the key; a round trip restores it.
+        assert spec.with_(backend="object").content_hash() == content
+        assert spec.with_(seed=1).with_(seed=0).content_hash() == content
+
+    def test_equal_configs_with_distinct_keys_stay_distinct(self):
+        # These compare and hash equal, yet their keys differ: a memo
+        # keyed by equality would serve one key for all three.
+        base = SMTConfig()
+        as_float = replace(base, memory=replace(base.memory,
+                                                mem_latency=350.0))
+        as_int = replace(base, fast_forward=1)
+        assert base == as_float == as_int
+        assert hash(base) == hash(as_float) == hash(as_int)
+        for order in ((base, as_float, as_int), (as_int, as_float, base)):
+            fresh = [replace(cfg) for cfg in order]
+            keys = [cfg.cache_key() for cfg in fresh]
+            assert len(set(keys)) == 3
+            assert keys == [_fresh_config_key(cfg) for cfg in fresh]
+        jobs = [JobSpec.workload(("mcf", "twolf"), replace(cfg),
+                                 "icount", COMMITS, warmup=WARMUP)
+                for cfg in (base, as_float, as_int)]
+        assert len({job.cache_key() for job in jobs}) == 3
+        assert len({job.baseline_specs()[0].cache_key()
+                     for job in jobs}) == 3
+
+    def test_pickle_round_trip_keeps_the_key(self):
+        cfg = scaled_config(num_threads=2)
+        job = JobSpec.workload(("mcf", "twolf"), cfg, "flush", COMMITS,
+                               warmup=WARMUP)
+        spec = RunSpec(("mcf", "twolf"), cfg, "flush", max_commits=COMMITS,
+                       warmup=WARMUP)
+        keys = (cfg.cache_key(), job.cache_key(), spec.content_hash())
+        cfg2, job2, spec2 = pickle.loads(pickle.dumps((cfg, job, spec)))
+        assert (cfg2, job2, spec2) == (cfg, job, spec)
+        assert (cfg2.cache_key(), job2.cache_key(),
+                spec2.content_hash()) == keys
+        assert cfg2.cache_key() == _fresh_config_key(cfg2)
+
+    def test_baselines_share_one_single_thread_config(self):
+        jobs = _specs(policies=("icount", "flush", "mlp_flush"),
+                      workloads=(("mcf", "twolf"), ("swim", "art")))
+        assert jobs[0].baseline_specs() is jobs[0].baseline_specs()
+        configs = {id(base.config) for job in jobs
+                   for base in job.baseline_specs()}
+        assert len(configs) == 1
+        assert single_thread_variant(CFG) is single_thread_variant(CFG)
+
+    def test_policy_signature_read_once_per_class(self, monkeypatch):
+        api_spec._constructor_kwargs.cache_clear()
+        reads = []
+        real = api_spec.inspect.signature
+
+        def counting(fn, *args, **kwargs):
+            reads.append(fn)
+            return real(fn, *args, **kwargs)
+
+        monkeypatch.setattr(api_spec.inspect, "signature", counting)
+        for seed in range(5):
+            for policy in ("flush", "mlp_flush"):
+                RunSpec(("mcf", "twolf"), CFG, policy, seed=seed,
+                        max_commits=COMMITS, warmup=WARMUP)
+        assert len(reads) == 2
+
+    def test_fig9_grid_hashes_each_config_once(self, tmp_path,
+                                               monkeypatch):
+        # Count the config walks: SMTConfig.cache_key is the only caller
+        # of the asdict that repro.config uses while a batch runs.
+        walks = []
+        real = config_module.asdict
+
+        def counting(obj, *args, **kwargs):
+            walks.append(type(obj).__name__)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(config_module, "asdict", counting)
+
+        def grid():
+            cfg = default_config(num_threads=2)
+            return [JobSpec.workload(names, cfg, policy, 300, warmup=100)
+                    for names in TWO_THREAD_MLP[:6] + TWO_THREAD_MIXED[:6]
+                    for policy in MAIN_COMPARISON]
+
+        store = ResultStore(tmp_path)
+        cold = run_jobs(grid(), workers=1, store=store)
+        assert cold.report.unique == 72 and cold.report.cache_hits == 0
+        assert len(walks) <= 2          # one per machine; 831 before
+        walks.clear()
+        warm = run_jobs(grid(), workers=1, store=store)
+        assert warm.report.cache_hits == 72 and warm.report.executed == 0
+        assert len(walks) == 1          # 288 before
+
+
+class TestCodeFingerprint:
+    """The store never serves a result that other simulator code made."""
+
+    def test_entry_from_other_code_is_a_miss_and_is_rewritten(self,
+                                                              tmp_path):
+        store = ResultStore(tmp_path)
+        spec = JobSpec.baseline("gap", CFG, COMMITS, warmup=WARMUP)
+        result = run_jobs([spec], workers=1, store=None)[spec]
+        store.put(spec, result)
+        path = store.path_for(spec)
+        entry = json.loads(path.read_text())
+        assert entry["code"] == code_fingerprint()
+        for stale in ("0" * 64, None):
+            if stale is None:
+                del entry["code"]
+            else:
+                entry["code"] = stale
+            path.write_text(json.dumps(entry))
+            assert store.get(spec) is None
+            assert path.exists()            # stale, not corrupt
+            batch = run_jobs([spec], workers=1, store=store)
+            assert batch.report.executed == 1
+            assert batch[spec].commit_cycles == result.commit_cycles
+            assert json.loads(path.read_text())["code"] == \
+                code_fingerprint()
+            assert store.get(spec) is not None
+
+    def test_fingerprint_follows_the_simulator_sources(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        base = source_fingerprint(root)
+        assert base == code_fingerprint()
+
+        def edit(rel: str) -> str:
+            path = root / rel
+            path.write_text(path.read_text() + "\n# edited\n")
+            return source_fingerprint(root)
+
+        # Outside the simulator: the CLI, the jobs layer, the reports.
+        assert edit("cli.py") == base
+        assert edit("jobs/executor.py") == base
+        assert edit("report/tables.py") == base
+        # Inside: a policy, the C engine, the runner, the config.
+        seen = {base}
+        for rel in ("policies/mlp_flush.py", "pipeline/_cext_engine.c",
+                    "experiments/runner.py", "config.py"):
+            fingerprint = edit(rel)
+            assert fingerprint not in seen
+            seen.add(fingerprint)
+        (root / "memory" / "extra.py").write_text("X = 1\n")
+        assert source_fingerprint(root) not in seen
 
 
 class TestResultStore:
