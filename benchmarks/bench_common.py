@@ -11,7 +11,8 @@ EXPERIMENTS.md):
 
 * ``REPRO_FULL=1``     — run the complete Table II/III workload lists
   instead of the representative subsets.
-* ``REPRO_COMMITS``    — per-thread instruction budget (default here: 8000).
+* ``REPRO_COMMITS``    — per-thread instruction budget (default here:
+  20,000, see :func:`bench_commits`; the four-thread bench passes 6,000).
 * ``REPRO_JOBS``       — worker processes per batch (default 1 = serial).
 * ``REPRO_CACHE_DIR``  — persistent result store location (default
   ``~/.cache/repro``); ``REPRO_CACHE=0`` disables memoization.

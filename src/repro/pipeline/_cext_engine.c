@@ -12,10 +12,12 @@
  * reading the arena) and may call flush_thread, which runs here too; a
  * fetch may grow the arena.  Every column pointer is therefore re-read
  * from the arena after any call that can do either.  The fast-forward
- * target, LLSR.commit_zeros, TLB/L1 hits of the memory hierarchy and the
- * iteration-varying slots of SyntheticTrace are computed here too, on
- * those objects' slots; their Python bodies remain the reference
- * (tests/test_cext_paths.py).  The golden matrix pins the backend
+ * target, LLSR.commit_zeros and the iteration-varying slots of
+ * SyntheticTrace are computed here too, on those objects' slots; their
+ * Python bodies remain the reference (tests/test_cext_paths.py).  The
+ * memory hierarchy is native state (the Hierarchy type below, held to
+ * MemoryHierarchy by tests/test_native_hierarchy.py), so no memory
+ * access enters the interpreter.  The golden matrix pins the backend
  * bit-exact with the object engine; engine-parity-lint checks that the
  * policy hook call sites here match core.py's set and that SoAView's
  * getset table covers every DynInstr field.
@@ -52,6 +54,10 @@
 
 #define SLOT_SHIFT 20
 #define SLOT_MASK ((1LL << SLOT_SHIFT) - 1)
+
+/* ServiceLevel values: must mirror repro/memory/hierarchy.py (verified
+ * in setup). */
+enum { LV_L1 = 1, LV_STREAM, LV_MERGE, LV_L2, LV_L3, LV_MEM, N_LEVELS };
 
 #define SMALL_INT_LIMIT 65536
 #define MAX_THREADS 256
@@ -118,18 +124,6 @@ typedef struct {
     /* LLSR */
     Py_ssize_t ll_length, ll_bits, ll_pcs, ll_head, ll_filled, ll_total,
         ll_last_one_total, ll_on_measure, ll_measured;
-    /* MemoryHierarchy */
-    Py_ssize_t mh_pending, mh_l1i, mh_l1d, mh_itlb, mh_dtlb, mh_prefetcher,
-        mh_demand_loads, mh_l1_latency, mh_l2_latency;
-    /* Cache */
-    Py_ssize_t ca_sets, ca_num_sets, ca_line_shift, ca_hits;
-    /* TLB */
-    Py_ssize_t tl_entries, tl_page_shift, tl_hits;
-    /* StreamBufferPrefetcher */
-    Py_ssize_t pf_stride_predictor;
-    /* StridePredictor and its table entries */
-    Py_ssize_t sp_table, sp_entries, sp_max_conf;
-    Py_ssize_t se_last_addr, se_stride, se_confidence;
     /* SyntheticTrace */
     Py_ssize_t tr_dyn;
 } Offsets;
@@ -139,12 +133,11 @@ typedef struct {
     Offsets off;
     PyObject *limit_exc;    /* SimulationLimitExceeded */
     PyObject *deadlock_exc; /* SimulationDeadlock */
-    PyObject *l1_level;     /* ServiceLevel.L1 (identity compare) */
+    PyObject *levels[N_LEVELS];   /* ServiceLevel members by value */
+    PyObject *result_cls;   /* AccessResult */
+    PyObject *mlp_fn;       /* hierarchy.mlp_from_intervals */
     /* exact types the in-C paths apply to (anything else calls Python) */
-    PyTypeObject *core_type, *hier_type, *cache_type, *tlb_type,
-        *prefetcher_type, *stride_type, *llsr_type, *trace_type,
-        *instr_type, *ts_type;
-    PyObject *stride_entry_cls;   /* stride_predictor._Entry */
+    PyTypeObject *core_type, *llsr_type, *trace_type, *instr_type, *ts_type;
     /* every Instr slot offset, for cloning a trace prototype */
     Py_ssize_t instr_offs[32];
     int n_instr_offs;
@@ -152,7 +145,7 @@ typedef struct {
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
     PyObject *s_update, *s_lookup, *s_insert, *s_train, *s_on_ll_detect,
-        *s_sync_policy_stall, *s_observe, *s_cancel_fill, *s_clear_owner;
+        *s_sync_policy_stall, *s_cancel_fill, *s_clear_owner;
 } Globals;
 
 static Globals g;
@@ -448,341 +441,6 @@ static int llsr_commit_zeros(PyObject *ts, long long k)
 }
 
 /* ------------------------------------------------------------------ */
-/* the L1/TLB-hit path of MemoryHierarchy                              */
-/* ------------------------------------------------------------------ */
-
-/* The hierarchy's parts, resolved once per run.  `ok` is set only for an
- * exact MemoryHierarchy built from exact Cache/TLB/prefetcher parts;
- * anything else (an injected subclass, a stub) keeps the Python path.
- * References are owned, so a hook rebinding a part cannot free them. */
-typedef struct {
-    int ok;
-    PyObject *hier, *pending, *l1i, *l1d, *itlb, *dtlb;
-    PyObject *l1i_sets, *l1d_sets, *itlb_entries, *dtlb_entries;
-    PyObject *stride;         /* StridePredictor, NULL without prefetcher */
-    PyObject *stride_table;
-    long long l1i_nsets, l1i_shift, l1d_nsets, l1d_shift;
-    long long itlb_shift, dtlb_shift, l1_latency, l2_latency;
-    long long stride_entries, stride_max_conf;
-} MemFast;
-
-static void mem_fast_clear(MemFast *m)
-{
-    Py_CLEAR(m->hier);
-    Py_CLEAR(m->pending);
-    Py_CLEAR(m->l1i);
-    Py_CLEAR(m->l1d);
-    Py_CLEAR(m->itlb);
-    Py_CLEAR(m->dtlb);
-    Py_CLEAR(m->l1i_sets);
-    Py_CLEAR(m->l1d_sets);
-    Py_CLEAR(m->itlb_entries);
-    Py_CLEAR(m->dtlb_entries);
-    Py_CLEAR(m->stride);
-    Py_CLEAR(m->stride_table);
-    m->ok = 0;
-}
-
-/* An owned reference to slot `off` of `o` if it is set and exactly of
- * `type`, else NULL. */
-static PyObject *part_of(PyObject *o, Py_ssize_t off, PyTypeObject *type)
-{
-    PyObject *v = SLOT(o, off);
-    if (v == NULL || Py_TYPE(v) != type)
-        return NULL;
-    Py_INCREF(v);
-    return v;
-}
-
-static void mem_fast_init(MemFast *m, PyObject *hier)
-{
-    memset(m, 0, sizeof(*m));
-    if (hier == NULL || Py_TYPE(hier) != g.hier_type)
-        return;
-    Py_INCREF(hier);
-    m->hier = hier;
-    m->pending = part_of(hier, OFF.mh_pending, &PyDict_Type);
-    m->l1i = part_of(hier, OFF.mh_l1i, g.cache_type);
-    m->l1d = part_of(hier, OFF.mh_l1d, g.cache_type);
-    m->itlb = part_of(hier, OFF.mh_itlb, g.tlb_type);
-    m->dtlb = part_of(hier, OFF.mh_dtlb, g.tlb_type);
-    if (m->pending == NULL || m->l1i == NULL || m->l1d == NULL
-        || m->itlb == NULL || m->dtlb == NULL)
-        goto off;
-    m->l1i_sets = part_of(m->l1i, OFF.ca_sets, &PyList_Type);
-    m->l1d_sets = part_of(m->l1d, OFF.ca_sets, &PyList_Type);
-    m->itlb_entries = part_of(m->itlb, OFF.tl_entries, &PyDict_Type);
-    m->dtlb_entries = part_of(m->dtlb, OFF.tl_entries, &PyDict_Type);
-    if (m->l1i_sets == NULL || m->l1d_sets == NULL
-        || m->itlb_entries == NULL || m->dtlb_entries == NULL)
-        goto off;
-    if (!slot_fits(m->l1i, OFF.ca_num_sets, &m->l1i_nsets)
-        || !slot_fits(m->l1i, OFF.ca_line_shift, &m->l1i_shift)
-        || !slot_fits(m->l1d, OFF.ca_num_sets, &m->l1d_nsets)
-        || !slot_fits(m->l1d, OFF.ca_line_shift, &m->l1d_shift)
-        || !slot_fits(m->itlb, OFF.tl_page_shift, &m->itlb_shift)
-        || !slot_fits(m->dtlb, OFF.tl_page_shift, &m->dtlb_shift)
-        || !slot_fits(hier, OFF.mh_l1_latency, &m->l1_latency)
-        || !slot_fits(hier, OFF.mh_l2_latency, &m->l2_latency))
-        goto off;
-    if (m->l1i_nsets <= 0 || m->l1d_nsets <= 0
-        || m->l1i_nsets != PyList_GET_SIZE(m->l1i_sets)
-        || m->l1d_nsets != PyList_GET_SIZE(m->l1d_sets)
-        || m->l1i_shift < 0 || m->l1i_shift > 62
-        || m->l1d_shift < 0 || m->l1d_shift > 62
-        || m->itlb_shift < 0 || m->itlb_shift > 62
-        || m->dtlb_shift < 0 || m->dtlb_shift > 62
-        || m->l1_latency < 0 || m->l1_latency >= SAFE_MAX
-        || m->l2_latency < 0 || m->l2_latency >= SAFE_MAX)
-        goto off;
-    PyObject *pf = SLOT(hier, OFF.mh_prefetcher);
-    if (pf == NULL)
-        goto off;
-    if (pf != Py_None) {
-        if (Py_TYPE(pf) != g.prefetcher_type)
-            goto off;
-        m->stride = part_of(pf, OFF.pf_stride_predictor, g.stride_type);
-        if (m->stride == NULL)
-            goto off;
-        m->stride_table = part_of(m->stride, OFF.sp_table, &PyDict_Type);
-        if (m->stride_table == NULL
-            || !slot_fits(m->stride, OFF.sp_entries, &m->stride_entries)
-            || !slot_fits(m->stride, OFF.sp_max_conf,
-                          &m->stride_max_conf)
-            || m->stride_entries <= 0)
-            goto off;
-    }
-    m->ok = 1;
-    return;
-off:
-    mem_fast_clear(m);
-}
-
-/* StridePredictor.observe(pc, addr), transliterated; the Python method
- * (at the same point of the access) when a value does not fit. */
-static int stride_observe(MemFast *m, PyObject *pc_obj, PyObject *addr_obj,
-                          long long addr)
-{
-    long long pc;
-    if (!obj_fits(pc_obj, &pc))
-        goto python;
-    PyObject *key = box_ll(py_mod(pc, m->stride_entries));
-    if (key == NULL)
-        return -1;
-    PyObject *e = PyDict_GetItemWithError(m->stride_table, key);
-    if (e == NULL) {
-        if (PyErr_Occurred()) {
-            Py_DECREF(key);
-            return -1;
-        }
-        e = PyObject_CallNoArgs(g.stride_entry_cls);
-        if (e == NULL || PyDict_SetItem(m->stride_table, key, e) < 0) {
-            Py_XDECREF(e);
-            Py_DECREF(key);
-            return -1;
-        }
-    } else {
-        Py_INCREF(e);
-    }
-    Py_DECREF(key);
-    long long last, stride, conf;
-    if ((PyObject *)Py_TYPE(e) != g.stride_entry_cls
-        || !slot_fits(e, OFF.se_last_addr, &last)
-        || !slot_fits(e, OFF.se_stride, &stride)
-        || !slot_fits(e, OFF.se_confidence, &conf)
-        || last >= SAFE_MAX || last < -SAFE_MAX) {
-        Py_DECREF(e);
-        goto python;
-    }
-    int rc = 0;
-    if (last >= 0) {
-        long long delta = addr - last;
-        if (delta == stride) {
-            if (conf < m->stride_max_conf)
-                rc = slot_store_ll(e, OFF.se_confidence, conf + 1);
-        } else if (conf > 0) {
-            rc = slot_store_ll(e, OFF.se_confidence, conf - 1);
-        } else {
-            rc = slot_store_ll(e, OFF.se_stride, delta);
-        }
-    }
-    if (rc == 0) {
-        Py_INCREF(addr_obj);
-        slot_store(e, OFF.se_last_addr, addr_obj);
-    }
-    Py_DECREF(e);
-    return rc;
-python:;
-    PyObject *args[2] = {pc_obj, addr_obj};
-    PyObject *r = call_method(m->stride, g.s_observe, args, 2);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* Move `key` to the most-recent end of an LRU dict (del + reinsert). */
-static int lru_refresh(PyObject *d, PyObject *key)
-{
-    if (PyDict_DelItem(d, key) < 0)
-        return -1;
-    return PyDict_SetItem(d, key, g.small_ints[0]);
-}
-
-/* The hit path of MemoryHierarchy.load (demand) / store (!demand) at
- * `cycle`: the page is in the D-TLB, the line has no live fill, and the
- * line is in its L1D set.  All three are checked before any side
- * effect; only then are Python's effects applied, in Python's order.
- * Returns 1 with *done and *detect set (the completion and the L2-miss
- * detection cycle; the level is L1 and nothing is long-latency), 0 when
- * the access is not such a hit (nothing touched: call the Python
- * method), -1 on error. */
-static int mem_fast_data(MemFast *m, PyObject *pc_obj, PyObject *addr_obj,
-                         long long cycle, int demand, long long *done,
-                         long long *detect)
-{
-    long long addr;
-    if (!m->ok || !obj_fits(addr_obj, &addr) || addr < 0
-        || cycle < 0 || cycle >= SAFE_MAX)
-        return 0;
-    PyObject *page = box_ll(addr >> m->dtlb_shift);
-    if (page == NULL)
-        return -1;
-    PyObject *line = NULL;
-    int rc = PyDict_Contains(m->dtlb_entries, page);
-    if (rc <= 0)
-        goto out;
-    line = box_ll(addr >> m->l1d_shift);
-    if (line == NULL) {
-        rc = -1;
-        goto out;
-    }
-    PyObject *pend = PyDict_GetItemWithError(m->pending, line);
-    if (pend == NULL && PyErr_Occurred()) {
-        rc = -1;
-        goto out;
-    }
-    if (pend != NULL) {
-        long long ready;
-        if (!PyTuple_CheckExact(pend) || PyTuple_GET_SIZE(pend) < 1
-            || !obj_fits(PyTuple_GET_ITEM(pend, 0), &ready)
-            || ready > cycle) {
-            rc = 0;            /* a live fill (or an unexpected entry) */
-            goto out;
-        }
-    }
-    Py_ssize_t si = (Py_ssize_t)((addr >> m->l1d_shift) % m->l1d_nsets);
-    if (si >= PyList_GET_SIZE(m->l1d_sets)) {
-        rc = 0;
-        goto out;
-    }
-    PyObject *set = PyList_GET_ITEM(m->l1d_sets, si);
-    if (!PyDict_CheckExact(set)) {
-        rc = 0;
-        goto out;
-    }
-    rc = PyDict_Contains(set, line);
-    if (rc <= 0)
-        goto out;
-    Py_INCREF(set);
-    /* a hit: the side effects of load/store -> _data_access, in order */
-    rc = -1;
-    if ((demand && stat_add(m->hier, OFF.mh_demand_loads, 1) < 0)
-        || lru_refresh(m->dtlb_entries, page) < 0
-        || stat_add(m->dtlb, OFF.tl_hits, 1) < 0
-        || (demand && m->stride != NULL
-            && stride_observe(m, pc_obj, addr_obj, addr) < 0)
-        || (pend != NULL && PyDict_DelItem(m->pending, line) < 0)
-        || lru_refresh(set, line) < 0
-        || stat_add(m->l1d, OFF.ca_hits, 1) < 0) {
-        Py_DECREF(set);
-        goto out;
-    }
-    Py_DECREF(set);
-    *done = cycle + m->l1_latency;
-    *detect = cycle + m->l2_latency + 3;
-    rc = 1;
-out:
-    Py_DECREF(page);
-    Py_XDECREF(line);
-    return rc;
-}
-
-/* The hit path of MemoryHierarchy.ifetch: the page is in the I-TLB and
- * the line either has a live fill (whose ready cycle is the answer, as
- * in Python) or is in its L1I set.  Same contract as mem_fast_data. */
-static int mem_fast_ifetch(MemFast *m, long long addr, long long cycle,
-                           long long *done)
-{
-    if (!m->ok || addr < 0 || cycle < 0 || cycle >= SAFE_MAX)
-        return 0;
-    PyObject *page = box_ll(addr >> m->itlb_shift);
-    if (page == NULL)
-        return -1;
-    PyObject *line = NULL;
-    PyObject *set = NULL;
-    int rc = PyDict_Contains(m->itlb_entries, page);
-    if (rc <= 0)
-        goto out;
-    line = box_ll(addr >> m->l1i_shift);
-    if (line == NULL) {
-        rc = -1;
-        goto out;
-    }
-    PyObject *pend = PyDict_GetItemWithError(m->pending, line);
-    if (pend == NULL && PyErr_Occurred()) {
-        rc = -1;
-        goto out;
-    }
-    long long ready = 0;
-    int live = 0;
-    if (pend != NULL) {
-        if (!PyTuple_CheckExact(pend) || PyTuple_GET_SIZE(pend) < 1
-            || !obj_fits(PyTuple_GET_ITEM(pend, 0), &ready)) {
-            rc = 0;
-            goto out;
-        }
-        live = ready > cycle;
-    }
-    if (!live) {
-        Py_ssize_t si = (Py_ssize_t)((addr >> m->l1i_shift)
-                                     % m->l1i_nsets);
-        if (si >= PyList_GET_SIZE(m->l1i_sets)) {
-            rc = 0;
-            goto out;
-        }
-        set = PyList_GET_ITEM(m->l1i_sets, si);
-        if (!PyDict_CheckExact(set)) {
-            set = NULL;
-            rc = 0;
-            goto out;
-        }
-        Py_INCREF(set);
-        rc = PyDict_Contains(set, line);
-        if (rc <= 0)
-            goto out;
-    }
-    rc = -1;
-    if (lru_refresh(m->itlb_entries, page) < 0
-        || stat_add(m->itlb, OFF.tl_hits, 1) < 0)
-        goto out;
-    if (live) {
-        *done = ready;
-    } else {
-        if (lru_refresh(set, line) < 0
-            || stat_add(m->l1i, OFF.ca_hits, 1) < 0)
-            goto out;
-        *done = cycle;
-    }
-    rc = 1;
-out:
-    Py_DECREF(page);
-    Py_XDECREF(line);
-    Py_XDECREF(set);
-    return rc;
-}
-
-/* ------------------------------------------------------------------ */
 /* the iteration-varying slots of SyntheticTrace                       */
 /* ------------------------------------------------------------------ */
 
@@ -985,6 +643,20 @@ static inline int ivec_push(IVec *x, int64_t e)
     return 0;
 }
 
+/* A Python list of n int64s. */
+static PyObject *ivec_list(const int64_t *v, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        PyObject *x = PyLong_FromLongLong(v[i]);
+        if (x == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
 /* Heap entries are unique packed stamps, cycle marks or (cycle, packed)
  * pairs: the order is strict and total, so this heap pops exactly what
  * heapq would. */
@@ -1034,6 +706,1463 @@ static void heap_pop(IVec *h, int64_t *out, int w)
     if (n)
         memcpy(h->v + pos * w, last, w * sizeof(int64_t));
 }
+
+/* ------------------------------------------------------------------ */
+/* the native memory model (MemoryHierarchy as C state)                */
+/* ------------------------------------------------------------------ */
+
+/* repro.memory.hierarchy.MemoryHierarchy, transliterated: the four
+ * caches, the two TLBs, the pending-fill table, the MSHR fill heap, the
+ * stream buffers and their stride table are C memory, so an access
+ * boxes nothing, edits no dict and allocates nothing (a long-latency
+ * load's `ll_intervals` tuple aside).  The Python class stays the
+ * object engine's model and the reference tests/test_native_hierarchy.py
+ * holds this one to, state for state.  Values follow Python's integer
+ * semantics (`>>`, `//` and `%` floor); a value outside int64 raises
+ * OverflowError instead of wrapping. */
+
+/* StridePredictor's max_confidence as the prefetcher builds it. */
+#define STRIDE_MAX_CONF 3
+
+static int overflow(void)
+{
+    PyErr_SetString(PyExc_OverflowError,
+                    "memory model value does not fit in int64");
+    return -1;
+}
+
+#define ADD_OR_FAIL(a, b, out) \
+    do { if (__builtin_add_overflow((a), (b), (out))) return overflow(); } \
+    while (0)
+#define SUB_OR_FAIL(a, b, out) \
+    do { if (__builtin_sub_overflow((a), (b), (out))) return overflow(); } \
+    while (0)
+#define MUL_OR_FAIL(a, b, out) \
+    do { if (__builtin_mul_overflow((a), (b), (out))) return overflow(); } \
+    while (0)
+
+static inline int64_t max64(int64_t a, int64_t b)
+{
+    return a > b ? a : b;
+}
+
+/* Python's `v >> s` (floors on negative v). */
+static inline int64_t shr(int64_t v, int s)
+{
+    return v >= 0 ? v >> s : ~(~v >> s);
+}
+
+/* Python's `a // b` for b > 0. */
+static inline int64_t floordiv(int64_t a, int64_t b)
+{
+    int64_t q = a / b;
+    return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+/* A Python int argument as int64 (TypeError / OverflowError). */
+static inline int int64_arg(PyObject *o, int64_t *out)
+{
+    long long v = PyLong_AsLongLong(o);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
+/* An int64 -> int64 hash map: open addressing, linear probing, deletion
+ * by backward shift (no tombstones), doubling past half load. */
+typedef struct {
+    int64_t *key, *val;
+    uint8_t *used;
+    int64_t mask;       /* capacity - 1, capacity a power of two >= 8 */
+    int64_t n;
+    int shift;          /* 64 - log2(capacity) */
+} Map;
+
+static inline int64_t map_home(const Map *m, int64_t k)
+{
+    return (int64_t)(((uint64_t)k * 0x9E3779B97F4A7C15ULL) >> m->shift);
+}
+
+static int map_init(Map *m, int64_t cap)
+{
+    int bits = 3;
+    while (((int64_t)1 << bits) < cap)
+        bits++;
+    cap = (int64_t)1 << bits;
+    m->key = PyMem_Malloc((size_t)cap * sizeof(int64_t));
+    m->val = PyMem_Malloc((size_t)cap * sizeof(int64_t));
+    m->used = PyMem_Calloc((size_t)cap, 1);
+    if (m->key == NULL || m->val == NULL || m->used == NULL) {
+        PyMem_Free(m->key);
+        PyMem_Free(m->val);
+        PyMem_Free(m->used);
+        m->key = m->val = NULL;
+        m->used = NULL;
+        PyErr_NoMemory();
+        return -1;
+    }
+    m->mask = cap - 1;
+    m->n = 0;
+    m->shift = 64 - bits;
+    return 0;
+}
+
+static void map_free(Map *m)
+{
+    PyMem_Free(m->key);
+    PyMem_Free(m->val);
+    PyMem_Free(m->used);
+}
+
+/* The slot holding key k, or -1. */
+static inline int64_t map_find(const Map *m, int64_t k)
+{
+    for (int64_t i = map_home(m, k);; i = (i + 1) & m->mask) {
+        if (!m->used[i])
+            return -1;
+        if (m->key[i] == k)
+            return i;
+    }
+}
+
+static int map_put(Map *m, int64_t k, int64_t v);
+
+static int map_grow(Map *m)
+{
+    Map old = *m;
+    if (map_init(m, 2 * (old.mask + 1)) < 0) {
+        *m = old;
+        return -1;
+    }
+    for (int64_t i = 0; i <= old.mask; i++)
+        if (old.used[i])
+            map_put(m, old.key[i], old.val[i]);
+    map_free(&old);
+    return 0;
+}
+
+/* m[k] = v (insert or overwrite). */
+static int map_put(Map *m, int64_t k, int64_t v)
+{
+    int64_t i = map_home(m, k);
+    for (; m->used[i]; i = (i + 1) & m->mask)
+        if (m->key[i] == k) {
+            m->val[i] = v;
+            return 0;
+        }
+    if (2 * (m->n + 1) > m->mask + 1) {
+        if (map_grow(m) < 0)
+            return -1;
+        return map_put(m, k, v);
+    }
+    m->used[i] = 1;
+    m->key[i] = k;
+    m->val[i] = v;
+    m->n++;
+    return 0;
+}
+
+/* Delete the entry in slot i, shifting later entries of its probe run
+ * back so every key stays reachable from its home slot. */
+static void map_del(Map *m, int64_t i)
+{
+    for (int64_t j = i;;) {
+        j = (j + 1) & m->mask;
+        if (!m->used[j])
+            break;
+        int64_t home = map_home(m, m->key[j]);
+        if (((j - home) & m->mask) >= ((j - i) & m->mask)) {
+            m->key[i] = m->key[j];
+            m->val[i] = m->val[j];
+            i = j;
+        }
+    }
+    m->used[i] = 0;
+    m->n--;
+}
+
+/* One cache level (Cache): each set's lines in recency order, least
+ * recent first, so a hit moves its line to the end and a fill into a
+ * full set evicts the first. */
+typedef struct {
+    int64_t *tag;           /* num_sets * assoc */
+    int32_t *cnt;           /* lines held per set */
+    int64_t num_sets, assoc, set_mask;  /* set_mask -1: num_sets not 2^k */
+    int shift;
+    int64_t hits, misses;
+} MCache;
+
+static inline int64_t set_of(const MCache *c, int64_t line)
+{
+    /* for a power-of-two modulus `&` is Python's floor `%`, negatives
+     * included */
+    return c->set_mask >= 0 ? (line & c->set_mask) : py_mod(line, c->num_sets);
+}
+
+/* The way of `line` in its set (and the set), or -1. */
+static inline int32_t cache_find(const MCache *c, int64_t line, int64_t *s)
+{
+    *s = set_of(c, line);
+    const int64_t *set = c->tag + *s * c->assoc;
+    for (int32_t w = c->cnt[*s] - 1; w >= 0; w--)
+        if (set[w] == line)
+            return w;
+    return -1;
+}
+
+/* Move way w of set s to the most-recent end. */
+static inline void to_mru(MCache *c, int64_t s, int32_t w)
+{
+    int64_t *set = c->tag + s * c->assoc;
+    int32_t n = c->cnt[s];
+    int64_t line = set[w];
+    memmove(set + w, set + w + 1, (size_t)(n - 1 - w) * sizeof(int64_t));
+    set[n - 1] = line;
+}
+
+/* Cache.lookup: 1 on a hit (refreshed), 0 on a miss. */
+static inline int cache_lookup(MCache *c, int64_t addr)
+{
+    int64_t s;
+    int32_t w = cache_find(c, shr(addr, c->shift), &s);
+    if (w < 0) {
+        c->misses++;
+        return 0;
+    }
+    to_mru(c, s, w);
+    c->hits++;
+    return 1;
+}
+
+/* Cache.touch: refresh recency if present. */
+static inline void cache_touch(MCache *c, int64_t addr)
+{
+    int64_t s;
+    int32_t w = cache_find(c, shr(addr, c->shift), &s);
+    if (w >= 0)
+        to_mru(c, s, w);
+}
+
+/* Cache.install: refresh a present line, else fill, evicting the LRU
+ * line of a full set. */
+static void cache_install(MCache *c, int64_t addr)
+{
+    int64_t s, line = shr(addr, c->shift);
+    int32_t w = cache_find(c, line, &s);
+    if (w >= 0) {
+        to_mru(c, s, w);
+        return;
+    }
+    int64_t *set = c->tag + s * c->assoc;
+    int32_t n = c->cnt[s];
+    if (n >= c->assoc) {
+        memmove(set, set + 1, (size_t)(n - 1) * sizeof(int64_t));
+        set[n - 1] = line;
+    } else {
+        set[n] = line;
+        c->cnt[s] = n + 1;
+    }
+}
+
+/* Cache.invalidate: drop the line, the others keep their order. */
+static void cache_invalidate(MCache *c, int64_t addr)
+{
+    int64_t s;
+    int32_t w = cache_find(c, shr(addr, c->shift), &s);
+    if (w >= 0) {
+        int64_t *set = c->tag + s * c->assoc;
+        memmove(set + w, set + w + 1,
+                (size_t)(c->cnt[s] - 1 - w) * sizeof(int64_t));
+        c->cnt[s]--;
+    }
+}
+
+/* A fully associative TLB: a recency list over `cap` nodes (head least
+ * recent) with a page -> node index, so a lookup never scans. */
+typedef struct {
+    Map index;
+    int64_t *page;
+    int32_t *prev, *next;
+    int32_t head, tail, n, cap;
+    int shift;
+    int64_t hits, misses;
+} MTlb;
+
+static inline void tlb_unlink(MTlb *t, int32_t i)
+{
+    if (t->prev[i] >= 0)
+        t->next[t->prev[i]] = t->next[i];
+    else
+        t->head = t->next[i];
+    if (t->next[i] >= 0)
+        t->prev[t->next[i]] = t->prev[i];
+    else
+        t->tail = t->prev[i];
+}
+
+static inline void tlb_append(MTlb *t, int32_t i)
+{
+    t->prev[i] = t->tail;
+    t->next[i] = -1;
+    if (t->tail >= 0)
+        t->next[t->tail] = i;
+    else
+        t->head = i;
+    t->tail = i;
+}
+
+/* TLB.lookup: 1 on a hit (refreshed); 0 on a miss, which fills the page
+ * (evicting the least recent one when full); -1 on error. */
+static int tlb_lookup(MTlb *t, int64_t addr)
+{
+    int64_t page = shr(addr, t->shift);
+    int64_t k = map_find(&t->index, page);
+    if (k >= 0) {
+        int32_t i = (int32_t)t->index.val[k];
+        if (i != t->tail) {
+            tlb_unlink(t, i);
+            tlb_append(t, i);
+        }
+        t->hits++;
+        return 1;
+    }
+    t->misses++;
+    int32_t i;
+    if (t->n >= t->cap) {
+        i = t->head;
+        int64_t victim = map_find(&t->index, t->page[i]);
+        if (victim >= 0)    /* always, unless a test planted a defect */
+            map_del(&t->index, victim);
+        tlb_unlink(t, i);
+    } else {
+        i = t->n++;
+    }
+    t->page[i] = page;
+    tlb_append(t, i);
+    return map_put(&t->index, page, i) < 0 ? -1 : 0;
+}
+
+/* One stream buffer: its lines (and their fill-ready cycles) in
+ * insertion order. */
+typedef struct {
+    int64_t *line, *ready;
+    int64_t n;
+    int64_t next_addr, stride, last_used, hits_since_alloc, alloc_cycle;
+    int valid;
+} SBuf;
+
+/* A stride-table entry (stride_predictor._Entry) and its table index;
+ * like the Python table, only the indices observe has seen have one. */
+typedef struct {
+    int64_t idx, last_addr, stride, confidence;
+} StrideEnt;
+
+enum { C_L1I, C_L1D, C_L2, C_L3, N_CACHES };
+static const char *const CACHE_NAMES[N_CACHES] = {"l1i", "l1d", "l2", "l3"};
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *cfg;
+    PyObject *ll_intervals;     /* list of (start, end) */
+    PyObject *ll_per_thread;    /* dict: thread -> long-latency loads */
+    int64_t demand_loads, merged_loads, prefetch_covered;
+    int64_t l1_lat, l2_lat, l3_lat, mem_lat, tlb_pen, mshr;
+    int serialize;
+    MCache c[N_CACHES];
+    MTlb itlb, dtlb;
+    Map pending;                /* line -> data-ready cycle */
+    IVec fills;                 /* heap of outstanding demand-fill ends */
+    int64_t last_ll_end;
+    /* StreamBufferPrefetcher (pf_on) and its StridePredictor */
+    int pf_on, pf_shift;
+    SBuf *bufs;
+    int64_t n_bufs, buf_entries;
+    Map stride_index;           /* table index -> its entry in `stride` */
+    StrideEnt *stride;          /* the entries, in creation order */
+    int64_t stride_n, stride_cap, stride_entries, threshold;
+    int64_t pf_hits, pf_lookups, pf_allocs, pf_issued;
+} Mem;
+
+/* The outcome of one data access (AccessResult's fields). */
+typedef struct {
+    int64_t done, detect, fill_line;
+    int level, tlb_miss, ll, trigger, has_fill;
+} MemResult;
+
+/* StridePredictor.observe (its _entry creates a missing entry). */
+static int stride_observe(Mem *M, int64_t pc, int64_t addr)
+{
+    int64_t idx = py_mod(pc, M->stride_entries);
+    int64_t k = map_find(&M->stride_index, idx);
+    StrideEnt *e;
+    if (k >= 0) {
+        e = &M->stride[M->stride_index.val[k]];
+    } else {
+        if (M->stride_n == M->stride_cap) {
+            int64_t cap = M->stride_cap ? 2 * M->stride_cap : 16;
+            StrideEnt *v = PyMem_Realloc(M->stride,
+                                         (size_t)cap * sizeof(StrideEnt));
+            if (v == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            M->stride = v;
+            M->stride_cap = cap;
+        }
+        if (map_put(&M->stride_index, idx, M->stride_n) < 0)
+            return -1;
+        e = &M->stride[M->stride_n++];
+        *e = (StrideEnt){idx, -1, 0, 0};
+    }
+    if (e->last_addr >= 0) {
+        int64_t stride;
+        SUB_OR_FAIL(addr, e->last_addr, &stride);
+        if (stride == e->stride) {
+            if (e->confidence < STRIDE_MAX_CONF)
+                e->confidence++;
+        } else if (e->confidence > 0) {
+            e->confidence--;
+        } else {
+            e->stride = stride;
+        }
+    }
+    e->last_addr = addr;
+    return 0;
+}
+
+/* StreamBufferPrefetcher._top_up: prefetch until the buffer is full,
+ * skipping (but stepping past) lines it already holds. */
+static int sbuf_top_up(Mem *M, SBuf *B, int64_t cycle)
+{
+    while (B->n < M->buf_entries) {
+        int64_t line = shr(B->next_addr, M->pf_shift), step, i = 0;
+        while (i < B->n && B->line[i] != line)
+            i++;
+        if (i == B->n) {
+            ADD_OR_FAIL(cycle, M->mem_lat, &B->ready[B->n]);
+            B->line[B->n++] = line;
+            M->pf_issued++;
+        }
+        MUL_OR_FAIL(B->stride, (int64_t)1 << M->pf_shift, &step);
+        ADD_OR_FAIL(B->next_addr, step, &B->next_addr);
+    }
+    return 0;
+}
+
+/* StreamBufferPrefetcher._maybe_allocate: a confident stride claims the
+ * first invalid buffer, else the least useful dead one (if any). */
+static int sbuf_allocate(Mem *M, int64_t pc, int64_t addr, int64_t cycle)
+{
+    int64_t k = map_find(&M->stride_index, py_mod(pc, M->stride_entries));
+    if (k < 0)
+        return 0;   /* confident_stride never creates an entry */
+    const StrideEnt *e = &M->stride[M->stride_index.val[k]];
+    if (e->confidence < M->threshold || e->stride == 0)
+        return 0;
+    int64_t stride = e->stride, line_size = (int64_t)1 << M->pf_shift;
+    int64_t line_stride = stride > 0 ? 1 : -1, t, grace;
+    if (stride > line_size) {
+        ADD_OR_FAIL(stride, line_size - 1, &t);
+        line_stride = floordiv(t, line_size);
+    } else if (stride < -line_size) {
+        SUB_OR_FAIL(stride, line_size - 1, &t);
+        line_stride = floordiv(t, line_size);
+    }
+    MUL_OR_FAIL(16, M->mem_lat, &grace);
+    SBuf *victim = NULL;
+    for (int64_t b = 0; b < M->n_bufs && victim == NULL; b++)
+        if (!M->bufs[b].valid)
+            victim = &M->bufs[b];
+    if (victim == NULL) {
+        for (int64_t b = 0; b < M->n_bufs; b++) {
+            SBuf *B = &M->bufs[b];
+            int64_t since_alloc, since_used;
+            SUB_OR_FAIL(cycle, B->alloc_cycle, &since_alloc);
+            SUB_OR_FAIL(cycle, B->last_used, &since_used);
+            if (!((B->hits_since_alloc == 0 && since_alloc >= grace)
+                  || since_used >= grace))
+                continue;
+            /* min by (hits_since_alloc, last_used); the first wins ties */
+            if (victim == NULL
+                || B->hits_since_alloc < victim->hits_since_alloc
+                || (B->hits_since_alloc == victim->hits_since_alloc
+                    && B->last_used < victim->last_used))
+                victim = B;
+        }
+        if (victim == NULL)
+            return 0;
+    }
+    int64_t next;
+    MUL_OR_FAIL(line_stride, line_size, &t);
+    ADD_OR_FAIL(addr, t, &next);
+    victim->valid = 1;
+    victim->alloc_cycle = cycle;
+    victim->n = 0;
+    victim->stride = line_stride;
+    victim->last_used = cycle;
+    victim->hits_since_alloc = 0;
+    victim->next_addr = next;
+    M->pf_allocs++;
+    return sbuf_top_up(M, victim, cycle);
+}
+
+/* StreamBufferPrefetcher.demand_miss: 1 with *ready when a buffer holds
+ * the line (consumed and topped up), 0 when none does (a stream may be
+ * allocated), -1 on error. */
+static int sbuf_demand_miss(Mem *M, int64_t pc, int64_t addr, int64_t cycle,
+                            int64_t *ready)
+{
+    M->pf_lookups++;
+    int64_t line = shr(addr, M->pf_shift);
+    for (int64_t b = 0; b < M->n_bufs; b++) {
+        SBuf *B = &M->bufs[b];
+        int64_t i = 0;
+        if (!B->valid)
+            continue;
+        while (i < B->n && B->line[i] != line)
+            i++;
+        if (i == B->n)
+            continue;
+        *ready = max64(B->ready[i], cycle);
+        B->last_used = cycle;
+        B->hits_since_alloc++;
+        M->pf_hits++;
+        /* _consume: retire the line and its stale predecessors */
+        int64_t k = 0;
+        for (i = 0; i < B->n; i++)
+            if (B->stride >= 0 ? B->line[i] > line : B->line[i] < line) {
+                B->line[k] = B->line[i];
+                B->ready[k++] = B->ready[i];
+            }
+        B->n = k;
+        return sbuf_top_up(M, B, cycle) < 0 ? -1 : 1;
+    }
+    return sbuf_allocate(M, pc, addr, cycle);
+}
+
+/* `done` for a long-latency outcome: serialized behind the last one
+ * when the config asks, and recorded as the new last end. */
+static inline int64_t ll_end(Mem *M, int64_t done)
+{
+    if (M->serialize)
+        done = max64(done, M->last_ll_end);
+    M->last_ll_end = max64(M->last_ll_end, done);
+    return done;
+}
+
+/* MemoryHierarchy._mshr_admit: bound concurrent demand fills. */
+static int mshr_admit(Mem *M, int64_t *start)
+{
+    int64_t e;
+    while (M->fills.n && M->fills.v[0] <= *start)
+        heap_pop(&M->fills, &e, 1);
+    if (M->fills.n >= M->mshr) {
+        if (M->fills.n == 0) {
+            PyErr_SetString(PyExc_IndexError, "index out of range");
+            return -1;
+        }
+        heap_pop(&M->fills, &e, 1);
+        *start = max64(*start, e);
+    }
+    return 0;
+}
+
+/* MemoryHierarchy._data_access into *r. */
+static int mem_data_access(Mem *M, int64_t pc, int64_t addr, int64_t cycle,
+                           int tlb_miss, int demand, MemResult *r)
+{
+    int64_t start, detect, done, t;
+    ADD_OR_FAIL(cycle, tlb_miss ? M->tlb_pen : 0, &start);
+    ADD_OR_FAIL(cycle, M->l2_lat, &t);
+    ADD_OR_FAIL(t, 3, &detect);
+    int64_t line = shr(addr, M->c[C_L1D].shift);
+    r->detect = detect;
+    r->tlb_miss = tlb_miss;
+    r->has_fill = 0;
+    int64_t k = map_find(&M->pending, line);
+    if (k >= 0) {
+        int64_t ready = M->pending.val[k];
+        if (ready > start) {
+            /* a delayed hit merges into the in-flight fill */
+            M->merged_loads++;
+            ADD_OR_FAIL(start, M->l1_lat, &t);
+            done = max64(ready, t);
+            if (tlb_miss)
+                done = ll_end(M, done);
+            SUB_OR_FAIL(done, detect, &t);
+            r->done = done;
+            r->level = LV_MERGE;
+            r->ll = tlb_miss;
+            r->trigger = tlb_miss || t >= M->l3_lat;
+            return 0;
+        }
+        map_del(&M->pending, k);
+    }
+    if (cache_lookup(&M->c[C_L1D], addr)) {
+        ADD_OR_FAIL(start, M->l1_lat, &done);
+        if (tlb_miss) {
+            if (M->serialize)
+                ADD_OR_FAIL(max64(done, M->last_ll_end), M->l1_lat, &done);
+            M->last_ll_end = max64(M->last_ll_end, done);
+        }
+        r->level = LV_L1;
+        r->ll = tlb_miss;
+        goto out;
+    }
+    if (M->pf_on && demand) {
+        int64_t ready = 0, remaining;
+        int hit = sbuf_demand_miss(M, pc, addr, start, &ready);
+        if (hit < 0)
+            return -1;
+        if (hit) {
+            SUB_OR_FAIL(ready, start, &remaining);
+            remaining = max64(remaining, 0);
+            ADD_OR_FAIL(start, M->l1_lat, &t);
+            ADD_OR_FAIL(t, remaining, &done);
+            cache_install(&M->c[C_L1D], addr);
+            /* a prefetch still mostly in flight did not hide the
+             * memory latency */
+            r->ll = tlb_miss || remaining >= M->l3_lat;
+            if (remaining < M->l3_lat)
+                M->prefetch_covered++;
+            if (r->ll)
+                done = ll_end(M, done);
+            r->level = LV_STREAM;
+            goto out;
+        }
+    }
+    if (cache_lookup(&M->c[C_L2], addr)) {
+        cache_install(&M->c[C_L1D], addr);
+        cache_touch(&M->c[C_L3], addr);
+        ADD_OR_FAIL(start, M->l2_lat, &done);
+        r->level = LV_L2;
+    } else if (cache_lookup(&M->c[C_L3], addr)) {
+        cache_install(&M->c[C_L1D], addr);
+        cache_install(&M->c[C_L2], addr);
+        ADD_OR_FAIL(start, M->l3_lat, &done);
+        r->level = LV_L3;
+    } else {
+        /* a miss all the way to DRAM */
+        int64_t fill_start = start;
+        if (demand) {
+            if (mshr_admit(M, &fill_start) < 0)
+                return -1;
+            if (M->serialize)
+                fill_start = max64(fill_start, M->last_ll_end);
+        }
+        ADD_OR_FAIL(fill_start, M->mem_lat, &done);
+        if (demand) {
+            if (heap_push(&M->fills, done, 0, 1) < 0)
+                return -1;
+            M->last_ll_end = max64(M->last_ll_end, done);
+        }
+        for (int i = C_L1D; i <= C_L3; i++)
+            cache_install(&M->c[i], addr);
+        if (map_put(&M->pending, line, done) < 0)
+            return -1;
+        r->done = done;
+        r->level = LV_MEM;
+        r->ll = r->trigger = r->has_fill = demand;
+        r->fill_line = line;
+        return 0;
+    }
+    if (tlb_miss)
+        done = ll_end(M, done);
+    r->ll = tlb_miss;
+out:
+    r->done = done;
+    r->trigger = r->ll;
+    return 0;
+}
+
+/* MemoryHierarchy.load (demand) / .store into *r; `thread` keys
+ * ll_loads_per_thread. */
+static int mem_access(Mem *M, PyObject *thread, int64_t pc, int64_t addr,
+                      int64_t cycle, int demand, MemResult *r)
+{
+    if (demand)
+        M->demand_loads++;
+    int hit = tlb_lookup(&M->dtlb, addr);
+    if (hit < 0 || (demand && M->pf_on && stride_observe(M, pc, addr) < 0)
+        || mem_data_access(M, pc, addr, cycle, !hit, demand, r) < 0)
+        return -1;
+    if (!demand || !r->ll)
+        return 0;
+    /* a long-latency load: counted per thread, its interval kept */
+    if (M->ll_intervals == NULL || M->ll_per_thread == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "memory model was cleared");
+        return -1;
+    }
+    PyObject *old = PyDict_GetItemWithError(M->ll_per_thread, thread);
+    if (old == NULL && PyErr_Occurred())
+        return -1;
+    PyObject *count = old == NULL ? box_ll(1)
+        : PyNumber_Add(old, g.small_ints[1]);
+    if (count == NULL)
+        return -1;
+    int rc = PyDict_SetItem(M->ll_per_thread, thread, count);
+    Py_DECREF(count);
+    if (rc < 0)
+        return -1;
+    PyObject *a = box_ll(cycle), *b = box_ll(r->done);
+    PyObject *pair = a && b ? PyTuple_Pack(2, a, b) : NULL;
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    rc = pair == NULL ? -1 : PyList_Append(M->ll_intervals, pair);
+    Py_XDECREF(pair);
+    return rc;
+}
+
+/* MemoryHierarchy.ifetch into *done. */
+static int mem_ifetch(Mem *M, int64_t addr, int64_t cycle, int64_t *done)
+{
+    int hit = tlb_lookup(&M->itlb, addr);
+    if (hit < 0)
+        return -1;
+    int64_t start, line = shr(addr, M->c[C_L1I].shift);
+    ADD_OR_FAIL(cycle, hit ? 0 : M->tlb_pen, &start);
+    int64_t k = map_find(&M->pending, line);
+    if (k >= 0 && M->pending.val[k] > start) {
+        *done = M->pending.val[k];
+        return 0;
+    }
+    if (cache_lookup(&M->c[C_L1I], addr)) {
+        *done = start;   /* overlapped with the fetch stage itself */
+        return 0;
+    }
+    if (cache_lookup(&M->c[C_L2], addr)) {
+        cache_install(&M->c[C_L1I], addr);
+        ADD_OR_FAIL(start, M->l2_lat, done);
+        return 0;
+    }
+    if (cache_lookup(&M->c[C_L3], addr)) {
+        cache_install(&M->c[C_L1I], addr);
+        cache_install(&M->c[C_L2], addr);
+        ADD_OR_FAIL(start, M->l3_lat, done);
+        return 0;
+    }
+    ADD_OR_FAIL(start, M->mem_lat, done);
+    cache_install(&M->c[C_L1I], addr);
+    cache_install(&M->c[C_L2], addr);
+    cache_install(&M->c[C_L3], addr);
+    return map_put(&M->pending, line, *done);
+}
+
+/* MemoryHierarchy.cancel_fill: 1 when a live fill was cancelled. */
+static int mem_cancel_fill(Mem *M, int64_t line, int64_t addr, int64_t cycle)
+{
+    int64_t k = map_find(&M->pending, line);
+    if (k < 0 || M->pending.val[k] <= cycle)
+        return 0;
+    map_del(&M->pending, k);
+    for (int i = C_L1D; i <= C_L3; i++)
+        cache_invalidate(&M->c[i], addr);
+    return 1;
+}
+
+/* --- the Python face: construction, the methods, state and check --- */
+
+/* getattr(o, name) as int64. */
+static int attr_int(PyObject *o, const char *name, int64_t *out)
+{
+    PyObject *v = PyObject_GetAttrString(o, name);
+    if (v == NULL)
+        return -1;
+    int rc = int64_arg(v, out);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* log2 of `v`, or -1 with the ValueError the Python part raises. */
+static int pow2_shift(int64_t v, const char *what)
+{
+    if (v <= 0 || (v & (v - 1))) {
+        PyErr_Format(PyExc_ValueError, "%s must be a power of two", what);
+        return -1;
+    }
+    int s = 0;
+    while (((int64_t)1 << s) < v)
+        s++;
+    return s;
+}
+
+static int cache_init(MCache *c, PyObject *cfg, const char *name)
+{
+    PyObject *cc = PyObject_GetAttrString(cfg, name);
+    int64_t line_size, cells;
+    int rc = cc == NULL || attr_int(cc, "num_sets", &c->num_sets) < 0
+        || attr_int(cc, "assoc", &c->assoc) < 0
+        || attr_int(cc, "line_size", &line_size) < 0 ? -1 : 0;
+    Py_XDECREF(cc);
+    if (rc < 0 || (c->shift = pow2_shift(line_size, "line size")) < 0)
+        return -1;
+    if (c->num_sets <= 0 || c->assoc <= 0 || c->assoc > INT32_MAX
+        || __builtin_mul_overflow(c->num_sets, c->assoc, &cells)) {
+        PyErr_Format(PyExc_ValueError, "%s geometry out of range", name);
+        return -1;
+    }
+    c->set_mask = (c->num_sets & (c->num_sets - 1)) ? -1 : c->num_sets - 1;
+    c->tag = PyMem_Calloc((size_t)cells, sizeof(int64_t));
+    c->cnt = PyMem_Calloc((size_t)c->num_sets, sizeof(int32_t));
+    if (c->tag == NULL || c->cnt == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static int tlb_init(MTlb *t, PyObject *cfg, const char *name)
+{
+    PyObject *tc = PyObject_GetAttrString(cfg, name);
+    int64_t entries, page_size;
+    int rc = tc == NULL || attr_int(tc, "entries", &entries) < 0
+        || attr_int(tc, "page_size", &page_size) < 0 ? -1 : 0;
+    Py_XDECREF(tc);
+    t->head = t->tail = -1;
+    if (rc < 0 || (t->shift = pow2_shift(page_size, "page size")) < 0)
+        return -1;
+    if (entries <= 0 || entries > INT32_MAX / 4) {
+        PyErr_Format(PyExc_ValueError, "%s entries out of range", name);
+        return -1;
+    }
+    t->cap = (int32_t)entries;
+    t->page = PyMem_Malloc((size_t)entries * sizeof(int64_t));
+    t->prev = PyMem_Malloc((size_t)entries * sizeof(int32_t));
+    t->next = PyMem_Malloc((size_t)entries * sizeof(int32_t));
+    if (t->page == NULL || t->prev == NULL || t->next == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return map_init(&t->index, 2 * entries);
+}
+
+static int prefetcher_init(Mem *M, PyObject *cfg)
+{
+    PyObject *pf = PyObject_GetAttrString(cfg, "prefetcher");
+    PyObject *on = pf == NULL ? NULL : PyObject_GetAttrString(pf, "enabled");
+    int rc = -1;
+    if (on == NULL || (M->pf_on = PyObject_IsTrue(on)) < 0)
+        goto done;
+    rc = 0;
+    if (!M->pf_on)
+        goto done;
+    rc = -1;
+    int64_t n_bufs, entries;
+    if (attr_int(pf, "num_buffers", &n_bufs) < 0
+        || attr_int(pf, "buffer_entries", &entries) < 0
+        || attr_int(pf, "stride_table_entries", &M->stride_entries) < 0
+        || attr_int(pf, "confidence_threshold", &M->threshold) < 0)
+        goto done;
+    if (M->stride_entries <= 0) {
+        PyErr_SetString(PyExc_ValueError, "entries must be positive");
+        goto done;
+    }
+    M->pf_shift = M->c[C_L1D].shift;   /* cfg.line_size is the L1D's */
+    M->buf_entries = entries > 0 ? entries : 0;
+    if (map_init(&M->stride_index, 64) < 0)
+        goto done;
+    M->bufs = PyMem_Calloc(n_bufs > 0 ? (size_t)n_bufs : 1, sizeof(SBuf));
+    if (M->bufs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (; M->n_bufs < n_bufs; M->n_bufs++) {
+        SBuf *B = &M->bufs[M->n_bufs];
+        B->line = PyMem_Malloc((size_t)(M->buf_entries + 1) * sizeof(int64_t));
+        B->ready = PyMem_Malloc((size_t)(M->buf_entries + 1)
+                                * sizeof(int64_t));
+        B->last_used = B->alloc_cycle = -1;
+        if (B->line == NULL || B->ready == NULL) {
+            M->n_bufs++;
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    rc = 0;
+done:
+    Py_XDECREF(on);
+    Py_XDECREF(pf);
+    return rc;
+}
+
+static void Mem_dealloc(PyObject *self)
+{
+    Mem *M = (Mem *)self;
+    PyObject_GC_UnTrack(self);
+    Py_CLEAR(M->cfg);
+    Py_CLEAR(M->ll_intervals);
+    Py_CLEAR(M->ll_per_thread);
+    for (int i = 0; i < N_CACHES; i++) {
+        PyMem_Free(M->c[i].tag);
+        PyMem_Free(M->c[i].cnt);
+    }
+    MTlb *tlbs[2] = {&M->itlb, &M->dtlb};
+    for (int i = 0; i < 2; i++) {
+        PyMem_Free(tlbs[i]->page);
+        PyMem_Free(tlbs[i]->prev);
+        PyMem_Free(tlbs[i]->next);
+        map_free(&tlbs[i]->index);
+    }
+    map_free(&M->pending);
+    PyMem_Free(M->fills.v);
+    for (int64_t b = 0; b < M->n_bufs; b++) {
+        PyMem_Free(M->bufs[b].line);
+        PyMem_Free(M->bufs[b].ready);
+    }
+    PyMem_Free(M->bufs);
+    map_free(&M->stride_index);
+    PyMem_Free(M->stride);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* Hierarchy(cfg): a MemoryHierarchy(cfg) in native memory. */
+static PyObject *Mem_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *cfg;
+    static char *kwlist[] = {"cfg", NULL};
+    if (!g.ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_cext_engine.setup() has not run");
+        return NULL;
+    }
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:Hierarchy", kwlist,
+                                     &cfg))
+        return NULL;
+    Mem *M = (Mem *)type->tp_alloc(type, 0);
+    if (M == NULL)
+        return NULL;
+    Py_INCREF(cfg);
+    M->cfg = cfg;
+    PyObject *serialize = NULL;
+    for (int i = 0; i < N_CACHES; i++)
+        if (cache_init(&M->c[i], cfg, CACHE_NAMES[i]) < 0)
+            goto fail;
+    if (tlb_init(&M->itlb, cfg, "itlb") < 0
+        || tlb_init(&M->dtlb, cfg, "dtlb") < 0
+        || prefetcher_init(M, cfg) < 0
+        || attr_int(cfg, "l1_latency", &M->l1_lat) < 0
+        || attr_int(cfg, "l2_latency", &M->l2_lat) < 0
+        || attr_int(cfg, "l3_latency", &M->l3_lat) < 0
+        || attr_int(cfg, "mem_latency", &M->mem_lat) < 0
+        || attr_int(cfg, "tlb_miss_penalty", &M->tlb_pen) < 0
+        || attr_int(cfg, "mshr_entries", &M->mshr) < 0
+        || (serialize = PyObject_GetAttrString(
+                cfg, "serialize_long_latency")) == NULL
+        || (M->serialize = PyObject_IsTrue(serialize)) < 0
+        || map_init(&M->pending, 64) < 0
+        || (M->ll_intervals = PyList_New(0)) == NULL
+        || (M->ll_per_thread = PyDict_New()) == NULL)
+        goto fail;
+    Py_DECREF(serialize);
+    return (PyObject *)M;
+fail:
+    Py_XDECREF(serialize);
+    Py_DECREF(M);
+    return NULL;
+}
+
+static int Mem_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Mem *M = (Mem *)self;
+    Py_VISIT(M->cfg);
+    Py_VISIT(M->ll_intervals);
+    Py_VISIT(M->ll_per_thread);
+    return 0;
+}
+
+static int Mem_clear(PyObject *self)
+{
+    Mem *M = (Mem *)self;
+    Py_CLEAR(M->cfg);
+    Py_CLEAR(M->ll_intervals);
+    Py_CLEAR(M->ll_per_thread);
+    return 0;
+}
+
+/* The AccessResult of *r. */
+static PyObject *access_result(const MemResult *r)
+{
+    PyObject *done = PyLong_FromLongLong(r->done);
+    PyObject *detect = PyLong_FromLongLong(r->detect);
+    PyObject *fill = r->has_fill ? PyLong_FromLongLong(r->fill_line)
+                                 : Py_NewRef(Py_None);
+    PyObject *out = NULL;
+    if (done != NULL && detect != NULL && fill != NULL) {
+        PyObject *args[7] = {done, detect, g.levels[r->level],
+                             r->tlb_miss ? Py_True : Py_False,
+                             r->ll ? Py_True : Py_False,
+                             r->trigger ? Py_True : Py_False, fill};
+        out = PyObject_Vectorcall(g.result_cls, args, 7, NULL);
+    }
+    Py_XDECREF(done);
+    Py_XDECREF(detect);
+    Py_XDECREF(fill);
+    return out;
+}
+
+/* load/store(thread, pc, addr, cycle) -> AccessResult. */
+static PyObject *mem_access_py(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs, int demand)
+{
+    int64_t pc, addr, cycle;
+    MemResult r;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, demand
+                        ? "load(thread, pc, addr, cycle)"
+                        : "store(thread, pc, addr, cycle)");
+        return NULL;
+    }
+    if (int64_arg(args[1], &pc) < 0 || int64_arg(args[2], &addr) < 0
+        || int64_arg(args[3], &cycle) < 0
+        || mem_access((Mem *)self, args[0], pc, addr, cycle, demand, &r) < 0)
+        return NULL;
+    return access_result(&r);
+}
+
+static PyObject *Mem_load(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    return mem_access_py(self, args, nargs, 1);
+}
+
+static PyObject *Mem_store(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    return mem_access_py(self, args, nargs, 0);
+}
+
+/* ifetch(thread, addr, cycle) -> completion cycle. */
+static PyObject *Mem_ifetch(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    int64_t addr, cycle, done;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "ifetch(thread, addr, cycle)");
+        return NULL;
+    }
+    if (int64_arg(args[1], &addr) < 0 || int64_arg(args[2], &cycle) < 0
+        || mem_ifetch((Mem *)self, addr, cycle, &done) < 0)
+        return NULL;
+    return PyLong_FromLongLong(done);
+}
+
+/* cancel_fill(line, addr, cycle) -> bool. */
+static PyObject *Mem_cancel_fill(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    int64_t line, addr, cycle;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "cancel_fill(line, addr, cycle)");
+        return NULL;
+    }
+    if (int64_arg(args[0], &line) < 0 || int64_arg(args[1], &addr) < 0
+        || int64_arg(args[2], &cycle) < 0)
+        return NULL;
+    return PyBool_FromLong(mem_cancel_fill((Mem *)self, line, addr, cycle));
+}
+
+static PyObject *Mem_mlp(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *l = ((Mem *)self)->ll_intervals;    /* NULL once cleared */
+    return PyObject_CallOneArg(g.mlp_fn, l != NULL ? l : Py_None);
+}
+
+/* A new dict from `n` (key, value) int64 pairs taken by `get`. */
+static PyObject *pairs_dict(const int64_t *k, const int64_t *v,
+                            const uint8_t *used, int64_t n)
+{
+    PyObject *d = PyDict_New();
+    for (int64_t i = 0; d != NULL && i < n; i++) {
+        if (used != NULL && !used[i])
+            continue;
+        PyObject *a = PyLong_FromLongLong(k[i]);
+        PyObject *b = PyLong_FromLongLong(v[i]);
+        if (a == NULL || b == NULL || PyDict_SetItem(d, a, b) < 0)
+            Py_CLEAR(d);
+        Py_XDECREF(a);
+        Py_XDECREF(b);
+    }
+    return d;
+}
+
+static PyObject *cache_state(const MCache *c)
+{
+    PyObject *sets = PyList_New((Py_ssize_t)c->num_sets);
+    for (int64_t s = 0; sets != NULL && s < c->num_sets; s++) {
+        PyObject *lines = ivec_list(c->tag + s * c->assoc, c->cnt[s]);
+        if (lines == NULL)
+            Py_CLEAR(sets);
+        else
+            PyList_SET_ITEM(sets, (Py_ssize_t)s, lines);
+    }
+    return sets == NULL ? NULL
+        : Py_BuildValue("(NLL)", sets, (long long)c->hits,
+                        (long long)c->misses);
+}
+
+static PyObject *tlb_state(const MTlb *t)
+{
+    int64_t *pages = PyMem_Malloc(((size_t)t->n + 1) * sizeof(int64_t));
+    if (pages == NULL)
+        return PyErr_NoMemory();
+    int64_t k = 0;
+    for (int32_t i = t->head; i >= 0 && k < t->n; i = t->next[i])
+        pages[k++] = t->page[i];
+    PyObject *lst = ivec_list(pages, k);
+    PyMem_Free(pages);
+    return lst == NULL ? NULL
+        : Py_BuildValue("(NLL)", lst, (long long)t->hits,
+                        (long long)t->misses);
+}
+
+static PyObject *prefetcher_state(const Mem *M)
+{
+    if (!M->pf_on)
+        Py_RETURN_NONE;
+    PyObject *stride = PyDict_New();
+    for (int64_t i = 0; stride != NULL && i < M->stride_n; i++) {
+        const StrideEnt *e = &M->stride[i];
+        PyObject *k = PyLong_FromLongLong(e->idx);
+        PyObject *v = Py_BuildValue("(LLL)", (long long)e->last_addr,
+                                    (long long)e->stride,
+                                    (long long)e->confidence);
+        if (k == NULL || v == NULL || PyDict_SetItem(stride, k, v) < 0)
+            Py_CLEAR(stride);
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+    }
+    PyObject *bufs = stride == NULL ? NULL : PyList_New((Py_ssize_t)M->n_bufs);
+    for (int64_t b = 0; bufs != NULL && b < M->n_bufs; b++) {
+        const SBuf *B = &M->bufs[b];
+        PyObject *entries = pairs_dict(B->line, B->ready, NULL, B->n);
+        PyObject *item = entries == NULL ? NULL : Py_BuildValue(
+            "(NLLLNLL)", entries, (long long)B->next_addr,
+            (long long)B->stride, (long long)B->last_used,
+            PyBool_FromLong(B->valid), (long long)B->hits_since_alloc,
+            (long long)B->alloc_cycle);
+        if (item == NULL)
+            Py_CLEAR(bufs);
+        else
+            PyList_SET_ITEM(bufs, (Py_ssize_t)b, item);
+    }
+    if (bufs == NULL) {
+        Py_XDECREF(stride);
+        return NULL;
+    }
+    return Py_BuildValue("{sNsNsLsLsLsL}", "stride", stride, "buffers", bufs,
+                         "hits", (long long)M->pf_hits,
+                         "lookups", (long long)M->pf_lookups,
+                         "allocations", (long long)M->pf_allocs,
+                         "prefetches_issued", (long long)M->pf_issued);
+}
+
+/* state() -> dict: the canonical state the differential test compares
+ * with a MemoryHierarchy's: each cache's sets and each TLB's pages in
+ * recency order (least recent first) with their hit and miss counts,
+ * the pending table as {line: ready}, the fill heap sorted, the
+ * measurement counters and the prefetcher's stride table, buffers and
+ * counts (None when it is off). */
+static PyObject *Mem_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    Mem *M = (Mem *)self;
+    PyObject *fills = ivec_list(M->fills.v, M->fills.n);
+    if (fills == NULL || PyList_Sort(fills) < 0) {
+        Py_XDECREF(fills);
+        return NULL;
+    }
+    PyObject *intervals = PySequence_List(M->ll_intervals);
+    PyObject *per_thread = PyDict_Copy(M->ll_per_thread);
+    return Py_BuildValue(
+        "{sNsNsNsNsNsNsNsNsLsNsNsLsLsLsN}",
+        "l1i", cache_state(&M->c[C_L1I]), "l1d", cache_state(&M->c[C_L1D]),
+        "l2", cache_state(&M->c[C_L2]), "l3", cache_state(&M->c[C_L3]),
+        "itlb", tlb_state(&M->itlb), "dtlb", tlb_state(&M->dtlb),
+        "pending", pairs_dict(M->pending.key, M->pending.val,
+                              M->pending.used, M->pending.mask + 1),
+        "fill_ends", fills, "last_ll_end", (long long)M->last_ll_end,
+        "ll_intervals", intervals, "ll_loads_per_thread", per_thread,
+        "demand_loads", (long long)M->demand_loads,
+        "merged_loads", (long long)M->merged_loads,
+        "prefetch_covered", (long long)M->prefetch_covered,
+        "prefetcher", prefetcher_state(M));
+}
+
+/* The first violated invariant of a hash map's index, or NULL. */
+static const char *map_check(const Map *m, int64_t *bad)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i <= m->mask; i++) {
+        if (!m->used[i])
+            continue;
+        n++;
+        if (map_find(m, m->key[i]) != i) {
+            *bad = m->key[i];
+            return "cannot be found by its key";
+        }
+    }
+    *bad = n;
+    return n != m->n || 2 * n > m->mask + 1 ? "count is off" : NULL;
+}
+
+/* check() -> str | None: the sanitizer's check of the model (see
+ * sanitize.py): set and TLB capacities, no duplicate tag, every index
+ * agreeing with its entries, the fill heap and the stream buffers. */
+static PyObject *Mem_check(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    Mem *M = (Mem *)self;
+    int64_t bad;
+    const char *why;
+    for (int i = 0; i < N_CACHES; i++) {
+        const MCache *c = &M->c[i];
+        for (int64_t s = 0; s < c->num_sets; s++) {
+            const int64_t *set = c->tag + s * c->assoc;
+            int32_t n = c->cnt[s];
+            const char *name = CACHE_NAMES[i];
+            if (n < 0 || n > c->assoc)
+                return PyUnicode_FromFormat(
+                    "%s set %lld holds %d lines (assoc %lld)", name,
+                    (long long)s, n, (long long)c->assoc);
+            for (int32_t w = 0; w < n; w++) {
+                if (set_of(c, set[w]) != s)
+                    return PyUnicode_FromFormat(
+                        "%s set %lld holds line %lld of set %lld", name,
+                        (long long)s, (long long)set[w],
+                        (long long)set_of(c, set[w]));
+                for (int32_t v = 0; v < w; v++)
+                    if (set[v] == set[w])
+                        return PyUnicode_FromFormat(
+                            "%s set %lld holds line %lld twice", name,
+                            (long long)s, (long long)set[w]);
+            }
+        }
+    }
+    const MTlb *tlbs[2] = {&M->itlb, &M->dtlb};
+    static const char *tnames[2] = {"itlb", "dtlb"};
+    for (int k = 0; k < 2; k++) {
+        const MTlb *t = tlbs[k];
+        if (t->n < 0 || t->n > t->cap)
+            return PyUnicode_FromFormat("%s holds %d pages (entries %d)",
+                                        tnames[k], t->n, t->cap);
+        int32_t seen = 0, last = -1;
+        for (int32_t i = t->head; i >= 0 && seen <= t->n; i = t->next[i]) {
+            int64_t e = map_find(&t->index, t->page[i]);
+            if (i >= t->n || t->prev[i] != last || e < 0
+                || t->index.val[e] != i)
+                return PyUnicode_FromFormat(
+                    "%s index disagrees with its entry %d (page %lld)",
+                    tnames[k], i, (long long)t->page[i]);
+            last = i;
+            seen++;
+        }
+        if (seen != t->n || last != t->tail || t->index.n != t->n)
+            return PyUnicode_FromFormat(
+                "%s recency list holds %d of its %d pages", tnames[k], seen,
+                t->n);
+        if ((why = map_check(&t->index, &bad)) != NULL)
+            return PyUnicode_FromFormat("%s index: page %lld %s",
+                                        tnames[k], (long long)bad, why);
+    }
+    if ((why = map_check(&M->pending, &bad)) != NULL)
+        return PyUnicode_FromFormat("pending table: line %lld %s",
+                                    (long long)bad, why);
+    if (M->pf_on && (why = map_check(&M->stride_index, &bad)) != NULL)
+        return PyUnicode_FromFormat("stride table: index %lld %s",
+                                    (long long)bad, why);
+    for (int64_t i = 0; M->pf_on && i < M->stride_n; i++) {
+        int64_t k = map_find(&M->stride_index, M->stride[i].idx);
+        if (k < 0 || M->stride_index.val[k] != i
+            || M->stride[i].idx != py_mod(M->stride[i].idx, M->stride_entries))
+            return PyUnicode_FromFormat(
+                "stride table: entry %lld (index %lld) is not found by its "
+                "index", (long long)i, (long long)M->stride[i].idx);
+    }
+    if (M->fills.n > (M->mshr > 0 ? M->mshr : 0))
+        return PyUnicode_FromFormat("fill heap holds %d ends (mshr_entries "
+                                    "%lld)", M->fills.n, (long long)M->mshr);
+    for (int32_t i = 1; i < M->fills.n; i++)
+        if (M->fills.v[(i - 1) / 2] > M->fills.v[i])
+            return PyUnicode_FromFormat("fill heap order broken at %d", i);
+    for (int64_t b = 0; b < M->n_bufs; b++) {
+        const SBuf *B = &M->bufs[b];
+        if (B->n < 0 || B->n > M->buf_entries || (!B->valid && B->n))
+            return PyUnicode_FromFormat(
+                "stream buffer %lld holds %lld lines (buffer_entries %lld)",
+                (long long)b, (long long)B->n, (long long)M->buf_entries);
+        for (int64_t i = 0; i < B->n; i++)
+            for (int64_t j = 0; j < i; j++)
+                if (B->line[j] == B->line[i])
+                    return PyUnicode_FromFormat(
+                        "stream buffer %lld holds line %lld twice",
+                        (long long)b, (long long)B->line[i]);
+    }
+    Py_RETURN_NONE;
+}
+
+/* _plant(part, index, values): test-only raw writes that bypass every
+ * update rule, for the sanitizer tests: a cache set's lines (`part` a
+ * cache name, `index` the set), a TLB's pages in recency order (as many
+ * as it holds; its index is left as it was) or the fill heap's array
+ * (`index` ignored).  Nothing is written unless every value is valid. */
+static PyObject *Mem_plant(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    Mem *M = (Mem *)self;
+    const char *part = nargs == 3 && PyUnicode_Check(args[0])
+        ? PyUnicode_AsUTF8(args[0]) : NULL;
+    Py_ssize_t n = nargs == 3 && PyList_Check(args[2])
+        ? PyList_GET_SIZE(args[2]) : -1;
+    if (part == NULL || n < 0) {
+        PyErr_SetString(PyExc_TypeError, "_plant(part, index, values)");
+        return NULL;
+    }
+    int64_t *vals = PyMem_Malloc(((size_t)n + 1) * sizeof(int64_t));
+    if (vals == NULL)
+        return PyErr_NoMemory();
+    PyObject *out = NULL;
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (int64_arg(PyList_GET_ITEM(args[2], i), &vals[i]) < 0)
+            goto done;
+    for (int i = 0; i < N_CACHES; i++) {
+        MCache *c = &M->c[i];
+        int64_t s;
+        if (strcmp(part, CACHE_NAMES[i]))
+            continue;
+        if (int64_arg(args[1], &s) < 0)
+            goto done;
+        if (s < 0 || s >= c->num_sets || n > c->assoc) {
+            PyErr_SetString(PyExc_ValueError,
+                            "no such set, or too many lines");
+            goto done;
+        }
+        memcpy(c->tag + s * c->assoc, vals, (size_t)n * sizeof(int64_t));
+        c->cnt[s] = (int32_t)n;
+        goto planted;
+    }
+    if (!strcmp(part, "itlb") || !strcmp(part, "dtlb")) {
+        MTlb *t = part[0] == 'i' ? &M->itlb : &M->dtlb;
+        if (n != t->n) {
+            PyErr_SetString(PyExc_ValueError, "give one page per entry");
+            goto done;
+        }
+        Py_ssize_t k = 0;
+        for (int32_t i = t->head; i >= 0 && k < n; i = t->next[i])
+            t->page[i] = vals[k++];
+        goto planted;
+    }
+    if (!strcmp(part, "fill_ends")) {
+        if (ivec_reserve(&M->fills, n) < 0)
+            goto done;
+        memcpy(M->fills.v, vals, (size_t)n * sizeof(int64_t));
+        M->fills.n = (int32_t)n;
+        goto planted;
+    }
+    PyErr_Format(PyExc_KeyError, "%s", part);
+    goto done;
+planted:
+    out = Py_NewRef(Py_None);
+done:
+    PyMem_Free(vals);
+    return out;
+}
+
+static PyObject *Mem_get_int(PyObject *self, void *off)
+{
+    return PyLong_FromLongLong(*(int64_t *)((char *)self + (size_t)off));
+}
+
+static int Mem_set_int(PyObject *self, PyObject *value, void *off)
+{
+    int64_t v;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete a counter");
+        return -1;
+    }
+    if (int64_arg(value, &v) < 0)
+        return -1;
+    *(int64_t *)((char *)self + (size_t)off) = v;
+    return 0;
+}
+
+static PyObject *Mem_get_obj(PyObject *self, void *off)
+{
+    PyObject *v = *(PyObject **)((char *)self + (size_t)off);
+    return Py_NewRef(v != NULL ? v : Py_None);
+}
+
+/* ll_intervals takes a list, ll_loads_per_thread a dict. */
+static int Mem_set_obj(PyObject *self, PyObject *value, void *off)
+{
+    int is_list = (size_t)off == offsetof(Mem, ll_intervals);
+    if (value == NULL || (is_list ? !PyList_Check(value)
+                                  : !PyDict_Check(value))) {
+        PyErr_SetString(PyExc_TypeError, is_list
+                        ? "ll_intervals must be a list"
+                        : "ll_loads_per_thread must be a dict");
+        return -1;
+    }
+    Py_INCREF(value);
+    Py_XSETREF(*(PyObject **)((char *)self + (size_t)off), value);
+    return 0;
+}
+
+static PyObject *Mem_get_ll_count(PyObject *self, void *Py_UNUSED(closure))
+{
+    PyObject *l = ((Mem *)self)->ll_intervals;
+    return PyLong_FromSsize_t(l != NULL ? PyList_GET_SIZE(l) : 0);
+}
+
+#define MEM_INT(name) {#name, Mem_get_int, Mem_set_int, NULL, \
+                       (void *)offsetof(Mem, name)}
+
+static PyGetSetDef Mem_getset[] = {
+    {"cfg", Mem_get_obj, NULL, "The MemoryConfig.",
+     (void *)offsetof(Mem, cfg)},
+    {"ll_intervals", Mem_get_obj, Mem_set_obj,
+     "(start, end) per long-latency load.",
+     (void *)offsetof(Mem, ll_intervals)},
+    {"ll_loads_per_thread", Mem_get_obj, Mem_set_obj,
+     "Long-latency loads per thread.",
+     (void *)offsetof(Mem, ll_per_thread)},
+    MEM_INT(demand_loads), MEM_INT(merged_loads), MEM_INT(prefetch_covered),
+    {"ll_load_count", Mem_get_ll_count, NULL, "len(ll_intervals).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+#undef MEM_INT
+
+static PyMethodDef Mem_methods[] = {
+    {"load", (PyCFunction)(void (*)(void))Mem_load, METH_FASTCALL,
+     "load(thread, pc, addr, cycle) -> AccessResult (a demand load)."},
+    {"store", (PyCFunction)(void (*)(void))Mem_store, METH_FASTCALL,
+     "store(thread, pc, addr, cycle) -> AccessResult (a store drain)."},
+    {"ifetch", (PyCFunction)(void (*)(void))Mem_ifetch, METH_FASTCALL,
+     "ifetch(thread, addr, cycle) -> completion cycle."},
+    {"cancel_fill", (PyCFunction)(void (*)(void))Mem_cancel_fill,
+     METH_FASTCALL, "cancel_fill(line, addr, cycle) -> bool."},
+    {"mlp", Mem_mlp, METH_NOARGS, "mlp() -> Chou et al. MLP."},
+    {"state", Mem_state, METH_NOARGS, "state() -> the canonical state."},
+    {"check", Mem_check, METH_NOARGS,
+     "check() -> the first invariant violated, or None."},
+    {"_plant", (PyCFunction)(void (*)(void))Mem_plant, METH_FASTCALL,
+     "Test hook: _plant(part, index, values) writes raw state."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject Mem_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.Hierarchy",
+    .tp_doc = "Hierarchy(cfg): MemoryHierarchy(cfg) as native state, with "
+              "the same methods; a cext core's model.",
+    .tp_basicsize = sizeof(Mem),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = Mem_new,
+    .tp_dealloc = Mem_dealloc,
+    .tp_traverse = Mem_traverse,
+    .tp_clear = Mem_clear,
+    .tp_methods = Mem_methods,
+    .tp_getset = Mem_getset,
+};
 
 /* A thread's front-end queue or window (a ring of slots) or its rename
  * map (64 slots, -1 = no in-flight producer).  Python sees a read-only
@@ -1459,7 +2588,7 @@ typedef struct {
         n_threads, full_mask, rob_size, lsq_size, int_iq_size, fp_iq_size,
         int_rename_regs, fp_rename_regs, num_int_alu, num_ldst, num_fp;
     int fast_forward, fetch_order_is_base, can_fetch_one, track_dep;
-    MemFast mf;             /* the hierarchy's L1/TLB-hit path */
+    Mem *mem;               /* owned: core.hierarchy when it is native */
 } Ctx;
 
 
@@ -1691,19 +2820,21 @@ static int stage_drain(Ctx *c, long long cycle)
 /* stage: commit                                                       */
 /* ------------------------------------------------------------------ */
 
-/* hierarchy.load (demand) or .store of instr at `when`, the L1/TLB hit
- * path in C: sets *done (and, on a hit, *detect); *result is the
- * AccessResult when Python ran (a new reference), else NULL. */
+/* hierarchy.load (demand) or .store of instr at `when`: on the native
+ * model, in C into *r; else the hierarchy's method, whose AccessResult
+ * lands in *result (a new reference) and whose completion in r->done. */
 static int data_access(Ctx *c, PyObject *ts, PyObject *instr, long long when,
-                       int demand, long long *done, long long *detect,
-                       PyObject **result)
+                       int demand, MemResult *r, PyObject **result)
 {
     *result = NULL;
-    int hit = mem_fast_data(&c->mf, SLOT(instr, OFF.in_pc),
-                            SLOT(instr, OFF.in_addr), when, demand, done,
-                            detect);
-    if (hit)
-        return hit < 0 ? -1 : 0;
+    if (c->mem != NULL) {
+        int64_t pc, addr;
+        if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0
+            || int64_arg(SLOT(instr, OFF.in_addr), &addr) < 0)
+            return -1;
+        return mem_access(c->mem, SLOT(ts, OFF.ts_tid), pc, addr, when,
+                          demand, r);
+    }
     PyObject *when_obj = box_ll(when);
     if (when_obj == NULL)
         return -1;
@@ -1715,7 +2846,7 @@ static int data_access(Ctx *c, PyObject *ts, PyObject *instr, long long when,
     Py_DECREF(when_obj);
     if (*result == NULL)
         return -1;
-    *done = slot_ll(*result, OFF.ar_complete_cycle);
+    r->done = slot_ll(*result, OFF.ar_complete_cycle);
     return 0;
 }
 
@@ -1799,13 +2930,12 @@ static int stage_commit(Ctx *c, long long cycle)
             if (fl & F_IS_STORE) {
                 if (slot_ll(core, OFF.wb_used) >= c->wb_entries)
                     continue;
-                long long when, detect;
+                MemResult r;
                 PyObject *result;
-                if (data_access(c, ts, instr, cycle, 0, &when, &detect,
-                                &result) < 0)
+                if (data_access(c, ts, instr, cycle, 0, &r, &result) < 0)
                     return -1;
                 Py_XDECREF(result);
-                if (schedule_wb_drain(c, when, cycle) < 0)
+                if (schedule_wb_drain(c, r.done, cycle) < 0)
                     return -1;
             }
             sq_pop_front(window);
@@ -1974,27 +3104,34 @@ static int issue_simple_queue(Ctx *c, IVec *queue, long long slots,
     return 0;
 }
 
-/* _execute's load body, columnized: an L1/TLB hit is resolved in C,
- * anything else by hierarchy.load. */
+/* _execute's load body, columnized. */
 static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
                       PyObject *ts, long long cycle)
 {
     Arena *A = c->A;
     PyObject *instr = A->instr[s];
     long long when = cycle + slot_ll(instr, OFF.in_latency);
-    long long completion, detect = 0;
-    PyObject *result;
-    int is_ll = 0, trigger = 0, rc = -1;
-    PyObject *level = g.l1_level, *fill = Py_None;
-    if (data_access(c, ts, instr, when, 1, &completion, &detect, &result)
-        < 0)
+    MemResult mr;
+    PyObject *result, *level, *fill, *fill_box = NULL;
+    int is_ll, trigger, rc = -1;
+    if (data_access(c, ts, instr, when, 1, &mr, &result) < 0)
         return -1;
+    long long completion = mr.done, detect;
     if (result != NULL) {
         is_ll = PyObject_IsTrue(SLOT(result, OFF.ar_long_latency));
         trigger = PyObject_IsTrue(SLOT(result, OFF.ar_trigger));
         detect = slot_ll(result, OFF.ar_detect_cycle);
         level = SLOT(result, OFF.ar_level);
         fill = SLOT(result, OFF.ar_fill_line);
+    } else {
+        is_ll = mr.ll;
+        trigger = mr.trigger;
+        detect = mr.detect;
+        level = g.levels[mr.level];
+        fill = Py_None;
+        /* boxed only for a demand miss to memory (a cancellable fill) */
+        if (mr.has_fill && (fill = fill_box = box_ll(mr.fill_line)) == NULL)
+            return -1;
     }
     if (is_ll)
         fl |= F_IS_LL;
@@ -2028,7 +3165,7 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
             goto out;
     }
     ocol_set(A->fill_line, s, fill);
-    if (level != g.l1_level) {
+    if (level != g.levels[LV_L1]) {
         if (stat_add(ts, OFF.ts_outstanding_misses, 1) < 0)
             goto out;
         A->pending[s] = -1;
@@ -2037,6 +3174,7 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
     rc = wheel_push(&A->ev, c->mask, cycle, completion, packed);
 out:
     Py_XDECREF(result);
+    Py_XDECREF(fill_box);
     return rc;
 }
 
@@ -2468,11 +3606,11 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         long long pc_addr = pc_origin + slot_ll(instr, OFF.in_pc) * 4;
         long long line = pc_addr >> c->line_shift;
         if (line != slot_ll(ts, OFF.ts_last_ifetch_line)) {
-            long long done;
-            int hit = mem_fast_ifetch(&c->mf, pc_addr, cycle, &done);
-            if (hit < 0)
-                goto fail_instr;
-            if (!hit) {
+            int64_t done;
+            if (c->mem != NULL) {
+                if (mem_ifetch(c->mem, pc_addr, cycle, &done) < 0)
+                    goto fail_instr;
+            } else {
                 PyObject *pa = box_ll(pc_addr);
                 if (pa == NULL)
                     goto fail_instr;
@@ -2885,7 +4023,9 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->can_fetch_one =
         c->fetch_max_threads >= 1 && c->fetch_width >= 1;
     c->track_dep = slot_true(core, OFF.track_ll_dep);
-    mem_fast_init(&c->mf, SLOT(core, OFF.hierarchy));
+    PyObject *hier = SLOT(core, OFF.hierarchy);
+    if (hier != NULL && Py_IS_TYPE(hier, &Mem_Type))
+        c->mem = (Mem *)Py_NewRef(hier);
     return 0;
 }
 
@@ -2893,7 +4033,7 @@ static void ctx_clear(Ctx *c)
 {
     Py_CLEAR(c->on_ll_detect);
     Py_CLEAR(c->A);
-    mem_fast_clear(&c->mf);
+    Py_CLEAR(c->mem);
 }
 
 /* The entry points' guard: setup() has run and `want` arguments came. */
@@ -3357,12 +4497,19 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         int64_t fl = A->flags[s] | F_SQUASHED;
         squashed++;
         PyObject *fill = A->fill_line[s];
-        if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
+        PyObject *hier = SLOT(core, OFF.hierarchy);
+        if (cancel && fill != NULL && !(fl & F_COMPLETED)
+            && Py_IS_TYPE(hier, &Mem_Type)) {
+            int64_t line, addr;
+            if (int64_arg(fill, &line) < 0
+                || int64_arg(SLOT(A->instr[s], OFF.in_addr), &addr) < 0)
+                return NULL;
+            mem_cancel_fill((Mem *)hier, line, addr, cycle);
+        } else if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
             PyObject *cargs[3] = {fill, SLOT(A->instr[s], OFF.in_addr),
                                   cycle_obj};
             Py_INCREF(fill);
-            PyObject *r = call_method(SLOT(core, OFF.hierarchy),
-                                      g.s_cancel_fill, cargs, 3);
+            PyObject *r = call_method(hier, g.s_cancel_fill, cargs, 3);
             Py_DECREF(fill);
             if (r == NULL)
                 return NULL;
@@ -3708,19 +4855,6 @@ static int arena_field(Arena *A, PyObject *key, Field *f)
     return -1;
 }
 
-static PyObject *ivec_list(const int64_t *v, Py_ssize_t n)
-{
-    PyObject *out = PyList_New(n);
-    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        PyObject *x = PyLong_FromLongLong(v[i]);
-        if (x == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, x);
-    }
-    return out;
-}
-
 static PyObject *Arena_getitem(PyObject *self, PyObject *key)
 {
     Arena *A = (Arena *)self;
@@ -3957,22 +5091,6 @@ static const struct OffSpec SPECS[] = {
     O("llsr", "_last_one_total", ll_last_one_total),
     O("llsr", "_on_measure", ll_on_measure),
     O("llsr", "measured", ll_measured),
-    O("hier", "_pending", mh_pending), O("hier", "l1i", mh_l1i),
-    O("hier", "l1d", mh_l1d), O("hier", "itlb", mh_itlb),
-    O("hier", "dtlb", mh_dtlb), O("hier", "prefetcher", mh_prefetcher),
-    O("hier", "demand_loads", mh_demand_loads),
-    O("hier", "_l1_latency", mh_l1_latency),
-    O("hier", "_l2_latency", mh_l2_latency),
-    O("cache", "_sets", ca_sets), O("cache", "_num_sets", ca_num_sets),
-    O("cache", "_line_shift", ca_line_shift), O("cache", "hits", ca_hits),
-    O("tlb", "_entries", tl_entries), O("tlb", "_page_shift", tl_page_shift),
-    O("tlb", "hits", tl_hits),
-    O("prefetcher", "stride_predictor", pf_stride_predictor),
-    O("stride", "_table", sp_table), O("stride", "_entries", sp_entries),
-    O("stride", "_max_conf", sp_max_conf),
-    O("stride_entry", "last_addr", se_last_addr),
-    O("stride_entry", "stride", se_stride),
-    O("stride_entry", "confidence", se_confidence),
     O("trace", "_dyn", tr_dyn),
 };
 
@@ -4087,33 +5205,45 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         return NULL;
     PyObject *limit_exc = PyDict_GetItemString(ns, "limit_exc");
     PyObject *deadlock_exc = PyDict_GetItemString(ns, "deadlock_exc");
-    PyObject *l1_level = PyDict_GetItemString(ns, "l1_level");
-    PyObject *entry_cls = PyDict_GetItemString(ns, "stride_entry");
-    if (limit_exc == NULL || deadlock_exc == NULL || l1_level == NULL
-        || entry_cls == NULL) {
+    PyObject *result_cls = PyDict_GetItemString(ns, "result");
+    PyObject *mlp_fn = PyDict_GetItemString(ns, "mlp_from_intervals");
+    PyObject *levels = PyDict_GetItemString(ns, "levels");
+    if (limit_exc == NULL || deadlock_exc == NULL || result_cls == NULL
+        || mlp_fn == NULL || levels == NULL || !PyTuple_Check(levels)
+        || PyTuple_GET_SIZE(levels) != N_LEVELS - 1) {
         PyErr_SetString(PyExc_KeyError,
-                        "setup(): missing limit_exc/deadlock_exc/l1_level/"
-                        "stride_entry");
+                        "setup(): missing limit_exc/deadlock_exc/result/"
+                        "mlp_from_intervals/levels");
         return NULL;
+    }
+    /* levels: the ServiceLevel members in value order */
+    for (int i = 1; i < N_LEVELS; i++) {
+        PyObject *lv = PyTuple_GET_ITEM(levels, i - 1);
+        if (PyLong_AsLong(lv) != i) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError,
+                                "setup(): ServiceLevel drifted from the C "
+                                "copy");
+            return NULL;
+        }
+        Py_INCREF(lv);
+        Py_XSETREF(g.levels[i], lv);
     }
     Py_INCREF(limit_exc);
     Py_XSETREF(g.limit_exc, limit_exc);
     Py_INCREF(deadlock_exc);
     Py_XSETREF(g.deadlock_exc, deadlock_exc);
-    Py_INCREF(l1_level);
-    Py_XSETREF(g.l1_level, l1_level);
-    Py_INCREF(entry_cls);
-    Py_XSETREF(g.stride_entry_cls, entry_cls);
+    Py_INCREF(result_cls);
+    Py_XSETREF(g.result_cls, result_cls);
+    Py_INCREF(mlp_fn);
+    Py_XSETREF(g.mlp_fn, mlp_fn);
     /* the exact types the in-C paths apply to */
     {
-        static const char *keys[10] = {"core", "hier", "cache", "tlb",
-                                       "prefetcher", "stride", "llsr",
-                                       "trace", "instr", "ts"};
-        PyTypeObject **dst[10] = {&g.core_type, &g.hier_type, &g.cache_type,
-                                  &g.tlb_type, &g.prefetcher_type,
-                                  &g.stride_type, &g.llsr_type,
-                                  &g.trace_type, &g.instr_type, &g.ts_type};
-        for (int i = 0; i < 10; i++) {
+        static const char *keys[5] = {"core", "llsr", "trace", "instr",
+                                      "ts"};
+        PyTypeObject **dst[5] = {&g.core_type, &g.llsr_type, &g.trace_type,
+                                 &g.instr_type, &g.ts_type};
+        for (int i = 0; i < 5; i++) {
             PyTypeObject *t = type_of(ns, keys[i]);
             if (t == NULL)
                 return NULL;
@@ -4176,8 +5306,7 @@ static PyObject *setup(PyObject *self, PyObject *ns)
             || (g.s_cancel_fill = intern_or_null("cancel_fill")) == NULL
             || (g.s_clear_owner = intern_or_null("clear_owner")) == NULL
             || (g.s_sync_policy_stall =
-                    intern_or_null("_sync_policy_stall")) == NULL
-            || (g.s_observe = intern_or_null("observe")) == NULL)
+                    intern_or_null("_sync_policy_stall")) == NULL)
             return NULL;
     }
     g.ready = 1;
@@ -4271,77 +5400,6 @@ static PyObject *t_trace_dyn(PyObject *self, PyObject *const *args,
     return out;
 }
 
-/* _mem_data(hier, demand, thread, pc, addr, cycle) -> (complete_cycle,
- * detect_cycle, level, tlb_miss, long_latency, trigger, fill_line,
- * in_c): hierarchy.load (demand) or .store as the issue and commit
- * stages run them, the hit path in C and everything else in Python. */
-static PyObject *t_mem_data(PyObject *self, PyObject *const *args,
-                            Py_ssize_t nargs)
-{
-    (void)self;
-    if (check_args(nargs, 6,
-                   "_mem_data(hier, demand, thread, pc, addr, cycle)") < 0)
-        return NULL;
-    int demand = PyObject_IsTrue(args[1]);
-    long long cycle = PyLong_AsLongLong(args[5]);
-    if (demand < 0 || (cycle == -1 && PyErr_Occurred()))
-        return NULL;
-    MemFast m;
-    mem_fast_init(&m, args[0]);
-    long long done = 0, detect = 0;
-    int hit = mem_fast_data(&m, args[3], args[4], cycle, demand, &done,
-                            &detect);
-    mem_fast_clear(&m);
-    if (hit < 0)
-        return NULL;
-    if (hit)
-        return Py_BuildValue("LLOOOOOO", done, detect, g.l1_level,
-                             Py_False, Py_False, Py_False, Py_None,
-                             Py_True);
-    PyObject *r = PyObject_CallMethod(args[0], demand ? "load" : "store",
-                                      "OOOO", args[2], args[3], args[4],
-                                      args[5]);
-    if (r == NULL)
-        return NULL;
-    PyObject *out = Py_BuildValue(
-        "OOONOOOO", SLOT(r, OFF.ar_complete_cycle),
-        SLOT(r, OFF.ar_detect_cycle), SLOT(r, OFF.ar_level),
-        PyObject_GetAttrString(r, "tlb_miss"),
-        SLOT(r, OFF.ar_long_latency), SLOT(r, OFF.ar_trigger),
-        SLOT(r, OFF.ar_fill_line), Py_False);
-    Py_DECREF(r);
-    return out;
-}
-
-/* _mem_ifetch(hier, thread, addr, cycle) -> (done, in_c): hierarchy.
- * ifetch as the fetch stage runs it. */
-static PyObject *t_mem_ifetch(PyObject *self, PyObject *const *args,
-                              Py_ssize_t nargs)
-{
-    (void)self;
-    if (check_args(nargs, 4, "_mem_ifetch(hier, thread, addr, cycle)") < 0)
-        return NULL;
-    long long addr = PyLong_AsLongLong(args[2]);
-    long long cycle = PyLong_AsLongLong(args[3]);
-    if (PyErr_Occurred())
-        return NULL;
-    MemFast m;
-    mem_fast_init(&m, args[0]);
-    long long done = 0;
-    int hit = mem_fast_ifetch(&m, addr, cycle, &done);
-    mem_fast_clear(&m);
-    if (hit < 0)
-        return NULL;
-    if (hit)
-        return Py_BuildValue("LO", done, Py_True);
-    PyObject *r = PyObject_CallMethod(args[0], "ifetch", "OOO", args[1],
-                                      args[2], args[3]);
-    if (r == NULL)
-        return NULL;
-    PyObject *out = Py_BuildValue("NO", r, Py_False);
-    return out;
-}
-
 static PyMethodDef cext_methods[] = {
     {"setup", setup, METH_O,
      "Resolve slot offsets and constants from the driver's class table."},
@@ -4354,10 +5412,6 @@ static PyMethodDef cext_methods[] = {
      "Test hook: the commit stage's LLSR.commit_zeros."},
     {"_trace_dyn", (PyCFunction)(void (*)(void))t_trace_dyn, METH_FASTCALL,
      "Test hook: the fetch stage's build of a varying trace slot."},
-    {"_mem_data", (PyCFunction)(void (*)(void))t_mem_data, METH_FASTCALL,
-     "Test hook: the issue/commit stages' hierarchy load/store."},
-    {"_mem_ifetch", (PyCFunction)(void (*)(void))t_mem_ifetch,
-     METH_FASTCALL, "Test hook: the fetch stage's hierarchy ifetch."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -4373,14 +5427,15 @@ static struct PyModuleDef cext_module = {
 PyMODINIT_FUNC PyInit__cext_engine(void)
 {
     if (PyType_Ready(&SlotSeq_Type) < 0 || PyType_Ready(&View_Type) < 0
-        || PyType_Ready(&Arena_Type) < 0)
+        || PyType_Ready(&Arena_Type) < 0 || PyType_Ready(&Mem_Type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&cext_module);
     if (m == NULL)
         return NULL;
     if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0
         || PyModule_AddObjectRef(m, "Arena", (PyObject *)&Arena_Type) < 0
-        || PyModule_AddObjectRef(m, "SoAView", (PyObject *)&View_Type) < 0) {
+        || PyModule_AddObjectRef(m, "SoAView", (PyObject *)&View_Type) < 0
+        || PyModule_AddObjectRef(m, "Hierarchy", (PyObject *)&Mem_Type) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -8,32 +8,39 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   :class:`~repro.pipeline.soa.SoACore` (instruction columns, free list,
   ready heaps, event wheels, thread queues and rename maps as C memory),
   along with arena growth, ``flush_thread``, the ``SoAView`` proxy and
-  the sanitizer's arena check.  It also does four kinds of work whose
+  the sanitizer's arena check.  It also does three kinds of work whose
   Python bodies stay the object engine's code and the reference the
   equivalence tests compare against (``tests/test_cext_paths.py``): the
   fast-forward target (``SMTCore._next_cycle``); ``LLSR.commit_zeros``
-  on an exact :class:`~repro.predictors.LLSR`; loads, store drains and
-  instruction fetches that hit the TLB and L1 with no live fill, on an
-  exact :class:`~repro.memory.hierarchy.MemoryHierarchy`; and the
+  on an exact :class:`~repro.predictors.LLSR`; and the
   iteration-varying slots of an exact
   :class:`~repro.workloads.trace.SyntheticTrace`.
+* The engine's ``Hierarchy`` type is
+  :class:`~repro.memory.hierarchy.MemoryHierarchy` as native state
+  (caches, TLBs, pending fills, the MSHR heap, stream buffers and their
+  stride table in C memory), with the same methods, counters and
+  ``ll_intervals`` list; ``tests/test_native_hierarchy.py`` holds it to
+  the Python class state for state.  A :class:`CextCore` builds one
+  unless it is given a ``hierarchy``; on it the loop's issue, store
+  drain, fetch and flush call its C functions, so no memory access
+  enters the interpreter.  Any other hierarchy runs through its Python
+  methods.
 
   What still crosses into Python per cycle or instruction: the
   ``ThreadState``, core, stats and ``Instr`` slots (read and written as
   Python objects; no arena access boxes or allocates), the policy hooks
   (the ``_is_default_hook`` elision applies unchanged, so hook-free
-  configurations never call one), the other memory accesses
-  (``load``/``store``/``ifetch``), the branch predictor and BTB, the
+  configurations never call one), the branch predictor and BTB, the
   long-latency load predictor, ``LLSR.commit`` for long-latency loads,
-  ``get`` of other trace types, ``cancel_fill`` and
-  ``ThreadState.clear_owner`` at a flush, and
-  ``ThreadState._sync_policy_stall`` when the stall predicate flips.
-* :class:`CextCore` is a thin :class:`SoACore` subclass whose only
-  override is ``_run_until``.  Stats and ``ThreadState`` are the object
-  engine's, so stats, golden fixtures and policies see exactly what the
-  object engine's records would show; instruction state is read through
-  views and ``core._arena[name]``.  Architectural behavior is
-  bit-identical; the golden matrix pins it.
+  ``get`` of other trace types, ``ThreadState.clear_owner`` at a flush,
+  and ``ThreadState._sync_policy_stall`` when the stall predicate
+  flips.
+* :class:`CextCore` is a thin :class:`SoACore` subclass that overrides
+  ``_run_until`` and picks the memory model.  Stats and ``ThreadState``
+  are the object engine's, so stats, golden fixtures and policies see
+  exactly what the object engine's records would show; instruction
+  state is read through views and ``core._arena[name]``.  Architectural
+  behavior is bit-identical; the golden matrix pins it.
 
 The extension is built lazily from the checked-in C source with the
 host's own compiler (``cc``/``gcc``/``clang`` — no Cython, no mypyc) and
@@ -51,8 +58,8 @@ Environment knobs:
   unpinned runs use the object engine.
 * ``REPRO_CEXT_CACHE`` overrides the build-cache directory.
 * ``REPRO_SANITIZE=1`` runs :class:`~repro.pipeline.sanitize.
-  CheckedCextCore` instead: the same compiled loop, with the arena
-  checked at every ``advance_to`` boundary.
+  CheckedCextCore` instead: the same compiled loop, with the arena and
+  the native memory model checked at every ``advance_to`` boundary.
 """
 
 from __future__ import annotations
@@ -68,7 +75,12 @@ from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy, ServiceLevel
+from repro.memory.hierarchy import (
+    AccessResult,
+    MemoryHierarchy,
+    ServiceLevel,
+    mlp_from_intervals,
+)
 from repro.pipeline.core import SimulationDeadlock, SimulationLimitExceeded
 from repro.pipeline.dyninstr import (
     F_COMPLETED,
@@ -159,10 +171,6 @@ def _build(compiler: str) -> Path:
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
     from repro.isa.instruction import Instr
-    from repro.memory.cache import Cache
-    from repro.memory.stream_buffer import StreamBufferPrefetcher
-    from repro.memory.stride_predictor import StridePredictor, _Entry
-    from repro.memory.tlb import TLB
     from repro.predictors.llsr import LLSR
     from repro.workloads.spec import SlotKind
     from repro.workloads.trace import SyntheticTrace
@@ -174,16 +182,11 @@ def _setup_namespace() -> dict[str, Any]:
         "instr": Instr,
         "result": AccessResult,
         "llsr": LLSR,
-        "hier": MemoryHierarchy,
-        "cache": Cache,
-        "tlb": TLB,
-        "prefetcher": StreamBufferPrefetcher,
-        "stride": StridePredictor,
-        "stride_entry": _Entry,
         "trace": SyntheticTrace,
         "limit_exc": SimulationLimitExceeded,
         "deadlock_exc": SimulationDeadlock,
-        "l1_level": ServiceLevel.L1,
+        "levels": tuple(sorted(ServiceLevel)),
+        "mlp_from_intervals": mlp_from_intervals,
         "slot_kinds": {kind.name: int(kind) for kind in SlotKind},
         # setup() cross-checks these against the compiled-in copies so a
         # drift in the Python flag layout fails loudly, not bit-rottenly.
@@ -238,10 +241,13 @@ def cext_status() -> str:
 class CextCore(SoACore):
     """The slot-arena pipeline, driven by the compiled loop.
 
-    State layout is exactly :class:`SoACore`'s; only ``_run_until`` is
-    replaced.  The two extra slots cache the policy-class hook markers
-    (``getattr`` probes on the policy class), so the C side reads them
-    as plain slot loads.
+    State layout is exactly :class:`SoACore`'s, and ``_run_until`` is
+    the compiled loop.  The two extra slots cache the policy-class hook
+    markers (``getattr`` probes on the policy class), so the C side
+    reads them as plain slot loads.  Unless a ``hierarchy`` is passed
+    (any :class:`~repro.memory.hierarchy.MemoryHierarchy` runs through
+    its Python methods), the core's memory model is the engine's native
+    ``Hierarchy``: the same methods and counters over C state.
     """
 
     __slots__ = ("_cext_olc_cleanup_only", "_cext_ll_detect_is_base")
@@ -249,6 +255,9 @@ class CextCore(SoACore):
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
                  policy: FetchPolicy,
                  hierarchy: MemoryHierarchy | None = None):
+        engine = _engine()
+        if hierarchy is None and engine is not None:
+            hierarchy = engine.Hierarchy(cfg.memory)
         super().__init__(cfg, traces, policy, hierarchy)
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(

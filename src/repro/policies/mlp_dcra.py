@@ -53,6 +53,8 @@ class MLPAwareDCRAPolicy(DCRAPolicy):
         alpha = self.ema_alpha
         self._mlp_need[ts.tid] = (
             alpha * need + (1.0 - alpha) * self._mlp_need[ts.tid])
+        # the shares read _mlp_need, which changes only here
+        self._drop_limits()
 
     def _limits(self, ts: ThreadState) -> tuple[float, ...]:
         threads = self.core.threads

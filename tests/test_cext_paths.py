@@ -1,36 +1,26 @@
 """The compiled loop's in-C paths, each against its Python reference.
 
-``_cext_engine.c`` does four kinds of work itself whose Python bodies
+``_cext_engine.c`` does three kinds of work itself whose Python bodies
 stay as the object engine's code and as the reference: the fast-forward
-target (``SMTCore._next_cycle``), ``LLSR.commit_zeros``, accesses that
-hit the TLB and L1 (``MemoryHierarchy.load``/``store``/``ifetch``), and
-the iteration-varying slots of ``SyntheticTrace.get``.  The golden matrix
+target (``SMTCore._next_cycle``), ``LLSR.commit_zeros`` and the
+iteration-varying slots of ``SyntheticTrace.get``.  The golden matrix
 and ``test_differential.py`` compare whole runs; the tests here drive
 each path through the module's test hooks (``_trace_dyn``,
-``_llsr_commit_zeros``, ``_mem_data``, ``_mem_ifetch``) and compare it,
-state for state, with the Python body it stands in for.
+``_llsr_commit_zeros``) and compare it, state for state, with the Python
+body it stands in for.  The native memory model has its own file,
+``test_native_hierarchy.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro import registry
-from repro.config import (
-    CacheConfig,
-    MemoryConfig,
-    PrefetcherConfig,
-    SMTConfig,
-    TLBConfig,
-    scaled_config,
-)
+from repro.config import SMTConfig, scaled_config
 from repro.experiments.runner import trace_for
 from repro.isa import Instr
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import cext
 from repro.pipeline.core import (
     SimulationDeadlock,
@@ -219,101 +209,6 @@ def test_llsr_without_hook_and_subclass():
         __slots__ = ()
 
     assert engine._llsr_commit_zeros(Sub(4), 3) is False
-
-
-# ---------------------------------------------------------------------- #
-# the memory hierarchy's L1/TLB-hit path
-# ---------------------------------------------------------------------- #
-
-def _small_memory(prefetch: bool, serialize: bool) -> MemoryConfig:
-    """Few sets, tiny TLBs and short latencies: hits, evictions, live
-    and stale fills all within a short access stream."""
-    return replace(
-        MemoryConfig(),
-        l1i=CacheConfig(256, 2), l1d=CacheConfig(512, 2),
-        l2=CacheConfig(1024, 2), l3=CacheConfig(2048, 4),
-        itlb=TLBConfig(2, 512), dtlb=TLBConfig(3, 512),
-        l2_latency=5, l3_latency=9, mem_latency=40, tlb_miss_penalty=17,
-        mshr_entries=2, serialize_long_latency=serialize,
-        prefetcher=PrefetcherConfig(enabled=prefetch, num_buffers=2,
-                                    buffer_entries=2,
-                                    stride_table_entries=4))
-
-
-def _hier_state(h: MemoryHierarchy) -> tuple:
-    caches = [([list(s) for s in c._sets], c.hits, c.misses)
-              for c in (h.l1i, h.l1d, h.l2, h.l3)]
-    tlbs = [(list(t._entries), t.hits, t.misses) for t in (h.itlb, h.dtlb)]
-    pf = h.prefetcher
-    prefetch = None if pf is None else (
-        [(i, e.last_addr, e.stride, e.confidence)
-         for i, e in pf.stride_predictor._table.items()],
-        [(list(b.entries.items()), b.next_addr, b.stride, b.last_used,
-          b.valid, b.hits_since_alloc, b.alloc_cycle) for b in pf._buffers],
-        pf.hits, pf.lookups, pf.allocations, pf.prefetches_issued)
-    return (caches, tlbs, list(h._pending.items()), list(h._fill_ends),
-            h._last_ll_end, list(h.ll_intervals),
-            dict(h.ll_loads_per_thread), h.demand_loads, h.merged_loads,
-            h.prefetch_covered, prefetch)
-
-
-def _result(r) -> tuple:
-    return (r.complete_cycle, r.detect_cycle, r.level, r.tlb_miss,
-            r.long_latency, r.trigger, r.fill_line)
-
-
-_accesses = st.lists(
-    st.tuples(st.sampled_from(("load", "store", "ifetch")),
-              st.integers(0, 47),        # line: 6 pages of 8 lines
-              st.integers(0, 63),        # byte in line
-              st.integers(0, 9),         # pc
-              st.integers(0, 45)),       # cycles since the last access
-    min_size=1, max_size=80)
-
-
-@settings(max_examples=200, deadline=None)
-@given(prefetch=st.booleans(), serialize=st.booleans(), accesses=_accesses)
-def test_hit_path_matches_python(prefetch, serialize, accesses):
-    engine = _engine()
-    cfg = _small_memory(prefetch, serialize)
-    ref, hier = MemoryHierarchy(cfg), MemoryHierarchy(cfg)
-    cycle = 0
-    for op, line, byte, pc, gap in accesses:
-        cycle += gap
-        addr = line * 64 + byte
-        if op == "ifetch":
-            done, _ = engine._mem_ifetch(hier, 0, addr, cycle)
-            assert done == ref.ifetch(0, addr, cycle)
-        else:
-            got = engine._mem_data(hier, op == "load", 1, pc, addr, cycle)
-            want = (ref.load if op == "load" else ref.store)(
-                1, pc, addr, cycle)
-            assert got[:7] == _result(want)
-        assert _hier_state(hier) == _hier_state(ref)
-
-
-def test_hit_path_runs_in_c_only_on_a_clean_hit():
-    engine = _engine()
-    hier = MemoryHierarchy(_small_memory(True, False))
-    # cold: TLB and L1 miss -> Python; the fill is live until cycle 57
-    assert engine._mem_data(hier, True, 0, 1, 64, 0)[-1] is False
-    assert engine._mem_data(hier, True, 0, 1, 64, 10)[-1] is False  # merge
-    assert hier._pending
-    got = engine._mem_data(hier, True, 0, 1, 64, 400)
-    assert got[-1] is True and got[0] == 401
-    assert not hier._pending            # the stale fill entry was dropped
-    # an I-TLB miss -> Python; the line misses to memory (ready at 458)
-    assert engine._mem_ifetch(hier, 0, 1280, 401) == (458, False)
-    assert engine._mem_ifetch(hier, 0, 1280, 402) == (458, True)  # live
-    assert engine._mem_ifetch(hier, 0, 1280, 500) == (500, True)  # L1I
-    assert 20 in hier._pending        # ifetch leaves stale fills in place
-
-    class Sub(MemoryHierarchy):
-        __slots__ = ()
-
-    sub = Sub(_small_memory(True, False))
-    sub.load(0, 1, 64, 0)
-    assert engine._mem_data(sub, True, 0, 1, 64, 400)[-1] is False
 
 
 # ---------------------------------------------------------------------- #

@@ -250,3 +250,59 @@ class TestCextEngineDetection:
             core.sanitize_check()
         arena["ev_marks"] = marks
         core.sanitize_check()
+
+
+@needs_cext
+class TestNativeHierarchyDetection:
+    """Defects planted in the core's native memory model (through its
+    test-only ``_plant``) after a clean compiled run."""
+
+    def test_duplicate_tag_caught(self):
+        core, _ = _run(CheckedCextCore)
+        hier = core.hierarchy
+        sets = hier.state()["l1d"][0]
+        s = next(i for i, lines in enumerate(sets) if lines)
+        lines = sets[s]
+        hier._plant("l1d", s, [lines[0], lines[0]])
+        with pytest.raises(SanitizerError, match=rf"l1d set {s} holds line "
+                                                 rf"{lines[0]} twice"):
+            core.sanitize_check()
+        hier._plant("l1d", s, lines)
+        core.sanitize_check()   # restored state passes again
+
+    def test_line_in_the_wrong_set_caught(self):
+        core, _ = _run(CheckedCextCore)
+        hier = core.hierarchy
+        sets = hier.state()["l2"][0]
+        s = next(i for i, lines in enumerate(sets) if lines)
+        hier._plant("l2", s, [sets[s][0] + 1])
+        with pytest.raises(SanitizerError, match="of set"):
+            core.sanitize_check()
+        hier._plant("l2", s, sets[s])
+        core.sanitize_check()
+
+    def test_fill_heap_overflow_caught(self):
+        core, _ = _run(CheckedCextCore)
+        hier = core.hierarchy
+        fills = hier.state()["fill_ends"]
+        mshr = core.cfg.memory.mshr_entries
+        hier._plant("fill_ends", None, [core.cycle] * (mshr + 1))
+        with pytest.raises(SanitizerError, match="fill heap holds"):
+            core.sanitize_check()
+        hier._plant("fill_ends", None, [9, 3])
+        with pytest.raises(SanitizerError, match="fill heap order"):
+            core.sanitize_check()
+        hier._plant("fill_ends", None, fills)
+        core.sanitize_check()
+
+    def test_tlb_index_disagreement_fails_the_run(self):
+        # A duplicated page in the D-TLB, left while the compiled loop
+        # keeps running: the index no longer agrees with the entries,
+        # and the next boundary fails the sanitized run.
+        core, _ = _run(CheckedCextCore)
+        hier = core.hierarchy
+        pages = hier.state()["dtlb"][0]
+        assert len(pages) >= 2
+        hier._plant("dtlb", None, [pages[0]] * len(pages))
+        with pytest.raises(SanitizerError, match="dtlb"):
+            core.advance_to(core._committed_watermark + 200)
