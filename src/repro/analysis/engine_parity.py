@@ -9,10 +9,10 @@ pins two structural contracts directly:
 1. **Hook parity** — the set of policy hooks the object engine invokes
    (``self.policy.on_X`` reads plus the ``_policy_*`` elision
    attributes bound in ``SMTCore.__init__``) must equal the set the
-   cext backend reaches: the call sites of its Python side (``cext.py``
-   and the ``SoACore`` arena state in ``soa.py``) plus the hook spellings in
-   the C source.  A hook called by one engine and not the
-   other means one backend silently ignores a whole policy mechanism.
+   cext backend reaches: the call sites of its Python side (``cext.py``)
+   plus the hook spellings in the C source.  A hook called by one
+   engine and not the other means one backend silently ignores a whole
+   policy mechanism.
 2. **Column coverage** — every ``DynInstr`` ``__slots__`` entry must map
    to a ``SoAView`` accessor: an entry of the C view type's
    ``View_getset`` table in ``_cext_engine.c`` (a column, a flag bit or
@@ -129,7 +129,7 @@ def check(core_path: Path | None = None,
           dyninstr_path: Path | None = None) -> list[Finding]:
     """Run engine-parity-lint (default: the real pipeline modules)."""
     core_path = core_path or _PIPELINE / "core.py"
-    cext_files = cext_files or (_PIPELINE / "cext.py", _PIPELINE / "soa.py",
+    cext_files = cext_files or (_PIPELINE / "cext.py",
                                 _PIPELINE / "_cext_engine.c")
     dyninstr_path = dyninstr_path or _PIPELINE / "dyninstr.py"
     findings: list[Finding] = []

@@ -50,10 +50,12 @@ GOLDEN_SCHEMA = "repro.golden/1"
 GOLDEN_POLICIES = ("icount", "stall", "pred_stall", "flush", "mlp_stall",
                    "mlp_flush", "dcra", "mlp_dcra")
 
-#: Runahead rides on :class:`repro.runahead.RunaheadCore`, which keeps
-#: its own generic commit/dispatch loops (and the self-contained
-#: ``_try_dispatch``) while the base core inlines them — these cells pin
-#: that second code path so the two can never silently diverge.
+#: Runahead rides on :class:`repro.runahead.RunaheadCore`, which
+#: overrides the per-instruction stage bodies (``_commit_one``,
+#: ``_try_dispatch``, ``_execute``, ``_complete``), walks every thread
+#: in its commit rotation and keeps its own latch-free dispatch loop —
+#: these cells pin that second code path so the two can never silently
+#: diverge.
 GOLDEN_RUNAHEAD_POLICIES = ("runahead", "mlp_runahead")
 
 _WORKLOADS = {

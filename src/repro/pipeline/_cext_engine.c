@@ -1,9 +1,12 @@
 /* _cext_engine: the compiled `cext` engine backend's fused run loop.
  *
- * The object engine's stage loop (repro/pipeline/core.py: _run_until,
- * the inline event drains, _commit, _issue, _dispatch, _fetch_thread),
- * stage for stage, over one native Arena per core (the contract is in
- * repro/pipeline/soa.py): int64 instruction columns, the free list, the
+ * The object engine's stage loop (repro/pipeline/core.py: _run_until
+ * and its event drains with _complete, _commit with _commit_one, _issue
+ * with _execute, _dispatch with _try_dispatch, the base policy's
+ * fetch_order/fetch_pending, _fetch_thread), stage for stage and with
+ * each per-instruction body fused into its stage, over one native Arena
+ * per core (the contract is in the module docstring of
+ * repro/pipeline/cext.py): int64 instruction columns, the free list, the
  * ready heaps, the three event wheels and each thread's front-end
  * queue, window and rename map live in C memory, so no arena access
  * boxes, unboxes or allocates.  ThreadState, core, stats and Instr
@@ -2394,7 +2397,7 @@ static int arena_grow(Arena *A)
     return arena_resize(A, A->cap, A->cap * 2);
 }
 
-/* Return slot s to the free list, pristine (see soa.py): the allocation
+/* Return slot s to the free list, pristine (see cext.py): the allocation
  * path writes only the columns that vary per fetch. */
 static int arena_free(Arena *A, Py_ssize_t s, int64_t fl)
 {
@@ -3048,7 +3051,7 @@ static int stage_commit(Ctx *c, long long cycle)
 }
 
 /* ------------------------------------------------------------------ */
-/* stage: issue (with _execute's two branches inlined)                */
+/* stage: issue (_issue, with both branches of _execute fused in)     */
 /* ------------------------------------------------------------------ */
 
 /* Pop the oldest live, unissued entry of `queue` and take it out of
@@ -3638,7 +3641,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         if (A->free.n == 0 && arena_grow(A) < 0)
             goto fail_instr;
         /* the popped slot is pristine: only the varying columns are
-         * written (see the arena contract in soa.py) */
+         * written (see the arena contract in cext.py) */
         Py_ssize_t s = (Py_ssize_t)A->free.v[--A->free.n];
         ocol_set(A->instr, s, instr);
         Py_XDECREF(instr_ref);
@@ -4425,7 +4428,7 @@ static PyObject *Arena_view(PyObject *self, PyObject *arg)
  * slot's view references the arena and the arena its views, so without
  * this a core that ends with views alive (any policy hook received one)
  * waits for the cyclic collector.  Views read the dropped columns as
- * None afterwards; SoACore.detach also unhooks the arena from its core,
+ * None afterwards; CextCore.detach also unhooks the arena from its core,
  * so the loop never runs on it again. */
 static PyObject *Arena_release(PyObject *self, PyObject *Py_UNUSED(ignored))
 {

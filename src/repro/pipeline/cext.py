@@ -4,17 +4,15 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
 
 * ``_cext_engine.c`` (checked in next to this file) implements the fused
   ``_run_until`` loop and every hot stage body — the event-wheel drains,
-  commit, issue, dispatch and fetch — over the native slot arena of
-  :class:`~repro.pipeline.soa.SoACore` (instruction columns, free list,
-  ready heaps, event wheels, thread queues and rename maps as C memory),
-  along with arena growth, ``flush_thread``, the ``SoAView`` proxy and
-  the sanitizer's arena check.  It also does three kinds of work whose
-  Python bodies stay the object engine's code and the reference the
-  equivalence tests compare against (``tests/test_cext_paths.py``): the
-  fast-forward target (``SMTCore._next_cycle``); ``LLSR.commit_zeros``
-  on an exact :class:`~repro.predictors.LLSR`; and the
-  iteration-varying slots of an exact
-  :class:`~repro.workloads.trace.SyntheticTrace`.
+  commit, issue, dispatch and fetch — over :class:`CextCore`'s native
+  slot arena (see "The slot arena" below), along with arena growth,
+  ``flush_thread``, the ``SoAView`` proxy and the sanitizer's arena
+  check.  It also does three kinds of work whose Python bodies stay the
+  object engine's code and the reference the equivalence tests compare
+  against (``tests/test_cext_paths.py``): the fast-forward target
+  (``SMTCore._next_cycle``); ``LLSR.commit_zeros`` on an exact
+  :class:`~repro.predictors.LLSR`; and the iteration-varying slots of
+  an exact :class:`~repro.workloads.trace.SyntheticTrace`.
 * The engine's ``Hierarchy`` type is
   :class:`~repro.memory.hierarchy.MemoryHierarchy` as native state
   (caches, TLBs, pending fills, the MSHR heap, stream buffers and their
@@ -35,12 +33,51 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   ``get`` of other trace types, ``ThreadState.clear_owner`` at a flush,
   and ``ThreadState._sync_policy_stall`` when the stall predicate
   flips.
-* :class:`CextCore` is a thin :class:`SoACore` subclass that overrides
-  ``_run_until`` and picks the memory model.  Stats and ``ThreadState``
-  are the object engine's, so stats, golden fixtures and policies see
-  exactly what the object engine's records would show; instruction
-  state is read through views and ``core._arena[name]``.  Architectural
-  behavior is bit-identical; the golden matrix pins it.
+* :class:`CextCore` is an :class:`~repro.pipeline.core.SMTCore`
+  subclass that swaps the object engine's records, wheels and ready
+  queues for the arena, overrides ``_run_until`` with the compiled loop
+  and ``flush_thread`` with the arena's, and picks the memory model.
+  Stats and ``ThreadState`` are the object engine's, so stats, golden
+  fixtures and policies see exactly what the object engine's records
+  would show; instruction state is read through views and
+  ``core._arena[name]``.  Architectural behavior is bit-identical; the
+  golden matrix pins it.
+
+The slot arena
+--------------
+
+A :class:`CextCore` holds every in-flight instruction in one native
+``Arena`` (a C type in ``_cext_engine.c``) as a *slot*.  The arena's
+contract, which the C stages and the C ``flush`` share:
+
+* **A dynamic instruction is a slot number.**  Its fields are int64
+  columns (the booleans share one ``flags`` word, see
+  :mod:`repro.pipeline.dyninstr`) plus owned references where Python
+  reads a value back (``instr``, ``predicted_ll``, ``fill_line``,
+  ``level``, the cached view).  The free list, ready heaps, event
+  wheels, per-slot waiter and parent lists and each thread's
+  ``fe_queue``, ``window`` and ``rename_map`` are C memory too; Python
+  sees the thread queues as read-only int sequences.
+* **Packed heap/wheel entries**, ``(gseq << SLOT_SHIFT) | slot``: integer
+  order is age order, and a stamp whose gseq no longer matches its
+  slot's ``gseq`` column is stale (the generation check).
+* **Explicit reclamation.**  A slot is freed at the *last* point the
+  engine can reach it (retire with no live references, flush, or the
+  drain of its final queued event); stale references are defused by
+  the generation check, the ``F_FREED`` bit or the dead-view tombstone.
+* **Pristine free list.**  A free slot has ``pending`` 0, ``refs`` 0,
+  ``waiter0`` and ``old_map`` -1 and no waiters, parents, ``fill_line``
+  or view, so a fetch writes only the columns that vary
+  (``REPRO_SANITIZE=1`` checks it, :mod:`.sanitize`).  The arena starts
+  at 2,048 slots and doubles when the free list runs dry, up to
+  ``1 << SLOT_SHIFT``.
+
+Views (the C ``SoAView``) are made lazily, at most one per dynamic
+instruction.  ``core._arena[name]`` reads (or plants) a column, the
+free list, a heap or a wheel as a Python list.
+
+The build
+---------
 
 The extension is built lazily from the checked-in C source with the
 host's own compiler (``cc``/``gcc``/``clang`` — no Cython, no mypyc) and
@@ -75,13 +112,18 @@ from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
+from repro.isa import FU_CLASS_BY_OP
 from repro.memory.hierarchy import (
     AccessResult,
     MemoryHierarchy,
     ServiceLevel,
     mlp_from_intervals,
 )
-from repro.pipeline.core import SimulationDeadlock, SimulationLimitExceeded
+from repro.pipeline.core import (
+    SimulationDeadlock,
+    SimulationLimitExceeded,
+    SMTCore,
+)
 from repro.pipeline.dyninstr import (
     F_COMPLETED,
     F_DEST_FP,
@@ -100,8 +142,8 @@ from repro.pipeline.dyninstr import (
     F_RETIRED,
     F_SQUASHED,
     SLOT_SHIFT,
+    instr_flags,
 )
-from repro.pipeline.soa import SoACore
 from repro.pipeline.stats import CoreStats, ThreadStats
 from repro.pipeline.thread_state import ThreadState
 
@@ -238,19 +280,23 @@ def cext_status() -> str:
         + _state[1]
 
 
-class CextCore(SoACore):
-    """The slot-arena pipeline, driven by the compiled loop.
+class CextCore(SMTCore):
+    """The pipeline state as a native slot arena, driven by the compiled loop.
 
-    State layout is exactly :class:`SoACore`'s, and ``_run_until`` is
-    the compiled loop.  The two extra slots cache the policy-class hook
+    The arena (see the module doc) replaces the object engine's record
+    pool, event wheels and ready queues and takes over each thread's
+    ``fe_queue``, ``window`` and ``rename_map``; ``_run_until`` is the
+    compiled loop.  The two marker slots cache the policy-class hook
     markers (``getattr`` probes on the policy class), so the C side
     reads them as plain slot loads.  Unless a ``hierarchy`` is passed
     (any :class:`~repro.memory.hierarchy.MemoryHierarchy` runs through
     its Python methods), the core's memory model is the engine's native
-    ``Hierarchy``: the same methods and counters over C state.
+    ``Hierarchy``: the same methods and counters over C state.  Without
+    the compiled engine the arena is ``None`` and the core cannot run.
     """
 
-    __slots__ = ("_cext_olc_cleanup_only", "_cext_ll_detect_is_base")
+    __slots__ = ("_arena", "_cext_olc_cleanup_only",
+                 "_cext_ll_detect_is_base")
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
                  policy: FetchPolicy,
@@ -259,11 +305,54 @@ class CextCore(SoACore):
         if hierarchy is None and engine is not None:
             hierarchy = engine.Hierarchy(cfg.memory)
         super().__init__(cfg, traces, policy, hierarchy)
+        self._adopt_arena(engine)
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
         self._cext_ll_detect_is_base = bool(getattr(
             pcls.on_ll_detect, "_is_default_hook", False))
+
+    def _adopt_arena(self, engine):
+        """Swap the object engine's containers for ``engine``'s arena.
+
+        The record pool, wheels and ready queues the base class built
+        become ``None``, so a stray object-engine body fails loudly; the
+        arena takes over each thread's ``fe_queue``, ``window`` and
+        ``rename_map``.  Without an engine the arena is ``None`` too.
+        """
+        self._di_pool = self._ready = self._ready_by_op = None
+        self._ready_int = self._ready_ldst = self._ready_fp = None
+        self._ev_buckets = self._ev_marks = self._ev_over = None
+        self._dt_buckets = self._dt_marks = self._dt_over = None
+        self._wb_buckets = self._wb_marks = self._wb_over = None
+        self._arena = None if engine is None else engine.Arena(
+            self.threads, self._wheel_mask + 1, FU_CLASS_BY_OP)
+        for ts in self.threads:
+            if self._arena is not None:
+                ts.fe_append = None
+            if ts.trace_static is not None:
+                ts.trace_flags = [None if instr is None else
+                                  instr_flags(instr)
+                                  for instr in ts.trace_static]
+
+    def detach(self) -> None:
+        super().detach()
+        if self._arena is not None:
+            # A slot's view references the arena and the arena its
+            # views: drop the arena's side, and unhook the arena so the
+            # loop never runs on it again.
+            self._arena.release()
+            self._arena = None
+
+    def view(self, slot: int):
+        """The (cached, generation-stamped) view of ``slot``'s occupant."""
+        return self._arena.view(slot)
+
+    def flush_thread(self, ts, after_seq: int,
+                     cancel_fills: bool | None = None) -> int:
+        if cancel_fills is None:
+            cancel_fills = self.cfg.memory.cancel_squashed_fills
+        return self._arena.flush(self, ts, after_seq, cancel_fills)
 
     def _run_until(self, max_commits: int, max_cycles: int | None) -> None:
         engine = _engine()
@@ -275,6 +364,15 @@ class CextCore(SoACore):
                 f"CextCore needs the compiled engine ({cext_status()})")
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         engine.run_until(self, max_commits, limit)
+
+    def step(self) -> None:
+        # SMTCore.step() is one pass of the object engine's loop, whose
+        # per-record bodies must never run over slot numbers; the
+        # compiled loop only runs to a commit target.
+        raise NotImplementedError(
+            "CextCore has no per-cycle step; run it to a commit target "
+            "(run/advance_to), or use the object engine (backend "
+            "'object') to step")
 
 
 def load_cext_core() -> type[CextCore] | None:

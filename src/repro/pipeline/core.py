@@ -42,14 +42,14 @@ calendar queues (see the event wheels in ``__init__``) instead of tuple
 heaps, each thread's rename map is a flat array indexed by the dense
 architectural register number, and the dispatch/commit rotations are
 filtered through activity bitmasks (``_fe_mask``/``_heads_mask``) with a
-lazily built per-(mask, start) rotation cache.  Several bodies are
-deliberately duplicated for speed (``_commit``/``_commit_one``,
-``_dispatch``/``_try_dispatch``, ``_complete``/its inlined copy, the base
-fetch_order/fetch_pending and non-memory ``_execute`` bodies inlined into
-the run loop and ``_issue``) — keep them in sync; the golden-stats matrix
-(``tests/test_golden_stats.py``, {1,2,4,8} threads x all eight paper
-policies plus runahead) pins every copy to the pre-optimization core
-cycle-for-cycle.
+lazily built per-(mask, start) rotation cache.  Each stage has one
+body, and the per-instruction ones are the overridable methods the
+stage loops call (``_complete``, ``_execute``, ``_commit_one``,
+``_try_dispatch``, and the policy's ``fetch_order``/``fetch_pending``),
+so a subclass hooks a mechanism by overriding one of them; the
+golden-stats matrix (``tests/test_golden_stats.py``, {1,2,4,8} threads
+x all eight paper policies plus runahead) pins the engine to the
+pre-optimization core cycle-for-cycle.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ _DI_POOL_CAP = 4096
 #: queues in :meth:`SMTCore.__init__`): sorting by ``gseq`` reproduces
 #: the old heaps' (cycle, age) pop order exactly.
 _BY_GSEQ = attrgetter("gseq")
-
-#: ICOUNT priority for the fetch-order fast path inlined into the run
-#: loop (keep in sync with :mod:`repro.policies.base`).
-_BY_ICOUNT = attrgetter("icount")
 
 
 class SimulationDeadlock(RuntimeError):
@@ -122,7 +118,7 @@ class SMTCore:
         "_release_epoch", "_committed_watermark", "_commit_pending",
         "_di_pool", "_policy_fetch_order", "_policy_fetch_pending",
         "_policy_can_dispatch", "_policy_on_fetch", "_policy_on_fetch_load",
-        "_policy_on_load_complete", "_execute_is_base",
+        "_policy_on_load_complete",
         "_hier_load", "_hier_ifetch", "_hier_store", "_n_threads",
         "_fetch_wake", "_fetch_order_is_base", "_dispatch_wake",
         "_stall_latch_until", "_stall_latch_epoch",
@@ -237,8 +233,8 @@ class SMTCore:
         # Activity bitmasks over the thread set: ``_fe_mask`` holds the
         # threads with a non-empty front-end queue (maintained at fetch
         # appends, dispatch pops and flushes), ``_heads_mask`` the
-        # threads whose ROB head is completed (the ``head_ready``
-        # transitions).  ``_rot_cache[mask * n + start]`` lazily
+        # threads whose ROB head is completed (maintained at completions,
+        # retires and flushes).  ``_rot_cache[mask * n + start]`` lazily
         # materializes the rotation order starting at ``start`` filtered
         # to the mask's threads, so the per-cycle dispatch/commit scans
         # iterate only the threads that can possibly act — at 8 threads
@@ -266,12 +262,12 @@ class SMTCore:
         # the run loop stop-check in O(1) instead of scanning every thread
         # every cycle.
         self._committed_watermark = 0
-        # Event-driven commit gate: set by _complete (a completed record
-        # may be or become a ROB head) and kept set by _commit while a
-        # budget-limited pass or a write-buffer-blocked store head could
-        # still make progress; cleared only when a full pass proves every
-        # head is absent or incomplete.  RunaheadCore never clears it —
-        # its commit stage can make progress on incomplete heads.
+        # Event-driven commit gate: set by _complete when a ROB head
+        # completes and kept set by _commit while a budget-limited pass
+        # or a write-buffer-blocked store head could still make
+        # progress; cleared only when a pass leaves no ready head.
+        # RunaheadCore keeps it set — its commit stage can make progress
+        # on incomplete heads.
         self._commit_pending = False
         # Retired-DynInstr free list (None disables pooling — RunaheadCore
         # opts out because INV/pseudo-retire state can outlive commit).
@@ -304,10 +300,6 @@ class SMTCore:
         self._policy_on_resource_stall = (
             None if getattr(cls.on_resource_stall, "_is_default_hook", False)
             else policy.on_resource_stall)
-        # _issue inlines _execute's non-memory fast path only while the
-        # class implementation is the base one (instance monkeypatches
-        # are re-checked per stage call against ``__dict__``).
-        self._execute_is_base = type(self)._execute is SMTCore._execute
         # Fetch-wake latch: earliest cycle fetch_order could be non-empty
         # again after returning empty (0 = probe every cycle).  Armed only
         # for the marked base eligibility rules; disarmed (reset to 0) by
@@ -429,7 +421,10 @@ class SMTCore:
         # The object engine's only cycle body.  The run-lifetime
         # invariants (event/ready/write-buffer structures, stage methods,
         # policy hooks, fetch limits) are hoisted once per call instead of
-        # re-read every cycle; step() is one pass of this loop.
+        # re-read every cycle; step() is one pass of this loop.  The
+        # completion drain calls ``_complete`` per due record, fetch takes
+        # the policy's ``fetch_order`` and the fast-forward step asks its
+        # ``fetch_pending``.
         mask = self._wheel_mask
         ev_buckets = self._ev_buckets
         ev_marks = self._ev_marks
@@ -443,30 +438,20 @@ class SMTCore:
         ready_int = self._ready_int
         ready_ldst = self._ready_ldst
         ready_fp = self._ready_fp
-        ready_by_op = self._ready_by_op
         threads = self.threads
         commit_stage = self._commit
         dispatch_stage = self._dispatch
         issue_stage = self._issue
+        complete = self._complete
         fetch_thread = self._fetch_thread
         next_cycle = self._next_cycle
-        # An overridden _complete (RunaheadCore exits runahead there) is
-        # called per event; the base body is inlined in the drain below.
-        complete = (None if type(self)._complete is SMTCore._complete
-                    else self._complete)
         policy_fetch_order = self._policy_fetch_order
         policy_fetch_pending = self._policy_fetch_pending
-        on_load_complete = self._policy_on_load_complete
         on_ll_detect = self.policy.on_ll_detect
         fetch_width = self._fetch_width
         fetch_max_threads = self._fetch_max_threads
         fast_forward = self._fast_forward
         fetch_order_is_base = self._fetch_order_is_base
-        fe_capacity = self._fe_capacity
-        can_fetch_one = fetch_max_threads >= 1 and fetch_width >= 1
-        # Stable for the run: the candidate list is edited in place by
-        # the stall/unstall transitions, never replaced.
-        fetch_candidates = self._fetch_candidates
         while True:
             cycle = self.cycle
             bucket = ev_buckets[cycle & mask]
@@ -486,51 +471,8 @@ class SMTCore:
                             bucket[1] = a
                     else:
                         bucket.sort(key=_BY_GSEQ)
-                if complete is not None:
-                    for di in bucket:
-                        complete(di, cycle)
-                else:
-                    # _complete, inlined (keep in sync).
-                    for di in bucket:
-                        ts = threads[di.thread]
-                        if di.is_load and di.pending == -1:
-                            ts.outstanding_misses -= 1
-                        if di.squashed:
-                            continue
-                        di.completed = True
-                        window = ts.window
-                        if window and window[0] is di:
-                            # Only a completed *head* can unblock commit:
-                            # the gate and the head mask move together.
-                            ts.head_ready = True
-                            self._heads_mask |= ts.tid_bit
-                            self._commit_pending = True
-                        w = di.waiter0
-                        if w is not None:
-                            di.waiter0 = None
-                            w.pending -= 1
-                            if (w.pending == 0 and not w.squashed
-                                    and w.in_iq and not w.issued):
-                                heappush(ready_by_op[w.instr.op_i],
-                                         (w.gseq, w))
-                            waiters = di.waiters
-                            if waiters is not None:
-                                di.waiters = None
-                                for w in waiters:
-                                    w.pending -= 1
-                                    if (w.pending == 0 and not w.squashed
-                                            and w.in_iq and not w.issued):
-                                        heappush(ready_by_op[w.instr.op_i],
-                                                 (w.gseq, w))
-                        if di.is_branch and ts.waiting_branch is di:
-                            ts.waiting_branch = None
-                            ts.stats.branch_stall_cycles += \
-                                cycle - ts.branch_wait_since
-                            if ts.fetch_blocked_until < cycle + 1:
-                                ts.fetch_blocked_until = cycle + 1
-                            self._fetch_wake = 0
-                        if di.is_load and on_load_complete is not None:
-                            on_load_complete(di, ts)
+                for di in bucket:
+                    complete(di, cycle)
                 bucket.clear()
             bucket = dt_buckets[cycle & mask]
             if bucket or (dt_over and dt_over[0][0] <= cycle):
@@ -578,84 +520,25 @@ class SMTCore:
                 else:
                     dispatch_stage(cycle)
             if cycle >= self._fetch_wake:
-                if fetch_order_is_base and fetch_candidates:
-                    # Base ICOUNT eligibility, inlined from
-                    # FetchPolicy.fetch_order (keep in sync): candidates are
-                    # event-maintained, only time-varying conditions are
-                    # probed, and the single-eligible case — the
-                    # overwhelmingly common shape — drives the fetch burst
-                    # directly without materializing an order.
-                    first = None
-                    rest = None
-                    for ts in fetch_candidates:
-                        if (ts.fetch_blocked_until <= cycle
-                                and ts.waiting_branch is None
-                                and len(ts.fe_queue) < fe_capacity):
-                            if first is None:
-                                first = ts
-                            elif rest is None:
-                                rest = [first, ts]
-                            else:
-                                rest.append(ts)
-                    if rest is None:
-                        if first is None:
-                            self._fetch_wake = self._compute_fetch_wake(cycle)
-                        elif can_fetch_one:
-                            fetch_thread(first, fetch_width, cycle, False)
-                    else:
-                        if len(rest) == 2:
-                            a, b = rest
-                            # Matches the stable sort: ties keep tid order.
-                            if b.icount < a.icount:
-                                rest[0] = b
-                                rest[1] = a
-                        else:
-                            rest.sort(key=_BY_ICOUNT)
-                        budget = fetch_width
-                        remaining_threads = fetch_max_threads
-                        for ts in rest:
-                            if remaining_threads == 0 or budget == 0:
-                                break
-                            remaining_threads -= 1
-                            budget -= fetch_thread(ts, budget, cycle, False)
-                else:
-                    # A policy's own order, or the base rules' COT case
-                    # (every thread policy-stalled): through the policy.
-                    order = policy_fetch_order(cycle)
-                    if order:
-                        budget = fetch_width
-                        remaining_threads = fetch_max_threads
-                        for ts, ignore_stall in order:
-                            if remaining_threads == 0 or budget == 0:
-                                break
-                            remaining_threads -= 1
-                            budget -= fetch_thread(ts, budget, cycle,
-                                                   ignore_stall)
-                    elif fetch_order_is_base:
-                        self._fetch_wake = self._compute_fetch_wake(cycle)
+                order = policy_fetch_order(cycle)
+                if order:
+                    budget = fetch_width
+                    remaining_threads = fetch_max_threads
+                    for ts, ignore_stall in order:
+                        if remaining_threads == 0 or budget == 0:
+                            break
+                        remaining_threads -= 1
+                        budget -= fetch_thread(ts, budget, cycle,
+                                               ignore_stall)
+                elif fetch_order_is_base:
+                    self._fetch_wake = self._compute_fetch_wake(cycle)
             nxt = cycle + 1
             if not fast_forward or ready_int or ready_ldst or ready_fp:
                 self.cycle = nxt
-            elif nxt < self._fetch_wake:
+            elif nxt < self._fetch_wake or not policy_fetch_pending(nxt):
                 self.cycle = nxt = next_cycle(cycle)
-            elif fetch_order_is_base:
-                # Base fetch_pending, inlined (keep in sync): would any
-                # thread be fetch-eligible next cycle?
-                pending = False
-                for ts in (fetch_candidates or threads):
-                    if (ts.fetch_blocked_until <= nxt
-                            and ts.waiting_branch is None
-                            and len(ts.fe_queue) < fe_capacity):
-                        pending = True
-                        break
-                if pending:
-                    self.cycle = nxt
-                else:
-                    self.cycle = nxt = next_cycle(cycle)
-            elif policy_fetch_pending(nxt):
-                self.cycle = nxt
             else:
-                self.cycle = nxt = next_cycle(cycle)
+                self.cycle = nxt
             if self._committed_watermark >= max_commits:
                 return
             if nxt >= limit:
@@ -732,8 +615,8 @@ class SMTCore:
     def _complete(self, di: DynInstr, cycle: int) -> None:
         """Handle one due completion event: ``di``'s result is ready.
 
-        The run loop inlines this body and calls the method only when a
-        subclass overrides it.
+        The run loop's completion drain calls this for every due record,
+        in age order.
         """
         ts = self.threads[di.thread]
         if di.is_load and di.pending == -1:  # counted as outstanding miss
@@ -741,12 +624,12 @@ class SMTCore:
         if di.squashed:
             return
         di.completed = True
-        self._commit_pending = True   # unconditional: RunaheadCore's commit
-        #                               stage acts on incomplete heads too
         window = ts.window
         if window and window[0] is di:
-            ts.head_ready = True
+            # Only a completed *head* can unblock commit: the gate and the
+            # head mask move together.
             self._heads_mask |= ts.tid_bit
+            self._commit_pending = True
         w = di.waiter0
         if w is not None:
             di.waiter0 = None
@@ -778,157 +661,45 @@ class SMTCore:
     # ------------------------------------------------------------------ #
 
     def _commit(self, cycle: int) -> None:
-        # The full _commit_one body runs inline: every instruction retires
-        # through this loop, and the method call per commit plus the
-        # re-hoisting of shared state per attempt was measurable.
-        # _commit_one remains the overridable, self-contained form;
-        # RunaheadCore overrides _commit with the plain rotation loop
-        # because its _commit_one can make progress on heads the inline
-        # checks would skip (runahead entry, pseudo-retire).  Keep the two
-        # bodies in sync.
-        threads = self.threads
-        n = self._n_threads
-        budget = self._commit_width
-        heads_mask = self._heads_mask
         # Rotate by cycle number (not by call count) so fast-forwarded and
         # naive runs stay cycle-exact; the rotation is filtered to the
         # ready-head mask so idle threads are never even iterated.
+        n = self._n_threads
         if n == 1:
-            order = threads
+            order = self.threads
         else:
             rot_cache = self._rot_cache
             if rot_cache is None:
                 order = self._rotations[cycle % n]
             else:
+                heads_mask = self._heads_mask
                 slot = heads_mask * n + cycle % n
                 order = rot_cache[slot]
                 if order is None:
-                    order = tuple(
+                    order = rot_cache[slot] = tuple(
                         ts for ts in self._rotations[cycle % n]
                         if heads_mask >> ts.tid & 1)
-                    rot_cache[slot] = order
-        wb_entries = self._wb_entries
-        pool = self._di_pool
-        # Per-retire bookkeeping is batched across the pass
-        # (TODO(perf/commit-bookkeeping), closed): the shared resource
-        # counters, the watermark, and the release epoch live in locals
-        # for the whole stage (nothing inside the loop observes them),
-        # and consecutive non-long-latency retires advance each thread's
-        # LLSR as one staged zero run (``ts.llsr_zeros``), coalesced into
-        # a single ``commit_zeros`` ring advance — flushed before any
-        # same-thread long-latency commit and again after the loop, so
-        # LLSR order and every measurement it fires are exactly the
-        # per-retire sequence's.
-        rob_used = self.rob_used
-        lsq_used = self.lsq_used
-        int_regs_used = self.int_regs_used
-        fp_regs_used = self.fp_regs_used
-        watermark = self._committed_watermark
-        measure_start = self._measure_start
+        commit_one = self._commit_one
+        budget = self._commit_width
         # A thread's head only changes when that thread commits, so after
         # the first rotation pass another lap is owed only while some
-        # thread is still making progress; ``head_ready`` makes re-probing
-        # a stale thread two cheap ops, so the lap re-walks the (already
-        # mask-filtered) order instead of building per-pass recheck lists.
+        # thread is still making progress.
         while budget > 0:
             progress = False
             for ts in order:
                 if budget == 0:
                     break
-                if not ts.head_ready:
-                    continue
-                window = ts.window
-                di = window[0]
-                instr = di.instr
-                if di.is_store:
-                    if self._wb_used >= wb_entries:
-                        # Write buffer full: the head stays completed, so
-                        # its ``heads_mask`` bit keeps the commit gate set
-                        # and the retry happens by time.
-                        continue
-                    result = self._hier_store(ts.tid, instr.pc,
-                                              instr.addr, cycle)
-                    self._schedule_wb_drain(result.complete_cycle, cycle)
-                window.popleft()
-                if not window or not window[0].completed:
-                    ts.head_ready = False
-                    heads_mask &= ~ts.tid_bit
-                rob_used -= 1
-                ts.rob_count -= 1
-                st = ts.stats
-                committed = st.committed + 1
-                st.committed = committed
-                if committed > watermark:
-                    watermark = committed
-                if ts.commit_cycles is not None:
-                    ts.commit_cycles.append(cycle - measure_start)
-                if di.is_load or di.is_store:
-                    ts.lsq_count -= 1
-                    lsq_used -= 1
-                if di.has_dest:
-                    if di.dest_fp:
-                        ts.fp_regs -= 1
-                        fp_regs_used -= 1
-                    else:
-                        ts.int_regs -= 1
-                        int_regs_used -= 1
-                dependent = False
-                parents = di.ll_parents
-                if parents is not None:
-                    dependent = any(p.is_ll or p.ll_dep for p in parents)
-                    di.ll_dep = dependent
-                    di.ll_parents = None
-                    for p in parents:
-                        p.refs -= 1
-                        if (p.retired and not p.refs and pool is not None
-                                and len(pool) < _DI_POOL_CAP
-                                and not p.in_detects
-                                and p not in ts.ll_owners):
-                            pool.append(p)
-                if di.is_load and di.is_ll:
-                    z = ts.llsr_zeros
-                    if z:
-                        ts.llsr_zeros = 0
-                        ts.llsr_commit_zeros(z)
-                    ts.llsr_commit(True, instr.pc, dependent)
-                else:
-                    ts.llsr_zeros += 1
-                old = di.old_map
-                if old is not None:
-                    di.old_map = None
-                    old.refs -= 1
-                    if (old.retired and not old.refs and pool is not None
-                            and len(pool) < _DI_POOL_CAP
-                            and not old.in_detects
-                            and old not in ts.ll_owners):
-                        pool.append(old)
-                di.retired = True
-                if (not di.refs and pool is not None
-                        and len(pool) < _DI_POOL_CAP and not di.in_detects
-                        and di not in ts.ll_owners):
-                    pool.append(di)
-                budget -= 1
-                progress = True
+                if commit_one(ts, cycle):
+                    budget -= 1
+                    progress = True
             if not progress:
                 break
-        if budget < self._commit_width:   # at least one retire happened
-            for ts in order:
-                z = ts.llsr_zeros
-                if z:
-                    ts.llsr_zeros = 0
-                    ts.llsr_commit_zeros(z)
-            self._committed_watermark = watermark
-            self._release_epoch += 1
-            self.rob_used = rob_used
-            self.lsq_used = lsq_used
-            self.int_regs_used = int_regs_used
-            self.fp_regs_used = fp_regs_used
-            self._heads_mask = heads_mask
         # Keep the gate set exactly while leftover progress is possible:
-        # a non-zero head mask means a budget-limited pass left
-        # committable heads, or a write-buffer-blocked store head (which
-        # unblocks by time) is still ready.
-        self._commit_pending = heads_mask != 0
+        # a non-zero head mask (which _commit_one maintains) means a
+        # budget-limited pass left committable heads, or a
+        # write-buffer-blocked store head (which unblocks by time) is
+        # still ready.
+        self._commit_pending = self._heads_mask != 0
 
     def _commit_one(self, ts: ThreadState, cycle: int) -> bool:
         window = ts.window
@@ -941,14 +712,12 @@ class SMTCore:
         if di.is_store:
             if self._wb_used >= self._wb_entries:
                 return False
-            result = self.hierarchy.store(ts.tid, instr.pc, instr.addr, cycle)
+            result = self._hier_store(ts.tid, instr.pc, instr.addr, cycle)
             self._schedule_wb_drain(result.complete_cycle, cycle)
         window.popleft()
         if window and window[0].completed:
-            ts.head_ready = True
             self._heads_mask |= ts.tid_bit
         else:
-            ts.head_ready = False
             self._heads_mask &= ~ts.tid_bit
         ts.rob_count -= 1
         self.rob_used -= 1
@@ -982,8 +751,7 @@ class SMTCore:
                 p.refs -= 1
                 if p.retired and not p.refs:
                     self._maybe_recycle(p, ts)
-        ts.llsr.commit(di.is_load and di.is_ll, instr.pc,
-                       dependent=dependent)
+        ts.llsr_commit(di.is_load and di.is_ll, instr.pc, dependent)
         # Retire the record.  The rename-undo backref it held dies with
         # the commit (a committed instruction can never be flushed), and
         # the record itself returns to the pool once nothing long-lived
@@ -1066,19 +834,8 @@ class SMTCore:
     def _issue(self, cycle: int) -> None:
         # self._execute is looked up per call (not bound at construction)
         # on purpose: RunaheadCore overrides it, and tests monkeypatch it
-        # on instances to spy on the issue stream.  The non-memory fast
-        # path (fixed-latency completion, no hierarchy, no predictors) is
-        # additionally inlined below — one wheel push instead of a Python
-        # call per ALU/FP/store instruction — but only when ``_execute``
-        # is provably unshadowed: neither overridden on the class
-        # (RunaheadCore) nor monkeypatched on the instance (test spies).
+        # on instances to spy on the issue stream.
         execute = self._execute
-        inline = (self._execute_is_base
-                  and "_execute" not in self.__dict__)
-        threads = self.threads
-        ev_buckets = self._ev_buckets
-        ev_marks = self._ev_marks
-        mask = self._wheel_mask
         issued = False
         queue = self._ready_int
         if queue:
@@ -1087,32 +844,7 @@ class SMTCore:
                 _, di = heappop(queue)
                 if di.squashed or di.issued or di.completed:
                     continue
-                if inline:
-                    # _execute's non-load body — keep in sync.
-                    ts = threads[di.thread]
-                    di.issued = True
-                    if di.in_iq:
-                        di.in_iq = False
-                        if di.iq_is_fp:
-                            ts.fq_count -= 1
-                            self.fq_used -= 1
-                        else:
-                            ts.iq_count -= 1
-                            self.iq_used -= 1
-                        ts.icount -= 1
-                    completion = cycle + di.instr.latency
-                    idx = completion & mask   # always in-horizon (<= 4)
-                    bucket = ev_buckets[idx]
-                    if bucket:
-                        bucket.append(di)
-                    else:
-                        if bucket is None:
-                            ev_buckets[idx] = [di]
-                        else:
-                            bucket.append(di)
-                        heappush(ev_marks, completion)
-                else:
-                    execute(di, cycle)
+                execute(di, cycle)
                 slots -= 1
                 issued = True
         queue = self._ready_ldst
@@ -1122,34 +854,7 @@ class SMTCore:
                 _, di = heappop(queue)
                 if di.squashed or di.issued or di.completed:
                     continue
-                if inline and not di.is_load:
-                    # Stores at execute are address generation only; the
-                    # memory access happens at commit via the write
-                    # buffer.  Same non-load body as above.
-                    ts = threads[di.thread]
-                    di.issued = True
-                    if di.in_iq:
-                        di.in_iq = False
-                        if di.iq_is_fp:
-                            ts.fq_count -= 1
-                            self.fq_used -= 1
-                        else:
-                            ts.iq_count -= 1
-                            self.iq_used -= 1
-                        ts.icount -= 1
-                    completion = cycle + di.instr.latency
-                    idx = completion & mask
-                    bucket = ev_buckets[idx]
-                    if bucket:
-                        bucket.append(di)
-                    else:
-                        if bucket is None:
-                            ev_buckets[idx] = [di]
-                        else:
-                            bucket.append(di)
-                        heappush(ev_marks, completion)
-                else:
-                    execute(di, cycle)
+                execute(di, cycle)
                 slots -= 1
                 issued = True
         queue = self._ready_fp
@@ -1159,31 +864,7 @@ class SMTCore:
                 _, di = heappop(queue)
                 if di.squashed or di.issued or di.completed:
                     continue
-                if inline:
-                    ts = threads[di.thread]
-                    di.issued = True
-                    if di.in_iq:
-                        di.in_iq = False
-                        if di.iq_is_fp:
-                            ts.fq_count -= 1
-                            self.fq_used -= 1
-                        else:
-                            ts.iq_count -= 1
-                            self.iq_used -= 1
-                        ts.icount -= 1
-                    completion = cycle + di.instr.latency
-                    idx = completion & mask
-                    bucket = ev_buckets[idx]
-                    if bucket:
-                        bucket.append(di)
-                    else:
-                        if bucket is None:
-                            ev_buckets[idx] = [di]
-                        else:
-                            bucket.append(di)
-                        heappush(ev_marks, completion)
-                else:
-                    execute(di, cycle)
+                execute(di, cycle)
                 slots -= 1
                 issued = True
         if issued:
@@ -1277,28 +958,19 @@ class SMTCore:
     # ------------------------------------------------------------------ #
 
     def _dispatch(self, cycle: int) -> None:
-        # The resource gates and the rename/allocate sequence are the body
-        # of _try_dispatch, inlined: dispatch attempts run every cycle and
-        # mostly *reject* (a full shared structure blocks the head for
-        # hundreds of cycles during a memory stall), so the method call
-        # per attempt was pure overhead.  _try_dispatch remains the
-        # overridable/self-contained form; RunaheadCore overrides
-        # _dispatch with the plain per-attempt loop because its
-        # _try_dispatch must observe every attempt to propagate INV.
-        #
-        # A head rejected by a *shared-resource* gate is latched against
-        # the release epoch: with the same head and no release since, the
-        # same gate must fail again (shared counters only grew), so the
-        # rejection is re-asserted without re-proving it.  Policy-cap
-        # rejections (can_dispatch) are never latched — their verdict may
-        # change with any co-runner state.
+        # Every attempt goes through _try_dispatch.  A head rejected by a
+        # *shared-resource* gate is latched against the release epoch:
+        # with the same head and no release since, the same gate must
+        # fail again (shared counters only grew), so the rejection is
+        # re-asserted without re-proving it.  Policy-cap rejections
+        # (can_dispatch) are never latched — their verdict may change
+        # with any co-runner state.
         budget = self._decode_width
         any_ready = False
         blocked_by_resource = False
         dispatched = 0
         n = self._n_threads
         release_epoch = self._release_epoch
-        hoisted = False
         # The rotation (offset from commit) is filtered to the threads
         # with a non-empty front-end queue: nothing below can act on an
         # empty one, and at high thread counts most rotation hops were
@@ -1315,10 +987,11 @@ class SMTCore:
                 key = fe_mask * n + slot
                 order = rot_cache[key]
                 if order is None:
-                    order = tuple(
+                    order = rot_cache[key] = tuple(
                         ts for ts in self._rotations[slot]
                         if fe_mask >> ts.tid & 1)
-                    rot_cache[key] = order
+        try_dispatch = self._try_dispatch
+        fe_capacity = self._fe_capacity
         for ts in order:
             if budget == 0:
                 break
@@ -1327,196 +1000,36 @@ class SMTCore:
             fe = ts.fe_queue
             if not fe:
                 continue
-            head = fe[0]
-            if head is ts.dispatch_blocked_head:
+            if fe[0] is ts.dispatch_blocked_head:
                 if ts.dispatch_blocked_epoch == release_epoch:
                     any_ready = True
                     blocked_by_resource = True
                     continue
                 ts.dispatch_blocked_head = None
-            if head.fe_ready > cycle:
-                ts.dispatch_wait_until = head.fe_ready
-                continue
-            if not hoisted:
-                hoisted = True
-                # Shared counters as locals for the whole stage: nothing
-                # between individual dispatches observes them
-                # (can_dispatch reads only per-thread counts), so batching
-                # the read-modify-writes is observationally identical;
-                # they are written back before the resource-stall hook,
-                # which may flush.  Hoisted lazily: most cycles skip every
-                # thread and would waste the nine-local prologue.
-                rob_used = self.rob_used
-                lsq_used = self.lsq_used
-                iq_used = self.iq_used
-                fq_used = self.fq_used
-                int_regs_used = self.int_regs_used
-                fp_regs_used = self.fp_regs_used
-                track_dep = self._track_ll_dep
-                can_dispatch = self._policy_can_dispatch  # None: allow-all
-                ready_by_op = self._ready_by_op
-                rob_size = self._rob_size
-                lsq_size = self._lsq_size
-                int_iq_size = self._int_iq_size
-                fp_iq_size = self._fp_iq_size
-                int_rename_regs = self._int_rename_regs
-                fp_rename_regs = self._fp_rename_regs
-                fe_capacity = self._fe_capacity
-                # When every shared structure has at least ``budget``
-                # slots of headroom, no per-instruction resource gate can
-                # fail anywhere in this stage call (dispatches consume at
-                # most one slot per structure each, and ``budget`` bounds
-                # the total), so the whole gate block is skipped.
-                gates_free = (
-                    rob_size - rob_used >= budget
-                    and lsq_size - lsq_used >= budget
-                    and int_iq_size - iq_used >= budget
-                    and fp_iq_size - fq_used >= budget
-                    and int_rename_regs - int_regs_used >= budget
-                    and fp_rename_regs - fp_regs_used >= budget)
-            rename_map = ts.rename_map
-            window_append = ts.window.append
             fe_was_full = len(fe) >= fe_capacity
-            # Per-thread counters as locals for this thread's burst;
-            # flushed back before any can_dispatch call (the one consumer
-            # that may read them mid-burst) and at burst end.
-            tl_rob = ts.rob_count
-            tl_lsq = ts.lsq_count
-            tl_iq = ts.iq_count
-            tl_fq = ts.fq_count
-            tl_ir = ts.int_regs
-            tl_fr = ts.fp_regs
-            tl_dirty = False
             while budget > 0 and fe:
                 di = fe[0]
                 if di.fe_ready > cycle:
                     ts.dispatch_wait_until = di.fe_ready
                     break
                 any_ready = True
-                instr = di.instr
-                is_mem = di.is_load or di.is_store
-                fp_queue = instr.fp_queue
-                if not gates_free:
-                    # Shared-resource gates (block => resource stall).
-                    if rob_used >= rob_size:
-                        ts.dispatch_blocked_head = di
-                        ts.dispatch_blocked_epoch = release_epoch
-                        blocked_by_resource = True
-                        break
-                    if is_mem and lsq_used >= lsq_size:
-                        ts.dispatch_blocked_head = di
-                        ts.dispatch_blocked_epoch = release_epoch
-                        blocked_by_resource = True
-                        break
-                    if fp_queue:
-                        if fq_used >= fp_iq_size:
-                            ts.dispatch_blocked_head = di
-                            ts.dispatch_blocked_epoch = release_epoch
-                            blocked_by_resource = True
-                            break
-                    elif iq_used >= int_iq_size:
-                        ts.dispatch_blocked_head = di
-                        ts.dispatch_blocked_epoch = release_epoch
-                        blocked_by_resource = True
-                        break
-                    if di.has_dest:
-                        if di.dest_fp:
-                            if fp_regs_used >= fp_rename_regs:
-                                ts.dispatch_blocked_head = di
-                                ts.dispatch_blocked_epoch = release_epoch
-                                blocked_by_resource = True
-                                break
-                        elif int_regs_used >= int_rename_regs:
-                            ts.dispatch_blocked_head = di
-                            ts.dispatch_blocked_epoch = release_epoch
-                            blocked_by_resource = True
-                            break
-                if can_dispatch is not None:
-                    if tl_dirty:
-                        tl_dirty = False
-                        ts.rob_count = tl_rob
-                        ts.lsq_count = tl_lsq
-                        ts.iq_count = tl_iq
-                        ts.fq_count = tl_fq
-                        ts.int_regs = tl_ir
-                        ts.fp_regs = tl_fr
-                    if not can_dispatch(ts, di):
-                        break  # policy cap, not a resource stall
-                # All checks passed: allocate and rename.  (No ``di.inv``
-                # handling here: only RunaheadCore produces INV records,
-                # and it dispatches through _try_dispatch.)
-                rob_used += 1
-                tl_rob += 1
-                tl_dirty = True
-                if is_mem:
-                    lsq_used += 1
-                    tl_lsq += 1
-                if fp_queue:
-                    fq_used += 1
-                    tl_fq += 1
-                else:
-                    iq_used += 1
-                    tl_iq += 1
-                di.in_iq = True
-                di.iq_is_fp = fp_queue
-                parents: list[DynInstr] | None = [] if track_dep else None
-                for src in instr.srcs:
-                    prod = rename_map[src]
-                    if prod is None:
-                        continue
-                    if track_dep and (prod.is_load
-                                      or prod.ll_parents is not None
-                                      or prod.ll_dep):
-                        parents.append(prod)
-                        prod.refs += 1
-                    if not prod.completed:
-                        di.pending += 1
-                        if prod.waiter0 is None:
-                            prod.waiter0 = di
-                        elif prod.waiters is None:
-                            prod.waiters = [di]
-                        else:
-                            prod.waiters.append(di)
-                if parents:
-                    di.ll_parents = tuple(parents)
-                if di.has_dest:
-                    dest = instr.dest
-                    di.old_map = rename_map[dest]
-                    rename_map[dest] = di
-                    di.refs += 1  # rename-current; the old entry's ref
-                    #              transfers to the old_map backref
-                    if di.dest_fp:
-                        fp_regs_used += 1
-                        tl_fr += 1
-                    else:
-                        int_regs_used += 1
-                        tl_ir += 1
-                window_append(di)
-                if di.pending == 0:
-                    heappush(ready_by_op[instr.op_i], (di.gseq, di))
-                fe.popleft()
-                budget -= 1
-                dispatched += 1
-            if tl_dirty:
-                ts.rob_count = tl_rob
-                ts.lsq_count = tl_lsq
-                ts.iq_count = tl_iq
-                ts.fq_count = tl_fq
-                ts.int_regs = tl_ir
-                ts.fp_regs = tl_fr
+                outcome = try_dispatch(ts, di)
+                if outcome is None:
+                    fe.popleft()
+                    budget -= 1
+                    dispatched += 1
+                    continue
+                if outcome:   # a full shared resource: latch the head
+                    ts.dispatch_blocked_head = di
+                    ts.dispatch_blocked_epoch = release_epoch
+                    blocked_by_resource = True
+                break
             if fe_was_full and len(fe) < fe_capacity:
                 # Pops opened fetch-queue headroom: eligibility changed.
                 self._fetch_wake = 0
             if not fe:
                 self._fe_mask &= ~ts.tid_bit
-        if dispatched:
-            self.rob_used = rob_used
-            self.lsq_used = lsq_used
-            self.iq_used = iq_used
-            self.fq_used = fq_used
-            self.int_regs_used = int_regs_used
-            self.fp_regs_used = fp_regs_used
-        elif not any_ready and self._policy_can_dispatch is None:
+        if not any_ready and self._policy_can_dispatch is None:
             # No head anywhere was through the front end: nothing to
             # dispatch (and no resource-stall cycle to account) before the
             # earliest observed head-ready time.  Empty queues re-arm via
@@ -1568,7 +1081,8 @@ class SMTCore:
                     return True
             elif self.int_regs_used >= self._int_rename_regs:
                 return True
-        if not self.policy.can_dispatch(ts, di):
+        can_dispatch = self._policy_can_dispatch   # None: allow-all
+        if can_dispatch is not None and not can_dispatch(ts, di):
             return False
         # All checks passed: allocate and rename.
         self.rob_used += 1
@@ -1873,14 +1387,12 @@ class SMTCore:
         ts.fetch_index = after_seq + 1
         ts.last_ifetch_line = -1
         # The squash may have removed the ROB head (or the whole window)
-        # and may have emptied the front-end queue; re-derive the
-        # event-maintained head flag and both activity masks.
+        # and may have emptied the front-end queue; re-derive both
+        # activity masks.
         bit = ts.tid_bit
         if window and window[0].completed:
-            ts.head_ready = True
             self._heads_mask |= bit
         else:
-            ts.head_ready = False
             self._heads_mask &= ~bit
         if fe:
             self._fe_mask |= bit

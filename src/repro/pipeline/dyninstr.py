@@ -6,7 +6,7 @@ Two representations share this module:
   by the ``object`` engine backend (and by :class:`repro.runahead.core.
   RunaheadCore`, which subclasses the object engine's commit machinery).
 * The **slot layout** of the compiled ``cext`` backend's native arena
-  (:mod:`repro.pipeline.soa`): every ``DynInstr`` field is a per-slot
+  (:mod:`repro.pipeline.cext`): every ``DynInstr`` field is a per-slot
   column in C memory, the eleven booleans collapse into one integer
   ``flags`` word (bit layout below, mirrored by ``_cext_engine.c`` and
   cross-checked when it loads), and cross-record references become slot

@@ -138,20 +138,20 @@ class ThreadState:
         self.pc_origin = trace.pc_address(0)
         self.llsr_commit = self.llsr.commit
         self.llsr_commit_zeros = self.llsr.commit_zeros
-        # Commit-stage staging slot (see ``SMTCore._commit``): the run of
+        # The compiled engine's commit-stage staging slot: the run of
         # consecutive non-long-latency retires not yet shifted into the
         # LLSR, coalesced into one ``commit_zeros`` ring advance before a
         # same-thread long-latency commit or at the end of the commit
-        # pass.  Always zero between stages.
+        # pass.  Always zero between stages (the object engine's
+        # ``_commit_one`` shifts each retire in directly).
         self.llsr_zeros = 0
-        #: Event-maintained "ROB head is completed" flag, kept exact at
-        #: the three transitions that can change it — a completion event
-        #: landing on the current head, a retire exposing a new head,
-        #: and a flush (recomputed after the squash) — so the commit
-        #: rotation scan is a single slot load per thread instead of a
-        #: deque probe.  Only the base ``SMTCore._commit`` reads it;
-        #: RunaheadCore's commit loop can progress on incomplete heads
-        #: and keeps its own generic scan.
+        #: The compiled engine's event-maintained "ROB head is completed"
+        #: flag, kept exact at the three transitions that can change it —
+        #: a completion event landing on the current head, a retire
+        #: exposing a new head, and a flush (recomputed after the squash)
+        #: — so its commit rotation scan is a single slot load per thread
+        #: instead of a window probe.  The object engine keeps the same
+        #: fact as this thread's bit of ``SMTCore._heads_mask``.
         self.head_ready = False
         # Direct view of the trace's pre-materialized static instructions
         # (None for duck-typed stub traces): lets the fetch loop skip the

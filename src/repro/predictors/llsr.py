@@ -114,9 +114,9 @@ class LLSR:
         still filling, zero-bits land on slots that are pristine from
         construction, and once the most recent 1 has left the live
         window the ring contents are provably all zero, so the advance
-        is a head/total bump with no per-entry work.  The commit stage
-        uses this to coalesce retire bursts between long-latency loads
-        (see ``SMTCore._commit``).
+        is a head/total bump with no per-entry work.  The compiled
+        engine's commit stage uses this to coalesce retire bursts between
+        long-latency loads (``_cext_engine.c``).
         """
         length = self.length
         filled = self._filled

@@ -72,10 +72,13 @@ class RunaheadCore(SMTCore):
         # the commit-path reference accounting, and ``_RunaheadState``
         # keeps identity references (entry, refused) past retirement.
         self._di_pool = None
-        # The commit gate stays permanently open: this commit stage can
-        # make progress on *incomplete* heads (runahead entry,
-        # pseudo-retirement), which the event-driven gate cannot see.
+        # The commit gate stays permanently open and the commit rotation
+        # unfiltered (no rotation cache): this commit stage can make
+        # progress on *incomplete* heads (runahead entry,
+        # pseudo-retirement), which neither the event-driven gate nor the
+        # ready-head mask can see.
         self._commit_pending = True
+        self._rot_cache = None
 
     def in_runahead(self, ts: ThreadState) -> bool:
         return self._ra[ts.tid].active
@@ -123,31 +126,18 @@ class RunaheadCore(SMTCore):
     # ------------------------------------------------------------------ #
 
     def _commit(self, cycle: int) -> None:
-        # The base core inlines "head missing/incomplete -> skip" into its
-        # commit loop; here an incomplete head can still make progress
-        # (runahead entry, pseudo-retirement of INV instructions), so every
-        # rotation slot must reach _commit_one.
-        threads = self.threads
-        n = len(threads)
-        budget = self._commit_width
-        commit_one = self._commit_one
-        start = cycle % n
-        while budget > 0:
-            progress = False
-            for i in range(n):
-                if budget == 0:
-                    break
-                if commit_one(threads[(start + i) % n], cycle):
-                    budget -= 1
-                    progress = True
-            if not progress:
-                break
+        # The base rotation loop, over every thread (see __init__), with
+        # the gate left open.
+        super()._commit(cycle)
+        self._commit_pending = True
 
     def _dispatch(self, cycle: int) -> None:
-        # The base core short-circuits dispatch when the shared ROB is
-        # full; runahead must keep calling _try_dispatch per attempt so INV
-        # flags propagate through the rename map at the same cycles as the
-        # pre-optimization engine.
+        # The plain per-attempt loop, without the base stage's latches
+        # (blocked head, wait-until skip, dispatch wake, stall verdict).
+        # Those latches assume every resource release bumps
+        # ``_release_epoch``; pseudo-retirement releases without a bump,
+        # so on the base stage a latched rejection would outlive its
+        # cause and both runahead golden cells would change.
         budget = self._decode_width
         any_ready = False
         blocked_by_resource = False

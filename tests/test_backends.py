@@ -23,7 +23,7 @@ from repro.config import scaled_config
 from repro.experiments.runner import core_for, default_backend, trace_for
 from repro.jobs import JobSpec
 from repro.perf.baselines import BaselineError, mode_name, validate_doc
-from repro.pipeline import SMTCore, SoACore
+from repro.pipeline import SMTCore
 from repro.pipeline import cext as cext_mod
 from repro.pipeline.cext import CextCore, cext_status, load_cext_core
 from repro.policies import make_policy
@@ -68,7 +68,6 @@ class TestCextRegistration:
     def test_registered_when_buildable(self):
         assert "cext" in registry.backends
         assert registry.backends.get("cext") is CextCore
-        assert issubclass(CextCore, SoACore)
         assert cext_status().startswith("available")
 
     @needs_cext
@@ -101,16 +100,15 @@ class TestCextRegistration:
         with pytest.raises(RuntimeError, match="forced off"):
             core.run(200)
 
-    def test_bare_soa_state_cannot_run(self):
-        # SoACore is the column state the compiled loop runs on, not an
-        # engine: the object engine's driver must not run its per-cycle
-        # bodies over slot numbers.
+    def test_cext_core_refuses_step(self):
+        # CextCore's state is the slot arena: the object engine's
+        # per-cycle bodies behind step() must not run over slot numbers.
         pol = make_policy("icount")
-        core = SoACore(CFG2, [trace_for(name, CFG2, slot=i)
-                              for i, name in enumerate(("mcf", "swim"))],
-                       pol)
-        with pytest.raises(NotImplementedError, match="no stage loop"):
-            core.run(200)
+        core = CextCore(CFG2, [trace_for(name, CFG2, slot=i)
+                               for i, name in enumerate(("mcf", "swim"))],
+                        pol)
+        with pytest.raises(NotImplementedError, match="no per-cycle step"):
+            core.step()
 
 
 class TestCoreResolution:

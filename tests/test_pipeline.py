@@ -1,6 +1,8 @@
 """Directed tests of the SMT pipeline core."""
 
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import scaled_config
@@ -216,3 +218,68 @@ class TestFastForward:
             results[ff] = (stats.cycles,
                            tuple(t.committed for t in stats.threads))
         assert results[True] == results[False]
+
+
+class _CountingCore(SMTCore):
+    """Overrides only the per-instruction stage bodies, recording each call.
+
+    Each override delegates to the base body and logs the ``gseq`` of the
+    instruction it retired, dispatched, issued or completed.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = {"commit": [], "dispatch": [], "execute": [],
+                     "complete": []}
+
+    def _commit_one(self, ts, cycle):
+        head = ts.window[0].gseq if ts.window else None
+        if super()._commit_one(ts, cycle):
+            self.seen["commit"].append(head)
+            return True
+        return False
+
+    def _try_dispatch(self, ts, di):
+        outcome = super()._try_dispatch(ts, di)
+        if outcome is None:
+            self.seen["dispatch"].append(di.gseq)
+        return outcome
+
+    def _execute(self, di, cycle):
+        self.seen["execute"].append(di.gseq)
+        super()._execute(di, cycle)
+
+    def _complete(self, di, cycle):
+        if not di.squashed:
+            self.seen["complete"].append(di.gseq)
+        super()._complete(di, cycle)
+
+
+class TestStageOverrides:
+    @pytest.mark.parametrize("policy", ["icount", "mlp_flush", "dcra"])
+    def test_per_instruction_overrides_are_honoured(self, policy):
+        """A subclass overriding a stage's per-instruction body sees every
+        instruction through it, and the run is the stock core's."""
+        from repro.experiments.runner import trace_for
+        cfg = scaled_config(num_threads=2, scale=16)
+        traces = [trace_for(name, cfg, slot=i)
+                  for i, name in enumerate(("mcf", "swim"))]
+        runs = {}
+        for cls in (SMTCore, _CountingCore):
+            core = cls(cfg, traces, make_policy(policy))
+            # No warmup: the statistics cover every retire of the run.
+            stats = core.run(1500)
+            runs[cls] = (asdict(stats), core.cycle)
+        assert runs[_CountingCore] == runs[SMTCore]
+        seen = {stage: set(log) for stage, log in core.seen.items()}
+        for stage, log in core.seen.items():
+            assert len(log) == len(seen[stage]), stage  # once per instr
+        assert len(core.seen["commit"]) == sum(
+            t.committed for t in stats.threads)
+        window = {di.gseq for ts in core.threads for di in ts.window}
+        issued = {di.gseq for ts in core.threads for di in ts.window
+                  if di.issued}
+        # Everything retired or still in flight went through each body.
+        assert seen["commit"] | window <= seen["dispatch"]
+        assert seen["commit"] | issued <= seen["execute"]
+        assert seen["commit"] <= seen["complete"] <= seen["execute"]

@@ -159,7 +159,7 @@ def _soa_assert_free_list_pristine(core):
 
     Every slot on the free list must carry exactly the state the alloc
     fast path relies on without re-writing (see the arena contract in
-    the ``soa`` module docstring), and no live engine structure may
+    the ``cext`` module docstring), and no live engine structure may
     still reference it.
     """
     arena = core._arena
