@@ -25,7 +25,12 @@ compiled loop's ``run_until``:
 It prints the split, then the engine functions the samples land in,
 the ones that make the C-API calls and the ones that call into Python.
 Engine functions are named from the module's symbol table (``nm``), so
-an inlined helper counts as its caller.
+an inlined helper counts as its caller.  Last it names, for each C-API
+sample, the C-API function the engine called and, in brackets, the
+function the sample landed in when that is another one (e.g.
+``fetch_thread_c -> PyLong_AsLongLong [_PyLong_AsByteArray]``: the
+multi-digit unbox path).  Those are named by ``dladdr``, so a static
+helper inside libpython counts as the nearest exported symbol before it.
 
 ``--py-names`` also names each callout's outermost Python function.
 That reads the interpreter's frame chain inside the signal handler
@@ -254,8 +259,9 @@ class Symbols:
         return hit
 
 
-def classify(frames: list[tuple[bool, str]]) -> tuple[str, str]:
-    """(class, engine function) of one sample's frames, innermost first."""
+def classify(frames: list[tuple[bool, str]]) -> tuple[str, str, str]:
+    """(class, engine function, C-API call) of one sample's frames,
+    innermost first; the C-API call is empty outside its class."""
     names = [name for _, name in frames]
     start = names.index("__restore_rt") + 1 if "__restore_rt" in names \
         else 2
@@ -263,18 +269,20 @@ def classify(frames: list[tuple[bool, str]]) -> tuple[str, str]:
     loop = next((i for i, (mine, name) in enumerate(inner)
                  if mine and name == "run_until"), None)
     if loop is None:
-        return "outside the loop", ""
+        return "outside the loop", "", ""
     evals = [i for i, (_, name) in enumerate(inner[:loop])
              if name == "_PyEval_EvalFrameDefault"]
     if evals:
         caller = next(name for mine, name in inner[evals[-1] + 1:loop + 1]
                       if mine)
-        return "Python callout", caller
+        return "Python callout", caller, ""
     mine, name = inner[0]
     if mine:
-        return "loop's own code", name
-    caller = next(name for mine, name in inner[1:loop + 1] if mine)
-    return "C-API call made by the loop", caller
+        return "loop's own code", name, ""
+    at = next(i for i in range(1, loop + 1) if inner[i][0])
+    entry, leaf = inner[at - 1][1], inner[0][1]
+    call = entry if leaf == entry else f"{entry} [{leaf}]"
+    return "C-API call made by the loop", inner[at][1], call
 
 
 def code_names() -> dict[int, str]:
@@ -349,13 +357,16 @@ def main(argv: list[str] | None = None) -> int:
         split: Counter[str] = Counter()
         by_fn: dict[str, Counter[str]] = {}
         py: Counter[str] = Counter()
+        capi: Counter[str] = Counter()
         names = code_names() if args.py_names else {}
         for i in range(n):
             frames = [symbols(lib.ss_frame(i, j) or 0)
                       for j in range(lib.ss_depth(i))]
-            cls, fn = classify(frames)
+            cls, fn, call = classify(frames)
             split[cls] += 1
             by_fn.setdefault(cls, Counter())[fn] += 1
+            if call:
+                capi[f"{fn} -> {call}"] += 1
             if cls == "Python callout" and args.py_names:
                 py[names.get(lib.ss_code(i) or 0, "?")] += 1
     total = sum(split.values()) or 1
@@ -372,6 +383,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{title}:")
         for fn, k in by_fn.get(cls, Counter()).most_common(TOP):
             print(f"  {100.0 * k / total:5.1f}%  {k:6d}  {fn}")
+    if capi:
+        print("\nC-API function under each C-API call (engine caller -> "
+              "called [landed in]):")
+        for name, k in capi.most_common(TOP):
+            print(f"  {100.0 * k / total:5.1f}%  {k:6d}  {name}")
     if args.py_names:
         print("\noutermost Python function of each callout:")
         for name, k in py.most_common(TOP):

@@ -225,12 +225,20 @@ class ResultStore:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except OSError:
+            return False
+        # A failed write or replace leaves no temp file behind.
+        try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(entry, fh, separators=(",", ":"))
             os.replace(tmp, path)
-            return True
         except OSError:
+            self._discard(Path(tmp))
             return False
+        except BaseException:
+            self._discard(Path(tmp))
+            raise
+        return True
 
     def entries(self) -> list[Path]:
         try:
@@ -251,11 +259,21 @@ class ResultStore:
         return total
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were deleted."""
+        """Remove every entry; returns how many were deleted.
+
+        Temp files a failed write left behind are removed too, but are
+        not entries and do not count.
+        """
         removed = 0
         for path in self.entries():
             if self._discard(path):
                 removed += 1
+        try:
+            leftovers = list(self.root.glob("*.tmp"))
+        except OSError:
+            leftovers = []
+        for path in leftovers:
+            self._discard(path)
         return removed
 
     @staticmethod

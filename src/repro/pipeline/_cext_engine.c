@@ -15,15 +15,20 @@
  * reading the arena) and may call flush_thread, which runs here too; a
  * fetch may grow the arena.  Every column pointer is therefore re-read
  * from the arena after any call that can do either.  The fast-forward
- * target, LLSR.commit_zeros and the iteration-varying slots of
- * SyntheticTrace are computed here too, on those objects' slots; their
- * Python bodies remain the reference (tests/test_cext_paths.py).  The
- * memory hierarchy is native state (the Hierarchy type below, held to
- * MemoryHierarchy by tests/test_native_hierarchy.py), so no memory
- * access enters the interpreter.  The golden matrix pins the backend
- * bit-exact with the object engine; engine-parity-lint checks that the
- * policy hook call sites here match core.py's set and that SoAView's
- * getset table covers every DynInstr field.
+ * target, the base policy's fetch order (ICOUNT and COT),
+ * LLSR.commit_zeros, the long-latency LLSR.commit and the
+ * iteration-varying slots of SyntheticTrace are computed here too, on
+ * those objects' slots; their Python bodies remain the reference
+ * (tests/test_cext_paths.py).  The memory hierarchy and the front end's
+ * predictors (gshare, the BTB, the miss-pattern, MLP-distance and
+ * binary-MLP predictors) are native state (the Hierarchy type and the
+ * predictor types below, held to their Python classes by
+ * tests/test_native_hierarchy.py and tests/test_native_predictors.py),
+ * so no memory access or prediction enters the interpreter.  The
+ * golden matrix pins the backend bit-exact with the object engine;
+ * engine-parity-lint checks that the policy hook call sites here match
+ * core.py's set and that SoAView's getset table covers every DynInstr
+ * field.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -109,7 +114,8 @@ typedef struct {
     Py_ssize_t ts_trace_get, ts_lll_predict, ts_pc_origin,
         ts_llsr_commit, ts_llsr_commit_zeros, ts_trace_static,
         ts_trace_body_len, ts_llsr_zeros, ts_trace_flags, ts_lll_pred;
-    Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag;
+    Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag, ts_stall_start,
+        ts_mlp_pred, ts_binary_mlp;
     /* ThreadStats */
     Py_ssize_t st_fetched, st_committed, st_squashed, st_flushes,
         st_loads_executed, st_ll_loads,
@@ -126,7 +132,8 @@ typedef struct {
         ar_long_latency, ar_trigger, ar_fill_line;
     /* LLSR */
     Py_ssize_t ll_length, ll_bits, ll_pcs, ll_head, ll_filled, ll_total,
-        ll_last_one_total, ll_on_measure, ll_measured;
+        ll_last_one_total, ll_on_measure, ll_measured, ll_exclude_dependent,
+        ll_suppressed;
     /* SyntheticTrace */
     Py_ssize_t tr_dyn;
 } Offsets;
@@ -148,7 +155,7 @@ typedef struct {
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
     PyObject *s_update, *s_lookup, *s_insert, *s_train, *s_on_ll_detect,
-        *s_sync_policy_stall, *s_cancel_fill, *s_clear_owner;
+        *s_sync_policy_stall, *s_cancel_fill, *s_clear_owner, *s_train_mlp;
 } Globals;
 
 static Globals g;
@@ -295,44 +302,1038 @@ static inline long long py_mod(long long a, long long b)
     return r < 0 ? r + b : r;
 }
 
+/* A Python int argument as int64 (TypeError / OverflowError). */
+static inline int int64_arg(PyObject *o, int64_t *out)
+{
+    long long v = PyLong_AsLongLong(o);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
 /* ------------------------------------------------------------------ */
-/* LLSR.commit_zeros over the register's slots                         */
+/* the front end's predictors as native state                          */
 /* ------------------------------------------------------------------ */
 
+/* repro.predictors' MissPatternPredictor, MLPDistancePredictor and
+ * BinaryMLPPredictor and repro.branch's GShare and BTB: each keeps its
+ * Python class's methods, defaults, counters and return values over a
+ * table in C memory, at the narrowest width that holds it exactly.  A
+ * Python table is a dict that gains an entry on first training, so
+ * "untrained" has its own encoding, and a zeroed table is a fresh one:
+ * period + 1 (0: untrained) for the miss pattern, distance + MLP_BIAS
+ * (0: untrained) for the MLP distance, 0 / 1 / 2 (untrained / no MLP /
+ * MLP) for the binary bit.  Indexes are Python's floor modulo.  A size
+ * the table cannot hold raises ValueError (OverflowError outside
+ * int64); CextCore then keeps the Python object.  state() returns the
+ * trained entries for the differential test
+ * (tests/test_native_predictors.py). */
+
+static PyObject *value_error(const char *msg)
+{
+    PyErr_SetString(PyExc_ValueError, msg);
+    return NULL;
+}
+
+/* An int64 counter of a native object, read and assigned from Python. */
+static PyObject *get_i64(PyObject *self, void *off)
+{
+    return PyLong_FromLongLong(*(int64_t *)((char *)self + (size_t)off));
+}
+
+static int set_i64(PyObject *self, PyObject *value, void *off)
+{
+    int64_t v;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete a counter");
+        return -1;
+    }
+    if (int64_arg(value, &v) < 0)
+        return -1;
+    *(int64_t *)((char *)self + (size_t)off) = v;
+    return 0;
+}
+
+#define I64_FIELD(type, name, doc) \
+    {#name, get_i64, set_i64, doc, (void *)offsetof(type, name)}
+
+/* {index: value} over the trained entries, value built by `item`. */
+static PyObject *trained_dict(PyObject *self, int64_t n,
+                              PyObject *(*item)(PyObject *, int64_t))
+{
+    PyObject *d = PyDict_New();
+    for (int64_t i = 0; d != NULL && i < n; i++) {
+        PyObject *v = item(self, i);
+        if (v == Py_None) {
+            Py_DECREF(v);
+            continue;
+        }
+        PyObject *k = v == NULL ? NULL : PyLong_FromLongLong(i);
+        if (k == NULL || PyDict_SetItem(d, k, v) < 0)
+            Py_CLEAR(d);
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+    }
+    return d;
+}
+
+static void pred_dealloc_tables(PyObject *self, void **tables, int n)
+{
+    for (int i = 0; i < n; i++)
+        PyMem_Free(tables[i]);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* --- MissPatternPredictor ------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    int64_t entries, max_count, lookups, predicted_ll;
+    uint16_t *period1;      /* period + 1 (0: untrained) */
+    uint16_t *since;
+} MissPat;
+
+static PyTypeObject MissPat_Type;
+
+static int misspat_predict(MissPat *P, int64_t pc)
+{
+    P->lookups += 1;
+    int64_t i = py_mod(pc, P->entries);
+    int64_t p1 = P->period1[i];
+    /* untrained, or a saturated period: no prediction */
+    if (p1 == 0 || p1 - 1 >= P->max_count || P->since[i] != p1 - 1)
+        return 0;
+    P->predicted_ll += 1;
+    return 1;
+}
+
+static void misspat_train(MissPat *P, int64_t pc, int long_latency)
+{
+    int64_t i = py_mod(pc, P->entries);
+    if (long_latency) {
+        P->period1[i] = (uint16_t)(P->since[i] + 1);
+        P->since[i] = 0;
+    } else if (P->since[i] < P->max_count) {
+        P->since[i] += 1;
+    }
+}
+
+static PyObject *MissPat_new(PyTypeObject *type, PyObject *args,
+                             PyObject *kwds)
+{
+    long long entries = 2048, bits = 6;
+    static char *kwlist[] = {"entries", "counter_bits", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LL:MissPatternPredictor",
+                                     kwlist, &entries, &bits))
+        return NULL;
+    if (entries <= 0)
+        return value_error("entries must be positive");
+    if (bits < 0)
+        return value_error("negative shift count");
+    if (bits > 15)
+        return value_error("counter_bits above 15 does not fit the "
+                           "native table");
+    MissPat *P = (MissPat *)type->tp_alloc(type, 0);
+    if (P == NULL)
+        return NULL;
+    P->entries = entries;
+    P->max_count = (1 << bits) - 1;
+    P->period1 = PyMem_Calloc((size_t)entries, sizeof(uint16_t));
+    P->since = PyMem_Calloc((size_t)entries, sizeof(uint16_t));
+    if (P->period1 == NULL || P->since == NULL) {
+        Py_DECREF(P);
+        return PyErr_NoMemory();
+    }
+    return (PyObject *)P;
+}
+
+static void MissPat_dealloc(PyObject *self)
+{
+    MissPat *P = (MissPat *)self;
+    void *tables[2] = {P->period1, P->since};
+    pred_dealloc_tables(self, tables, 2);
+}
+
+/* predict(pc) -> bool */
+static PyObject *MissPat_predict(PyObject *self, PyObject *args,
+                                 PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", NULL};
+    long long pc;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L:predict", kwlist, &pc))
+        return NULL;
+    return PyBool_FromLong(misspat_predict((MissPat *)self, pc));
+}
+
+/* train(pc, long_latency) */
+static PyObject *MissPat_train(PyObject *self, PyObject *args,
+                               PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", "long_latency", NULL};
+    long long pc;
+    int ll;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Lp:train", kwlist, &pc,
+                                     &ll))
+        return NULL;
+    misspat_train((MissPat *)self, pc, ll);
+    Py_RETURN_NONE;
+}
+
+static PyObject *misspat_item(PyObject *self, int64_t i)
+{
+    MissPat *P = (MissPat *)self;
+    if (P->period1[i] == 0 && P->since[i] == 0)
+        return Py_NewRef(Py_None);
+    return Py_BuildValue("(LL)", (long long)P->period1[i] - 1,
+                         (long long)P->since[i]);
+}
+
+static PyObject *MissPat_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return trained_dict(self, ((MissPat *)self)->entries, misspat_item);
+}
+
+static PyMethodDef MissPat_methods[] = {
+    {"predict", (PyCFunction)(void (*)(void))MissPat_predict,
+     METH_VARARGS | METH_KEYWORDS,
+     "predict(pc) -> bool: will this load be long-latency?"},
+    {"train", (PyCFunction)(void (*)(void))MissPat_train,
+     METH_VARARGS | METH_KEYWORDS,
+     "train(pc, long_latency): the load's observed outcome."},
+    {"state", MissPat_state, METH_NOARGS,
+     "state() -> {index: (period, since)} of the trained entries."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef MissPat_getset[] = {
+    I64_FIELD(MissPat, lookups, "Front-end queries."),
+    I64_FIELD(MissPat, predicted_ll, "Queries predicted long-latency."),
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject MissPat_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.MissPatternPredictor",
+    .tp_doc = "MissPatternPredictor(entries=2048, counter_bits=6) as a "
+              "native table (counter_bits up to 15).",
+    .tp_basicsize = sizeof(MissPat),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = MissPat_new,
+    .tp_dealloc = MissPat_dealloc,
+    .tp_methods = MissPat_methods,
+    .tp_getset = MissPat_getset,
+};
+
+/* The native predictor behind a thread's lll_predict, when it is the
+ * predict method of a MissPat; else NULL (the engine calls it). */
+static MissPat *native_predict_of(PyObject *f)
+{
+    if (f == NULL || !PyCFunction_Check(f)
+        || PyCFunction_GET_FUNCTION(f)
+               != (PyCFunction)(void (*)(void))MissPat_predict)
+        return NULL;
+    PyObject *self = PyCFunction_GET_SELF(f);
+    return self != NULL && Py_IS_TYPE(self, &MissPat_Type) ? (MissPat *)self
+                                                           : NULL;
+}
+
+/* --- MLPDistancePredictor ------------------------------------------ */
+
+#define MLP_BIAS 32768
+
+typedef struct {
+    PyObject_HEAD
+    int64_t entries, max_distance;
+    int64_t true_pos, true_neg, false_pos, false_neg, far_enough, too_short,
+        lookups;
+    uint16_t *table;        /* distance + MLP_BIAS (0: untrained) */
+} MLPDist;
+
+static PyTypeObject MLPDist_Type;
+
+/* Insert a measured distance, scoring the stored one (0 when
+ * untrained) against it. */
+static int mlpdist_train(MLPDist *P, int64_t pc, int64_t distance)
+{
+    if (distance > P->max_distance)
+        distance = P->max_distance;
+    if (distance < 1 - MLP_BIAS) {
+        PyErr_Format(PyExc_OverflowError,
+                     "MLP distance %lld does not fit the native table",
+                     (long long)distance);
+        return -1;
+    }
+    int64_t i = py_mod(pc, P->entries);
+    int64_t predicted = P->table[i] ? (int64_t)P->table[i] - MLP_BIAS : 0;
+    if (predicted > 0) {
+        if (distance > 0)
+            P->true_pos += 1;
+        else
+            P->false_pos += 1;
+    } else if (distance > 0) {
+        P->false_neg += 1;
+    } else {
+        P->true_neg += 1;
+    }
+    if (predicted >= distance)
+        P->far_enough += 1;
+    else
+        P->too_short += 1;
+    P->table[i] = (uint16_t)(distance + MLP_BIAS);
+    return 0;
+}
+
+static PyObject *MLPDist_new(PyTypeObject *type, PyObject *args,
+                             PyObject *kwds)
+{
+    long long entries = 2048, max_distance = 127;
+    static char *kwlist[] = {"entries", "max_distance", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LL:MLPDistancePredictor",
+                                     kwlist, &entries, &max_distance))
+        return NULL;
+    if (entries <= 0)
+        return value_error("entries must be positive");
+    if (max_distance <= 0)
+        return value_error("max_distance must be positive");
+    if (max_distance >= MLP_BIAS)
+        return value_error("max_distance above 32767 does not fit the "
+                           "native table");
+    MLPDist *P = (MLPDist *)type->tp_alloc(type, 0);
+    if (P == NULL)
+        return NULL;
+    P->entries = entries;
+    P->max_distance = max_distance;
+    P->table = PyMem_Calloc((size_t)entries, sizeof(uint16_t));
+    if (P->table == NULL) {
+        Py_DECREF(P);
+        return PyErr_NoMemory();
+    }
+    return (PyObject *)P;
+}
+
+static void MLPDist_dealloc(PyObject *self)
+{
+    void *tables[1] = {((MLPDist *)self)->table};
+    pred_dealloc_tables(self, tables, 1);
+}
+
+/* predict(pc, default=0) -> the stored distance, or `default` */
+static PyObject *MLPDist_predict(PyObject *self, PyObject *args,
+                                 PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", "default", NULL};
+    long long pc;
+    PyObject *dflt = NULL;
+    MLPDist *P = (MLPDist *)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L|O:predict", kwlist, &pc,
+                                     &dflt))
+        return NULL;
+    P->lookups += 1;
+    uint16_t v = P->table[py_mod(pc, P->entries)];
+    if (v)
+        return box_ll((long long)v - MLP_BIAS);
+    return dflt != NULL ? Py_NewRef(dflt) : box_ll(0);
+}
+
+/* train(pc, distance) */
+static PyObject *MLPDist_train(PyObject *self, PyObject *args,
+                               PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", "distance", NULL};
+    long long pc, distance;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:train", kwlist, &pc,
+                                     &distance)
+        || mlpdist_train((MLPDist *)self, pc, distance) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int64_t mlpdist_updates(const MLPDist *P)
+{
+    return P->true_pos + P->true_neg + P->false_pos + P->false_neg;
+}
+
+static PyObject *MLPDist_updates(PyObject *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromLongLong(mlpdist_updates((MLPDist *)self));
+}
+
+static PyObject *MLPDist_binary_accuracy(PyObject *self,
+                                         void *Py_UNUSED(closure))
+{
+    MLPDist *P = (MLPDist *)self;
+    int64_t total = mlpdist_updates(P);
+    return PyFloat_FromDouble(
+        total ? (double)(P->true_pos + P->true_neg) / (double)total : 1.0);
+}
+
+static PyObject *MLPDist_distance_accuracy(PyObject *self,
+                                           void *Py_UNUSED(closure))
+{
+    MLPDist *P = (MLPDist *)self;
+    int64_t total = P->far_enough + P->too_short;
+    return PyFloat_FromDouble(
+        total ? (double)P->far_enough / (double)total : 1.0);
+}
+
+/* classification_fractions() -> the TP/TN/FP/FN fractions (Figure 7) */
+static PyObject *MLPDist_fractions(PyObject *self,
+                                   PyObject *Py_UNUSED(ignored))
+{
+    MLPDist *P = (MLPDist *)self;
+    int64_t updates = mlpdist_updates(P);
+    double total = (double)(updates ? updates : 1);
+    return Py_BuildValue("{sdsdsdsd}",
+                         "true_pos", (double)P->true_pos / total,
+                         "true_neg", (double)P->true_neg / total,
+                         "false_pos", (double)P->false_pos / total,
+                         "false_neg", (double)P->false_neg / total);
+}
+
+static PyObject *mlpdist_item(PyObject *self, int64_t i)
+{
+    uint16_t v = ((MLPDist *)self)->table[i];
+    return v ? box_ll((long long)v - MLP_BIAS) : Py_NewRef(Py_None);
+}
+
+static PyObject *MLPDist_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return trained_dict(self, ((MLPDist *)self)->entries, mlpdist_item);
+}
+
+static PyMethodDef MLPDist_methods[] = {
+    {"predict", (PyCFunction)(void (*)(void))MLPDist_predict,
+     METH_VARARGS | METH_KEYWORDS,
+     "predict(pc, default=0) -> the predicted MLP distance."},
+    {"train", (PyCFunction)(void (*)(void))MLPDist_train,
+     METH_VARARGS | METH_KEYWORDS,
+     "train(pc, distance): insert a measured MLP distance."},
+    {"classification_fractions", MLPDist_fractions, METH_NOARGS,
+     "classification_fractions() -> TP/TN/FP/FN fractions (Figure 7)."},
+    {"state", MLPDist_state, METH_NOARGS,
+     "state() -> {index: distance} of the trained entries."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef MLPDist_getset[] = {
+    I64_FIELD(MLPDist, true_pos, "Figure 7: MLP predicted and measured."),
+    I64_FIELD(MLPDist, true_neg, "Figure 7: neither."),
+    I64_FIELD(MLPDist, false_pos, "Figure 7: predicted, not measured."),
+    I64_FIELD(MLPDist, false_neg, "Figure 7: measured, not predicted."),
+    I64_FIELD(MLPDist, far_enough, "Figure 8: prediction >= measured."),
+    I64_FIELD(MLPDist, too_short, "Figure 8: prediction < measured."),
+    I64_FIELD(MLPDist, lookups, "predict() calls."),
+    {"updates", MLPDist_updates, NULL, "Training updates.", NULL},
+    {"binary_accuracy", MLPDist_binary_accuracy, NULL,
+     "Figure 7's accuracy (1.0 before any update).", NULL},
+    {"distance_accuracy", MLPDist_distance_accuracy, NULL,
+     "Figure 8's accuracy (1.0 before any update).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject MLPDist_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.MLPDistancePredictor",
+    .tp_doc = "MLPDistancePredictor(entries=2048, max_distance=127) as a "
+              "native table (max_distance up to 32767).",
+    .tp_basicsize = sizeof(MLPDist),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = MLPDist_new,
+    .tp_dealloc = MLPDist_dealloc,
+    .tp_methods = MLPDist_methods,
+    .tp_getset = MLPDist_getset,
+};
+
+/* --- BinaryMLPPredictor -------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    int64_t entries, lookups;
+    uint8_t *table;         /* 0: untrained, 1: no MLP, 2: MLP */
+} BinMLP;
+
+static PyTypeObject BinMLP_Type;
+
+static inline void binmlp_train(BinMLP *P, int64_t pc, int64_t distance)
+{
+    P->table[py_mod(pc, P->entries)] = distance > 0 ? 2 : 1;
+}
+
+static PyObject *BinMLP_new(PyTypeObject *type, PyObject *args,
+                            PyObject *kwds)
+{
+    long long entries = 2048;
+    static char *kwlist[] = {"entries", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|L:BinaryMLPPredictor",
+                                     kwlist, &entries))
+        return NULL;
+    if (entries <= 0)
+        return value_error("entries must be positive");
+    BinMLP *P = (BinMLP *)type->tp_alloc(type, 0);
+    if (P == NULL)
+        return NULL;
+    P->entries = entries;
+    P->table = PyMem_Calloc((size_t)entries, sizeof(uint8_t));
+    if (P->table == NULL) {
+        Py_DECREF(P);
+        return PyErr_NoMemory();
+    }
+    return (PyObject *)P;
+}
+
+static void BinMLP_dealloc(PyObject *self)
+{
+    void *tables[1] = {((BinMLP *)self)->table};
+    pred_dealloc_tables(self, tables, 1);
+}
+
+/* predict(pc) -> bool: MLP expected (True when untrained) */
+static PyObject *BinMLP_predict(PyObject *self, PyObject *args,
+                                PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", NULL};
+    long long pc;
+    BinMLP *P = (BinMLP *)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L:predict", kwlist, &pc))
+        return NULL;
+    P->lookups += 1;
+    return PyBool_FromLong(P->table[py_mod(pc, P->entries)] != 1);
+}
+
+/* train(pc, distance) */
+static PyObject *BinMLP_train(PyObject *self, PyObject *args,
+                              PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", "distance", NULL};
+    long long pc, distance;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:train", kwlist, &pc,
+                                     &distance))
+        return NULL;
+    binmlp_train((BinMLP *)self, pc, distance);
+    Py_RETURN_NONE;
+}
+
+static PyObject *binmlp_item(PyObject *self, int64_t i)
+{
+    uint8_t v = ((BinMLP *)self)->table[i];
+    return Py_NewRef(v == 0 ? Py_None : v == 2 ? Py_True : Py_False);
+}
+
+static PyObject *BinMLP_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return trained_dict(self, ((BinMLP *)self)->entries, binmlp_item);
+}
+
+static PyMethodDef BinMLP_methods[] = {
+    {"predict", (PyCFunction)(void (*)(void))BinMLP_predict,
+     METH_VARARGS | METH_KEYWORDS,
+     "predict(pc) -> bool: MLP expected for this long-latency load."},
+    {"train", (PyCFunction)(void (*)(void))BinMLP_train,
+     METH_VARARGS | METH_KEYWORDS,
+     "train(pc, distance): MLP seen when distance > 0."},
+    {"state", BinMLP_state, METH_NOARGS,
+     "state() -> {index: bool} of the trained entries."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef BinMLP_getset[] = {
+    I64_FIELD(BinMLP, lookups, "predict() calls."),
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject BinMLP_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.BinaryMLPPredictor",
+    .tp_doc = "BinaryMLPPredictor(entries=2048) as a native table.",
+    .tp_basicsize = sizeof(BinMLP),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = BinMLP_new,
+    .tp_dealloc = BinMLP_dealloc,
+    .tp_methods = BinMLP_methods,
+    .tp_getset = BinMLP_getset,
+};
+
+/* --- GShare -------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    int64_t entries, n_threads, predictions, mispredictions;
+    uint8_t *table;         /* 2-bit counters, shared */
+    int64_t *history;       /* one global history per thread */
+} GShareN;
+
+static PyTypeObject GShare_Type;
+
+/* `thread` as a Python list index into the histories. */
+static int gshare_thread(GShareN *G, int64_t thread, int64_t *t)
+{
+    if (thread < 0)
+        thread += G->n_threads;
+    if (thread < 0 || thread >= G->n_threads) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    *t = thread;
+    return 0;
+}
+
+/* update(pc, taken, t) with bool(taken) == truth and int(taken) == tv;
+ * returns the prediction (the caller scores it). */
+static int gshare_step(GShareN *G, int64_t pc, int truth, int64_t tv,
+                       int64_t t)
+{
+    int64_t mask = G->entries - 1;
+    int64_t history = G->history[t];
+    int64_t i = (pc ^ history) & mask;
+    int counter = G->table[i];
+    if (truth) {
+        if (counter < 3)
+            G->table[i] = (uint8_t)(counter + 1);
+    } else if (counter > 0) {
+        G->table[i] = (uint8_t)(counter - 1);
+    }
+    G->history[t] = (int64_t)(((uint64_t)history << 1) | (uint64_t)tv)
+        & mask;
+    G->predictions += 1;
+    return counter >= 2;
+}
+
+/* The fetch stage's update: a bool outcome from thread t. */
+static int gshare_update(GShareN *G, int64_t pc, int taken, int64_t thread,
+                         int *prediction)
+{
+    int64_t t;
+    if (gshare_thread(G, thread, &t) < 0)
+        return -1;
+    *prediction = gshare_step(G, pc, taken, taken, t);
+    if (*prediction != taken)
+        G->mispredictions += 1;
+    return 0;
+}
+
+static PyObject *GShare_new(PyTypeObject *type, PyObject *args,
+                            PyObject *kwds)
+{
+    long long entries = 2048, n_threads = 1;
+    static char *kwlist[] = {"entries", "num_threads", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LL:GShare", kwlist,
+                                     &entries, &n_threads))
+        return NULL;
+    if (entries <= 0 || (entries & (entries - 1)))
+        return value_error("gshare entries must be a positive power of two");
+    if (n_threads < 1)
+        return value_error("need at least one thread");
+    GShareN *G = (GShareN *)type->tp_alloc(type, 0);
+    if (G == NULL)
+        return NULL;
+    G->entries = entries;
+    G->n_threads = n_threads;
+    G->table = PyMem_Malloc((size_t)entries);
+    G->history = PyMem_Calloc((size_t)n_threads, sizeof(int64_t));
+    if (G->table == NULL || G->history == NULL) {
+        Py_DECREF(G);
+        return PyErr_NoMemory();
+    }
+    memset(G->table, 2, (size_t)entries);      /* weakly taken */
+    return (PyObject *)G;
+}
+
+static void GShare_dealloc(PyObject *self)
+{
+    GShareN *G = (GShareN *)self;
+    void *tables[2] = {G->table, G->history};
+    pred_dealloc_tables(self, tables, 2);
+}
+
+/* predict(pc, thread=0) -> bool */
+static PyObject *GShare_predict(PyObject *self, PyObject *args,
+                                PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", "thread", NULL};
+    long long pc, thread = 0;
+    int64_t t;
+    GShareN *G = (GShareN *)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L|L:predict", kwlist, &pc,
+                                     &thread)
+        || gshare_thread(G, thread, &t) < 0)
+        return NULL;
+    return PyBool_FromLong(
+        G->table[(pc ^ G->history[t]) & (G->entries - 1)] >= 2);
+}
+
+/* update(pc, taken, thread=0) -> the prediction, as GShare.update:
+ * `taken` trains by truth value and enters the history as int(taken). */
+static PyObject *GShare_update_py(PyObject *self, PyObject *args,
+                                  PyObject *kwds)
+{
+    static char *kwlist[] = {"pc", "taken", "thread", NULL};
+    long long pc, thread = 0;
+    int64_t t, tv;
+    PyObject *taken;
+    GShareN *G = (GShareN *)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO|L:update", kwlist, &pc,
+                                     &taken, &thread)
+        || gshare_thread(G, thread, &t) < 0)
+        return NULL;
+    int truth = PyObject_IsTrue(taken);
+    if (truth < 0)
+        return NULL;
+    PyObject *as_int = PyNumber_Long(taken);
+    int rc = as_int == NULL ? -1 : int64_arg(as_int, &tv);
+    Py_XDECREF(as_int);
+    if (rc < 0)
+        return NULL;
+    PyObject *prediction = PyBool_FromLong(gshare_step(G, pc, truth, tv, t));
+    int wrong = PyObject_RichCompareBool(prediction, taken, Py_NE);
+    if (wrong < 0)
+        Py_CLEAR(prediction);
+    else if (wrong)
+        G->mispredictions += 1;
+    return prediction;
+}
+
+static PyObject *GShare_accuracy(PyObject *self, void *Py_UNUSED(closure))
+{
+    GShareN *G = (GShareN *)self;
+    if (!G->predictions)
+        return PyFloat_FromDouble(1.0);
+    return PyFloat_FromDouble(
+        1.0 - (double)G->mispredictions / (double)G->predictions);
+}
+
+static PyObject *GShare_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    GShareN *G = (GShareN *)self;
+    PyObject *table = PyList_New((Py_ssize_t)G->entries);
+    PyObject *history = PyList_New((Py_ssize_t)G->n_threads);
+    PyObject *out = NULL;
+    if (table == NULL || history == NULL)
+        goto done;
+    for (int64_t i = 0; i < G->entries; i++)
+        PyList_SET_ITEM(table, i, box_ll(G->table[i]));
+    for (int64_t i = 0; i < G->n_threads; i++) {
+        PyObject *h = PyLong_FromLongLong(G->history[i]);
+        if (h == NULL)
+            goto done;
+        PyList_SET_ITEM(history, i, h);
+    }
+    out = Py_BuildValue("{sOsO}", "table", table, "history", history);
+done:
+    Py_XDECREF(table);
+    Py_XDECREF(history);
+    return out;
+}
+
+static PyMethodDef GShare_methods[] = {
+    {"predict", (PyCFunction)(void (*)(void))GShare_predict,
+     METH_VARARGS | METH_KEYWORDS, "predict(pc, thread=0) -> bool."},
+    {"update", (PyCFunction)(void (*)(void))GShare_update_py,
+     METH_VARARGS | METH_KEYWORDS,
+     "update(pc, taken, thread=0) -> the prediction; trains."},
+    {"state", GShare_state, METH_NOARGS,
+     "state() -> {'table': counters, 'history': per-thread histories}."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef GShare_getset[] = {
+    I64_FIELD(GShareN, predictions, "Branches predicted."),
+    I64_FIELD(GShareN, mispredictions, "Branches mispredicted."),
+    {"accuracy", GShare_accuracy, NULL,
+     "1 - mispredictions / predictions (1.0 before any).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject GShare_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.GShare",
+    .tp_doc = "GShare(entries=2048, num_threads=1) as a native table.",
+    .tp_basicsize = sizeof(GShareN),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = GShare_new,
+    .tp_dealloc = GShare_dealloc,
+    .tp_methods = GShare_methods,
+    .tp_getset = GShare_getset,
+};
+
+/* --- BTB ----------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    int64_t num_sets, assoc, hits, misses;
+    int64_t *pcs;           /* set s at pcs[s * assoc], least recent first */
+    int64_t *count;         /* entries per set */
+} BTBN;
+
+static PyTypeObject BTB_Type;
+
+/* The way holding pc in its set (*w, *n), or -1. */
+static int64_t btb_find(BTBN *B, int64_t pc, int64_t **w, int64_t **n)
+{
+    int64_t s = py_mod(pc, B->num_sets);
+    *w = B->pcs + s * B->assoc;
+    *n = B->count + s;
+    for (int64_t j = 0; j < **n; j++)
+        if ((*w)[j] == pc)
+            return j;
+    return -1;
+}
+
+/* Move way j of a set of n entries to the most recent end. */
+static void btb_touch(int64_t *w, int64_t n, int64_t j)
+{
+    int64_t pc = w[j];
+    memmove(w + j, w + j + 1, (size_t)(n - j - 1) * sizeof(int64_t));
+    w[n - 1] = pc;
+}
+
+/* lookup(pc) (1 on a hit, which becomes most recent), then, when
+ * `insert`, insert(pc) (a miss evicts the least recent of a full set). */
+static int btb_access(BTBN *B, int64_t pc, int lookup, int insert)
+{
+    int64_t *w, *n;
+    int64_t j = btb_find(B, pc, &w, &n);
+    if (j >= 0) {
+        btb_touch(w, *n, j);
+        if (lookup)
+            B->hits += 1;
+        return 1;
+    }
+    if (lookup)
+        B->misses += 1;
+    if (insert) {
+        if (*n >= B->assoc) {
+            btb_touch(w, *n, 0);
+            w[*n - 1] = pc;
+        } else {
+            w[(*n)++] = pc;
+        }
+    }
+    return 0;
+}
+
+static PyObject *BTB_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    long long entries = 256, assoc = 4;
+    static char *kwlist[] = {"entries", "assoc", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LL:BTB", kwlist, &entries,
+                                     &assoc))
+        return NULL;
+    if (assoc == 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
+        return NULL;
+    }
+    if (assoc > 0 && entries % assoc)
+        return value_error("entries must divide evenly into ways");
+    if (assoc < 1 || entries < assoc)
+        return value_error("the native BTB needs a set of at least one way");
+    BTBN *B = (BTBN *)type->tp_alloc(type, 0);
+    if (B == NULL)
+        return NULL;
+    B->num_sets = entries / assoc;
+    B->assoc = assoc;
+    B->pcs = PyMem_Calloc((size_t)entries, sizeof(int64_t));
+    B->count = PyMem_Calloc((size_t)B->num_sets, sizeof(int64_t));
+    if (B->pcs == NULL || B->count == NULL) {
+        Py_DECREF(B);
+        return PyErr_NoMemory();
+    }
+    return (PyObject *)B;
+}
+
+static void BTB_dealloc(PyObject *self)
+{
+    BTBN *B = (BTBN *)self;
+    void *tables[2] = {B->pcs, B->count};
+    pred_dealloc_tables(self, tables, 2);
+}
+
+static char *btb_kwlist[] = {"pc", NULL};
+
+/* lookup(pc) -> bool: the branch has an entry (target known) */
+static PyObject *BTB_lookup(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    long long pc;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L:lookup", btb_kwlist, &pc))
+        return NULL;
+    return PyBool_FromLong(btb_access((BTBN *)self, pc, 1, 0));
+}
+
+/* insert(pc) */
+static PyObject *BTB_insert(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    long long pc;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L:insert", btb_kwlist, &pc))
+        return NULL;
+    btb_access((BTBN *)self, pc, 0, 1);
+    Py_RETURN_NONE;
+}
+
+static PyObject *BTB_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    BTBN *B = (BTBN *)self;
+    PyObject *sets = PyList_New((Py_ssize_t)B->num_sets);
+    for (int64_t s = 0; sets != NULL && s < B->num_sets; s++) {
+        PyObject *set = PyList_New((Py_ssize_t)B->count[s]);
+        for (int64_t j = 0; set != NULL && j < B->count[s]; j++) {
+            PyObject *pc = PyLong_FromLongLong(B->pcs[s * B->assoc + j]);
+            if (pc == NULL)
+                Py_CLEAR(set);
+            else
+                PyList_SET_ITEM(set, j, pc);
+        }
+        if (set == NULL)
+            Py_CLEAR(sets);
+        else
+            PyList_SET_ITEM(sets, s, set);
+    }
+    return sets;
+}
+
+static PyMethodDef BTB_methods[] = {
+    {"lookup", (PyCFunction)(void (*)(void))BTB_lookup,
+     METH_VARARGS | METH_KEYWORDS,
+     "lookup(pc) -> bool: a hit becomes the set's most recent entry."},
+    {"insert", (PyCFunction)(void (*)(void))BTB_insert,
+     METH_VARARGS | METH_KEYWORDS,
+     "insert(pc): most recent; a full set evicts its least recent."},
+    {"state", BTB_state, METH_NOARGS,
+     "state() -> per set, its PCs from least to most recent."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef BTB_getset[] = {
+    I64_FIELD(BTBN, hits, "Lookups that hit."),
+    I64_FIELD(BTBN, misses, "Lookups that missed."),
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject BTB_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.BTB",
+    .tp_doc = "BTB(entries=256, assoc=4) as a native table, each set in "
+              "recency order.",
+    .tp_basicsize = sizeof(BTBN),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = BTB_new,
+    .tp_dealloc = BTB_dealloc,
+    .tp_methods = BTB_methods,
+    .tp_getset = BTB_getset,
+};
+
+#undef I64_FIELD
+
+/* ------------------------------------------------------------------ */
+/* LLSR.commit and commit_zeros over the register's slots              */
+/* ------------------------------------------------------------------ */
+
+/* An exact LLSR's ring, read from its slots (the objects borrowed). */
+typedef struct {
+    long long length, filled, total, last_one, head;
+    PyObject *bits, *pcs, *measured, *on_measure;
+} Ring;
+
+/* Load R from llsr: 1, or 0 when the state is not what the Python class
+ * builds (nothing touched: the caller runs the Python method). */
+static int ring_load(PyObject *llsr, Ring *R)
+{
+    if (!slot_fits(llsr, OFF.ll_length, &R->length)
+        || !slot_fits(llsr, OFF.ll_filled, &R->filled)
+        || !slot_fits(llsr, OFF.ll_total, &R->total)
+        || !slot_fits(llsr, OFF.ll_last_one_total, &R->last_one)
+        || !slot_fits(llsr, OFF.ll_head, &R->head))
+        return 0;
+    R->bits = SLOT(llsr, OFF.ll_bits);
+    R->pcs = SLOT(llsr, OFF.ll_pcs);
+    R->measured = SLOT(llsr, OFF.ll_measured);
+    R->on_measure = SLOT(llsr, OFF.ll_on_measure);
+    long long length = R->length;
+    return length >= 2 && length < SAFE_MAX
+        && R->filled >= 0 && R->filled <= length
+        && R->total >= 0 && R->total < SAFE_MAX
+        && R->last_one >= 0 && R->last_one < SAFE_MAX
+        && R->head >= 0 && R->head < length
+        && R->bits != NULL && PyList_CheckExact(R->bits)
+        && PyList_GET_SIZE(R->bits) == length
+        && R->pcs != NULL && PyList_CheckExact(R->pcs)
+        && PyList_GET_SIZE(R->pcs) == length
+        && R->measured != NULL && PyList_CheckExact(R->measured)
+        && R->on_measure != NULL;
+}
+
+/* The native predictors a measurement of ts's LLSR trains in C: both
+ * set when on_measure is ts's own ThreadState._train_mlp and ts's
+ * mlp_pred and binary_mlp are native; else both NULL (on_measure runs). */
+typedef struct {
+    MLPDist *dist;
+    BinMLP *bin;
+} Trainer;
+
+static void trainer_of(PyObject *ts, PyObject *on_measure, Trainer *T)
+{
+    T->dist = NULL;
+    T->bin = NULL;
+    if (ts == NULL || !PyMethod_Check(on_measure)
+        || PyMethod_GET_SELF(on_measure) != ts
+        || !PyObject_TypeCheck(ts, g.ts_type))
+        return;
+    PyObject *own = PyDict_GetItem(g.ts_type->tp_dict, g.s_train_mlp);
+    PyObject *dist = SLOT(ts, OFF.ts_mlp_pred);
+    PyObject *bin = SLOT(ts, OFF.ts_binary_mlp);
+    if (own == NULL || PyMethod_GET_FUNCTION(on_measure) != own
+        || dist == NULL || !Py_IS_TYPE(dist, &MLPDist_Type)
+        || bin == NULL || !Py_IS_TYPE(bin, &BinMLP_Type))
+        return;
+    T->dist = (MLPDist *)dist;
+    T->bin = (BinMLP *)bin;
+}
+
+/* A 1 leaving the head at `distance`: log (head_pc, distance) in
+ * measured, then train (on_measure, or T's predictors in C). */
+static int ring_measure(const Ring *R, const Trainer *T, PyObject *head_pc,
+                        long long distance)
+{
+    PyObject *d = box_ll(distance);
+    if (d == NULL)
+        return -1;
+    PyObject *pair = PyTuple_Pack(2, head_pc, d);
+    int bad = pair == NULL || PyList_Append(R->measured, pair) < 0;
+    Py_XDECREF(pair);
+    if (!bad && R->on_measure != Py_None) {
+        long long pc;
+        if (T->dist != NULL && obj_fits(head_pc, &pc)) {
+            bad = mlpdist_train(T->dist, pc, distance) < 0;
+            if (!bad)
+                binmlp_train(T->bin, pc, distance);
+        } else {
+            PyObject *margs[2] = {head_pc, d};
+            PyObject *r = PyObject_Vectorcall(R->on_measure, margs, 2, NULL);
+            bad = r == NULL;
+            Py_XDECREF(r);
+        }
+    }
+    Py_DECREF(d);
+    return bad ? -1 : 0;
+}
+
 /* repro.predictors.llsr.LLSR.commit_zeros, transliterated: k zero-bit
- * commits, firing on_measure for every 1 that exits the head, in order.
- * Returns 1 when done, 0 when the register's state is not what the
+ * commits, measuring every 1 that exits the head, in order.  `ts` (or
+ * NULL) is the thread whose predictors the measurements may train in
+ * C.  Returns 1 when done, 0 when the register's state is not what the
  * Python class builds (nothing touched: the caller runs the Python
  * method), -1 on error. */
-static int llsr_zeros_c(PyObject *llsr, long long k)
+static int llsr_zeros_c(PyObject *llsr, PyObject *ts, long long k)
 {
-    long long length, filled, total, last_one, head;
-    if (!slot_fits(llsr, OFF.ll_length, &length)
-        || !slot_fits(llsr, OFF.ll_filled, &filled)
-        || !slot_fits(llsr, OFF.ll_total, &total)
-        || !slot_fits(llsr, OFF.ll_last_one_total, &last_one)
-        || !slot_fits(llsr, OFF.ll_head, &head))
+    Ring R;
+    if (!ring_load(llsr, &R) || k < 0 || k >= SAFE_MAX)
         return 0;
-    PyObject *bits = SLOT(llsr, OFF.ll_bits);
-    PyObject *pcs = SLOT(llsr, OFF.ll_pcs);
-    PyObject *measured = SLOT(llsr, OFF.ll_measured);
-    PyObject *on_measure = SLOT(llsr, OFF.ll_on_measure);
-    if (length < 2 || length >= SAFE_MAX || k < 0 || k >= SAFE_MAX
-        || filled < 0 || filled > length || total < 0 || total >= SAFE_MAX
-        || last_one < 0 || last_one >= SAFE_MAX
-        || head < 0 || head >= length
-        || bits == NULL || !PyList_CheckExact(bits)
-        || PyList_GET_SIZE(bits) != length
-        || pcs == NULL || !PyList_CheckExact(pcs)
-        || PyList_GET_SIZE(pcs) != length
-        || measured == NULL || !PyList_CheckExact(measured)
-        || on_measure == NULL)
-        return 0;
-    if (filled < length) {
-        long long take = length - filled;
+    long long length = R.length, total = R.total, head = R.head;
+    long long last_one = R.last_one;
+    if (R.filled < length) {
+        long long take = length - R.filled;
         if (take > k)
             take = k;
-        if (slot_store_ll(llsr, OFF.ll_filled, filled + take) < 0
+        if (slot_store_ll(llsr, OFF.ll_filled, R.filled + take) < 0
             || slot_store_ll(llsr, OFF.ll_total, total + take) < 0)
             return -1;
         total += take;
@@ -352,49 +1353,34 @@ static int llsr_zeros_c(PyObject *llsr, long long k)
     k -= tail;
     /* the hook may rebind the register's attributes: hold what the
      * Python body holds as locals */
-    Py_INCREF(bits);
-    Py_INCREF(pcs);
-    Py_INCREF(measured);
-    Py_INCREF(on_measure);
+    Py_INCREF(R.bits);
+    Py_INCREF(R.pcs);
+    Py_INCREF(R.measured);
+    Py_INCREF(R.on_measure);
+    Trainer T;
+    trainer_of(ts, R.on_measure, &T);
     int rc = -1;
     for (long long i = 0; i < k; i++) {
         total += 1;
-        if (head >= PyList_GET_SIZE(bits) || head >= PyList_GET_SIZE(pcs)) {
+        if (head >= PyList_GET_SIZE(R.bits)
+            || head >= PyList_GET_SIZE(R.pcs)) {
             PyErr_SetString(PyExc_IndexError, "LLSR ring resized");
             goto done;
         }
-        int set = PyObject_IsTrue(PyList_GET_ITEM(bits, head));
+        int set = PyObject_IsTrue(PyList_GET_ITEM(R.bits, head));
         if (set < 0)
             goto done;
         if (set) {
-            PyObject *head_pc = PyList_GET_ITEM(pcs, head);
-            Py_INCREF(head_pc);
+            PyObject *head_pc = Py_NewRef(PyList_GET_ITEM(R.pcs, head));
             Py_INCREF(g.small_ints[0]);
-            lset(bits, head, g.small_ints[0]);
+            lset(R.bits, head, g.small_ints[0]);
             Py_INCREF(g.neg_one);
-            lset(pcs, head, g.neg_one);
+            lset(R.pcs, head, g.neg_one);
             long long distance = last_one - total + length;
-            if (distance < 0)
-                distance = 0;
-            PyObject *d = box_ll(distance);
-            if (d == NULL) {
-                Py_DECREF(head_pc);
-                goto done;
-            }
-            PyObject *pair = PyTuple_Pack(2, head_pc, d);
-            int bad = pair == NULL || PyList_Append(measured, pair) < 0;
-            Py_XDECREF(pair);
-            if (!bad && on_measure != Py_None) {
-                PyObject *margs[2] = {head_pc, d};
-                PyObject *r = PyObject_Vectorcall(on_measure, margs, 2,
-                                                  NULL);
-                if (r == NULL)
-                    bad = 1;
-                Py_XDECREF(r);
-            }
-            Py_DECREF(d);
+            int bad = ring_measure(&R, &T, head_pc,
+                                   distance < 0 ? 0 : distance);
             Py_DECREF(head_pc);
-            if (bad)
+            if (bad < 0)
                 goto done;
         }
         head += 1;
@@ -410,11 +1396,74 @@ static int llsr_zeros_c(PyObject *llsr, long long k)
         goto done;
     rc = 1;
 done:
-    Py_DECREF(bits);
-    Py_DECREF(pcs);
-    Py_DECREF(measured);
-    Py_DECREF(on_measure);
+    Py_DECREF(R.bits);
+    Py_DECREF(R.pcs);
+    Py_DECREF(R.measured);
+    Py_DECREF(R.on_measure);
     return rc;
+}
+
+/* repro.predictors.llsr.LLSR.commit(True, pc, dependent), transliterated
+ * (the commit stage's long-latency shift); returns as llsr_zeros_c. */
+static int llsr_one_c(PyObject *llsr, PyObject *ts, PyObject *pc,
+                      int dependent)
+{
+    Ring R;
+    long long suppressed = 0;
+    if (!ring_load(llsr, &R))
+        return 0;
+    int insert = 1;
+    if (dependent) {
+        PyObject *exclude = SLOT(llsr, OFF.ll_exclude_dependent);
+        if (exclude != Py_True && exclude != Py_False)
+            return 0;
+        if (exclude == Py_True) {
+            if (!slot_fits(llsr, OFF.ll_suppressed, &suppressed)
+                || suppressed >= SAFE_MAX)
+                return 0;
+            insert = 0;
+        }
+    }
+    long long total = R.total + 1;
+    long long last_one = insert ? total : R.last_one;
+    if ((!insert
+         && slot_store_ll(llsr, OFF.ll_suppressed, suppressed + 1) < 0)
+        || slot_store_ll(llsr, OFF.ll_total, total) < 0
+        || (insert
+            && slot_store_ll(llsr, OFF.ll_last_one_total, last_one) < 0))
+        return -1;
+    PyObject *bit = g.small_ints[insert];
+    PyObject *bit_pc = insert ? pc : g.neg_one;
+    if (R.filled < R.length) {
+        Py_INCREF(bit);
+        lset(R.bits, R.filled, bit);
+        Py_INCREF(bit_pc);
+        lset(R.pcs, R.filled, bit_pc);
+        return slot_store_ll(llsr, OFF.ll_filled, R.filled + 1) < 0 ? -1 : 1;
+    }
+    long long head = R.head;
+    int head_bit = PyObject_IsTrue(PyList_GET_ITEM(R.bits, head));
+    if (head_bit < 0)
+        return -1;
+    PyObject *head_pc = Py_NewRef(PyList_GET_ITEM(R.pcs, head));
+    Py_INCREF(bit);
+    lset(R.bits, head, bit);
+    Py_INCREF(bit_pc);
+    lset(R.pcs, head, bit_pc);
+    int rc = slot_store_ll(llsr, OFF.ll_head,
+                           head + 1 < R.length ? head + 1 : 0);
+    if (rc == 0 && head_bit) {
+        long long distance = last_one - total + R.length;
+        Trainer T;
+        trainer_of(ts, R.on_measure, &T);
+        Py_INCREF(R.measured);
+        Py_INCREF(R.on_measure);
+        rc = ring_measure(&R, &T, head_pc, distance < 0 ? 0 : distance);
+        Py_DECREF(R.measured);
+        Py_DECREF(R.on_measure);
+    }
+    Py_DECREF(head_pc);
+    return rc < 0 ? -1 : 1;
 }
 
 /* Shift ts's k staged zero commits into its LLSR, clearing the stage:
@@ -427,7 +1476,7 @@ static int llsr_commit_zeros(PyObject *ts, long long k)
         return -1;
     PyObject *llsr = SLOT(ts, OFF.ts_llsr);
     if (llsr != NULL && Py_TYPE(llsr) == g.llsr_type) {
-        int rc = llsr_zeros_c(llsr, k);
+        int rc = llsr_zeros_c(llsr, ts, k);
         if (rc != 0)
             return rc < 0 ? -1 : 0;
     }
@@ -437,6 +1486,25 @@ static int llsr_commit_zeros(PyObject *ts, long long k)
     PyObject *r = PyObject_CallOneArg(SLOT(ts, OFF.ts_llsr_commit_zeros),
                                       kb);
     Py_DECREF(kb);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Shift a committed long-latency load of ts into its LLSR: in C on an
+ * exact LLSR, else ts.llsr_commit(True, pc, dependent). */
+static int llsr_commit_ll(PyObject *ts, PyObject *pc, int dependent)
+{
+    PyObject *llsr = SLOT(ts, OFF.ts_llsr);
+    if (llsr != NULL && Py_TYPE(llsr) == g.llsr_type) {
+        int rc = llsr_one_c(llsr, ts, pc, dependent);
+        if (rc != 0)
+            return rc < 0 ? -1 : 0;
+    }
+    PyObject *args[3] = {Py_True, pc, dependent ? Py_True : Py_False};
+    PyObject *r = PyObject_Vectorcall(SLOT(ts, OFF.ts_llsr_commit), args, 3,
+                                      NULL);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
@@ -760,16 +1828,6 @@ static inline int64_t floordiv(int64_t a, int64_t b)
 {
     int64_t q = a / b;
     return (a % b != 0 && a < 0) ? q - 1 : q;
-}
-
-/* A Python int argument as int64 (TypeError / OverflowError). */
-static inline int int64_arg(PyObject *o, int64_t *out)
-{
-    long long v = PyLong_AsLongLong(o);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    *out = v;
-    return 0;
 }
 
 /* An int64 -> int64 hash map: open addressing, linear probing, deletion
@@ -2069,24 +3127,6 @@ done:
     return out;
 }
 
-static PyObject *Mem_get_int(PyObject *self, void *off)
-{
-    return PyLong_FromLongLong(*(int64_t *)((char *)self + (size_t)off));
-}
-
-static int Mem_set_int(PyObject *self, PyObject *value, void *off)
-{
-    int64_t v;
-    if (value == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "cannot delete a counter");
-        return -1;
-    }
-    if (int64_arg(value, &v) < 0)
-        return -1;
-    *(int64_t *)((char *)self + (size_t)off) = v;
-    return 0;
-}
-
 static PyObject *Mem_get_obj(PyObject *self, void *off)
 {
     PyObject *v = *(PyObject **)((char *)self + (size_t)off);
@@ -2115,7 +3155,7 @@ static PyObject *Mem_get_ll_count(PyObject *self, void *Py_UNUSED(closure))
     return PyLong_FromSsize_t(l != NULL ? PyList_GET_SIZE(l) : 0);
 }
 
-#define MEM_INT(name) {#name, Mem_get_int, Mem_set_int, NULL, \
+#define MEM_INT(name) {#name, get_i64, set_i64, NULL, \
                        (void *)offsetof(Mem, name)}
 
 static PyGetSetDef Mem_getset[] = {
@@ -2592,6 +3632,7 @@ typedef struct {
         int_rename_regs, fp_rename_regs, num_int_alu, num_ldst, num_fp;
     int fast_forward, fetch_order_is_base, can_fetch_one, track_dep;
     Mem *mem;               /* owned: core.hierarchy when it is native */
+    long long pc_origin[MAX_THREADS];   /* each thread's pc_origin */
 } Ctx;
 
 
@@ -2998,13 +4039,9 @@ static int stage_commit(Ctx *c, long long cycle)
                 if (llsr_commit_zeros(ts, slot_ll(ts, OFF.ts_llsr_zeros))
                     < 0)
                     return -1;
-                PyObject *args[3] = {Py_True, SLOT(instr, OFF.in_pc),
-                                     dependent ? Py_True : Py_False};
-                PyObject *r = PyObject_Vectorcall(
-                    SLOT(ts, OFF.ts_llsr_commit), args, 3, NULL);
-                if (r == NULL)
+                if (llsr_commit_ll(ts, SLOT(instr, OFF.in_pc), dependent)
+                    < 0)
                     return -1;
-                Py_DECREF(r);
             } else if (stat_add(ts, OFF.ts_llsr_zeros, 1) < 0) {
                 return -1;
             }
@@ -3142,11 +4179,20 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
     PyObject *stats = SLOT(ts, OFF.ts_stats);
     if (stat_add(stats, OFF.st_loads_executed, 1) < 0)
         goto out;
-    PyObject *targs[2] = {SLOT(instr, OFF.in_pc), is_ll ? Py_True : Py_False};
-    PyObject *r = call_method(SLOT(ts, OFF.ts_lll_pred), g.s_train, targs, 2);
-    if (r == NULL)
-        goto out;
-    Py_DECREF(r);
+    PyObject *lll = SLOT(ts, OFF.ts_lll_pred);
+    if (lll != NULL && Py_IS_TYPE(lll, &MissPat_Type)) {
+        int64_t pc;
+        if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0)
+            goto out;
+        misspat_train((MissPat *)lll, pc, is_ll);
+    } else {
+        PyObject *targs[2] = {SLOT(instr, OFF.in_pc),
+                              is_ll ? Py_True : Py_False};
+        PyObject *r = call_method(lll, g.s_train, targs, 2);
+        if (r == NULL)
+            goto out;
+        Py_DECREF(r);
+    }
     PyObject *predicted = A->pred_ll[s];
     if (predicted != NULL) {
         int pred = PyObject_IsTrue(predicted);
@@ -3534,8 +4580,113 @@ static long long instr_flags_c(PyObject *instr)
     return flags;
 }
 
+/* A fetch burst's thread registers: fetch_index, icount and
+ * last_ifetch_line (about 2**42) live in C locals for the burst, so no
+ * fetched instruction boxes or unboxes them.  They go to their slots
+ * before every Python call inside the burst and at its end; after a
+ * call a register is read again only when its slot holds another
+ * object than the one last synced (which the register keeps alive, so
+ * a changed slot cannot alias it). */
+enum { R_INDEX, R_ICOUNT, R_LINE, N_REGS };
+
+typedef struct {
+    long long v[N_REGS];
+    PyObject *obj[N_REGS];      /* owned: the slot's object at the sync */
+    Py_ssize_t off[N_REGS];
+    int dirty;                  /* bit i: v[i] is newer than its slot */
+} Regs;
+
+static int regs_load(PyObject *ts, Regs *R)
+{
+    R->off[R_INDEX] = OFF.ts_fetch_index;
+    R->off[R_ICOUNT] = OFF.ts_icount;
+    R->off[R_LINE] = OFF.ts_last_ifetch_line;
+    R->dirty = 0;
+    for (int i = 0; i < N_REGS; i++) {
+        R->obj[i] = Py_NewRef(SLOT(ts, R->off[i]));
+        R->v[i] = ll_of(R->obj[i]);
+    }
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+static inline void regs_set(Regs *R, int i, long long v)
+{
+    R->v[i] = v;
+    R->dirty |= 1 << i;
+}
+
+static int regs_store(PyObject *ts, Regs *R)
+{
+    for (int i = 0; R->dirty && i < N_REGS; i++) {
+        if (!(R->dirty & (1 << i)))
+            continue;
+        PyObject *b = box_ll(R->v[i]);
+        if (b == NULL)
+            return -1;
+        R->dirty &= ~(1 << i);
+        Py_INCREF(b);
+        slot_store(ts, R->off[i], b);
+        Py_SETREF(R->obj[i], b);
+    }
+    return 0;
+}
+
+static int regs_reload(PyObject *ts, Regs *R)
+{
+    for (int i = 0; i < N_REGS; i++) {
+        PyObject *o = SLOT(ts, R->off[i]);
+        if (o == R->obj[i])
+            continue;
+        long long v = PyLong_AsLongLong(o);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        Py_SETREF(R->obj[i], Py_NewRef(o));
+        R->v[i] = v;
+    }
+    return 0;
+}
+
+static void regs_release(Regs *R)
+{
+    for (int i = 0; i < N_REGS; i++)
+        Py_CLEAR(R->obj[i]);
+}
+
+/* A Python call inside a burst: fn(*args), or fn.name(*args) when
+ * `name` is set, with the registers synced around it. */
+static PyObject *burst_call(PyObject *ts, Regs *R, PyObject *fn,
+                            PyObject *name, PyObject *const *args,
+                            Py_ssize_t n)
+{
+    if (regs_store(ts, R) < 0)
+        return NULL;
+    PyObject *r = name != NULL ? call_method(fn, name, args, n)
+        : PyObject_Vectorcall(fn, args, (size_t)n, NULL);
+    if (r != NULL && regs_reload(ts, R) < 0)
+        Py_CLEAR(r);
+    return r;
+}
+
+static int burst_hook(Arena *A, PyObject *hook, Py_ssize_t s, PyObject *ts,
+                      Regs *R)
+{
+    if (regs_store(ts, R) < 0 || call_hook(A, hook, s, ts) < 0)
+        return -1;
+    return regs_reload(ts, R);
+}
+
+/* ts.allowed_end into *has / *end (re-read after a hook). */
+static inline void read_allowed_end(PyObject *ts, int *has, long long *end)
+{
+    PyObject *ae = SLOT(ts, OFF.ts_allowed_end);
+    *has = ae != Py_None;
+    *end = *has ? ll_of(ae) : 0;
+}
+
 /* One thread's fetch burst (SMTCore._fetch_thread over the arena);
- * returns the fetch count, or -1 on error. */
+ * returns the fetch count, or -1 on error.  The load predictor, gshare
+ * and the BTB run in C when they are native (else their methods are
+ * called). */
 static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                                 long long cycle, PyObject *cycle_obj,
                                 int ignore_stall)
@@ -3557,202 +4708,216 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                             || PyList_GET_SIZE(dyn) != body_len))
             dyn = NULL;
     }
-    long long pc_origin = slot_ll(ts, OFF.ts_pc_origin);
+    long long tid = slot_ll(ts, OFF.ts_tid);
+    long long pc_origin = tid >= 0 && tid < c->n_threads
+            && tid < MAX_THREADS && PyTuple_GET_ITEM(c->threads, tid) == ts
+        ? c->pc_origin[tid] : slot_ll(ts, OFF.ts_pc_origin);
     PyObject *on_fetch = SLOT(core, OFF.policy_on_fetch);
     PyObject *on_fetch_load = SLOT(core, OFF.policy_on_fetch_load);
     SlotSeq *fe_queue = seq_of(ts, OFF.ts_fe_queue);
     if (fe_queue == NULL)
         return -1;
     long long fe_ready = cycle + c->frontend_depth;
-    long long tid = slot_ll(ts, OFF.ts_tid);
     long long gseq = slot_ll(core, OFF.gseq);
-    PyObject *ae = SLOT(ts, OFF.ts_allowed_end);
-    int has_allowed = ae != Py_None;
-    long long allowed_end = has_allowed ? ll_of(ae) : 0;
+    int has_allowed;
+    long long allowed_end;
+    read_allowed_end(ts, &has_allowed, &allowed_end);
     long long count = 0;
-    int fe_was_empty = fe_queue->n == 0;
     long long limit = c->fe_capacity - fe_queue->n;
     if (budget < limit)
         limit = budget;
+    PyObject *instr = NULL;     /* owned for the instruction's iteration */
+    Regs R;
+    if (regs_load(ts, &R) < 0)
+        goto fail;
     while (count < limit) {
-        long long fetch_index = slot_ll(ts, OFF.ts_fetch_index);
+        long long fetch_index = R.v[R_INDEX];
         if (!ignore_stall && has_allowed && fetch_index > allowed_end)
             break;
-        PyObject *instr = Py_None;
-        PyObject *instr_ref = NULL;   /* owned when built or fetched */
-        long long flags = 0;
-        Py_ssize_t i = 0;
-        int built = 0;
+        long long flags;
+        int fixed = 0;
         if (trace_static != Py_None) {
-            i = (Py_ssize_t)(fetch_index % body_len);
-            instr = PyList_GET_ITEM(trace_static, i);
-            if (instr != Py_None)
+            /* floor modulo: a flush may rewind the index below 0 */
+            Py_ssize_t i = (Py_ssize_t)py_mod(fetch_index, body_len);
+            PyObject *static_instr = PyList_GET_ITEM(trace_static, i);
+            if ((fixed = static_instr != Py_None)) {
+                instr = Py_NewRef(static_instr);
                 flags = ll_of(PyList_GET_ITEM(trace_flags, i));
-            else if (dyn != NULL && (built = trace_dyn(
-                         PyList_GET_ITEM(dyn, i), fetch_index / body_len,
-                         &instr_ref)) < 0)
-                return -1;
-        }
-        if (instr == Py_None) {
-            if (!built) {
-                PyObject *fi = box_ll(fetch_index);
-                if (fi == NULL)
-                    return -1;
-                instr_ref = PyObject_CallOneArg(trace_get, fi);
-                Py_DECREF(fi);
-                if (instr_ref == NULL)
-                    return -1;
+            } else if (dyn != NULL && trace_dyn(PyList_GET_ITEM(dyn, i),
+                                                floordiv(fetch_index,
+                                                         body_len),
+                                                &instr) < 0) {
+                goto fail;
             }
-            instr = instr_ref;
-            flags = instr_flags_c(instr);
         }
-        long long pc_addr = pc_origin + slot_ll(instr, OFF.in_pc) * 4;
+        if (instr == NULL) {
+            PyObject *fi = box_ll(fetch_index);
+            if (fi == NULL)
+                goto fail;
+            instr = burst_call(ts, &R, trace_get, NULL, &fi, 1);
+            Py_DECREF(fi);
+            if (instr == NULL)
+                goto fail;
+        }
+        if (!fixed)
+            flags = instr_flags_c(instr);
+        long long pc = slot_ll(instr, OFF.in_pc);
+        long long pc_addr = pc_origin + pc * 4;
         long long line = pc_addr >> c->line_shift;
-        if (line != slot_ll(ts, OFF.ts_last_ifetch_line)) {
+        if (line != R.v[R_LINE]) {
             int64_t done;
             if (c->mem != NULL) {
                 if (mem_ifetch(c->mem, pc_addr, cycle, &done) < 0)
-                    goto fail_instr;
+                    goto fail;
             } else {
                 PyObject *pa = box_ll(pc_addr);
                 if (pa == NULL)
-                    goto fail_instr;
-                PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa,
-                                      cycle_obj};
-                PyObject *done_obj = PyObject_Vectorcall(
-                    SLOT(core, OFF.hier_ifetch), iargs, 3, NULL);
+                    goto fail;
+                PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa, cycle_obj};
+                PyObject *done_obj = burst_call(
+                    ts, &R, SLOT(core, OFF.hier_ifetch), NULL, iargs, 3);
                 Py_DECREF(pa);
                 if (done_obj == NULL)
-                    goto fail_instr;
+                    goto fail;
                 done = ll_of(done_obj);
                 Py_DECREF(done_obj);
             }
-            if (slot_store_ll(ts, OFF.ts_last_ifetch_line, line) < 0)
-                goto fail_instr;
+            regs_set(&R, R_LINE, line);
             if (done > cycle) {
-                if (slot_store_ll(ts, OFF.ts_fetch_blocked_until,
-                                  done) < 0)
-                    goto fail_instr;
-                Py_XDECREF(instr_ref);
+                if (slot_store_ll(ts, OFF.ts_fetch_blocked_until, done) < 0)
+                    goto fail;
                 break;
             }
         }
         gseq += 1;
         if (A->free.n == 0 && arena_grow(A) < 0)
-            goto fail_instr;
+            goto fail;
         /* the popped slot is pristine: only the varying columns are
          * written (see the arena contract in cext.py) */
         Py_ssize_t s = (Py_ssize_t)A->free.v[--A->free.n];
         ocol_set(A->instr, s, instr);
-        Py_XDECREF(instr_ref);
         A->thread[s] = tid;
         A->seq[s] = fetch_index;
         A->gseq[s] = gseq;
         A->fe_ready[s] = fe_ready;
         A->flags[s] = flags;
-        if (sq_push(fe_queue, s) < 0
-            || slot_store_ll(ts, OFF.ts_fetch_index, fetch_index + 1) < 0
-            || stat_add(ts, OFF.ts_icount, 1) < 0)
-            return -1;
+        if (sq_push(fe_queue, s) < 0)
+            goto fail;
+        regs_set(&R, R_INDEX, fetch_index + 1);
+        regs_set(&R, R_ICOUNT, R.v[R_ICOUNT] + 1);
         count += 1;
-        /* instr stays alive in the arena's column from here on */
         if (flags & F_IS_LOAD) {
-            PyObject *p = PyObject_CallOneArg(
-                SLOT(ts, OFF.ts_lll_predict), SLOT(instr, OFF.in_pc));
-            if (p == NULL)
-                return -1;
-            ocol_set(A->pred_ll, s, p);
-            Py_DECREF(p);
+            PyObject *predict = SLOT(ts, OFF.ts_lll_predict);
+            MissPat *P = native_predict_of(predict);
+            if (P != NULL) {
+                ocol_set(A->pred_ll, s,
+                         misspat_predict(P, pc) ? Py_True : Py_False);
+            } else {
+                PyObject *parg = SLOT(instr, OFF.in_pc);
+                PyObject *p = burst_call(ts, &R, predict, NULL, &parg, 1);
+                if (p == NULL)
+                    goto fail;
+                ocol_set(A->pred_ll, s, p);
+                Py_DECREF(p);
+            }
             if (on_fetch_load != Py_None) {
-                if (call_hook(A, on_fetch_load, s, ts) < 0)
-                    return -1;
-                ae = SLOT(ts, OFF.ts_allowed_end);   /* hook may update */
-                has_allowed = ae != Py_None;
-                allowed_end = has_allowed ? ll_of(ae) : 0;
+                if (burst_hook(A, on_fetch_load, s, ts, &R) < 0)
+                    goto fail;
+                read_allowed_end(ts, &has_allowed, &allowed_end);
             }
         }
         if (flags & F_IS_BRANCH) {
             PyObject *taken_obj = SLOT(instr, OFF.in_taken);
             int taken = taken_obj == Py_True;
-            PyObject *gargs[3] = {SLOT(instr, OFF.in_pc), taken_obj,
-                                  SLOT(ts, OFF.ts_tid)};
-            PyObject *pr = call_method(SLOT(core, OFF.gshare),
-                                       g.s_update, gargs, 3);
-            if (pr == NULL)
-                return -1;
-            int prediction = PyObject_IsTrue(pr);
-            Py_DECREF(pr);
-            if (prediction < 0)
-                return -1;
+            int prediction;
+            PyObject *gs = SLOT(core, OFF.gshare);
+            if (Py_IS_TYPE(gs, &GShare_Type) && PyBool_Check(taken_obj)) {
+                if (gshare_update((GShareN *)gs, pc, taken, tid,
+                                  &prediction) < 0)
+                    goto fail;
+            } else {
+                PyObject *gargs[3] = {SLOT(instr, OFF.in_pc), taken_obj,
+                                      SLOT(ts, OFF.ts_tid)};
+                PyObject *pr = burst_call(ts, &R, gs, g.s_update, gargs, 3);
+                if (pr == NULL)
+                    goto fail;
+                prediction = PyObject_IsTrue(pr);
+                Py_DECREF(pr);
+                if (prediction < 0)
+                    goto fail;
+            }
             int target_known = 1;
             if (taken) {
-                PyObject *largs[1] = {SLOT(instr, OFF.in_pc)};
-                PyObject *r = call_method(SLOT(core, OFF.btb),
-                                          g.s_lookup, largs, 1);
-                if (r == NULL)
-                    return -1;
-                target_known = PyObject_IsTrue(r);
-                Py_DECREF(r);
-                if (target_known < 0)
-                    return -1;
-                r = call_method(SLOT(core, OFF.btb), g.s_insert, largs, 1);
-                if (r == NULL)
-                    return -1;
-                Py_DECREF(r);
+                PyObject *btb = SLOT(core, OFF.btb);
+                if (Py_IS_TYPE(btb, &BTB_Type)) {
+                    target_known = btb_access((BTBN *)btb, pc, 1, 1);
+                } else {
+                    PyObject *largs[1] = {SLOT(instr, OFF.in_pc)};
+                    PyObject *r = burst_call(ts, &R, btb, g.s_lookup, largs,
+                                             1);
+                    if (r == NULL)
+                        goto fail;
+                    target_known = PyObject_IsTrue(r);
+                    Py_DECREF(r);
+                    if (target_known < 0)
+                        goto fail;
+                    r = burst_call(ts, &R, btb, g.s_insert, largs, 1);
+                    if (r == NULL)
+                        goto fail;
+                    Py_DECREF(r);
+                }
             }
             if (prediction != taken || !target_known) {
                 if (slot_store_ll(ts, OFF.ts_waiting_branch, s) < 0
                     || slot_store_ll(ts, OFF.ts_branch_wait_since,
                                      cycle) < 0
                     || (on_fetch != Py_None
-                        && call_hook(A, on_fetch, s, ts) < 0))
-                    return -1;
+                        && burst_hook(A, on_fetch, s, ts, &R) < 0))
+                    goto fail;
                 break;
             }
-            if (on_fetch != Py_None
-                && call_hook(A, on_fetch, s, ts) < 0)
-                return -1;
+            if (on_fetch != Py_None && burst_hook(A, on_fetch, s, ts, &R) < 0)
+                goto fail;
             if (taken)
                 break;   /* a correctly-predicted taken branch ends it */
         } else if (on_fetch != Py_None
-                   && call_hook(A, on_fetch, s, ts) < 0) {
-            return -1;
+                   && burst_hook(A, on_fetch, s, ts, &R) < 0) {
+            goto fail;
         }
-        if (on_fetch != Py_None) {
-            ae = SLOT(ts, OFF.ts_allowed_end);   /* hook may update */
-            has_allowed = ae != Py_None;
-            allowed_end = has_allowed ? ll_of(ae) : 0;
-        }
-        continue;
-    fail_instr:
-        Py_XDECREF(instr_ref);
-        return -1;
+        if (on_fetch != Py_None)
+            read_allowed_end(ts, &has_allowed, &allowed_end);
+        Py_CLEAR(instr);
     }
-    if (slot_store_ll(core, OFF.gseq, gseq) < 0)
-        return -1;
+    Py_CLEAR(instr);
+    if (regs_store(ts, &R) < 0 || slot_store_ll(core, OFF.gseq, gseq) < 0)
+        goto fail;
     if (count) {
         if (stat_add(SLOT(ts, OFF.ts_stats), OFF.st_fetched, count) < 0)
-            return -1;
-        if (fe_was_empty) {
+            goto fail;
+        /* a fresh head where dispatch saw nothing: the queue was empty
+         * when the burst began, or a flush from a hook emptied it (and
+         * cleared the bit) mid-burst */
+        long long fe_mask = slot_ll(core, OFF.fe_mask);
+        if (fe_queue->n && !((fe_mask >> tid) & 1)) {
             if (slot_store_ll(core, OFF.dispatch_wake, 0) < 0
                 || slot_store_ll(core, OFF.stall_latch_until, 0) < 0
-                || slot_store_ll(core, OFF.fe_mask,
-                                 slot_ll(core, OFF.fe_mask)
-                                     | (1LL << tid)) < 0)
-                return -1;
+                || slot_store_ll(core, OFF.fe_mask, fe_mask | (1LL << tid))
+                       < 0)
+                goto fail;
         }
     }
     /* ThreadState._sync_policy_stall acts only when the stall predicate
      * (fetch_index > allowed_end) differs from policy_stalled_flag: call
      * it only then */
     PyObject *ae_now = SLOT(ts, OFF.ts_allowed_end);
-    long long ae_v, fi;
+    long long ae_v;
     int flip = 1;
     if (ae_now == Py_None)
         flip = slot_true(ts, OFF.ts_policy_stalled_flag);
-    else if (obj_fits(ae_now, &ae_v)
-             && slot_fits(ts, OFF.ts_fetch_index, &fi))
-        flip = (fi > ae_v) != slot_true(ts, OFF.ts_policy_stalled_flag);
+    else if (obj_fits(ae_now, &ae_v))
+        flip = (R.v[R_INDEX] > ae_v)
+            != slot_true(ts, OFF.ts_policy_stalled_flag);
+    regs_release(&R);
     if (flip) {
         PyObject *sargs[1] = {cycle_obj};
         PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
@@ -3761,6 +4926,10 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         Py_DECREF(r);
     }
     return count;
+fail:
+    Py_XDECREF(instr);
+    regs_release(&R);
+    return -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -3827,59 +4996,81 @@ static int next_cycle_c(Ctx *c, long long cycle, long long *out)
     return 0;
 }
 
-/* The ``policy_fetch_order(cycle)`` fetch path (shared by the base
- * engine's empty-candidates fallback and non-base policies). */
+/* `a, b = pair` as Python unpacks it: the pair as a list or tuple of
+ * two, whose items stay borrowed from it; NULL with the error set. */
+static PyObject *unpack2(PyObject *pair)
+{
+    PyObject *seq = PySequence_Fast(pair, "cannot unpack a non-iterable "
+                                          "fetch-order pair");
+    Py_ssize_t n = seq == NULL ? 2 : PySequence_Fast_GET_SIZE(seq);
+    if (n > 2)
+        PyErr_SetString(PyExc_ValueError,
+                        "too many values to unpack (expected 2)");
+    else if (n < 2)
+        PyErr_Format(PyExc_ValueError,
+                     "not enough values to unpack (expected 2, got %zd)", n);
+    if (n != 2)
+        Py_CLEAR(seq);
+    return seq;
+}
+
+/* The fetch path of a policy with its own ``fetch_order(cycle)``: the
+ * run loop's ``for ts, ignore_stall in order`` over what it returns. */
 static int fetch_via_policy_order(Ctx *c, long long cycle,
-                                  PyObject *cycle_obj,
-                                  int base_fallback_wake)
+                                  PyObject *cycle_obj)
 {
     PyObject *order = PyObject_CallOneArg(
         SLOT(c->core, OFF.policy_fetch_order), cycle_obj);
     if (order == NULL)
         return -1;
+    int rc = -1;
+    PyObject *it = NULL, *pair;
     int truthy = PyObject_IsTrue(order);
-    if (truthy < 0) {
-        Py_DECREF(order);
-        return -1;
+    if (truthy <= 0) {
+        rc = truthy;
+        goto done;
     }
-    if (truthy) {
-        PyObject *fast = PySequence_Fast(order, "fetch order");
-        if (fast == NULL) {
-            Py_DECREF(order);
-            return -1;
-        }
-        Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-        long long budget = c->fetch_width;
-        long long remaining_threads = c->fetch_max_threads;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            if (remaining_threads == 0 || budget == 0)
-                break;
+    if ((it = PyObject_GetIter(order)) == NULL)
+        goto done;
+    long long budget = c->fetch_width;
+    long long remaining_threads = c->fetch_max_threads;
+    while ((pair = PyIter_Next(it)) != NULL) {
+        PyObject *seq = unpack2(pair);
+        Py_DECREF(pair);
+        if (seq == NULL)
+            goto done;
+        PyObject *ts = PySequence_Fast_GET_ITEM(seq, 0);
+        PyObject *ignore = PySequence_Fast_GET_ITEM(seq, 1);
+        long long cnt = 0;
+        int stop = remaining_threads == 0 || budget == 0;
+        if (!stop) {
             remaining_threads -= 1;
-            PyObject *pair = PySequence_Fast_GET_ITEM(fast, i);
-            PyObject *ts = seq_item(pair, 0);
-            int ignore_stall = PyObject_IsTrue(seq_item(pair, 1));
-            if (ignore_stall < 0)
-                goto fail;
-            long long cnt = fetch_thread_c(c, ts, budget, cycle, cycle_obj,
-                                           ignore_stall);
-            if (cnt < 0)
-                goto fail;
-            budget -= cnt;
-            continue;
-        fail:
-            Py_DECREF(fast);
-            Py_DECREF(order);
-            return -1;
+            int ignore_stall = PyObject_IsTrue(ignore);
+            if (ignore_stall < 0) {
+                cnt = -1;
+            } else if (!PyObject_TypeCheck(ts, g.ts_type)) {
+                PyErr_Format(PyExc_TypeError,
+                             "fetch_order gave a %.200s, not a ThreadState",
+                             Py_TYPE(ts)->tp_name);
+                cnt = -1;
+            } else {
+                cnt = fetch_thread_c(c, ts, budget, cycle, cycle_obj,
+                                     ignore_stall);
+            }
         }
-        Py_DECREF(fast);
-    } else if (base_fallback_wake
-               && slot_store_ll(c->core, OFF.fetch_wake, wake_after(
-                       c, cycle, OFF.ts_fetch_blocked_until)) < 0) {
-        Py_DECREF(order);
-        return -1;
+        Py_DECREF(seq);
+        if (cnt < 0)
+            goto done;
+        if (stop)
+            break;
+        budget -= cnt;
     }
+    if (!PyErr_Occurred())
+        rc = 0;
+done:
+    Py_XDECREF(it);
     Py_DECREF(order);
-    return 0;
+    return rc;
 }
 
 /* Whether ts could fetch at `cycle` (SMTCore.fetchable): 1, 0, or -1. */
@@ -3892,14 +5083,40 @@ static int fetchable(Ctx *c, PyObject *ts, long long cycle)
     return fe == NULL ? -1 : fe->n < c->fe_capacity;
 }
 
-/* The fetch-selection block of the fused loop. */
+/* The fetch-selection block of the fused loop: the base policy's
+ * ICOUNT order over the fetch candidates, or COT when there are none. */
 static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
 {
     if (!c->fetch_order_is_base)
-        return fetch_via_policy_order(c, cycle, cycle_obj, 0);
+        return fetch_via_policy_order(c, cycle, cycle_obj);
     PyObject *candidates = c->fetch_candidates;
-    if (PyList_GET_SIZE(candidates) == 0)
-        return fetch_via_policy_order(c, cycle, cycle_obj, 1);
+    if (PyList_GET_SIZE(candidates) == 0) {
+        /* COT: every thread is policy-stalled; the fetchable one that
+         * stalled first (the first in tid order on a tie) fetches past
+         * its stall */
+        PyObject *oldest = NULL;
+        long long oldest_start = 0;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
+            PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+            int ok = fetchable(c, ts, cycle);
+            if (ok < 0)
+                return -1;
+            long long start = ok ? slot_ll(ts, OFF.ts_stall_start) : 0;
+            if (ok && (oldest == NULL || start < oldest_start)) {
+                oldest = ts;
+                oldest_start = start;
+            }
+        }
+        if (oldest == NULL)
+            return slot_store_ll(c->core, OFF.fetch_wake, wake_after(
+                                     c, cycle, OFF.ts_fetch_blocked_until));
+        /* the run loop's pair loop over a one-entry order */
+        if (c->fetch_max_threads != 0 && c->fetch_width != 0
+            && fetch_thread_c(c, oldest, c->fetch_width, cycle, cycle_obj,
+                              1) < 0)
+            return -1;
+        return 0;
+    }
     PyObject *first = NULL;
     PyObject *rest[MAX_THREADS];
     long long rest_icount[MAX_THREADS];
@@ -4029,7 +5246,11 @@ static int ctx_init(Ctx *c, PyObject *core)
     PyObject *hier = SLOT(core, OFF.hierarchy);
     if (hier != NULL && Py_IS_TYPE(hier, &Mem_Type))
         c->mem = (Mem *)Py_NewRef(hier);
-    return 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads)
+                           && i < MAX_THREADS; i++)
+        c->pc_origin[i] = slot_ll(PyTuple_GET_ITEM(c->threads, i),
+                                  OFF.ts_pc_origin);
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 static void ctx_clear(Ctx *c)
@@ -4039,19 +5260,26 @@ static void ctx_clear(Ctx *c)
     Py_CLEAR(c->mem);
 }
 
-/* The entry points' guard: setup() has run and `want` arguments came. */
-static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
+/* The entry points' guard: setup() has run and `lo` to `hi` arguments
+ * came. */
+static int check_nargs(Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi,
+                       const char *sig)
 {
     if (!g.ready) {
         PyErr_SetString(PyExc_RuntimeError,
                         "_cext_engine.setup() has not run");
         return -1;
     }
-    if (nargs != want) {
+    if (nargs < lo || nargs > hi) {
         PyErr_SetString(PyExc_TypeError, sig);
         return -1;
     }
     return 0;
+}
+
+static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
+{
+    return check_nargs(nargs, want, want, sig);
 }
 
 static PyObject *run_until(PyObject *self, PyObject *const *args,
@@ -5064,6 +6292,8 @@ static const struct OffSpec SPECS[] = {
     O("ts", "lll_pred", ts_lll_pred),
     O("ts", "trace", ts_trace), O("ts", "llsr", ts_llsr),
     O("ts", "policy_stalled_flag", ts_policy_stalled_flag),
+    O("ts", "stall_start", ts_stall_start),
+    O("ts", "mlp_pred", ts_mlp_pred), O("ts", "binary_mlp", ts_binary_mlp),
     O("stats", "fetched", st_fetched), O("stats", "committed", st_committed),
     O("stats", "squashed", st_squashed), O("stats", "flushes", st_flushes),
     O("stats", "loads_executed", st_loads_executed),
@@ -5094,6 +6324,8 @@ static const struct OffSpec SPECS[] = {
     O("llsr", "_last_one_total", ll_last_one_total),
     O("llsr", "_on_measure", ll_on_measure),
     O("llsr", "measured", ll_measured),
+    O("llsr", "exclude_dependent", ll_exclude_dependent),
+    O("llsr", "suppressed", ll_suppressed),
     O("trace", "_dyn", tr_dyn),
 };
 
@@ -5308,6 +6540,7 @@ static PyObject *setup(PyObject *self, PyObject *ns)
                     intern_or_null("on_ll_detect")) == NULL
             || (g.s_cancel_fill = intern_or_null("cancel_fill")) == NULL
             || (g.s_clear_owner = intern_or_null("clear_owner")) == NULL
+            || (g.s_train_mlp = intern_or_null("_train_mlp")) == NULL
             || (g.s_sync_policy_stall =
                     intern_or_null("_sync_policy_stall")) == NULL)
             return NULL;
@@ -5349,25 +6582,63 @@ static PyObject *t_next_cycle(PyObject *self, PyObject *const *args,
     return rc < 0 ? NULL : PyLong_FromLongLong(nxt);
 }
 
-/* _llsr_commit_zeros(llsr, k) -> bool: LLSR.commit_zeros as the commit
- * stage runs it; True when C did the work. */
+/* The optional thread argument of the LLSR test hooks (NULL for None). */
+static PyObject *hook_thread(PyObject *const *args, Py_ssize_t nargs,
+                             Py_ssize_t at)
+{
+    return nargs > at && args[at] != Py_None ? args[at] : NULL;
+}
+
+/* _llsr_commit_zeros(llsr, k, ts=None) -> bool: LLSR.commit_zeros as
+ * the commit stage runs it for thread ts; True when C did the work. */
 static PyObject *t_llsr_commit_zeros(PyObject *self, PyObject *const *args,
                                      Py_ssize_t nargs)
 {
     (void)self;
-    if (check_args(nargs, 2, "_llsr_commit_zeros(llsr, k)") < 0)
+    if (check_nargs(nargs, 2, 3, "_llsr_commit_zeros(llsr, k, ts=None)")
+        < 0)
         return NULL;
     long long k = PyLong_AsLongLong(args[1]);
     if (k == -1 && PyErr_Occurred())
         return NULL;
     int rc = 0;
     if (Py_TYPE(args[0]) == g.llsr_type)
-        rc = llsr_zeros_c(args[0], k);
+        rc = llsr_zeros_c(args[0], hook_thread(args, nargs, 2), k);
     if (rc < 0)
         return NULL;
     if (rc)
         Py_RETURN_TRUE;
     PyObject *r = PyObject_CallMethod(args[0], "commit_zeros", "L", k);
+    if (r == NULL)
+        return NULL;
+    Py_DECREF(r);
+    Py_RETURN_FALSE;
+}
+
+/* _llsr_commit(llsr, pc, dependent, ts=None) -> bool: the commit
+ * stage's long-latency shift, LLSR.commit(True, pc, dependent), for
+ * thread ts; True when C did the work. */
+static PyObject *t_llsr_commit(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    (void)self;
+    if (check_nargs(nargs, 3, 4, "_llsr_commit(llsr, pc, dependent, ts=None)")
+        < 0)
+        return NULL;
+    int dependent = PyObject_IsTrue(args[2]);
+    if (dependent < 0)
+        return NULL;
+    int rc = 0;
+    if (Py_TYPE(args[0]) == g.llsr_type)
+        rc = llsr_one_c(args[0], hook_thread(args, nargs, 3), args[1],
+                        dependent);
+    if (rc < 0)
+        return NULL;
+    if (rc)
+        Py_RETURN_TRUE;
+    PyObject *r = PyObject_CallMethod(args[0], "commit", "OOO", Py_True,
+                                      args[1],
+                                      dependent ? Py_True : Py_False);
     if (r == NULL)
         return NULL;
     Py_DECREF(r);
@@ -5413,6 +6684,8 @@ static PyMethodDef cext_methods[] = {
     {"_llsr_commit_zeros",
      (PyCFunction)(void (*)(void))t_llsr_commit_zeros, METH_FASTCALL,
      "Test hook: the commit stage's LLSR.commit_zeros."},
+    {"_llsr_commit", (PyCFunction)(void (*)(void))t_llsr_commit,
+     METH_FASTCALL, "Test hook: the commit stage's long-latency shift."},
     {"_trace_dyn", (PyCFunction)(void (*)(void))t_trace_dyn, METH_FASTCALL,
      "Test hook: the fetch stage's build of a varying trace slot."},
     {NULL, NULL, 0, NULL},
@@ -5430,7 +6703,10 @@ static struct PyModuleDef cext_module = {
 PyMODINIT_FUNC PyInit__cext_engine(void)
 {
     if (PyType_Ready(&SlotSeq_Type) < 0 || PyType_Ready(&View_Type) < 0
-        || PyType_Ready(&Arena_Type) < 0 || PyType_Ready(&Mem_Type) < 0)
+        || PyType_Ready(&Arena_Type) < 0 || PyType_Ready(&Mem_Type) < 0
+        || PyType_Ready(&MissPat_Type) < 0 || PyType_Ready(&MLPDist_Type) < 0
+        || PyType_Ready(&BinMLP_Type) < 0 || PyType_Ready(&GShare_Type) < 0
+        || PyType_Ready(&BTB_Type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&cext_module);
     if (m == NULL)
@@ -5438,7 +6714,15 @@ PyMODINIT_FUNC PyInit__cext_engine(void)
     if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0
         || PyModule_AddObjectRef(m, "Arena", (PyObject *)&Arena_Type) < 0
         || PyModule_AddObjectRef(m, "SoAView", (PyObject *)&View_Type) < 0
-        || PyModule_AddObjectRef(m, "Hierarchy", (PyObject *)&Mem_Type) < 0) {
+        || PyModule_AddObjectRef(m, "Hierarchy", (PyObject *)&Mem_Type) < 0
+        || PyModule_AddObjectRef(m, "MissPatternPredictor",
+                                 (PyObject *)&MissPat_Type) < 0
+        || PyModule_AddObjectRef(m, "MLPDistancePredictor",
+                                 (PyObject *)&MLPDist_Type) < 0
+        || PyModule_AddObjectRef(m, "BinaryMLPPredictor",
+                                 (PyObject *)&BinMLP_Type) < 0
+        || PyModule_AddObjectRef(m, "GShare", (PyObject *)&GShare_Type) < 0
+        || PyModule_AddObjectRef(m, "BTB", (PyObject *)&BTB_Type) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -7,12 +7,31 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   commit, issue, dispatch and fetch — over :class:`CextCore`'s native
   slot arena (see "The slot arena" below), along with arena growth,
   ``flush_thread``, the ``SoAView`` proxy and the sanitizer's arena
-  check.  It also does three kinds of work whose Python bodies stay the
-  object engine's code and the reference the equivalence tests compare
-  against (``tests/test_cext_paths.py``): the fast-forward target
-  (``SMTCore._next_cycle``); ``LLSR.commit_zeros`` on an exact
-  :class:`~repro.predictors.LLSR`; and the iteration-varying slots of
-  an exact :class:`~repro.workloads.trace.SyntheticTrace`.
+  check.  It also does work whose Python bodies stay the object
+  engine's code and the reference the equivalence tests compare against
+  (``tests/test_cext_paths.py``): the fast-forward target
+  (``SMTCore._next_cycle``); the base policy's fetch order, ICOUNT and
+  COT (``FetchPolicy.fetch_order``); ``LLSR.commit_zeros`` and the
+  long-latency ``LLSR.commit`` on an exact
+  :class:`~repro.predictors.LLSR`, whose measurements train the
+  thread's native MLP predictors in C when its ``on_measure`` is the
+  thread's own ``ThreadState._train_mlp``; and the iteration-varying
+  slots of an exact :class:`~repro.workloads.trace.SyntheticTrace`.
+  A fetch burst keeps the thread's ``fetch_index``, ``icount`` and
+  ``last_ifetch_line`` in C locals, stored back before any Python call
+  inside the burst and read again after it only where the call changed
+  them.
+* The engine's ``GShare``, ``BTB``, ``MissPatternPredictor``,
+  ``MLPDistancePredictor`` and ``BinaryMLPPredictor`` types are the
+  front end's predictors as native tables, with their Python classes'
+  methods, defaults, counters and accuracy helpers
+  (``tests/test_native_predictors.py`` holds each to its class).  A
+  :class:`CextCore` swaps in a native type wherever the object is
+  exactly the default Python class and its sizes fit the table, and
+  rebinds ``ThreadState.lll_predict``; the fetch, issue and commit
+  stages then run them in C.  Any other object (the ``last_value`` and
+  ``two_bit`` kinds, a subclass, a reassigned attribute or
+  ``lll_predict``) runs through its Python methods.
 * The engine's ``Hierarchy`` type is
   :class:`~repro.memory.hierarchy.MemoryHierarchy` as native state
   (caches, TLBs, pending fills, the MSHR heap, stream buffers and their
@@ -28,11 +47,10 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   ``ThreadState``, core, stats and ``Instr`` slots (read and written as
   Python objects; no arena access boxes or allocates), the policy hooks
   (the ``_is_default_hook`` elision applies unchanged, so hook-free
-  configurations never call one), the branch predictor and BTB, the
-  long-latency load predictor, ``LLSR.commit`` for long-latency loads,
-  ``get`` of other trace types, ``ThreadState.clear_owner`` at a flush,
-  and ``ThreadState._sync_policy_stall`` when the stall predicate
-  flips.
+  configurations never call one) and a non-base policy's
+  ``fetch_order``/``fetch_pending``, ``get`` of other trace types,
+  ``ThreadState.clear_owner`` at a flush, and
+  ``ThreadState._sync_policy_stall`` when the stall predicate flips.
 * :class:`CextCore` is an :class:`~repro.pipeline.core.SMTCore`
   subclass that swaps the object engine's records, wheels and ready
   queues for the arena, overrides ``_run_until`` with the compiled loop
@@ -112,6 +130,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
+from repro.branch import BTB, GShare
 from repro.isa import FU_CLASS_BY_OP
 from repro.memory.hierarchy import (
     AccessResult,
@@ -146,6 +165,11 @@ from repro.pipeline.dyninstr import (
 )
 from repro.pipeline.stats import CoreStats, ThreadStats
 from repro.pipeline.thread_state import ThreadState
+from repro.predictors import (
+    BinaryMLPPredictor,
+    MissPatternPredictor,
+    MLPDistancePredictor,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import SMTConfig
@@ -280,6 +304,31 @@ def cext_status() -> str:
         + _state[1]
 
 
+#: The front end's Python predictor classes with a native twin in the
+#: engine (same name), and the constructor arguments that size the twin
+#: like an instance.
+_TWINS: dict[type, Any] = {
+    GShare: lambda p: (p._entries, len(p._history)),
+    BTB: lambda p: (p._num_sets * p._assoc, p._assoc),
+    MissPatternPredictor: lambda p: (p._entries, p._max_count.bit_length()),
+    MLPDistancePredictor: lambda p: (p._entries, p._max_distance),
+    BinaryMLPPredictor: lambda p: (p._entries,),
+}
+
+
+def _native_twin(engine: ModuleType, predictor):
+    """The engine's native type sized like ``predictor``, a fresh instance
+    of exactly one of the ``_TWINS`` classes; ``predictor`` itself for any
+    other object, or when a size does not fit the native table."""
+    sizes = _TWINS.get(type(predictor))
+    if sizes is None:
+        return predictor
+    try:
+        return getattr(engine, type(predictor).__name__)(*sizes(predictor))
+    except (ValueError, OverflowError, MemoryError):
+        return predictor
+
+
 class CextCore(SMTCore):
     """The pipeline state as a native slot arena, driven by the compiled loop.
 
@@ -306,6 +355,8 @@ class CextCore(SMTCore):
             hierarchy = engine.Hierarchy(cfg.memory)
         super().__init__(cfg, traces, policy, hierarchy)
         self._adopt_arena(engine)
+        if engine is not None:
+            self._adopt_native_front_end(engine)
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
@@ -334,6 +385,24 @@ class CextCore(SMTCore):
                 ts.trace_flags = [None if instr is None else
                                   instr_flags(instr)
                                   for instr in ts.trace_static]
+
+    def _adopt_native_front_end(self, engine):
+        """Swap the fresh Python predictors for the engine's native types.
+
+        gshare, the BTB and each thread's long-latency load, MLP-distance
+        and binary-MLP predictors become native wherever they are
+        exactly the default Python class (``_native_twin``), and
+        ``lll_predict`` is rebound to the thread's predictor.  The loop
+        runs a native predictor in C and calls any other object's
+        methods.
+        """
+        self.gshare = _native_twin(engine, self.gshare)
+        self.btb = _native_twin(engine, self.btb)
+        for ts in self.threads:
+            ts.lll_pred = _native_twin(engine, ts.lll_pred)
+            ts.lll_predict = ts.lll_pred.predict
+            ts.mlp_pred = _native_twin(engine, ts.mlp_pred)
+            ts.binary_mlp = _native_twin(engine, ts.binary_mlp)
 
     def detach(self) -> None:
         super().detach()

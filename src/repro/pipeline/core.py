@@ -1195,7 +1195,6 @@ class SMTCore:
         gseq = self._gseq
         allowed_end = ts.allowed_end
         count = 0
-        fe_was_empty = not fe_queue
         limit = self._fe_capacity - len(fe_queue)
         if budget < limit:
             limit = budget
@@ -1280,8 +1279,10 @@ class SMTCore:
         if count:
             # Batched: nothing inside the burst reads the fetched counter.
             ts.stats.fetched += count
-            if fe_was_empty:
-                # A fresh head exists where dispatch saw nothing.
+            if fe_queue and not self._fe_mask >> tid & 1:
+                # A fresh head exists where dispatch saw nothing: the
+                # queue was empty when the burst began, or a flush from
+                # a hook emptied it (and cleared the bit) mid-burst.
                 self._dispatch_wake = 0
                 self._stall_latch_until = 0
                 self._fe_mask |= 1 << tid

@@ -1,14 +1,18 @@
 """The compiled loop's in-C paths, each against its Python reference.
 
-``_cext_engine.c`` does three kinds of work itself whose Python bodies
-stay as the object engine's code and as the reference: the fast-forward
+``_cext_engine.c`` does kinds of work itself whose Python bodies stay
+as the object engine's code and as the reference: the fast-forward
 target (``SMTCore._next_cycle``), ``LLSR.commit_zeros`` and the
-iteration-varying slots of ``SyntheticTrace.get``.  The golden matrix
-and ``test_differential.py`` compare whole runs; the tests here drive
-each path through the module's test hooks (``_trace_dyn``,
-``_llsr_commit_zeros``) and compare it, state for state, with the Python
-body it stands in for.  The native memory model has its own file,
-``test_native_hierarchy.py``.
+long-latency ``LLSR.commit`` (training the thread's native MLP
+predictors for ``ThreadState._train_mlp``), and the iteration-varying
+slots of ``SyntheticTrace.get``.  The golden matrix and
+``test_differential.py`` compare whole runs; the tests here drive each
+path through the module's test hooks (``_trace_dyn``,
+``_llsr_commit_zeros``, ``_llsr_commit``) and compare it, state for
+state, with the Python body it stands in for.  The fetch burst's
+thread registers are checked by a policy whose hook flushes mid-burst.
+The native memory model and predictors have their own files,
+``test_native_hierarchy.py`` and ``test_native_predictors.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import registry
-from repro.config import SMTConfig, scaled_config
+from dataclasses import asdict
+
+from repro.config import PredictorConfig, SMTConfig, scaled_config
 from repro.experiments.runner import trace_for
 from repro.isa import Instr
 from repro.pipeline import cext
@@ -29,7 +35,8 @@ from repro.pipeline.core import (
 )
 from repro.policies import make_policy
 from repro.policies.base import FetchPolicy
-from repro.predictors import LLSR
+from repro.pipeline.thread_state import ThreadState
+from repro.predictors import LLSR, MLPDistancePredictor
 from repro.util import mix64
 from repro.workloads.spec import SlotKind
 from repro.workloads.trace import _CHASE_WALK_MULT
@@ -209,6 +216,74 @@ def test_llsr_without_hook_and_subclass():
         __slots__ = ()
 
     assert engine._llsr_commit_zeros(Sub(4), 3) is False
+    assert engine._llsr_commit(Sub(4), 5, False) is False
+
+
+def _thread(length: int, exclude: bool, native: bool) -> ThreadState:
+    """A ThreadState with an LLSR of ``length`` entries whose on_measure
+    is its own ``_train_mlp``, over native MLP predictors or not."""
+    cfg = scaled_config(num_threads=1, llsr_length_override=length,
+                        predictors=PredictorConfig(dependence_aware=exclude))
+    ts = ThreadState(0, trace_for("mcf", cfg, 0), cfg)
+    if native:
+        ts.mlp_pred = _engine().MLPDistancePredictor(
+            ts.mlp_pred._entries, ts.mlp_pred._max_distance)
+        ts.binary_mlp = _engine().BinaryMLPPredictor(ts.binary_mlp._entries)
+    return ts
+
+
+def _predictors(ts: ThreadState) -> tuple:
+    mlp, binary = ts.mlp_pred, ts.binary_mlp
+    counts = tuple(getattr(mlp, name) for name in (
+        "true_pos", "true_neg", "false_pos", "false_neg", "far_enough",
+        "too_short"))
+    if isinstance(mlp, MLPDistancePredictor):
+        return counts, dict(mlp._table), dict(binary._table)
+    return counts, mlp.state(), binary.state()
+
+
+_pcs = st.one_of(st.integers(0, 50), st.integers(2**20, 2**20 + 50),
+                 st.integers(-2**63, 2**63 - 1))
+_commit_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("commit"), st.booleans(), _pcs, st.booleans()),
+        st.tuples(st.just("zeros"), st.integers(1, 150))),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(2, 64), exclude=st.booleans(),
+       hook=st.sampled_from(("none", "own", "own_python", "other")),
+       ops=_commit_ops)
+def test_llsr_commit_matches_python(length, exclude, hook, ops):
+    """The commit stage's long-latency shift, and the zero runs beside
+    it, against LLSR.commit / commit_zeros: with no on_measure, the
+    thread's own ``_train_mlp`` over native predictors (trained in C) or
+    Python ones, and another callable."""
+    engine = _engine()
+    ref = _thread(length, exclude, native=False)
+    ts = _thread(length, exclude, native=hook != "own_python")
+    calls: tuple[list, list] = ([], [])
+    for t, log in zip((ref, ts), calls):
+        if hook == "none":
+            t.llsr._on_measure = None
+        elif hook == "other":
+            t.llsr._on_measure = lambda pc, d, log=log: log.append((pc, d))
+    for op in ops:
+        if op[0] == "commit":
+            _, is_ll, pc, dependent = op
+            ref.llsr.commit(is_ll, pc, dependent)
+            if is_ll:
+                assert engine._llsr_commit(ts.llsr, pc, dependent, ts) \
+                    is True
+            else:
+                ts.llsr.commit(False, pc, dependent)
+        else:
+            ref.llsr.commit_zeros(op[1])
+            assert engine._llsr_commit_zeros(ts.llsr, op[1], ts) is True
+        assert _llsr_state(ts.llsr) == _llsr_state(ref.llsr)
+        assert _predictors(ts) == _predictors(ref)
+        assert calls[1] == calls[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -251,6 +326,122 @@ def test_fast_forward_target_matches_python(workload, policy):
             and any(ts.window and ts.window[0].completed
                     and ts.window[0].is_store for ts in obj.threads))
     assert store_waits > 5
+
+
+# ---------------------------------------------------------------------- #
+# the fetch burst's registers, reloaded after a flushing hook
+# ---------------------------------------------------------------------- #
+
+class _FlushBack(FetchPolicy):
+    """Flushes the fetching thread back 3 instructions from ``on_fetch``
+    when its front-end queue holds 2 (the one just fetched and one
+    older), at most once per 97 fetched instructions.  The flush empties
+    the queue mid-burst (clearing the thread's front-end bit), the burst
+    fetches on, and the fetch index, icount and I-fetch line change
+    under it."""
+
+    name = "flush_back"
+
+    def __init__(self):
+        super().__init__()
+        self.next_flush = {}
+
+    def on_fetch(self, di, ts):
+        if (len(ts.fe_queue) == 2
+                and ts.fetch_index >= self.next_flush.get(ts.tid, 97)):
+            self.next_flush[ts.tid] = ts.fetch_index + 97
+            self.core.flush_thread(ts, ts.fetch_index - 4)
+
+
+class _Rewind(FetchPolicy):
+    """Flushes each thread to before its first instruction, once: the
+    fetch index goes negative."""
+
+    name = "rewind"
+
+    def __init__(self):
+        super().__init__()
+        self.rewound = set()
+
+    def on_fetch(self, di, ts):
+        if ts.tid not in self.rewound and ts.fetch_index >= 3:
+            self.rewound.add(ts.tid)
+            self.core.flush_thread(ts, -7)
+
+
+def _flush_outcome(cls, policy, workload, commits):
+    cfg = scaled_config(num_threads=2)
+    traces = [trace_for(name, cfg, t) for t, name in enumerate(workload)]
+    core = cls(cfg, traces, policy)
+    core.run(commits, max_cycles=200_000)
+    out = (asdict(core.stats), core.cycle)
+    core.detach()
+    return out
+
+
+@pytest.mark.parametrize("workload", (("mcf", "gzip"), ("gzip", "swim")))
+def test_flush_from_on_fetch_matches_object(workload):
+    """A burst whose hook flushes its own thread: cext (burst registers
+    written before the hook, read again after it) equals the object
+    engine, and neither starves the flushed thread of dispatch (both
+    ran into the cycle limit when the burst's end set the thread's
+    front-end bit only for a queue that was empty at its start)."""
+    want = _flush_outcome(SMTCore, _FlushBack(), workload, 3_000)
+    assert sum(t["flushes"] for t in want[0]["threads"]) > 10
+    assert _flush_outcome(cext.CextCore, _FlushBack(), workload,
+                          3_000) == want
+
+
+def test_flush_to_a_negative_fetch_index_matches_object():
+    """Indexes below 0 wrap into the trace body by floor modulo, as in
+    the object engine (the compiled fetch read outside it)."""
+    want = _flush_outcome(SMTCore, _Rewind(), ("mcf", "gzip"), 2_000)
+    assert _flush_outcome(cext.CextCore, _Rewind(), ("mcf", "gzip"),
+                          2_000) == want
+
+
+class _StallAll(FetchPolicy):
+    """Every 50 cycles stalls every thread in the same cycle (one
+    ``stall_start`` for all) and releases them 20 cycles later, both
+    from ``on_load_complete``: COT must break the tie by tid."""
+
+    name = "stall_all"
+
+    def __init__(self):
+        super().__init__()
+        self.since = None
+        self.next = 50
+
+    def on_load_complete(self, di, ts):
+        cycle = self.core.cycle
+        threads = self.core.threads
+        if self.since is None and cycle >= self.next:
+            self.since = cycle
+            for t in threads:
+                t.set_owner("stall_all", t.fetch_index - 1, cycle)
+        elif self.since is not None and cycle >= self.since + 20:
+            self.since = None
+            self.next = cycle + 50
+            for t in threads:
+                t.clear_owner("stall_all", cycle)
+
+
+@pytest.mark.parametrize("workload", (("mcf", "gzip"),
+                                      ("gzip", "swim", "art", "mcf")))
+def test_cot_matches_object(workload):
+    """The base fetch order's COT branch, computed in C: every thread
+    stalled at once, the first in tid order fetches past its stall."""
+    cfg = scaled_config(num_threads=len(workload))
+    outcome = []
+    for cls in (SMTCore, cext.CextCore):
+        traces = [trace_for(name, cfg, t) for t, name in enumerate(workload)]
+        core = cls(cfg, traces, _StallAll())
+        core.run(2_000, warmup=200)
+        outcome.append((asdict(core.stats), core.cycle))
+        core.detach()
+    assert all(t["policy_stall_cycles"] > 100
+               for t in outcome[0][0]["threads"])
+    assert outcome[1] == outcome[0]
 
 
 class _NeverFetch(FetchPolicy):

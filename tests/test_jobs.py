@@ -4,6 +4,7 @@ result store, and the parallel batch executor."""
 from __future__ import annotations
 
 from dataclasses import asdict, replace
+import errno
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ import repro
 from repro.api import RunSpec
 import repro.api.spec as api_spec
 import repro.config as config_module
+import repro.jobs.store as store_module
 from repro.config import (
     SMTConfig,
     paper_baseline,
@@ -368,6 +370,26 @@ class TestResultStore:
         assert len(store) == 0
         assert store.clear() == 0
         assert store.get(_specs()[0]) is None
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        spec = JobSpec.baseline("gap", CFG, COMMITS, warmup=WARMUP)
+        result = run_jobs([spec], workers=1, store=None)[spec]
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store_module.json, "dump", full_disk)
+        assert store.put(spec, result) is False
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clear_removes_leftover_temp_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = JobSpec.baseline("gap", CFG, COMMITS, warmup=WARMUP)
+        store.put(spec, run_jobs([spec], workers=1, store=None)[spec])
+        (tmp_path / "tmpabc123.tmp").write_text("{half an entr")
+        assert store.clear() == 1        # the entry; the temp file is no entry
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExecutor:
