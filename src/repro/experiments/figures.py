@@ -10,6 +10,7 @@ import sys
 
 from repro.experiments import (
     compare_policies,
+    default_commits,
     default_config,
     memory_latency_sweep,
     summarize_policies,
@@ -113,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:<8} {desc}")
         return 1
     from repro.jobs import counters
-    budget = int(argv[1]) if len(argv) > 1 else 10_000
+    budget = int(argv[1]) if len(argv) > 1 else default_commits()
     fn, desc = TARGETS[argv[0]]
     print(f"== {desc} (budget {budget} instructions/thread) ==")
     before = counters()

@@ -80,7 +80,8 @@ class Instr:
         dest: destination architectural register, or ``None``.
         srcs: source architectural registers (zero register filtered out).
         addr: byte address for loads/stores, else ``None``.
-        taken: resolved branch direction (branches only).
+        taken: resolved branch direction (branches only), stored as a
+            bool: both engines read it as one.
 
     The class-membership flags (``is_load`` .. ``dest_fp``) are plain
     slots computed once here: every in-flight ``DynInstr`` copies them,
@@ -99,7 +100,7 @@ class Instr:
         self.dest = dest
         self.srcs = tuple(s for s in srcs if s != ZERO_REG)
         self.addr = addr
-        self.taken = taken
+        self.taken = bool(taken)
         self.is_load = op is Op.LOAD
         self.is_store = op is Op.STORE
         self.is_branch = op is Op.BRANCH

@@ -19,12 +19,16 @@
  * LLSR.commit_zeros, the long-latency LLSR.commit and the
  * iteration-varying slots of SyntheticTrace are computed here too, on
  * those objects' slots; their Python bodies remain the reference
- * (tests/test_cext_paths.py).  The memory hierarchy and the front end's
- * predictors (gshare, the BTB, the miss-pattern, MLP-distance and
- * binary-MLP predictors) are native state (the Hierarchy type and the
- * predictor types below, held to their Python classes by
- * tests/test_native_hierarchy.py and tests/test_native_predictors.py),
- * so no memory access or prediction enters the interpreter.  The
+ * (tests/test_cext_paths.py).  The memory hierarchy, gshare and the BTB
+ * are native state (the Hierarchy, GShare and BTB types below, held to
+ * their Python classes by tests/test_native_hierarchy.py and
+ * tests/test_native_predictors.py), and the loop runs no other model:
+ * run_until takes the three from the core once per run (a part
+ * reassigned mid-run is not followed) and, like flush for the
+ * hierarchy, raises TypeError for any other object.  CextCore also
+ * builds each thread's miss-pattern, MLP-distance and binary-MLP
+ * predictors as native types wherever their sizes fit; the loop calls
+ * the Python methods of any other load predictor or MLP trainer.  The
  * golden matrix pins the backend bit-exact with the object engine;
  * engine-parity-lint checks that the policy hook call sites here match
  * core.py's set and that SoAView's getset table covers every DynInstr
@@ -83,8 +87,7 @@ typedef struct {
     Py_ssize_t policy_fetch_order, policy_fetch_pending,
         policy_can_dispatch, policy_on_fetch, policy_on_fetch_load,
         policy_on_load_complete, policy_on_resource_stall;
-    Py_ssize_t hierarchy, hier_load, hier_ifetch, hier_store;
-    Py_ssize_t gshare, btb;
+    Py_ssize_t hierarchy, gshare, btb;
     Py_ssize_t n_threads, full_mask, fe_mask, heads_mask;
     Py_ssize_t rotations, rot_cache, fetch_candidates;
     Py_ssize_t fetch_wake, dispatch_wake, stall_latch_until,
@@ -127,9 +130,6 @@ typedef struct {
     Py_ssize_t in_pc, in_dest, in_srcs, in_addr, in_taken, in_has_dest,
         in_dest_fp, in_is_load, in_is_store, in_is_branch, in_op_i,
         in_fp_queue, in_latency;
-    /* AccessResult */
-    Py_ssize_t ar_complete_cycle, ar_detect_cycle, ar_level,
-        ar_long_latency, ar_trigger, ar_fill_line;
     /* LLSR */
     Py_ssize_t ll_length, ll_bits, ll_pcs, ll_head, ll_filled, ll_total,
         ll_last_one_total, ll_on_measure, ll_measured, ll_exclude_dependent,
@@ -154,8 +154,8 @@ typedef struct {
     PyObject *small_ints[SMALL_INT_LIMIT];
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
-    PyObject *s_update, *s_lookup, *s_insert, *s_train, *s_on_ll_detect,
-        *s_sync_policy_stall, *s_cancel_fill, *s_clear_owner, *s_train_mlp;
+    PyObject *s_train, *s_on_ll_detect, *s_sync_policy_stall,
+        *s_clear_owner, *s_train_mlp;
 } Globals;
 
 static Globals g;
@@ -326,7 +326,7 @@ static inline int int64_arg(PyObject *o, int64_t *out)
  * (0: untrained) for the MLP distance, 0 / 1 / 2 (untrained / no MLP /
  * MLP) for the binary bit.  Indexes are Python's floor modulo.  A size
  * the table cannot hold raises ValueError (OverflowError outside
- * int64); CextCore then keeps the Python object.  state() returns the
+ * int64); CextCore then builds the Python class.  state() returns the
  * trained entries for the differential test
  * (tests/test_native_predictors.py). */
 
@@ -3631,7 +3631,10 @@ typedef struct {
         n_threads, full_mask, rob_size, lsq_size, int_iq_size, fp_iq_size,
         int_rename_regs, fp_rename_regs, num_int_alu, num_ldst, num_fp;
     int fast_forward, fetch_order_is_base, can_fetch_one, track_dep;
-    Mem *mem;               /* owned: core.hierarchy when it is native */
+    /* owned: the core's parts, taken once per run (see native_part) */
+    Mem *mem;
+    GShareN *gshare;
+    BTBN *btb;
     long long pc_origin[MAX_THREADS];   /* each thread's pc_origin */
 } Ctx;
 
@@ -3864,34 +3867,16 @@ static int stage_drain(Ctx *c, long long cycle)
 /* stage: commit                                                       */
 /* ------------------------------------------------------------------ */
 
-/* hierarchy.load (demand) or .store of instr at `when`: on the native
- * model, in C into *r; else the hierarchy's method, whose AccessResult
- * lands in *result (a new reference) and whose completion in r->done. */
+/* hierarchy.load (demand) or .store of instr at `when`, into *r. */
 static int data_access(Ctx *c, PyObject *ts, PyObject *instr, long long when,
-                       int demand, MemResult *r, PyObject **result)
+                       int demand, MemResult *r)
 {
-    *result = NULL;
-    if (c->mem != NULL) {
-        int64_t pc, addr;
-        if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0
-            || int64_arg(SLOT(instr, OFF.in_addr), &addr) < 0)
-            return -1;
-        return mem_access(c->mem, SLOT(ts, OFF.ts_tid), pc, addr, when,
-                          demand, r);
-    }
-    PyObject *when_obj = box_ll(when);
-    if (when_obj == NULL)
+    int64_t pc, addr;
+    if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0
+        || int64_arg(SLOT(instr, OFF.in_addr), &addr) < 0)
         return -1;
-    PyObject *args[4] = {SLOT(ts, OFF.ts_tid), SLOT(instr, OFF.in_pc),
-                         SLOT(instr, OFF.in_addr), when_obj};
-    *result = PyObject_Vectorcall(
-        SLOT(c->core, demand ? OFF.hier_load : OFF.hier_store), args, 4,
-        NULL);
-    Py_DECREF(when_obj);
-    if (*result == NULL)
-        return -1;
-    r->done = slot_ll(*result, OFF.ar_complete_cycle);
-    return 0;
+    return mem_access(c->mem, SLOT(ts, OFF.ts_tid), pc, addr, when, demand,
+                      r);
 }
 
 /* Drop one reference to slot p at retire time (the parents / old_map
@@ -3975,10 +3960,8 @@ static int stage_commit(Ctx *c, long long cycle)
                 if (slot_ll(core, OFF.wb_used) >= c->wb_entries)
                     continue;
                 MemResult r;
-                PyObject *result;
-                if (data_access(c, ts, instr, cycle, 0, &r, &result) < 0)
+                if (data_access(c, ts, instr, cycle, 0, &r) < 0)
                     return -1;
-                Py_XDECREF(result);
                 if (schedule_wb_drain(c, r.done, cycle) < 0)
                     return -1;
             }
@@ -4152,27 +4135,16 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
     PyObject *instr = A->instr[s];
     long long when = cycle + slot_ll(instr, OFF.in_latency);
     MemResult mr;
-    PyObject *result, *level, *fill, *fill_box = NULL;
-    int is_ll, trigger, rc = -1;
-    if (data_access(c, ts, instr, when, 1, &mr, &result) < 0)
+    PyObject *fill = Py_None, *fill_box = NULL;
+    int rc = -1;
+    if (data_access(c, ts, instr, when, 1, &mr) < 0)
         return -1;
-    long long completion = mr.done, detect;
-    if (result != NULL) {
-        is_ll = PyObject_IsTrue(SLOT(result, OFF.ar_long_latency));
-        trigger = PyObject_IsTrue(SLOT(result, OFF.ar_trigger));
-        detect = slot_ll(result, OFF.ar_detect_cycle);
-        level = SLOT(result, OFF.ar_level);
-        fill = SLOT(result, OFF.ar_fill_line);
-    } else {
-        is_ll = mr.ll;
-        trigger = mr.trigger;
-        detect = mr.detect;
-        level = g.levels[mr.level];
-        fill = Py_None;
-        /* boxed only for a demand miss to memory (a cancellable fill) */
-        if (mr.has_fill && (fill = fill_box = box_ll(mr.fill_line)) == NULL)
-            return -1;
-    }
+    int is_ll = mr.ll;
+    long long detect = mr.detect;
+    PyObject *level = g.levels[mr.level];
+    /* boxed only for a demand miss to memory (a cancellable fill) */
+    if (mr.has_fill && (fill = fill_box = box_ll(mr.fill_line)) == NULL)
+        return -1;
     if (is_ll)
         fl |= F_IS_LL;
     ocol_set(A->level, s, level);
@@ -4206,7 +4178,7 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
     }
     if (is_ll && stat_add(stats, OFF.st_ll_loads, 1) < 0)
         goto out;
-    if (trigger) {
+    if (mr.trigger) {
         fl |= F_IN_DETECTS;
         if (detect <= cycle)
             detect = cycle + 1;
@@ -4220,9 +4192,8 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
         A->pending[s] = -1;
     }
     A->flags[s] = fl;
-    rc = wheel_push(&A->ev, c->mask, cycle, completion, packed);
+    rc = wheel_push(&A->ev, c->mask, cycle, mr.done, packed);
 out:
-    Py_XDECREF(result);
     Py_XDECREF(fill_box);
     return rc;
 }
@@ -4652,16 +4623,14 @@ static void regs_release(Regs *R)
         Py_CLEAR(R->obj[i]);
 }
 
-/* A Python call inside a burst: fn(*args), or fn.name(*args) when
- * `name` is set, with the registers synced around it. */
+/* A Python call inside a burst, fn(arg), with the registers synced
+ * around it. */
 static PyObject *burst_call(PyObject *ts, Regs *R, PyObject *fn,
-                            PyObject *name, PyObject *const *args,
-                            Py_ssize_t n)
+                            PyObject *arg)
 {
     if (regs_store(ts, R) < 0)
         return NULL;
-    PyObject *r = name != NULL ? call_method(fn, name, args, n)
-        : PyObject_Vectorcall(fn, args, (size_t)n, NULL);
+    PyObject *r = PyObject_Vectorcall(fn, &arg, 1, NULL);
     if (r != NULL && regs_reload(ts, R) < 0)
         Py_CLEAR(r);
     return r;
@@ -4684,9 +4653,9 @@ static inline void read_allowed_end(PyObject *ts, int *has, long long *end)
 }
 
 /* One thread's fetch burst (SMTCore._fetch_thread over the arena);
- * returns the fetch count, or -1 on error.  The load predictor, gshare
- * and the BTB run in C when they are native (else their methods are
- * called). */
+ * returns the fetch count, or -1 on error.  The I-side access, gshare
+ * and the BTB run on the run's native parts; the load predictor runs in
+ * C when it is native (else its predict is called). */
 static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                                 long long cycle, PyObject *cycle_obj,
                                 int ignore_stall)
@@ -4754,7 +4723,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             PyObject *fi = box_ll(fetch_index);
             if (fi == NULL)
                 goto fail;
-            instr = burst_call(ts, &R, trace_get, NULL, &fi, 1);
+            instr = burst_call(ts, &R, trace_get, fi);
             Py_DECREF(fi);
             if (instr == NULL)
                 goto fail;
@@ -4766,22 +4735,8 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         long long line = pc_addr >> c->line_shift;
         if (line != R.v[R_LINE]) {
             int64_t done;
-            if (c->mem != NULL) {
-                if (mem_ifetch(c->mem, pc_addr, cycle, &done) < 0)
-                    goto fail;
-            } else {
-                PyObject *pa = box_ll(pc_addr);
-                if (pa == NULL)
-                    goto fail;
-                PyObject *iargs[3] = {SLOT(ts, OFF.ts_tid), pa, cycle_obj};
-                PyObject *done_obj = burst_call(
-                    ts, &R, SLOT(core, OFF.hier_ifetch), NULL, iargs, 3);
-                Py_DECREF(pa);
-                if (done_obj == NULL)
-                    goto fail;
-                done = ll_of(done_obj);
-                Py_DECREF(done_obj);
-            }
+            if (mem_ifetch(c->mem, pc_addr, cycle, &done) < 0)
+                goto fail;
             regs_set(&R, R_LINE, line);
             if (done > cycle) {
                 if (slot_store_ll(ts, OFF.ts_fetch_blocked_until, done) < 0)
@@ -4813,8 +4768,8 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                 ocol_set(A->pred_ll, s,
                          misspat_predict(P, pc) ? Py_True : Py_False);
             } else {
-                PyObject *parg = SLOT(instr, OFF.in_pc);
-                PyObject *p = burst_call(ts, &R, predict, NULL, &parg, 1);
+                PyObject *p = burst_call(ts, &R, predict,
+                                         SLOT(instr, OFF.in_pc));
                 if (p == NULL)
                     goto fail;
                 ocol_set(A->pred_ll, s, p);
@@ -4827,46 +4782,13 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             }
         }
         if (flags & F_IS_BRANCH) {
-            PyObject *taken_obj = SLOT(instr, OFF.in_taken);
-            int taken = taken_obj == Py_True;
+            /* Instr stores a bool: Instr.__init__ takes bool(taken) */
+            int taken = SLOT(instr, OFF.in_taken) == Py_True;
             int prediction;
-            PyObject *gs = SLOT(core, OFF.gshare);
-            if (Py_IS_TYPE(gs, &GShare_Type) && PyBool_Check(taken_obj)) {
-                if (gshare_update((GShareN *)gs, pc, taken, tid,
-                                  &prediction) < 0)
-                    goto fail;
-            } else {
-                PyObject *gargs[3] = {SLOT(instr, OFF.in_pc), taken_obj,
-                                      SLOT(ts, OFF.ts_tid)};
-                PyObject *pr = burst_call(ts, &R, gs, g.s_update, gargs, 3);
-                if (pr == NULL)
-                    goto fail;
-                prediction = PyObject_IsTrue(pr);
-                Py_DECREF(pr);
-                if (prediction < 0)
-                    goto fail;
-            }
-            int target_known = 1;
-            if (taken) {
-                PyObject *btb = SLOT(core, OFF.btb);
-                if (Py_IS_TYPE(btb, &BTB_Type)) {
-                    target_known = btb_access((BTBN *)btb, pc, 1, 1);
-                } else {
-                    PyObject *largs[1] = {SLOT(instr, OFF.in_pc)};
-                    PyObject *r = burst_call(ts, &R, btb, g.s_lookup, largs,
-                                             1);
-                    if (r == NULL)
-                        goto fail;
-                    target_known = PyObject_IsTrue(r);
-                    Py_DECREF(r);
-                    if (target_known < 0)
-                        goto fail;
-                    r = burst_call(ts, &R, btb, g.s_insert, largs, 1);
-                    if (r == NULL)
-                        goto fail;
-                    Py_DECREF(r);
-                }
-            }
+            if (gshare_update(c->gshare, pc, taken, tid, &prediction) < 0)
+                goto fail;
+            /* a taken branch looks its target up, then installs it */
+            int target_known = !taken || btb_access(c->btb, pc, 1, 1);
             if (prediction != taken || !target_known) {
                 if (slot_store_ll(ts, OFF.ts_waiting_branch, s) < 0
                     || slot_store_ll(ts, OFF.ts_branch_wait_since,
@@ -5204,18 +5126,53 @@ static Arena *arena_of(PyObject *core)
     return A;
 }
 
+/* The core's part in slot `off` (borrowed) when it is the engine's own
+ * `type`, the one model the loop runs; else NULL and a TypeError. */
+static PyObject *native_part(PyObject *core, Py_ssize_t off,
+                             PyTypeObject *type, const char *name)
+{
+    PyObject *part = SLOT(core, off);
+    if (part != NULL && Py_IS_TYPE(part, type))
+        return part;
+    PyErr_Format(PyExc_TypeError,
+                 "core.%s must be the cext engine's %s, not %R; run other "
+                 "models on backend 'object'", name,
+                 strrchr(type->tp_name, '.') + 1,
+                 part == NULL ? Py_None : (PyObject *)Py_TYPE(part));
+    return NULL;
+}
+
+static void ctx_clear(Ctx *c)
+{
+    Py_CLEAR(c->on_ll_detect);
+    Py_CLEAR(c->A);
+    Py_CLEAR(c->mem);
+    Py_CLEAR(c->gshare);
+    Py_CLEAR(c->btb);
+}
+
 static int ctx_init(Ctx *c, PyObject *core)
 {
     memset(c, 0, sizeof(*c));
     c->core = core;
     if ((c->A = arena_of(core)) == NULL)
         return -1;
+    PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, "hierarchy");
+    PyObject *gshare = mem == NULL ? NULL
+        : native_part(core, OFF.gshare, &GShare_Type, "gshare");
+    PyObject *btb = gshare == NULL ? NULL
+        : native_part(core, OFF.btb, &BTB_Type, "btb");
+    if (btb == NULL)
+        goto fail;
+    c->mem = (Mem *)Py_NewRef(mem);
+    c->gshare = (GShareN *)Py_NewRef(gshare);
+    c->btb = (BTBN *)Py_NewRef(btb);
     c->threads = SLOT(core, OFF.threads);
     c->fetch_candidates = SLOT(core, OFF.fetch_candidates);
     c->on_ll_detect = PyObject_GetAttr(SLOT(core, OFF.policy),
                                        g.s_on_ll_detect);
     if (c->on_ll_detect == NULL)
-        return -1;
+        goto fail;
     c->olc_cleanup_only = slot_true(core, OFF.cext_olc_cleanup_only);
     c->ll_detect_is_base = slot_true(core, OFF.cext_ll_detect_is_base);
     c->mask = c->A->wheel - 1;
@@ -5243,21 +5200,15 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->can_fetch_one =
         c->fetch_max_threads >= 1 && c->fetch_width >= 1;
     c->track_dep = slot_true(core, OFF.track_ll_dep);
-    PyObject *hier = SLOT(core, OFF.hierarchy);
-    if (hier != NULL && Py_IS_TYPE(hier, &Mem_Type))
-        c->mem = (Mem *)Py_NewRef(hier);
     for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads)
                            && i < MAX_THREADS; i++)
         c->pc_origin[i] = slot_ll(PyTuple_GET_ITEM(c->threads, i),
                                   OFF.ts_pc_origin);
-    return PyErr_Occurred() ? -1 : 0;
-}
-
-static void ctx_clear(Ctx *c)
-{
-    Py_CLEAR(c->on_ll_detect);
-    Py_CLEAR(c->A);
-    Py_CLEAR(c->mem);
+    if (!PyErr_Occurred())
+        return 0;
+fail:   /* the context owns nothing after a failed init */
+    ctx_clear(c);
+    return -1;
 }
 
 /* The entry points' guard: setup() has run and `lo` to `hi` arguments
@@ -5699,7 +5650,8 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
     long long after_seq = PyLong_AsLongLong(args[2]);
     int cancel = PyObject_IsTrue(args[3]);
     if ((after_seq == -1 && PyErr_Occurred()) || cancel < 0
-        || !owns(A, core, ts))
+        || !owns(A, core, ts)
+        || native_part(core, OFF.hierarchy, &Mem_Type, "hierarchy") == NULL)
         return NULL;
     SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
     SlotSeq *window = seq_of(ts, OFF.ts_window);
@@ -5728,23 +5680,15 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         int64_t fl = A->flags[s] | F_SQUASHED;
         squashed++;
         PyObject *fill = A->fill_line[s];
-        PyObject *hier = SLOT(core, OFF.hierarchy);
-        if (cancel && fill != NULL && !(fl & F_COMPLETED)
-            && Py_IS_TYPE(hier, &Mem_Type)) {
+        if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
+            /* read per use: an earlier clear_owner ran Python */
+            PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type,
+                                        "hierarchy");
             int64_t line, addr;
-            if (int64_arg(fill, &line) < 0
+            if (mem == NULL || int64_arg(fill, &line) < 0
                 || int64_arg(SLOT(A->instr[s], OFF.in_addr), &addr) < 0)
                 return NULL;
-            mem_cancel_fill((Mem *)hier, line, addr, cycle);
-        } else if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
-            PyObject *cargs[3] = {fill, SLOT(A->instr[s], OFF.in_addr),
-                                  cycle_obj};
-            Py_INCREF(fill);
-            PyObject *r = call_method(hier, g.s_cancel_fill, cargs, 3);
-            Py_DECREF(fill);
-            if (r == NULL)
-                return NULL;
-            Py_DECREF(r);
+            mem_cancel_fill((Mem *)mem, line, addr, cycle);
         }
         d[0]++;
         if (fl & F_MEM)
@@ -6220,8 +6164,6 @@ static const struct OffSpec SPECS[] = {
     O("core", "_policy_on_load_complete", policy_on_load_complete),
     O("core", "_policy_on_resource_stall", policy_on_resource_stall),
     O("core", "hierarchy", hierarchy),
-    O("core", "_hier_load", hier_load), O("core", "_hier_ifetch", hier_ifetch),
-    O("core", "_hier_store", hier_store),
     O("core", "gshare", gshare), O("core", "btb", btb),
     O("core", "_n_threads", n_threads), O("core", "_full_mask", full_mask),
     O("core", "_fe_mask", fe_mask), O("core", "_heads_mask", heads_mask),
@@ -6312,12 +6254,6 @@ static const struct OffSpec SPECS[] = {
     O("instr", "is_branch", in_is_branch),
     O("instr", "op_i", in_op_i), O("instr", "fp_queue", in_fp_queue),
     O("instr", "latency", in_latency),
-    O("result", "complete_cycle", ar_complete_cycle),
-    O("result", "detect_cycle", ar_detect_cycle),
-    O("result", "level", ar_level),
-    O("result", "long_latency", ar_long_latency),
-    O("result", "trigger", ar_trigger),
-    O("result", "fill_line", ar_fill_line),
     O("llsr", "length", ll_length), O("llsr", "_bits", ll_bits),
     O("llsr", "_pcs", ll_pcs), O("llsr", "_head", ll_head),
     O("llsr", "_filled", ll_filled), O("llsr", "_total", ll_total),
@@ -6532,13 +6468,9 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         g.neg_one = PyLong_FromLong(-1);
         if (g.neg_one == NULL)
             return NULL;
-        if ((g.s_update = intern_or_null("update")) == NULL
-            || (g.s_lookup = intern_or_null("lookup")) == NULL
-            || (g.s_insert = intern_or_null("insert")) == NULL
-            || (g.s_train = intern_or_null("train")) == NULL
+        if ((g.s_train = intern_or_null("train")) == NULL
             || (g.s_on_ll_detect =
                     intern_or_null("on_ll_detect")) == NULL
-            || (g.s_cancel_fill = intern_or_null("cancel_fill")) == NULL
             || (g.s_clear_owner = intern_or_null("clear_owner")) == NULL
             || (g.s_train_mlp = intern_or_null("_train_mlp")) == NULL
             || (g.s_sync_policy_stall =

@@ -21,27 +21,28 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   ``last_ifetch_line`` in C locals, stored back before any Python call
   inside the burst and read again after it only where the call changed
   them.
-* The engine's ``GShare``, ``BTB``, ``MissPatternPredictor``,
-  ``MLPDistancePredictor`` and ``BinaryMLPPredictor`` types are the
-  front end's predictors as native tables, with their Python classes'
-  methods, defaults, counters and accuracy helpers
-  (``tests/test_native_predictors.py`` holds each to its class).  A
-  :class:`CextCore` swaps in a native type wherever the object is
-  exactly the default Python class and its sizes fit the table, and
-  rebinds ``ThreadState.lll_predict``; the fetch, issue and commit
-  stages then run them in C.  Any other object (the ``last_value`` and
-  ``two_bit`` kinds, a subclass, a reassigned attribute or
-  ``lll_predict``) runs through its Python methods.
-* The engine's ``Hierarchy`` type is
-  :class:`~repro.memory.hierarchy.MemoryHierarchy` as native state
-  (caches, TLBs, pending fills, the MSHR heap, stream buffers and their
-  stride table in C memory), with the same methods, counters and
-  ``ll_intervals`` list; ``tests/test_native_hierarchy.py`` holds it to
-  the Python class state for state.  A :class:`CextCore` builds one
-  unless it is given a ``hierarchy``; on it the loop's issue, store
-  drain, fetch and flush call its C functions, so no memory access
-  enters the interpreter.  Any other hierarchy runs through its Python
-  methods.
+* The engine's ``Hierarchy``, ``GShare``, ``BTB``,
+  ``MissPatternPredictor``, ``MLPDistancePredictor`` and
+  ``BinaryMLPPredictor`` types are
+  :class:`~repro.memory.hierarchy.MemoryHierarchy` (caches, TLBs,
+  pending fills, the MSHR heap, stream buffers and their stride table)
+  and the front end's predictors as native state, with their Python
+  classes' methods, defaults, counters and ``ll_intervals`` list
+  (``tests/test_native_hierarchy.py`` and
+  ``tests/test_native_predictors.py`` hold each to its class).  A
+  :class:`CextCore` builds its parts through :meth:`CextCore._build`,
+  which returns the native type from the class's own constructor
+  arguments, so it builds no Python part to drop.  The loop runs only
+  the native hierarchy, gshare and BTB, in C: ``run_until`` takes the
+  three from the core once per run (a hook that reassigns one mid-run
+  is not followed) and raises ``TypeError`` for any other object, as
+  ``flush_thread`` does for the hierarchy; other models run on backend
+  ``'object'``.  The per-thread predictors keep a Python fallback that
+  workloads and reference tests reach: the ``last_value`` and
+  ``two_bit`` kinds, sizes the native tables cannot hold
+  (``lll_counter_bits`` above 15, MLP distances above 32,767), and a
+  predictor or ``lll_predict`` reassigned after construction run
+  through their Python methods.
 
   What still crosses into Python per cycle or instruction: the
   ``ThreadState``, core, stats and ``Instr`` slots (read and written as
@@ -53,8 +54,9 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   ``ThreadState._sync_policy_stall`` when the stall predicate flips.
 * :class:`CextCore` is an :class:`~repro.pipeline.core.SMTCore`
   subclass that swaps the object engine's records, wheels and ready
-  queues for the arena, overrides ``_run_until`` with the compiled loop
-  and ``flush_thread`` with the arena's, and picks the memory model.
+  queues for the arena, overrides ``_run_until`` with the compiled loop,
+  ``flush_thread`` with the arena's and ``_build`` with the native
+  parts.
   Stats and ``ThreadState`` are the object engine's, so stats, golden
   fixtures and policies see exactly what the object engine's records
   would show; instruction state is read through views and
@@ -304,29 +306,16 @@ def cext_status() -> str:
         + _state[1]
 
 
-#: The front end's Python predictor classes with a native twin in the
-#: engine (same name), and the constructor arguments that size the twin
-#: like an instance.
-_TWINS: dict[type, Any] = {
-    GShare: lambda p: (p._entries, len(p._history)),
-    BTB: lambda p: (p._num_sets * p._assoc, p._assoc),
-    MissPatternPredictor: lambda p: (p._entries, p._max_count.bit_length()),
-    MLPDistancePredictor: lambda p: (p._entries, p._max_distance),
-    BinaryMLPPredictor: lambda p: (p._entries,),
+#: The parts the engine models natively: each class's twin, by its name
+#: in the engine, takes the class's constructor arguments.
+_TWINS: dict[type, str] = {
+    MemoryHierarchy: "Hierarchy",
+    GShare: "GShare",
+    BTB: "BTB",
+    MissPatternPredictor: "MissPatternPredictor",
+    MLPDistancePredictor: "MLPDistancePredictor",
+    BinaryMLPPredictor: "BinaryMLPPredictor",
 }
-
-
-def _native_twin(engine: ModuleType, predictor):
-    """The engine's native type sized like ``predictor``, a fresh instance
-    of exactly one of the ``_TWINS`` classes; ``predictor`` itself for any
-    other object, or when a size does not fit the native table."""
-    sizes = _TWINS.get(type(predictor))
-    if sizes is None:
-        return predictor
-    try:
-        return getattr(engine, type(predictor).__name__)(*sizes(predictor))
-    except (ValueError, OverflowError, MemoryError):
-        return predictor
 
 
 class CextCore(SMTCore):
@@ -337,31 +326,42 @@ class CextCore(SMTCore):
     ``fe_queue``, ``window`` and ``rename_map``; ``_run_until`` is the
     compiled loop.  The two marker slots cache the policy-class hook
     markers (``getattr`` probes on the policy class), so the C side
-    reads them as plain slot loads.  Unless a ``hierarchy`` is passed
-    (any :class:`~repro.memory.hierarchy.MemoryHierarchy` runs through
-    its Python methods), the core's memory model is the engine's native
-    ``Hierarchy``: the same methods and counters over C state.  Without
-    the compiled engine the arena is ``None`` and the core cannot run.
+    reads them as plain slot loads.  :meth:`_build` makes the memory
+    hierarchy, gshare, the BTB and each thread's predictors the
+    engine's native types (the same methods and counters over C state),
+    and the loop runs only the native hierarchy, gshare and BTB.
+    Without the compiled engine the arena is ``None`` and the core
+    cannot run.
     """
 
     __slots__ = ("_arena", "_cext_olc_cleanup_only",
                  "_cext_ll_detect_is_base")
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
-                 policy: FetchPolicy,
-                 hierarchy: MemoryHierarchy | None = None):
-        engine = _engine()
-        if hierarchy is None and engine is not None:
-            hierarchy = engine.Hierarchy(cfg.memory)
-        super().__init__(cfg, traces, policy, hierarchy)
-        self._adopt_arena(engine)
-        if engine is not None:
-            self._adopt_native_front_end(engine)
+                 policy: FetchPolicy):
+        super().__init__(cfg, traces, policy)
+        self._adopt_arena(_engine())
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
         self._cext_ll_detect_is_base = bool(getattr(
             pcls.on_ll_detect, "_is_default_hook", False))
+
+    @staticmethod
+    def _build(cls, *args):
+        """The engine's twin of ``cls`` (``_TWINS``) built from the same
+        arguments; ``cls(*args)`` when ``cls`` has none, when the
+        engine is not loaded, or when the twin's table cannot hold the
+        sizes (the ``last_value``/``two_bit`` load predictors, counters
+        wider than 15 bits, MLP distances above 32,767)."""
+        engine = _engine()
+        name = _TWINS.get(cls)
+        if engine is not None and name is not None:
+            try:
+                return getattr(engine, name)(*args)
+            except (ValueError, OverflowError, MemoryError):
+                pass
+        return cls(*args)
 
     def _adopt_arena(self, engine):
         """Swap the object engine's containers for ``engine``'s arena.
@@ -385,24 +385,6 @@ class CextCore(SMTCore):
                 ts.trace_flags = [None if instr is None else
                                   instr_flags(instr)
                                   for instr in ts.trace_static]
-
-    def _adopt_native_front_end(self, engine):
-        """Swap the fresh Python predictors for the engine's native types.
-
-        gshare, the BTB and each thread's long-latency load, MLP-distance
-        and binary-MLP predictors become native wherever they are
-        exactly the default Python class (``_native_twin``), and
-        ``lll_predict`` is rebound to the thread's predictor.  The loop
-        runs a native predictor in C and calls any other object's
-        methods.
-        """
-        self.gshare = _native_twin(engine, self.gshare)
-        self.btb = _native_twin(engine, self.btb)
-        for ts in self.threads:
-            ts.lll_pred = _native_twin(engine, ts.lll_pred)
-            ts.lll_predict = ts.lll_pred.predict
-            ts.mlp_pred = _native_twin(engine, ts.mlp_pred)
-            ts.binary_mlp = _native_twin(engine, ts.binary_mlp)
 
     def detach(self) -> None:
         super().detach()

@@ -126,23 +126,23 @@ class SMTCore:
     )
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
-                 policy: FetchPolicy,
-                 hierarchy: MemoryHierarchy | None = None):
+                 policy: FetchPolicy):
         if len(traces) != cfg.num_threads:
             raise ValueError(
                 f"expected {cfg.num_threads} traces, got {len(traces)}")
         self.cfg = cfg
-        self.hierarchy = hierarchy or MemoryHierarchy(cfg.memory)
+        build = self._build
+        self.hierarchy = build(MemoryHierarchy, cfg.memory)
         # Hot hierarchy entry points as single-hop bound methods.
         self._hier_load = self.hierarchy.load
         self._hier_ifetch = self.hierarchy.ifetch
         self._hier_store = self.hierarchy.store
         self._n_threads = cfg.num_threads
-        self.threads = tuple(ThreadState(tid, trace, cfg)
+        self.threads = tuple(ThreadState(tid, trace, cfg, build)
                              for tid, trace in enumerate(traces))
         self.policy = policy
-        self.gshare = GShare(cfg.gshare_entries, cfg.num_threads)
-        self.btb = BTB(cfg.btb_entries, cfg.btb_assoc)
+        self.gshare = build(GShare, cfg.gshare_entries, cfg.num_threads)
+        self.btb = build(BTB, cfg.btb_entries, cfg.btb_assoc)
         self.cycle = 0
         self._gseq = 0
         # Calendar ("event wheel") queues for completions, long-latency
@@ -325,6 +325,13 @@ class SMTCore:
         # re-running the scan.
         self._stall_latch_until = 0
         self._stall_latch_epoch = -1
+
+    @staticmethod
+    def _build(cls, *args):
+        """The part ``cls(*args)``: the one way a core builds its memory
+        hierarchy, gshare, BTB and each thread's predictors, so an engine
+        with its own model of a part builds that instead."""
+        return cls(*args)
 
     # ------------------------------------------------------------------ #
     # top-level driving

@@ -38,14 +38,14 @@ The two engines are checked at different grains:
   the thread queues, rename maps, waiting branches, queued events,
   ready heaps and the views policies hold (``ll_owners``,
   ``policy_data``) through the ``old_map``, waiter and parent edges.
-  On the native memory model (``_cext_engine.Hierarchy``, the core's
-  default) it then calls the model's ``check``: no cache set holds
-  more than ``assoc`` lines, a duplicate tag or another set's line; no
-  TLB holds more than ``entries`` pages; the TLB indexes, the
+  It then calls the ``check`` of the core's memory model, the native
+  ``_cext_engine.Hierarchy`` (the only model the loop runs): no cache
+  set holds more than ``assoc`` lines, a duplicate tag or another set's
+  line; no TLB holds more than ``entries`` pages; the TLB indexes, the
   pending-fill table and the stride table agree with their entries
-  (every entry found by its key); the fill heap is a heap of at most ``mshr_entries`` ends;
-  no stream buffer holds more than ``buffer_entries`` lines or one
-  twice.  The arena and the model live in C memory, so per-operation
+  (every entry found by its key); the fill heap is a heap of at most
+  ``mshr_entries`` ends; no stream buffer holds more than
+  ``buffer_entries`` lines or one twice.  The arena and the model live in C memory, so per-operation
   checks cannot see them: a defect goes unseen only if it is made and
   repaired between two boundaries.
 
@@ -67,7 +67,7 @@ from collections.abc import Iterable
 import os
 from typing import TYPE_CHECKING, Any
 
-from repro.pipeline.cext import CextCore, _engine
+from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -280,9 +280,7 @@ class CheckedCextCore(CextCore):
         """The arena's ``check`` (wheels, free list, leaks), then the
         native memory model's (module doc)."""
         problem = self._arena.check(self)
-        engine = _engine()
-        if (problem is None and engine is not None
-                and type(self.hierarchy) is engine.Hierarchy):
+        if problem is None:
             problem = self.hierarchy.check()
         if problem is not None:
             raise SanitizerError(problem)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.config import SMTConfig
 from repro.isa import NUM_ARCH_REGS
@@ -49,7 +50,8 @@ class ThreadState:
         "head_ready", "tid_bit", "trace_flags",
     )
 
-    def __init__(self, tid: int, trace: SyntheticTrace, cfg: SMTConfig):
+    def __init__(self, tid: int, trace: SyntheticTrace, cfg: SMTConfig,
+                 build: Callable[..., Any] = type.__call__):
         self.tid = tid
         #: This thread's bit in the core's activity bitmasks
         #: (``_fe_mask`` / ``_heads_mask`` — see ``SMTCore``).
@@ -88,12 +90,14 @@ class ThreadState:
         self.stall_start = -1
         self.last_ifetch_line = -1
         self.outstanding_misses = 0
+        # ``build(cls, *args)`` is the owning core's ``_build`` (plain
+        # ``cls(*args)`` for a standalone ThreadState).
         pred_cfg = cfg.predictors
-        lll_cls = LLL_PREDICTORS[pred_cfg.lll_kind]
-        self.lll_pred = lll_cls(pred_cfg.lll_entries, pred_cfg.lll_counter_bits)
-        self.mlp_pred = MLPDistancePredictor(
-            pred_cfg.mlp_entries, max_distance=max(cfg.llsr_length - 1, 1))
-        self.binary_mlp = BinaryMLPPredictor(pred_cfg.mlp_entries)
+        self.lll_pred = build(LLL_PREDICTORS[pred_cfg.lll_kind],
+                              pred_cfg.lll_entries, pred_cfg.lll_counter_bits)
+        self.mlp_pred = build(MLPDistancePredictor, pred_cfg.mlp_entries,
+                              max(cfg.llsr_length - 1, 1))
+        self.binary_mlp = build(BinaryMLPPredictor, pred_cfg.mlp_entries)
         self.llsr = LLSR(cfg.llsr_length, on_measure=self._train_mlp,
                          exclude_dependent=pred_cfg.dependence_aware)
         self.stats = ThreadStats()

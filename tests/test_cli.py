@@ -87,6 +87,16 @@ class TestCommands:
         before["executed"] -= 1
         assert f"engine={default_backend()}," in _engine_footer(before)
 
+    def test_figure_without_budget_runs_the_default_budget(
+            self, monkeypatch, capsys):
+        from repro.experiments import default_commits, figures
+        budgets = []
+        monkeypatch.setitem(figures.TARGETS, "stub",
+                            (budgets.append, "a stub target"))
+        assert figures.main(["stub"]) == 0
+        assert budgets == [default_commits()]
+        assert f"budget {default_commits()} " in capsys.readouterr().out
+
     def test_list_unknown_kind_fails_helpfully(self, capsys):
         assert main(["list", "widgets"]) == 2
         err = capsys.readouterr().err

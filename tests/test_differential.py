@@ -11,7 +11,10 @@ The perturbations reach knobs the golden matrix never sets but Table I
 and the ablations do: ``memory.serialize_long_latency``,
 ``memory.cancel_squashed_fills``, ``predictors.dependence_aware`` and
 ``llsr_length_override``, plus the window sizes, widths, write buffer,
-prefetcher and ``fast_forward``.  A failure shrinks to one cell,
+prefetcher and ``fast_forward``, and the front end: the long-latency
+load predictor's kind, table and counter sizes (16-bit counters are
+past the compiled engine's native table, so they run its Python
+fallback), the MLP tables, gshare and the BTB's size and ways.  A failure shrinks to one cell,
 printed as a ``repro.runspec/2`` document that ``python -m repro run``
 replays.
 
@@ -46,6 +49,7 @@ from repro.config import (
 from repro.experiments.characterize import characterize
 from repro.experiments.profile import clear_profile_cache, profile_benchmark
 from repro.experiments.runner import default_backend
+from repro.predictors import LLL_PREDICTORS
 
 #: Every ROB size here splits evenly across 1, 2, 3 or 4 threads.
 _ROB_SIZES = (48, 96, 192, 240)
@@ -76,8 +80,16 @@ def cells(draw, commits=st.integers(200, 800)) -> RunSpec:
         write_buffer_entries=draw(st.sampled_from((1, 2, 8))),
         llsr_length_override=draw(st.sampled_from((None, 8, 32, 128))),
         fast_forward=draw(st.booleans()),
+        gshare_entries=draw(st.sampled_from((64, 2_048, 16_384))),
+        btb_entries=draw(st.sampled_from((32, 256, 1_024))),
+        btb_assoc=draw(st.sampled_from((1, 4, 8))),
         memory=memory,
-        predictors=PredictorConfig(dependence_aware=draw(st.booleans())))
+        predictors=PredictorConfig(
+            lll_kind=draw(st.sampled_from(sorted(LLL_PREDICTORS))),
+            lll_counter_bits=draw(st.sampled_from((2, 6, 16))),
+            lll_entries=draw(st.sampled_from((64, 2_048))),
+            mlp_entries=draw(st.sampled_from((64, 2_048))),
+            dependence_aware=draw(st.booleans())))
     return RunSpec(workload=workload, config=config,
                    policy=draw(st.sampled_from(registry.policies.names())),
                    max_commits=draw(commits),

@@ -312,38 +312,11 @@ def test_cext_core_runs_the_native_model():
 
 
 # ---------------------------------------------------------------------- #
-# whole runs: the Python model on cext, and no Python memory call
+# whole runs: no Python memory call
 # ---------------------------------------------------------------------- #
 
 def _fixture() -> dict:
     return json.loads(_FIXTURE.read_text())["cells"]
-
-
-class _SubHierarchy(MemoryHierarchy):
-    __slots__ = ()
-
-
-@needs_cext
-@pytest.mark.parametrize("model", (MemoryHierarchy, _SubHierarchy))
-@pytest.mark.parametrize("cell", ("golden_1t_icount", "golden_2t_flush",
-                                  "golden_2t_mlp_flush", "golden_4t_stall",
-                                  "golden_8t_mlp_dcra"))
-def test_python_hierarchy_on_cext_matches_native(cell, model, monkeypatch):
-    """A CextCore given a Python hierarchy runs it through its methods,
-    with the native model's golden snapshot."""
-    sc = _MATRIX[cell]
-    native = snapshot_cell(sc, backend="cext")
-    calls = []
-    load = MemoryHierarchy.load
-
-    def counted(self, *args):
-        calls.append(type(self))
-        return load(self, *args)
-
-    monkeypatch.setattr(MemoryHierarchy, "load", counted)
-    monkeypatch.setattr(cext._engine(), "Hierarchy", model)
-    assert snapshot_cell(sc, backend="cext") == native == _fixture()[cell]
-    assert calls and set(calls) == {model}
 
 
 @needs_cext

@@ -9,10 +9,12 @@ memory.  Golden snapshots record stats, never predictor counters, so
 the differential here drives each native type next to its Python class
 call for call and compares every result, every counter and the table
 (``state()``) after each step.  The whole-run tests check that a
-default cext run makes no Python predictor, LLSR, MLP-training or
-fetch-order call, and that every other front end (the other load
-predictor kinds, a subclass, a policy with its own fetch order) still
-runs through its Python methods with the object engine's results.
+default cext core builds no Python part and its run makes no Python
+predictor, LLSR, MLP-training or fetch-order call; that a Python
+hierarchy, gshare or BTB put on a cext core is refused; and that every
+other front end (the other load predictor kinds, a subclass, a policy
+with its own fetch order) still runs through its Python methods with
+the object engine's results.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.branch import BTB, GShare
 from repro.config import PredictorConfig, scaled_config
 from repro.experiments.profile import clear_profile_cache, profile_benchmark
 from repro.experiments.runner import trace_for
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.perf.golden import golden_matrix, snapshot_cell
 from repro.pipeline import cext
 from repro.pipeline.core import SMTCore
@@ -45,7 +48,7 @@ from repro.predictors import (
     TwoBitMissPredictor,
 )
 
-from conftest import needs_cext
+from conftest import StubTrace, alu, branch, needs_cext
 
 pytestmark = needs_cext
 
@@ -318,9 +321,71 @@ def test_sizes_past_the_native_tables_stay_python():
     core.detach()
 
 
+def _fixture_cells() -> list:
+    """The 32 non-runahead golden cells and the fixture's snapshots."""
+    fixture = json.loads(_FIXTURE.read_text())["cells"]
+    cells = [sc for sc in golden_matrix() if "runahead" not in sc.policy]
+    assert len(cells) == 32
+    return [(sc, fixture[sc.name]) for sc in cells]
+
+
+def test_cext_core_builds_no_python_part(monkeypatch):
+    """With the Python parts' constructors refusing, the 32 non-runahead
+    golden cells still match the fixture on cext: a CextCore builds
+    every part native from the config, never a Python one to drop."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a Python {type(self).__name__} on cext")
+
+    for cls in (MemoryHierarchy, GShare, BTB, MissPatternPredictor,
+                MLPDistancePredictor, BinaryMLPPredictor):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for sc, want in _fixture_cells():
+        assert snapshot_cell(sc, backend="cext") == want
+
+
+@pytest.mark.parametrize("part", ("hierarchy", "gshare", "btb"))
+def test_cext_core_refuses_python_parts(part):
+    """The loop runs only the native hierarchy, gshare and BTB: another
+    object there fails the run, and a flush on a Python hierarchy,
+    with a TypeError that points at the object engine."""
+    cfg = scaled_config(num_threads=2)
+    core = _core(cfg)
+    setattr(core, part, {
+        "hierarchy": MemoryHierarchy(cfg.memory),
+        "gshare": GShare(cfg.gshare_entries, cfg.num_threads),
+        "btb": BTB(cfg.btb_entries, cfg.btb_assoc)}[part])
+    refused = (f"core.{part} must be the cext engine's .* run other models "
+               "on backend 'object'")
+    with pytest.raises(TypeError, match=refused):
+        core.run(500)
+    if part == "hierarchy":
+        with pytest.raises(TypeError, match=refused):
+            core.flush_thread(core.threads[0], -1)
+    core.detach()
+
+
 # ---------------------------------------------------------------------- #
 # whole runs
 # ---------------------------------------------------------------------- #
+
+def test_int_taken_runs_alike_on_both_engines():
+    """Branches whose ``taken`` is the int 1 or 0: Instr stores
+    ``bool(taken)``, so both engines predict, look up and stall on the
+    same branches."""
+    cfg = scaled_config(num_threads=1)
+    body = [branch(pc, int(pc % 16 != 7)) if pc % 4 == 3
+            else alu(pc, dest=4 + pc % 8, srcs=(4 + (pc + 3) % 8,))
+            for pc in range(64)]
+    outcomes = []
+    for cls in (SMTCore, cext.CextCore):
+        core = cls(cfg, [StubTrace(body)], make_policy("icount"))
+        core.run(3_000)
+        outcomes.append((asdict(core.stats), core.cycle, core.btb.hits,
+                         core.btb.misses))
+        core.detach()
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][2] > 0            # the taken branches hit the BTB
+
 
 def test_native_run_makes_no_python_front_end_call(monkeypatch):
     """With every Python predictor, LLSR.commit, ThreadState._train_mlp
@@ -343,11 +408,8 @@ def test_native_run_makes_no_python_front_end_call(monkeypatch):
         for name in names:
             monkeypatch.setattr(cls, name, refuse)
     monkeypatch.setattr(FetchPolicy, "fetch_order", refuse_order)
-    fixture = json.loads(_FIXTURE.read_text())["cells"]
-    cells = [sc for sc in golden_matrix() if "runahead" not in sc.policy]
-    assert len(cells) == 32
-    for sc in cells:
-        assert snapshot_cell(sc, backend="cext") == fixture[sc.name]
+    for sc, want in _fixture_cells():
+        assert snapshot_cell(sc, backend="cext") == want
 
 
 class _CountingMissPattern(MissPatternPredictor):
