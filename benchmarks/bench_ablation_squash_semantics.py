@@ -1,9 +1,10 @@
 """Ablation (beyond the paper): squash semantics for in-flight fills.
 
-DESIGN.md calls out a key modelling decision: when a flush squashes a load
-whose memory fill is still in flight, is the fill cancelled (SMTSIM-era
-squash; the paper's serialization premise) or does it complete and install
-(modern hardware)?  This ablation quantifies how much of the flush-policy
+``MemoryConfig.cancel_squashed_fills`` (repro/config.py) records a key
+modelling decision: when a flush squashes a load whose memory fill is
+still in flight, is the fill cancelled (SMTSIM-era squash; the paper's
+serialization premise) or does it complete and install (modern
+hardware)?  This ablation quantifies how much of the flush-policy
 behaviour rides on that choice.
 """
 

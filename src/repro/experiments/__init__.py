@@ -1,8 +1,9 @@
 """Experiment drivers that regenerate every table and figure of the paper.
 
-See DESIGN.md for the experiment index.  Each driver returns plain data
-(dataclasses / dicts) so that the benchmark harness, the examples, and the
-tests can all share them.
+EXPERIMENTS.md shows how to run them (the CLI, the per-figure harness
+under ``benchmarks/`` and :mod:`repro.api`).  Each returns plain data
+(dataclasses / dicts) so that the benchmark harness, the examples, and
+the tests can all share them.
 """
 
 from repro.experiments.characterize import CharacterizationRow, characterize

@@ -5,7 +5,7 @@ a pure-Python cycle-level simulator cannot.  The default experiment scale
 runs each program for ~tens of thousands of instructions on a machine whose
 caches are 16× smaller (structure, associativity, latencies and the core
 are unchanged; workload footprints are defined relative to L3 capacity, so
-the miss *rates* are preserved — see DESIGN.md).
+the miss *rates* are preserved — see :func:`repro.config.scaled_config`).
 
 Environment knobs:
 

@@ -85,23 +85,28 @@ class ProfileResult:
         return cdf
 
 
+#: Profiles by (name, ``cfg.cache_key()``, budget, seed): keyed by the
+#: config's content key, not by equality, since ``mem_latency`` 350 and
+#: 350.0 compare equal but are different runs.
 _profile_cache: dict[tuple, ProfileResult] = {}
 
 
 def profile_benchmark(name: str, cfg: SMTConfig | None = None,
-                      max_commits: int | None = None) -> ProfileResult:
-    """Run (and cache) the instrumented single-threaded profile of ``name``."""
+                      max_commits: int | None = None,
+                      seed: int = 0) -> ProfileResult:
+    """Run (and cache) the instrumented single-threaded profile of
+    ``name`` on its trace for ``seed`` (see :func:`trace_for`)."""
     if cfg is None:
         cfg = characterization_config()
     if max_commits is None:
         max_commits = default_commits()
     max_commits = characterization_budget(name, max_commits)
     cfg = replace(cfg, num_threads=1, llsr_length_override=FIG4_LLSR_LENGTH)
-    key = (name, cfg, max_commits)
+    key = (name, cfg.cache_key(), max_commits, seed)
     cached = _profile_cache.get(key)
     if cached is not None:
         return cached
-    trace = trace_for(name, cfg, slot=0)
+    trace = trace_for(name, cfg, slot=0, seed=seed)
     pol = make_policy("icount")
     core = core_for(pol)(cfg, [trace], pol)
     stats = core.run(max_commits, warmup=default_warmup())

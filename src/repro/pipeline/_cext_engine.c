@@ -15,20 +15,19 @@
  * reading the arena) and may call flush_thread, which runs here too; a
  * fetch may grow the arena.  Every column pointer is therefore re-read
  * from the arena after any call that can do either.  The fast-forward
- * target, the base policy's fetch order (ICOUNT and COT),
- * LLSR.commit_zeros, the long-latency LLSR.commit and the
- * iteration-varying slots of SyntheticTrace are computed here too, on
- * those objects' slots; their Python bodies remain the reference
- * (tests/test_cext_paths.py).  The memory hierarchy, gshare and the BTB
- * are native state (the Hierarchy, GShare and BTB types below, held to
- * their Python classes by tests/test_native_hierarchy.py and
- * tests/test_native_predictors.py), and the loop runs no other model:
- * run_until takes the three from the core once per run (a part
- * reassigned mid-run is not followed) and, like flush for the
- * hierarchy, raises TypeError for any other object.  CextCore also
- * builds each thread's miss-pattern, MLP-distance and binary-MLP
- * predictors as native types wherever their sizes fit; the loop calls
- * the Python methods of any other load predictor or MLP trainer.  The
+ * target, the base policy's fetch order (ICOUNT and COT) and the
+ * iteration-varying slots of SyntheticTrace are computed here too;
+ * their Python bodies remain the reference (tests/test_cext_paths.py).
+ * The memory hierarchy, gshare, the BTB, each thread's LLSR and, where
+ * their sizes fit, its miss-pattern, MLP-distance and binary-MLP
+ * predictors are native types below, each held to its Python class by
+ * a differential test (tests/test_native_*.py, test_cext_paths.py).
+ * The loop runs no other hierarchy, gshare, BTB or LLSR: run_until
+ * takes them once per run (a part reassigned mid-run is not followed)
+ * and, like flush for the hierarchy, raises TypeError for any other
+ * object.  An LLSR whose on_measure is its thread's own _train_mlp
+ * trains the native MLP predictors in C; the loop calls any other
+ * callable and the Python methods of any other load predictor.  The
  * golden matrix pins the backend bit-exact with the object engine;
  * engine-parity-lint checks that the policy hook call sites here match
  * core.py's set and that SoAView's getset table covers every DynInstr
@@ -114,9 +113,8 @@ typedef struct {
     Py_ssize_t ts_fe_queue, ts_window, ts_rename_map;
     Py_ssize_t ts_fetch_index, ts_head_ready, ts_dispatch_blocked_head,
         ts_dispatch_blocked_epoch, ts_dispatch_wait_until;
-    Py_ssize_t ts_trace_get, ts_lll_predict, ts_pc_origin,
-        ts_llsr_commit, ts_llsr_commit_zeros, ts_trace_static,
-        ts_trace_body_len, ts_llsr_zeros, ts_trace_flags, ts_lll_pred;
+    Py_ssize_t ts_trace_get, ts_lll_predict, ts_pc_origin, ts_trace_static,
+        ts_trace_body_len, ts_trace_flags, ts_lll_pred;
     Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag, ts_stall_start,
         ts_mlp_pred, ts_binary_mlp;
     /* ThreadStats */
@@ -130,10 +128,6 @@ typedef struct {
     Py_ssize_t in_pc, in_dest, in_srcs, in_addr, in_taken, in_has_dest,
         in_dest_fp, in_is_load, in_is_store, in_is_branch, in_op_i,
         in_fp_queue, in_latency;
-    /* LLSR */
-    Py_ssize_t ll_length, ll_bits, ll_pcs, ll_head, ll_filled, ll_total,
-        ll_last_one_total, ll_on_measure, ll_measured, ll_exclude_dependent,
-        ll_suppressed;
     /* SyntheticTrace */
     Py_ssize_t tr_dyn;
 } Offsets;
@@ -147,7 +141,7 @@ typedef struct {
     PyObject *result_cls;   /* AccessResult */
     PyObject *mlp_fn;       /* hierarchy.mlp_from_intervals */
     /* exact types the in-C paths apply to (anything else calls Python) */
-    PyTypeObject *core_type, *llsr_type, *trace_type, *instr_type, *ts_type;
+    PyTypeObject *core_type, *trace_type, *instr_type, *ts_type;
     /* every Instr slot offset, for cloning a trace prototype */
     Py_ssize_t instr_offs[32];
     int n_instr_offs;
@@ -269,10 +263,6 @@ static PyObject *call_method(PyObject *obj, PyObject *name,
 /* checked ints (the in-C paths take the Python path when these fail)  */
 /* ------------------------------------------------------------------ */
 
-/* Values at most this large leave room to add two of them without
- * leaving a long long. */
-#define SAFE_MAX (1LL << 62)
-
 /* *out = `v` when it is an int that fits a long long; else 0 (with no
  * error set). */
 static inline int obj_fits(PyObject *v, long long *out)
@@ -287,12 +277,6 @@ static inline int obj_fits(PyObject *v, long long *out)
     }
     *out = x;
     return 1;
-}
-
-/* obj_fits on slot `off` of `o` (0 when the slot is unset). */
-static inline int slot_fits(PyObject *o, Py_ssize_t off, long long *out)
-{
-    return obj_fits(SLOT(o, off), out);
 }
 
 /* Python's floor modulo for b > 0. */
@@ -353,6 +337,13 @@ static int set_i64(PyObject *self, PyObject *value, void *off)
         return -1;
     *(int64_t *)((char *)self + (size_t)off) = v;
     return 0;
+}
+
+/* An object member of a native object (None once cleared). */
+static PyObject *get_obj(PyObject *self, void *off)
+{
+    PyObject *v = *(PyObject **)((char *)self + (size_t)off);
+    return Py_NewRef(v != NULL ? v : Py_None);
 }
 
 #define I64_FIELD(type, name, doc) \
@@ -1221,295 +1212,316 @@ static PyTypeObject BTB_Type = {
     .tp_getset = BTB_getset,
 };
 
-#undef I64_FIELD
+/* --- LLSR ---------------------------------------------------------- */
 
-/* ------------------------------------------------------------------ */
-/* LLSR.commit and commit_zeros over the register's slots              */
-/* ------------------------------------------------------------------ */
-
-/* An exact LLSR's ring, read from its slots (the objects borrowed). */
+/* repro.predictors.llsr.LLSR: the same ring of bits and PCs, head, fill
+ * count, commit count and watermark (the commit index of the most recent
+ * 1; the distance algebra is in that module's docstring), in C arrays.
+ * measured stays a list of (pc, distance) pairs (reset_measurement
+ * assigns a new one) and on_measure any callable or None.  PCs are int64
+ * (OverflowError outside, as the other native types), commit_zeros
+ * refuses k < 0, and a callback that raises leaves the register as it
+ * stood after the commit that measured. */
 typedef struct {
-    long long length, filled, total, last_one, head;
-    PyObject *bits, *pcs, *measured, *on_measure;
-} Ring;
+    PyObject_HEAD
+    int64_t length, head, filled, total, last_one, suppressed;
+    char exclude_dependent;
+    uint8_t *bits;
+    int64_t *pcs;           /* the load's pc beside a 1 bit */
+    PyObject *on_measure;   /* the constructor's callable, or None */
+    PyObject *measured;     /* list of (pc, distance) */
+} LLSRN;
 
-/* Load R from llsr: 1, or 0 when the state is not what the Python class
- * builds (nothing touched: the caller runs the Python method). */
-static int ring_load(PyObject *llsr, Ring *R)
-{
-    if (!slot_fits(llsr, OFF.ll_length, &R->length)
-        || !slot_fits(llsr, OFF.ll_filled, &R->filled)
-        || !slot_fits(llsr, OFF.ll_total, &R->total)
-        || !slot_fits(llsr, OFF.ll_last_one_total, &R->last_one)
-        || !slot_fits(llsr, OFF.ll_head, &R->head))
-        return 0;
-    R->bits = SLOT(llsr, OFF.ll_bits);
-    R->pcs = SLOT(llsr, OFF.ll_pcs);
-    R->measured = SLOT(llsr, OFF.ll_measured);
-    R->on_measure = SLOT(llsr, OFF.ll_on_measure);
-    long long length = R->length;
-    return length >= 2 && length < SAFE_MAX
-        && R->filled >= 0 && R->filled <= length
-        && R->total >= 0 && R->total < SAFE_MAX
-        && R->last_one >= 0 && R->last_one < SAFE_MAX
-        && R->head >= 0 && R->head < length
-        && R->bits != NULL && PyList_CheckExact(R->bits)
-        && PyList_GET_SIZE(R->bits) == length
-        && R->pcs != NULL && PyList_CheckExact(R->pcs)
-        && PyList_GET_SIZE(R->pcs) == length
-        && R->measured != NULL && PyList_CheckExact(R->measured)
-        && R->on_measure != NULL;
-}
+static PyTypeObject LLSR_Type;
 
-/* The native predictors a measurement of ts's LLSR trains in C: both
- * set when on_measure is ts's own ThreadState._train_mlp and ts's
- * mlp_pred and binary_mlp are native; else both NULL (on_measure runs). */
+/* The native predictors a measurement trains in C: both set when
+ * on_measure is the owning thread's own ThreadState._train_mlp over
+ * native MLP predictors (the run loop decides once per run, see
+ * take_llsr); else both NULL and on_measure is called. */
 typedef struct {
     MLPDist *dist;
     BinMLP *bin;
 } Trainer;
 
-static void trainer_of(PyObject *ts, PyObject *on_measure, Trainer *T)
-{
-    T->dist = NULL;
-    T->bin = NULL;
-    if (ts == NULL || !PyMethod_Check(on_measure)
-        || PyMethod_GET_SELF(on_measure) != ts
-        || !PyObject_TypeCheck(ts, g.ts_type))
-        return;
-    PyObject *own = PyDict_GetItem(g.ts_type->tp_dict, g.s_train_mlp);
-    PyObject *dist = SLOT(ts, OFF.ts_mlp_pred);
-    PyObject *bin = SLOT(ts, OFF.ts_binary_mlp);
-    if (own == NULL || PyMethod_GET_FUNCTION(on_measure) != own
-        || dist == NULL || !Py_IS_TYPE(dist, &MLPDist_Type)
-        || bin == NULL || !Py_IS_TYPE(bin, &BinMLP_Type))
-        return;
-    T->dist = (MLPDist *)dist;
-    T->bin = (BinMLP *)bin;
-}
+static const Trainer NO_TRAINER = {NULL, NULL};
 
-/* A 1 leaving the head at `distance`: log (head_pc, distance) in
- * measured, then train (on_measure, or T's predictors in C). */
-static int ring_measure(const Ring *R, const Trainer *T, PyObject *head_pc,
-                        long long distance)
+/* A 1 left the head at `distance`: log (pc, distance) in measured, then
+ * train T's predictors or call on_measure. */
+static int llsr_measure(LLSRN *L, const Trainer *T, int64_t pc,
+                        int64_t distance)
 {
-    PyObject *d = box_ll(distance);
-    if (d == NULL)
-        return -1;
-    PyObject *pair = PyTuple_Pack(2, head_pc, d);
-    int bad = pair == NULL || PyList_Append(R->measured, pair) < 0;
+    if (distance < 0)
+        distance = 0;
+    PyObject *p = box_ll(pc), *d = box_ll(distance);
+    PyObject *pair = p == NULL || d == NULL ? NULL : PyTuple_Pack(2, p, d);
+    int bad = pair == NULL
+        || (L->measured != NULL && PyList_Append(L->measured, pair) < 0);
     Py_XDECREF(pair);
-    if (!bad && R->on_measure != Py_None) {
-        long long pc;
-        if (T->dist != NULL && obj_fits(head_pc, &pc)) {
-            bad = mlpdist_train(T->dist, pc, distance) < 0;
-            if (!bad)
-                binmlp_train(T->bin, pc, distance);
-        } else {
-            PyObject *margs[2] = {head_pc, d};
-            PyObject *r = PyObject_Vectorcall(R->on_measure, margs, 2, NULL);
-            bad = r == NULL;
-            Py_XDECREF(r);
-        }
+    if (!bad && T->dist != NULL) {
+        bad = mlpdist_train(T->dist, pc, distance) < 0;
+        if (!bad)
+            binmlp_train(T->bin, pc, distance);
+    } else if (!bad && L->on_measure != NULL && L->on_measure != Py_None) {
+        PyObject *f = Py_NewRef(L->on_measure);
+        PyObject *args[2] = {p, d};
+        PyObject *r = PyObject_Vectorcall(f, args, 2, NULL);
+        bad = r == NULL;
+        Py_XDECREF(r);
+        Py_DECREF(f);
     }
-    Py_DECREF(d);
+    Py_XDECREF(p);
+    Py_XDECREF(d);
     return bad ? -1 : 0;
 }
 
-/* repro.predictors.llsr.LLSR.commit_zeros, transliterated: k zero-bit
- * commits, measuring every 1 that exits the head, in order.  `ts` (or
- * NULL) is the thread whose predictors the measurements may train in
- * C.  Returns 1 when done, 0 when the register's state is not what the
- * Python class builds (nothing touched: the caller runs the Python
- * method), -1 on error. */
-static int llsr_zeros_c(PyObject *llsr, PyObject *ts, long long k)
+/* Room for k more commits in the commit count. */
+static int llsr_room(const LLSRN *L, int64_t k)
 {
-    Ring R;
-    if (!ring_load(llsr, &R) || k < 0 || k >= SAFE_MAX)
+    if (k <= INT64_MAX - L->total)
         return 0;
-    long long length = R.length, total = R.total, head = R.head;
-    long long last_one = R.last_one;
-    if (R.filled < length) {
-        long long take = length - R.filled;
-        if (take > k)
-            take = k;
-        if (slot_store_ll(llsr, OFF.ll_filled, R.filled + take) < 0
-            || slot_store_ll(llsr, OFF.ll_total, total + take) < 0)
-            return -1;
-        total += take;
+    PyErr_SetString(PyExc_OverflowError, "LLSR commit count past int64");
+    return -1;
+}
+
+/* LLSR.commit: shift one commit in (a 1 when `insert`, unless it is
+ * `dependent` and those are excluded); *distance is the distance
+ * measured for the 1 that left the head, or -1. */
+static int llsr_commit(LLSRN *L, int insert, int64_t pc, int dependent,
+                       const Trainer *T, int64_t *distance)
+{
+    *distance = -1;
+    if (llsr_room(L, 1) < 0)
+        return -1;
+    if (insert && dependent && L->exclude_dependent) {
+        insert = 0;
+        L->suppressed += 1;
+    }
+    int64_t total = ++L->total;
+    if (insert)
+        L->last_one = total;
+    if (L->filled < L->length) {
+        L->bits[L->filled] = (uint8_t)insert;
+        L->pcs[L->filled++] = pc;
+        return 0;
+    }
+    int64_t head = L->head;
+    int head_bit = L->bits[head];
+    int64_t head_pc = L->pcs[head];
+    L->bits[head] = (uint8_t)insert;
+    L->pcs[head] = pc;
+    L->head = head + 1 < L->length ? head + 1 : 0;
+    if (!head_bit)
+        return 0;
+    *distance = L->last_one - total + L->length;
+    if (*distance < 0)
+        *distance = 0;
+    return llsr_measure(L, T, head_pc, *distance);
+}
+
+/* LLSR.commit_zeros: k commits of 0 bits, measuring every 1 that leaves
+ * the head, in order.  Only the commits while the window still holds a
+ * 1 are shifted one by one; the rest is a head and count bump. */
+static int llsr_zeros(LLSRN *L, int64_t k, const Trainer *T)
+{
+    if (llsr_room(L, k) < 0)
+        return -1;
+    int64_t length = L->length;
+    if (L->filled < length) {   /* zeros land on pristine slots */
+        int64_t take = length - L->filled < k ? length - L->filled : k;
+        L->filled += take;
+        L->total += take;
         k -= take;
-        if (!k)
-            return 1;
     }
-    if (last_one + length <= total) {
-        /* no 1 left in the live window: a head/total bump */
-        if (slot_store_ll(llsr, OFF.ll_total, total + k) < 0
-            || slot_store_ll(llsr, OFF.ll_head, (head + k) % length) < 0)
-            return -1;
-        return 1;
-    }
-    long long live = last_one + length - total;
-    long long tail = k > live ? k - live : 0;
-    k -= tail;
-    /* the hook may rebind the register's attributes: hold what the
-     * Python body holds as locals */
-    Py_INCREF(R.bits);
-    Py_INCREF(R.pcs);
-    Py_INCREF(R.measured);
-    Py_INCREF(R.on_measure);
-    Trainer T;
-    trainer_of(ts, R.on_measure, &T);
-    int rc = -1;
-    for (long long i = 0; i < k; i++) {
-        total += 1;
-        if (head >= PyList_GET_SIZE(R.bits)
-            || head >= PyList_GET_SIZE(R.pcs)) {
-            PyErr_SetString(PyExc_IndexError, "LLSR ring resized");
-            goto done;
-        }
-        int set = PyObject_IsTrue(PyList_GET_ITEM(R.bits, head));
-        if (set < 0)
-            goto done;
-        if (set) {
-            PyObject *head_pc = Py_NewRef(PyList_GET_ITEM(R.pcs, head));
-            Py_INCREF(g.small_ints[0]);
-            lset(R.bits, head, g.small_ints[0]);
-            Py_INCREF(g.neg_one);
-            lset(R.pcs, head, g.neg_one);
-            long long distance = last_one - total + length;
-            int bad = ring_measure(&R, &T, head_pc,
-                                   distance < 0 ? 0 : distance);
-            Py_DECREF(head_pc);
-            if (bad < 0)
-                goto done;
-        }
-        head += 1;
-        if (head == length)
-            head = 0;
-    }
-    if (tail) {
-        head = (head + tail) % length;
-        total += tail;
-    }
-    if (slot_store_ll(llsr, OFF.ll_head, head) < 0
-        || slot_store_ll(llsr, OFF.ll_total, total) < 0)
-        goto done;
-    rc = 1;
-done:
-    Py_DECREF(R.bits);
-    Py_DECREF(R.pcs);
-    Py_DECREF(R.measured);
-    Py_DECREF(R.on_measure);
-    return rc;
-}
-
-/* repro.predictors.llsr.LLSR.commit(True, pc, dependent), transliterated
- * (the commit stage's long-latency shift); returns as llsr_zeros_c. */
-static int llsr_one_c(PyObject *llsr, PyObject *ts, PyObject *pc,
-                      int dependent)
-{
-    Ring R;
-    long long suppressed = 0;
-    if (!ring_load(llsr, &R))
-        return 0;
-    int insert = 1;
-    if (dependent) {
-        PyObject *exclude = SLOT(llsr, OFF.ll_exclude_dependent);
-        if (exclude != Py_True && exclude != Py_False)
-            return 0;
-        if (exclude == Py_True) {
-            if (!slot_fits(llsr, OFF.ll_suppressed, &suppressed)
-                || suppressed >= SAFE_MAX)
-                return 0;
-            insert = 0;
+    for (int64_t live = length - (L->total - L->last_one);
+         k > 0 && live > 0; k--, live--) {
+        int64_t head = L->head;
+        L->total += 1;
+        L->head = head + 1 < length ? head + 1 : 0;
+        if (L->bits[head]) {
+            L->bits[head] = 0;
+            if (llsr_measure(L, T, L->pcs[head],
+                             L->last_one - L->total + length) < 0)
+                return -1;
         }
     }
-    long long total = R.total + 1;
-    long long last_one = insert ? total : R.last_one;
-    if ((!insert
-         && slot_store_ll(llsr, OFF.ll_suppressed, suppressed + 1) < 0)
-        || slot_store_ll(llsr, OFF.ll_total, total) < 0
-        || (insert
-            && slot_store_ll(llsr, OFF.ll_last_one_total, last_one) < 0))
-        return -1;
-    PyObject *bit = g.small_ints[insert];
-    PyObject *bit_pc = insert ? pc : g.neg_one;
-    if (R.filled < R.length) {
-        Py_INCREF(bit);
-        lset(R.bits, R.filled, bit);
-        Py_INCREF(bit_pc);
-        lset(R.pcs, R.filled, bit_pc);
-        return slot_store_ll(llsr, OFF.ll_filled, R.filled + 1) < 0 ? -1 : 1;
+    if (k > 0) {
+        L->total += k;
+        L->head = (L->head + k % length) % length;
     }
-    long long head = R.head;
-    int head_bit = PyObject_IsTrue(PyList_GET_ITEM(R.bits, head));
-    if (head_bit < 0)
-        return -1;
-    PyObject *head_pc = Py_NewRef(PyList_GET_ITEM(R.pcs, head));
-    Py_INCREF(bit);
-    lset(R.bits, head, bit);
-    Py_INCREF(bit_pc);
-    lset(R.pcs, head, bit_pc);
-    int rc = slot_store_ll(llsr, OFF.ll_head,
-                           head + 1 < R.length ? head + 1 : 0);
-    if (rc == 0 && head_bit) {
-        long long distance = last_one - total + R.length;
-        Trainer T;
-        trainer_of(ts, R.on_measure, &T);
-        Py_INCREF(R.measured);
-        Py_INCREF(R.on_measure);
-        rc = ring_measure(&R, &T, head_pc, distance < 0 ? 0 : distance);
-        Py_DECREF(R.measured);
-        Py_DECREF(R.on_measure);
-    }
-    Py_DECREF(head_pc);
-    return rc < 0 ? -1 : 1;
-}
-
-/* Shift ts's k staged zero commits into its LLSR, clearing the stage:
- * in C on an exact LLSR, else ts.llsr_commit_zeros(k). */
-static int llsr_commit_zeros(PyObject *ts, long long k)
-{
-    if (k == 0)
-        return 0;
-    if (slot_store_ll(ts, OFF.ts_llsr_zeros, 0) < 0)
-        return -1;
-    PyObject *llsr = SLOT(ts, OFF.ts_llsr);
-    if (llsr != NULL && Py_TYPE(llsr) == g.llsr_type) {
-        int rc = llsr_zeros_c(llsr, ts, k);
-        if (rc != 0)
-            return rc < 0 ? -1 : 0;
-    }
-    PyObject *kb = box_ll(k);
-    if (kb == NULL)
-        return -1;
-    PyObject *r = PyObject_CallOneArg(SLOT(ts, OFF.ts_llsr_commit_zeros),
-                                      kb);
-    Py_DECREF(kb);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
     return 0;
 }
 
-/* Shift a committed long-latency load of ts into its LLSR: in C on an
- * exact LLSR, else ts.llsr_commit(True, pc, dependent). */
-static int llsr_commit_ll(PyObject *ts, PyObject *pc, int dependent)
+static PyObject *LLSR_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *llsr = SLOT(ts, OFF.ts_llsr);
-    if (llsr != NULL && Py_TYPE(llsr) == g.llsr_type) {
-        int rc = llsr_one_c(llsr, ts, pc, dependent);
-        if (rc != 0)
-            return rc < 0 ? -1 : 0;
+    long long length;
+    PyObject *on_measure = Py_None;
+    int exclude = 0;
+    static char *kwlist[] = {"length", "on_measure", "exclude_dependent",
+                             NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L|Op:LLSR", kwlist,
+                                     &length, &on_measure, &exclude))
+        return NULL;
+    if (length < 2)
+        return value_error("LLSR needs at least two entries");
+    LLSRN *L = (LLSRN *)type->tp_alloc(type, 0);
+    if (L == NULL)
+        return NULL;
+    L->length = length;
+    L->exclude_dependent = (char)exclude;
+    L->on_measure = Py_NewRef(on_measure);
+    L->bits = PyMem_Calloc((size_t)length, sizeof(uint8_t));
+    L->pcs = PyMem_Calloc((size_t)length, sizeof(int64_t));
+    if (L->bits == NULL || L->pcs == NULL
+        || (L->measured = PyList_New(0)) == NULL) {
+        Py_DECREF(L);
+        return PyErr_Occurred() ? NULL : PyErr_NoMemory();
     }
-    PyObject *args[3] = {Py_True, pc, dependent ? Py_True : Py_False};
-    PyObject *r = PyObject_Vectorcall(SLOT(ts, OFF.ts_llsr_commit), args, 3,
-                                      NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
+    return (PyObject *)L;
+}
+
+static int LLSR_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    LLSRN *L = (LLSRN *)self;
+    Py_VISIT(L->on_measure);
+    Py_VISIT(L->measured);
     return 0;
 }
+
+static int LLSR_clear(PyObject *self)
+{
+    LLSRN *L = (LLSRN *)self;
+    Py_CLEAR(L->on_measure);
+    Py_CLEAR(L->measured);
+    return 0;
+}
+
+static void LLSR_dealloc(PyObject *self)
+{
+    LLSRN *L = (LLSRN *)self;
+    PyObject_GC_UnTrack(self);
+    LLSR_clear(self);
+    PyMem_Free(L->bits);
+    PyMem_Free(L->pcs);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* commit(is_long_latency_load, pc=-1, dependent=False) -> the distance
+ * measured for the 1 that left the head, or None */
+static PyObject *LLSR_commit(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"is_long_latency_load", "pc", "dependent",
+                             NULL};
+    int insert, dependent = 0;
+    long long pc = -1;
+    int64_t distance;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "p|Lp:commit", kwlist,
+                                     &insert, &pc, &dependent)
+        || llsr_commit((LLSRN *)self, insert, pc, dependent, &NO_TRAINER,
+                       &distance) < 0)
+        return NULL;
+    if (distance < 0)
+        Py_RETURN_NONE;
+    return box_ll(distance);
+}
+
+/* commit_zeros(k) */
+static PyObject *LLSR_commit_zeros(PyObject *self, PyObject *args,
+                                   PyObject *kwds)
+{
+    static char *kwlist[] = {"k", NULL};
+    long long k;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L:commit_zeros", kwlist,
+                                     &k))
+        return NULL;
+    if (k < 0)
+        return value_error("commit_zeros needs k >= 0");
+    if (llsr_zeros((LLSRN *)self, k, &NO_TRAINER) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* state() -> the ring in slot order (a pc of -1 beside a 0 bit), with
+ * its head, fill count, commit count and watermark */
+static PyObject *LLSR_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    LLSRN *L = (LLSRN *)self;
+    PyObject *bits = PyList_New((Py_ssize_t)L->length);
+    PyObject *pcs = PyList_New((Py_ssize_t)L->length);
+    PyObject *out = NULL;
+    for (int64_t i = 0; bits != NULL && pcs != NULL && i < L->length; i++) {
+        PyList_SET_ITEM(bits, i, box_ll(L->bits[i]));
+        PyList_SET_ITEM(pcs, i, box_ll(L->bits[i] ? L->pcs[i] : -1));
+    }
+    if (bits != NULL && pcs != NULL && !PyErr_Occurred())
+        out = Py_BuildValue("{sOsOsLsLsLsL}", "bits", bits, "pcs", pcs,
+                            "head", (long long)L->head,
+                            "filled", (long long)L->filled,
+                            "total", (long long)L->total,
+                            "last_one", (long long)L->last_one);
+    Py_XDECREF(bits);
+    Py_XDECREF(pcs);
+    return out;
+}
+
+static int LLSR_set_measured(PyObject *self, PyObject *value,
+                             void *Py_UNUSED(closure))
+{
+    if (value == NULL || !PyList_Check(value)) {
+        PyErr_SetString(PyExc_TypeError, "measured must be a list");
+        return -1;
+    }
+    Py_XSETREF(((LLSRN *)self)->measured, Py_NewRef(value));
+    return 0;
+}
+
+static PyMethodDef LLSR_methods[] = {
+    {"commit", (PyCFunction)(void (*)(void))LLSR_commit,
+     METH_VARARGS | METH_KEYWORDS,
+     "commit(is_long_latency_load, pc=-1, dependent=False) -> the MLP "
+     "distance measured this commit, or None."},
+    {"commit_zeros", (PyCFunction)(void (*)(void))LLSR_commit_zeros,
+     METH_VARARGS | METH_KEYWORDS,
+     "commit_zeros(k): k commits of non-long-latency instructions."},
+    {"state", LLSR_state, METH_NOARGS,
+     "state() -> {'bits', 'pcs', 'head', 'filled', 'total', 'last_one'}."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef LLSR_getset[] = {
+    {"length", get_i64, NULL, "Entries.",
+     (void *)offsetof(LLSRN, length)},
+    {"occupancy", get_i64, NULL, "Entries shifted in while filling.",
+     (void *)offsetof(LLSRN, filled)},
+    I64_FIELD(LLSRN, suppressed,
+              "Long-latency loads demoted to 0 bits as dependent."),
+    {"measured", get_obj, LLSR_set_measured,
+     "(pc, distance) per measurement.", (void *)offsetof(LLSRN, measured)},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyMemberDef LLSR_members[] = {
+    {"exclude_dependent", T_BOOL, offsetof(LLSRN, exclude_dependent), 0,
+     "Demote dependent long-latency loads to 0 bits."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject LLSR_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.LLSR",
+    .tp_doc = "LLSR(length, on_measure=None, exclude_dependent=False) as "
+              "native state; a cext thread's register.",
+    .tp_basicsize = sizeof(LLSRN),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = LLSR_new,
+    .tp_dealloc = LLSR_dealloc,
+    .tp_traverse = LLSR_traverse,
+    .tp_clear = LLSR_clear,
+    .tp_methods = LLSR_methods,
+    .tp_members = LLSR_members,
+    .tp_getset = LLSR_getset,
+};
+
+#undef I64_FIELD
 
 /* ------------------------------------------------------------------ */
 /* the iteration-varying slots of SyntheticTrace                       */
@@ -3127,12 +3139,6 @@ done:
     return out;
 }
 
-static PyObject *Mem_get_obj(PyObject *self, void *off)
-{
-    PyObject *v = *(PyObject **)((char *)self + (size_t)off);
-    return Py_NewRef(v != NULL ? v : Py_None);
-}
-
 /* ll_intervals takes a list, ll_loads_per_thread a dict. */
 static int Mem_set_obj(PyObject *self, PyObject *value, void *off)
 {
@@ -3159,12 +3165,12 @@ static PyObject *Mem_get_ll_count(PyObject *self, void *Py_UNUSED(closure))
                        (void *)offsetof(Mem, name)}
 
 static PyGetSetDef Mem_getset[] = {
-    {"cfg", Mem_get_obj, NULL, "The MemoryConfig.",
+    {"cfg", get_obj, NULL, "The MemoryConfig.",
      (void *)offsetof(Mem, cfg)},
-    {"ll_intervals", Mem_get_obj, Mem_set_obj,
+    {"ll_intervals", get_obj, Mem_set_obj,
      "(start, end) per long-latency load.",
      (void *)offsetof(Mem, ll_intervals)},
-    {"ll_loads_per_thread", Mem_get_obj, Mem_set_obj,
+    {"ll_loads_per_thread", get_obj, Mem_set_obj,
      "Long-latency loads per thread.",
      (void *)offsetof(Mem, ll_per_thread)},
     MEM_INT(demand_loads), MEM_INT(merged_loads), MEM_INT(prefetch_covered),
@@ -3617,6 +3623,14 @@ static void Arena_dealloc(PyObject *self)
 /* run context (the fused loop's hoisted locals)                       */
 /* ------------------------------------------------------------------ */
 
+/* A thread's LLSR as the commit stage shifts it. */
+typedef struct {
+    LLSRN *llsr;            /* owned: the thread's llsr */
+    Trainer train;          /* owned: see take_llsr */
+    int64_t zeros;          /* retires not yet shifted in (0 between
+                             * commit stages) */
+} RunLLSR;
+
 typedef struct {
     PyObject *core;
     Arena *A;               /* owned */
@@ -3635,6 +3649,8 @@ typedef struct {
     Mem *mem;
     GShareN *gshare;
     BTBN *btb;
+    Py_ssize_t n_llsr;
+    RunLLSR llsr[MAX_THREADS];          /* each thread's, in tid order */
     long long pc_origin[MAX_THREADS];   /* each thread's pc_origin */
 } Ctx;
 
@@ -3924,6 +3940,27 @@ static PyObject *rotation(Ctx *c, Py_ssize_t rot, long long mask, int full)
     return tup;
 }
 
+/* The run's register of ts, one of the core's threads. */
+static RunLLSR *run_llsr(Ctx *c, PyObject *ts)
+{
+    for (Py_ssize_t i = 0; i < c->n_llsr; i++)
+        if (PyTuple_GET_ITEM(c->threads, i) == ts)
+            return &c->llsr[i];
+    PyErr_SetString(PyExc_RuntimeError,
+                    "a retire from a thread outside core.threads");
+    return NULL;
+}
+
+/* Shift the run of non-long-latency retires staged for t into its
+ * register at once: before its next long-latency retire, and at the end
+ * of the commit pass. */
+static int llsr_flush(RunLLSR *t)
+{
+    int64_t k = t->zeros;
+    t->zeros = 0;
+    return k ? llsr_zeros(t->llsr, k, &t->train) : 0;
+}
+
 static int stage_commit(Ctx *c, long long cycle)
 {
     PyObject *core = c->core;
@@ -4018,15 +4055,18 @@ static int stage_commit(Ctx *c, long long cycle)
             }
             /* F_IS_LL implies F_IS_LOAD (set only in the issue load
              * body), matching the object engine's two-flag test. */
-            if (fl & F_IS_LL) {
-                if (llsr_commit_zeros(ts, slot_ll(ts, OFF.ts_llsr_zeros))
-                    < 0)
-                    return -1;
-                if (llsr_commit_ll(ts, SLOT(instr, OFF.in_pc), dependent)
-                    < 0)
-                    return -1;
-            } else if (stat_add(ts, OFF.ts_llsr_zeros, 1) < 0) {
+            RunLLSR *t = run_llsr(c, ts);
+            if (t == NULL)
                 return -1;
+            if (fl & F_IS_LL) {
+                int64_t pc, distance;
+                if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0
+                    || llsr_flush(t) < 0
+                    || llsr_commit(t->llsr, 1, pc, dependent, &t->train,
+                                   &distance) < 0)
+                    return -1;
+            } else {
+                t->zeros += 1;
             }
             int64_t old = A->old_map[s];
             if (old >= 0) {
@@ -4053,8 +4093,8 @@ static int stage_commit(Ctx *c, long long cycle)
     }
     if (budget < c->commit_width) {   /* at least one retire happened */
         for (Py_ssize_t oi = 0; oi < order_n; oi++) {
-            PyObject *ts = seq_item(order, oi);
-            if (llsr_commit_zeros(ts, slot_ll(ts, OFF.ts_llsr_zeros)) < 0)
+            RunLLSR *t = run_llsr(c, seq_item(order, oi));
+            if (t == NULL || llsr_flush(t) < 0)
                 return -1;
         }
         if (slot_store_ll(core, OFF.committed_watermark, watermark) < 0
@@ -5126,20 +5166,47 @@ static Arena *arena_of(PyObject *core)
     return A;
 }
 
-/* The core's part in slot `off` (borrowed) when it is the engine's own
- * `type`, the one model the loop runs; else NULL and a TypeError. */
-static PyObject *native_part(PyObject *core, Py_ssize_t off,
-                             PyTypeObject *type, const char *name)
+/* The part `name` in slot `off` of `obj` (borrowed) when it is the
+ * engine's own `type`, the one model the loop runs; else NULL and a
+ * TypeError.  `obj` is the core, or its thread `tid` when tid >= 0. */
+static PyObject *native_part(PyObject *obj, Py_ssize_t off,
+                             PyTypeObject *type, Py_ssize_t tid,
+                             const char *name)
 {
-    PyObject *part = SLOT(core, off);
+    PyObject *part = SLOT(obj, off);
     if (part != NULL && Py_IS_TYPE(part, type))
         return part;
-    PyErr_Format(PyExc_TypeError,
-                 "core.%s must be the cext engine's %s, not %R; run other "
-                 "models on backend 'object'", name,
-                 strrchr(type->tp_name, '.') + 1,
-                 part == NULL ? Py_None : (PyObject *)Py_TYPE(part));
+    PyObject *who = tid < 0
+        ? PyUnicode_FromFormat("core.%s", name)
+        : PyUnicode_FromFormat("core.threads[%zd].%s", tid, name);
+    if (who != NULL)
+        PyErr_Format(PyExc_TypeError,
+                     "%U must be the cext engine's %s, not %R; run other "
+                     "models on backend 'object'", who,
+                     strrchr(type->tp_name, '.') + 1,
+                     part == NULL ? Py_None : (PyObject *)Py_TYPE(part));
+    Py_XDECREF(who);
     return NULL;
+}
+
+/* Take ts's register for the run.  Its measurements train ts's native
+ * MLP predictors in C when its on_measure is ts's own
+ * ThreadState._train_mlp over those (decided here, once per run: a
+ * predictor reassigned mid-run is not followed); else they call it. */
+static void take_llsr(RunLLSR *t, PyObject *ts, PyObject *llsr)
+{
+    t->llsr = (LLSRN *)Py_NewRef(llsr);
+    PyObject *f = t->llsr->on_measure;
+    PyObject *own = PyDict_GetItem(g.ts_type->tp_dict, g.s_train_mlp);
+    PyObject *dist = SLOT(ts, OFF.ts_mlp_pred);
+    PyObject *bin = SLOT(ts, OFF.ts_binary_mlp);
+    if (f != NULL && PyMethod_Check(f) && PyMethod_GET_SELF(f) == ts
+        && own != NULL && PyMethod_GET_FUNCTION(f) == own
+        && dist != NULL && Py_IS_TYPE(dist, &MLPDist_Type)
+        && bin != NULL && Py_IS_TYPE(bin, &BinMLP_Type)) {
+        t->train.dist = (MLPDist *)Py_NewRef(dist);
+        t->train.bin = (BinMLP *)Py_NewRef(bin);
+    }
 }
 
 static void ctx_clear(Ctx *c)
@@ -5149,6 +5216,12 @@ static void ctx_clear(Ctx *c)
     Py_CLEAR(c->mem);
     Py_CLEAR(c->gshare);
     Py_CLEAR(c->btb);
+    for (Py_ssize_t i = 0; i < c->n_llsr; i++) {
+        Py_CLEAR(c->llsr[i].llsr);
+        Py_CLEAR(c->llsr[i].train.dist);
+        Py_CLEAR(c->llsr[i].train.bin);
+    }
+    c->n_llsr = 0;
 }
 
 static int ctx_init(Ctx *c, PyObject *core)
@@ -5157,17 +5230,27 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->core = core;
     if ((c->A = arena_of(core)) == NULL)
         return -1;
-    PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, "hierarchy");
+    PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, -1,
+                                "hierarchy");
     PyObject *gshare = mem == NULL ? NULL
-        : native_part(core, OFF.gshare, &GShare_Type, "gshare");
+        : native_part(core, OFF.gshare, &GShare_Type, -1, "gshare");
     PyObject *btb = gshare == NULL ? NULL
-        : native_part(core, OFF.btb, &BTB_Type, "btb");
+        : native_part(core, OFF.btb, &BTB_Type, -1, "btb");
     if (btb == NULL)
         goto fail;
     c->mem = (Mem *)Py_NewRef(mem);
     c->gshare = (GShareN *)Py_NewRef(gshare);
     c->btb = (BTBN *)Py_NewRef(btb);
+    /* arena_of checked: a tuple of at most MAX_THREADS threads */
     c->threads = SLOT(core, OFF.threads);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
+        PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+        PyObject *llsr = native_part(ts, OFF.ts_llsr, &LLSR_Type, i, "llsr");
+        if (llsr == NULL)
+            goto fail;
+        take_llsr(&c->llsr[c->n_llsr++], ts, llsr);
+        c->pc_origin[i] = slot_ll(ts, OFF.ts_pc_origin);
+    }
     c->fetch_candidates = SLOT(core, OFF.fetch_candidates);
     c->on_ll_detect = PyObject_GetAttr(SLOT(core, OFF.policy),
                                        g.s_on_ll_detect);
@@ -5200,10 +5283,6 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->can_fetch_one =
         c->fetch_max_threads >= 1 && c->fetch_width >= 1;
     c->track_dep = slot_true(core, OFF.track_ll_dep);
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads)
-                           && i < MAX_THREADS; i++)
-        c->pc_origin[i] = slot_ll(PyTuple_GET_ITEM(c->threads, i),
-                                  OFF.ts_pc_origin);
     if (!PyErr_Occurred())
         return 0;
 fail:   /* the context owns nothing after a failed init */
@@ -5211,26 +5290,19 @@ fail:   /* the context owns nothing after a failed init */
     return -1;
 }
 
-/* The entry points' guard: setup() has run and `lo` to `hi` arguments
- * came. */
-static int check_nargs(Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi,
-                       const char *sig)
+/* The entry points' guard: setup() has run and `want` arguments came. */
+static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
 {
     if (!g.ready) {
         PyErr_SetString(PyExc_RuntimeError,
                         "_cext_engine.setup() has not run");
         return -1;
     }
-    if (nargs < lo || nargs > hi) {
+    if (nargs != want) {
         PyErr_SetString(PyExc_TypeError, sig);
         return -1;
     }
     return 0;
-}
-
-static int check_args(Py_ssize_t nargs, Py_ssize_t want, const char *sig)
-{
-    return check_nargs(nargs, want, want, sig);
 }
 
 static PyObject *run_until(PyObject *self, PyObject *const *args,
@@ -5651,7 +5723,8 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
     int cancel = PyObject_IsTrue(args[3]);
     if ((after_seq == -1 && PyErr_Occurred()) || cancel < 0
         || !owns(A, core, ts)
-        || native_part(core, OFF.hierarchy, &Mem_Type, "hierarchy") == NULL)
+        || native_part(core, OFF.hierarchy, &Mem_Type, -1,
+                       "hierarchy") == NULL)
         return NULL;
     SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
     SlotSeq *window = seq_of(ts, OFF.ts_window);
@@ -5682,7 +5755,7 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         PyObject *fill = A->fill_line[s];
         if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
             /* read per use: an earlier clear_owner ran Python */
-            PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type,
+            PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, -1,
                                         "hierarchy");
             int64_t line, addr;
             if (mem == NULL || int64_arg(fill, &line) < 0
@@ -6225,11 +6298,8 @@ static const struct OffSpec SPECS[] = {
     O("ts", "trace_get", ts_trace_get),
     O("ts", "lll_predict", ts_lll_predict),
     O("ts", "pc_origin", ts_pc_origin),
-    O("ts", "llsr_commit", ts_llsr_commit),
-    O("ts", "llsr_commit_zeros", ts_llsr_commit_zeros),
     O("ts", "trace_static", ts_trace_static),
     O("ts", "trace_body_len", ts_trace_body_len),
-    O("ts", "llsr_zeros", ts_llsr_zeros),
     O("ts", "trace_flags", ts_trace_flags),
     O("ts", "lll_pred", ts_lll_pred),
     O("ts", "trace", ts_trace), O("ts", "llsr", ts_llsr),
@@ -6254,14 +6324,6 @@ static const struct OffSpec SPECS[] = {
     O("instr", "is_branch", in_is_branch),
     O("instr", "op_i", in_op_i), O("instr", "fp_queue", in_fp_queue),
     O("instr", "latency", in_latency),
-    O("llsr", "length", ll_length), O("llsr", "_bits", ll_bits),
-    O("llsr", "_pcs", ll_pcs), O("llsr", "_head", ll_head),
-    O("llsr", "_filled", ll_filled), O("llsr", "_total", ll_total),
-    O("llsr", "_last_one_total", ll_last_one_total),
-    O("llsr", "_on_measure", ll_on_measure),
-    O("llsr", "measured", ll_measured),
-    O("llsr", "exclude_dependent", ll_exclude_dependent),
-    O("llsr", "suppressed", ll_suppressed),
     O("trace", "_dyn", tr_dyn),
 };
 
@@ -6410,11 +6472,10 @@ static PyObject *setup(PyObject *self, PyObject *ns)
     Py_XSETREF(g.mlp_fn, mlp_fn);
     /* the exact types the in-C paths apply to */
     {
-        static const char *keys[5] = {"core", "llsr", "trace", "instr",
-                                      "ts"};
-        PyTypeObject **dst[5] = {&g.core_type, &g.llsr_type, &g.trace_type,
-                                 &g.instr_type, &g.ts_type};
-        for (int i = 0; i < 5; i++) {
+        static const char *keys[4] = {"core", "trace", "instr", "ts"};
+        PyTypeObject **dst[4] = {&g.core_type, &g.trace_type, &g.instr_type,
+                                 &g.ts_type};
+        for (int i = 0; i < 4; i++) {
             PyTypeObject *t = type_of(ns, keys[i]);
             if (t == NULL)
                 return NULL;
@@ -6514,69 +6575,6 @@ static PyObject *t_next_cycle(PyObject *self, PyObject *const *args,
     return rc < 0 ? NULL : PyLong_FromLongLong(nxt);
 }
 
-/* The optional thread argument of the LLSR test hooks (NULL for None). */
-static PyObject *hook_thread(PyObject *const *args, Py_ssize_t nargs,
-                             Py_ssize_t at)
-{
-    return nargs > at && args[at] != Py_None ? args[at] : NULL;
-}
-
-/* _llsr_commit_zeros(llsr, k, ts=None) -> bool: LLSR.commit_zeros as
- * the commit stage runs it for thread ts; True when C did the work. */
-static PyObject *t_llsr_commit_zeros(PyObject *self, PyObject *const *args,
-                                     Py_ssize_t nargs)
-{
-    (void)self;
-    if (check_nargs(nargs, 2, 3, "_llsr_commit_zeros(llsr, k, ts=None)")
-        < 0)
-        return NULL;
-    long long k = PyLong_AsLongLong(args[1]);
-    if (k == -1 && PyErr_Occurred())
-        return NULL;
-    int rc = 0;
-    if (Py_TYPE(args[0]) == g.llsr_type)
-        rc = llsr_zeros_c(args[0], hook_thread(args, nargs, 2), k);
-    if (rc < 0)
-        return NULL;
-    if (rc)
-        Py_RETURN_TRUE;
-    PyObject *r = PyObject_CallMethod(args[0], "commit_zeros", "L", k);
-    if (r == NULL)
-        return NULL;
-    Py_DECREF(r);
-    Py_RETURN_FALSE;
-}
-
-/* _llsr_commit(llsr, pc, dependent, ts=None) -> bool: the commit
- * stage's long-latency shift, LLSR.commit(True, pc, dependent), for
- * thread ts; True when C did the work. */
-static PyObject *t_llsr_commit(PyObject *self, PyObject *const *args,
-                               Py_ssize_t nargs)
-{
-    (void)self;
-    if (check_nargs(nargs, 3, 4, "_llsr_commit(llsr, pc, dependent, ts=None)")
-        < 0)
-        return NULL;
-    int dependent = PyObject_IsTrue(args[2]);
-    if (dependent < 0)
-        return NULL;
-    int rc = 0;
-    if (Py_TYPE(args[0]) == g.llsr_type)
-        rc = llsr_one_c(args[0], hook_thread(args, nargs, 3), args[1],
-                        dependent);
-    if (rc < 0)
-        return NULL;
-    if (rc)
-        Py_RETURN_TRUE;
-    PyObject *r = PyObject_CallMethod(args[0], "commit", "OOO", Py_True,
-                                      args[1],
-                                      dependent ? Py_True : Py_False);
-    if (r == NULL)
-        return NULL;
-    Py_DECREF(r);
-    Py_RETURN_FALSE;
-}
-
 /* _trace_dyn(trace, index) -> Instr | None: the fetch stage's in-C build
  * of an iteration-varying slot; None where the stage calls get. */
 static PyObject *t_trace_dyn(PyObject *self, PyObject *const *args,
@@ -6613,11 +6611,6 @@ static PyMethodDef cext_methods[] = {
      "run_until(core, max_commits, limit) -> None"},
     {"_next_cycle", (PyCFunction)(void (*)(void))t_next_cycle,
      METH_FASTCALL, "Test hook: run_until's fast-forward target."},
-    {"_llsr_commit_zeros",
-     (PyCFunction)(void (*)(void))t_llsr_commit_zeros, METH_FASTCALL,
-     "Test hook: the commit stage's LLSR.commit_zeros."},
-    {"_llsr_commit", (PyCFunction)(void (*)(void))t_llsr_commit,
-     METH_FASTCALL, "Test hook: the commit stage's long-latency shift."},
     {"_trace_dyn", (PyCFunction)(void (*)(void))t_trace_dyn, METH_FASTCALL,
      "Test hook: the fetch stage's build of a varying trace slot."},
     {NULL, NULL, 0, NULL},
@@ -6638,7 +6631,7 @@ PyMODINIT_FUNC PyInit__cext_engine(void)
         || PyType_Ready(&Arena_Type) < 0 || PyType_Ready(&Mem_Type) < 0
         || PyType_Ready(&MissPat_Type) < 0 || PyType_Ready(&MLPDist_Type) < 0
         || PyType_Ready(&BinMLP_Type) < 0 || PyType_Ready(&GShare_Type) < 0
-        || PyType_Ready(&BTB_Type) < 0)
+        || PyType_Ready(&BTB_Type) < 0 || PyType_Ready(&LLSR_Type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&cext_module);
     if (m == NULL)
@@ -6654,7 +6647,8 @@ PyMODINIT_FUNC PyInit__cext_engine(void)
         || PyModule_AddObjectRef(m, "BinaryMLPPredictor",
                                  (PyObject *)&BinMLP_Type) < 0
         || PyModule_AddObjectRef(m, "GShare", (PyObject *)&GShare_Type) < 0
-        || PyModule_AddObjectRef(m, "BTB", (PyObject *)&BTB_Type) < 0) {
+        || PyModule_AddObjectRef(m, "BTB", (PyObject *)&BTB_Type) < 0
+        || PyModule_AddObjectRef(m, "LLSR", (PyObject *)&LLSR_Type) < 0) {
         Py_DECREF(m);
         return NULL;
     }

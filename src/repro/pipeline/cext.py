@@ -11,35 +11,36 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   engine's code and the reference the equivalence tests compare against
   (``tests/test_cext_paths.py``): the fast-forward target
   (``SMTCore._next_cycle``); the base policy's fetch order, ICOUNT and
-  COT (``FetchPolicy.fetch_order``); ``LLSR.commit_zeros`` and the
-  long-latency ``LLSR.commit`` on an exact
-  :class:`~repro.predictors.LLSR`, whose measurements train the
-  thread's native MLP predictors in C when its ``on_measure`` is the
-  thread's own ``ThreadState._train_mlp``; and the iteration-varying
-  slots of an exact :class:`~repro.workloads.trace.SyntheticTrace`.
+  COT (``FetchPolicy.fetch_order``); and the iteration-varying slots of
+  an exact :class:`~repro.workloads.trace.SyntheticTrace`.
   A fetch burst keeps the thread's ``fetch_index``, ``icount`` and
   ``last_ifetch_line`` in C locals, stored back before any Python call
   inside the burst and read again after it only where the call changed
   them.
-* The engine's ``Hierarchy``, ``GShare``, ``BTB``,
+* The engine's ``Hierarchy``, ``GShare``, ``BTB``, ``LLSR``,
   ``MissPatternPredictor``, ``MLPDistancePredictor`` and
   ``BinaryMLPPredictor`` types are
   :class:`~repro.memory.hierarchy.MemoryHierarchy` (caches, TLBs,
-  pending fills, the MSHR heap, stream buffers and their stride table)
-  and the front end's predictors as native state, with their Python
-  classes' methods, defaults, counters and ``ll_intervals`` list
-  (``tests/test_native_hierarchy.py`` and
-  ``tests/test_native_predictors.py`` hold each to its class).  A
-  :class:`CextCore` builds its parts through :meth:`CextCore._build`,
-  which returns the native type from the class's own constructor
-  arguments, so it builds no Python part to drop.  The loop runs only
-  the native hierarchy, gshare and BTB, in C: ``run_until`` takes the
-  three from the core once per run (a hook that reassigns one mid-run
-  is not followed) and raises ``TypeError`` for any other object, as
+  pending fills, the MSHR heap, stream buffers and their stride table),
+  the front end's predictors and the paper's long-latency shift
+  register as native state, with their Python classes' methods,
+  defaults, counters and ``ll_intervals``/``measured`` lists
+  (``tests/test_native_hierarchy.py``,
+  ``tests/test_native_predictors.py`` and ``tests/test_cext_paths.py``
+  hold each to its class).  A :class:`CextCore` builds its parts
+  through :meth:`CextCore._build`, which returns the native type from
+  the class's own constructor arguments, so it builds no Python part to
+  drop.  The loop runs only the native hierarchy, gshare, BTB and
+  LLSRs, in C: ``run_until`` takes the core's three parts and each
+  thread's ``llsr`` once per run (a hook that reassigns one mid-run is
+  not followed) and raises ``TypeError`` for any other object, as
   ``flush_thread`` does for the hierarchy; other models run on backend
-  ``'object'``.  The per-thread predictors keep a Python fallback that
-  workloads and reference tests reach: the ``last_value`` and
-  ``two_bit`` kinds, sizes the native tables cannot hold
+  ``'object'``.  It also decides once per run whether an LLSR's
+  ``on_measure`` is its thread's own ``ThreadState._train_mlp`` over
+  native MLP predictors, which the commit stage then trains in C; any
+  other callable is called.  The per-thread predictors keep a Python
+  fallback that workloads and reference tests reach: the ``last_value``
+  and ``two_bit`` kinds, sizes the native tables cannot hold
   (``lll_counter_bits`` above 15, MLP distances above 32,767), and a
   predictor or ``lll_predict`` reassigned after construction run
   through their Python methods.
@@ -168,6 +169,7 @@ from repro.pipeline.dyninstr import (
 from repro.pipeline.stats import CoreStats, ThreadStats
 from repro.pipeline.thread_state import ThreadState
 from repro.predictors import (
+    LLSR,
     BinaryMLPPredictor,
     MissPatternPredictor,
     MLPDistancePredictor,
@@ -239,7 +241,6 @@ def _build(compiler: str) -> Path:
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
     from repro.isa.instruction import Instr
-    from repro.predictors.llsr import LLSR
     from repro.workloads.spec import SlotKind
     from repro.workloads.trace import SyntheticTrace
     return {
@@ -249,7 +250,6 @@ def _setup_namespace() -> dict[str, Any]:
         "core_stats": CoreStats,
         "instr": Instr,
         "result": AccessResult,
-        "llsr": LLSR,
         "trace": SyntheticTrace,
         "limit_exc": SimulationLimitExceeded,
         "deadlock_exc": SimulationDeadlock,
@@ -315,6 +315,7 @@ _TWINS: dict[type, str] = {
     MissPatternPredictor: "MissPatternPredictor",
     MLPDistancePredictor: "MLPDistancePredictor",
     BinaryMLPPredictor: "BinaryMLPPredictor",
+    LLSR: "LLSR",
 }
 
 
@@ -327,9 +328,10 @@ class CextCore(SMTCore):
     compiled loop.  The two marker slots cache the policy-class hook
     markers (``getattr`` probes on the policy class), so the C side
     reads them as plain slot loads.  :meth:`_build` makes the memory
-    hierarchy, gshare, the BTB and each thread's predictors the
-    engine's native types (the same methods and counters over C state),
-    and the loop runs only the native hierarchy, gshare and BTB.
+    hierarchy, gshare, the BTB and each thread's predictors and LLSR
+    the engine's native types (the same methods and counters over C
+    state), and the loop runs only the native hierarchy, gshare, BTB
+    and LLSRs.
     Without the compiled engine the arena is ``None`` and the core
     cannot run.
     """
@@ -349,11 +351,14 @@ class CextCore(SMTCore):
 
     @staticmethod
     def _build(cls, *args):
-        """The engine's twin of ``cls`` (``_TWINS``) built from the same
-        arguments; ``cls(*args)`` when ``cls`` has none, when the
-        engine is not loaded, or when the twin's table cannot hold the
-        sizes (the ``last_value``/``two_bit`` load predictors, counters
-        wider than 15 bits, MLP distances above 32,767)."""
+        """The engine's twin of ``cls`` (``_TWINS``: the hierarchy,
+        gshare, the BTB, the three per-thread predictors and the LLSR)
+        built from the same arguments; ``cls(*args)`` when ``cls`` has
+        none, when the engine is not loaded, or when the twin's table
+        cannot hold the sizes (the ``last_value``/``two_bit`` load
+        predictors, counters wider than 15 bits, MLP distances above
+        32,767).  An LLSR's twin holds any length its class does, so a
+        ``CextCore`` never builds a Python one."""
         engine = _engine()
         name = _TWINS.get(cls)
         if engine is not None and name is not None:

@@ -329,8 +329,8 @@ class SMTCore:
     @staticmethod
     def _build(cls, *args):
         """The part ``cls(*args)``: the one way a core builds its memory
-        hierarchy, gshare, BTB and each thread's predictors, so an engine
-        with its own model of a part builds that instead."""
+        hierarchy, gshare, BTB and each thread's predictors and LLSR, so
+        an engine with its own model of a part builds that instead."""
         return cls(*args)
 
     # ------------------------------------------------------------------ #
@@ -401,7 +401,7 @@ class SMTCore:
         self.policy.core = None
         for ts in self.threads:
             ts.core = ts.fetch_entry = ts.fetch_one = None
-            ts.llsr = ts.llsr_commit = ts.llsr_commit_zeros = None
+            ts.llsr = ts.llsr_commit = None
 
     def _run_until(self, max_commits: int, max_cycles: int | None,
                    one_pass: bool = False) -> None:

@@ -45,7 +45,9 @@ The two engines are checked at different grains:
   pending-fill table and the stride table agree with their entries
   (every entry found by its key); the fill heap is a heap of at most
   ``mshr_entries`` ends; no stream buffer holds more than
-  ``buffer_entries`` lines or one twice.  The arena and the model live in C memory, so per-operation
+  ``buffer_entries`` lines or one twice (a Python model, which the
+  loop refuses with a ``TypeError``, is not checked, so that error
+  stands).  The arena and the model live in C memory, so per-operation
   checks cannot see them: a defect goes unseen only if it is made and
   repaired between two boundaries.
 
@@ -67,7 +69,7 @@ from collections.abc import Iterable
 import os
 from typing import TYPE_CHECKING, Any
 
-from repro.pipeline.cext import CextCore
+from repro.pipeline.cext import CextCore, _engine
 from repro.pipeline.core import SMTCore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -278,9 +280,13 @@ class CheckedCextCore(CextCore):
 
     def sanitize_check(self) -> None:
         """The arena's ``check`` (wheels, free list, leaks), then the
-        native memory model's (module doc)."""
+        native memory model's (module doc).  A part the loop refuses (a
+        Python hierarchy, or a Python LLSR on a thread) has nothing to
+        check, so the run's ``TypeError`` naming backend 'object'
+        stands."""
         problem = self._arena.check(self)
-        if problem is None:
-            problem = self.hierarchy.check()
+        hierarchy = self.hierarchy
+        if problem is None and type(hierarchy) is _engine().Hierarchy:
+            problem = hierarchy.check()
         if problem is not None:
             raise SanitizerError(problem)

@@ -45,8 +45,7 @@ class ThreadState:
         "dispatch_blocked_head", "dispatch_blocked_epoch",
         "dispatch_wait_until",
         "trace_get", "fe_append", "lll_predict", "pc_origin",
-        "llsr_commit", "llsr_commit_zeros", "trace_static",
-        "trace_body_len", "llsr_zeros",
+        "llsr_commit", "trace_static", "trace_body_len",
         "head_ready", "tid_bit", "trace_flags",
     )
 
@@ -98,8 +97,8 @@ class ThreadState:
         self.mlp_pred = build(MLPDistancePredictor, pred_cfg.mlp_entries,
                               max(cfg.llsr_length - 1, 1))
         self.binary_mlp = build(BinaryMLPPredictor, pred_cfg.mlp_entries)
-        self.llsr = LLSR(cfg.llsr_length, on_measure=self._train_mlp,
-                         exclude_dependent=pred_cfg.dependence_aware)
+        self.llsr = build(LLSR, cfg.llsr_length, self._train_mlp,
+                          pred_cfg.dependence_aware)
         self.stats = ThreadStats()
         self.policy_data: dict = {}
         #: Interned ``(self, False)`` pair for fetch_order results, so the
@@ -141,14 +140,6 @@ class ThreadState:
         self.lll_predict = self.lll_pred.predict
         self.pc_origin = trace.pc_address(0)
         self.llsr_commit = self.llsr.commit
-        self.llsr_commit_zeros = self.llsr.commit_zeros
-        # The compiled engine's commit-stage staging slot: the run of
-        # consecutive non-long-latency retires not yet shifted into the
-        # LLSR, coalesced into one ``commit_zeros`` ring advance before a
-        # same-thread long-latency commit or at the end of the commit
-        # pass.  Always zero between stages (the object engine's
-        # ``_commit_one`` shifts each retire in directly).
-        self.llsr_zeros = 0
         #: The compiled engine's event-maintained "ROB head is completed"
         #: flag, kept exact at the three transitions that can change it —
         #: a completion event landing on the current head, a retire

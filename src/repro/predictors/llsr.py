@@ -115,8 +115,9 @@ class LLSR:
         construction, and once the most recent 1 has left the live
         window the ring contents are provably all zero, so the advance
         is a head/total bump with no per-entry work.  The compiled
-        engine's commit stage uses this to coalesce retire bursts between
-        long-latency loads (``_cext_engine.c``).
+        engine's commit stage coalesces retire bursts between
+        long-latency loads this way, on its native twin of this class
+        (``_cext_engine.LLSR``).
         """
         length = self.length
         filled = self._filled

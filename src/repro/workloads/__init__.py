@@ -6,7 +6,8 @@ dynamic miss pattern and dependence structure is calibrated to the
 benchmark's Table I characterization (long-latency loads per 1K
 instructions, MLP, ILP-vs-MLP class).  The fetch policies under study only
 observe those properties, which is what makes the substitution sound; see
-DESIGN.md and EXPERIMENTS.md for the calibration evidence.
+:mod:`repro.workloads.registry` (the paper's Table I targets) and
+``benchmarks/bench_table1_fig1.py`` for the calibration evidence.
 """
 
 from repro.workloads.mixes import (

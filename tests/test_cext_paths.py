@@ -2,17 +2,18 @@
 
 ``_cext_engine.c`` does kinds of work itself whose Python bodies stay
 as the object engine's code and as the reference: the fast-forward
-target (``SMTCore._next_cycle``), ``LLSR.commit_zeros`` and the
-long-latency ``LLSR.commit`` (training the thread's native MLP
-predictors for ``ThreadState._train_mlp``), and the iteration-varying
-slots of ``SyntheticTrace.get``.  The golden matrix and
-``test_differential.py`` compare whole runs; the tests here drive each
-path through the module's test hooks (``_trace_dyn``,
-``_llsr_commit_zeros``, ``_llsr_commit``) and compare it, state for
-state, with the Python body it stands in for.  The fetch burst's
-thread registers are checked by a policy whose hook flushes mid-burst.
-The native memory model and predictors have their own files,
-``test_native_hierarchy.py`` and ``test_native_predictors.py``.
+target (``SMTCore._next_cycle``) and the iteration-varying slots of
+``SyntheticTrace.get``.  The golden matrix and ``test_differential.py``
+compare whole runs; the tests here drive each path through the
+module's test hooks (``_next_cycle``, ``_trace_dyn``) and compare it,
+state for state, with the Python body it stands in for.  The engine's
+``LLSR`` is held to :class:`~repro.predictors.LLSR` op for op, and the
+commit stage that shifts it (and trains the thread's native MLP
+predictors in C) to the object engine's per-retire ``LLSR.commit``
+over whole runs.  The fetch burst's thread registers are checked by a
+policy whose hook flushes mid-burst.  The native memory model and
+predictors have their own files, ``test_native_hierarchy.py`` and
+``test_native_predictors.py``.
 """
 
 from __future__ import annotations
@@ -165,71 +166,28 @@ def test_trace_stub_subclass_keeps_get():
 
 
 # ---------------------------------------------------------------------- #
-# LLSR.commit_zeros
+# the LLSR: the native register against the Python class
 # ---------------------------------------------------------------------- #
 
-def _llsr_state(llsr: LLSR) -> tuple:
-    return (list(llsr._bits), list(llsr._pcs), llsr._head, llsr._filled,
-            llsr._total, llsr._last_one_total, llsr.suppressed,
-            list(llsr.measured))
+def _ring(llsr: LLSR) -> dict:
+    """The Python register's state in the shape of the native state()."""
+    return {"bits": list(llsr._bits), "pcs": list(llsr._pcs),
+            "head": llsr._head, "filled": llsr._filled,
+            "total": llsr._total, "last_one": llsr._last_one_total}
 
 
-_llsr_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("commit"), st.booleans(), st.integers(0, 50),
-                  st.booleans()),
-        st.tuples(st.just("zeros"), st.integers(1, 150))),
-    min_size=1, max_size=40)
+def _observed(llsr) -> tuple:
+    return (list(llsr.measured), llsr.suppressed, llsr.occupancy,
+            llsr.length, llsr.exclude_dependent)
 
 
-@settings(max_examples=150, deadline=None)
-@given(length=st.integers(2, 64), exclude=st.booleans(), ops=_llsr_ops)
-def test_llsr_commit_zeros_matches_python(length, exclude, ops):
-    engine = _engine()
-    calls: tuple[list, list] = ([], [])
-    ref = LLSR(length, on_measure=lambda pc, d: calls[0].append((pc, d)),
-               exclude_dependent=exclude)
-    llsr = LLSR(length, on_measure=lambda pc, d: calls[1].append((pc, d)),
-                exclude_dependent=exclude)
-    for op in ops:
-        if op[0] == "commit":
-            _, is_ll, pc, dependent = op
-            assert (ref.commit(is_ll, pc, dependent)
-                    == llsr.commit(is_ll, pc, dependent))
-        else:
-            ref.commit_zeros(op[1])
-            assert engine._llsr_commit_zeros(llsr, op[1]) is True
-        assert _llsr_state(llsr) == _llsr_state(ref)
-        assert calls[1] == calls[0]
-
-
-def test_llsr_without_hook_and_subclass():
-    engine = _engine()
-    ref, llsr = LLSR(4), LLSR(4)
-    for r in (ref, llsr):
-        r.commit(True, 7)
-    ref.commit_zeros(9)
-    assert engine._llsr_commit_zeros(llsr, 9) is True
-    assert _llsr_state(llsr) == _llsr_state(ref) and ref.measured
-
-    class Sub(LLSR):
-        __slots__ = ()
-
-    assert engine._llsr_commit_zeros(Sub(4), 3) is False
-    assert engine._llsr_commit(Sub(4), 5, False) is False
-
-
-def _thread(length: int, exclude: bool, native: bool) -> ThreadState:
+def _thread(length: int, exclude: bool, build=type.__call__) -> ThreadState:
     """A ThreadState with an LLSR of ``length`` entries whose on_measure
-    is its own ``_train_mlp``, over native MLP predictors or not."""
+    is its own ``_train_mlp``: every part Python, or (with CextCore's
+    build) every part native."""
     cfg = scaled_config(num_threads=1, llsr_length_override=length,
                         predictors=PredictorConfig(dependence_aware=exclude))
-    ts = ThreadState(0, trace_for("mcf", cfg, 0), cfg)
-    if native:
-        ts.mlp_pred = _engine().MLPDistancePredictor(
-            ts.mlp_pred._entries, ts.mlp_pred._max_distance)
-        ts.binary_mlp = _engine().BinaryMLPPredictor(ts.binary_mlp._entries)
-    return ts
+    return ThreadState(0, trace_for("mcf", cfg, 0), cfg, build)
 
 
 def _predictors(ts: ThreadState) -> tuple:
@@ -244,46 +202,150 @@ def _predictors(ts: ThreadState) -> tuple:
 
 _pcs = st.one_of(st.integers(0, 50), st.integers(2**20, 2**20 + 50),
                  st.integers(-2**63, 2**63 - 1))
-_commit_ops = st.lists(
+_llsr_ops = st.lists(
     st.one_of(
         st.tuples(st.just("commit"), st.booleans(), _pcs, st.booleans()),
-        st.tuples(st.just("zeros"), st.integers(1, 150))),
+        st.tuples(st.just("zeros"), st.integers(0, 150)),
+        st.tuples(st.just("reset"))),
     min_size=1, max_size=40)
+
+
+def _native_against_python(length, exclude, hook, ops):
+    """Run the engine's LLSR and ``repro.predictors.LLSR`` over one op
+    stream and compare every commit's result, the ring, what Python
+    reads (measured, suppressed, occupancy), the on_measure calls and
+    the MLP predictors after each step."""
+    engine = _engine()
+    ref_ts = _thread(length, exclude)
+    ts = _thread(length, exclude, cext.CextCore._build)
+    assert type(ts.llsr) is engine.LLSR
+    assert type(ts.mlp_pred) is engine.MLPDistancePredictor
+    calls: tuple[list, list] = ([], [])
+    if hook == "own":
+        ref, nat = ref_ts.llsr, ts.llsr
+    else:
+        ref, nat = (
+            cls(length, None if hook == "none"
+                else lambda pc, d, log=log: log.append((pc, d)), exclude)
+            for cls, log in ((LLSR, calls[0]), (engine.LLSR, calls[1])))
+    for op in ops:
+        if op[0] == "commit":
+            _, is_ll, pc, dependent = op
+            assert (nat.commit(is_ll, pc, dependent)
+                    == ref.commit(is_ll, pc, dependent))
+        elif op[0] == "zeros":
+            assert nat.commit_zeros(op[1]) is ref.commit_zeros(op[1])
+        else:       # what SMTCore.reset_measurement does
+            for r in (ref, nat):
+                r.measured = []
+                r.suppressed = 0
+        assert nat.state() == _ring(ref)
+        assert _observed(nat) == _observed(ref)
+        assert calls[1] == calls[0]
+        assert _predictors(ts) == _predictors(ref_ts)
 
 
 @settings(max_examples=150, deadline=None)
 @given(length=st.integers(2, 64), exclude=st.booleans(),
-       hook=st.sampled_from(("none", "own", "own_python", "other")),
-       ops=_commit_ops)
-def test_llsr_commit_matches_python(length, exclude, hook, ops):
-    """The commit stage's long-latency shift, and the zero runs beside
-    it, against LLSR.commit / commit_zeros: with no on_measure, the
-    thread's own ``_train_mlp`` over native predictors (trained in C) or
-    Python ones, and another callable."""
+       hook=st.sampled_from(("none", "log")), ops=_llsr_ops)
+def test_llsr_commit_zeros_matches_python(length, exclude, hook, ops):
+    """``commit``, ``commit_zeros`` and measurement resets on a register
+    of its own, with on_measure None or a logging callable."""
+    _native_against_python(length, exclude, hook, ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(2, 64), exclude=st.booleans(), ops=_llsr_ops)
+def test_llsr_commit_matches_python(length, exclude, ops):
+    """The same on each thread's own register, whose on_measure is its
+    ``_train_mlp``: native MLP predictors trained through it against the
+    Python ones.  The commit stage's in-C training of them is held to
+    the object engine by ``test_commit_stage_llsr_matches_object``."""
+    _native_against_python(length, exclude, "own", ops)
+
+
+def test_native_llsr_arguments_and_errors():
     engine = _engine()
-    ref = _thread(length, exclude, native=False)
-    ts = _thread(length, exclude, native=hook != "own_python")
-    calls: tuple[list, list] = ([], [])
-    for t, log in zip((ref, ts), calls):
-        if hook == "none":
-            t.llsr._on_measure = None
-        elif hook == "other":
-            t.llsr._on_measure = lambda pc, d, log=log: log.append((pc, d))
-    for op in ops:
-        if op[0] == "commit":
-            _, is_ll, pc, dependent = op
-            ref.llsr.commit(is_ll, pc, dependent)
-            if is_ll:
-                assert engine._llsr_commit(ts.llsr, pc, dependent, ts) \
-                    is True
-            else:
-                ts.llsr.commit(False, pc, dependent)
-        else:
-            ref.llsr.commit_zeros(op[1])
-            assert engine._llsr_commit_zeros(ts.llsr, op[1], ts) is True
-        assert _llsr_state(ts.llsr) == _llsr_state(ref.llsr)
-        assert _predictors(ts) == _predictors(ref)
-        assert calls[1] == calls[0]
+    for length in (1, 0, -5):
+        with pytest.raises(ValueError) as want:
+            LLSR(length)
+        with pytest.raises(ValueError) as got:
+            engine.LLSR(length)
+        assert str(got.value) == str(want.value)
+    log = []
+    nat = engine.LLSR(length=3, on_measure=lambda *m: log.append(m),
+                      exclude_dependent=True)
+    ref = LLSR(3)
+    assert nat.exclude_dependent is True and ref.exclude_dependent is False
+    nat.exclude_dependent = False
+    for r in (ref, nat):
+        r.commit(is_long_latency_load=True, pc=7)
+        r.commit(True, 9, dependent=True)
+        r.commit_zeros(k=1)
+    assert nat.commit(False) == ref.commit(False) == 1
+    assert nat.state() == _ring(ref) and log == [(7, 1)]
+    with pytest.raises(OverflowError):
+        nat.commit(True, 2**63)
+    with pytest.raises(OverflowError):
+        nat.commit(True, -2**63 - 1)
+    with pytest.raises(ValueError):
+        nat.commit_zeros(-1)
+    with pytest.raises(TypeError):
+        nat.measured = ()
+    with pytest.raises(AttributeError):
+        nat.length = 3
+    assert nat.state() == _ring(ref)      # nothing moved
+
+
+class _PerThreadLog(FetchPolicy):
+    """The base policy, giving each thread a fresh LLSR that logs its
+    measurements (of its engine's type) when the core attaches."""
+
+    name = "per_thread_log"
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+        self.logs = []
+
+    def attach(self, core):
+        super().attach(core)
+        for ts in core.threads:
+            log = []
+            self.logs.append(log)
+            ts.llsr = self.make(core.cfg.llsr_length,
+                                lambda pc, d, log=log: log.append((pc, d)),
+                                core.cfg.predictors.dependence_aware)
+            ts.llsr_commit = ts.llsr.commit
+
+
+@pytest.mark.parametrize("exclude", (False, True))
+@pytest.mark.parametrize("hook", ("own", "log"))
+def test_commit_stage_llsr_matches_object(exclude, hook):
+    """The commit stage's shifts (zero runs staged and shifted at once,
+    the long-latency shift, and the in-C training of the thread's native
+    MLP predictors for its own ``_train_mlp``) against the object
+    engine's one ``LLSR.commit`` per retire, over whole runs: each
+    thread's register, measurements, predictors and on_measure calls."""
+    cfg = scaled_config(num_threads=2,
+                        predictors=PredictorConfig(dependence_aware=exclude))
+    outcome = []
+    for cls, make in ((SMTCore, LLSR), (cext.CextCore, _engine().LLSR)):
+        policy = (make_policy("mlp_flush") if hook == "own"
+                  else _PerThreadLog(make))
+        traces = [trace_for(n, cfg, t)
+                  for t, n in enumerate(("equake", "swim"))]
+        core = cls(cfg, traces, policy)
+        core.run(2_000, warmup=300)
+        outcome.append((
+            asdict(core.stats),
+            [(_ring(ts.llsr) if cls is SMTCore else ts.llsr.state(),
+              _observed(ts.llsr), _predictors(ts)) for ts in core.threads],
+            getattr(policy, "logs", None)))
+        core.detach()
+    assert outcome[1] == outcome[0]
+    assert all(len(ts[1][0]) > 20 for ts in outcome[0][1])
+    assert exclude == any(ts[1][1] for ts in outcome[0][1])
 
 
 # ---------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """A finished core is freed by reference counting, not by the collector.
 
 Every core is cyclic by construction (the policy and each thread point
-back at it, each thread at itself, a cext arena and its views at each
+back at it, each thread at itself and, through the training callback
+its LLSR holds, at itself again, a cext arena and its views at each
 other).  ``SMTCore.detach`` undoes that once a run's statistics are
 read, and every function that drops a core calls it: then
-``gc.collect()`` finds no core and no arena among the garbage.
+``gc.collect()`` finds no core, no arena and no LLSR among the garbage.
 """
 
 from __future__ import annotations
@@ -33,14 +34,17 @@ POLICIES = ["icount", "flush", "mlp_flush", "dcra"]
 
 
 def _cyclic_garbage(fn) -> list:
-    """What the collector finds after ``fn()``: the cores and arenas."""
+    """What the collector finds after ``fn()``: the cores, arenas and
+    LLSRs (either engine's: a cext thread's LLSR is C state holding the
+    thread's ``_train_mlp``)."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         fn()
         gc.collect()
         return [obj for obj in gc.garbage
-                if isinstance(obj, SMTCore) or type(obj).__name__ == "Arena"]
+                if isinstance(obj, SMTCore)
+                or type(obj).__name__ in ("Arena", "LLSR")]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -56,11 +60,14 @@ def _finished_core(policy: str, backend: str) -> SMTCore:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_undetached_core_is_cyclic_garbage(backend):
     # The control: without detach the core waits for the collector, so
-    # the checks below can see a core that is not freed.
+    # the checks below can see a core that is not freed, and the LLSRs
+    # in its cycles (the native one's traverse shows its callback).
     def run():
         _finished_core("mlp_flush", backend)
 
-    assert any(isinstance(obj, SMTCore) for obj in _cyclic_garbage(run))
+    garbage = _cyclic_garbage(run)
+    assert any(isinstance(obj, SMTCore) for obj in garbage)
+    assert sum(type(obj).__name__ == "LLSR" for obj in garbage) == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

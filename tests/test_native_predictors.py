@@ -8,21 +8,25 @@ classes' methods, defaults, counters and results over tables in C
 memory.  Golden snapshots record stats, never predictor counters, so
 the differential here drives each native type next to its Python class
 call for call and compares every result, every counter and the table
-(``state()``) after each step.  The whole-run tests check that a
-default cext core builds no Python part and its run makes no Python
-predictor, LLSR, MLP-training or fetch-order call; that a Python
-hierarchy, gshare or BTB put on a cext core is refused; and that every
-other front end (the other load predictor kinds, a subclass, a policy
-with its own fetch order) still runs through its Python methods with
-the object engine's results.
+(``state()``) after each step (the native ``LLSR`` has its own in
+``test_cext_paths.py``).  The whole-run tests check that a default
+cext core builds no Python part, LLSR included, and its run makes no
+Python predictor, LLSR, MLP-training or fetch-order call; that a
+Python hierarchy, gshare, BTB or thread LLSR put on a cext core is
+refused; and that every other front end (the other load predictor
+kinds, a subclass, a policy with its own fetch order) still runs
+through its Python methods with the object engine's results.  The
+profile behind Figures 4 and 6-8 is checked across engines and seeds.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import asdict, replace
+import hashlib
 import json
 from pathlib import Path
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +34,8 @@ import pytest
 
 from repro.branch import BTB, GShare
 from repro.config import PredictorConfig, scaled_config
+from repro.experiments import profile as profile_module
+from repro.experiments.defaults import characterization_config
 from repro.experiments.profile import clear_profile_cache, profile_benchmark
 from repro.experiments.runner import trace_for
 from repro.memory.hierarchy import MemoryHierarchy
@@ -300,6 +306,10 @@ def test_cext_core_installs_the_native_types():
         assert ts.lll_predict == ts.lll_pred.predict
         assert type(ts.mlp_pred) is engine.MLPDistancePredictor
         assert type(ts.binary_mlp) is engine.BinaryMLPPredictor
+        assert type(ts.llsr) is engine.LLSR
+        assert ts.llsr_commit == ts.llsr.commit
+        assert (ts.llsr.length, ts.llsr.exclude_dependent) \
+            == (core.cfg.llsr_length, False)
     core.detach()
 
 
@@ -337,25 +347,31 @@ def test_cext_core_builds_no_python_part(monkeypatch):
         raise AssertionError(f"a Python {type(self).__name__} on cext")
 
     for cls in (MemoryHierarchy, GShare, BTB, MissPatternPredictor,
-                MLPDistancePredictor, BinaryMLPPredictor):
+                MLPDistancePredictor, BinaryMLPPredictor, LLSR):
         monkeypatch.setattr(cls, "__init__", refuse)
     for sc, want in _fixture_cells():
         assert snapshot_cell(sc, backend="cext") == want
 
 
-@pytest.mark.parametrize("part", ("hierarchy", "gshare", "btb"))
+@pytest.mark.parametrize("part", ("hierarchy", "gshare", "btb", "llsr"))
 def test_cext_core_refuses_python_parts(part):
-    """The loop runs only the native hierarchy, gshare and BTB: another
-    object there fails the run, and a flush on a Python hierarchy,
-    with a TypeError that points at the object engine."""
+    """The loop runs only the native hierarchy, gshare, BTB and LLSRs:
+    another object there (here a Python LLSR on the second thread)
+    fails the run, and a flush on a Python hierarchy, with a TypeError
+    that points at the object engine."""
     cfg = scaled_config(num_threads=2)
     core = _core(cfg)
-    setattr(core, part, {
-        "hierarchy": MemoryHierarchy(cfg.memory),
-        "gshare": GShare(cfg.gshare_entries, cfg.num_threads),
-        "btb": BTB(cfg.btb_entries, cfg.btb_assoc)}[part])
-    refused = (f"core.{part} must be the cext engine's .* run other models "
-               "on backend 'object'")
+    if part == "llsr":
+        ts = core.threads[1]
+        ts.llsr = LLSR(cfg.llsr_length, ts._train_mlp)
+        part = "threads[1].llsr"
+    else:
+        setattr(core, part, {
+            "hierarchy": MemoryHierarchy(cfg.memory),
+            "gshare": GShare(cfg.gshare_entries, cfg.num_threads),
+            "btb": BTB(cfg.btb_entries, cfg.btb_assoc)}[part])
+    refused = (rf"core\.{re.escape(part)} must be the cext engine's .* run "
+               "other models on backend 'object'")
     with pytest.raises(TypeError, match=refused):
         core.run(500)
     if part == "hierarchy":
@@ -487,6 +503,68 @@ def test_profile_is_identical_on_object_and_cext(name, request):
     request.getfixturevalue("without_cext")
     clear_profile_cache()
     assert profile_benchmark(name, max_commits=2_000) == on_cext
+    clear_profile_cache()
+
+
+#: The profiles before ``profile_benchmark`` took a seed: distances
+#: measured, their sum, their digest, measured cycles, Figure 7's and
+#: Figure 8's accuracies.
+_SEED0_PROFILES = {
+    "mcf": (35, 3098, "e60cee97a1f96997", 6396, 0.8407079646017699,
+            0.8761061946902655),
+    "swim": (32, 2964, "722587e6a6ffb2da", 2704, 0.8650793650793651,
+             0.8095238095238095),
+}
+
+
+def _profile_digest(profile) -> tuple:
+    d = profile.mlp_distances
+    return (len(d), sum(d),
+            hashlib.sha256(json.dumps(d).encode()).hexdigest()[:16],
+            profile.stats.cycles, profile.mlp_binary_accuracy,
+            profile.mlp_distance_accuracy)
+
+
+@pytest.mark.parametrize("name", ("mcf", "swim"))
+def test_profile_seed(name, request):
+    """Seed 0 is the profile from before the seed existed; another seed
+    profiles another trace of the benchmark, alike on both engines.
+    (It moves the run's timing; the measured distances stay the same,
+    since which loads miss is fixed by the benchmark's body.)"""
+    clear_profile_cache()
+    seed0 = profile_benchmark(name, max_commits=2_000)
+    assert _profile_digest(seed0) == _SEED0_PROFILES[name]
+    assert profile_benchmark(name, max_commits=2_000, seed=0) is seed0
+    on_cext = profile_benchmark(name, max_commits=2_000, seed=5)
+    assert on_cext.stats.cycles != seed0.stats.cycles
+    request.getfixturevalue("without_cext")
+    clear_profile_cache()
+    assert profile_benchmark(name, max_commits=2_000, seed=5) == on_cext
+    assert _profile_digest(profile_benchmark(name, max_commits=2_000)) \
+        == _SEED0_PROFILES[name]
+    clear_profile_cache()
+
+
+def test_profile_cache_keys_by_content(monkeypatch):
+    """``mem_latency`` 350 and 350.0 compare equal but are different
+    configs: the second is profiled under its own key, not served the
+    first one's result."""
+    clear_profile_cache()
+    cfg = characterization_config()
+    as_float = replace(cfg, memory=replace(cfg.memory, mem_latency=350.0))
+    assert as_float == cfg and as_float.cache_key() != cfg.cache_key()
+    first = profile_benchmark("swim", cfg, max_commits=1_000)
+
+    class Simulated(Exception):
+        pass
+
+    def simulate(policy):
+        raise Simulated
+
+    monkeypatch.setattr(profile_module, "core_for", simulate)
+    assert profile_benchmark("swim", cfg, max_commits=1_000) is first
+    with pytest.raises(Simulated):
+        profile_benchmark("swim", as_float, max_commits=1_000)
     clear_profile_cache()
 
 

@@ -11,12 +11,15 @@ mutated while pooled raise
 :class:`~repro.pipeline.sanitize.SanitizerError` at the operation.  On
 the compiled engine's arena, a duplicate free-list entry, a non-pristine
 free slot, a leaked slot, a freed slot missing from the free list and a
-wheel mark behind the current cycle raise it from the boundary check.
+wheel mark behind the current cycle raise it from the boundary check,
+which leaves the run's TypeError standing for a Python part the loop
+refuses.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
+import re
 
 import pytest
 
@@ -24,6 +27,7 @@ from conftest import needs_cext
 from repro import registry
 from repro.config import scaled_config
 from repro.experiments.runner import core_for, default_backend, trace_for
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.perf.golden import GOLDEN_POLICIES, GOLDEN_RUNAHEAD_POLICIES
 from repro.pipeline.cext import CextCore
 from repro.pipeline.core import SMTCore
@@ -37,6 +41,7 @@ from repro.pipeline.sanitize import (
     sanitize_enabled,
 )
 from repro.policies import make_policy
+from repro.predictors import LLSR
 from repro.runahead import RunaheadCore
 
 CFG2 = scaled_config(num_threads=2, scale=16)
@@ -250,6 +255,25 @@ class TestCextEngineDetection:
             core.sanitize_check()
         arena["ev_marks"] = marks
         core.sanitize_check()
+
+
+@needs_cext
+@pytest.mark.parametrize("part", ("hierarchy", "threads[0].llsr",
+                                  "threads[1].llsr"))
+def test_refused_part_keeps_the_loop_error(part):
+    """A Python part the loop refuses has no native check, so the
+    boundary check leaves the run's TypeError standing."""
+    core = _build(CheckedCextCore)
+    if part == "hierarchy":
+        core.hierarchy = MemoryHierarchy(CFG2.memory)
+    else:
+        ts = core.threads[int(part[8])]
+        ts.llsr = LLSR(CFG2.llsr_length, ts._train_mlp)
+    with pytest.raises(TypeError, match=rf"core\.{re.escape(part)} must be "
+                                        r"the cext engine's .* run other "
+                                        r"models on backend 'object'"):
+        core.run(500)
+    core.detach()
 
 
 @needs_cext
