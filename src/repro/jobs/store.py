@@ -229,8 +229,10 @@ class ResultStore:
             return False
         # A failed write or replace leaves no temp file behind.
         try:
+            # json.dumps runs the C encoder; json.dump the chunked
+            # pure-Python one, for the same bytes.
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
+                fh.write(json.dumps(entry, separators=(",", ":")))
             os.replace(tmp, path)
         except OSError:
             self._discard(Path(tmp))

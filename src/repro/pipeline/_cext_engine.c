@@ -7,10 +7,15 @@
  * each per-instruction body fused into its stage, over one native Arena
  * per core (the contract is in the module docstring of
  * repro/pipeline/cext.py): int64 instruction columns, the free list, the
- * ready heaps, the three event wheels and each thread's front-end
- * queue, window and rename map live in C memory, so no arena access
- * boxes, unboxes or allocates.  ThreadState, core, stats and Instr
- * slots stay Python objects, read and written through the C API.
+ * ready heaps, the three event wheels, each thread's front-end queue,
+ * window and rename map and its static trace body live in C memory, so
+ * no arena access boxes, unboxes or allocates.  So do the core's and
+ * each thread's per-cycle integers (the cycle, the resource counters,
+ * the wake latches, icount, the fetch index, ...): an int64 block each
+ * object owns, which Python reads and writes through IntField
+ * descriptors by the same attribute names.  The stats dataclasses and
+ * the other ThreadState and core slots stay Python objects, read and
+ * written through the C API.
  * Policy hooks re-enter Python mid-stage through SoAView (a C type
  * reading the arena) and may call flush_thread, which runs here too; a
  * fetch may grow the arena.  Every column pointer is therefore re-read
@@ -80,41 +85,30 @@ enum { LV_L1 = 1, LV_STREAM, LV_MERGE, LV_L2, LV_L3, LV_MEM, N_LEVELS };
 
 typedef struct {
     /* core */
-    Py_ssize_t cycle, gseq;
-    Py_ssize_t arena, wb_used;
+    Py_ssize_t ints, arena;
     Py_ssize_t threads, policy, stats;
     Py_ssize_t policy_fetch_order, policy_fetch_pending,
         policy_can_dispatch, policy_on_fetch, policy_on_fetch_load,
         policy_on_load_complete, policy_on_resource_stall;
     Py_ssize_t hierarchy, gshare, btb;
-    Py_ssize_t n_threads, full_mask, fe_mask, heads_mask;
-    Py_ssize_t rotations, rot_cache, fetch_candidates;
-    Py_ssize_t fetch_wake, dispatch_wake, stall_latch_until,
-        stall_latch_epoch, release_epoch;
-    Py_ssize_t committed_watermark, commit_pending, measure_start;
+    Py_ssize_t full_mask, fetch_candidates;
     Py_ssize_t fetch_width, fetch_max_threads, fast_forward,
         fetch_order_is_base, fe_capacity, frontend_depth, decode_width,
         commit_width, line_shift;
     Py_ssize_t rob_size, lsq_size, int_iq_size, fp_iq_size,
         int_rename_regs, fp_rename_regs, wb_entries;
-    Py_ssize_t rob_used, lsq_used, iq_used, fq_used, int_regs_used,
-        fp_regs_used;
     Py_ssize_t num_int_alu, num_ldst, num_fp;
     Py_ssize_t track_ll_dep;
     Py_ssize_t cext_olc_cleanup_only, cext_ll_detect_is_base;
     /* ThreadState */
-    Py_ssize_t ts_tid, ts_tid_bit, ts_icount, ts_rob_count, ts_lsq_count,
-        ts_iq_count, ts_fq_count, ts_int_regs, ts_fp_regs;
-    Py_ssize_t ts_fetch_blocked_until, ts_waiting_branch,
-        ts_branch_wait_since, ts_allowed_end, ts_ll_owners,
-        ts_policy_data;
-    Py_ssize_t ts_last_ifetch_line, ts_outstanding_misses;
+    Py_ssize_t ts_ints, ts_waiting_branch, ts_branch_wait_since,
+        ts_allowed_end, ts_ll_owners, ts_policy_data;
+    Py_ssize_t ts_outstanding_misses;
     Py_ssize_t ts_stats, ts_commit_cycles;
     Py_ssize_t ts_fe_queue, ts_window, ts_rename_map;
-    Py_ssize_t ts_fetch_index, ts_head_ready, ts_dispatch_blocked_head,
-        ts_dispatch_blocked_epoch, ts_dispatch_wait_until;
+    Py_ssize_t ts_dispatch_blocked_head;
     Py_ssize_t ts_trace_get, ts_lll_predict, ts_pc_origin, ts_trace_static,
-        ts_trace_body_len, ts_trace_flags, ts_lll_pred;
+        ts_trace_body_len, ts_lll_pred;
     Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag, ts_stall_start,
         ts_mlp_pred, ts_binary_mlp;
     /* ThreadStats */
@@ -208,44 +202,14 @@ static inline int slot_store_ll(PyObject *o, Py_ssize_t off, long long v)
     return 0;
 }
 
-static inline void slot_store_bool(PyObject *o, Py_ssize_t off, int v)
-{
-    PyObject *b = v ? Py_True : Py_False;
-    Py_INCREF(b);
-    slot_store(o, off, b);
-}
-
 static inline int slot_true(PyObject *o, Py_ssize_t off)
 {
     return SLOT(o, off) == Py_True;
 }
 
-/* list cell store (new reference is stolen after releasing the old). */
-static inline void lset(PyObject *l, Py_ssize_t i, PyObject *v)
-{
-    PyObject *old = PyList_GET_ITEM(l, i);
-    PyList_SET_ITEM(l, i, v);
-    Py_XDECREF(old);
-}
-
 static inline int stat_add(PyObject *obj, Py_ssize_t off, long long d)
 {
     return slot_store_ll(obj, off, slot_ll(obj, off) + d);
-}
-
-/* Generic sequence item (tuple or list) without a new reference. */
-static inline PyObject *seq_item(PyObject *seq, Py_ssize_t i)
-{
-    if (PyTuple_CheckExact(seq))
-        return PyTuple_GET_ITEM(seq, i);
-    return PyList_GET_ITEM(seq, i);
-}
-
-static inline Py_ssize_t seq_size(PyObject *seq)
-{
-    if (PyTuple_CheckExact(seq))
-        return PyTuple_GET_SIZE(seq);
-    return PyList_GET_SIZE(seq);
 }
 
 
@@ -293,6 +257,169 @@ static inline int int64_arg(PyObject *o, int64_t *out)
     if (v == -1 && PyErr_Occurred())
         return -1;
     *out = v;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* the core's and its threads' per-cycle ints                          */
+/* ------------------------------------------------------------------ */
+
+/* The integers the stages read and write every cycle are int64 fields
+ * of a native block (Ints) that the core, and each of its threads, owns
+ * in its `_ints` slot, so they outlive the arena (detach()).  The C code
+ * uses them in place; Python reads and writes each through an IntField
+ * descriptor that setup() installs on CextCore and CextThreadState
+ * under the field's name, so `core.cycle` and `ts.icount` read as
+ * before.  Writing a non-int raises TypeError, an int outside int64
+ * OverflowError. */
+enum { CV_CYCLE, CV_GSEQ, CV_WB_USED, CV_ROB_USED, CV_LSQ_USED, CV_IQ_USED,
+       CV_FQ_USED, CV_INT_REGS_USED, CV_FP_REGS_USED, CV_FE_MASK,
+       CV_HEADS_MASK, CV_FETCH_WAKE, CV_DISPATCH_WAKE, CV_STALL_LATCH_UNTIL,
+       CV_STALL_LATCH_EPOCH, CV_RELEASE_EPOCH, CV_COMMITTED_WATERMARK,
+       CV_COMMIT_PENDING, CV_MEASURE_START, N_CV };
+static const char *const CV_NAMES[N_CV] = {
+    "cycle", "_gseq", "_wb_used", "rob_used", "lsq_used", "iq_used",
+    "fq_used", "int_regs_used", "fp_regs_used", "_fe_mask", "_heads_mask",
+    "_fetch_wake", "_dispatch_wake", "_stall_latch_until",
+    "_stall_latch_epoch", "_release_epoch", "_committed_watermark",
+    "_commit_pending", "_measure_start"};
+/* a thread's: its six resource counts in the order of the core's */
+enum { TV_ROB, TV_LSQ, TV_IQ, TV_FQ, TV_INT_REGS, TV_FP_REGS, TV_ICOUNT,
+       TV_FETCH_INDEX, TV_FETCH_BLOCKED_UNTIL, TV_DISPATCH_WAIT_UNTIL,
+       TV_DISPATCH_BLOCKED_EPOCH, TV_LAST_IFETCH_LINE, TV_HEAD_READY, N_TV };
+static const char *const TV_NAMES[N_TV] = {
+    "rob_count", "lsq_count", "iq_count", "fq_count", "int_regs", "fp_regs",
+    "icount", "fetch_index", "fetch_blocked_until", "dispatch_wait_until",
+    "dispatch_blocked_epoch", "last_ifetch_line", "head_ready"};
+#define N_INTS ((int)N_CV > (int)N_TV ? (int)N_CV : (int)N_TV)
+
+typedef struct {
+    PyObject_HEAD
+    int64_t v[N_INTS];
+} Ints;
+
+static PyTypeObject Ints_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.Ints",
+    .tp_doc = "The int64 fields a cext core or thread owns (IntField).",
+    .tp_basicsize = sizeof(Ints),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+};
+
+/* The fields in `obj`'s `_ints` slot at `off`; NULL and TypeError when
+ * it holds no block. */
+static int64_t *ints_at(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *b = SLOT(obj, off);
+    if (b != NULL && Py_IS_TYPE(b, &Ints_Type))
+        return ((Ints *)b)->v;
+    PyErr_SetString(PyExc_TypeError,
+                    "a cext core and its threads keep their ints in the "
+                    "engine's blocks");
+    return NULL;
+}
+
+typedef struct {
+    PyObject_HEAD
+    PyTypeObject *owner;    /* the class it is installed on */
+    Py_ssize_t off;         /* the owner's `_ints` slot */
+    int index;
+    PyObject *name;
+} IntField;
+
+/* The block of `obj` for F, made zeroed on the first write (`make`). */
+static int64_t *field_ints(IntField *F, PyObject *obj, int make)
+{
+    if (!PyObject_TypeCheck(obj, F->owner)) {
+        PyErr_Format(PyExc_TypeError, "'%U' of '%s' objects does not apply "
+                     "to a '%s' object", F->name, F->owner->tp_name,
+                     Py_TYPE(obj)->tp_name);
+        return NULL;
+    }
+    if (SLOT(obj, F->off) == NULL && make) {
+        Ints *b = PyObject_New(Ints, &Ints_Type);
+        if (b == NULL)
+            return NULL;
+        memset(b->v, 0, sizeof(b->v));
+        slot_store(obj, F->off, (PyObject *)b);
+    }
+    if (SLOT(obj, F->off) == NULL) {
+        PyErr_SetObject(PyExc_AttributeError, F->name);
+        return NULL;
+    }
+    return ints_at(obj, F->off);
+}
+
+static PyObject *field_get(PyObject *self, PyObject *obj,
+                           PyObject *Py_UNUSED(type))
+{
+    IntField *F = (IntField *)self;
+    if (obj == NULL)
+        return Py_NewRef(self);
+    int64_t *v = field_ints(F, obj, 0);
+    return v == NULL ? NULL : box_ll(v[F->index]);
+}
+
+static int field_set(PyObject *self, PyObject *obj, PyObject *value)
+{
+    IntField *F = (IntField *)self;
+    long long x;
+    if (value == NULL) {
+        PyErr_Format(PyExc_AttributeError, "cannot delete '%U'", F->name);
+        return -1;
+    }
+    if (!PyLong_Check(value)) {
+        PyErr_Format(PyExc_TypeError, "'%U' must be an int, not '%s'",
+                     F->name, Py_TYPE(value)->tp_name);
+        return -1;
+    }
+    if ((x = PyLong_AsLongLong(value)) == -1 && PyErr_Occurred())
+        return -1;
+    int64_t *v = field_ints(F, obj, 1);
+    if (v == NULL)
+        return -1;
+    v[F->index] = x;
+    return 0;
+}
+
+static void field_dealloc(PyObject *self)
+{
+    IntField *F = (IntField *)self;
+    Py_XDECREF(F->owner);
+    Py_XDECREF(F->name);
+    PyObject_Free(self);
+}
+
+static PyTypeObject IntField_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.pipeline._cext_engine.IntField",
+    .tp_doc = "An int64 field of a cext core's or thread's block, as an "
+              "attribute.",
+    .tp_basicsize = sizeof(IntField),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_dealloc = field_dealloc,
+    .tp_descr_get = field_get,
+    .tp_descr_set = field_set,
+};
+
+/* Install an IntField on `cls` for each of its block's `n` `names`. */
+static int install_fields(PyObject *cls, Py_ssize_t off,
+                          const char *const *names, int n)
+{
+    for (int i = 0; i < n; i++) {
+        IntField *F = PyObject_New(IntField, &IntField_Type);
+        if (F == NULL)
+            return -1;
+        F->owner = (PyTypeObject *)Py_NewRef(cls);
+        F->off = off;
+        F->index = i;
+        F->name = PyUnicode_InternFromString(names[i]);
+        int rc = F->name == NULL ? -1
+            : PyObject_SetAttr(cls, F->name, (PyObject *)F);
+        Py_DECREF(F);
+        if (rc < 0)
+            return -1;
+    }
     return 0;
 }
 
@@ -3310,20 +3437,116 @@ static PyTypeObject SlotSeq_Type = {
 };
 
 /* The per-instruction columns.  Integer columns are int64 arrays; the
- * object columns hold owned references, NULL meaning None. */
+ * object columns hold owned references, NULL meaning None.  A fetch
+ * copies its Instr's pc, op, latency, dest (-1 without one) and source
+ * registers (see instr_row) into the last five, so no later stage
+ * reads them from the Instr. */
 enum { C_THREAD, C_SEQ, C_GSEQ, C_PENDING, C_FE_READY, C_FLAGS, C_REFS,
-       C_WAITER0, C_OLD_MAP, N_ICOLS };
+       C_WAITER0, C_OLD_MAP, C_PC, C_OP, C_LAT, C_DEST, C_SRCS, N_ICOLS };
 enum { O_INSTR, O_PRED_LL, O_FILL_LINE, O_LEVEL, O_VIEW, N_OCOLS };
 
 static const char *const ICOL_NAMES[N_ICOLS] = {
     "thread", "seq", "gseq", "pending", "fe_ready", "flags", "refs",
-    "waiter0", "old_map"};
+    "waiter0", "old_map", "pc", "op", "latency", "dest", "srcs"};
 /* A never-used slot's value; gseq -1 matches no packed stamp (its gseq
  * is >= 1). */
 static const int64_t ICOL_INIT[N_ICOLS] = {0, 0, -1, 0, 0, F_FREED, 0, -1,
-                                           -1};
+                                           -1, 0, 0, 0, -1, 0};
 static const char *const OCOL_NAMES[N_OCOLS] = {
     "instr", "predicted_ll", "fill_line", "level", "views"};
+
+/* An Instr's fields as a fetch copies them (see the columns), with its
+ * flags template: the class bits a fresh DynInstr copies.  Up to seven
+ * source registers (each below 64, the rename map's size) are packed
+ * as count | reg_i << 8 (i + 1); -1 leaves them to the srcs tuple. */
+enum { B_PC, B_FLAGS, B_OP, B_LAT, B_DEST, B_SRCS, N_B };
+
+static int instr_row(PyObject *instr, int64_t *row)
+{
+    int64_t flags = 0;
+    if (SLOT(instr, OFF.in_has_dest) == Py_True)
+        flags |= F_HAS_DEST;
+    if (SLOT(instr, OFF.in_dest_fp) == Py_True)
+        flags |= F_DEST_FP;
+    if (SLOT(instr, OFF.in_is_load) == Py_True)
+        flags |= F_IS_LOAD;
+    else if (SLOT(instr, OFF.in_is_store) == Py_True)
+        flags |= F_IS_STORE;
+    else if (SLOT(instr, OFF.in_is_branch) == Py_True)
+        flags |= F_IS_BRANCH;
+    row[B_FLAGS] = flags;
+    row[B_PC] = PyLong_AsLongLong(SLOT(instr, OFF.in_pc));
+    row[B_OP] = PyLong_AsLongLong(SLOT(instr, OFF.in_op_i));
+    row[B_LAT] = PyLong_AsLongLong(SLOT(instr, OFF.in_latency));
+    row[B_DEST] = flags & F_HAS_DEST
+        ? PyLong_AsLongLong(SLOT(instr, OFF.in_dest)) : -1;
+    PyObject *srcs = SLOT(instr, OFF.in_srcs);
+    Py_ssize_t n = PyTuple_GET_SIZE(srcs);
+    row[B_SRCS] = n <= 7 ? n : -1;
+    for (Py_ssize_t i = 0; i < n && row[B_SRCS] >= 0; i++) {
+        long long r = PyLong_AsLongLong(PyTuple_GET_ITEM(srcs, i));
+        row[B_SRCS] = r < 0 || r >= 64 ? -1 : row[B_SRCS] | r << (8 * i + 8);
+    }
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* A thread's trace body, read once per core: each position's static
+ * Instr from trace_static (None where the trace builds it per
+ * iteration), an exact SyntheticTrace's per-position parameters for
+ * those (its _dyn, see trace_dyn) and each position's row: the static
+ * Instr's, else its prototype's (flags -1 without either). */
+typedef struct {
+    Py_ssize_t n;           /* trace_body_len; 0: every fetch calls get */
+    PyObject *instr;        /* owned: trace_static as a tuple */
+    PyObject *dyn;          /* owned: _dyn as a tuple, or NULL */
+    int64_t *v;             /* n rows of N_B */
+} Body;
+
+static int body_init(Body *B, PyObject *ts)
+{
+    PyObject *st = SLOT(ts, OFF.ts_trace_static);
+    PyObject *trace = SLOT(ts, OFF.ts_trace);
+    if (st == NULL || st == Py_None)
+        return 0;
+    long long n = PyLong_AsLongLong(SLOT(ts, OFF.ts_trace_body_len));
+    if (n == -1 && PyErr_Occurred())
+        return -1;
+    if (!PyList_Check(st) || n < 1 || PyList_GET_SIZE(st) != n) {
+        PyErr_SetString(PyExc_ValueError, "trace_static must be a list of "
+                        "trace_body_len instructions");
+        return -1;
+    }
+    PyObject *dyn = trace != NULL && Py_TYPE(trace) == g.trace_type
+        ? SLOT(trace, OFF.tr_dyn) : NULL;
+    if ((B->instr = PyList_AsTuple(st)) == NULL
+        || (dyn != NULL && PyList_CheckExact(dyn)
+            && PyList_GET_SIZE(dyn) == n
+            && (B->dyn = PyList_AsTuple(dyn)) == NULL))
+        return -1;
+    if ((B->v = PyMem_Malloc((size_t)n * N_B * sizeof(int64_t))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    B->n = (Py_ssize_t)n;
+    for (Py_ssize_t i = 0; i < B->n; i++) {
+        PyObject *instr = PyTuple_GET_ITEM(B->instr, i);
+        PyObject *spec = B->dyn == NULL ? NULL : PyTuple_GET_ITEM(B->dyn, i);
+        B->v[i * N_B + B_FLAGS] = -1;
+        if (instr == Py_None && spec != NULL && PyTuple_Check(spec)
+            && PyTuple_GET_SIZE(spec) > 1
+            && Py_TYPE(PyTuple_GET_ITEM(spec, 1)) == g.instr_type)
+            instr = PyTuple_GET_ITEM(spec, 1);  /* trace_dyn's prototype */
+        if (instr == Py_None)
+            continue;
+        if (!PyObject_TypeCheck(instr, g.instr_type)) {
+            PyErr_SetString(PyExc_TypeError, "a trace body holds a non-Instr");
+            return -1;
+        }
+        if (instr_row(instr, &B->v[i * N_B]) < 0)
+            return -1;
+    }
+    return 0;
+}
 
 /* An event wheel: per-cycle buckets of packed stamps, each a chain
  * through one shared pool of (packed, next) entries (a free chain
@@ -3343,7 +3566,7 @@ typedef struct {
         int64_t *ic[N_ICOLS];
         struct {
             int64_t *thread, *seq, *gseq, *pending, *fe_ready, *flags,
-                *refs, *waiter0, *old_map;
+                *refs, *waiter0, *old_map, *pc, *op, *lat, *dest, *srcs;
         };
     };
     union {
@@ -3364,6 +3587,7 @@ typedef struct {
     IVec wb_marks, wb_over;
     Py_ssize_t n_threads;
     PyObject **queues;          /* per thread: fe_queue, window, rename_map */
+    Body *body;                 /* per thread: its trace body */
 } Arena;
 
 typedef struct {
@@ -3541,8 +3765,9 @@ static PyObject *Arena_new(PyTypeObject *type, PyObject *args,
     A->dt.head = PyMem_Malloc((size_t)wheel * sizeof(int32_t));
     A->wb_cnt = PyMem_Calloc((size_t)wheel, sizeof(int64_t));
     A->queues = PyMem_Calloc(3 * (size_t)n_threads, sizeof(PyObject *));
+    A->body = PyMem_Calloc((size_t)n_threads, sizeof(Body));
     if (A->ev.head == NULL || A->dt.head == NULL || A->wb_cnt == NULL
-        || A->queues == NULL) {
+        || A->queues == NULL || A->body == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -3561,6 +3786,9 @@ static PyObject *Arena_new(PyTypeObject *type, PyObject *args,
         Py_INCREF(q);
         slot_store(PyTuple_GET_ITEM(threads, i / 3), *qoffs[i % 3], q);
     }
+    for (Py_ssize_t i = 0; i < n_threads; i++)
+        if (body_init(&A->body[i], PyTuple_GET_ITEM(threads, i)) < 0)
+            goto fail;
     if (arena_resize(A, 0, 2048) < 0)
         goto fail;
     goto done;
@@ -3616,6 +3844,12 @@ static void Arena_dealloc(PyObject *self)
     for (Py_ssize_t i = 0; A->queues && i < 3 * A->n_threads; i++)
         Py_XDECREF(A->queues[i]);
     PyMem_Free(A->queues);
+    for (Py_ssize_t i = 0; A->body && i < A->n_threads; i++) {
+        Py_XDECREF(A->body[i].instr);
+        Py_XDECREF(A->body[i].dyn);
+        PyMem_Free(A->body[i].v);
+    }
+    PyMem_Free(A->body);
     Py_TYPE(self)->tp_free(self);
 }
 
@@ -3631,27 +3865,37 @@ typedef struct {
                              * commit stages) */
 } RunLLSR;
 
+/* A thread as the run sees it: core.threads[t], whose tid is t. */
+typedef struct {
+    PyObject *ts;           /* borrowed from core.threads */
+    PyObject *ints;         /* owned: the thread's Ints */
+    int64_t *v;             /* ... and its fields */
+    RunLLSR llsr;
+    long long pc_origin;
+} Thr;
+
 typedef struct {
     PyObject *core;
     Arena *A;               /* owned */
+    PyObject *ints;         /* owned: the core's Ints */
+    int64_t *cv;            /* ... and its fields */
+    PyObject *cycle_obj;    /* owned: the cycle boxed for Python calls */
     /* hoisted, identity-stable objects (borrowed from slots) */
-    PyObject *threads;
     PyObject *fetch_candidates;
     PyObject *on_ll_detect; /* owned: policy.on_ll_detect bound method */
     int olc_cleanup_only, ll_detect_is_base;
     /* immutable config scalars */
     long long mask, fetch_width, fetch_max_threads, fe_capacity,
         frontend_depth, decode_width, commit_width, wb_entries, line_shift,
-        n_threads, full_mask, rob_size, lsq_size, int_iq_size, fp_iq_size,
+        full_mask, rob_size, lsq_size, int_iq_size, fp_iq_size,
         int_rename_regs, fp_rename_regs, num_int_alu, num_ldst, num_fp;
-    int fast_forward, fetch_order_is_base, can_fetch_one, track_dep;
+    int fast_forward, fetch_order_is_base, track_dep;
     /* owned: the core's parts, taken once per run (see native_part) */
     Mem *mem;
     GShareN *gshare;
     BTBN *btb;
-    Py_ssize_t n_llsr;
-    RunLLSR llsr[MAX_THREADS];          /* each thread's, in tid order */
-    long long pc_origin[MAX_THREADS];   /* each thread's pc_origin */
+    Py_ssize_t n;           /* threads taken into thr, in tid order */
+    Thr thr[MAX_THREADS];
 } Ctx;
 
 
@@ -3697,7 +3941,16 @@ static int schedule_wb_drain(Ctx *c, long long when, long long cycle)
     } else if (heap_push(&A->wb_over, when, 0, 1) < 0) {
         return -1;
     }
-    return stat_add(c->core, OFF.wb_used, 1);
+    c->cv[CV_WB_USED] += 1;
+    return 0;
+}
+
+/* The loop's cycle boxed for a Python call: once per cycle, borrowed. */
+static PyObject *cycle_arg(Ctx *c, long long cycle)
+{
+    if (c->cycle_obj == NULL)
+        c->cycle_obj = box_ll(cycle);
+    return c->cycle_obj;
 }
 
 /* ------------------------------------------------------------------ */
@@ -3752,10 +4005,8 @@ static int wake(Arena *A, int64_t w)
     int64_t wfl = A->flags[ws];
     if (wfl & F_FREED)
         return 0;
-    if (--A->pending[ws] == 0 && !(wfl & F_NO_WAKE) && (wfl & F_IN_IQ)) {
-        long long op = slot_ll(A->instr[ws], OFF.in_op_i);
-        return heap_push(&A->ready[A->op_class[op]], w, 0, 1);
-    }
+    if (--A->pending[ws] == 0 && !(wfl & F_NO_WAKE) && (wfl & F_IN_IQ))
+        return heap_push(&A->ready[A->op_class[A->op[ws]]], w, 0, 1);
     return 0;
 }
 
@@ -3799,7 +4050,9 @@ static int stage_drain(Ctx *c, long long cycle)
         if (!current(A, packed))
             continue; /* slot reclaimed and refetched */
         int64_t fl = A->flags[s];
-        PyObject *ts = PyTuple_GET_ITEM(c->threads, A->thread[s]);
+        Py_ssize_t t = (Py_ssize_t)A->thread[s];
+        PyObject *ts = c->thr[t].ts;
+        int64_t *tv = c->thr[t].v;
         if ((fl & F_IS_LOAD) && A->pending[s] == -1) {
             if (stat_add(ts, OFF.ts_outstanding_misses, -1) < 0)
                 return -1;
@@ -3816,12 +4069,9 @@ static int stage_drain(Ctx *c, long long cycle)
         if (window == NULL)
             return -1;
         if (window->n > 0 && SQ_AT(window, 0) == s) {
-            slot_store_bool(ts, OFF.ts_head_ready, 1);
-            if (slot_store_ll(core, OFF.heads_mask,
-                              slot_ll(core, OFF.heads_mask)
-                              | slot_ll(ts, OFF.ts_tid_bit)) < 0)
-                return -1;
-            slot_store_bool(core, OFF.commit_pending, 1);
+            tv[TV_HEAD_READY] = 1;
+            c->cv[CV_HEADS_MASK] |= 1LL << t;
+            c->cv[CV_COMMIT_PENDING] = 1;
         }
         int64_t w0 = A->waiter0[s];
         if (w0 >= 0) {
@@ -3844,11 +4094,9 @@ static int stage_drain(Ctx *c, long long cycle)
                              cycle - slot_ll(
                                  ts, OFF.ts_branch_wait_since)) < 0)
                     return -1;
-                if ((slot_ll(ts, OFF.ts_fetch_blocked_until) < cycle + 1
-                     && slot_store_ll(ts, OFF.ts_fetch_blocked_until,
-                                      cycle + 1) < 0)
-                    || slot_store_ll(core, OFF.fetch_wake, 0) < 0)
-                    return -1;
+                if (tv[TV_FETCH_BLOCKED_UNTIL] < cycle + 1)
+                    tv[TV_FETCH_BLOCKED_UNTIL] = cycle + 1;
+                c->cv[CV_FETCH_WAKE] = 0;
             }
         }
         if ((fl & F_IS_LOAD) && on_load_complete != Py_None
@@ -3864,7 +4112,7 @@ static int stage_drain(Ctx *c, long long cycle)
         /* F_IN_DETECTS pins the slot: no generation check. */
         Py_ssize_t s = (Py_ssize_t)(b->v[bi] & SLOT_MASK);
         int64_t fl = A->flags[s] &= ~F_IN_DETECTS;
-        PyObject *ts = PyTuple_GET_ITEM(c->threads, A->thread[s]);
+        PyObject *ts = c->thr[A->thread[s]].ts;
         if (fl & (F_SQUASHED | F_COMPLETED)) {
             if ((fl & (F_SQUASHED | F_RETIRED)) && !(fl & F_FREED)
                 && A->refs[s] == 0 && A->pending[s] != -1
@@ -3883,16 +4131,16 @@ static int stage_drain(Ctx *c, long long cycle)
 /* stage: commit                                                       */
 /* ------------------------------------------------------------------ */
 
-/* hierarchy.load (demand) or .store of instr at `when`, into *r. */
-static int data_access(Ctx *c, PyObject *ts, PyObject *instr, long long when,
+/* hierarchy.load (demand) or .store of slot s (thread t) at `when`,
+ * into *r. */
+static int data_access(Ctx *c, Py_ssize_t t, Py_ssize_t s, long long when,
                        int demand, MemResult *r)
 {
-    int64_t pc, addr;
-    if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0
-        || int64_arg(SLOT(instr, OFF.in_addr), &addr) < 0)
+    int64_t addr;
+    if (int64_arg(SLOT(c->A->instr[s], OFF.in_addr), &addr) < 0)
         return -1;
-    return mem_access(c->mem, SLOT(ts, OFF.ts_tid), pc, addr, when, demand,
-                      r);
+    return mem_access(c->mem, g.small_ints[t], c->A->pc[s], addr, when,
+                      demand, r);
 }
 
 /* Drop one reference to slot p at retire time (the parents / old_map
@@ -3908,47 +4156,19 @@ static int commit_unref(Ctx *c, Py_ssize_t p, PyObject *ts)
     return free_unowned(A, p, pfl, ts);
 }
 
-/* The rotation order of `threads` starting at `rot`, filtered through
- * `mask` via the core's lazily built cache (borrowed). */
-static PyObject *rotation(Ctx *c, Py_ssize_t rot, long long mask, int full)
+/* The threads of `mask` (-1: all) in rotation order from `start`, into
+ * `order`: SMTCore's rotation order filtered as its rotation cache
+ * holds it.  Returns their count. */
+static Py_ssize_t rotation(Ctx *c, long long start, long long mask,
+                           Py_ssize_t *order)
 {
-    PyObject *rot_cache = SLOT(c->core, OFF.rot_cache);
-    PyObject *rotations = SLOT(c->core, OFF.rotations);
-    if (rot_cache == Py_None || full)
-        return seq_item(rotations, rot);
-    Py_ssize_t key = (Py_ssize_t)(mask * c->n_threads) + rot;
-    PyObject *order = PyList_GET_ITEM(rot_cache, key);
-    if (order != Py_None)
-        return order;
-    PyObject *all = seq_item(rotations, rot);
-    Py_ssize_t rn = seq_size(all);
-    PyObject *lst = PyList_New(0);
-    if (lst == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < rn; i++) {
-        PyObject *ts = seq_item(all, i);
-        if (((mask >> slot_ll(ts, OFF.ts_tid)) & 1)
-            && PyList_Append(lst, ts) < 0) {
-            Py_DECREF(lst);
-            return NULL;
-        }
+    Py_ssize_t k = 0;
+    for (Py_ssize_t i = 0; i < c->n; i++) {
+        Py_ssize_t t = (Py_ssize_t)((start + i) % c->n);
+        if ((mask >> t) & 1)
+            order[k++] = t;
     }
-    PyObject *tup = PyList_AsTuple(lst);
-    Py_DECREF(lst);
-    if (tup != NULL)
-        lset(rot_cache, key, tup);      /* the cache owns it now */
-    return tup;
-}
-
-/* The run's register of ts, one of the core's threads. */
-static RunLLSR *run_llsr(Ctx *c, PyObject *ts)
-{
-    for (Py_ssize_t i = 0; i < c->n_llsr; i++)
-        if (PyTuple_GET_ITEM(c->threads, i) == ts)
-            return &c->llsr[i];
-    PyErr_SetString(PyExc_RuntimeError,
-                    "a retire from a thread outside core.threads");
-    return NULL;
+    return k;
 }
 
 /* Shift the run of non-long-latency retires staged for t into its
@@ -3963,62 +4183,55 @@ static int llsr_flush(RunLLSR *t)
 
 static int stage_commit(Ctx *c, long long cycle)
 {
-    PyObject *core = c->core;
     Arena *A = c->A;
-    long long n = c->n_threads;
+    int64_t *cv = c->cv;
     long long budget = c->commit_width;
-    long long heads_mask = slot_ll(core, OFF.heads_mask);
-    PyObject *order = n == 1 ? c->threads
-        : rotation(c, (Py_ssize_t)(cycle % n), heads_mask, 0);
-    if (order == NULL)
-        return -1;
-    long long rob_used = slot_ll(core, OFF.rob_used);
-    long long lsq_used = slot_ll(core, OFF.lsq_used);
-    long long int_regs_used = slot_ll(core, OFF.int_regs_used);
-    long long fp_regs_used = slot_ll(core, OFF.fp_regs_used);
-    long long watermark = slot_ll(core, OFF.committed_watermark);
-    long long measure_start = slot_ll(core, OFF.measure_start);
-    Py_ssize_t order_n = seq_size(order);
+    Py_ssize_t order[MAX_THREADS];
+    Py_ssize_t order_n = rotation(c, cycle % c->n, cv[CV_HEADS_MASK], order);
+    /* each thread's stats.committed, read at its first retire here */
+    long long committed[MAX_THREADS];
+    for (Py_ssize_t oi = 0; oi < order_n; oi++)
+        committed[oi] = -1;
     while (budget > 0) {
         int progress = 0;
-        for (Py_ssize_t oi = 0; oi < order_n; oi++) {
-            PyObject *ts = seq_item(order, oi);
-            if (budget == 0)
-                break;
-            if (!slot_true(ts, OFF.ts_head_ready))
+        for (Py_ssize_t oi = 0; oi < order_n && budget > 0; oi++) {
+            Py_ssize_t t = order[oi];
+            PyObject *ts = c->thr[t].ts;
+            int64_t *tv = c->thr[t].v;
+            if (!tv[TV_HEAD_READY])
                 continue;
             SlotSeq *window = seq_of(ts, OFF.ts_window);
             if (window == NULL)
                 return -1;
             Py_ssize_t s = (Py_ssize_t)SQ_AT(window, 0);
             int64_t fl = A->flags[s];
-            PyObject *instr = A->instr[s];
             if (fl & F_IS_STORE) {
-                if (slot_ll(core, OFF.wb_used) >= c->wb_entries)
+                if (cv[CV_WB_USED] >= c->wb_entries)
                     continue;
                 MemResult r;
-                if (data_access(c, ts, instr, cycle, 0, &r) < 0)
-                    return -1;
-                if (schedule_wb_drain(c, r.done, cycle) < 0)
+                if (data_access(c, t, s, cycle, 0, &r) < 0
+                    || schedule_wb_drain(c, r.done, cycle) < 0)
                     return -1;
             }
             sq_pop_front(window);
             if (!window->n || !(A->flags[SQ_AT(window, 0)] & F_COMPLETED)) {
-                slot_store_bool(ts, OFF.ts_head_ready, 0);
-                heads_mask &= ~slot_ll(ts, OFF.ts_tid_bit);
+                tv[TV_HEAD_READY] = 0;
+                cv[CV_HEADS_MASK] &= ~(1LL << t);
             }
-            rob_used -= 1;
-            if (stat_add(ts, OFF.ts_rob_count, -1) < 0)
-                return -1;
+            cv[CV_ROB_USED] -= 1;
+            tv[TV_ROB] -= 1;
             PyObject *st = SLOT(ts, OFF.ts_stats);
-            long long committed = slot_ll(st, OFF.st_committed) + 1;
-            if (slot_store_ll(st, OFF.st_committed, committed) < 0)
+            if (committed[oi] < 0
+                && (committed[oi] = slot_ll(st, OFF.st_committed)) == -1
+                && PyErr_Occurred())
                 return -1;
-            if (committed > watermark)
-                watermark = committed;
+            if (slot_store_ll(st, OFF.st_committed, ++committed[oi]) < 0)
+                return -1;
+            if (committed[oi] > cv[CV_COMMITTED_WATERMARK])
+                cv[CV_COMMITTED_WATERMARK] = committed[oi];
             PyObject *cc = SLOT(ts, OFF.ts_commit_cycles);
             if (cc != Py_None) {
-                PyObject *b = box_ll(cycle - measure_start);
+                PyObject *b = box_ll(cycle - cv[CV_MEASURE_START]);
                 if (b == NULL)
                     return -1;
                 int rc = PyList_Append(cc, b);
@@ -4027,16 +4240,13 @@ static int stage_commit(Ctx *c, long long cycle)
                     return -1;
             }
             if (fl & F_MEM) {
-                if (stat_add(ts, OFF.ts_lsq_count, -1) < 0)
-                    return -1;
-                lsq_used -= 1;
+                tv[TV_LSQ] -= 1;
+                cv[CV_LSQ_USED] -= 1;
             }
             if (fl & F_HAS_DEST) {
                 int fp = (fl & F_DEST_FP) != 0;
-                if (stat_add(ts, fp ? OFF.ts_fp_regs : OFF.ts_int_regs,
-                             -1) < 0)
-                    return -1;
-                *(fp ? &fp_regs_used : &int_regs_used) -= 1;
+                tv[fp ? TV_FP_REGS : TV_INT_REGS] -= 1;
+                cv[fp ? CV_FP_REGS_USED : CV_INT_REGS_USED] -= 1;
             }
             int dependent = 0;
             Py_ssize_t pn = A->parents[s].n;
@@ -4055,18 +4265,15 @@ static int stage_commit(Ctx *c, long long cycle)
             }
             /* F_IS_LL implies F_IS_LOAD (set only in the issue load
              * body), matching the object engine's two-flag test. */
-            RunLLSR *t = run_llsr(c, ts);
-            if (t == NULL)
-                return -1;
+            RunLLSR *L = &c->thr[t].llsr;
             if (fl & F_IS_LL) {
-                int64_t pc, distance;
-                if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0
-                    || llsr_flush(t) < 0
-                    || llsr_commit(t->llsr, 1, pc, dependent, &t->train,
-                                   &distance) < 0)
+                int64_t distance;
+                if (llsr_flush(L) < 0
+                    || llsr_commit(L->llsr, 1, A->pc[s], dependent,
+                                   &L->train, &distance) < 0)
                     return -1;
             } else {
-                t->zeros += 1;
+                L->zeros += 1;
             }
             int64_t old = A->old_map[s];
             if (old >= 0) {
@@ -4092,21 +4299,12 @@ static int stage_commit(Ctx *c, long long cycle)
             break;
     }
     if (budget < c->commit_width) {   /* at least one retire happened */
-        for (Py_ssize_t oi = 0; oi < order_n; oi++) {
-            RunLLSR *t = run_llsr(c, seq_item(order, oi));
-            if (t == NULL || llsr_flush(t) < 0)
+        for (Py_ssize_t oi = 0; oi < order_n; oi++)
+            if (llsr_flush(&c->thr[order[oi]].llsr) < 0)
                 return -1;
-        }
-        if (slot_store_ll(core, OFF.committed_watermark, watermark) < 0
-            || stat_add(core, OFF.release_epoch, 1) < 0
-            || slot_store_ll(core, OFF.rob_used, rob_used) < 0
-            || slot_store_ll(core, OFF.lsq_used, lsq_used) < 0
-            || slot_store_ll(core, OFF.int_regs_used, int_regs_used) < 0
-            || slot_store_ll(core, OFF.fp_regs_used, fp_regs_used) < 0
-            || slot_store_ll(core, OFF.heads_mask, heads_mask) < 0)
-            return -1;
+        cv[CV_RELEASE_EPOCH] += 1;
     }
-    slot_store_bool(core, OFF.commit_pending, heads_mask != 0);
+    cv[CV_COMMIT_PENDING] = cv[CV_HEADS_MASK] != 0;
     return 0;
 }
 
@@ -4115,10 +4313,9 @@ static int stage_commit(Ctx *c, long long cycle)
 /* ------------------------------------------------------------------ */
 
 /* Pop the oldest live, unissued entry of `queue` and take it out of
- * its issue queue; returns its slot, or -1 once the queue runs dry
- * (-2 on error). */
+ * its issue queue; returns its slot, or -1 once the queue runs dry. */
 static Py_ssize_t issue_pop(Ctx *c, IVec *queue, int64_t *packed,
-                            int64_t *flp, PyObject **tsp)
+                            int64_t *flp)
 {
     Arena *A = c->A;
     while (queue->n > 0) {
@@ -4129,17 +4326,15 @@ static Py_ssize_t issue_pop(Ctx *c, IVec *queue, int64_t *packed,
         int64_t fl = A->flags[s];
         if (fl & F_DEAD_OR_DONE)
             continue;
-        PyObject *ts = PyTuple_GET_ITEM(c->threads, A->thread[s]);
         if (fl & F_IN_IQ) {
+            int64_t *tv = c->thr[A->thread[s]].v;
             int fp = (fl & F_IQ_FP) != 0;
-            if (stat_add(ts, fp ? OFF.ts_fq_count : OFF.ts_iq_count, -1) < 0
-                || stat_add(c->core, fp ? OFF.fq_used : OFF.iq_used, -1) < 0
-                || stat_add(ts, OFF.ts_icount, -1) < 0)
-                return -2;
+            tv[fp ? TV_FQ : TV_IQ] -= 1;
+            c->cv[fp ? CV_FQ_USED : CV_IQ_USED] -= 1;
+            tv[TV_ICOUNT] -= 1;
             fl &= ~F_IN_IQ;
         }
         *flp = fl | F_ISSUED;
-        *tsp = ts;
         return s;
     }
     return -1;
@@ -4153,13 +4348,11 @@ static int issue_simple_queue(Ctx *c, IVec *queue, long long slots,
     Arena *A = c->A;
     for (; slots > 0; slots--) {
         int64_t packed, fl;
-        PyObject *ts;
-        Py_ssize_t s = issue_pop(c, queue, &packed, &fl, &ts);
+        Py_ssize_t s = issue_pop(c, queue, &packed, &fl);
         if (s < 0)
-            return s == -1 ? 0 : -1;
+            return 0;
         A->flags[s] = fl;
-        if (wheel_push(&A->ev, c->mask, cycle,
-                       cycle + slot_ll(A->instr[s], OFF.in_latency),
+        if (wheel_push(&A->ev, c->mask, cycle, cycle + A->lat[s],
                        packed) < 0)
             return -1;
         *issued = 1;
@@ -4169,15 +4362,15 @@ static int issue_simple_queue(Ctx *c, IVec *queue, long long slots,
 
 /* _execute's load body, columnized. */
 static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
-                      PyObject *ts, long long cycle)
+                      long long cycle)
 {
     Arena *A = c->A;
-    PyObject *instr = A->instr[s];
-    long long when = cycle + slot_ll(instr, OFF.in_latency);
+    Py_ssize_t t = (Py_ssize_t)A->thread[s];
+    PyObject *ts = c->thr[t].ts;
     MemResult mr;
     PyObject *fill = Py_None, *fill_box = NULL;
     int rc = -1;
-    if (data_access(c, ts, instr, when, 1, &mr) < 0)
+    if (data_access(c, t, s, cycle + A->lat[s], 1, &mr) < 0)
         return -1;
     int is_ll = mr.ll;
     long long detect = mr.detect;
@@ -4193,12 +4386,9 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
         goto out;
     PyObject *lll = SLOT(ts, OFF.ts_lll_pred);
     if (lll != NULL && Py_IS_TYPE(lll, &MissPat_Type)) {
-        int64_t pc;
-        if (int64_arg(SLOT(instr, OFF.in_pc), &pc) < 0)
-            goto out;
-        misspat_train((MissPat *)lll, pc, is_ll);
+        misspat_train((MissPat *)lll, A->pc[s], is_ll);
     } else {
-        PyObject *targs[2] = {SLOT(instr, OFF.in_pc),
+        PyObject *targs[2] = {SLOT(A->instr[s], OFF.in_pc),
                               is_ll ? Py_True : Py_False};
         PyObject *r = call_method(lll, g.s_train, targs, 2);
         if (r == NULL)
@@ -4247,21 +4437,17 @@ static int stage_issue(Ctx *c, long long cycle)
         return -1;
     for (long long slots = c->num_ldst; slots > 0; slots--) {
         int64_t packed, fl;
-        PyObject *ts;
-        Py_ssize_t s = issue_pop(c, &A->ready[1], &packed, &fl, &ts);
-        if (s == -1)
-            break;
+        Py_ssize_t s = issue_pop(c, &A->ready[1], &packed, &fl);
         if (s < 0)
-            return -1;
+            break;
         if (fl & F_IS_LOAD) {
-            if (issue_load(c, s, packed, fl, ts, cycle) < 0)
+            if (issue_load(c, s, packed, fl, cycle) < 0)
                 return -1;
         } else {
             /* stores: address generation only; memory access happens
              * at commit via the write buffer */
             A->flags[s] = fl;
-            if (wheel_push(&A->ev, c->mask, cycle,
-                           cycle + slot_ll(A->instr[s], OFF.in_latency),
+            if (wheel_push(&A->ev, c->mask, cycle, cycle + A->lat[s],
                            packed) < 0)
                 return -1;
         }
@@ -4269,8 +4455,7 @@ static int stage_issue(Ctx *c, long long cycle)
     }
     if (issue_simple_queue(c, &A->ready[2], c->num_fp, cycle, &issued) < 0)
         return -1;
-    if (issued && stat_add(c->core, OFF.release_epoch, 1) < 0)
-        return -1;
+    c->cv[CV_RELEASE_EPOCH] += issued;
     return 0;
 }
 
@@ -4278,60 +4463,38 @@ static int stage_issue(Ctx *c, long long cycle)
 /* stage: dispatch (rename + resource allocation)                      */
 /* ------------------------------------------------------------------ */
 
-/* The earliest value past `cycle` of ThreadState slot `off` over all
- * threads (SMTCore._compute_fetch_wake and the dispatch wake latches). */
-static long long wake_after(Ctx *c, long long cycle, Py_ssize_t off)
+/* The earliest value past `cycle` of thread field `f` over all threads
+ * (SMTCore._compute_fetch_wake and the dispatch wake latches). */
+static long long wake_after(Ctx *c, long long cycle, int f)
 {
     long long wake = cycle + (1LL << 30);
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
-        long long wu = slot_ll(PyTuple_GET_ITEM(c->threads, i), off);
+    for (Py_ssize_t t = 0; t < c->n; t++) {
+        long long wu = c->thr[t].v[f];
         if (cycle < wu && wu < wake)
             wake = wu;
     }
     return wake;
 }
 
-static int store_thread_counts(PyObject *ts, const long long *tl)
-{
-    static const Py_ssize_t *offs[6] = {
-        &OFF.ts_rob_count, &OFF.ts_lsq_count, &OFF.ts_iq_count,
-        &OFF.ts_fq_count, &OFF.ts_int_regs, &OFF.ts_fp_regs};
-    for (int i = 0; i < 6; i++)
-        if (slot_store_ll(ts, *offs[i], tl[i]) < 0)
-            return -1;
-    return 0;
-}
-
-static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
+static int stage_dispatch(Ctx *c, long long cycle)
 {
     PyObject *core = c->core;
     Arena *A = c->A;
+    int64_t *cv = c->cv;
     long long budget = c->decode_width;
     int any_ready = 0;
     int blocked_by_resource = 0;
     long long dispatched = 0;
-    long long n = c->n_threads;
-    long long release_epoch = slot_ll(core, OFF.release_epoch);
-    PyObject *order = c->threads;
-    if (n > 1) {
-        long long fe_mask = slot_ll(core, OFF.fe_mask);
-        order = rotation(c, (Py_ssize_t)((cycle + 1) % n), fe_mask,
-                         fe_mask == c->full_mask);
-        if (order == NULL)
-            return -1;
-    }
-    /* lazily hoisted used counters */
-    int hoisted = 0;
-    long long rob_used = 0, lsq_used = 0, iq_used = 0, fq_used = 0,
-        int_regs_used = 0, fp_regs_used = 0;
-    int gates_free = 0;
-    PyObject *can_dispatch = NULL;   /* borrowed; Py_None means allow-all */
-    Py_ssize_t order_n = seq_size(order);
-    for (Py_ssize_t oi = 0; oi < order_n; oi++) {
-        PyObject *ts = seq_item(order, oi);
-        if (budget == 0)
-            break;
-        if (cycle < slot_ll(ts, OFF.ts_dispatch_wait_until))
+    long long release_epoch = cv[CV_RELEASE_EPOCH];
+    long long fe_mask = cv[CV_FE_MASK];
+    Py_ssize_t order[MAX_THREADS];
+    Py_ssize_t order_n = rotation(c, cycle + 1, fe_mask == c->full_mask
+                                  ? -1 : fe_mask, order);
+    for (Py_ssize_t oi = 0; oi < order_n && budget > 0; oi++) {
+        Py_ssize_t t = order[oi];
+        PyObject *ts = c->thr[t].ts;
+        int64_t *tv = c->thr[t].v;
+        if (cycle < tv[TV_DISPATCH_WAIT_UNTIL])
             continue;   /* head not through the front end yet */
         SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
         SlotSeq *window = seq_of(ts, OFF.ts_window);
@@ -4340,13 +4503,11 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             return -1;
         if (fe->n == 0)
             continue;
-        Py_ssize_t head = (Py_ssize_t)SQ_AT(fe, 0);
         /* The latch holds a bare slot: within one release epoch the
          * head cannot change, so a slot match is an instruction match. */
         PyObject *dbh = SLOT(ts, OFF.ts_dispatch_blocked_head);
-        if (dbh != Py_None && ll_of(dbh) == head) {
-            if (slot_ll(ts, OFF.ts_dispatch_blocked_epoch)
-                    == release_epoch) {
+        if (dbh != Py_None && ll_of(dbh) == SQ_AT(fe, 0)) {
+            if (tv[TV_DISPATCH_BLOCKED_EPOCH] == release_epoch) {
                 any_ready = 1;
                 blocked_by_resource = 1;
                 continue;
@@ -4354,42 +4515,11 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             Py_INCREF(Py_None);
             slot_store(ts, OFF.ts_dispatch_blocked_head, Py_None);
         }
-        if (A->fe_ready[head] > cycle) {
-            if (slot_store_ll(ts, OFF.ts_dispatch_wait_until,
-                              A->fe_ready[head]) < 0)
-                return -1;
-            continue;
-        }
-        if (!hoisted) {
-            hoisted = 1;
-            rob_used = slot_ll(core, OFF.rob_used);
-            lsq_used = slot_ll(core, OFF.lsq_used);
-            iq_used = slot_ll(core, OFF.iq_used);
-            fq_used = slot_ll(core, OFF.fq_used);
-            int_regs_used = slot_ll(core, OFF.int_regs_used);
-            fp_regs_used = slot_ll(core, OFF.fp_regs_used);
-            can_dispatch = SLOT(core, OFF.policy_can_dispatch);
-            gates_free =
-                c->rob_size - rob_used >= budget
-                && c->lsq_size - lsq_used >= budget
-                && c->int_iq_size - iq_used >= budget
-                && c->fp_iq_size - fq_used >= budget
-                && c->int_rename_regs - int_regs_used >= budget
-                && c->fp_rename_regs - fp_regs_used >= budget;
-        }
         int fe_was_full = fe->n >= c->fe_capacity;
-        /* rob, lsq, iq, fq, int regs, fp regs of this thread */
-        long long tl[6] = {
-            slot_ll(ts, OFF.ts_rob_count), slot_ll(ts, OFF.ts_lsq_count),
-            slot_ll(ts, OFF.ts_iq_count), slot_ll(ts, OFF.ts_fq_count),
-            slot_ll(ts, OFF.ts_int_regs), slot_ll(ts, OFF.ts_fp_regs)};
-        int tl_dirty = 0;
         while (budget > 0 && fe->n > 0) {
             Py_ssize_t s = (Py_ssize_t)SQ_AT(fe, 0);
             if (A->fe_ready[s] > cycle) {
-                if (slot_store_ll(ts, OFF.ts_dispatch_wait_until,
-                                  A->fe_ready[s]) < 0)
-                    return -1;
+                tv[TV_DISPATCH_WAIT_UNTIL] = A->fe_ready[s];
                 break;
             }
             any_ready = 1;
@@ -4397,33 +4527,22 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
             int64_t fl = A->flags[s];
             int64_t is_mem = fl & F_MEM;
             int fp_queue = SLOT(instr, OFF.in_fp_queue) == Py_True;
-            if (!gates_free) {
-                int blocked =
-                    rob_used >= c->rob_size
-                    || (is_mem && lsq_used >= c->lsq_size)
-                    || (fp_queue ? fq_used >= c->fp_iq_size
-                                 : iq_used >= c->int_iq_size)
-                    || ((fl & F_HAS_DEST)
-                        && ((fl & F_DEST_FP)
-                                ? fp_regs_used >= c->fp_rename_regs
-                                : int_regs_used >= c->int_rename_regs));
-                if (blocked) {
-                    if (slot_store_ll(ts, OFF.ts_dispatch_blocked_head,
-                                      s) < 0
-                        || slot_store_ll(
-                               ts, OFF.ts_dispatch_blocked_epoch,
-                               release_epoch) < 0)
-                        return -1;
-                    blocked_by_resource = 1;
-                    break;
-                }
+            if (cv[CV_ROB_USED] >= c->rob_size
+                || (is_mem && cv[CV_LSQ_USED] >= c->lsq_size)
+                || (fp_queue ? cv[CV_FQ_USED] >= c->fp_iq_size
+                             : cv[CV_IQ_USED] >= c->int_iq_size)
+                || ((fl & F_HAS_DEST)
+                    && ((fl & F_DEST_FP)
+                            ? cv[CV_FP_REGS_USED] >= c->fp_rename_regs
+                            : cv[CV_INT_REGS_USED] >= c->int_rename_regs))) {
+                if (slot_store_ll(ts, OFF.ts_dispatch_blocked_head, s) < 0)
+                    return -1;
+                tv[TV_DISPATCH_BLOCKED_EPOCH] = release_epoch;
+                blocked_by_resource = 1;
+                break;
             }
-            if (can_dispatch != Py_None) {
-                if (tl_dirty) {
-                    tl_dirty = 0;
-                    if (store_thread_counts(ts, tl) < 0)
-                        return -1;
-                }
+            PyObject *can_dispatch = SLOT(core, OFF.policy_can_dispatch);
+            if (can_dispatch != Py_None) {   /* None: allow-all */
                 PyObject *v = ensure_view(A, s);
                 if (v == NULL)
                     return -1;
@@ -4441,31 +4560,26 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
                     break;   /* policy cap, not a resource stall */
             }
             /* all checks passed: allocate and rename */
-            rob_used += 1;
-            tl[0] += 1;
-            tl_dirty = 1;
+            cv[CV_ROB_USED] += 1;
+            tv[TV_ROB] += 1;
             if (is_mem) {
-                lsq_used += 1;
-                tl[1] += 1;
+                cv[CV_LSQ_USED] += 1;
+                tv[TV_LSQ] += 1;
             }
-            if (fp_queue) {
-                fq_used += 1;
-                tl[3] += 1;
-                fl |= F_IN_IQ | F_IQ_FP;
-            } else {
-                iq_used += 1;
-                tl[2] += 1;
-                fl |= F_IN_IQ;
-            }
+            cv[fp_queue ? CV_FQ_USED : CV_IQ_USED] += 1;
+            tv[fp_queue ? TV_FQ : TV_IQ] += 1;
+            fl |= fp_queue ? F_IN_IQ | F_IQ_FP : F_IN_IQ;
             int64_t packed = (A->gseq[s] << SLOT_SHIFT) | s;
             long long pending = 0;
             int64_t parents[MAX_SRCS];
             int pn = 0;
             PyObject *srcs = SLOT(instr, OFF.in_srcs);
-            Py_ssize_t nsrc = PyTuple_GET_SIZE(srcs);
+            int64_t sp = A->srcs[s];
+            Py_ssize_t nsrc = sp >= 0 ? (sp & 0xff) : PyTuple_GET_SIZE(srcs);
             for (Py_ssize_t i = 0; i < nsrc; i++) {
-                int64_t prod = rename_map->v[ll_of(PyTuple_GET_ITEM(srcs,
-                                                                    i))];
+                int64_t prod = rename_map->v[
+                    sp >= 0 ? (sp >> (8 * i + 8)) & 0xff
+                            : ll_of(PyTuple_GET_ITEM(srcs, i))];
                 if (prod < 0)
                     continue;
                 int64_t pfl = A->flags[prod];
@@ -4498,73 +4612,47 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
                 pv->n = pn;
             }
             if (fl & F_HAS_DEST) {
-                long long dest = slot_ll(instr, OFF.in_dest);
+                int64_t dest = A->dest[s];
                 A->old_map[s] = rename_map->v[dest];
                 rename_map->v[dest] = s;
                 /* rename-current ref; the old entry's ref transfers to
                  * the old_map slot */
                 A->refs[s] += 1;
-                if (fl & F_DEST_FP) {
-                    fp_regs_used += 1;
-                    tl[5] += 1;
-                } else {
-                    int_regs_used += 1;
-                    tl[4] += 1;
-                }
+                int fp = (fl & F_DEST_FP) != 0;
+                cv[fp ? CV_FP_REGS_USED : CV_INT_REGS_USED] += 1;
+                tv[fp ? TV_FP_REGS : TV_INT_REGS] += 1;
             }
             A->flags[s] = fl;
-            if (sq_push(window, s) < 0)
+            if (sq_push(window, s) < 0
+                || (!pending && heap_push(&A->ready[A->op_class[A->op[s]]],
+                                          packed, 0, 1) < 0))
                 return -1;
-            if (!pending) {
-                long long op = slot_ll(instr, OFF.in_op_i);
-                if (heap_push(&A->ready[A->op_class[op]], packed, 0, 1) < 0)
-                    return -1;
-            }
             sq_pop_front(fe);
             budget -= 1;
             dispatched += 1;
         }
-        if (tl_dirty && store_thread_counts(ts, tl) < 0)
-            return -1;
-        if (fe_was_full && fe->n < c->fe_capacity
-            && slot_store_ll(core, OFF.fetch_wake, 0) < 0)
-            return -1;
-        if (fe->n == 0
-            && slot_store_ll(core, OFF.fe_mask,
-                             slot_ll(core, OFF.fe_mask)
-                                 & ~slot_ll(ts, OFF.ts_tid_bit)) < 0)
-            return -1;
+        if (fe_was_full && fe->n < c->fe_capacity)
+            cv[CV_FETCH_WAKE] = 0;
+        if (fe->n == 0)
+            cv[CV_FE_MASK] &= ~(1LL << t);
     }
-    if (dispatched) {
-        if (slot_store_ll(core, OFF.rob_used, rob_used) < 0
-            || slot_store_ll(core, OFF.lsq_used, lsq_used) < 0
-            || slot_store_ll(core, OFF.iq_used, iq_used) < 0
-            || slot_store_ll(core, OFF.fq_used, fq_used) < 0
-            || slot_store_ll(core, OFF.int_regs_used, int_regs_used) < 0
-            || slot_store_ll(core, OFF.fp_regs_used, fp_regs_used) < 0)
-            return -1;
-    } else if (!any_ready
-               && SLOT(core, OFF.policy_can_dispatch) == Py_None) {
-        if (slot_store_ll(core, OFF.dispatch_wake, wake_after(
-                              c, cycle, OFF.ts_dispatch_wait_until)) < 0)
-            return -1;
-    }
+    if (!any_ready && SLOT(core, OFF.policy_can_dispatch) == Py_None)
+        cv[CV_DISPATCH_WAKE] = wake_after(c, cycle, TV_DISPATCH_WAIT_UNTIL);
     if (any_ready && dispatched == 0 && blocked_by_resource) {
         if (stat_add(SLOT(core, OFF.stats),
                      OFF.cs_resource_stall_cycles, 1) < 0)
             return -1;
         PyObject *ors = SLOT(core, OFF.policy_on_resource_stall);
         if (ors != Py_None) {   /* None: marked no-op hook */
-            PyObject *r = PyObject_CallOneArg(ors, cycle_obj);
+            PyObject *cy = cycle_arg(c, cycle);
+            PyObject *r = cy == NULL ? NULL : PyObject_CallOneArg(ors, cy);
             if (r == NULL)
                 return -1;
             Py_DECREF(r);
         } else if (SLOT(core, OFF.policy_can_dispatch) == Py_None) {
-            if (slot_store_ll(core, OFF.stall_latch_until, wake_after(
-                                  c, cycle, OFF.ts_dispatch_wait_until)) < 0
-                || slot_store_ll(core, OFF.stall_latch_epoch,
-                                 release_epoch) < 0)
-                return -1;
+            cv[CV_STALL_LATCH_UNTIL] = wake_after(c, cycle,
+                                                  TV_DISPATCH_WAIT_UNTIL);
+            cv[CV_STALL_LATCH_EPOCH] = release_epoch;
         }
     }
     return 0;
@@ -4573,116 +4661,6 @@ static int stage_dispatch(Ctx *c, long long cycle, PyObject *cycle_obj)
 /* ------------------------------------------------------------------ */
 /* stage: fetch (one thread's burst)                                   */
 /* ------------------------------------------------------------------ */
-
-/* repro.pipeline.dyninstr.instr_flags, transliterated. */
-static long long instr_flags_c(PyObject *instr)
-{
-    long long flags = 0;
-    if (SLOT(instr, OFF.in_has_dest) == Py_True)
-        flags |= F_HAS_DEST;
-    if (SLOT(instr, OFF.in_dest_fp) == Py_True)
-        flags |= F_DEST_FP;
-    if (SLOT(instr, OFF.in_is_load) == Py_True)
-        flags |= F_IS_LOAD;
-    else if (SLOT(instr, OFF.in_is_store) == Py_True)
-        flags |= F_IS_STORE;
-    else if (SLOT(instr, OFF.in_is_branch) == Py_True)
-        flags |= F_IS_BRANCH;
-    return flags;
-}
-
-/* A fetch burst's thread registers: fetch_index, icount and
- * last_ifetch_line (about 2**42) live in C locals for the burst, so no
- * fetched instruction boxes or unboxes them.  They go to their slots
- * before every Python call inside the burst and at its end; after a
- * call a register is read again only when its slot holds another
- * object than the one last synced (which the register keeps alive, so
- * a changed slot cannot alias it). */
-enum { R_INDEX, R_ICOUNT, R_LINE, N_REGS };
-
-typedef struct {
-    long long v[N_REGS];
-    PyObject *obj[N_REGS];      /* owned: the slot's object at the sync */
-    Py_ssize_t off[N_REGS];
-    int dirty;                  /* bit i: v[i] is newer than its slot */
-} Regs;
-
-static int regs_load(PyObject *ts, Regs *R)
-{
-    R->off[R_INDEX] = OFF.ts_fetch_index;
-    R->off[R_ICOUNT] = OFF.ts_icount;
-    R->off[R_LINE] = OFF.ts_last_ifetch_line;
-    R->dirty = 0;
-    for (int i = 0; i < N_REGS; i++) {
-        R->obj[i] = Py_NewRef(SLOT(ts, R->off[i]));
-        R->v[i] = ll_of(R->obj[i]);
-    }
-    return PyErr_Occurred() ? -1 : 0;
-}
-
-static inline void regs_set(Regs *R, int i, long long v)
-{
-    R->v[i] = v;
-    R->dirty |= 1 << i;
-}
-
-static int regs_store(PyObject *ts, Regs *R)
-{
-    for (int i = 0; R->dirty && i < N_REGS; i++) {
-        if (!(R->dirty & (1 << i)))
-            continue;
-        PyObject *b = box_ll(R->v[i]);
-        if (b == NULL)
-            return -1;
-        R->dirty &= ~(1 << i);
-        Py_INCREF(b);
-        slot_store(ts, R->off[i], b);
-        Py_SETREF(R->obj[i], b);
-    }
-    return 0;
-}
-
-static int regs_reload(PyObject *ts, Regs *R)
-{
-    for (int i = 0; i < N_REGS; i++) {
-        PyObject *o = SLOT(ts, R->off[i]);
-        if (o == R->obj[i])
-            continue;
-        long long v = PyLong_AsLongLong(o);
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        Py_SETREF(R->obj[i], Py_NewRef(o));
-        R->v[i] = v;
-    }
-    return 0;
-}
-
-static void regs_release(Regs *R)
-{
-    for (int i = 0; i < N_REGS; i++)
-        Py_CLEAR(R->obj[i]);
-}
-
-/* A Python call inside a burst, fn(arg), with the registers synced
- * around it. */
-static PyObject *burst_call(PyObject *ts, Regs *R, PyObject *fn,
-                            PyObject *arg)
-{
-    if (regs_store(ts, R) < 0)
-        return NULL;
-    PyObject *r = PyObject_Vectorcall(fn, &arg, 1, NULL);
-    if (r != NULL && regs_reload(ts, R) < 0)
-        Py_CLEAR(r);
-    return r;
-}
-
-static int burst_hook(Arena *A, PyObject *hook, Py_ssize_t s, PyObject *ts,
-                      Regs *R)
-{
-    if (regs_store(ts, R) < 0 || call_hook(A, hook, s, ts) < 0)
-        return -1;
-    return regs_reload(ts, R);
-}
 
 /* ts.allowed_end into *has / *end (re-read after a hook). */
 static inline void read_allowed_end(PyObject *ts, int *has, long long *end)
@@ -4695,39 +4673,25 @@ static inline void read_allowed_end(PyObject *ts, int *has, long long *end)
 /* One thread's fetch burst (SMTCore._fetch_thread over the arena);
  * returns the fetch count, or -1 on error.  The I-side access, gshare
  * and the BTB run on the run's native parts; the load predictor runs in
- * C when it is native (else its predict is called). */
-static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
-                                long long cycle, PyObject *cycle_obj,
-                                int ignore_stall)
+ * C when it is native (else its predict is called).  The thread's fetch
+ * index, icount and I-fetch line are its native fields, so a hook that
+ * flushes mid-burst (or writes them) is seen at once. */
+static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
+                                long long cycle, int ignore_stall)
 {
     PyObject *core = c->core;
     Arena *A = c->A;
+    PyObject *ts = c->thr[t].ts;
+    int64_t *tv = c->thr[t].v;
+    const Body *B = &A->body[t];
     PyObject *trace_get = SLOT(ts, OFF.ts_trace_get);
-    PyObject *trace_static = SLOT(ts, OFF.ts_trace_static);
-    PyObject *trace_flags = SLOT(ts, OFF.ts_trace_flags);
-    long long body_len = slot_ll(ts, OFF.ts_trace_body_len);
-    /* an exact SyntheticTrace's iteration-varying slots are built here
-     * from its precomputed parameters; other traces keep calling get */
-    PyObject *trace = SLOT(ts, OFF.ts_trace);
-    PyObject *dyn = NULL;
-    if (trace_static != Py_None && trace != NULL
-        && Py_TYPE(trace) == g.trace_type) {
-        dyn = SLOT(trace, OFF.tr_dyn);
-        if (dyn != NULL && (!PyList_CheckExact(dyn)
-                            || PyList_GET_SIZE(dyn) != body_len))
-            dyn = NULL;
-    }
-    long long tid = slot_ll(ts, OFF.ts_tid);
-    long long pc_origin = tid >= 0 && tid < c->n_threads
-            && tid < MAX_THREADS && PyTuple_GET_ITEM(c->threads, tid) == ts
-        ? c->pc_origin[tid] : slot_ll(ts, OFF.ts_pc_origin);
     PyObject *on_fetch = SLOT(core, OFF.policy_on_fetch);
     PyObject *on_fetch_load = SLOT(core, OFF.policy_on_fetch_load);
     SlotSeq *fe_queue = seq_of(ts, OFF.ts_fe_queue);
     if (fe_queue == NULL)
         return -1;
     long long fe_ready = cycle + c->frontend_depth;
-    long long gseq = slot_ll(core, OFF.gseq);
+    long long gseq = c->cv[CV_GSEQ];
     int has_allowed;
     long long allowed_end;
     read_allowed_end(ts, &has_allowed, &allowed_end);
@@ -4736,51 +4700,49 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     if (budget < limit)
         limit = budget;
     PyObject *instr = NULL;     /* owned for the instruction's iteration */
-    Regs R;
-    if (regs_load(ts, &R) < 0)
-        goto fail;
+    int64_t built[N_B];         /* the row of an instruction built here */
     while (count < limit) {
-        long long fetch_index = R.v[R_INDEX];
+        long long fetch_index = tv[TV_FETCH_INDEX];
         if (!ignore_stall && has_allowed && fetch_index > allowed_end)
             break;
-        long long flags;
-        int fixed = 0;
-        if (trace_static != Py_None) {
-            /* floor modulo: a flush may rewind the index below 0 */
-            Py_ssize_t i = (Py_ssize_t)py_mod(fetch_index, body_len);
-            PyObject *static_instr = PyList_GET_ITEM(trace_static, i);
-            if ((fixed = static_instr != Py_None)) {
-                instr = Py_NewRef(static_instr);
-                flags = ll_of(PyList_GET_ITEM(trace_flags, i));
-            } else if (dyn != NULL && trace_dyn(PyList_GET_ITEM(dyn, i),
-                                                floordiv(fetch_index,
-                                                         body_len),
-                                                &instr) < 0) {
+        const int64_t *row = built;
+        if (B->n) {
+            /* floor modulo: a flush may rewind the index below 0.  An
+             * exact SyntheticTrace's iteration-varying positions are
+             * built here, as clones of their prototypes; other traces
+             * keep calling get. */
+            Py_ssize_t i = (Py_ssize_t)py_mod(fetch_index, B->n);
+            PyObject *fixed = PyTuple_GET_ITEM(B->instr, i);
+            if (fixed != Py_None)
+                instr = Py_NewRef(fixed);
+            else if (B->dyn != NULL
+                     && trace_dyn(PyTuple_GET_ITEM(B->dyn, i),
+                                  floordiv(fetch_index, B->n), &instr) < 0)
                 goto fail;
-            }
+            if (instr != NULL && B->v[i * N_B + B_FLAGS] >= 0)
+                row = &B->v[i * N_B];
         }
         if (instr == NULL) {
             PyObject *fi = box_ll(fetch_index);
             if (fi == NULL)
                 goto fail;
-            instr = burst_call(ts, &R, trace_get, fi);
+            instr = PyObject_CallOneArg(trace_get, fi);
             Py_DECREF(fi);
             if (instr == NULL)
                 goto fail;
         }
-        if (!fixed)
-            flags = instr_flags_c(instr);
-        long long pc = slot_ll(instr, OFF.in_pc);
-        long long pc_addr = pc_origin + pc * 4;
+        if (row == built && instr_row(instr, built) < 0)
+            goto fail;
+        long long pc = row[B_PC], flags = row[B_FLAGS];
+        long long pc_addr = c->thr[t].pc_origin + pc * 4;
         long long line = pc_addr >> c->line_shift;
-        if (line != R.v[R_LINE]) {
+        if (line != tv[TV_LAST_IFETCH_LINE]) {
             int64_t done;
             if (mem_ifetch(c->mem, pc_addr, cycle, &done) < 0)
                 goto fail;
-            regs_set(&R, R_LINE, line);
+            tv[TV_LAST_IFETCH_LINE] = line;
             if (done > cycle) {
-                if (slot_store_ll(ts, OFF.ts_fetch_blocked_until, done) < 0)
-                    goto fail;
+                tv[TV_FETCH_BLOCKED_UNTIL] = done;
                 break;
             }
         }
@@ -4791,15 +4753,20 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
          * written (see the arena contract in cext.py) */
         Py_ssize_t s = (Py_ssize_t)A->free.v[--A->free.n];
         ocol_set(A->instr, s, instr);
-        A->thread[s] = tid;
+        A->thread[s] = t;
         A->seq[s] = fetch_index;
         A->gseq[s] = gseq;
         A->fe_ready[s] = fe_ready;
         A->flags[s] = flags;
+        A->pc[s] = pc;
+        A->op[s] = row[B_OP];
+        A->lat[s] = row[B_LAT];
+        A->dest[s] = row[B_DEST];
+        A->srcs[s] = row[B_SRCS];
         if (sq_push(fe_queue, s) < 0)
             goto fail;
-        regs_set(&R, R_INDEX, fetch_index + 1);
-        regs_set(&R, R_ICOUNT, R.v[R_ICOUNT] + 1);
+        tv[TV_FETCH_INDEX] = fetch_index + 1;
+        tv[TV_ICOUNT] += 1;
         count += 1;
         if (flags & F_IS_LOAD) {
             PyObject *predict = SLOT(ts, OFF.ts_lll_predict);
@@ -4808,15 +4775,15 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                 ocol_set(A->pred_ll, s,
                          misspat_predict(P, pc) ? Py_True : Py_False);
             } else {
-                PyObject *p = burst_call(ts, &R, predict,
-                                         SLOT(instr, OFF.in_pc));
+                PyObject *p = PyObject_CallOneArg(predict,
+                                                  SLOT(instr, OFF.in_pc));
                 if (p == NULL)
                     goto fail;
                 ocol_set(A->pred_ll, s, p);
                 Py_DECREF(p);
             }
             if (on_fetch_load != Py_None) {
-                if (burst_hook(A, on_fetch_load, s, ts, &R) < 0)
+                if (call_hook(A, on_fetch_load, s, ts) < 0)
                     goto fail;
                 read_allowed_end(ts, &has_allowed, &allowed_end);
             }
@@ -4825,7 +4792,7 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
             /* Instr stores a bool: Instr.__init__ takes bool(taken) */
             int taken = SLOT(instr, OFF.in_taken) == Py_True;
             int prediction;
-            if (gshare_update(c->gshare, pc, taken, tid, &prediction) < 0)
+            if (gshare_update(c->gshare, pc, taken, t, &prediction) < 0)
                 goto fail;
             /* a taken branch looks its target up, then installs it */
             int target_known = !taken || btb_access(c->btb, pc, 1, 1);
@@ -4834,16 +4801,16 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
                     || slot_store_ll(ts, OFF.ts_branch_wait_since,
                                      cycle) < 0
                     || (on_fetch != Py_None
-                        && burst_hook(A, on_fetch, s, ts, &R) < 0))
+                        && call_hook(A, on_fetch, s, ts) < 0))
                     goto fail;
                 break;
             }
-            if (on_fetch != Py_None && burst_hook(A, on_fetch, s, ts, &R) < 0)
+            if (on_fetch != Py_None && call_hook(A, on_fetch, s, ts) < 0)
                 goto fail;
             if (taken)
                 break;   /* a correctly-predicted taken branch ends it */
         } else if (on_fetch != Py_None
-                   && burst_hook(A, on_fetch, s, ts, &R) < 0) {
+                   && call_hook(A, on_fetch, s, ts) < 0) {
             goto fail;
         }
         if (on_fetch != Py_None)
@@ -4851,21 +4818,16 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
         Py_CLEAR(instr);
     }
     Py_CLEAR(instr);
-    if (regs_store(ts, &R) < 0 || slot_store_ll(core, OFF.gseq, gseq) < 0)
-        goto fail;
+    c->cv[CV_GSEQ] = gseq;
     if (count) {
         if (stat_add(SLOT(ts, OFF.ts_stats), OFF.st_fetched, count) < 0)
-            goto fail;
+            return -1;
         /* a fresh head where dispatch saw nothing: the queue was empty
          * when the burst began, or a flush from a hook emptied it (and
          * cleared the bit) mid-burst */
-        long long fe_mask = slot_ll(core, OFF.fe_mask);
-        if (fe_queue->n && !((fe_mask >> tid) & 1)) {
-            if (slot_store_ll(core, OFF.dispatch_wake, 0) < 0
-                || slot_store_ll(core, OFF.stall_latch_until, 0) < 0
-                || slot_store_ll(core, OFF.fe_mask, fe_mask | (1LL << tid))
-                       < 0)
-                goto fail;
+        if (fe_queue->n && !((c->cv[CV_FE_MASK] >> t) & 1)) {
+            c->cv[CV_DISPATCH_WAKE] = c->cv[CV_STALL_LATCH_UNTIL] = 0;
+            c->cv[CV_FE_MASK] |= 1LL << t;
         }
     }
     /* ThreadState._sync_policy_stall acts only when the stall predicate
@@ -4877,12 +4839,12 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     if (ae_now == Py_None)
         flip = slot_true(ts, OFF.ts_policy_stalled_flag);
     else if (obj_fits(ae_now, &ae_v))
-        flip = (R.v[R_INDEX] > ae_v)
+        flip = (tv[TV_FETCH_INDEX] > ae_v)
             != slot_true(ts, OFF.ts_policy_stalled_flag);
-    regs_release(&R);
     if (flip) {
-        PyObject *sargs[1] = {cycle_obj};
-        PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
+        PyObject *sargs[1] = {cycle_arg(c, cycle)};
+        PyObject *r = sargs[0] == NULL ? NULL
+            : call_method(ts, g.s_sync_policy_stall, sargs, 1);
         if (r == NULL)
             return -1;
         Py_DECREF(r);
@@ -4890,7 +4852,6 @@ static long long fetch_thread_c(Ctx *c, PyObject *ts, long long budget,
     return count;
 fail:
     Py_XDECREF(instr);
-    regs_release(&R);
     return -1;
 }
 
@@ -4914,10 +4875,9 @@ static int next_cycle_c(Ctx *c, long long cycle, long long *out)
             target = v_;                  \
         have = 1;                         \
     } while (0)
-    int wb_full = slot_ll(c->core, OFF.wb_used) >= c->wb_entries;
-    Py_ssize_t nt = PyTuple_GET_SIZE(c->threads);
-    for (Py_ssize_t i = 0; i < nt; i++) {
-        PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+    int wb_full = c->cv[CV_WB_USED] >= c->wb_entries;
+    for (Py_ssize_t t = 0; t < c->n; t++) {
+        PyObject *ts = c->thr[t].ts;
         SlotSeq *window = seq_of(ts, OFF.ts_window);
         SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
         if (window == NULL || fe == NULL)
@@ -4938,7 +4898,7 @@ static int next_cycle_c(Ctx *c, long long cycle, long long *out)
             }
             CANDIDATE(head_ready);
         }
-        long long blocked = slot_ll(ts, OFF.ts_fetch_blocked_until);
+        long long blocked = c->thr[t].v[TV_FETCH_BLOCKED_UNTIL];
         if (blocked > nxt)
             CANDIDATE(blocked);
     }
@@ -4976,13 +4936,25 @@ static PyObject *unpack2(PyObject *pair)
     return seq;
 }
 
+/* The index of `ts` in core.threads: -1 and a TypeError naming `who`
+ * when it is none of them. */
+static Py_ssize_t thread_of(Ctx *c, PyObject *ts, const char *who)
+{
+    for (Py_ssize_t t = 0; t < c->n; t++)
+        if (c->thr[t].ts == ts)
+            return t;
+    PyErr_Format(PyExc_TypeError, "%s gave a %.200s that is not one of "
+                 "the core's threads", who, Py_TYPE(ts)->tp_name);
+    return -1;
+}
+
 /* The fetch path of a policy with its own ``fetch_order(cycle)``: the
  * run loop's ``for ts, ignore_stall in order`` over what it returns. */
-static int fetch_via_policy_order(Ctx *c, long long cycle,
-                                  PyObject *cycle_obj)
+static int fetch_via_policy_order(Ctx *c, long long cycle)
 {
-    PyObject *order = PyObject_CallOneArg(
-        SLOT(c->core, OFF.policy_fetch_order), cycle_obj);
+    PyObject *cy = cycle_arg(c, cycle);
+    PyObject *order = cy == NULL ? NULL : PyObject_CallOneArg(
+        SLOT(c->core, OFF.policy_fetch_order), cy);
     if (order == NULL)
         return -1;
     int rc = -1;
@@ -5001,24 +4973,16 @@ static int fetch_via_policy_order(Ctx *c, long long cycle,
         Py_DECREF(pair);
         if (seq == NULL)
             goto done;
-        PyObject *ts = PySequence_Fast_GET_ITEM(seq, 0);
-        PyObject *ignore = PySequence_Fast_GET_ITEM(seq, 1);
         long long cnt = 0;
         int stop = remaining_threads == 0 || budget == 0;
         if (!stop) {
             remaining_threads -= 1;
-            int ignore_stall = PyObject_IsTrue(ignore);
-            if (ignore_stall < 0) {
-                cnt = -1;
-            } else if (!PyObject_TypeCheck(ts, g.ts_type)) {
-                PyErr_Format(PyExc_TypeError,
-                             "fetch_order gave a %.200s, not a ThreadState",
-                             Py_TYPE(ts)->tp_name);
-                cnt = -1;
-            } else {
-                cnt = fetch_thread_c(c, ts, budget, cycle, cycle_obj,
-                                     ignore_stall);
-            }
+            int ignore_stall = PyObject_IsTrue(
+                PySequence_Fast_GET_ITEM(seq, 1));
+            Py_ssize_t t = ignore_stall < 0 ? -1 : thread_of(
+                c, PySequence_Fast_GET_ITEM(seq, 0), "fetch_order");
+            cnt = t < 0 ? -1
+                : fetch_thread_c(c, t, budget, cycle, ignore_stall);
         }
         Py_DECREF(seq);
         if (cnt < 0)
@@ -5035,104 +4999,79 @@ done:
     return rc;
 }
 
-/* Whether ts could fetch at `cycle` (SMTCore.fetchable): 1, 0, or -1. */
-static int fetchable(Ctx *c, PyObject *ts, long long cycle)
+/* Whether thread t could fetch at `cycle` (SMTCore.fetchable): 1, 0,
+ * or -1. */
+static int fetchable(Ctx *c, Py_ssize_t t, long long cycle)
 {
-    if (slot_ll(ts, OFF.ts_fetch_blocked_until) > cycle
+    PyObject *ts = c->thr[t].ts;
+    if (c->thr[t].v[TV_FETCH_BLOCKED_UNTIL] > cycle
         || SLOT(ts, OFF.ts_waiting_branch) != Py_None)
         return 0;
     SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
     return fe == NULL ? -1 : fe->n < c->fe_capacity;
 }
 
+/* The threads the base policy may fetch from: the fetch candidates in
+ * order, or every thread when there are none (COT), into `order`;
+ * returns their count, -1 on error. */
+static Py_ssize_t candidates(Ctx *c, Py_ssize_t *order)
+{
+    PyObject *cand = c->fetch_candidates;
+    Py_ssize_t n = PyList_GET_SIZE(cand);
+    if (n == 0)
+        return rotation(c, 0, -1, order);
+    for (Py_ssize_t i = 0; i < n && i < MAX_THREADS; i++)
+        if ((order[i] = thread_of(c, PyList_GET_ITEM(cand, i),
+                                  "_fetch_candidates")) < 0)
+            return -1;
+    return n < MAX_THREADS ? n : MAX_THREADS;
+}
+
 /* The fetch-selection block of the fused loop: the base policy's
- * ICOUNT order over the fetch candidates, or COT when there are none. */
-static int run_fetch_select(Ctx *c, long long cycle, PyObject *cycle_obj)
+ * ICOUNT order over the fetch candidates, or COT when there are none
+ * (every thread is policy-stalled): then the fetchable thread that
+ * stalled first (the first in tid order on a tie) fetches past its
+ * stall.  Both are the fetchable threads stably sorted by a key, as
+ * list.sort(key=...) orders them: icount, or stall_start. */
+static int run_fetch_select(Ctx *c, long long cycle)
 {
     if (!c->fetch_order_is_base)
-        return fetch_via_policy_order(c, cycle, cycle_obj);
-    PyObject *candidates = c->fetch_candidates;
-    if (PyList_GET_SIZE(candidates) == 0) {
-        /* COT: every thread is policy-stalled; the fetchable one that
-         * stalled first (the first in tid order on a tie) fetches past
-         * its stall */
-        PyObject *oldest = NULL;
-        long long oldest_start = 0;
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
-            PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
-            int ok = fetchable(c, ts, cycle);
-            if (ok < 0)
-                return -1;
-            long long start = ok ? slot_ll(ts, OFF.ts_stall_start) : 0;
-            if (ok && (oldest == NULL || start < oldest_start)) {
-                oldest = ts;
-                oldest_start = start;
-            }
-        }
-        if (oldest == NULL)
-            return slot_store_ll(c->core, OFF.fetch_wake, wake_after(
-                                     c, cycle, OFF.ts_fetch_blocked_until));
-        /* the run loop's pair loop over a one-entry order */
-        if (c->fetch_max_threads != 0 && c->fetch_width != 0
-            && fetch_thread_c(c, oldest, c->fetch_width, cycle, cycle_obj,
-                              1) < 0)
-            return -1;
-        return 0;
-    }
-    PyObject *first = NULL;
-    PyObject *rest[MAX_THREADS];
-    long long rest_icount[MAX_THREADS];
+        return fetch_via_policy_order(c, cycle);
+    Py_ssize_t order[MAX_THREADS], rest[MAX_THREADS];
+    long long key[MAX_THREADS];
+    Py_ssize_t cn = candidates(c, order);
+    int cot = PyList_GET_SIZE(c->fetch_candidates) == 0;
     int rn = 0;
-    Py_ssize_t cn = PyList_GET_SIZE(candidates);
-    for (Py_ssize_t i = 0; i < cn && rn < MAX_THREADS; i++) {
-        PyObject *ts = PyList_GET_ITEM(candidates, i);
-        int ok = fetchable(c, ts, cycle);
+    for (Py_ssize_t i = 0; i < cn; i++) {
+        Py_ssize_t t = order[i];
+        int ok = fetchable(c, t, cycle);
         if (ok < 0)
             return -1;
-        if (ok) {
-            if (first == NULL) {
-                first = ts;
-            } else if (rn == 0) {
-                rest[rn++] = first;
-                rest[rn++] = ts;
-            } else {
-                rest[rn++] = ts;
-            }
-        }
-    }
-    if (rn == 0) {
-        if (first == NULL)
-            return slot_store_ll(c->core, OFF.fetch_wake, wake_after(
-                                     c, cycle, OFF.ts_fetch_blocked_until));
-        if (c->can_fetch_one
-            && fetch_thread_c(c, first, c->fetch_width, cycle, cycle_obj,
-                              0) < 0)
-            return -1;
-        return 0;
-    }
-    /* stable icount sort (matches list.sort(key=_by_icount)) */
-    for (int i = 0; i < rn; i++)
-        rest_icount[i] = slot_ll(rest[i], OFF.ts_icount);
-    for (int i = 1; i < rn; i++) {
-        PyObject *ts = rest[i];
-        long long ic = rest_icount[i];
-        int j = i - 1;
-        while (j >= 0 && rest_icount[j] > ic) {
+        if (!ok)
+            continue;
+        long long k = cot ? slot_ll(c->thr[t].ts, OFF.ts_stall_start)
+                          : c->thr[t].v[TV_ICOUNT];
+        int j = rn++ - 1;
+        for (; j >= 0 && key[j] > k; j--) {
             rest[j + 1] = rest[j];
-            rest_icount[j + 1] = rest_icount[j];
-            j--;
+            key[j + 1] = key[j];
         }
-        rest[j + 1] = ts;
-        rest_icount[j + 1] = ic;
+        rest[j + 1] = t;
+        key[j + 1] = k;
+    }
+    if (cn < 0 || PyErr_Occurred())
+        return -1;
+    if (rn == 0) {
+        c->cv[CV_FETCH_WAKE] = wake_after(c, cycle, TV_FETCH_BLOCKED_UNTIL);
+        return 0;
     }
     long long budget = c->fetch_width;
     long long remaining_threads = c->fetch_max_threads;
-    for (int i = 0; i < rn; i++) {
+    for (int i = 0; i < (cot ? 1 : rn); i++) {
         if (remaining_threads == 0 || budget == 0)
             break;
         remaining_threads -= 1;
-        long long cnt = fetch_thread_c(c, rest[i], budget, cycle,
-                                       cycle_obj, 0);
+        long long cnt = fetch_thread_c(c, rest[i], budget, cycle, cot);
         if (cnt < 0)
             return -1;
         budget -= cnt;
@@ -5193,43 +5132,53 @@ static PyObject *native_part(PyObject *obj, Py_ssize_t off,
  * MLP predictors in C when its on_measure is ts's own
  * ThreadState._train_mlp over those (decided here, once per run: a
  * predictor reassigned mid-run is not followed); else they call it. */
-static void take_llsr(RunLLSR *t, PyObject *ts, PyObject *llsr)
+static int take_llsr(RunLLSR *t, PyObject *ts, PyObject *llsr)
 {
     t->llsr = (LLSRN *)Py_NewRef(llsr);
     PyObject *f = t->llsr->on_measure;
-    PyObject *own = PyDict_GetItem(g.ts_type->tp_dict, g.s_train_mlp);
+    PyObject *own = PyObject_GetAttr((PyObject *)g.ts_type, g.s_train_mlp);
     PyObject *dist = SLOT(ts, OFF.ts_mlp_pred);
     PyObject *bin = SLOT(ts, OFF.ts_binary_mlp);
+    if (own == NULL)
+        return -1;
     if (f != NULL && PyMethod_Check(f) && PyMethod_GET_SELF(f) == ts
-        && own != NULL && PyMethod_GET_FUNCTION(f) == own
+        && PyMethod_GET_FUNCTION(f) == own
         && dist != NULL && Py_IS_TYPE(dist, &MLPDist_Type)
         && bin != NULL && Py_IS_TYPE(bin, &BinMLP_Type)) {
         t->train.dist = (MLPDist *)Py_NewRef(dist);
         t->train.bin = (BinMLP *)Py_NewRef(bin);
     }
+    Py_DECREF(own);
+    return 0;
 }
 
 static void ctx_clear(Ctx *c)
 {
     Py_CLEAR(c->on_ll_detect);
     Py_CLEAR(c->A);
+    Py_CLEAR(c->ints);
+    Py_CLEAR(c->cycle_obj);
     Py_CLEAR(c->mem);
     Py_CLEAR(c->gshare);
     Py_CLEAR(c->btb);
-    for (Py_ssize_t i = 0; i < c->n_llsr; i++) {
-        Py_CLEAR(c->llsr[i].llsr);
-        Py_CLEAR(c->llsr[i].train.dist);
-        Py_CLEAR(c->llsr[i].train.bin);
+    for (Py_ssize_t t = 0; t < c->n; t++) {
+        Thr *T = &c->thr[t];
+        Py_CLEAR(T->ints);
+        Py_CLEAR(T->llsr.llsr);
+        Py_CLEAR(T->llsr.train.dist);
+        Py_CLEAR(T->llsr.train.bin);
     }
-    c->n_llsr = 0;
+    c->n = 0;
 }
 
 static int ctx_init(Ctx *c, PyObject *core)
 {
-    memset(c, 0, sizeof(*c));
+    memset(c, 0, offsetof(Ctx, thr));
     c->core = core;
-    if ((c->A = arena_of(core)) == NULL)
-        return -1;
+    if ((c->A = arena_of(core)) == NULL
+        || (c->cv = ints_at(core, OFF.ints)) == NULL)
+        goto fail;
+    c->ints = Py_NewRef(SLOT(core, OFF.ints));
     PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, -1,
                                 "hierarchy");
     PyObject *gshare = mem == NULL ? NULL
@@ -5241,15 +5190,23 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->mem = (Mem *)Py_NewRef(mem);
     c->gshare = (GShareN *)Py_NewRef(gshare);
     c->btb = (BTBN *)Py_NewRef(btb);
-    /* arena_of checked: a tuple of at most MAX_THREADS threads */
-    c->threads = SLOT(core, OFF.threads);
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(c->threads); i++) {
-        PyObject *ts = PyTuple_GET_ITEM(c->threads, i);
+    /* arena_of checked: a tuple of at most MAX_THREADS of the arena's
+     * threads */
+    PyObject *threads = SLOT(core, OFF.threads);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(threads); i++) {
+        PyObject *ts = PyTuple_GET_ITEM(threads, i);
         PyObject *llsr = native_part(ts, OFF.ts_llsr, &LLSR_Type, i, "llsr");
-        if (llsr == NULL)
+        int64_t *v = llsr == NULL ? NULL : ints_at(ts, OFF.ts_ints);
+        if (v == NULL)
             goto fail;
-        take_llsr(&c->llsr[c->n_llsr++], ts, llsr);
-        c->pc_origin[i] = slot_ll(ts, OFF.ts_pc_origin);
+        Thr *T = &c->thr[c->n++];
+        memset(T, 0, sizeof(*T));
+        T->ts = ts;
+        T->ints = Py_NewRef(SLOT(ts, OFF.ts_ints));
+        T->v = v;
+        if (take_llsr(&T->llsr, ts, llsr) < 0)
+            goto fail;
+        T->pc_origin = slot_ll(ts, OFF.ts_pc_origin);
     }
     c->fetch_candidates = SLOT(core, OFF.fetch_candidates);
     c->on_ll_detect = PyObject_GetAttr(SLOT(core, OFF.policy),
@@ -5267,7 +5224,6 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->commit_width = slot_ll(core, OFF.commit_width);
     c->wb_entries = slot_ll(core, OFF.wb_entries);
     c->line_shift = slot_ll(core, OFF.line_shift);
-    c->n_threads = slot_ll(core, OFF.n_threads);
     c->full_mask = slot_ll(core, OFF.full_mask);
     c->rob_size = slot_ll(core, OFF.rob_size);
     c->lsq_size = slot_ll(core, OFF.lsq_size);
@@ -5280,8 +5236,6 @@ static int ctx_init(Ctx *c, PyObject *core)
     c->num_fp = slot_ll(core, OFF.num_fp);
     c->fast_forward = slot_true(core, OFF.fast_forward);
     c->fetch_order_is_base = slot_true(core, OFF.fetch_order_is_base);
-    c->can_fetch_one =
-        c->fetch_max_threads >= 1 && c->fetch_width >= 1;
     c->track_dep = slot_true(core, OFF.track_ll_dep);
     if (!PyErr_Occurred())
         return 0;
@@ -5319,107 +5273,94 @@ static PyObject *run_until(PyObject *self, PyObject *const *args,
     Ctx ctx;
     Ctx *c = &ctx;
     if (ctx_init(c, core) < 0)
-        goto fail;
+        return NULL;
     Arena *A = c->A;
+    int64_t *cv = c->cv;
     unsigned long loop_n = 0;
     for (;;) {
         if (((++loop_n) & 0xFFF) == 0 && PyErr_CheckSignals() < 0)
             goto fail;
-        long long cycle = slot_ll(core, OFF.cycle);
-        PyObject *cycle_obj = SLOT(core, OFF.cycle);
-        Py_INCREF(cycle_obj);
+        long long cycle = cv[CV_CYCLE];
         /* completion + detection drains */
         if (stage_drain(c, cycle) < 0)
-            goto fail_cycle;
+            goto fail;
         /* write-buffer drain */
         {
             int64_t *cnt = &A->wb_cnt[cycle & c->mask];
             int64_t e;
             if (*cnt) {
-                long long wcnt = *cnt;
+                cv[CV_WB_USED] -= *cnt;
                 *cnt = 0;
-                if (stat_add(core, OFF.wb_used, -wcnt) < 0)
-                    goto fail_cycle;
                 while (A->wb_marks.n && A->wb_marks.v[0] <= cycle)
                     heap_pop(&A->wb_marks, &e, 1);
             }
             while (A->wb_over.n && A->wb_over.v[0] <= cycle) {
                 heap_pop(&A->wb_over, &e, 1);
-                if (stat_add(core, OFF.wb_used, -1) < 0)
-                    goto fail_cycle;
+                cv[CV_WB_USED] -= 1;
             }
         }
         /* commit */
-        if (SLOT(core, OFF.commit_pending) == Py_True
-            && stage_commit(c, cycle) < 0)
-            goto fail_cycle;
+        if (cv[CV_COMMIT_PENDING] && stage_commit(c, cycle) < 0)
+            goto fail;
         /* issue */
         if ((A->ready[0].n || A->ready[1].n || A->ready[2].n)
             && stage_issue(c, cycle) < 0)
-            goto fail_cycle;
+            goto fail;
         /* dispatch */
-        if (cycle >= slot_ll(core, OFF.dispatch_wake)) {
-            if (cycle < slot_ll(core, OFF.stall_latch_until)
-                && slot_ll(core, OFF.stall_latch_epoch)
-                       == slot_ll(core, OFF.release_epoch)) {
+        if (cycle >= cv[CV_DISPATCH_WAKE]) {
+            if (cycle < cv[CV_STALL_LATCH_UNTIL]
+                && cv[CV_STALL_LATCH_EPOCH] == cv[CV_RELEASE_EPOCH]) {
                 if (stat_add(SLOT(core, OFF.stats),
                              OFF.cs_resource_stall_cycles, 1) < 0)
-                    goto fail_cycle;
-            } else if (stage_dispatch(c, cycle, cycle_obj) < 0) {
-                goto fail_cycle;
-            }
-        }
-        /* fetch */
-        if (cycle >= slot_ll(core, OFF.fetch_wake)
-            && run_fetch_select(c, cycle, cycle_obj) < 0)
-            goto fail_cycle;
-        /* cycle advance / fast-forward */
-        {
-            /* one cycle on, unless provably nothing can fetch or issue
-             * at cycle + 1: then to the next event */
-            long long nxt = cycle + 1;
-            int step = !c->fast_forward || A->ready[0].n || A->ready[1].n
-                || A->ready[2].n;
-            if (!step && nxt >= slot_ll(core, OFF.fetch_wake)) {
-                if (c->fetch_order_is_base) {
-                    PyObject *probe =
-                        PyList_GET_SIZE(c->fetch_candidates) > 0
-                            ? c->fetch_candidates : c->threads;
-                    for (Py_ssize_t i = 0; i < seq_size(probe) && !step; i++)
-                        if ((step = fetchable(c, seq_item(probe, i), nxt))
-                            < 0)
-                            goto fail_cycle;
-                } else {
-                    PyObject *nxt_obj = box_ll(nxt);
-                    PyObject *r = nxt_obj == NULL ? NULL
-                        : PyObject_CallOneArg(
-                            SLOT(core, OFF.policy_fetch_pending), nxt_obj);
-                    Py_XDECREF(nxt_obj);
-                    step = r == NULL ? -1 : PyObject_IsTrue(r);
-                    Py_XDECREF(r);
-                    if (step < 0)
-                        goto fail_cycle;
-                }
-            }
-            if ((!step && next_cycle_c(c, cycle, &nxt) < 0)
-                || slot_store_ll(core, OFF.cycle, nxt) < 0)
-                goto fail_cycle;
-            Py_DECREF(cycle_obj);
-            if (slot_ll(core, OFF.committed_watermark) >= max_commits) {
-                ctx_clear(c);
-                Py_RETURN_NONE;
-            }
-            if (nxt >= limit) {
-                PyErr_Format(g.limit_exc,
-                             "exceeded %lld cycles without reaching "
-                             "%lld commits", limit, max_commits);
+                    goto fail;
+            } else if (stage_dispatch(c, cycle) < 0) {
                 goto fail;
             }
         }
-        continue;
-    fail_cycle:
-        Py_DECREF(cycle_obj);
-        goto fail;
+        /* fetch */
+        if (cycle >= cv[CV_FETCH_WAKE] && run_fetch_select(c, cycle) < 0)
+            goto fail;
+        Py_CLEAR(c->cycle_obj);
+        /* cycle advance / fast-forward: one cycle on, unless provably
+         * nothing can fetch or issue at cycle + 1: then to the next
+         * event */
+        long long nxt = cycle + 1;
+        int step = !c->fast_forward || A->ready[0].n || A->ready[1].n
+            || A->ready[2].n;
+        if (!step && nxt >= cv[CV_FETCH_WAKE]) {
+            if (c->fetch_order_is_base) {
+                Py_ssize_t order[MAX_THREADS];
+                Py_ssize_t cn = candidates(c, order);
+                if (cn < 0)
+                    goto fail;
+                for (Py_ssize_t i = 0; i < cn && !step; i++)
+                    if ((step = fetchable(c, order[i], nxt)) < 0)
+                        goto fail;
+            } else {
+                PyObject *nxt_obj = box_ll(nxt);
+                PyObject *r = nxt_obj == NULL ? NULL
+                    : PyObject_CallOneArg(
+                        SLOT(core, OFF.policy_fetch_pending), nxt_obj);
+                Py_XDECREF(nxt_obj);
+                step = r == NULL ? -1 : PyObject_IsTrue(r);
+                Py_XDECREF(r);
+                if (step < 0)
+                    goto fail;
+            }
+        }
+        if (!step && next_cycle_c(c, cycle, &nxt) < 0)
+            goto fail;
+        cv[CV_CYCLE] = nxt;
+        if (cv[CV_COMMITTED_WATERMARK] >= max_commits) {
+            ctx_clear(c);
+            Py_RETURN_NONE;
+        }
+        if (nxt >= limit) {
+            PyErr_Format(g.limit_exc,
+                         "exceeded %lld cycles without reaching "
+                         "%lld commits", limit, max_commits);
+            goto fail;
+        }
     }
 fail:
     ctx_clear(c);
@@ -5687,21 +5628,20 @@ static PyObject *Arena_release(PyObject *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-/* Whether `core` runs on arena A (and `ts`, unless NULL, is one of its
- * threads); 0 with an error set when not. */
-static int owns(Arena *A, PyObject *core, PyObject *ts)
+/* Whether `core` runs on arena A and `ts`, unless NULL, is one of its
+ * threads: ts's index (0 for NULL), or -1 with an error set. */
+static Py_ssize_t owns(Arena *A, PyObject *core, PyObject *ts)
 {
     Arena *own = arena_of(core);
     Py_XDECREF(own);
     if (own == NULL)
-        return 0;
+        return -1;
     PyObject *threads = SLOT(core, OFF.threads);
-    int mine = own == A && ts == NULL;
     for (Py_ssize_t i = 0; own == A && i < PyTuple_GET_SIZE(threads); i++)
-        mine |= PyTuple_GET_ITEM(threads, i) == ts;
-    if (!mine)
-        PyErr_SetString(PyExc_ValueError, "not this arena's core or thread");
-    return mine;
+        if (ts == NULL || PyTuple_GET_ITEM(threads, i) == ts)
+            return i;
+    PyErr_SetString(PyExc_ValueError, "not this arena's core or thread");
+    return -1;
 }
 
 /* flush(core, ts, after_seq, cancel_fills) -> squashed: SMTCore.
@@ -5721,15 +5661,18 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
     PyObject *core = args[0], *ts = args[1];
     long long after_seq = PyLong_AsLongLong(args[2]);
     int cancel = PyObject_IsTrue(args[3]);
+    Py_ssize_t t;
     if ((after_seq == -1 && PyErr_Occurred()) || cancel < 0
-        || !owns(A, core, ts)
+        || (t = owns(A, core, ts)) < 0
         || native_part(core, OFF.hierarchy, &Mem_Type, -1,
                        "hierarchy") == NULL)
         return NULL;
     SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
     SlotSeq *window = seq_of(ts, OFF.ts_window);
     SlotSeq *rename_map = seq_of(ts, OFF.ts_rename_map);
-    if (fe == NULL || window == NULL || rename_map == NULL)
+    int64_t *cv = ints_at(core, OFF.ints), *tv = ints_at(ts, OFF.ts_ints);
+    if (fe == NULL || window == NULL || rename_map == NULL || cv == NULL
+        || tv == NULL)
         return NULL;
     long long squashed = 0, icount_delta = 0;
     while (fe->n && A->seq[SQ_AT(fe, fe->n - 1)] > after_seq) {
@@ -5743,8 +5686,13 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         if (free_unowned(A, s, A->flags[s], ts) < 0)
             return NULL;
     }
-    PyObject *cycle_obj = SLOT(core, OFF.cycle);
-    long long cycle = ll_of(cycle_obj);
+    long long cycle = cv[CV_CYCLE];
+    /* cv's and tv's owners, held across the Python calls below */
+    PyObject *ints[2] = {Py_NewRef(SLOT(core, OFF.ints)),
+                         Py_NewRef(SLOT(ts, OFF.ts_ints))};
+    PyObject *cycle_obj = box_ll(cycle);
+    if (cycle_obj == NULL)
+        goto fail;
     /* rob, lsq, iq, fq, int regs, fp regs released */
     long long d[6] = {0, 0, 0, 0, 0, 0};
     while (window->n && A->seq[SQ_AT(window, window->n - 1)] > after_seq) {
@@ -5760,7 +5708,7 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
             int64_t line, addr;
             if (mem == NULL || int64_arg(fill, &line) < 0
                 || int64_arg(SLOT(A->instr[s], OFF.in_addr), &addr) < 0)
-                return NULL;
+                goto fail;
             mem_cancel_fill((Mem *)mem, line, addr, cycle);
         }
         d[0]++;
@@ -5774,7 +5722,7 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         if (fl & F_HAS_DEST) {
             /* undo the rename: the old mapping becomes current again;
              * the squashed slot drops its own current-entry ref */
-            rename_map->v[slot_ll(A->instr[s], OFF.in_dest)] = A->old_map[s];
+            rename_map->v[A->dest[s]] = A->old_map[s];
             A->refs[s]--;
             d[fl & F_DEST_FP ? 5 : 4]++;
         }
@@ -5789,16 +5737,16 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
             if (!--A->refs[p] && (pfl & F_RETIRED)
                 && !(pfl & (F_IN_DETECTS | F_FREED))
                 && free_unowned(A, p, pfl, ts) < 0)
-                return NULL;
+                goto fail;
         }
         int owner = owned(A, s, ts);
         if (owner < 0)
-            return NULL;
+            goto fail;
         if (owner) {
             PyObject *oargs[2] = {A->views[s], cycle_obj};
             PyObject *r = call_method(ts, g.s_clear_owner, oargs, 2);
             if (r == NULL)
-                return NULL;
+                goto fail;
             Py_DECREF(r);
         }
         /* a live producer may still hold this slot's waiter
@@ -5806,23 +5754,16 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         if (!A->refs[s] && A->pending[s] != -1
             && !(fl & (F_IN_DETECTS | F_FREED))) {
             if (arena_free(A, s, fl) < 0)
-                return NULL;
+                goto fail;
         } else {
             A->flags[s] = fl;
         }
     }
-    static const Py_ssize_t *ts_offs[6] = {
-        &OFF.ts_rob_count, &OFF.ts_lsq_count, &OFF.ts_iq_count,
-        &OFF.ts_fq_count, &OFF.ts_int_regs, &OFF.ts_fp_regs};
-    static const Py_ssize_t *core_offs[6] = {
-        &OFF.rob_used, &OFF.lsq_used, &OFF.iq_used, &OFF.fq_used,
-        &OFF.int_regs_used, &OFF.fp_regs_used};
-    for (int i = 0; i < 6; i++)
-        if (d[i] && (stat_add(ts, *ts_offs[i], -d[i]) < 0
-                     || stat_add(core, *core_offs[i], -d[i]) < 0))
-            return NULL;
-    if (icount_delta && stat_add(ts, OFF.ts_icount, -icount_delta) < 0)
-        return NULL;
+    for (int i = 0; i < 6; i++) {
+        cv[CV_ROB_USED + i] -= d[i];
+        tv[TV_ROB + i] -= d[i];
+    }
+    tv[TV_ICOUNT] -= icount_delta;
     PyObject *st = SLOT(ts, OFF.ts_stats);
     PyObject *wb = SLOT(ts, OFF.ts_waiting_branch);
     if (wb != Py_None && (A->flags[ll_of(wb)] & F_SQUASHED)) {
@@ -5830,32 +5771,35 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         slot_store(ts, OFF.ts_waiting_branch, Py_None);
         if (stat_add(st, OFF.st_branch_stall_cycles,
                      cycle - slot_ll(ts, OFF.ts_branch_wait_since)) < 0)
-            return NULL;
+            goto fail;
     }
-    long long bit = slot_ll(ts, OFF.ts_tid_bit);
+    long long bit = 1LL << t;
     int head = window->n && (A->flags[SQ_AT(window, 0)] & F_COMPLETED);
-    slot_store_bool(ts, OFF.ts_head_ready, head);
-    long long heads = slot_ll(core, OFF.heads_mask);
-    long long fem = slot_ll(core, OFF.fe_mask);
-    if (slot_store_ll(ts, OFF.ts_fetch_index, after_seq + 1) < 0
-        || slot_store_ll(ts, OFF.ts_last_ifetch_line, -1) < 0
-        || slot_store_ll(core, OFF.heads_mask,
-                         head ? heads | bit : heads & ~bit) < 0
-        || slot_store_ll(core, OFF.fe_mask,
-                         fe->n ? fem | bit : fem & ~bit) < 0
-        || stat_add(st, OFF.st_squashed, squashed) < 0
-        || stat_add(st, OFF.st_flushes, 1) < 0
-        || stat_add(core, OFF.release_epoch, 1) < 0
-        || slot_store_ll(core, OFF.fetch_wake, 0) < 0
-        || slot_store_ll(core, OFF.dispatch_wake, 0) < 0
-        || slot_store_ll(core, OFF.stall_latch_until, 0) < 0)
-        return NULL;
+    tv[TV_HEAD_READY] = head;
+    tv[TV_FETCH_INDEX] = after_seq + 1;
+    tv[TV_LAST_IFETCH_LINE] = -1;
+    cv[CV_HEADS_MASK] = head ? cv[CV_HEADS_MASK] | bit
+                             : cv[CV_HEADS_MASK] & ~bit;
+    cv[CV_FE_MASK] = fe->n ? cv[CV_FE_MASK] | bit : cv[CV_FE_MASK] & ~bit;
+    cv[CV_RELEASE_EPOCH] += 1;
+    cv[CV_FETCH_WAKE] = cv[CV_DISPATCH_WAKE] = cv[CV_STALL_LATCH_UNTIL] = 0;
+    if (stat_add(st, OFF.st_squashed, squashed) < 0
+        || stat_add(st, OFF.st_flushes, 1) < 0)
+        goto fail;
     PyObject *sargs[1] = {cycle_obj};
     PyObject *r = call_method(ts, g.s_sync_policy_stall, sargs, 1);
     if (r == NULL)
-        return NULL;
+        goto fail;
     Py_DECREF(r);
+    Py_DECREF(cycle_obj);
+    Py_DECREF(ints[0]);
+    Py_DECREF(ints[1]);
     return PyLong_FromLongLong(squashed);
+fail:
+    Py_XDECREF(cycle_obj);
+    Py_DECREF(ints[0]);
+    Py_DECREF(ints[1]);
+    return NULL;
 }
 
 /* The reachability scan of check(): mark slot s (and queue it). */
@@ -5941,9 +5885,12 @@ static const char *dirty_column(Arena *A, Py_ssize_t s, long long *value,
 static PyObject *Arena_check(PyObject *self, PyObject *core)
 {
     Arena *A = (Arena *)self;
-    if (!owns(A, core, NULL))
+    if (owns(A, core, NULL) < 0)
         return NULL;
-    long long cycle = slot_ll(core, OFF.cycle);
+    int64_t *cv = ints_at(core, OFF.ints);
+    if (cv == NULL)
+        return NULL;
+    long long cycle = cv[CV_CYCLE];
     IVec *marks[3] = {&A->ev.marks, &A->dt.marks, &A->wb_marks};
     IVec *over[3] = {&A->ev.over, &A->dt.over, &A->wb_over};
     static const char *names[3] = {"ev", "dt", "wb"};
@@ -6225,8 +6172,7 @@ struct OffSpec {
 #define O(cls, name, field) {cls, name, offsetof(Offsets, field)}
 
 static const struct OffSpec SPECS[] = {
-    O("core", "cycle", cycle), O("core", "_gseq", gseq),
-    O("core", "_arena", arena), O("core", "_wb_used", wb_used),
+    O("core", "_ints", ints), O("core", "_arena", arena),
     O("core", "threads", threads), O("core", "policy", policy),
     O("core", "stats", stats),
     O("core", "_policy_fetch_order", policy_fetch_order),
@@ -6238,18 +6184,8 @@ static const struct OffSpec SPECS[] = {
     O("core", "_policy_on_resource_stall", policy_on_resource_stall),
     O("core", "hierarchy", hierarchy),
     O("core", "gshare", gshare), O("core", "btb", btb),
-    O("core", "_n_threads", n_threads), O("core", "_full_mask", full_mask),
-    O("core", "_fe_mask", fe_mask), O("core", "_heads_mask", heads_mask),
-    O("core", "_rotations", rotations), O("core", "_rot_cache", rot_cache),
+    O("core", "_full_mask", full_mask),
     O("core", "_fetch_candidates", fetch_candidates),
-    O("core", "_fetch_wake", fetch_wake),
-    O("core", "_dispatch_wake", dispatch_wake),
-    O("core", "_stall_latch_until", stall_latch_until),
-    O("core", "_stall_latch_epoch", stall_latch_epoch),
-    O("core", "_release_epoch", release_epoch),
-    O("core", "_committed_watermark", committed_watermark),
-    O("core", "_commit_pending", commit_pending),
-    O("core", "_measure_start", measure_start),
     O("core", "_fetch_width", fetch_width),
     O("core", "_fetch_max_threads", fetch_max_threads),
     O("core", "_fast_forward", fast_forward),
@@ -6265,42 +6201,27 @@ static const struct OffSpec SPECS[] = {
     O("core", "_int_rename_regs", int_rename_regs),
     O("core", "_fp_rename_regs", fp_rename_regs),
     O("core", "_wb_entries", wb_entries),
-    O("core", "rob_used", rob_used), O("core", "lsq_used", lsq_used),
-    O("core", "iq_used", iq_used), O("core", "fq_used", fq_used),
-    O("core", "int_regs_used", int_regs_used),
-    O("core", "fp_regs_used", fp_regs_used),
     O("core", "_num_int_alu", num_int_alu), O("core", "_num_ldst", num_ldst),
     O("core", "_num_fp", num_fp),
     O("core", "_track_ll_dep", track_ll_dep),
     O("core", "_cext_olc_cleanup_only", cext_olc_cleanup_only),
     O("core", "_cext_ll_detect_is_base", cext_ll_detect_is_base),
-    O("ts", "tid", ts_tid), O("ts", "tid_bit", ts_tid_bit),
-    O("ts", "icount", ts_icount), O("ts", "rob_count", ts_rob_count),
-    O("ts", "lsq_count", ts_lsq_count), O("ts", "iq_count", ts_iq_count),
-    O("ts", "fq_count", ts_fq_count), O("ts", "int_regs", ts_int_regs),
-    O("ts", "fp_regs", ts_fp_regs),
-    O("ts", "fetch_blocked_until", ts_fetch_blocked_until),
+    O("ts", "_ints", ts_ints),
     O("ts", "waiting_branch", ts_waiting_branch),
     O("ts", "branch_wait_since", ts_branch_wait_since),
     O("ts", "allowed_end", ts_allowed_end),
     O("ts", "ll_owners", ts_ll_owners),
     O("ts", "policy_data", ts_policy_data),
-    O("ts", "last_ifetch_line", ts_last_ifetch_line),
     O("ts", "outstanding_misses", ts_outstanding_misses),
     O("ts", "stats", ts_stats), O("ts", "commit_cycles", ts_commit_cycles),
     O("ts", "fe_queue", ts_fe_queue), O("ts", "window", ts_window),
     O("ts", "rename_map", ts_rename_map),
-    O("ts", "fetch_index", ts_fetch_index),
-    O("ts", "head_ready", ts_head_ready),
     O("ts", "dispatch_blocked_head", ts_dispatch_blocked_head),
-    O("ts", "dispatch_blocked_epoch", ts_dispatch_blocked_epoch),
-    O("ts", "dispatch_wait_until", ts_dispatch_wait_until),
     O("ts", "trace_get", ts_trace_get),
     O("ts", "lll_predict", ts_lll_predict),
     O("ts", "pc_origin", ts_pc_origin),
     O("ts", "trace_static", ts_trace_static),
     O("ts", "trace_body_len", ts_trace_body_len),
-    O("ts", "trace_flags", ts_trace_flags),
     O("ts", "lll_pred", ts_lll_pred),
     O("ts", "trace", ts_trace), O("ts", "llsr", ts_llsr),
     O("ts", "policy_stalled_flag", ts_policy_stalled_flag),
@@ -6429,6 +6350,11 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         Py_DECREF(descr);
         *(Py_ssize_t *)((char *)&g.off + SPECS[i].field) = off;
     }
+    if (install_fields(PyDict_GetItemString(ns, "core"), OFF.ints, CV_NAMES,
+                       N_CV) < 0
+        || install_fields(PyDict_GetItemString(ns, "ts"), OFF.ts_ints,
+                          TV_NAMES, N_TV) < 0)
+        return NULL;
     /* flag-word and slot-kind constants: fail loudly if the Python side
      * drifts */
     if (check_constants(ns, "flags", FLAG_SPECS,
@@ -6482,6 +6408,7 @@ static PyObject *setup(PyObject *self, PyObject *ns)
             Py_XSETREF(*dst[i], t);
         }
     }
+
     /* every Instr slot, for cloning trace prototypes */
     {
         PyObject *names = PyObject_GetAttrString((PyObject *)g.instr_type,
@@ -6628,6 +6555,7 @@ static struct PyModuleDef cext_module = {
 PyMODINIT_FUNC PyInit__cext_engine(void)
 {
     if (PyType_Ready(&SlotSeq_Type) < 0 || PyType_Ready(&View_Type) < 0
+        || PyType_Ready(&Ints_Type) < 0 || PyType_Ready(&IntField_Type) < 0
         || PyType_Ready(&Arena_Type) < 0 || PyType_Ready(&Mem_Type) < 0
         || PyType_Ready(&MissPat_Type) < 0 || PyType_Ready(&MLPDist_Type) < 0
         || PyType_Ready(&BinMLP_Type) < 0 || PyType_Ready(&GShare_Type) < 0

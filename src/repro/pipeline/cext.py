@@ -13,10 +13,15 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   (``SMTCore._next_cycle``); the base policy's fetch order, ICOUNT and
   COT (``FetchPolicy.fetch_order``); and the iteration-varying slots of
   an exact :class:`~repro.workloads.trace.SyntheticTrace`.
-  A fetch burst keeps the thread's ``fetch_index``, ``icount`` and
-  ``last_ifetch_line`` in C locals, stored back before any Python call
-  inside the burst and read again after it only where the call changed
-  them.
+* The core's and each thread's per-cycle integers (``cycle``, the
+  shared and per-thread resource counters, the wake and stall latches,
+  the release epoch, ``icount``, ``fetch_index``, ``last_ifetch_line``,
+  ...) are int64 fields of a native block the object owns in its
+  ``_ints`` slot.  The stages use them in place; Python reads and
+  writes them through the engine's descriptors, installed on
+  :class:`CextCore` and :class:`CextThreadState` under the object
+  engine's names, so a hook's write is seen at once and ``core.cycle``
+  outlives ``detach()`` (``tests/test_native_fields.py``).
 * The engine's ``Hierarchy``, ``GShare``, ``BTB``, ``LLSR``,
   ``MissPatternPredictor``, ``MLPDistancePredictor`` and
   ``BinaryMLPPredictor`` types are
@@ -45,10 +50,12 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   predictor or ``lll_predict`` reassigned after construction run
   through their Python methods.
 
-  What still crosses into Python per cycle or instruction: the
-  ``ThreadState``, core, stats and ``Instr`` slots (read and written as
-  Python objects; no arena access boxes or allocates), the policy hooks
-  (the ``_is_default_hook`` elision applies unchanged, so hook-free
+  What still crosses into Python per cycle or instruction: the stats
+  dataclasses' counters, the ``ThreadState`` slots that are not
+  per-cycle counters (``outstanding_misses``, ``waiting_branch``,
+  ``allowed_end``, ...), a dynamically built ``Instr``'s fields (a
+  static one's are read once per core), the policy hooks (the
+  ``_is_default_hook`` elision applies unchanged, so hook-free
   configurations never call one) and a non-base policy's
   ``fetch_order``/``fetch_pending``, ``get`` of other trace types,
   ``ThreadState.clear_owner`` at a flush, and
@@ -57,12 +64,12 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   subclass that swaps the object engine's records, wheels and ready
   queues for the arena, overrides ``_run_until`` with the compiled loop,
   ``flush_thread`` with the arena's and ``_build`` with the native
-  parts.
-  Stats and ``ThreadState`` are the object engine's, so stats, golden
-  fixtures and policies see exactly what the object engine's records
-  would show; instruction state is read through views and
-  ``core._arena[name]``.  Architectural behavior is bit-identical; the
-  golden matrix pins it.
+  parts and :class:`CextThreadState` threads.
+  Stats are the object engine's and the threads its ``ThreadState``
+  but for where the counters live, so stats, golden fixtures and
+  policies see exactly what the object engine's records would show;
+  instruction state is read through views and ``core._arena[name]``.
+  Architectural behavior is bit-identical; the golden matrix pins it.
 
 The slot arena
 --------------
@@ -164,7 +171,6 @@ from repro.pipeline.dyninstr import (
     F_RETIRED,
     F_SQUASHED,
     SLOT_SHIFT,
-    instr_flags,
 )
 from repro.pipeline.stats import CoreStats, ThreadStats
 from repro.pipeline.thread_state import ThreadState
@@ -245,7 +251,7 @@ def _setup_namespace() -> dict[str, Any]:
     from repro.workloads.trace import SyntheticTrace
     return {
         "core": CextCore,
-        "ts": ThreadState,
+        "ts": CextThreadState,
         "stats": ThreadStats,
         "core_stats": CoreStats,
         "instr": Instr,
@@ -306,6 +312,20 @@ def cext_status() -> str:
         + _state[1]
 
 
+class CextThreadState(ThreadState):
+    """A thread of a :class:`CextCore`.
+
+    Its per-cycle counters (``icount``, the six resource counts,
+    ``fetch_index``, ``fetch_blocked_until``, ``dispatch_wait_until``,
+    ``dispatch_blocked_epoch``, ``last_ifetch_line`` and the compiled
+    loop's ``head_ready``) are int64 fields of a native block in
+    ``_ints``, which the engine's descriptors read and write under those
+    names; everything else is the object engine's ``ThreadState``.
+    """
+
+    __slots__ = ("_ints",)
+
+
 #: The parts the engine models natively: each class's twin, by its name
 #: in the engine, takes the class's constructor arguments.
 _TWINS: dict[type, str] = {
@@ -336,13 +356,14 @@ class CextCore(SMTCore):
     cannot run.
     """
 
-    __slots__ = ("_arena", "_cext_olc_cleanup_only",
+    __slots__ = ("_ints", "_arena", "_cext_olc_cleanup_only",
                  "_cext_ll_detect_is_base")
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
                  policy: FetchPolicy):
+        engine = _engine()   # installs the int fields before any is set
         super().__init__(cfg, traces, policy)
-        self._adopt_arena(_engine())
+        self._adopt_arena(engine)
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
@@ -351,15 +372,18 @@ class CextCore(SMTCore):
 
     @staticmethod
     def _build(cls, *args):
-        """The engine's twin of ``cls`` (``_TWINS``: the hierarchy,
-        gshare, the BTB, the three per-thread predictors and the LLSR)
-        built from the same arguments; ``cls(*args)`` when ``cls`` has
-        none, when the engine is not loaded, or when the twin's table
-        cannot hold the sizes (the ``last_value``/``two_bit`` load
+        """The engine's twin of ``cls`` built from the same arguments: a
+        :class:`CextThreadState` for a ``ThreadState``, else the engine
+        type ``_TWINS`` names (the hierarchy, gshare, the BTB, the three
+        per-thread predictors and the LLSR); ``cls(*args)`` when ``cls``
+        has none, when the engine is not loaded, or when the twin's
+        table cannot hold the sizes (the ``last_value``/``two_bit`` load
         predictors, counters wider than 15 bits, MLP distances above
         32,767).  An LLSR's twin holds any length its class does, so a
         ``CextCore`` never builds a Python one."""
         engine = _engine()
+        if engine is not None and cls is ThreadState:
+            return CextThreadState(*args)
         name = _TWINS.get(cls)
         if engine is not None and name is not None:
             try:
@@ -386,10 +410,6 @@ class CextCore(SMTCore):
         for ts in self.threads:
             if self._arena is not None:
                 ts.fe_append = None
-            if ts.trace_static is not None:
-                ts.trace_flags = [None if instr is None else
-                                  instr_flags(instr)
-                                  for instr in ts.trace_static]
 
     def detach(self) -> None:
         super().detach()

@@ -138,7 +138,7 @@ class SMTCore:
         self._hier_ifetch = self.hierarchy.ifetch
         self._hier_store = self.hierarchy.store
         self._n_threads = cfg.num_threads
-        self.threads = tuple(ThreadState(tid, trace, cfg, build)
+        self.threads = tuple(build(ThreadState, tid, trace, cfg, build)
                              for tid, trace in enumerate(traces))
         self.policy = policy
         self.gshare = build(GShare, cfg.gshare_entries, cfg.num_threads)
@@ -329,8 +329,9 @@ class SMTCore:
     @staticmethod
     def _build(cls, *args):
         """The part ``cls(*args)``: the one way a core builds its memory
-        hierarchy, gshare, BTB and each thread's predictors and LLSR, so
-        an engine with its own model of a part builds that instead."""
+        hierarchy, gshare, BTB, threads and each thread's predictors and
+        LLSR, so an engine with its own model of a part builds that
+        instead."""
         return cls(*args)
 
     # ------------------------------------------------------------------ #

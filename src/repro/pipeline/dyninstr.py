@@ -33,8 +33,10 @@ from repro.isa import Instr
 SLOT_SHIFT = 20
 
 # ``flags`` column bit layout (one bit per DynInstr boolean).  The five
-# F_CLS_* bits are instruction-class constants copied from the immutable
-# ``Instr`` (see :func:`instr_flags`); the rest is mutable pipeline state.
+# instruction-class bits (``F_HAS_DEST``, ``F_DEST_FP``, ``F_IS_LOAD``,
+# ``F_IS_STORE``, ``F_IS_BRANCH``) are copied from the immutable
+# ``Instr`` at fetch, as a fresh DynInstr copies them; the rest is
+# mutable pipeline state.
 F_IN_IQ = 1 << 0
 F_IQ_FP = 1 << 1
 F_ISSUED = 1 << 2
@@ -55,26 +57,6 @@ F_IN_DETECTS = 1 << 14
 #: more than one stale structure (e.g. a squashed instruction freed at
 #: flush whose completion event is still queued).
 F_FREED = 1 << 15
-
-
-def instr_flags(instr: Instr) -> int:
-    """The fetch-time ``flags`` word for one static instruction.
-
-    Exactly the class bits a fresh :class:`DynInstr` copies in
-    ``__init__``; every mutable bit starts clear.
-    """
-    flags = 0
-    if instr.has_dest:
-        flags |= F_HAS_DEST
-    if instr.dest_fp:
-        flags |= F_DEST_FP
-    if instr.is_load:
-        flags |= F_IS_LOAD
-    elif instr.is_store:
-        flags |= F_IS_STORE
-    elif instr.is_branch:
-        flags |= F_IS_BRANCH
-    return flags
 
 
 class DynInstr:

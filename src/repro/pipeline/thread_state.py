@@ -45,8 +45,7 @@ class ThreadState:
         "dispatch_blocked_head", "dispatch_blocked_epoch",
         "dispatch_wait_until",
         "trace_get", "fe_append", "lll_predict", "pc_origin",
-        "llsr_commit", "trace_static", "trace_body_len",
-        "head_ready", "tid_bit", "trace_flags",
+        "llsr_commit", "trace_static", "trace_body_len", "tid_bit",
     )
 
     def __init__(self, tid: int, trace: SyntheticTrace, cfg: SMTConfig,
@@ -140,24 +139,11 @@ class ThreadState:
         self.lll_predict = self.lll_pred.predict
         self.pc_origin = trace.pc_address(0)
         self.llsr_commit = self.llsr.commit
-        #: The compiled engine's event-maintained "ROB head is completed"
-        #: flag, kept exact at the three transitions that can change it —
-        #: a completion event landing on the current head, a retire
-        #: exposing a new head, and a flush (recomputed after the squash)
-        #: — so its commit rotation scan is a single slot load per thread
-        #: instead of a window probe.  The object engine keeps the same
-        #: fact as this thread's bit of ``SMTCore._heads_mask``.
-        self.head_ready = False
         # Direct view of the trace's pre-materialized static instructions
         # (None for duck-typed stub traces): lets the fetch loop skip the
         # ``get`` call for iteration-invariant slots.
         self.trace_static = getattr(trace, "_static", None)
         self.trace_body_len = getattr(trace, "body_len", 1)
-        #: Per-static-instruction ``flags`` templates parallel to
-        #: ``trace_static`` (see :func:`repro.pipeline.dyninstr.
-        #: instr_flags`); populated by the slot arena state of the
-        #: ``cext`` engine, ``None`` on the object engine.
-        self.trace_flags: list[int | None] | None = None
         # When not None, the commit cycle of every instruction is appended
         # here (used to evaluate single-threaded CPI at arbitrary
         # instruction counts, per the paper's Section 5 methodology).

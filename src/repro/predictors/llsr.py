@@ -117,8 +117,11 @@ class LLSR:
         is a head/total bump with no per-entry work.  The compiled
         engine's commit stage coalesces retire bursts between
         long-latency loads this way, on its native twin of this class
-        (``_cext_engine.LLSR``).
+        (``_cext_engine.LLSR``).  A negative ``k`` raises ``ValueError``
+        and leaves the register as it was.
         """
+        if k < 0:
+            raise ValueError("commit_zeros needs k >= 0")
         length = self.length
         filled = self._filled
         if filled < length:

@@ -10,8 +10,9 @@ state for state, with the Python body it stands in for.  The engine's
 ``LLSR`` is held to :class:`~repro.predictors.LLSR` op for op, and the
 commit stage that shifts it (and trains the thread's native MLP
 predictors in C) to the object engine's per-retire ``LLSR.commit``
-over whole runs.  The fetch burst's thread registers are checked by a
-policy whose hook flushes mid-burst.  The native memory model and
+over whole runs.  A policy whose hook flushes mid-burst checks that
+the burst sees the thread's fetch index, icount and I-fetch line change
+under it.  The native memory model and
 predictors have their own files, ``test_native_hierarchy.py`` and
 ``test_native_predictors.py``.
 """
@@ -443,9 +444,9 @@ def _flush_outcome(cls, policy, workload, commits):
 
 @pytest.mark.parametrize("workload", (("mcf", "gzip"), ("gzip", "swim")))
 def test_flush_from_on_fetch_matches_object(workload):
-    """A burst whose hook flushes its own thread: cext (burst registers
-    written before the hook, read again after it) equals the object
-    engine, and neither starves the flushed thread of dispatch (both
+    """A burst whose hook flushes its own thread: cext (whose burst
+    reads the thread's native fields again after the hook) equals the
+    object engine, and neither starves the flushed thread of dispatch (both
     ran into the cycle limit when the burst's end set the thread's
     front-end bit only for a queue that was empty at its start)."""
     want = _flush_outcome(SMTCore, _FlushBack(), workload, 3_000)

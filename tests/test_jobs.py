@@ -379,9 +379,20 @@ class TestResultStore:
         def full_disk(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(store_module.json, "dump", full_disk)
+        monkeypatch.setattr(store_module.json, "dumps", full_disk)
         assert store.put(spec, result) is False
         assert list(tmp_path.iterdir()) == []
+
+    def test_entry_bytes_are_compact_json(self, tmp_path):
+        """An entry file holds exactly ``json.dumps`` of its entry with
+        compact separators (what the C encoder writes)."""
+        store = ResultStore(tmp_path)
+        spec = JobSpec.baseline("gap", CFG, COMMITS, warmup=WARMUP)
+        store.put(spec, run_jobs([spec], workers=1, store=None)[spec])
+        raw = store.path_for(spec).read_bytes()
+        entry = json.loads(raw)
+        assert entry["payload"]
+        assert raw == json.dumps(entry, separators=(",", ":")).encode()
 
     def test_clear_removes_leftover_temp_files(self, tmp_path):
         store = ResultStore(tmp_path)

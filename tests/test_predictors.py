@@ -5,6 +5,7 @@ predictor (Sections 4.1 and 4.2)."""
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from repro.pipeline import cext
 from repro.predictors import (
     LLSR,
     BinaryMLPPredictor,
@@ -13,6 +14,8 @@ from repro.predictors import (
     MissPatternPredictor,
     TwoBitMissPredictor,
 )
+
+from conftest import needs_cext
 
 
 class TestMissPatternPredictor:
@@ -166,6 +169,28 @@ class TestLLSR:
     def test_rejects_tiny_length(self):
         with pytest.raises(ValueError):
             LLSR(1)
+
+    @pytest.mark.parametrize("native", (False,
+                                        pytest.param(True, marks=needs_cext)))
+    def test_commit_zeros_refuses_negative_k(self, native):
+        """A negative ``k`` raises before touching the register, on the
+        class and on the compiled engine's twin."""
+        llsr = (cext._engine().LLSR if native else LLSR)(4)
+        llsr.commit(True, pc=3)
+        llsr.commit_zeros(1)
+
+        def observed():
+            ring = (llsr.state() if native else
+                    {"bits": list(llsr._bits), "pcs": list(llsr._pcs),
+                     "head": llsr._head, "filled": llsr._filled,
+                     "total": llsr._total, "last_one": llsr._last_one_total})
+            return (ring, llsr.occupancy, list(llsr.measured),
+                    llsr.suppressed)
+
+        before = observed()
+        with pytest.raises(ValueError, match="commit_zeros needs k >= 0"):
+            llsr.commit_zeros(-2)
+        assert observed() == before
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.booleans(), min_size=1, max_size=200),
