@@ -110,18 +110,20 @@ def default_backend() -> str:
     return "cext" if "cext" in registry.backends else "object"
 
 
-def core_for(policy: FetchPolicy,
-             backend: str | None = None) -> type[SMTCore]:
+def core_for(policy: FetchPolicy, backend: str | None = None,
+             num_threads: int = 1) -> type[SMTCore]:
     """The core class for one run: policy requirement, then backend.
 
     A policy's ``core_class`` (e.g. runahead's specialized core) always
     wins — those policies are only implemented on their own engine.  For
     every other policy the named entry of the ``backends`` registry is
     used.  ``None`` means an unpinned run and resolves to
-    :func:`default_backend`; this is the one place that resolution
-    happens, so every driver (workloads, baselines, Table I profiles)
-    runs on the same engine.  ``object`` short-circuits to
-    :class:`SMTCore` without a registry lookup.
+    :func:`default_backend`, or to ``object`` when ``num_threads`` is
+    more than ``cext`` runs (:func:`repro.pipeline.cext.max_threads`);
+    this is the one place that resolution happens, so every caller
+    (workloads, baselines, Table I profiles) runs on the same engine.
+    ``object`` short-circuits to :class:`SMTCore` without a registry
+    lookup.
 
     With ``REPRO_SANITIZE`` set (see :mod:`repro.pipeline.sanitize`) the
     stock engines are swapped for their checked subclasses — bit-exact,
@@ -133,6 +135,10 @@ def core_for(policy: FetchPolicy,
         return policy.core_class
     if backend is None:
         backend = default_backend()
+        if backend == "cext":
+            from repro.pipeline.cext import max_threads
+            if num_threads > max_threads():
+                backend = "object"
     if backend == "object":
         cls = SMTCore
     else:
@@ -269,7 +275,7 @@ def build_core(names: tuple[str, ...] | list[str], cfg: SMTConfig,
     traces = [trace_for(name, cfg, slot=i, seed=seed)
               for i, name in enumerate(names)]
     pol = make_policy(policy, **policy_kwargs)
-    return core_for(pol, backend)(cfg, traces, pol)
+    return core_for(pol, backend, cfg.num_threads)(cfg, traces, pol)
 
 
 def run_workload(names: tuple[str, ...] | list[str], cfg: SMTConfig,

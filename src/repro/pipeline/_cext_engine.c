@@ -23,16 +23,15 @@
  * target, the base policy's fetch order (ICOUNT and COT) and the
  * iteration-varying slots of SyntheticTrace are computed here too;
  * their Python bodies remain the reference (tests/test_cext_paths.py).
- * The memory hierarchy, gshare, the BTB, each thread's LLSR and, where
- * their sizes fit, its miss-pattern, MLP-distance and binary-MLP
- * predictors are native types below, each held to its Python class by
- * a differential test (tests/test_native_*.py, test_cext_paths.py).
- * The loop runs no other hierarchy, gshare, BTB or LLSR: run_until
- * takes them once per run (a part reassigned mid-run is not followed)
- * and, like flush for the hierarchy, raises TypeError for any other
- * object.  An LLSR whose on_measure is its thread's own _train_mlp
- * trains the native MLP predictors in C; the loop calls any other
- * callable and the Python methods of any other load predictor.  The
+ * The memory hierarchy, gshare, the BTB and each thread's LLSR and
+ * load, MLP-distance and binary-MLP predictors are native types below,
+ * of every kind and size their Python classes take, each held to its
+ * class by a differential test (tests/test_native_*.py,
+ * test_cext_paths.py).  The loop runs no other model: run_until takes
+ * them once per run (a part reassigned mid-run is not followed) and,
+ * like flush for the hierarchy, raises TypeError for any other object.
+ * An LLSR whose on_measure is its thread's own _train_mlp trains the
+ * MLP predictors in C; the loop calls any other callable.  The
  * golden matrix pins the backend bit-exact with the object engine;
  * engine-parity-lint checks that the policy hook call sites here match
  * core.py's set and that SoAView's getset table covers every DynInstr
@@ -42,8 +41,6 @@
 #include <Python.h>
 #include <structmember.h>
 #include <string.h>
-
-#define CEXT_API_VERSION 1
 
 /* Flag bits: must mirror repro/pipeline/dyninstr.py (verified in setup). */
 #define F_IN_IQ (1 << 0)
@@ -76,7 +73,8 @@
 enum { LV_L1 = 1, LV_STREAM, LV_MERGE, LV_L2, LV_L3, LV_MEM, N_LEVELS };
 
 #define SMALL_INT_LIMIT 65536
-#define MAX_THREADS 256
+/* one bit per thread below the sign of the int64 thread masks */
+#define MAX_THREADS 63
 #define MAX_SRCS 64
 
 /* ------------------------------------------------------------------ */
@@ -107,7 +105,7 @@ typedef struct {
     Py_ssize_t ts_stats, ts_commit_cycles;
     Py_ssize_t ts_fe_queue, ts_window, ts_rename_map;
     Py_ssize_t ts_dispatch_blocked_head;
-    Py_ssize_t ts_trace_get, ts_lll_predict, ts_pc_origin, ts_trace_static,
+    Py_ssize_t ts_trace_get, ts_pc_origin, ts_trace_static,
         ts_trace_body_len, ts_lll_pred;
     Py_ssize_t ts_trace, ts_llsr, ts_policy_stalled_flag, ts_stall_start,
         ts_mlp_pred, ts_binary_mlp;
@@ -142,7 +140,7 @@ typedef struct {
     PyObject *small_ints[SMALL_INT_LIMIT];
     PyObject *neg_one;
     /* interned strings for the non-slot attribute calls */
-    PyObject *s_train, *s_on_ll_detect, *s_sync_policy_stall,
+    PyObject *s_on_ll_detect, *s_sync_policy_stall,
         *s_clear_owner, *s_train_mlp;
 } Globals;
 
@@ -427,18 +425,16 @@ static int install_fields(PyObject *cls, Py_ssize_t off,
 /* the front end's predictors as native state                          */
 /* ------------------------------------------------------------------ */
 
-/* repro.predictors' MissPatternPredictor, MLPDistancePredictor and
- * BinaryMLPPredictor and repro.branch's GShare and BTB: each keeps its
- * Python class's methods, defaults, counters and return values over a
- * table in C memory, at the narrowest width that holds it exactly.  A
- * Python table is a dict that gains an entry on first training, so
- * "untrained" has its own encoding, and a zeroed table is a fresh one:
- * period + 1 (0: untrained) for the miss pattern, distance + MLP_BIAS
- * (0: untrained) for the MLP distance, 0 / 1 / 2 (untrained / no MLP /
- * MLP) for the binary bit.  Indexes are Python's floor modulo.  A size
- * the table cannot hold raises ValueError (OverflowError outside
- * int64); CextCore then builds the Python class.  state() returns the
- * trained entries for the differential test
+/* repro.predictors' MissPatternPredictor, LastValuePredictor,
+ * TwoBitMissPredictor, MLPDistancePredictor and BinaryMLPPredictor and
+ * repro.branch's GShare and BTB: each keeps its Python class's
+ * constructor, methods, defaults, counters and return values over a
+ * table in C memory.  The load predictors' and the MLP distance's
+ * tables are int64, so they hold every size and value their classes
+ * accept within int64 (OverflowError outside).  A Python table is a
+ * dict that gains an entry on first training, and a zeroed native table
+ * is a fresh one.  Indexes are Python's floor modulo.  state() returns
+ * the trained entries for the differential test
  * (tests/test_native_predictors.py). */
 
 static PyObject *value_error(const char *msg)
@@ -503,90 +499,118 @@ static void pred_dealloc_tables(PyObject *self, void **tables, int n)
     Py_TYPE(self)->tp_free(self);
 }
 
-/* --- MissPatternPredictor ------------------------------------------ */
+/* --- the long-latency load predictors ------------------------------ */
+
+/* MissPatternPredictor, LastValuePredictor and TwoBitMissPredictor: one
+ * struct, one predict/train pair switching on the kind.  `value` is the
+ * miss pattern's period + 1 (0: a fresh entry's period -1), the last
+ * outcome or the two-bit counter; `since`, the miss pattern's hits
+ * since its last miss, saturates at max_count (INT64_MAX, which no run
+ * reaches, for counter_bits of 63 or more). */
+enum { LLL_MISS_PATTERN, LLL_LAST_VALUE, LLL_TWO_BIT, N_LLL };
 
 typedef struct {
     PyObject_HEAD
+    int kind;
     int64_t entries, max_count, lookups, predicted_ll;
-    uint16_t *period1;      /* period + 1 (0: untrained) */
-    uint16_t *since;
-} MissPat;
+    int64_t *value, *since;
+} LoadPred;
 
-static PyTypeObject MissPat_Type;
+static PyTypeObject LoadPred_Types[N_LLL];
 
-static int misspat_predict(MissPat *P, int64_t pc)
+static int loadpred_predict(LoadPred *P, int64_t pc)
 {
-    P->lookups += 1;
     int64_t i = py_mod(pc, P->entries);
-    int64_t p1 = P->period1[i];
-    /* untrained, or a saturated period: no prediction */
-    if (p1 == 0 || p1 - 1 >= P->max_count || P->since[i] != p1 - 1)
-        return 0;
-    P->predicted_ll += 1;
-    return 1;
+    int64_t v = P->value[i];
+    int predicted;
+    P->lookups += 1;
+    if (P->kind == LLL_MISS_PATTERN)
+        /* untrained, or a saturated period: no prediction */
+        predicted = v != 0 && v - 1 < P->max_count && P->since[i] == v - 1;
+    else
+        predicted = P->kind == LLL_LAST_VALUE ? v != 0 : v >= 2;
+    P->predicted_ll += predicted;
+    return predicted;
 }
 
-static void misspat_train(MissPat *P, int64_t pc, int long_latency)
+static void loadpred_train(LoadPred *P, int64_t pc, int long_latency)
 {
     int64_t i = py_mod(pc, P->entries);
-    if (long_latency) {
-        P->period1[i] = (uint16_t)(P->since[i] + 1);
-        P->since[i] = 0;
-    } else if (P->since[i] < P->max_count) {
-        P->since[i] += 1;
+    int64_t *v = &P->value[i];
+    switch (P->kind) {
+    case LLL_MISS_PATTERN:
+        if (long_latency) {
+            *v = P->since[i] + 1;
+            P->since[i] = 0;
+        } else if (P->since[i] < P->max_count) {
+            P->since[i] += 1;
+        }
+        break;
+    case LLL_LAST_VALUE:
+        *v = long_latency;
+        break;
+    default:                /* a counter saturating at 0 and 3 */
+        if (long_latency ? *v < 3 : *v > 0)
+            *v += long_latency ? 1 : -1;
     }
 }
 
-static PyObject *MissPat_new(PyTypeObject *type, PyObject *args,
-                             PyObject *kwds)
+/* The kind is the type's place in LoadPred_Types; counter_bits sizes
+ * the miss pattern's counters, and the other kinds ignore it, as their
+ * classes do. */
+static PyObject *LoadPred_new(PyTypeObject *type, PyObject *args,
+                              PyObject *kwds)
 {
-    long long entries = 2048, bits = 6;
     static char *kwlist[] = {"entries", "counter_bits", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LL:MissPatternPredictor",
-                                     kwlist, &entries, &bits))
+    long long entries = 2048, bits = 6;
+    PyObject *bits_arg = NULL;
+    int kind = (int)(type - LoadPred_Types);
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LO", kwlist, &entries,
+                                     &bits_arg))
         return NULL;
     if (entries <= 0)
         return value_error("entries must be positive");
+    if (kind == LLL_MISS_PATTERN && bits_arg != NULL
+        && (bits = PyLong_AsLongLong(bits_arg)) == -1 && PyErr_Occurred())
+        return NULL;
     if (bits < 0)
         return value_error("negative shift count");
-    if (bits > 15)
-        return value_error("counter_bits above 15 does not fit the "
-                           "native table");
-    MissPat *P = (MissPat *)type->tp_alloc(type, 0);
+    LoadPred *P = (LoadPred *)type->tp_alloc(type, 0);
     if (P == NULL)
         return NULL;
+    P->kind = kind;
     P->entries = entries;
-    P->max_count = (1 << bits) - 1;
-    P->period1 = PyMem_Calloc((size_t)entries, sizeof(uint16_t));
-    P->since = PyMem_Calloc((size_t)entries, sizeof(uint16_t));
-    if (P->period1 == NULL || P->since == NULL) {
+    P->max_count = bits < 63 ? (1LL << bits) - 1 : INT64_MAX;
+    P->value = PyMem_Calloc((size_t)entries, sizeof(int64_t));
+    P->since = PyMem_Calloc((size_t)entries, sizeof(int64_t));
+    if (P->value == NULL || P->since == NULL) {
         Py_DECREF(P);
         return PyErr_NoMemory();
     }
     return (PyObject *)P;
 }
 
-static void MissPat_dealloc(PyObject *self)
+static void LoadPred_dealloc(PyObject *self)
 {
-    MissPat *P = (MissPat *)self;
-    void *tables[2] = {P->period1, P->since};
+    LoadPred *P = (LoadPred *)self;
+    void *tables[2] = {P->value, P->since};
     pred_dealloc_tables(self, tables, 2);
 }
 
-/* predict(pc) -> bool */
-static PyObject *MissPat_predict(PyObject *self, PyObject *args,
-                                 PyObject *kwds)
+/* predict(pc) -> bool: will this load be long-latency? */
+static PyObject *LoadPred_predict(PyObject *self, PyObject *args,
+                                  PyObject *kwds)
 {
     static char *kwlist[] = {"pc", NULL};
     long long pc;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "L:predict", kwlist, &pc))
         return NULL;
-    return PyBool_FromLong(misspat_predict((MissPat *)self, pc));
+    return PyBool_FromLong(loadpred_predict((LoadPred *)self, pc));
 }
 
 /* train(pc, long_latency) */
-static PyObject *MissPat_train(PyObject *self, PyObject *args,
-                               PyObject *kwds)
+static PyObject *LoadPred_train(PyObject *self, PyObject *args,
+                                PyObject *kwds)
 {
     static char *kwlist[] = {"pc", "long_latency", NULL};
     long long pc;
@@ -594,96 +618,85 @@ static PyObject *MissPat_train(PyObject *self, PyObject *args,
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "Lp:train", kwlist, &pc,
                                      &ll))
         return NULL;
-    misspat_train((MissPat *)self, pc, ll);
+    loadpred_train((LoadPred *)self, pc, ll);
     Py_RETURN_NONE;
 }
 
-static PyObject *misspat_item(PyObject *self, int64_t i)
+static PyObject *loadpred_item(PyObject *self, int64_t i)
 {
-    MissPat *P = (MissPat *)self;
-    if (P->period1[i] == 0 && P->since[i] == 0)
+    LoadPred *P = (LoadPred *)self;
+    int64_t v = P->value[i];
+    if (P->kind == LLL_MISS_PATTERN && (v != 0 || P->since[i] != 0))
+        return Py_BuildValue("(LL)", (long long)v - 1,
+                             (long long)P->since[i]);
+    if (P->kind == LLL_MISS_PATTERN || v == 0)
         return Py_NewRef(Py_None);
-    return Py_BuildValue("(LL)", (long long)P->period1[i] - 1,
-                         (long long)P->since[i]);
+    return P->kind == LLL_LAST_VALUE ? Py_NewRef(Py_True) : box_ll(v);
 }
 
-static PyObject *MissPat_state(PyObject *self, PyObject *Py_UNUSED(ignored))
+static PyObject *LoadPred_state(PyObject *self, PyObject *Py_UNUSED(ignored))
 {
-    return trained_dict(self, ((MissPat *)self)->entries, misspat_item);
+    return trained_dict(self, ((LoadPred *)self)->entries, loadpred_item);
 }
 
-static PyMethodDef MissPat_methods[] = {
-    {"predict", (PyCFunction)(void (*)(void))MissPat_predict,
+static PyMethodDef LoadPred_methods[] = {
+    {"predict", (PyCFunction)(void (*)(void))LoadPred_predict,
      METH_VARARGS | METH_KEYWORDS,
      "predict(pc) -> bool: will this load be long-latency?"},
-    {"train", (PyCFunction)(void (*)(void))MissPat_train,
+    {"train", (PyCFunction)(void (*)(void))LoadPred_train,
      METH_VARARGS | METH_KEYWORDS,
      "train(pc, long_latency): the load's observed outcome."},
-    {"state", MissPat_state, METH_NOARGS,
-     "state() -> {index: (period, since)} of the trained entries."},
+    {"state", LoadPred_state, METH_NOARGS,
+     "state() -> {index: entry} of the entries unlike a fresh one: "
+     "(period, since), True or the counter."},
     {NULL, NULL, 0, NULL},
 };
 
-static PyGetSetDef MissPat_getset[] = {
-    I64_FIELD(MissPat, lookups, "Front-end queries."),
-    I64_FIELD(MissPat, predicted_ll, "Queries predicted long-latency."),
+static PyGetSetDef LoadPred_getset[] = {
+    I64_FIELD(LoadPred, lookups, "Front-end queries."),
+    I64_FIELD(LoadPred, predicted_ll, "Queries predicted long-latency."),
     {NULL, NULL, NULL, NULL, NULL},
 };
 
-static PyTypeObject MissPat_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.pipeline._cext_engine.MissPatternPredictor",
-    .tp_doc = "MissPatternPredictor(entries=2048, counter_bits=6) as a "
-              "native table (counter_bits up to 15).",
-    .tp_basicsize = sizeof(MissPat),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = MissPat_new,
-    .tp_dealloc = MissPat_dealloc,
-    .tp_methods = MissPat_methods,
-    .tp_getset = MissPat_getset,
-};
-
-/* The native predictor behind a thread's lll_predict, when it is the
- * predict method of a MissPat; else NULL (the engine calls it). */
-static MissPat *native_predict_of(PyObject *f)
-{
-    if (f == NULL || !PyCFunction_Check(f)
-        || PyCFunction_GET_FUNCTION(f)
-               != (PyCFunction)(void (*)(void))MissPat_predict)
-        return NULL;
-    PyObject *self = PyCFunction_GET_SELF(f);
-    return self != NULL && Py_IS_TYPE(self, &MissPat_Type) ? (MissPat *)self
-                                                           : NULL;
+#define LOAD_PRED_TYPE(name, args) {                                    \
+    PyVarObject_HEAD_INIT(NULL, 0)                                      \
+    .tp_name = "repro.pipeline._cext_engine." name,                     \
+    .tp_doc = name "(" args ") as a native table.",                     \
+    .tp_basicsize = sizeof(LoadPred),                                   \
+    .tp_flags = Py_TPFLAGS_DEFAULT,                                     \
+    .tp_new = LoadPred_new,                                             \
+    .tp_dealloc = LoadPred_dealloc,                                     \
+    .tp_methods = LoadPred_methods,                                     \
+    .tp_getset = LoadPred_getset,                                       \
 }
 
-/* --- MLPDistancePredictor ------------------------------------------ */
+static PyTypeObject LoadPred_Types[N_LLL] = {
+    LOAD_PRED_TYPE("MissPatternPredictor", "entries=2048, counter_bits=6"),
+    LOAD_PRED_TYPE("LastValuePredictor", "entries=2048, counter_bits=1"),
+    LOAD_PRED_TYPE("TwoBitMissPredictor", "entries=2048, counter_bits=2"),
+};
 
-#define MLP_BIAS 32768
+/* --- MLPDistancePredictor ------------------------------------------ */
 
 typedef struct {
     PyObject_HEAD
     int64_t entries, max_distance;
     int64_t true_pos, true_neg, false_pos, false_neg, far_enough, too_short,
         lookups;
-    uint16_t *table;        /* distance + MLP_BIAS (0: untrained) */
+    int64_t *trained;       /* 1 where the Python dict has an entry */
+    int64_t *distance;
 } MLPDist;
 
 static PyTypeObject MLPDist_Type;
 
 /* Insert a measured distance, scoring the stored one (0 when
  * untrained) against it. */
-static int mlpdist_train(MLPDist *P, int64_t pc, int64_t distance)
+static void mlpdist_train(MLPDist *P, int64_t pc, int64_t distance)
 {
     if (distance > P->max_distance)
         distance = P->max_distance;
-    if (distance < 1 - MLP_BIAS) {
-        PyErr_Format(PyExc_OverflowError,
-                     "MLP distance %lld does not fit the native table",
-                     (long long)distance);
-        return -1;
-    }
     int64_t i = py_mod(pc, P->entries);
-    int64_t predicted = P->table[i] ? (int64_t)P->table[i] - MLP_BIAS : 0;
+    int64_t predicted = P->trained[i] ? P->distance[i] : 0;
     if (predicted > 0) {
         if (distance > 0)
             P->true_pos += 1;
@@ -698,8 +711,8 @@ static int mlpdist_train(MLPDist *P, int64_t pc, int64_t distance)
         P->far_enough += 1;
     else
         P->too_short += 1;
-    P->table[i] = (uint16_t)(distance + MLP_BIAS);
-    return 0;
+    P->trained[i] = 1;
+    P->distance[i] = distance;
 }
 
 static PyObject *MLPDist_new(PyTypeObject *type, PyObject *args,
@@ -714,16 +727,14 @@ static PyObject *MLPDist_new(PyTypeObject *type, PyObject *args,
         return value_error("entries must be positive");
     if (max_distance <= 0)
         return value_error("max_distance must be positive");
-    if (max_distance >= MLP_BIAS)
-        return value_error("max_distance above 32767 does not fit the "
-                           "native table");
     MLPDist *P = (MLPDist *)type->tp_alloc(type, 0);
     if (P == NULL)
         return NULL;
     P->entries = entries;
     P->max_distance = max_distance;
-    P->table = PyMem_Calloc((size_t)entries, sizeof(uint16_t));
-    if (P->table == NULL) {
+    P->trained = PyMem_Calloc((size_t)entries, sizeof(int64_t));
+    P->distance = PyMem_Calloc((size_t)entries, sizeof(int64_t));
+    if (P->trained == NULL || P->distance == NULL) {
         Py_DECREF(P);
         return PyErr_NoMemory();
     }
@@ -732,8 +743,9 @@ static PyObject *MLPDist_new(PyTypeObject *type, PyObject *args,
 
 static void MLPDist_dealloc(PyObject *self)
 {
-    void *tables[1] = {((MLPDist *)self)->table};
-    pred_dealloc_tables(self, tables, 1);
+    MLPDist *P = (MLPDist *)self;
+    void *tables[2] = {P->trained, P->distance};
+    pred_dealloc_tables(self, tables, 2);
 }
 
 /* predict(pc, default=0) -> the stored distance, or `default` */
@@ -748,9 +760,9 @@ static PyObject *MLPDist_predict(PyObject *self, PyObject *args,
                                      &dflt))
         return NULL;
     P->lookups += 1;
-    uint16_t v = P->table[py_mod(pc, P->entries)];
-    if (v)
-        return box_ll((long long)v - MLP_BIAS);
+    int64_t i = py_mod(pc, P->entries);
+    if (P->trained[i])
+        return box_ll(P->distance[i]);
     return dflt != NULL ? Py_NewRef(dflt) : box_ll(0);
 }
 
@@ -761,9 +773,9 @@ static PyObject *MLPDist_train(PyObject *self, PyObject *args,
     static char *kwlist[] = {"pc", "distance", NULL};
     long long pc, distance;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:train", kwlist, &pc,
-                                     &distance)
-        || mlpdist_train((MLPDist *)self, pc, distance) < 0)
+                                     &distance))
         return NULL;
+    mlpdist_train((MLPDist *)self, pc, distance);
     Py_RETURN_NONE;
 }
 
@@ -811,8 +823,8 @@ static PyObject *MLPDist_fractions(PyObject *self,
 
 static PyObject *mlpdist_item(PyObject *self, int64_t i)
 {
-    uint16_t v = ((MLPDist *)self)->table[i];
-    return v ? box_ll((long long)v - MLP_BIAS) : Py_NewRef(Py_None);
+    MLPDist *P = (MLPDist *)self;
+    return P->trained[i] ? box_ll(P->distance[i]) : Py_NewRef(Py_None);
 }
 
 static PyObject *MLPDist_state(PyObject *self, PyObject *Py_UNUSED(ignored))
@@ -854,7 +866,7 @@ static PyTypeObject MLPDist_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.pipeline._cext_engine.MLPDistancePredictor",
     .tp_doc = "MLPDistancePredictor(entries=2048, max_distance=127) as a "
-              "native table (max_distance up to 32767).",
+              "native table.",
     .tp_basicsize = sizeof(MLPDist),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = MLPDist_new,
@@ -1361,10 +1373,10 @@ typedef struct {
 
 static PyTypeObject LLSR_Type;
 
-/* The native predictors a measurement trains in C: both set when
- * on_measure is the owning thread's own ThreadState._train_mlp over
- * native MLP predictors (the run loop decides once per run, see
- * take_llsr); else both NULL and on_measure is called. */
+/* The MLP predictors a measurement trains in C: both set when
+ * on_measure is the owning thread's own ThreadState._train_mlp (the run
+ * loop decides once per run, see take_parts); else both NULL and
+ * on_measure is called. */
 typedef struct {
     MLPDist *dist;
     BinMLP *bin;
@@ -1385,9 +1397,8 @@ static int llsr_measure(LLSRN *L, const Trainer *T, int64_t pc,
         || (L->measured != NULL && PyList_Append(L->measured, pair) < 0);
     Py_XDECREF(pair);
     if (!bad && T->dist != NULL) {
-        bad = mlpdist_train(T->dist, pc, distance) < 0;
-        if (!bad)
-            binmlp_train(T->bin, pc, distance);
+        mlpdist_train(T->dist, pc, distance);
+        binmlp_train(T->bin, pc, distance);
     } else if (!bad && L->on_measure != NULL && L->on_measure != Py_None) {
         PyObject *f = Py_NewRef(L->on_measure);
         PyObject *args[2] = {p, d};
@@ -3860,7 +3871,7 @@ static void Arena_dealloc(PyObject *self)
 /* A thread's LLSR as the commit stage shifts it. */
 typedef struct {
     LLSRN *llsr;            /* owned: the thread's llsr */
-    Trainer train;          /* owned: see take_llsr */
+    Trainer train;          /* owned: see take_parts */
     int64_t zeros;          /* retires not yet shifted in (0 between
                              * commit stages) */
 } RunLLSR;
@@ -3870,6 +3881,7 @@ typedef struct {
     PyObject *ts;           /* borrowed from core.threads */
     PyObject *ints;         /* owned: the thread's Ints */
     int64_t *v;             /* ... and its fields */
+    LoadPred *lll;          /* owned: the thread's lll_pred */
     RunLLSR llsr;
     long long pc_origin;
 } Thr;
@@ -3957,15 +3969,11 @@ static PyObject *cycle_arg(Ctx *c, long long cycle)
 /* stage: event drains (the two inline wheel drains of the fused loop) */
 /* ------------------------------------------------------------------ */
 
-static int cmp_i64(const void *a, const void *b)
-{
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
-
 /* The entries due at `cycle` (its bucket, emptied, and the due spills)
  * in `due`, in age order, with the due marks dropped; NULL when nothing
- * is due. */
+ * is due.  The walk yields the bucket in reverse push order; reversed,
+ * it is near age order, and an insertion sort finishes it (the packed
+ * stamps are unique). */
 static IVec *wheel_due(Wheel *w, IVec *due, long long mask, long long cycle,
                        int *err)
 {
@@ -3980,6 +3988,12 @@ static IVec *wheel_due(Wheel *w, IVec *due, long long mask, long long cycle,
         w->pool.v[2 * e + 1] = w->free_ent;
         w->free_ent = e;
     }
+    int64_t *v = due->v;
+    for (Py_ssize_t i = 0, j = due->n - 1; i < j; i++, j--) {
+        int64_t x = v[i];
+        v[i] = v[j];
+        v[j] = x;
+    }
     int64_t e[2];
     while (w->over.n && w->over.v[0] <= cycle) {
         heap_pop(&w->over, e, 2);
@@ -3988,8 +4002,14 @@ static IVec *wheel_due(Wheel *w, IVec *due, long long mask, long long cycle,
     }
     while (w->marks.n && w->marks.v[0] <= cycle)
         heap_pop(&w->marks, e, 1);
-    if (due->n > 1)     /* packed stamps sort in age order */
-        qsort(due->v, (size_t)due->n, sizeof(int64_t), cmp_i64);
+    v = due->v;
+    for (Py_ssize_t i = 1; i < due->n; i++) {
+        int64_t x = v[i];
+        Py_ssize_t j = i;
+        for (; j > 0 && v[j - 1] > x; j--)
+            v[j] = v[j - 1];
+        v[j] = x;
+    }
     return due;
 fail:
     *err = 1;
@@ -4384,17 +4404,7 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
     PyObject *stats = SLOT(ts, OFF.ts_stats);
     if (stat_add(stats, OFF.st_loads_executed, 1) < 0)
         goto out;
-    PyObject *lll = SLOT(ts, OFF.ts_lll_pred);
-    if (lll != NULL && Py_IS_TYPE(lll, &MissPat_Type)) {
-        misspat_train((MissPat *)lll, A->pc[s], is_ll);
-    } else {
-        PyObject *targs[2] = {SLOT(A->instr[s], OFF.in_pc),
-                              is_ll ? Py_True : Py_False};
-        PyObject *r = call_method(lll, g.s_train, targs, 2);
-        if (r == NULL)
-            goto out;
-        Py_DECREF(r);
-    }
+    loadpred_train(c->thr[t].lll, A->pc[s], is_ll);
     PyObject *predicted = A->pred_ll[s];
     if (predicted != NULL) {
         int pred = PyObject_IsTrue(predicted);
@@ -4769,19 +4779,8 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
         tv[TV_ICOUNT] += 1;
         count += 1;
         if (flags & F_IS_LOAD) {
-            PyObject *predict = SLOT(ts, OFF.ts_lll_predict);
-            MissPat *P = native_predict_of(predict);
-            if (P != NULL) {
-                ocol_set(A->pred_ll, s,
-                         misspat_predict(P, pc) ? Py_True : Py_False);
-            } else {
-                PyObject *p = PyObject_CallOneArg(predict,
-                                                  SLOT(instr, OFF.in_pc));
-                if (p == NULL)
-                    goto fail;
-                ocol_set(A->pred_ll, s, p);
-                Py_DECREF(p);
-            }
+            ocol_set(A->pred_ll, s, loadpred_predict(c->thr[t].lll, pc)
+                                        ? Py_True : Py_False);
             if (on_fetch_load != Py_None) {
                 if (call_hook(A, on_fetch_load, s, ts) < 0)
                     goto fail;
@@ -5105,16 +5104,17 @@ static Arena *arena_of(PyObject *core)
     return A;
 }
 
-/* The part `name` in slot `off` of `obj` (borrowed) when it is the
- * engine's own `type`, the one model the loop runs; else NULL and a
+/* The part `name` in slot `off` of `obj` (borrowed) when its type is one
+ * of the engine's n `types`, the models the loop runs; else NULL and a
  * TypeError.  `obj` is the core, or its thread `tid` when tid >= 0. */
 static PyObject *native_part(PyObject *obj, Py_ssize_t off,
-                             PyTypeObject *type, Py_ssize_t tid,
+                             PyTypeObject *types, int n, Py_ssize_t tid,
                              const char *name)
 {
     PyObject *part = SLOT(obj, off);
-    if (part != NULL && Py_IS_TYPE(part, type))
-        return part;
+    for (int i = 0; part != NULL && i < n; i++)
+        if (Py_IS_TYPE(part, &types[i]))
+            return part;
     PyObject *who = tid < 0
         ? PyUnicode_FromFormat("core.%s", name)
         : PyUnicode_FromFormat("core.threads[%zd].%s", tid, name);
@@ -5122,31 +5122,36 @@ static PyObject *native_part(PyObject *obj, Py_ssize_t off,
         PyErr_Format(PyExc_TypeError,
                      "%U must be the cext engine's %s, not %R; run other "
                      "models on backend 'object'", who,
-                     strrchr(type->tp_name, '.') + 1,
+                     n == 1 ? strrchr(types->tp_name, '.') + 1
+                            : "load predictor",
                      part == NULL ? Py_None : (PyObject *)Py_TYPE(part));
     Py_XDECREF(who);
     return NULL;
 }
 
-/* Take ts's register for the run.  Its measurements train ts's native
- * MLP predictors in C when its on_measure is ts's own
- * ThreadState._train_mlp over those (decided here, once per run: a
- * predictor reassigned mid-run is not followed); else they call it. */
-static int take_llsr(RunLLSR *t, PyObject *ts, PyObject *llsr)
+/* Take thread tid's predictors and LLSR for the run (once: a part
+ * reassigned mid-run is not followed).  The LLSR's measurements train
+ * the MLP predictors in C when its on_measure is the thread's own
+ * ThreadState._train_mlp; else they call it. */
+static int take_parts(Thr *T, Py_ssize_t tid)
 {
-    t->llsr = (LLSRN *)Py_NewRef(llsr);
-    PyObject *f = t->llsr->on_measure;
-    PyObject *own = PyObject_GetAttr((PyObject *)g.ts_type, g.s_train_mlp);
-    PyObject *dist = SLOT(ts, OFF.ts_mlp_pred);
-    PyObject *bin = SLOT(ts, OFF.ts_binary_mlp);
-    if (own == NULL)
+    PyObject *ts = T->ts, *llsr, *lll, *dist, *bin, *own;
+    if (!(llsr = native_part(ts, OFF.ts_llsr, &LLSR_Type, 1, tid, "llsr"))
+        || !(lll = native_part(ts, OFF.ts_lll_pred, LoadPred_Types, N_LLL,
+                               tid, "lll_pred"))
+        || !(dist = native_part(ts, OFF.ts_mlp_pred, &MLPDist_Type, 1, tid,
+                                "mlp_pred"))
+        || !(bin = native_part(ts, OFF.ts_binary_mlp, &BinMLP_Type, 1, tid,
+                               "binary_mlp"))
+        || !(own = PyObject_GetAttr((PyObject *)g.ts_type, g.s_train_mlp)))
         return -1;
+    T->lll = (LoadPred *)Py_NewRef(lll);
+    T->llsr.llsr = (LLSRN *)Py_NewRef(llsr);
+    PyObject *f = T->llsr.llsr->on_measure;
     if (f != NULL && PyMethod_Check(f) && PyMethod_GET_SELF(f) == ts
-        && PyMethod_GET_FUNCTION(f) == own
-        && dist != NULL && Py_IS_TYPE(dist, &MLPDist_Type)
-        && bin != NULL && Py_IS_TYPE(bin, &BinMLP_Type)) {
-        t->train.dist = (MLPDist *)Py_NewRef(dist);
-        t->train.bin = (BinMLP *)Py_NewRef(bin);
+        && PyMethod_GET_FUNCTION(f) == own) {
+        T->llsr.train.dist = (MLPDist *)Py_NewRef(dist);
+        T->llsr.train.bin = (BinMLP *)Py_NewRef(bin);
     }
     Py_DECREF(own);
     return 0;
@@ -5164,6 +5169,7 @@ static void ctx_clear(Ctx *c)
     for (Py_ssize_t t = 0; t < c->n; t++) {
         Thr *T = &c->thr[t];
         Py_CLEAR(T->ints);
+        Py_CLEAR(T->lll);
         Py_CLEAR(T->llsr.llsr);
         Py_CLEAR(T->llsr.train.dist);
         Py_CLEAR(T->llsr.train.bin);
@@ -5179,12 +5185,12 @@ static int ctx_init(Ctx *c, PyObject *core)
         || (c->cv = ints_at(core, OFF.ints)) == NULL)
         goto fail;
     c->ints = Py_NewRef(SLOT(core, OFF.ints));
-    PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, -1,
+    PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, 1, -1,
                                 "hierarchy");
     PyObject *gshare = mem == NULL ? NULL
-        : native_part(core, OFF.gshare, &GShare_Type, -1, "gshare");
+        : native_part(core, OFF.gshare, &GShare_Type, 1, -1, "gshare");
     PyObject *btb = gshare == NULL ? NULL
-        : native_part(core, OFF.btb, &BTB_Type, -1, "btb");
+        : native_part(core, OFF.btb, &BTB_Type, 1, -1, "btb");
     if (btb == NULL)
         goto fail;
     c->mem = (Mem *)Py_NewRef(mem);
@@ -5195,8 +5201,7 @@ static int ctx_init(Ctx *c, PyObject *core)
     PyObject *threads = SLOT(core, OFF.threads);
     for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(threads); i++) {
         PyObject *ts = PyTuple_GET_ITEM(threads, i);
-        PyObject *llsr = native_part(ts, OFF.ts_llsr, &LLSR_Type, i, "llsr");
-        int64_t *v = llsr == NULL ? NULL : ints_at(ts, OFF.ts_ints);
+        int64_t *v = ints_at(ts, OFF.ts_ints);
         if (v == NULL)
             goto fail;
         Thr *T = &c->thr[c->n++];
@@ -5204,7 +5209,7 @@ static int ctx_init(Ctx *c, PyObject *core)
         T->ts = ts;
         T->ints = Py_NewRef(SLOT(ts, OFF.ts_ints));
         T->v = v;
-        if (take_llsr(&T->llsr, ts, llsr) < 0)
+        if (take_parts(T, i) < 0)
             goto fail;
         T->pc_origin = slot_ll(ts, OFF.ts_pc_origin);
     }
@@ -5664,7 +5669,7 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
     Py_ssize_t t;
     if ((after_seq == -1 && PyErr_Occurred()) || cancel < 0
         || (t = owns(A, core, ts)) < 0
-        || native_part(core, OFF.hierarchy, &Mem_Type, -1,
+        || native_part(core, OFF.hierarchy, &Mem_Type, 1, -1,
                        "hierarchy") == NULL)
         return NULL;
     SlotSeq *fe = seq_of(ts, OFF.ts_fe_queue);
@@ -5703,8 +5708,8 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
         PyObject *fill = A->fill_line[s];
         if (cancel && fill != NULL && !(fl & F_COMPLETED)) {
             /* read per use: an earlier clear_owner ran Python */
-            PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, -1,
-                                        "hierarchy");
+            PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, 1,
+                                        -1, "hierarchy");
             int64_t line, addr;
             if (mem == NULL || int64_arg(fill, &line) < 0
                 || int64_arg(SLOT(A->instr[s], OFF.in_addr), &addr) < 0)
@@ -6218,7 +6223,6 @@ static const struct OffSpec SPECS[] = {
     O("ts", "rename_map", ts_rename_map),
     O("ts", "dispatch_blocked_head", ts_dispatch_blocked_head),
     O("ts", "trace_get", ts_trace_get),
-    O("ts", "lll_predict", ts_lll_predict),
     O("ts", "pc_origin", ts_pc_origin),
     O("ts", "trace_static", ts_trace_static),
     O("ts", "trace_body_len", ts_trace_body_len),
@@ -6456,9 +6460,7 @@ static PyObject *setup(PyObject *self, PyObject *ns)
         g.neg_one = PyLong_FromLong(-1);
         if (g.neg_one == NULL)
             return NULL;
-        if ((g.s_train = intern_or_null("train")) == NULL
-            || (g.s_on_ll_detect =
-                    intern_or_null("on_ll_detect")) == NULL
+        if ((g.s_on_ll_detect = intern_or_null("on_ll_detect")) == NULL
             || (g.s_clear_owner = intern_or_null("clear_owner")) == NULL
             || (g.s_train_mlp = intern_or_null("_train_mlp")) == NULL
             || (g.s_sync_policy_stall =
@@ -6557,19 +6559,23 @@ PyMODINIT_FUNC PyInit__cext_engine(void)
     if (PyType_Ready(&SlotSeq_Type) < 0 || PyType_Ready(&View_Type) < 0
         || PyType_Ready(&Ints_Type) < 0 || PyType_Ready(&IntField_Type) < 0
         || PyType_Ready(&Arena_Type) < 0 || PyType_Ready(&Mem_Type) < 0
-        || PyType_Ready(&MissPat_Type) < 0 || PyType_Ready(&MLPDist_Type) < 0
+        || PyType_Ready(&MLPDist_Type) < 0
         || PyType_Ready(&BinMLP_Type) < 0 || PyType_Ready(&GShare_Type) < 0
         || PyType_Ready(&BTB_Type) < 0 || PyType_Ready(&LLSR_Type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&cext_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", CEXT_API_VERSION) < 0
+    for (PyTypeObject *t = LoadPred_Types; t < LoadPred_Types + N_LLL; t++)
+        if (PyType_Ready(t) < 0 || PyModule_AddObjectRef(
+                m, strrchr(t->tp_name, '.') + 1, (PyObject *)t) < 0) {
+            Py_DECREF(m);
+            return NULL;
+        }
+    if (PyModule_AddIntConstant(m, "MAX_THREADS", MAX_THREADS) < 0
         || PyModule_AddObjectRef(m, "Arena", (PyObject *)&Arena_Type) < 0
         || PyModule_AddObjectRef(m, "SoAView", (PyObject *)&View_Type) < 0
         || PyModule_AddObjectRef(m, "Hierarchy", (PyObject *)&Mem_Type) < 0
-        || PyModule_AddObjectRef(m, "MissPatternPredictor",
-                                 (PyObject *)&MissPat_Type) < 0
         || PyModule_AddObjectRef(m, "MLPDistancePredictor",
                                  (PyObject *)&MLPDist_Type) < 0
         || PyModule_AddObjectRef(m, "BinaryMLPPredictor",

@@ -23,32 +23,29 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   engine's names, so a hook's write is seen at once and ``core.cycle``
   outlives ``detach()`` (``tests/test_native_fields.py``).
 * The engine's ``Hierarchy``, ``GShare``, ``BTB``, ``LLSR``,
-  ``MissPatternPredictor``, ``MLPDistancePredictor`` and
+  ``MissPatternPredictor``, ``LastValuePredictor``,
+  ``TwoBitMissPredictor``, ``MLPDistancePredictor`` and
   ``BinaryMLPPredictor`` types are
   :class:`~repro.memory.hierarchy.MemoryHierarchy` (caches, TLBs,
   pending fills, the MSHR heap, stream buffers and their stride table),
   the front end's predictors and the paper's long-latency shift
-  register as native state, with their Python classes' methods,
-  defaults, counters and ``ll_intervals``/``measured`` lists
+  register as native state, with their Python classes' constructors,
+  methods, defaults, counters and ``ll_intervals``/``measured`` lists
   (``tests/test_native_hierarchy.py``,
   ``tests/test_native_predictors.py`` and ``tests/test_cext_paths.py``
-  hold each to its class).  A :class:`CextCore` builds its parts
-  through :meth:`CextCore._build`, which returns the native type from
-  the class's own constructor arguments, so it builds no Python part to
-  drop.  The loop runs only the native hierarchy, gshare, BTB and
-  LLSRs, in C: ``run_until`` takes the core's three parts and each
-  thread's ``llsr`` once per run (a hook that reassigns one mid-run is
-  not followed) and raises ``TypeError`` for any other object, as
+  hold each to its class), for every kind and size the config takes.
+  A :class:`CextCore` builds its parts through :meth:`CextCore._build`,
+  which returns the native type from the class's own constructor
+  arguments, so it builds no Python part.  The loop runs only these
+  native parts, in C: ``run_until`` takes the core's hierarchy, gshare
+  and BTB and each thread's ``llsr``, ``lll_pred``, ``mlp_pred`` and
+  ``binary_mlp`` once per run (a hook that reassigns one mid-run is not
+  followed) and raises ``TypeError`` for any other object, as
   ``flush_thread`` does for the hierarchy; other models run on backend
   ``'object'``.  It also decides once per run whether an LLSR's
-  ``on_measure`` is its thread's own ``ThreadState._train_mlp`` over
-  native MLP predictors, which the commit stage then trains in C; any
-  other callable is called.  The per-thread predictors keep a Python
-  fallback that workloads and reference tests reach: the ``last_value``
-  and ``two_bit`` kinds, sizes the native tables cannot hold
-  (``lll_counter_bits`` above 15, MLP distances above 32,767), and a
-  predictor or ``lll_predict`` reassigned after construction run
-  through their Python methods.
+  ``on_measure`` is its thread's own ``ThreadState._train_mlp``, whose
+  MLP predictors the commit stage then trains in C; any other callable
+  is called.
 
   What still crosses into Python per cycle or instruction: the stats
   dataclasses' counters, the ``ThreadState`` slots that are not
@@ -177,8 +174,10 @@ from repro.pipeline.thread_state import ThreadState
 from repro.predictors import (
     LLSR,
     BinaryMLPPredictor,
+    LastValuePredictor,
     MissPatternPredictor,
     MLPDistancePredictor,
+    TwoBitMissPredictor,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -191,6 +190,7 @@ __all__ = [
     "CextCore",
     "cext_status",
     "load_cext_core",
+    "max_threads",
 ]
 
 _SOURCE = Path(__file__).with_name("_cext_engine.c")
@@ -327,16 +327,13 @@ class CextThreadState(ThreadState):
 
 
 #: The parts the engine models natively: each class's twin, by its name
-#: in the engine, takes the class's constructor arguments.
-_TWINS: dict[type, str] = {
-    MemoryHierarchy: "Hierarchy",
-    GShare: "GShare",
-    BTB: "BTB",
-    MissPatternPredictor: "MissPatternPredictor",
-    MLPDistancePredictor: "MLPDistancePredictor",
-    BinaryMLPPredictor: "BinaryMLPPredictor",
-    LLSR: "LLSR",
-}
+#: in the engine (the class's own but for the hierarchy's), takes the
+#: class's constructor arguments.
+_TWINS: dict[type, str] = {MemoryHierarchy: "Hierarchy"} | {
+    cls: cls.__name__ for cls in (
+        GShare, BTB, MissPatternPredictor, LastValuePredictor,
+        TwoBitMissPredictor, MLPDistancePredictor, BinaryMLPPredictor,
+        LLSR)}
 
 
 class CextCore(SMTCore):
@@ -350,8 +347,8 @@ class CextCore(SMTCore):
     reads them as plain slot loads.  :meth:`_build` makes the memory
     hierarchy, gshare, the BTB and each thread's predictors and LLSR
     the engine's native types (the same methods and counters over C
-    state), and the loop runs only the native hierarchy, gshare, BTB
-    and LLSRs.
+    state), and the loop runs only those.  A config with more than
+    :func:`max_threads` threads fails here (backend ``'object'`` runs it).
     Without the compiled engine the arena is ``None`` and the core
     cannot run.
     """
@@ -362,6 +359,10 @@ class CextCore(SMTCore):
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
                  policy: FetchPolicy):
         engine = _engine()   # installs the int fields before any is set
+        if engine is not None and cfg.num_threads > engine.MAX_THREADS:
+            raise ValueError(
+                f"the cext engine runs at most {engine.MAX_THREADS} threads,"
+                f" not {cfg.num_threads}; run more on backend 'object'")
         super().__init__(cfg, traces, policy)
         self._adopt_arena(engine)
         pcls = type(policy)
@@ -374,23 +375,16 @@ class CextCore(SMTCore):
     def _build(cls, *args):
         """The engine's twin of ``cls`` built from the same arguments: a
         :class:`CextThreadState` for a ``ThreadState``, else the engine
-        type ``_TWINS`` names (the hierarchy, gshare, the BTB, the three
-        per-thread predictors and the LLSR); ``cls(*args)`` when ``cls``
-        has none, when the engine is not loaded, or when the twin's
-        table cannot hold the sizes (the ``last_value``/``two_bit`` load
-        predictors, counters wider than 15 bits, MLP distances above
-        32,767).  An LLSR's twin holds any length its class does, so a
-        ``CextCore`` never builds a Python one."""
+        type ``_TWINS`` names (the hierarchy, gshare, the BTB, each load
+        predictor kind, the MLP predictors and the LLSR), which holds
+        every size its class does, so a ``CextCore`` builds no Python
+        part; ``cls(*args)`` only when the engine is not loaded."""
         engine = _engine()
-        if engine is not None and cls is ThreadState:
+        if engine is None:
+            return cls(*args)
+        if cls is ThreadState:
             return CextThreadState(*args)
-        name = _TWINS.get(cls)
-        if engine is not None and name is not None:
-            try:
-                return getattr(engine, name)(*args)
-            except (ValueError, OverflowError, MemoryError):
-                pass
-        return cls(*args)
+        return getattr(engine, _TWINS[cls])(*args)
 
     def _adopt_arena(self, engine):
         """Swap the object engine's containers for ``engine``'s arena.
@@ -407,9 +401,6 @@ class CextCore(SMTCore):
         self._wb_buckets = self._wb_marks = self._wb_over = None
         self._arena = None if engine is None else engine.Arena(
             self.threads, self._wheel_mask + 1, FU_CLASS_BY_OP)
-        for ts in self.threads:
-            if self._arena is not None:
-                ts.fe_append = None
 
     def detach(self) -> None:
         super().detach()
@@ -449,6 +440,12 @@ class CextCore(SMTCore):
             "CextCore has no per-cycle step; run it to a commit target "
             "(run/advance_to), or use the object engine (backend "
             "'object') to step")
+
+
+def max_threads() -> int:
+    """The most threads a :class:`CextCore` runs; 0 without the engine."""
+    engine = _engine()
+    return 0 if engine is None else engine.MAX_THREADS
 
 
 def load_cext_core() -> type[CextCore] | None:

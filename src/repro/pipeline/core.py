@@ -118,8 +118,7 @@ class SMTCore:
         "_release_epoch", "_committed_watermark", "_commit_pending",
         "_di_pool", "_policy_fetch_order", "_policy_fetch_pending",
         "_policy_can_dispatch", "_policy_on_fetch", "_policy_on_fetch_load",
-        "_policy_on_load_complete",
-        "_hier_load", "_hier_ifetch", "_hier_store", "_n_threads",
+        "_policy_on_load_complete", "_n_threads",
         "_fetch_wake", "_fetch_order_is_base", "_dispatch_wake",
         "_stall_latch_until", "_stall_latch_epoch",
         "__dict__",
@@ -133,10 +132,6 @@ class SMTCore:
         self.cfg = cfg
         build = self._build
         self.hierarchy = build(MemoryHierarchy, cfg.memory)
-        # Hot hierarchy entry points as single-hop bound methods.
-        self._hier_load = self.hierarchy.load
-        self._hier_ifetch = self.hierarchy.ifetch
-        self._hier_store = self.hierarchy.store
         self._n_threads = cfg.num_threads
         self.threads = tuple(build(ThreadState, tid, trace, cfg, build)
                              for tid, trace in enumerate(traces))
@@ -331,7 +326,9 @@ class SMTCore:
         """The part ``cls(*args)``: the one way a core builds its memory
         hierarchy, gshare, BTB, threads and each thread's predictors and
         LLSR, so an engine with its own model of a part builds that
-        instead."""
+        instead.  The core keeps none of a part's methods: it reads the
+        part's attribute, so one swapped in later (by a policy's
+        ``attach``, say) is the one that runs."""
         return cls(*args)
 
     # ------------------------------------------------------------------ #
@@ -402,7 +399,7 @@ class SMTCore:
         self.policy.core = None
         for ts in self.threads:
             ts.core = ts.fetch_entry = ts.fetch_one = None
-            ts.llsr = ts.llsr_commit = None
+            ts.llsr = None
 
     def _run_until(self, max_commits: int, max_cycles: int | None,
                    one_pass: bool = False) -> None:
@@ -720,7 +717,7 @@ class SMTCore:
         if di.is_store:
             if self._wb_used >= self._wb_entries:
                 return False
-            result = self._hier_store(ts.tid, instr.pc, instr.addr, cycle)
+            result = self.hierarchy.store(ts.tid, instr.pc, instr.addr, cycle)
             self._schedule_wb_drain(result.complete_cycle, cycle)
         window.popleft()
         if window and window[0].completed:
@@ -759,7 +756,7 @@ class SMTCore:
                 p.refs -= 1
                 if p.retired and not p.refs:
                     self._maybe_recycle(p, ts)
-        ts.llsr_commit(di.is_load and di.is_ll, instr.pc, dependent)
+        ts.llsr.commit(di.is_load and di.is_ll, instr.pc, dependent)
         # Retire the record.  The rename-undo backref it held dies with
         # the commit (a committed instruction can never be flushed), and
         # the record itself returns to the pool once nothing long-lived
@@ -896,7 +893,7 @@ class SMTCore:
             # end of _issue — nothing reads the epoch mid-issue.)
         instr = di.instr
         if di.is_load:
-            result = self._hier_load(
+            result = self.hierarchy.load(
                 ts.tid, instr.pc, instr.addr, cycle + instr.latency)
             completion = result.complete_cycle
             is_ll = result.long_latency
@@ -1196,7 +1193,9 @@ class SMTCore:
         on_fetch = self._policy_on_fetch       # None: no-op for all instrs
         on_fetch_load = self._policy_on_fetch_load  # None: not loads-only
         fe_queue = ts.fe_queue
-        fe_append = ts.fe_append
+        fe_append = fe_queue.append
+        lll_predict = ts.lll_pred.predict
+        ifetch = self.hierarchy.ifetch
         line_shift = self._line_shift
         fe_ready = cycle + self._frontend_depth
         tid = ts.tid
@@ -1223,7 +1222,7 @@ class SMTCore:
             pc_addr = pc_origin + instr.pc * 4
             line = pc_addr >> line_shift
             if line != ts.last_ifetch_line:
-                done = self._hier_ifetch(tid, pc_addr, cycle)
+                done = ifetch(tid, pc_addr, cycle)
                 ts.last_ifetch_line = line
                 if done > cycle:
                     ts.fetch_blocked_until = done
@@ -1257,7 +1256,7 @@ class SMTCore:
             ts.icount += 1
             count += 1
             if di.is_load:
-                di.predicted_ll = ts.lll_predict(instr.pc)
+                di.predicted_ll = lll_predict(instr.pc)
                 if on_fetch_load is not None:
                     on_fetch_load(di, ts)
                     allowed_end = ts.allowed_end  # the hook may update it

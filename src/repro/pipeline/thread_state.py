@@ -43,9 +43,8 @@ class ThreadState:
         "stats", "policy_data", "commit_cycles", "fetch_entry",
         "core", "policy_stalled_flag", "policy_stall_since", "fetch_one",
         "dispatch_blocked_head", "dispatch_blocked_epoch",
-        "dispatch_wait_until",
-        "trace_get", "fe_append", "lll_predict", "pc_origin",
-        "llsr_commit", "trace_static", "trace_body_len", "tid_bit",
+        "dispatch_wait_until", "trace_get", "pc_origin", "trace_static",
+        "trace_body_len", "tid_bit",
     )
 
     def __init__(self, tid: int, trace: SyntheticTrace, cfg: SMTConfig,
@@ -130,15 +129,12 @@ class ThreadState:
         #: ``cycle < dispatch_wait_until`` can never skip a ready head —
         #: a stale-low value merely costs one harmless probe.
         self.dispatch_wait_until = 0
-        # Fetch-stage invariants cached as slots: bound methods and the
+        # Fetch-stage invariants of the trace as slots: its get and the
         # affine PC-address origin (pc_address(pc) == pc_origin + pc * 4
         # for every trace implementation), so the per-burst prologue is
         # slot loads instead of attribute chains and a probe call.
         self.trace_get = trace.get
-        self.fe_append = self.fe_queue.append
-        self.lll_predict = self.lll_pred.predict
         self.pc_origin = trace.pc_address(0)
-        self.llsr_commit = self.llsr.commit
         # Direct view of the trace's pre-materialized static instructions
         # (None for duck-typed stub traces): lets the fetch loop skip the
         # ``get`` call for iteration-invariant slots.

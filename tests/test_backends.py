@@ -14,13 +14,20 @@ execution equivalence of the engines through the public
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from conftest import needs_cext
 from repro import registry
 from repro.api import RunSpec, Session, SpecError
 from repro.config import scaled_config
-from repro.experiments.runner import core_for, default_backend, trace_for
+from repro.experiments.runner import (
+    build_core,
+    core_for,
+    default_backend,
+    trace_for,
+)
 from repro.jobs import JobSpec
 from repro.perf.baselines import BaselineError, mode_name, validate_doc
 from repro.pipeline import SMTCore
@@ -110,6 +117,25 @@ class TestCextRegistration:
         with pytest.raises(NotImplementedError, match="no per-cycle step"):
             core.step()
 
+    @needs_cext
+    def test_thread_limit(self):
+        # The engine's thread bitmasks are int64: 63 threads run as on
+        # the object engine, and a 64-thread core fails at construction.
+        assert cext_mod.max_threads() == 63
+        cfg = replace(scaled_config(num_threads=1), num_threads=63,
+                      rob_size=252, lsq_size=252)
+        runs = []
+        for backend in ("object", "cext"):
+            core = build_core(["gzip"] * 63, cfg, backend=backend)
+            core.run(50)
+            runs.append((asdict(core.stats), core.cycle))
+            core.detach()
+        assert runs[1] == runs[0]
+        with pytest.raises(ValueError, match="at most 63 threads, not 64; "
+                                             "run more on backend 'object'"):
+            build_core(["gzip"] * 64, scaled_config(num_threads=64),
+                       backend="cext")
+
 
 class TestCoreResolution:
     def test_default_is_fastest_registered_engine(self):
@@ -118,6 +144,16 @@ class TestCoreResolution:
         assert core_for(make_policy("icount")) is \
             registry.backends.get(expected)
         assert core_for(make_policy("icount"), "object") is SMTCore
+
+    def test_unpinned_run_past_the_cext_limit_is_object(self):
+        assert core_for(make_policy("icount"), num_threads=64) is SMTCore
+        assert core_for(make_policy("icount"), num_threads=63) is \
+            core_for(make_policy("icount"))
+        core = build_core(["gzip"] * 64, scaled_config(num_threads=64))
+        assert type(core) is SMTCore
+        core.run(50)
+        assert max(ts.stats.committed for ts in core.threads) >= 50
+        core.detach()
 
     def test_default_is_object_engine(self, without_cext):
         # Without the compiled engine (no toolchain, or REPRO_CEXT=0)

@@ -317,7 +317,6 @@ class _PerThreadLog(FetchPolicy):
             ts.llsr = self.make(core.cfg.llsr_length,
                                 lambda pc, d, log=log: log.append((pc, d)),
                                 core.cfg.predictors.dependence_aware)
-            ts.llsr_commit = ts.llsr.commit
 
 
 @pytest.mark.parametrize("exclude", (False, True))

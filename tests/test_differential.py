@@ -12,11 +12,10 @@ and the ablations do: ``memory.serialize_long_latency``,
 ``memory.cancel_squashed_fills``, ``predictors.dependence_aware`` and
 ``llsr_length_override``, plus the window sizes, widths, write buffer,
 prefetcher and ``fast_forward``, and the front end: the long-latency
-load predictor's kind, table and counter sizes (16-bit counters are
-past the compiled engine's native table, so they run its Python
-fallback), the MLP tables, gshare and the BTB's size and ways.  A failure shrinks to one cell,
-printed as a ``repro.runspec/2`` document that ``python -m repro run``
-replays.
+load predictor's kind, table and counter sizes (up to 64-bit
+counters), the MLP tables, gshare and the BTB's size and ways.  A
+failure shrinks to one cell, printed as a ``repro.runspec/2`` document
+that ``python -m repro run`` replays.
 
 The deep variant draws the same cells at 5,000-8,000 commits, long
 enough for the dependent long-latency loads that ``dependence_aware``
@@ -86,7 +85,7 @@ def cells(draw, commits=st.integers(200, 800)) -> RunSpec:
         memory=memory,
         predictors=PredictorConfig(
             lll_kind=draw(st.sampled_from(sorted(LLL_PREDICTORS))),
-            lll_counter_bits=draw(st.sampled_from((2, 6, 16))),
+            lll_counter_bits=draw(st.sampled_from((2, 6, 16, 64))),
             lll_entries=draw(st.sampled_from((64, 2_048))),
             mlp_entries=draw(st.sampled_from((64, 2_048))),
             dependence_aware=draw(st.booleans())))
@@ -113,6 +112,9 @@ def _outcome(spec: RunSpec) -> tuple[dict, int]:
 # on another, which is all ``dependence_aware`` acts on; mcf has them.
 @example(spec=_single("mcf", "mlp_flush",
                       predictors=PredictorConfig(dependence_aware=True)))
+# The Section 4.1 two-bit load predictor, whose counters saturate at 3.
+@example(spec=_single("mcf", "mlp_flush",
+                      predictors=PredictorConfig(lll_kind="two_bit")))
 # The Table I serialized run, with the Figure 4 LLSR.
 @example(spec=_single("swim", "icount", llsr_length_override=128,
                       memory=replace(scaled_memory(),

@@ -3,20 +3,22 @@
 A ``CextCore``'s gshare, BTB and per-thread long-latency load,
 MLP-distance and binary-MLP predictors are the engine's native types
 (``_cext_engine.GShare``, ``BTB``, ``MissPatternPredictor``,
+``LastValuePredictor``, ``TwoBitMissPredictor``,
 ``MLPDistancePredictor`` and ``BinaryMLPPredictor``): the Python
-classes' methods, defaults, counters and results over tables in C
-memory.  Golden snapshots record stats, never predictor counters, so
-the differential here drives each native type next to its Python class
-call for call and compares every result, every counter and the table
-(``state()``) after each step (the native ``LLSR`` has its own in
-``test_cext_paths.py``).  The whole-run tests check that a default
-cext core builds no Python part, LLSR included, and its run makes no
-Python predictor, LLSR, MLP-training or fetch-order call; that a
-Python hierarchy, gshare, BTB or thread LLSR put on a cext core is
-refused; and that every other front end (the other load predictor
-kinds, a subclass, a policy with its own fetch order) still runs
-through its Python methods with the object engine's results.  The
-profile behind Figures 4 and 6-8 is checked across engines and seeds.
+classes' constructors, methods, defaults, counters and results over
+int64 tables in C memory, for every kind and size.  Golden snapshots
+record stats, never predictor counters, so the differential here
+drives each native type next to its Python class call for call and
+compares every result, every counter and the table (``state()``) after
+each step (the native ``LLSR`` has its own in ``test_cext_paths.py``).
+The whole-run tests check that a cext core builds no Python part, LLSR
+included, for every load predictor kind and for sizes past the old
+16-bit tables, and that its run makes no Python predictor, LLSR,
+MLP-training or fetch-order call; that a Python hierarchy, gshare, BTB,
+thread LLSR or predictor (or a subclass) put on a cext core is
+refused; and that a policy with its own fetch order still runs through
+its Python method with the object engine's results.  The profile
+behind Figures 4 and 6-8 is checked across engines and seeds.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.pipeline.thread_state import ThreadState
 from repro.policies import make_policy
 from repro.policies.base import FetchPolicy
 from repro.predictors import (
+    LLL_PREDICTORS,
     LLSR,
     BinaryMLPPredictor,
     LastValuePredictor,
@@ -77,22 +80,46 @@ def _engine():
 # each native type against its Python class
 # ---------------------------------------------------------------------- #
 
-def _miss_pattern_state(p: MissPatternPredictor) -> dict:
-    return {i: (e.period, e.since) for i, e in p._table.items()
-            if (e.period, e.since) != (-1, 0)}
+def _load_state(p) -> dict:
+    """A Python load predictor's table without the entries that act as
+    untrained ones (the native ``state()`` leaves those out): a miss
+    pattern entry at (-1, 0), a False last value, a zero counter."""
+    if isinstance(p, MissPatternPredictor):
+        return {i: (e.period, e.since) for i, e in p._table.items()
+                if (e.period, e.since) != (-1, 0)}
+    return {i: v for i, v in p._table.items() if v}
 
 
-@settings(max_examples=200, deadline=None)
-@given(entries=st.integers(1, 16), bits=st.integers(1, 7),
+#: Counter widths: the small ones saturate within a test, the rest (up
+#: to past int64) hold every count.
+_COUNTER_BITS = st.one_of(st.integers(0, 7), st.integers(8, 80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(LLL_PREDICTORS)),
+       entries=st.integers(1, 16), bits=_COUNTER_BITS,
        ops=st.lists(st.tuples(st.booleans(), _PCS, st.booleans()),
                     max_size=80))
 # A saturated period (the run of hits outgrew the counter) predicts no
 # miss, even when the hits since match it again.
-@example(entries=1, bits=1, ops=[(False, 3, False), (False, 3, True),
-                                 (False, 3, False), (True, 3, False)])
-def test_miss_pattern_matches_python(entries, bits, ops):
-    ref = MissPatternPredictor(entries, bits)
-    nat = _engine().MissPatternPredictor(entries, counter_bits=bits)
+@example(kind="miss_pattern", entries=1, bits=1,
+         ops=[(False, 3, False), (False, 3, True), (False, 3, False),
+              (True, 3, False)])
+# Three misses in a row: the two-bit counter saturates at 3, so one hit
+# still leaves it predicting a miss.
+@example(kind="two_bit", entries=1, bits=2,
+         ops=[(False, 3, True)] * 3 + [(False, 3, False), (True, 3, False)])
+# A period of 2**16 hits between misses, past a 16-bit table.
+@example(kind="miss_pattern", entries=1, bits=64,
+         ops=[(False, 3, True)] + [(False, 3, False)] * 2**16
+         + [(False, 3, True)] + [(False, 3, False)] * 2**16
+         + [(True, 3, False)])
+def test_miss_pattern_matches_python(kind, entries, bits, ops):
+    """The miss pattern and the two alternatives of Section 4.1, with
+    the load-predictor kind drawn as an input."""
+    cls = LLL_PREDICTORS[kind]
+    ref = cls(entries, bits)
+    nat = getattr(_engine(), cls.__name__)(entries, counter_bits=bits)
     for is_predict, pc, outcome in ops:
         if is_predict:
             assert nat.predict(pc) is ref.predict(pc)
@@ -100,15 +127,29 @@ def test_miss_pattern_matches_python(entries, bits, ops):
             assert nat.train(pc, outcome) is ref.train(pc, outcome)
         assert (nat.lookups, nat.predicted_ll) == (ref.lookups,
                                                    ref.predicted_ll)
-        assert nat.state() == _miss_pattern_state(ref)
+        assert nat.state() == _load_state(ref)
 
 
-@settings(max_examples=200, deadline=None)
-@given(entries=st.integers(1, 16), max_distance=st.integers(1, 40),
+#: MLP distances: small ones, ones around the old 16-bit table's bounds,
+#: and any int64.
+_DISTANCES = st.one_of(
+    st.integers(-5, 60), st.integers(32_760, 32_775),
+    st.integers(-32_775, -32_760), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.integers(1, 16),
+       max_distance=st.one_of(st.integers(1, 40),
+                              st.integers(32_760, 32_775),
+                              st.integers(1, 2**63 - 1)),
        ops=st.lists(st.tuples(st.sampled_from(("predict", "default",
                                                "train")),
-                              _PCS, st.integers(-5, 60)),
+                              _PCS, _DISTANCES),
                     max_size=80))
+@example(entries=1, max_distance=2**63 - 1,
+         ops=[("train", 3, -2**63), ("predict", 3, 0),
+              ("train", 3, 2**63 - 1), ("default", 3, 0),
+              ("train", 4, 40_000)])
 def test_mlp_distance_matches_python(entries, max_distance, ops):
     ref = MLPDistancePredictor(entries, max_distance)
     nat = _engine().MLPDistancePredictor(entries, max_distance=max_distance)
@@ -197,7 +238,16 @@ def test_defaults_and_keywords_match_python():
     for p in (mp, nmp):
         p.train(pc=2048 + 7, long_latency=True)
     assert nmp.predict(pc=7) is mp.predict(7) is True
-    assert nmp.state() == _miss_pattern_state(mp) == {7: (0, 0)}
+    assert nmp.state() == _load_state(mp) == {7: (0, 0)}
+    for cls in (LastValuePredictor, TwoBitMissPredictor):
+        # both classes ignore counter_bits
+        ref, nat = (c(counter_bits="unused")
+                    for c in (cls, getattr(engine, cls.__name__)))
+        for p in (ref, nat):
+            p.train(pc=2048 + 7, long_latency=True)
+            p.train(2048 + 7, True)
+        assert nat.predict(pc=7) is ref.predict(7) is True
+        assert nat.state() == _load_state(ref)
     md, nmd = MLPDistancePredictor(), engine.MLPDistancePredictor()
     assert nmd.predict(3) == md.predict(3) == 0
     assert nmd.predict(3, default=None) is md.predict(3, None) is None
@@ -229,6 +279,8 @@ def test_counters_read_and_assign():
     nat.false_neg = 1
     assert (nat.updates, nat.binary_accuracy) == (4, 0.75)
     for obj, name in ((engine.MissPatternPredictor(), "lookups"),
+                      (engine.LastValuePredictor(), "predicted_ll"),
+                      (engine.TwoBitMissPredictor(), "lookups"),
                       (engine.GShare(), "mispredictions"),
                       (engine.BTB(), "hits"),
                       (engine.BinaryMLPPredictor(), "lookups")):
@@ -252,9 +304,13 @@ def test_counters_read_and_assign():
     ("GShare", (16, 0), ValueError),
     ("BTB", (10, 4), ValueError),
     ("BTB", (256, 0), ZeroDivisionError),
+    ("LastValuePredictor", (0,), ValueError),
+    ("TwoBitMissPredictor", (-1, 2), ValueError),
 ])
 def test_constructor_errors_match_python(cls, args, exc):
     python = {"MissPatternPredictor": MissPatternPredictor,
+              "LastValuePredictor": LastValuePredictor,
+              "TwoBitMissPredictor": TwoBitMissPredictor,
               "MLPDistancePredictor": MLPDistancePredictor,
               "BinaryMLPPredictor": BinaryMLPPredictor,
               "GShare": GShare, "BTB": BTB}[cls]
@@ -266,9 +322,9 @@ def test_constructor_errors_match_python(cls, args, exc):
 
 
 @pytest.mark.parametrize("cls, args, exc", [
-    ("MissPatternPredictor", (8, 16), ValueError),       # past int16
+    ("MissPatternPredictor", (8, 2**63), OverflowError),  # past int64
     ("MissPatternPredictor", (2**64,), OverflowError),
-    ("MLPDistancePredictor", (8, 32768), ValueError),
+    ("MLPDistancePredictor", (8, 2**63), OverflowError),
     ("GShare", (2**70,), OverflowError),
     ("BTB", (0, 4), ValueError),                         # no set
 ])
@@ -280,6 +336,7 @@ def test_sizes_the_native_tables_cannot_hold(cls, args, exc):
 def test_values_outside_int64_raise():
     engine = _engine()
     for call in (lambda: engine.MissPatternPredictor().predict(2**63),
+                 lambda: engine.TwoBitMissPredictor().train(-2**63 - 1, 1),
                  lambda: engine.GShare().update(-2**64, True),
                  lambda: engine.BTB().insert(2**70),
                  lambda: engine.MLPDistancePredictor().train(1, 2**63)):
@@ -303,31 +360,11 @@ def test_cext_core_installs_the_native_types():
     assert type(core.btb) is engine.BTB
     for ts in core.threads:
         assert type(ts.lll_pred) is engine.MissPatternPredictor
-        assert ts.lll_predict == ts.lll_pred.predict
         assert type(ts.mlp_pred) is engine.MLPDistancePredictor
         assert type(ts.binary_mlp) is engine.BinaryMLPPredictor
         assert type(ts.llsr) is engine.LLSR
-        assert ts.llsr_commit == ts.llsr.commit
         assert (ts.llsr.length, ts.llsr.exclude_dependent) \
             == (core.cfg.llsr_length, False)
-    core.detach()
-
-
-@pytest.mark.parametrize("kind, cls", [("last_value", LastValuePredictor),
-                                       ("two_bit", TwoBitMissPredictor)])
-def test_other_load_predictor_kinds_stay_python(kind, cls):
-    core = _core(scaled_config(
-        num_threads=2, predictors=PredictorConfig(lll_kind=kind)))
-    assert all(type(ts.lll_pred) is cls for ts in core.threads)
-    core.detach()
-
-
-def test_sizes_past_the_native_tables_stay_python():
-    core = _core(scaled_config(
-        num_threads=2, predictors=PredictorConfig(lll_counter_bits=16)))
-    assert all(type(ts.lll_pred) is MissPatternPredictor
-               for ts in core.threads)
-    assert type(core.gshare) is _engine().GShare
     core.detach()
 
 
@@ -339,37 +376,69 @@ def _fixture_cells() -> list:
     return [(sc, fixture[sc.name]) for sc in cells]
 
 
+#: Every load predictor kind, counters past 16 bits, and an LLSR (so
+#: MLP distances) past 32,767 entries.
+_KINDS_AND_SIZES = [
+    *(scaled_config(num_threads=2, predictors=PredictorConfig(lll_kind=k))
+      for k in sorted(LLL_PREDICTORS)),
+    scaled_config(num_threads=2,
+                  predictors=PredictorConfig(lll_counter_bits=16)),
+    scaled_config(num_threads=2, llsr_length_override=40_000),
+]
+
+
 def test_cext_core_builds_no_python_part(monkeypatch):
     """With the Python parts' constructors refusing, the 32 non-runahead
-    golden cells still match the fixture on cext: a CextCore builds
-    every part native from the config, never a Python one to drop."""
+    golden cells still match the fixture on cext, and every load
+    predictor kind and the sizes past the old 16-bit tables run as on
+    the object engine: a CextCore builds every part native from the
+    config, never a Python one."""
+    want = [_run(SMTCore, cfg, make_policy("mlp_flush"), commits=800)
+            for cfg in _KINDS_AND_SIZES]
+
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a Python {type(self).__name__} on cext")
 
     for cls in (MemoryHierarchy, GShare, BTB, MissPatternPredictor,
+                LastValuePredictor, TwoBitMissPredictor,
                 MLPDistancePredictor, BinaryMLPPredictor, LLSR):
         monkeypatch.setattr(cls, "__init__", refuse)
-    for sc, want in _fixture_cells():
-        assert snapshot_cell(sc, backend="cext") == want
+    for sc, snapshot in _fixture_cells():
+        assert snapshot_cell(sc, backend="cext") == snapshot
+    for cfg, outcome in zip(_KINDS_AND_SIZES, want, strict=True):
+        assert _run(cext.CextCore, cfg, make_policy("mlp_flush"),
+                    commits=800) == outcome
 
 
-@pytest.mark.parametrize("part", ("hierarchy", "gshare", "btb", "llsr"))
+class _MissPatternSubclass(MissPatternPredictor):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("part", ("hierarchy", "gshare", "btb", "llsr",
+                                  "lll_pred", "lll_pred-subclass",
+                                  "mlp_pred", "binary_mlp"))
 def test_cext_core_refuses_python_parts(part):
-    """The loop runs only the native hierarchy, gshare, BTB and LLSRs:
-    another object there (here a Python LLSR on the second thread)
-    fails the run, and a flush on a Python hierarchy, with a TypeError
-    that points at the object engine."""
+    """The loop runs only the native parts: another object there (a
+    thread's part on the second thread) fails the run, and a flush on
+    a Python hierarchy, with a TypeError that points at the object
+    engine."""
     cfg = scaled_config(num_threads=2)
     core = _core(cfg)
-    if part == "llsr":
-        ts = core.threads[1]
-        ts.llsr = LLSR(cfg.llsr_length, ts._train_mlp)
-        part = "threads[1].llsr"
+    python = {
+        "hierarchy": lambda: MemoryHierarchy(cfg.memory),
+        "gshare": lambda: GShare(cfg.gshare_entries, cfg.num_threads),
+        "btb": lambda: BTB(cfg.btb_entries, cfg.btb_assoc),
+        "llsr": lambda: LLSR(cfg.llsr_length, core.threads[1]._train_mlp),
+        "lll_pred": TwoBitMissPredictor,
+        "lll_pred-subclass": _MissPatternSubclass,
+        "mlp_pred": MLPDistancePredictor,
+        "binary_mlp": BinaryMLPPredictor}[part]()
+    part = part.removesuffix("-subclass")
+    if hasattr(core, part):
+        setattr(core, part, python)
     else:
-        setattr(core, part, {
-            "hierarchy": MemoryHierarchy(cfg.memory),
-            "gshare": GShare(cfg.gshare_entries, cfg.num_threads),
-            "btb": BTB(cfg.btb_entries, cfg.btb_assoc)}[part])
+        setattr(core.threads[1], part, python)
+        part = f"threads[1].{part}"
     refused = (rf"core\.{re.escape(part)} must be the cext engine's .* run "
                "other models on backend 'object'")
     with pytest.raises(TypeError, match=refused):
@@ -428,15 +497,6 @@ def test_native_run_makes_no_python_front_end_call(monkeypatch):
         assert snapshot_cell(sc, backend="cext") == want
 
 
-class _CountingMissPattern(MissPatternPredictor):
-    __slots__ = ()
-    calls = [0]
-
-    def predict(self, pc):
-        self.calls[0] += 1
-        return super().predict(pc)
-
-
 class _ReversedTidOrder(FetchPolicy):
     """ICOUNT over the fetchable unstalled threads, ties to the higher
     tid: its own fetch order, so it runs through the Python call."""
@@ -467,30 +527,11 @@ def _run(cls, cfg, policy, setup=None, names=("mcf", "gzip"),
     return out
 
 
-def _python_lll(core):
-    for ts in core.threads:
-        ts.lll_pred = _CountingMissPattern()
-        ts.lll_predict = ts.lll_pred.predict
-
-
-@pytest.mark.parametrize("case", ("last_value", "two_bit", "subclass",
-                                  "own_fetch_order"))
+@pytest.mark.parametrize("case", ("own_fetch_order",))
 def test_python_front_ends_on_cext_match_object(case):
     cfg = scaled_config(num_threads=2)
-    if case in ("last_value", "two_bit"):
-        cfg = replace(cfg, predictors=PredictorConfig(lll_kind=case))
-    setup = _python_lll if case == "subclass" else None
-
-    def policy():
-        if case == "own_fetch_order":
-            return _ReversedTidOrder()
-        return make_policy("mlp_flush")
-
-    want = _run(SMTCore, cfg, policy(), setup)
-    _CountingMissPattern.calls[0] = 0
-    assert _run(cext.CextCore, cfg, policy(), setup) == want
-    if case == "subclass":
-        assert _CountingMissPattern.calls[0] > 100
+    want = _run(SMTCore, cfg, _ReversedTidOrder())
+    assert _run(cext.CextCore, cfg, _ReversedTidOrder()) == want
 
 
 @pytest.mark.parametrize("name", ("mcf", "swim"))

@@ -7,8 +7,10 @@ import pytest
 
 from repro.config import scaled_config
 from repro.isa import Instr, Op
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import SMTCore
 from repro.policies import make_policy
+from repro.policies.base import FetchPolicy
 from tests.conftest import StubTrace, alu, branch, load, store
 
 
@@ -283,3 +285,29 @@ class TestStageOverrides:
         assert seen["commit"] | window <= seen["dispatch"]
         assert seen["commit"] | issued <= seen["execute"]
         assert seen["commit"] <= seen["complete"] <= seen["execute"]
+
+
+class _FreshHierarchy(FetchPolicy):
+    """The base policy, putting a fresh memory hierarchy on the core
+    when it attaches."""
+
+    def attach(self, core):
+        super().attach(core)
+        core.hierarchy = MemoryHierarchy(core.cfg.memory)
+
+
+class TestSwappedParts:
+    def test_a_hierarchy_swapped_at_attach_is_followed(self):
+        """The core keeps no copy of its hierarchy's methods: one that a
+        policy installs at attach serves every fetch, load and store,
+        and the run's ``ll_intervals`` are its own."""
+        from repro.experiments.runner import trace_for
+        cfg = scaled_config(num_threads=2, scale=16)
+        runs = []
+        for policy in (FetchPolicy(), _FreshHierarchy()):
+            traces = [trace_for(name, cfg, slot=i)
+                      for i, name in enumerate(("mcf", "swim"))]
+            core = SMTCore(cfg, traces, policy)
+            runs.append((asdict(core.run(1500, warmup=300)), core.cycle))
+        assert runs[1] == runs[0]
+        assert runs[0][0]["ll_intervals"]
