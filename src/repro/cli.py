@@ -17,14 +17,17 @@ Subcommands:
 * ``jobs``          — the parallel experiment engine: ``jobs run`` submits
   a workload×policy batch across ``REPRO_JOBS`` workers, ``jobs status``
   inspects the persistent result store, ``jobs cache-clear`` empties it
-* ``perf``          — simulator-throughput benchmarks: ``perf run`` times
-  the canonical scenarios, ``perf compare`` gates against the committed
-  ``BENCH_perf.json`` baseline, ``perf update`` refreshes it, and
+* ``perf``          — per-scenario engine timing: ``perf duel`` races one
+  canonical scenario on two backends (order-fair, median of N), and
   ``perf profile <scenario>`` wraps the cProfile recipe (prime run,
-  top-N frames) the profile tables in ``perf/PROFILE.md`` are built from
+  top-N frames) the profile tables in ``perf/PROFILE.md`` are built
+  from; end-to-end timings are perfbench's (``perfbench/run.py``)
 
-Every command accepts ``--commits`` to trade accuracy for runtime; the
-defaults match the benchmark harness (see ``repro.experiments.defaults``).
+Every simulating command accepts ``--commits`` to trade accuracy for
+runtime; the defaults match the benchmark harness (see
+``repro.experiments.defaults``).  Budgets (``--commits``, ``figure``'s
+budget) and worker counts (``--jobs``) are positive integers; any other
+value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -76,6 +79,18 @@ def package_version() -> str:
 
 def _split(arg: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in arg.split(",") if x.strip())
+
+
+def _positive_int(arg: str) -> int:
+    """argparse type of every budget and worker count: an int of 1 or more."""
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {arg!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_workloads(args: Sequence[str]) -> list[tuple[str, ...]]:
@@ -322,7 +337,7 @@ def cmd_mlp_cdf(args) -> int:
 def cmd_figure(args) -> int:
     from repro.experiments.figures import main as figure_main
     argv = [args.target] if args.target else []
-    if args.budget:
+    if args.budget is not None:
         argv.append(str(args.budget))
     return figure_main(argv)
 
@@ -387,114 +402,6 @@ def cmd_jobs_cache_clear(_args) -> int:
     removed = store.clear() if store is not None else 0
     where = store.root if store is not None else "disabled"
     print(f"result store: {where} — removed {removed} entries")
-    return 0
-
-
-def _perf_suite(args):
-    import json as _json
-
-    from repro import perf
-
-    if args.backend != "object" and args.backend not in registry.backends:
-        raise SystemExit(
-            f"perf: unknown backend {args.backend!r}; "
-            f"see `python -m repro list backends`")
-    repeats = (perf.DEFAULT_REPEATS if args.repeat is None
-               else args.repeat)
-    suite = perf.run_suite(repeats=repeats, quick=args.quick,
-                           backend=args.backend,
-                           progress=None if args.json else print)
-    return perf, suite, _json
-
-
-def _perf_table(suite) -> str:
-    rows = [(r.name, f"{r.threads}t", r.policy, str(r.commits),
-             f"{r.wall_s:.3f}s", f"{r.cycles_per_sec / 1e3:.1f}",
-             f"{r.kips:.1f}")
-            for r in suite.results]
-    return format_table(("scenario", "hw", "policy", "commits", "wall",
-                         "kcyc/s", "kinstr/s"), rows)
-
-
-def cmd_perf_run(args) -> int:
-    perf, suite, _json = _perf_suite(args)
-    doc = perf.suite_to_doc(suite)
-    if args.output:
-        perf.write_baseline(suite, args.output)
-    if args.json:
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(_perf_table(suite))
-        print(f"\ncalibration: {suite.calibration_s:.3f}s "
-              f"({perf.mode_name(suite.quick, suite.backend)} mode)")
-    return 0
-
-
-def cmd_perf_compare(args) -> int:
-    perf, suite, _json = _perf_suite(args)
-    try:
-        baseline = perf.load_baseline(perf.baseline_path(args.baseline))
-    except perf.BaselineError as exc:
-        raise SystemExit(f"perf compare: {exc}") from exc
-    max_regression = (perf.DEFAULT_MAX_REGRESSION
-                      if args.max_regression is None
-                      else args.max_regression)
-    try:
-        report = perf.compare(suite, baseline,
-                              max_regression=max_regression)
-    except perf.BaselineError as exc:
-        raise SystemExit(f"perf compare: {exc}") from exc
-    if args.json:
-        doc = perf.suite_to_doc(suite)
-        # Calibration-normalized throughput (simulated kilocycles per
-        # calibration-spin-second of machine work) is machine-speed-free:
-        # appending each CI run's values to the uploaded artifact makes
-        # runner-generation drift observable across runs.
-        normalized = {
-            r.name: round(r.cycles_per_sec * suite.calibration_s / 1e3, 3)
-            for r in suite.results
-        }
-        doc["compare"] = {
-            "mode": report.mode,
-            "max_regression": report.max_regression,
-            "calibration_ratio": round(report.calibration_ratio, 3),
-            "geomean_speedup": round(report.geomean_speedup, 3),
-            "ok": report.ok,
-            "missing": report.missing,
-            "normalized_kcycles_per_calib_s": normalized,
-            "scenarios": {
-                d.name: {"speedup": round(d.speedup, 3),
-                         "current_wall_s": round(d.current_wall_s, 6),
-                         "baseline_wall_s": round(d.baseline_wall_s, 6),
-                         "regressed": d.regressed,
-                         "work_drift": d.work_drift}
-                for d in report.deltas},
-        }
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        rows = [(d.name, f"{d.baseline_wall_s:.3f}s",
-                 f"{d.current_wall_s:.3f}s", f"{d.speedup:.2f}x",
-                 ("REGRESSED" if d.regressed else "ok")
-                 + (" (work drift!)" if d.work_drift else ""))
-                for d in report.deltas]
-        print(format_table(("scenario", "baseline", "current", "speedup",
-                            "status"), rows))
-        if report.missing:
-            print(f"\nnot in baseline: {', '.join(report.missing)}")
-        print(f"\ngeomean speedup vs baseline: "
-              f"{report.geomean_speedup:.2f}x "
-              f"(machine calibration ratio {report.calibration_ratio:.2f}, "
-              f"gate: >{report.max_regression:.0%} slowdown fails)")
-    if not report.ok:
-        import sys
-
-        names = ", ".join(d.name for d in report.regressions)
-        # In --json mode stdout is the machine-readable document (CI
-        # uploads it as an artifact); the failure note goes to stderr so
-        # the document stays parseable.
-        print(f"\nperf compare: FAIL — regressed: {names}",
-              file=sys.stderr if args.json else sys.stdout)
-        return 1
     return 0
 
 
@@ -571,20 +478,6 @@ def cmd_perf_duel(args) -> int:
     return 0
 
 
-def cmd_perf_update(args) -> int:
-    perf, suite, _json = _perf_suite(args)
-    path = perf.write_baseline(suite, args.baseline)
-    if args.json:
-        doc = perf.load_baseline(path)  # the merged document as written
-        doc["written_to"] = str(path)
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(_perf_table(suite))
-        print(f"\nwrote {perf.mode_name(suite.quick, suite.backend)} "
-              f"baseline: {path}")
-    return 0
-
-
 # --------------------------------------------------------------------- #
 # argument parsing
 # --------------------------------------------------------------------- #
@@ -617,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a run spec JSON file")
     p.add_argument("spec", help="path to a repro.runspec/2 JSON file "
                    "(v1 files still load)")
-    p.add_argument("-j", "--jobs", type=int, default=None,
+    p.add_argument("-j", "--jobs", type=_positive_int, default=None,
                    help="worker processes (default: REPRO_JOBS or 1)")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_run)
@@ -628,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-w", "--workload", required=True, metavar="A,B[,C,D]",
                    help="comma-separated benchmark names")
     s.add_argument("-p", "--policy", default="icount")
-    s.add_argument("-c", "--commits", type=int, default=None)
+    s.add_argument("-c", "--commits", type=_positive_int, default=None)
     s.add_argument("--warmup", type=int, default=None,
                    help="default: REPRO_WARMUP or 4000")
     s.add_argument("--seed", type=int, default=0,
@@ -645,25 +538,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("characterize", help="Table I / Figure 1")
     p.add_argument("-b", "--benchmarks", help="comma-separated names")
-    p.add_argument("-c", "--commits", type=int, default=None)
+    p.add_argument("-c", "--commits", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_characterize)
 
     p = sub.add_parser("compare", help="policy STP/ANTT comparison")
     p.add_argument("-w", "--workload", action="append", required=True,
                    metavar="A,B[,C,D]", help="repeatable workload mix")
     p.add_argument("-p", "--policies", help="comma-separated policy names")
-    p.add_argument("-c", "--commits", type=int, default=None)
+    p.add_argument("-c", "--commits", type=_positive_int, default=None)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("mlp-cdf", help="Figure 4 MLP distance CDFs")
     p.add_argument("-b", "--benchmarks", help="comma-separated names")
-    p.add_argument("-c", "--commits", type=int, default=8_000)
+    p.add_argument("-c", "--commits", type=_positive_int, default=8_000)
     p.set_defaults(fn=cmd_mlp_cdf)
 
     p = sub.add_parser("figure", help="regenerate a paper figure by id")
     p.add_argument("target", nargs="?", help="e.g. table1, fig9, fig15")
-    p.add_argument("budget", nargs="?", type=int)
+    p.add_argument("budget", nargs="?", type=_positive_int)
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("sweep", help="microarchitecture sweeps")
@@ -671,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-w", "--workload", action="append",
                    metavar="A,B", help="repeatable workload mix")
     p.add_argument("-p", "--policies", help="comma-separated policy names")
-    p.add_argument("-c", "--commits", type=int, default=None)
+    p.add_argument("-c", "--commits", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser(
@@ -681,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("-w", "--workload", action="append", required=True,
                    metavar="A,B[,C,D]", help="repeatable workload mix")
     j.add_argument("-p", "--policies", help="comma-separated policy names")
-    j.add_argument("-c", "--commits", type=int, default=None)
-    j.add_argument("-j", "--jobs", type=int, default=None,
+    j.add_argument("-c", "--commits", type=_positive_int, default=None)
+    j.add_argument("-j", "--jobs", type=_positive_int, default=None,
                    help="worker processes (default: REPRO_JOBS or 1)")
     j.add_argument("-v", "--verbose", action="store_true")
     j.set_defaults(fn=cmd_jobs_run)
@@ -691,39 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     j = jsub.add_parser("cache-clear", help="empty the result store")
     j.set_defaults(fn=cmd_jobs_cache_clear)
 
-    p = sub.add_parser("perf", help="simulator-throughput benchmarks")
+    p = sub.add_parser("perf", help="backend duel and cProfile of a scenario")
     psub = p.add_subparsers(dest="perf_command", required=True)
 
-    def _perf_common(q):
-        q.add_argument("--quick", action="store_true",
-                       help="reduced budgets (CI smoke mode)")
-        q.add_argument("--json", action="store_true",
-                       help="emit the schema-stamped JSON document")
-        q.add_argument("-r", "--repeat", type=int, default=None,
-                       help="timed samples per scenario, interleaved "
-                            "across scenarios; the median is reported "
-                            "(default 5)")
-        q.add_argument("--backend", default="object",
-                       help="engine core to time (see `repro list "
-                            "backends`; default: object)")
-
-    q = psub.add_parser("run", help="time the canonical scenarios")
-    _perf_common(q)
-    q.add_argument("-o", "--output", help="also write the results here")
-    q.set_defaults(fn=cmd_perf_run)
-    q = psub.add_parser("compare",
-                        help="gate a fresh run against the baseline")
-    _perf_common(q)
-    q.add_argument("--baseline", help="baseline file "
-                   "(default: BENCH_perf.json at the repo root)")
-    q.add_argument("--max-regression", type=float, default=None,
-                   help="fail above this normalized slowdown "
-                   "(default 0.25 = 25%%)")
-    q.set_defaults(fn=cmd_perf_compare)
-    q = psub.add_parser("update", help="refresh the committed baseline")
-    _perf_common(q)
-    q.add_argument("--baseline", help="write here instead of the repo root")
-    q.set_defaults(fn=cmd_perf_update)
     q = psub.add_parser(
         "duel",
         help="order-fair A/B wall-clock duel of one scenario on two "

@@ -61,7 +61,7 @@ def memory_latency_sweep(workloads, policies,
     Returns ``{latency: {policy: (stp_rel_icount, antt_rel_icount)}}``.
     """
     base = cfg or default_config(num_threads=len(tuple(workloads[0])))
-    commits = max_commits or default_commits()
+    commits = default_commits() if max_commits is None else max_commits
     return _sweep(latencies, lambda lat: with_memory_latency(base, lat),
                   workloads, tuple(policies), commits, progress, workers)
 
@@ -78,6 +78,6 @@ def window_size_sweep(workloads, policies,
     :func:`memory_latency_sweep`.
     """
     base = cfg or default_config(num_threads=len(tuple(workloads[0])))
-    commits = max_commits or default_commits()
+    commits = default_commits() if max_commits is None else max_commits
     return _sweep(rob_sizes, lambda rob: with_window_size(base, rob),
                   workloads, tuple(policies), commits, progress, workers)

@@ -91,6 +91,12 @@ def content_key(kind: str, names, config: SMTConfig, max_commits: int,
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+def _check_budget(max_commits: int) -> None:
+    """Refuse a budget no run can meet (the bound ``RunSpec`` enforces)."""
+    if max_commits < 1:
+        raise ValueError(f"max_commits must be >= 1, got {max_commits}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One simulation request with a stable content identity.
@@ -120,6 +126,7 @@ class JobSpec:
                  seed: int = 0, backend: str | None = None,
                  **policy_kwargs) -> JobSpec:
         """A multiprogram run evaluated with STP/ANTT."""
+        _check_budget(max_commits)
         names = tuple(names)
         if len(names) != config.num_threads:
             raise ValueError(
@@ -137,6 +144,7 @@ class JobSpec:
                  warmup: int | None = None, seed: int = 0,
                  backend: str | None = None) -> JobSpec:
         """The single-threaded ICOUNT run that supplies CPI_ST for ``name``."""
+        _check_budget(max_commits)
         return cls(kind=KIND_BASELINE, names=(name,),
                    config=single_thread_variant(config),
                    max_commits=max_commits,

@@ -10,8 +10,8 @@ regenerable with one command::
 
 Interpretation note (also in ``perf/PROFILE.md``): cProfile inflates
 call-heavy frames ~3-4x relative to wall time, so use these tables for
-*shape* — which frames dominate, how call counts move — and ``repro perf
-compare`` for magnitudes.
+*shape* — which frames dominate, how call counts move — and perfbench
+(``perfbench/run.py``) for magnitudes.
 """
 
 from __future__ import annotations
@@ -89,6 +89,6 @@ def format_report(report: ProfileReport) -> str:
         f"{sc.budget(report.quick)} commits, {mode})\n"
         f"total: {report.total_time:.3f}s profiled, "
         f"{report.total_calls} function calls "
-        f"(cProfile inflates call-heavy frames ~3-4x; gate claimed wins "
-        f"with `repro perf compare`)\n")
+        f"(cProfile inflates call-heavy frames ~3-4x; measure claimed "
+        f"wins with perfbench)\n")
     return header + report.text

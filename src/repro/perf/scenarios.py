@@ -5,8 +5,8 @@ fetch policy, instruction budget, warmup, machine config — so that wall
 time is the only free variable.  The same scenario set backs three
 consumers:
 
-* the :mod:`repro.perf.harness` timing runs (``repro perf run``),
-* the committed ``BENCH_perf.json`` throughput baseline, and
+* the order-fair backend duel (``repro perf duel``),
+* the cProfile recipe (``repro perf profile``), and
 * the golden-stats equivalence matrix (``tests/test_golden_stats.py``),
   which pins the *architectural* outcome of each scenario so hot-loop
   optimizations can prove they are cycle-exact.

@@ -6,9 +6,8 @@ gets the fastest registered engine, falling back to ``object``), the
 ``repro.runspec/2`` schema — backend validation, serialization that
 writes only a pinned backend, v1 document compatibility — the
 content-hash stability guarantee (hashes are byte-identical to the
-pre-backend scheme, pinned by literal, whatever the backend), the
-baseline mode naming for per-backend perf sections, and end-to-end
-execution equivalence of the engines through the public
+pre-backend scheme, pinned by literal, whatever the backend), and
+end-to-end execution equivalence of the engines through the public
 :class:`repro.api.Session` entry points.
 """
 
@@ -29,7 +28,6 @@ from repro.experiments.runner import (
     trace_for,
 )
 from repro.jobs import JobSpec
-from repro.perf.baselines import BaselineError, mode_name, validate_doc
 from repro.pipeline import SMTCore
 from repro.pipeline import cext as cext_mod
 from repro.pipeline.cext import CextCore, cext_status, load_cext_core
@@ -264,28 +262,6 @@ class TestHashStability:
     def test_content_hash_matches_jobspec_cache_key(self, backend):
         spec = _spec(backend=backend)
         assert spec.content_hash() == JobSpec.from_runspec(spec).cache_key()
-
-
-class TestBaselineModes:
-    def test_mode_names(self):
-        assert mode_name(False) == "full"
-        assert mode_name(True) == "quick"
-        assert mode_name(False, "cext") == "full-cext"
-        assert mode_name(True, "cext") == "quick-cext"
-
-    def test_validate_accepts_suffixed_modes(self):
-        entry = {"wall_s": 1.0, "cycles": 10, "instructions": 5}
-        doc = {"schema": "repro.perf/1",
-               "modes": {"full-cext": {"calibration_s": 0.1,
-                                       "scenarios": {"s": dict(entry)}}}}
-        validate_doc(doc)  # must not raise
-
-    def test_validate_rejects_unknown_mode_base(self):
-        doc = {"schema": "repro.perf/1",
-               "modes": {"warm-cext": {"calibration_s": 0.1,
-                                       "scenarios": {}}}}
-        with pytest.raises(BaselineError, match="unknown mode"):
-            validate_doc(doc)
 
 
 class TestGoldenCli:

@@ -27,6 +27,43 @@ class TestParser:
                   "-c", "1000"])
 
 
+class TestBudgetsAndWorkers:
+    """Budgets and worker counts below 1 are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["jobs", "run", "-w", "mcf,swim", "-c", "0"],
+        ["jobs", "run", "-w", "mcf,swim", "-j", "-1"],
+        ["sweep", "memlat", "-w", "mcf,swim", "-c", "0"],
+        ["figure", "fig9", "0"],
+        ["compare", "-w", "mcf,swim", "-c", "0"],
+        ["characterize", "-b", "mcf", "-c", "-3"],
+        ["mlp-cdf", "-b", "mcf", "--commits", "0"],
+        ["spec", "make", "-w", "mcf,swim", "-c", "0"],
+        ["run", "spec.json", "--jobs", "0"],
+    ])
+    def test_rejected_with_a_usage_message(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be at least 1, got" in err
+
+    def test_a_non_integer_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["jobs", "run", "-w", "mcf,swim", "-c", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
+    def test_figure_passes_an_explicit_budget(self, monkeypatch):
+        import repro.experiments.figures as figures
+        seen = []
+        monkeypatch.setattr(figures, "main",
+                            lambda argv: seen.append(argv) or 0)
+        assert main(["figure", "fig9", "1200"]) == 0
+        assert seen == [["fig9", "1200"]]
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -113,3 +113,18 @@ class TestCharacterizationBudget:
 
     def test_budget_is_capped(self):
         assert characterization_budget("gcc", 10_000) <= 150_000
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize("sweep", ["memory_latency_sweep",
+                                       "window_size_sweep"])
+    def test_zero_budget_is_refused_not_defaulted(self, sweep, monkeypatch):
+        import repro.experiments.sweeps as sweeps
+
+        def no_default():
+            raise AssertionError("the default budget replaced an explicit 0")
+
+        monkeypatch.setattr(sweeps, "default_commits", no_default)
+        with pytest.raises(ValueError, match="max_commits must be >= 1"):
+            getattr(sweeps, sweep)([("mcf", "swim")], ("icount",),
+                                   max_commits=0)

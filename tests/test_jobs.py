@@ -95,6 +95,15 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec.workload(("mcf",), CFG, "icount", COMMITS)
 
+    @pytest.mark.parametrize("max_commits", [0, -5])
+    def test_budgets_below_one_rejected(self, max_commits):
+        # RunSpec refuses them too; a zero-commit job used to simulate
+        # and then fail computing CPI from an empty commit log.
+        with pytest.raises(ValueError, match="max_commits must be >= 1"):
+            JobSpec.workload(("mcf", "twolf"), CFG, "icount", max_commits)
+        with pytest.raises(ValueError, match="max_commits must be >= 1"):
+            JobSpec.baseline("mcf", CFG, max_commits)
+
     def test_baseline_specs_follow_workload_order(self):
         spec = JobSpec.workload(("swim", "mcf"), CFG, "flush", COMMITS,
                                 warmup=WARMUP)
