@@ -93,16 +93,21 @@ def _positive_int(arg: str) -> int:
     return value
 
 
+def _check_benchmarks(names: Sequence[str]) -> None:
+    """Exit with one line (no traceback) at the first unknown name."""
+    for name in names:
+        if name not in registry.benchmarks:
+            raise SystemExit(f"unknown benchmark {name!r}; "
+                             f"see `python -m repro list`")
+
+
 def _parse_workloads(args: Sequence[str]) -> list[tuple[str, ...]]:
     workloads = [_split(a) for a in args]
     sizes = {len(w) for w in workloads}
     if len(sizes) != 1:
         raise SystemExit("all workloads must have the same thread count")
     for w in workloads:
-        for name in w:
-            if name not in registry.benchmarks:
-                raise SystemExit(f"unknown benchmark {name!r}; "
-                                 f"see `python -m repro list`")
+        _check_benchmarks(w)
     return workloads
 
 
@@ -287,6 +292,7 @@ def cmd_spec_show(args) -> int:
 
 def cmd_characterize(args) -> int:
     names = list(_split(args.benchmarks)) if args.benchmarks else None
+    _check_benchmarks(names or ())
     rows = characterize(names=names, max_commits=args.commits)
     table_rows = [
         (r.name, r.lll_per_kilo, r.mlp, f"{r.mlp_impact:.1%}", r.category,
@@ -325,6 +331,7 @@ def cmd_compare(args) -> int:
 def cmd_mlp_cdf(args) -> int:
     names = (_split(args.benchmarks) if args.benchmarks
              else ("mcf", "fma3d", "equake", "lucas"))
+    _check_benchmarks(names)
     samples = {}
     for name in names:
         profile = profile_benchmark(name, max_commits=args.commits)

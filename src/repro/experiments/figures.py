@@ -6,8 +6,10 @@ going through pytest.  Run with no arguments for the list of targets.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
+from repro.cli import _positive_int
 from repro.experiments import (
     compare_policies,
     default_commits,
@@ -106,15 +108,24 @@ def _engine_footer(before: dict[str, int]) -> str | None:
             f"store={where}")
 
 
+_USAGE = "usage: python -m repro.experiments.figures <target> [budget]"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in TARGETS:
-        print("usage: python -m repro.experiments.figures <target> [budget]")
+        print(_USAGE)
         for name, (_, desc) in TARGETS.items():
             print(f"  {name:<8} {desc}")
         return 1
     from repro.jobs import counters
-    budget = int(argv[1]) if len(argv) > 1 else default_commits()
+    try:
+        # the rule `repro figure` applies to its budget argument
+        budget = (_positive_int(argv[1]) if len(argv) > 1
+                  else default_commits())
+    except argparse.ArgumentTypeError as exc:
+        print(f"{_USAGE}\nbudget: {exc}", file=sys.stderr)
+        return 2
     fn, desc = TARGETS[argv[0]]
     print(f"== {desc} (budget {budget} instructions/thread) ==")
     before = counters()

@@ -59,6 +59,8 @@
 #define F_RETIRED (1 << 13)
 #define F_IN_DETECTS (1 << 14)
 #define F_FREED (1 << 15)
+#define F_TAKEN (1 << 16)
+#define F_FP_QUEUE (1 << 17)
 
 #define F_MEM (F_IS_LOAD | F_IS_STORE)
 #define F_DEAD_OR_DONE (F_SQUASHED | F_ISSUED | F_COMPLETED)
@@ -1694,135 +1696,236 @@ static inline uint64_t mix64_3(uint64_t a, uint64_t b, uint64_t c)
     return h;
 }
 
-/* Read `n` long long parameters of a slot tuple starting at `first`. */
-static int dyn_params(PyObject *t, Py_ssize_t first, int n, long long *out)
-{
-    if (PyTuple_GET_SIZE(t) < first + n)
-        return 0;
-    for (int i = 0; i < n; i++)
-        if (!obj_fits(PyTuple_GET_ITEM(t, first + i), &out[i]))
-            return 0;
-    return 1;
-}
+/* A trace body position's row, read once per core (see Body): the
+ * fields a fetch copies into the arena's columns (see there; the
+ * flags template holds the Instr's class bits, F_TAKEN and
+ * F_FP_QUEUE), the position's kind and, for an iteration-varying
+ * position of an exact SyntheticTrace, its _dyn entry's terms.  Up to
+ * seven source registers (each below 64, the rename map's size) are
+ * packed as count | reg_i << 8 (i + 1); -1 (more) leaves them to the
+ * Instr. */
+enum { B_PC, B_FLAGS, B_OP, B_LAT, B_DEST, B_SRCS, B_ADDR, B_KIND, B_T,
+       N_B = B_T + 7 };
+/* B_KIND: BK_STATIC, every fetch of the position is its static Instr;
+ * a SlotKind (> 0), the terms give each fetch's address and direction;
+ * BK_GET, every fetch calls get. */
+enum { BK_GET = -1, BK_STATIC = 0 };
 
-/* A clone of prototype `proto` with `addr` and `taken` replaced (the
- * trace module's _from_proto).  Returns a new reference or NULL. */
-static PyObject *clone_instr(PyObject *proto, PyObject *addr,
-                             PyObject *taken)
-{
-    PyTypeObject *tp = g.instr_type;
-    PyObject *ins = tp->tp_alloc(tp, 0);
-    if (ins == NULL)
-        return NULL;
-    for (int i = 0; i < g.n_instr_offs; i++) {
-        Py_ssize_t off = g.instr_offs[i];
-        PyObject *v = off == OFF.in_addr ? addr
-            : off == OFF.in_taken ? taken : SLOT(proto, off);
-        Py_XINCREF(v);
-        *(PyObject **)((char *)ins + off) = v;
-    }
-    return ins;
-}
+/* Per SlotKind, its _dyn entry's terms (see SyntheticTrace._dyn_params):
+ * their count, and bit i of `keys`: term i is a hash key (the seed or
+ * local pc), of `pos`: it must be positive (a modulus or a period). */
+static const struct { int n, keys, pos; } DYN_TERMS[SK_COND_BRANCH + 1] = {
+    [SK_STREAM_LOAD] = {3, 0, 4}, [SK_STREAM_STORE] = {3, 0, 4},
+    [SK_HOT_LOAD] = {4, 0, 4}, [SK_STORE] = {4, 0, 4},
+    [SK_CHASE_LOAD] = {5, 0, 2 | 8}, [SK_RANDOM_LOAD] = {5, 2 | 4, 8},
+    [SK_BURST_LOAD] = {7, 2 | 4, 8 | 32}, [SK_COND_BRANCH] = {3, 2 | 4, 0},
+};
 
-/* mix64(spec[3], spec[4], iteration): the (seed, local_pc) hash that
- * random, burst and branch slots share; 0 when a key is not an int. */
-static int slot_hash(PyObject *spec, long long iteration, uint64_t *out)
+/* Parse the _dyn entry `spec` into row r's terms: spec[2:] as int64,
+ * the hash keys as their low 64 bits and a branch's probability as a
+ * double's bits.  Returns the slot kind, or BK_GET where a term does
+ * not fit (get then builds every fetch of the position). */
+static int64_t dyn_row(PyObject *spec, int64_t *r)
 {
-    PyObject *seed = PyTuple_GET_ITEM(spec, 3);
-    PyObject *pc = PyTuple_GET_ITEM(spec, 4);
-    if (!PyLong_Check(seed) || !PyLong_Check(pc))
-        return 0;
-    *out = mix64_3(PyLong_AsUnsignedLongLongMask(seed),
-                   PyLong_AsUnsignedLongLongMask(pc), (uint64_t)iteration);
-    return 1;
-}
-
-/* SyntheticTrace.get(index) for an iteration-varying slot, from the
- * slot's entry in the trace's ``_dyn`` (see SyntheticTrace._dyn_params
- * for the layouts).  Every intermediate value is checked to fit 64
- * bits.  Returns 1 with *out a new reference, 0 when the slot cannot be
- * computed here (call get), or -1 on error. */
-static int trace_dyn(PyObject *spec, long long iteration, PyObject **out)
-{
-    long long kind, p[5], addr, off;
-    uint64_t h;
-    if (!PyTuple_CheckExact(spec) || PyTuple_GET_SIZE(spec) < 5
-        || iteration < 0 || !obj_fits(PyTuple_GET_ITEM(spec, 0), &kind)
+    long long kind, x;
+    if (!PyTuple_CheckExact(spec) || PyTuple_GET_SIZE(spec) < 2
+        || !obj_fits(PyTuple_GET_ITEM(spec, 0), &kind) || kind < 1
+        || kind > SK_COND_BRANCH || DYN_TERMS[kind].n == 0
+        || PyTuple_GET_SIZE(spec) != 2 + DYN_TERMS[kind].n
         || Py_TYPE(PyTuple_GET_ITEM(spec, 1)) != g.instr_type)
+        return BK_GET;
+    for (int i = 0; i < DYN_TERMS[kind].n; i++) {
+        PyObject *v = PyTuple_GET_ITEM(spec, 2 + i);
+        if (kind == SK_COND_BRANCH && i == 0) {
+            if (!PyFloat_CheckExact(v))
+                return BK_GET;
+            double prob = PyFloat_AS_DOUBLE(v);
+            memcpy(&r[B_T], &prob, sizeof(prob));
+        } else if ((DYN_TERMS[kind].keys >> i) & 1) {
+            if (!PyLong_Check(v))
+                return BK_GET;
+            r[B_T + i] = (int64_t)PyLong_AsUnsignedLongLongMask(v);
+        } else if (!obj_fits(v, &x)
+                   || (((DYN_TERMS[kind].pos >> i) & 1) && x <= 0)) {
+            return BK_GET;
+        } else {
+            r[B_T + i] = x;
+        }
+    }
+    return kind;
+}
+
+/* A fetch of iteration `it` of row r's position: its flags and address
+ * (0 for an instruction that is neither a load nor a store), computed
+ * as SyntheticTrace.get computes them for a varying position.  Returns
+ * 0 where the fetch must call get instead: a BK_GET row, a negative
+ * iteration (a flush rewound the index below 0) or an intermediate
+ * value outside 64 bits. */
+static inline int row_eval(const int64_t *r, long long it, int64_t *addr,
+                           int64_t *flags)
+{
+    const int64_t *p = &r[B_T];
+    long long off;
+    if (r[B_KIND] == BK_GET || (r[B_KIND] != BK_STATIC && it < 0))
         return 0;
-    PyObject *proto = PyTuple_GET_ITEM(spec, 1);
-    PyObject *taken = Py_False;
-    PyObject *addr_obj = NULL;      /* owned */
-    switch (kind) {
+    *flags = r[B_FLAGS];
+    *addr = r[B_ADDR];
+    switch (r[B_KIND]) {
+    case BK_STATIC:
+        return 1;
     case SK_STREAM_LOAD:
     case SK_STREAM_STORE:
         /* base + (iteration * stride) % footprint */
-        if (!dyn_params(spec, 2, 3, p) || p[2] <= 0
-            || __builtin_mul_overflow(iteration, p[1], &off)
-            || __builtin_add_overflow(p[0], py_mod(off, p[2]), &addr))
-            return 0;
-        break;
+        return !__builtin_mul_overflow(it, p[1], &off)
+            && !__builtin_add_overflow(p[0], py_mod(off, p[2]), addr);
     case SK_HOT_LOAD:
     case SK_STORE:
         /* base + ((local_pc * 811 + iteration) % lines) * line */
-        if (!dyn_params(spec, 2, 4, p) || p[2] <= 0
-            || __builtin_add_overflow(p[1], iteration, &off)
-            || __builtin_mul_overflow(py_mod(off, p[2]), p[3], &off)
-            || __builtin_add_overflow(p[0], off, &addr))
-            return 0;
-        break;
+        return !__builtin_add_overflow(p[1], it, &off)
+            && !__builtin_mul_overflow(py_mod(off, p[2]), p[3], &off)
+            && !__builtin_add_overflow(p[0], off, addr);
     case SK_CHASE_LOAD:
         /* base + (((iteration // every) * 2654435761 + index) % lines)
          *        * line */
-        if (!dyn_params(spec, 2, 5, p) || p[1] <= 0 || p[3] <= 0
-            || __builtin_mul_overflow(iteration / p[1], CHASE_WALK_MULT,
-                                      &off)
-            || __builtin_add_overflow(off, p[2], &off)
-            || __builtin_mul_overflow(py_mod(off, p[3]), p[4], &off)
-            || __builtin_add_overflow(p[0], off, &addr))
-            return 0;
-        break;
+        return !__builtin_mul_overflow(it / p[1], CHASE_WALK_MULT, &off)
+            && !__builtin_add_overflow(off, p[2], &off)
+            && !__builtin_mul_overflow(py_mod(off, p[3]), p[4], &off)
+            && !__builtin_add_overflow(p[0], off, addr);
     case SK_BURST_LOAD:
         /* the random-line address on every `every`-th iteration, the
-         * fixed hot address spec[8] on the others */
-        if (PyTuple_GET_SIZE(spec) != 9
-            || !obj_fits(PyTuple_GET_ITEM(spec, 7), &p[4]) || p[4] <= 0)
-            return 0;
-        if (iteration % p[4] != 0) {
-            addr_obj = PyTuple_GET_ITEM(spec, 8);
-            Py_INCREF(addr_obj);
-            break;
+         * fixed hot address on the others */
+        if (it % p[5] != 0) {
+            *addr = p[6];
+            return 1;
         }
         /* fall through */
-    case SK_RANDOM_LOAD:
+    case SK_RANDOM_LOAD: {
         /* base + (mix64(seed, local_pc, iteration) % lines) * line */
-        if (!obj_fits(PyTuple_GET_ITEM(spec, 2), &p[0])
-            || !dyn_params(spec, 5, 2, &p[2]) || p[2] <= 0
-            || !slot_hash(spec, iteration, &h)
-            || __builtin_mul_overflow((long long)(h % (uint64_t)p[2]),
-                                      p[3], &off)
-            || __builtin_add_overflow(p[0], off, &addr))
-            return 0;
-        break;
+        uint64_t h = mix64_3((uint64_t)p[1], (uint64_t)p[2],
+                             (uint64_t)it);
+        return !__builtin_mul_overflow((long long)(h % (uint64_t)p[3]),
+                                       p[4], &off)
+            && !__builtin_add_overflow(p[0], off, addr);
+    }
     case SK_COND_BRANCH: {
         /* uniform_double(seed, local_pc, iteration) < taken_prob */
-        PyObject *prob = PyTuple_GET_ITEM(spec, 2);
-        if (!PyFloat_CheckExact(prob) || !slot_hash(spec, iteration, &h))
-            return 0;
-        taken = (double)h / 18446744073709551616.0 < PyFloat_AS_DOUBLE(prob)
-            ? Py_True : Py_False;
-        addr_obj = Py_None;
-        Py_INCREF(addr_obj);
-        break;
+        double prob;
+        memcpy(&prob, &p[0], sizeof(prob));
+        if ((double)mix64_3((uint64_t)p[1], (uint64_t)p[2], (uint64_t)it)
+                / 18446744073709551616.0 < prob)
+            *flags |= F_TAKEN;
+        return 1;
     }
     default:
         return 0;
     }
-    if (addr_obj == NULL && (addr_obj = PyLong_FromLongLong(addr)) == NULL)
+}
+
+/* The source registers of `instr` into regs: their count, or -1 with
+ * an error for more than MAX_SRCS or one outside the rename map. */
+static Py_ssize_t instr_srcs(PyObject *instr, int64_t *regs)
+{
+    PyObject *srcs = SLOT(instr, OFF.in_srcs);
+    Py_ssize_t n = PyTuple_GET_SIZE(srcs);
+    if (n > MAX_SRCS) {
+        PyErr_SetString(PyExc_RuntimeError, "too many source operands");
         return -1;
-    *out = clone_instr(proto, addr_obj, taken);
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long long r = PyLong_AsLongLong(PyTuple_GET_ITEM(srcs, i));
+        if (r < 0 || r >= 64) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_IndexError, "source register %lld is "
+                             "outside the rename map", r);
+            return -1;
+        }
+        regs[i] = r;
+    }
+    return n;
+}
+
+/* Row r from `instr`: with_addr, its address too, which a load or store
+ * must carry as an int that fits int64 (a prototype's is None). */
+static int instr_row(PyObject *instr, int64_t *row, int with_addr)
+{
+    int64_t flags = 0;
+    if (SLOT(instr, OFF.in_has_dest) == Py_True)
+        flags |= F_HAS_DEST;
+    if (SLOT(instr, OFF.in_dest_fp) == Py_True)
+        flags |= F_DEST_FP;
+    if (SLOT(instr, OFF.in_is_load) == Py_True)
+        flags |= F_IS_LOAD;
+    else if (SLOT(instr, OFF.in_is_store) == Py_True)
+        flags |= F_IS_STORE;
+    else if (SLOT(instr, OFF.in_is_branch) == Py_True)
+        flags |= F_IS_BRANCH;
+    /* Instr stores bools: Instr.__init__ takes bool(taken) */
+    if (SLOT(instr, OFF.in_taken) == Py_True)
+        flags |= F_TAKEN;
+    if (SLOT(instr, OFF.in_fp_queue) == Py_True)
+        flags |= F_FP_QUEUE;
+    row[B_FLAGS] = flags;
+    row[B_ADDR] = 0;
+    if (with_addr && (flags & F_MEM)
+        && int64_arg(SLOT(instr, OFF.in_addr), &row[B_ADDR]) < 0)
+        return -1;
+    row[B_PC] = PyLong_AsLongLong(SLOT(instr, OFF.in_pc));
+    row[B_OP] = PyLong_AsLongLong(SLOT(instr, OFF.in_op_i));
+    row[B_LAT] = PyLong_AsLongLong(SLOT(instr, OFF.in_latency));
+    row[B_DEST] = flags & F_HAS_DEST
+        ? PyLong_AsLongLong(SLOT(instr, OFF.in_dest)) : -1;
+    if ((flags & F_HAS_DEST) && (row[B_DEST] < 0 || row[B_DEST] >= 64)
+        && !PyErr_Occurred())
+        PyErr_Format(PyExc_IndexError, "destination register %lld is "
+                     "outside the rename map", (long long)row[B_DEST]);
+    int64_t regs[MAX_SRCS];
+    Py_ssize_t n = PyErr_Occurred() ? -1 : instr_srcs(instr, regs);
+    if (n < 0)
+        return -1;
+    row[B_SRCS] = n <= 7 ? n : -1;
+    for (Py_ssize_t i = 0; i < n && n <= 7; i++)
+        row[B_SRCS] |= regs[i] << (8 * i + 8);
+    return 0;
+}
+
+/* get(index): the instruction a trace's get returns; a new reference,
+ * or NULL with an error (TypeError for anything but an Instr). */
+static PyObject *call_get(PyObject *get, long long index)
+{
+    PyObject *fi = box_ll(index);
+    if (fi == NULL)
+        return NULL;
+    PyObject *instr = PyObject_CallOneArg(get, fi);
+    Py_DECREF(fi);
+    if (instr != NULL && !PyObject_TypeCheck(instr, g.instr_type)) {
+        PyErr_Format(PyExc_TypeError, "a trace's get returned %.100s, "
+                     "not an Instr", Py_TYPE(instr)->tp_name);
+        Py_CLEAR(instr);
+    }
+    return instr;
+}
+
+/* The Instr a varying position's fetch stands for: a clone of its
+ * prototype with the fetch's address (None unless a load or store) and
+ * direction (the trace module's _from_proto).  A new reference. */
+static PyObject *clone_instr(PyObject *proto, int64_t flags, int64_t addr)
+{
+    PyObject *addr_obj = flags & F_MEM ? PyLong_FromLongLong(addr)
+                                       : Py_NewRef(Py_None);
+    if (addr_obj == NULL)
+        return NULL;
+    PyTypeObject *tp = g.instr_type;
+    PyObject *ins = tp->tp_alloc(tp, 0);
+    for (int i = 0; ins != NULL && i < g.n_instr_offs; i++) {
+        Py_ssize_t off = g.instr_offs[i];
+        PyObject *v = off == OFF.in_addr ? addr_obj
+            : off == OFF.in_taken ? (flags & F_TAKEN ? Py_True : Py_False)
+            : SLOT(proto, off);
+        Py_XINCREF(v);
+        *(PyObject **)((char *)ins + off) = v;
+    }
     Py_DECREF(addr_obj);
-    return *out == NULL ? -1 : 1;
+    return ins;
 }
 
 
@@ -3449,77 +3552,61 @@ static PyTypeObject SlotSeq_Type = {
 
 /* The per-instruction columns.  Integer columns are int64 arrays; the
  * object columns hold owned references, NULL meaning None.  A fetch
- * copies its Instr's pc, op, latency, dest (-1 without one) and source
- * registers (see instr_row) into the last five, so no later stage
- * reads them from the Instr. */
+ * copies its instruction's pc, op, latency, dest (-1 without one),
+ * source registers (see the Body rows) and address (0 unless a load or
+ * store) into the last six and its direction and FP-queue bit into
+ * the flags, so no stage reads an Instr: SoAView.instr builds one when
+ * a policy asks (see slot_instr). */
 enum { C_THREAD, C_SEQ, C_GSEQ, C_PENDING, C_FE_READY, C_FLAGS, C_REFS,
-       C_WAITER0, C_OLD_MAP, C_PC, C_OP, C_LAT, C_DEST, C_SRCS, N_ICOLS };
-enum { O_INSTR, O_PRED_LL, O_FILL_LINE, O_LEVEL, O_VIEW, N_OCOLS };
+       C_WAITER0, C_OLD_MAP, C_PC, C_OP, C_LAT, C_DEST, C_SRCS, C_ADDR,
+       N_ICOLS };
+enum { O_PRED_LL, O_FILL_LINE, O_LEVEL, O_VIEW, N_OCOLS };
 
 static const char *const ICOL_NAMES[N_ICOLS] = {
     "thread", "seq", "gseq", "pending", "fe_ready", "flags", "refs",
-    "waiter0", "old_map", "pc", "op", "latency", "dest", "srcs"};
+    "waiter0", "old_map", "pc", "op", "latency", "dest", "srcs", "addr"};
 /* A never-used slot's value; gseq -1 matches no packed stamp (its gseq
  * is >= 1). */
 static const int64_t ICOL_INIT[N_ICOLS] = {0, 0, -1, 0, 0, F_FREED, 0, -1,
-                                           -1, 0, 0, 0, -1, 0};
+                                           -1, 0, 0, 0, -1, 0, 0};
 static const char *const OCOL_NAMES[N_OCOLS] = {
-    "instr", "predicted_ll", "fill_line", "level", "views"};
+    "predicted_ll", "fill_line", "level", "views"};
 
-/* An Instr's fields as a fetch copies them (see the columns), with its
- * flags template: the class bits a fresh DynInstr copies.  Up to seven
- * source registers (each below 64, the rename map's size) are packed
- * as count | reg_i << 8 (i + 1); -1 leaves them to the srcs tuple. */
-enum { B_PC, B_FLAGS, B_OP, B_LAT, B_DEST, B_SRCS, N_B };
-
-static int instr_row(PyObject *instr, int64_t *row)
-{
-    int64_t flags = 0;
-    if (SLOT(instr, OFF.in_has_dest) == Py_True)
-        flags |= F_HAS_DEST;
-    if (SLOT(instr, OFF.in_dest_fp) == Py_True)
-        flags |= F_DEST_FP;
-    if (SLOT(instr, OFF.in_is_load) == Py_True)
-        flags |= F_IS_LOAD;
-    else if (SLOT(instr, OFF.in_is_store) == Py_True)
-        flags |= F_IS_STORE;
-    else if (SLOT(instr, OFF.in_is_branch) == Py_True)
-        flags |= F_IS_BRANCH;
-    row[B_FLAGS] = flags;
-    row[B_PC] = PyLong_AsLongLong(SLOT(instr, OFF.in_pc));
-    row[B_OP] = PyLong_AsLongLong(SLOT(instr, OFF.in_op_i));
-    row[B_LAT] = PyLong_AsLongLong(SLOT(instr, OFF.in_latency));
-    row[B_DEST] = flags & F_HAS_DEST
-        ? PyLong_AsLongLong(SLOT(instr, OFF.in_dest)) : -1;
-    PyObject *srcs = SLOT(instr, OFF.in_srcs);
-    Py_ssize_t n = PyTuple_GET_SIZE(srcs);
-    row[B_SRCS] = n <= 7 ? n : -1;
-    for (Py_ssize_t i = 0; i < n && row[B_SRCS] >= 0; i++) {
-        long long r = PyLong_AsLongLong(PyTuple_GET_ITEM(srcs, i));
-        row[B_SRCS] = r < 0 || r >= 64 ? -1 : row[B_SRCS] | r << (8 * i + 8);
-    }
-    return PyErr_Occurred() ? -1 : 0;
-}
-
-/* A thread's trace body, read once per core: each position's static
- * Instr from trace_static (None where the trace builds it per
- * iteration), an exact SyntheticTrace's per-position parameters for
- * those (its _dyn, see trace_dyn) and each position's row: the static
- * Instr's, else its prototype's (flags -1 without either). */
+/* A thread's trace, read once per core: its get and, when it has a
+ * body (trace_static), each position's Instr and row.  The Instr is
+ * the static one every fetch of the position shares, the prototype of
+ * a varying position of an exact SyntheticTrace (its row holds the
+ * position's parsed _dyn entry), or None where every fetch calls get
+ * (a varying position of any other trace). */
 typedef struct {
     Py_ssize_t n;           /* trace_body_len; 0: every fetch calls get */
-    PyObject *instr;        /* owned: trace_static as a tuple */
-    PyObject *dyn;          /* owned: _dyn as a tuple, or NULL */
+    PyObject *instr;        /* owned: per position, a tuple of n */
+    PyObject *get;          /* owned: the thread's trace_get */
     int64_t *v;             /* n rows of N_B */
 } Body;
 
-static int body_init(Body *B, PyObject *ts)
+static void body_clear(Body *B)
 {
-    PyObject *st = SLOT(ts, OFF.ts_trace_static);
-    PyObject *trace = SLOT(ts, OFF.ts_trace);
+    Py_CLEAR(B->instr);
+    Py_CLEAR(B->get);
+    PyMem_Free(B->v);
+    B->v = NULL;
+    B->n = 0;
+}
+
+/* Body B of a thread whose ThreadState holds trace_static `st`,
+ * trace_body_len `n_obj`, `trace` and trace_get `get`. */
+static int body_init(Body *B, PyObject *st, PyObject *n_obj, PyObject *trace,
+                     PyObject *get)
+{
+    if (get == NULL || !PyCallable_Check(get)) {
+        PyErr_SetString(PyExc_TypeError, "trace_get must be callable");
+        return -1;
+    }
+    B->get = Py_NewRef(get);
     if (st == NULL || st == Py_None)
         return 0;
-    long long n = PyLong_AsLongLong(SLOT(ts, OFF.ts_trace_body_len));
+    long long n = PyLong_AsLongLong(n_obj);
     if (n == -1 && PyErr_Occurred())
         return -1;
     if (!PyList_Check(st) || n < 1 || PyList_GET_SIZE(st) != n) {
@@ -3529,10 +3616,10 @@ static int body_init(Body *B, PyObject *ts)
     }
     PyObject *dyn = trace != NULL && Py_TYPE(trace) == g.trace_type
         ? SLOT(trace, OFF.tr_dyn) : NULL;
-    if ((B->instr = PyList_AsTuple(st)) == NULL
-        || (dyn != NULL && PyList_CheckExact(dyn)
-            && PyList_GET_SIZE(dyn) == n
-            && (B->dyn = PyList_AsTuple(dyn)) == NULL))
+    if (dyn != NULL && !(PyList_CheckExact(dyn)
+                         && PyList_GET_SIZE(dyn) == n))
+        dyn = NULL;
+    if ((B->instr = PyTuple_New((Py_ssize_t)n)) == NULL)
         return -1;
     if ((B->v = PyMem_Malloc((size_t)n * N_B * sizeof(int64_t))) == NULL) {
         PyErr_NoMemory();
@@ -3540,21 +3627,26 @@ static int body_init(Body *B, PyObject *ts)
     }
     B->n = (Py_ssize_t)n;
     for (Py_ssize_t i = 0; i < B->n; i++) {
-        PyObject *instr = PyTuple_GET_ITEM(B->instr, i);
-        PyObject *spec = B->dyn == NULL ? NULL : PyTuple_GET_ITEM(B->dyn, i);
-        B->v[i * N_B + B_FLAGS] = -1;
-        if (instr == Py_None && spec != NULL && PyTuple_Check(spec)
-            && PyTuple_GET_SIZE(spec) > 1
-            && Py_TYPE(PyTuple_GET_ITEM(spec, 1)) == g.instr_type)
-            instr = PyTuple_GET_ITEM(spec, 1);  /* trace_dyn's prototype */
+        int64_t *r = &B->v[i * N_B];
+        PyObject *instr = PyList_GET_ITEM(st, i);
+        int64_t kind = BK_STATIC;
+        if (instr == Py_None) {
+            PyObject *spec = dyn == NULL ? NULL : PyList_GET_ITEM(dyn, i);
+            kind = spec == NULL ? BK_GET : dyn_row(spec, r);
+            if (kind != BK_GET)
+                instr = PyTuple_GET_ITEM(spec, 1);  /* the prototype */
+        }
+        PyTuple_SET_ITEM(B->instr, i, Py_NewRef(instr));
+        r[B_KIND] = BK_GET;
         if (instr == Py_None)
             continue;
         if (!PyObject_TypeCheck(instr, g.instr_type)) {
             PyErr_SetString(PyExc_TypeError, "a trace body holds a non-Instr");
             return -1;
         }
-        if (instr_row(instr, &B->v[i * N_B]) < 0)
+        if (instr_row(instr, r, kind == BK_STATIC) < 0)
             return -1;
+        r[B_KIND] = kind;
     }
     return 0;
 }
@@ -3577,13 +3669,14 @@ typedef struct {
         int64_t *ic[N_ICOLS];
         struct {
             int64_t *thread, *seq, *gseq, *pending, *fe_ready, *flags,
-                *refs, *waiter0, *old_map, *pc, *op, *lat, *dest, *srcs;
+                *refs, *waiter0, *old_map, *pc, *op, *lat, *dest, *srcs,
+                *addr;
         };
     };
     union {
         PyObject **oc[N_OCOLS];
         struct {
-            PyObject **instr, **pred_ll, **fill_line, **level, **views;
+            PyObject **pred_ll, **fill_line, **level, **views;
         };
     };
     IVec *waiters, *parents;    /* per slot; empty = None */
@@ -3606,6 +3699,7 @@ typedef struct {
     Arena *arena;
     Py_ssize_t slot;
     int64_t gseq;
+    PyObject *instr;    /* owned: built on the first read, or NULL */
 } View;
 
 static PyTypeObject Arena_Type, View_Type;
@@ -3704,11 +3798,36 @@ static PyObject *ensure_view(Arena *A, Py_ssize_t s)
         nv->arena = A;
         nv->slot = s;
         nv->gseq = A->gseq[s];
+        nv->instr = NULL;
         PyObject_GC_Track(nv);
         A->views[s] = v = (PyObject *)nv;
     }
     Py_INCREF(v);
     return v;
+}
+
+/* The Instr of slot s's occupant, as its trace's get returns it: the
+ * body's shared static Instr, a clone of a varying position's
+ * prototype with the slot's address and direction, or get(seq) itself
+ * for a position (or a trace) without either.  A new reference. */
+static PyObject *slot_instr(Arena *A, Py_ssize_t s)
+{
+    int64_t t = A->thread[s], seq = A->seq[s];
+    if (t < 0 || t >= A->n_threads) {
+        PyErr_SetString(PyExc_RuntimeError, "slot of no thread");
+        return NULL;
+    }
+    const Body *B = &A->body[t];
+    if (B->n) {
+        Py_ssize_t i = (Py_ssize_t)py_mod(seq, B->n);
+        PyObject *instr = PyTuple_GET_ITEM(B->instr, i);
+        int64_t kind = B->v[i * N_B + B_KIND];
+        if (kind == BK_STATIC)
+            return Py_NewRef(instr);
+        if (kind != BK_GET)
+            return clone_instr(instr, A->flags[s], A->addr[s]);
+    }
+    return call_get(B->get, seq);
 }
 
 /* 1 when slot s's view is one of ts's fetch-gating owners (a policy
@@ -3797,9 +3916,13 @@ static PyObject *Arena_new(PyTypeObject *type, PyObject *args,
         Py_INCREF(q);
         slot_store(PyTuple_GET_ITEM(threads, i / 3), *qoffs[i % 3], q);
     }
-    for (Py_ssize_t i = 0; i < n_threads; i++)
-        if (body_init(&A->body[i], PyTuple_GET_ITEM(threads, i)) < 0)
+    for (Py_ssize_t i = 0; i < n_threads; i++) {
+        PyObject *ts = PyTuple_GET_ITEM(threads, i);
+        if (body_init(&A->body[i], SLOT(ts, OFF.ts_trace_static),
+                      SLOT(ts, OFF.ts_trace_body_len), SLOT(ts, OFF.ts_trace),
+                      SLOT(ts, OFF.ts_trace_get)) < 0)
             goto fail;
+    }
     if (arena_resize(A, 0, 2048) < 0)
         goto fail;
     goto done;
@@ -3855,11 +3978,8 @@ static void Arena_dealloc(PyObject *self)
     for (Py_ssize_t i = 0; A->queues && i < 3 * A->n_threads; i++)
         Py_XDECREF(A->queues[i]);
     PyMem_Free(A->queues);
-    for (Py_ssize_t i = 0; A->body && i < A->n_threads; i++) {
-        Py_XDECREF(A->body[i].instr);
-        Py_XDECREF(A->body[i].dyn);
-        PyMem_Free(A->body[i].v);
-    }
+    for (Py_ssize_t i = 0; A->body && i < A->n_threads; i++)
+        body_clear(&A->body[i]);
     PyMem_Free(A->body);
     Py_TYPE(self)->tp_free(self);
 }
@@ -4156,11 +4276,8 @@ static int stage_drain(Ctx *c, long long cycle)
 static int data_access(Ctx *c, Py_ssize_t t, Py_ssize_t s, long long when,
                        int demand, MemResult *r)
 {
-    int64_t addr;
-    if (int64_arg(SLOT(c->A->instr[s], OFF.in_addr), &addr) < 0)
-        return -1;
-    return mem_access(c->mem, g.small_ints[t], c->A->pc[s], addr, when,
-                      demand, r);
+    return mem_access(c->mem, g.small_ints[t], c->A->pc[s], c->A->addr[s],
+                      when, demand, r);
 }
 
 /* Drop one reference to slot p at retire time (the parents / old_map
@@ -4533,10 +4650,9 @@ static int stage_dispatch(Ctx *c, long long cycle)
                 break;
             }
             any_ready = 1;
-            PyObject *instr = A->instr[s];
             int64_t fl = A->flags[s];
             int64_t is_mem = fl & F_MEM;
-            int fp_queue = SLOT(instr, OFF.in_fp_queue) == Py_True;
+            int fp_queue = (fl & F_FP_QUEUE) != 0;
             if (cv[CV_ROB_USED] >= c->rob_size
                 || (is_mem && cv[CV_LSQ_USED] >= c->lsq_size)
                 || (fp_queue ? cv[CV_FQ_USED] >= c->fp_iq_size
@@ -4583,24 +4699,25 @@ static int stage_dispatch(Ctx *c, long long cycle)
             long long pending = 0;
             int64_t parents[MAX_SRCS];
             int pn = 0;
-            PyObject *srcs = SLOT(instr, OFF.in_srcs);
             int64_t sp = A->srcs[s];
-            Py_ssize_t nsrc = sp >= 0 ? (sp & 0xff) : PyTuple_GET_SIZE(srcs);
+            int64_t regs[MAX_SRCS];
+            Py_ssize_t nsrc = sp & 0xff;
+            if (sp < 0) {   /* more than seven: read from the Instr */
+                PyObject *instr = slot_instr(A, s);
+                nsrc = instr == NULL ? -1 : instr_srcs(instr, regs);
+                Py_XDECREF(instr);
+                if (nsrc < 0)
+                    return -1;
+            }
             for (Py_ssize_t i = 0; i < nsrc; i++) {
                 int64_t prod = rename_map->v[
-                    sp >= 0 ? (sp >> (8 * i + 8)) & 0xff
-                            : ll_of(PyTuple_GET_ITEM(srcs, i))];
+                    sp >= 0 ? (sp >> (8 * i + 8)) & 0xff : regs[i]];
                 if (prod < 0)
                     continue;
                 int64_t pfl = A->flags[prod];
                 if (c->track_dep
                     && ((pfl & (F_IS_LOAD | F_LL_DEP))
                         || A->parents[prod].n)) {
-                    if (pn >= MAX_SRCS) {
-                        PyErr_SetString(PyExc_RuntimeError,
-                                        "too many source operands");
-                        return -1;
-                    }
                     parents[pn++] = prod;
                     A->refs[prod] += 1;
                 }
@@ -4685,7 +4802,10 @@ static inline void read_allowed_end(PyObject *ts, int *has, long long *end)
  * and the BTB run on the run's native parts; the load predictor runs in
  * C when it is native (else its predict is called).  The thread's fetch
  * index, icount and I-fetch line are its native fields, so a hook that
- * flushes mid-burst (or writes them) is seen at once. */
+ * flushes mid-burst (or writes them) is seen at once.  An instruction
+ * is its trace body's row (a varying position's address and direction
+ * computed from it) or, where the body has none, the row of the Instr
+ * get returns; the fetch keeps no Instr. */
 static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
                                 long long cycle, int ignore_stall)
 {
@@ -4694,7 +4814,6 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
     PyObject *ts = c->thr[t].ts;
     int64_t *tv = c->thr[t].v;
     const Body *B = &A->body[t];
-    PyObject *trace_get = SLOT(ts, OFF.ts_trace_get);
     PyObject *on_fetch = SLOT(core, OFF.policy_on_fetch);
     PyObject *on_fetch_load = SLOT(core, OFF.policy_on_fetch_load);
     SlotSeq *fe_queue = seq_of(ts, OFF.ts_fe_queue);
@@ -4709,47 +4828,37 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
     long long limit = c->fe_capacity - fe_queue->n;
     if (budget < limit)
         limit = budget;
-    PyObject *instr = NULL;     /* owned for the instruction's iteration */
-    int64_t built[N_B];         /* the row of an instruction built here */
+    int64_t built[N_B];         /* the row of an Instr get returned */
     while (count < limit) {
         long long fetch_index = tv[TV_FETCH_INDEX];
         if (!ignore_stall && has_allowed && fetch_index > allowed_end)
             break;
-        const int64_t *row = built;
+        const int64_t *row = NULL;
+        int64_t addr, flags;
+        /* floor modulo and division: a flush may rewind the index
+         * below 0 */
         if (B->n) {
-            /* floor modulo: a flush may rewind the index below 0.  An
-             * exact SyntheticTrace's iteration-varying positions are
-             * built here, as clones of their prototypes; other traces
-             * keep calling get. */
-            Py_ssize_t i = (Py_ssize_t)py_mod(fetch_index, B->n);
-            PyObject *fixed = PyTuple_GET_ITEM(B->instr, i);
-            if (fixed != Py_None)
-                instr = Py_NewRef(fixed);
-            else if (B->dyn != NULL
-                     && trace_dyn(PyTuple_GET_ITEM(B->dyn, i),
-                                  floordiv(fetch_index, B->n), &instr) < 0)
-                goto fail;
-            if (instr != NULL && B->v[i * N_B + B_FLAGS] >= 0)
-                row = &B->v[i * N_B];
+            const int64_t *r = &B->v[py_mod(fetch_index, B->n) * N_B];
+            if (row_eval(r, floordiv(fetch_index, B->n), &addr, &flags))
+                row = r;
         }
-        if (instr == NULL) {
-            PyObject *fi = box_ll(fetch_index);
-            if (fi == NULL)
-                goto fail;
-            instr = PyObject_CallOneArg(trace_get, fi);
-            Py_DECREF(fi);
-            if (instr == NULL)
-                goto fail;
+        if (row == NULL) {
+            PyObject *instr = call_get(B->get, fetch_index);
+            int rc = instr == NULL ? -1 : instr_row(instr, built, 1);
+            Py_XDECREF(instr);
+            if (rc < 0)
+                return -1;
+            row = built;
+            addr = built[B_ADDR];
+            flags = built[B_FLAGS];
         }
-        if (row == built && instr_row(instr, built) < 0)
-            goto fail;
-        long long pc = row[B_PC], flags = row[B_FLAGS];
+        long long pc = row[B_PC];
         long long pc_addr = c->thr[t].pc_origin + pc * 4;
         long long line = pc_addr >> c->line_shift;
         if (line != tv[TV_LAST_IFETCH_LINE]) {
             int64_t done;
             if (mem_ifetch(c->mem, pc_addr, cycle, &done) < 0)
-                goto fail;
+                return -1;
             tv[TV_LAST_IFETCH_LINE] = line;
             if (done > cycle) {
                 tv[TV_FETCH_BLOCKED_UNTIL] = done;
@@ -4758,11 +4867,10 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
         }
         gseq += 1;
         if (A->free.n == 0 && arena_grow(A) < 0)
-            goto fail;
+            return -1;
         /* the popped slot is pristine: only the varying columns are
          * written (see the arena contract in cext.py) */
         Py_ssize_t s = (Py_ssize_t)A->free.v[--A->free.n];
-        ocol_set(A->instr, s, instr);
         A->thread[s] = t;
         A->seq[s] = fetch_index;
         A->gseq[s] = gseq;
@@ -4773,8 +4881,9 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
         A->lat[s] = row[B_LAT];
         A->dest[s] = row[B_DEST];
         A->srcs[s] = row[B_SRCS];
+        A->addr[s] = addr;
         if (sq_push(fe_queue, s) < 0)
-            goto fail;
+            return -1;
         tv[TV_FETCH_INDEX] = fetch_index + 1;
         tv[TV_ICOUNT] += 1;
         count += 1;
@@ -4783,16 +4892,15 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
                                         ? Py_True : Py_False);
             if (on_fetch_load != Py_None) {
                 if (call_hook(A, on_fetch_load, s, ts) < 0)
-                    goto fail;
+                    return -1;
                 read_allowed_end(ts, &has_allowed, &allowed_end);
             }
         }
         if (flags & F_IS_BRANCH) {
-            /* Instr stores a bool: Instr.__init__ takes bool(taken) */
-            int taken = SLOT(instr, OFF.in_taken) == Py_True;
+            int taken = (flags & F_TAKEN) != 0;
             int prediction;
             if (gshare_update(c->gshare, pc, taken, t, &prediction) < 0)
-                goto fail;
+                return -1;
             /* a taken branch looks its target up, then installs it */
             int target_known = !taken || btb_access(c->btb, pc, 1, 1);
             if (prediction != taken || !target_known) {
@@ -4801,22 +4909,20 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
                                      cycle) < 0
                     || (on_fetch != Py_None
                         && call_hook(A, on_fetch, s, ts) < 0))
-                    goto fail;
+                    return -1;
                 break;
             }
             if (on_fetch != Py_None && call_hook(A, on_fetch, s, ts) < 0)
-                goto fail;
+                return -1;
             if (taken)
                 break;   /* a correctly-predicted taken branch ends it */
         } else if (on_fetch != Py_None
                    && call_hook(A, on_fetch, s, ts) < 0) {
-            goto fail;
+            return -1;
         }
         if (on_fetch != Py_None)
             read_allowed_end(ts, &has_allowed, &allowed_end);
-        Py_CLEAR(instr);
     }
-    Py_CLEAR(instr);
     c->cv[CV_GSEQ] = gseq;
     if (count) {
         if (stat_add(SLOT(ts, OFF.ts_stats), OFF.st_fetched, count) < 0)
@@ -4849,9 +4955,6 @@ static long long fetch_thread_c(Ctx *c, Py_ssize_t t, long long budget,
         Py_DECREF(r);
     }
     return count;
-fail:
-    Py_XDECREF(instr);
-    return -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -5514,6 +5617,20 @@ static PyObject *view_get_old_map(PyObject *self, void *closure)
     return ensure_view(A, (Py_ssize_t)s);
 }
 
+/* `instr`: built from the slot on the first read (see slot_instr) and
+ * kept, so every read returns the same object. */
+static PyObject *view_get_instr(PyObject *self, void *closure)
+{
+    (void)closure;
+    View *v = (View *)self;
+    if (v->instr == NULL) {
+        Arena *A = view_arena(self);
+        if (A == NULL || (v->instr = slot_instr(A, v->slot)) == NULL)
+            return NULL;
+    }
+    return Py_NewRef(v->instr);
+}
+
 static PyObject *view_get_slot(PyObject *self, void *closure)
 {
     (void)closure;
@@ -5536,7 +5653,7 @@ static PyObject *view_get_live(PyObject *self, void *closure)
 
 /* Every DynInstr field (engine-parity-lint checks the coverage). */
 static PyGetSetDef View_getset[] = {
-    VOCOL("instr", O_INSTR), VICOL("thread", C_THREAD),
+    VLINK("instr", view_get_instr, 0), VICOL("thread", C_THREAD),
     VICOL("seq", C_SEQ), VICOL("gseq", C_GSEQ),
     VICOL("pending", C_PENDING), VICOL("fe_ready", C_FE_READY),
     VICOL("refs", C_REFS), VOCOL("predicted_ll", O_PRED_LL),
@@ -5574,12 +5691,14 @@ static PyObject *view_repr(PyObject *self)
 static int view_traverse(PyObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(((View *)self)->arena);
+    Py_VISIT(((View *)self)->instr);
     return 0;
 }
 
 static int view_clear(PyObject *self)
 {
     Py_CLEAR(((View *)self)->arena);
+    Py_CLEAR(((View *)self)->instr);
     return 0;
 }
 
@@ -5710,11 +5829,10 @@ static PyObject *Arena_flush(PyObject *self, PyObject *const *args,
             /* read per use: an earlier clear_owner ran Python */
             PyObject *mem = native_part(core, OFF.hierarchy, &Mem_Type, 1,
                                         -1, "hierarchy");
-            int64_t line, addr;
-            if (mem == NULL || int64_arg(fill, &line) < 0
-                || int64_arg(SLOT(A->instr[s], OFF.in_addr), &addr) < 0)
+            int64_t line;
+            if (mem == NULL || int64_arg(fill, &line) < 0)
                 goto fail;
-            mem_cancel_fill((Mem *)mem, line, addr, cycle);
+            mem_cancel_fill((Mem *)mem, line, A->addr[s], cycle);
         }
         d[0]++;
         if (fl & F_MEM)
@@ -6268,6 +6386,7 @@ static const ConstSpec FLAG_SPECS[] = {
     {"F_IS_BRANCH", F_IS_BRANCH}, {"F_IS_LL", F_IS_LL},
     {"F_INV", F_INV}, {"F_LL_DEP", F_LL_DEP}, {"F_RETIRED", F_RETIRED},
     {"F_IN_DETECTS", F_IN_DETECTS}, {"F_FREED", F_FREED},
+    {"F_TAKEN", F_TAKEN}, {"F_FP_QUEUE", F_FP_QUEUE},
     {"SLOT_SHIFT", SLOT_SHIFT},
 };
 
@@ -6504,8 +6623,11 @@ static PyObject *t_next_cycle(PyObject *self, PyObject *const *args,
     return rc < 0 ? NULL : PyLong_FromLongLong(nxt);
 }
 
-/* _trace_dyn(trace, index) -> Instr | None: the fetch stage's in-C build
- * of an iteration-varying slot; None where the stage calls get. */
+/* _trace_dyn(trace, index) -> Instr | None: the Instr the compiled
+ * engine stands for a varying position's fetch with: the trace read
+ * into a Body as each core reads it, the fetch's row_eval and the
+ * clone a view's instr makes of the result; None where the fetch calls
+ * get or the position is static. */
 static PyObject *t_trace_dyn(PyObject *self, PyObject *const *args,
                              Py_ssize_t nargs)
 {
@@ -6516,20 +6638,24 @@ static PyObject *t_trace_dyn(PyObject *self, PyObject *const *args,
     long long index = PyLong_AsLongLong(args[1]);
     if (index == -1 && PyErr_Occurred())
         return NULL;
-    if (Py_TYPE(trace) != g.trace_type || index < 0)
-        Py_RETURN_NONE;
-    PyObject *dyn = SLOT(trace, OFF.tr_dyn);
-    if (dyn == NULL || !PyList_CheckExact(dyn)
-        || PyList_GET_SIZE(dyn) == 0)
-        Py_RETURN_NONE;
-    long long body_len = PyList_GET_SIZE(dyn);
+    PyObject *st = PyObject_GetAttrString(trace, "_static");
+    PyObject *n = st ? PyObject_GetAttrString(trace, "body_len") : NULL;
+    PyObject *get = n ? PyObject_GetAttrString(trace, "get") : NULL;
+    Body B = {0};
     PyObject *out = NULL;
-    int rc = trace_dyn(PyList_GET_ITEM(dyn, index % body_len),
-                       index / body_len, &out);
-    if (rc < 0)
-        return NULL;
-    if (rc == 0)
-        Py_RETURN_NONE;
+    if (get != NULL && body_init(&B, st, n, trace, get) == 0) {
+        Py_ssize_t i = B.n ? (Py_ssize_t)py_mod(index, B.n) : 0;
+        int64_t addr, flags;
+        if (B.n && B.v[i * N_B + B_KIND] > BK_STATIC
+            && row_eval(&B.v[i * N_B], floordiv(index, B.n), &addr, &flags))
+            out = clone_instr(PyTuple_GET_ITEM(B.instr, i), flags, addr);
+        else
+            out = Py_NewRef(Py_None);
+    }
+    body_clear(&B);
+    Py_XDECREF(st);
+    Py_XDECREF(n);
+    Py_XDECREF(get);
     return out;
 }
 

@@ -11,8 +11,10 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   engine's code and the reference the equivalence tests compare against
   (``tests/test_cext_paths.py``): the fast-forward target
   (``SMTCore._next_cycle``); the base policy's fetch order, ICOUNT and
-  COT (``FetchPolicy.fetch_order``); and the iteration-varying slots of
-  an exact :class:`~repro.workloads.trace.SyntheticTrace`.
+  COT (``FetchPolicy.fetch_order``); and the address and direction of
+  the iteration-varying slots of an exact
+  :class:`~repro.workloads.trace.SyntheticTrace`, from its ``_dyn``
+  entries parsed once per core.
 * The core's and each thread's per-cycle integers (``cycle``, the
   shared and per-thread resource counters, the wake and stall latches,
   the release epoch, ``icount``, ``fetch_index``, ``last_ifetch_line``,
@@ -50,11 +52,11 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   What still crosses into Python per cycle or instruction: the stats
   dataclasses' counters, the ``ThreadState`` slots that are not
   per-cycle counters (``outstanding_misses``, ``waiting_branch``,
-  ``allowed_end``, ...), a dynamically built ``Instr``'s fields (a
-  static one's are read once per core), the policy hooks (the
+  ``allowed_end``, ...), the policy hooks (the
   ``_is_default_hook`` elision applies unchanged, so hook-free
   configurations never call one) and a non-base policy's
   ``fetch_order``/``fetch_pending``, ``get`` of other trace types,
+  the ``Instr`` a policy reads through a view (built once per view),
   ``ThreadState.clear_owner`` at a flush, and
   ``ThreadState._sync_policy_stall`` when the stall predicate flips.
 * :class:`CextCore` is an :class:`~repro.pipeline.core.SMTCore`
@@ -78,11 +80,25 @@ contract, which the C stages and the C ``flush`` share:
 * **A dynamic instruction is a slot number.**  Its fields are int64
   columns (the booleans share one ``flags`` word, see
   :mod:`repro.pipeline.dyninstr`) plus owned references where Python
-  reads a value back (``instr``, ``predicted_ll``, ``fill_line``,
-  ``level``, the cached view).  The free list, ready heaps, event
-  wheels, per-slot waiter and parent lists and each thread's
-  ``fe_queue``, ``window`` and ``rename_map`` are C memory too; Python
-  sees the thread queues as read-only int sequences.
+  reads a value back (``predicted_ll``, ``fill_line``, ``level``, the
+  cached view).  The free list, ready heaps, event wheels, per-slot
+  waiter and parent lists and each thread's ``fe_queue``, ``window``
+  and ``rename_map`` are C memory too; Python sees the thread queues
+  as read-only int sequences.
+* **No ``Instr`` per fetch.**  A fetch copies its instruction into the
+  columns (pc, op, latency, dest, packed sources and, for a load or
+  store, the address) and the ``flags`` word (its class bits,
+  ``F_TAKEN`` and ``F_FP_QUEUE``), from its thread's trace body, read
+  once per core: a static position's row, or a varying position's row
+  of parsed ``_dyn`` terms from which the fetch computes the address
+  and direction.  Only a trace (or position) without a body row calls
+  ``get``, and the fetch drops what it returns.  A view builds its
+  ``instr`` on the first read and keeps it: the body's shared static
+  ``Instr``, a clone of the position's prototype made from the slot's
+  address and direction, or ``get(seq)`` again, which the stateless,
+  rewindable trace contract (:mod:`repro.workloads.trace`) makes the
+  fetched instruction; a view kept past a flush keeps the one it built
+  (``tests/test_cext_instr.py``).
 * **Packed heap/wheel entries**, ``(gseq << SLOT_SHIFT) | slot``: integer
   order is age order, and a stamp whose gseq no longer matches its
   slot's ``gseq`` column is stale (the generation check).
@@ -153,6 +169,7 @@ from repro.pipeline.core import (
 from repro.pipeline.dyninstr import (
     F_COMPLETED,
     F_DEST_FP,
+    F_FP_QUEUE,
     F_FREED,
     F_HAS_DEST,
     F_IN_DETECTS,
@@ -167,6 +184,7 @@ from repro.pipeline.dyninstr import (
     F_LL_DEP,
     F_RETIRED,
     F_SQUASHED,
+    F_TAKEN,
     SLOT_SHIFT,
 )
 from repro.pipeline.stats import CoreStats, ThreadStats
@@ -272,6 +290,7 @@ def _setup_namespace() -> dict[str, Any]:
             "F_IS_BRANCH": F_IS_BRANCH, "F_IS_LL": F_IS_LL,
             "F_INV": F_INV, "F_LL_DEP": F_LL_DEP, "F_RETIRED": F_RETIRED,
             "F_IN_DETECTS": F_IN_DETECTS, "F_FREED": F_FREED,
+            "F_TAKEN": F_TAKEN, "F_FP_QUEUE": F_FP_QUEUE,
             "SLOT_SHIFT": SLOT_SHIFT,
         },
     }

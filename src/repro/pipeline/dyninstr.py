@@ -32,11 +32,12 @@ from repro.isa import Instr
 #: ``2**SLOT_SHIFT`` slots (the arena enforces this bound when growing).
 SLOT_SHIFT = 20
 
-# ``flags`` column bit layout (one bit per DynInstr boolean).  The five
-# instruction-class bits (``F_HAS_DEST``, ``F_DEST_FP``, ``F_IS_LOAD``,
-# ``F_IS_STORE``, ``F_IS_BRANCH``) are copied from the immutable
-# ``Instr`` at fetch, as a fresh DynInstr copies them; the rest is
-# mutable pipeline state.
+# ``flags`` column bit layout (one bit per DynInstr boolean, plus two of
+# the ``Instr``'s own).  The five instruction-class bits
+# (``F_HAS_DEST``, ``F_DEST_FP``, ``F_IS_LOAD``, ``F_IS_STORE``,
+# ``F_IS_BRANCH``) are copied from the immutable ``Instr`` at fetch, as
+# a fresh DynInstr copies them, and so are ``F_TAKEN``/``F_FP_QUEUE``;
+# the rest is mutable pipeline state.
 F_IN_IQ = 1 << 0
 F_IQ_FP = 1 << 1
 F_ISSUED = 1 << 2
@@ -57,6 +58,13 @@ F_IN_DETECTS = 1 << 14
 #: more than one stale structure (e.g. a squashed instruction freed at
 #: flush whose completion event is still queued).
 F_FREED = 1 << 15
+#: The arena's copies of the fetched ``Instr``'s ``taken`` and
+#: ``fp_queue``, which no ``DynInstr`` field mirrors: the fetch stage
+#: sets them from the trace body (or computes ``taken``) and the
+#: branch predictor and dispatch read them, so no stage reads an
+#: ``Instr`` (see :mod:`repro.pipeline.cext`).
+F_TAKEN = 1 << 16
+F_FP_QUEUE = 1 << 17
 
 
 class DynInstr:

@@ -63,9 +63,11 @@ def _from_proto(proto: Instr, addr: int | None, taken: bool) -> Instr:
 class SyntheticTrace:
     """Lazy, stateless dynamic instruction stream for one thread.
 
-    Slotted so the compiled engine reads it by slot offset: its fetch
-    stage builds the iteration-varying instructions itself from
-    :attr:`_dyn` and calls :meth:`get` only for other trace types.
+    Slotted so the compiled engine reads it by slot offset: each core
+    parses :attr:`_dyn` once into rows from which its fetch stage
+    computes an iteration-varying instruction's address and direction
+    (an ``Instr`` is built only when a policy reads one), and calls
+    :meth:`get` only for other trace types.
     """
 
     __slots__ = ("spec", "seed", "base", "pc_base", "body", "body_len",
@@ -162,8 +164,9 @@ class SyntheticTrace:
         """``get``'s branch for ``slot`` as ``(kind, prototype, *terms)``.
 
         Every iteration-independent term of the branch is folded in
-        here; ``trace_dyn`` in ``_cext_engine.c`` evaluates the rest in
-        64-bit arithmetic and calls ``get`` instead wherever a value
+        here; ``_cext_engine.c`` parses the terms once per core
+        (``dyn_row``), evaluates the rest in 64-bit arithmetic at each
+        fetch (``row_eval``) and calls ``get`` instead wherever a value
         would not fit.  ``get`` stays the reference: the equivalence
         tests compare the two slot by slot.  Random and burst loads
         share one layout (burst adds its period and off-period

@@ -6,7 +6,11 @@ target (``SMTCore._next_cycle``) and the iteration-varying slots of
 ``SyntheticTrace.get``.  The golden matrix and ``test_differential.py``
 compare whole runs; the tests here drive each path through the
 module's test hooks (``_next_cycle``, ``_trace_dyn``) and compare it,
-state for state, with the Python body it stands in for.  The engine's
+state for state, with the Python body it stands in for.
+``_trace_dyn`` parses the trace's body into rows as each core does,
+computes a fetch's address and direction from them and builds the
+``Instr`` a view's ``instr`` would (``test_cext_instr.py`` holds the
+views themselves to ``get``).  The engine's
 ``LLSR`` is held to :class:`~repro.predictors.LLSR` op for op, and the
 commit stage that shifts it (and trains the thread's native MLP
 predictors in C) to the object engine's per-retire ``LLSR.commit``

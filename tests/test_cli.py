@@ -21,6 +21,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["compare", "-w", "mcf,notabench", "-c", "1000"])
 
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "-b", "notabench"],
+        ["mlp-cdf", "-b", "mcf,notabench"],
+    ])
+    def test_unknown_benchmark_names_the_listing(self, argv):
+        """One line that points to the listing, not a RegistryError."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-c", "1000"])
+        assert exc.value.code == (
+            "unknown benchmark 'notabench'; see `python -m repro list`")
+
     def test_mismatched_workload_sizes_rejected(self):
         with pytest.raises(SystemExit):
             main(["compare", "-w", "mcf,swim", "-w", "mcf,swim,vpr,gap",
@@ -54,6 +65,17 @@ class TestBudgetsAndWorkers:
             main(["jobs", "run", "-w", "mcf,swim", "-c", "many"])
         assert exc.value.code == 2
         assert "invalid int value: 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc"])
+    def test_figure_module_refuses_the_budget(self, budget, capsys):
+        """The module entry point applies the CLI's rule: the usage line
+        and exit 2, before anything runs."""
+        from repro.experiments.figures import main as figures_main
+        assert figures_main(["fig9", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage: python -m repro.experiments.figures <target> [budget]")
 
     def test_figure_passes_an_explicit_budget(self, monkeypatch):
         import repro.experiments.figures as figures

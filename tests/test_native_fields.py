@@ -21,6 +21,7 @@ import pytest
 from repro.api import Session
 from repro.config import scaled_config
 from repro.experiments.runner import trace_for
+from repro.isa import Instr
 from repro.perf.golden import golden_matrix
 from repro.pipeline import cext
 from repro.pipeline.core import SMTCore
@@ -53,14 +54,27 @@ def _fields(core) -> dict:
     return out
 
 
+def _in_flight(core) -> list:
+    """Each in-flight instruction's thread, seq and ``instr`` (every slot
+    with its type), front-end queue then window: records on the object
+    engine, views of slots on cext."""
+    view = core.view if isinstance(core, cext.CextCore) else None
+    return [(ts.tid, di.seq,
+             tuple((type(getattr(di.instr, name)), getattr(di.instr, name))
+                   for name in Instr.__slots__))
+            for ts in core.threads for queue in (ts.fe_queue, ts.window)
+            for di in (map(view, queue) if view else queue)]
+
+
 def _cells():
     return [sc for sc in golden_matrix() if "runahead" not in sc.policy]
 
 
 def test_golden_cells_read_alike_at_every_boundary():
     """The 32 non-runahead golden cells, warmed up and advanced in six
-    steps: at each boundary every field reads the same on both
-    engines."""
+    steps: at each boundary every field, and every in-flight
+    instruction's ``instr`` (built from the cext arena's columns),
+    reads the same on both engines."""
     session = Session()
     cells = _cells()
     assert len(cells) == 32
@@ -71,10 +85,15 @@ def test_golden_cells_read_alike_at_every_boundary():
         for core in cores:
             core.begin_measurement(sc.warmup)
         assert _fields(cores[1]) == _fields(cores[0]), (sc.name, "warmup")
+        in_flight = 0
         for target in range(250, sc.commits + 1, 250):
             for core in cores:
                 core.advance_to(target)
             assert _fields(cores[1]) == _fields(cores[0]), (sc.name, target)
+            want = _in_flight(cores[0])
+            assert _in_flight(cores[1]) == want, (sc.name, target)
+            in_flight += len(want)
+        assert in_flight > 0, sc.name
         for core in cores:
             core.detach()
 
