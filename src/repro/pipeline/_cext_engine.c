@@ -99,7 +99,8 @@ typedef struct {
         int_rename_regs, fp_rename_regs, wb_entries;
     Py_ssize_t num_int_alu, num_ldst, num_fp;
     Py_ssize_t track_ll_dep;
-    Py_ssize_t cext_olc_cleanup_only, cext_ll_detect_is_base;
+    Py_ssize_t cext_olc_cleanup_only, cext_ll_detect_is_base,
+        cext_share_gate;
     /* ThreadState */
     Py_ssize_t ts_ints, ts_waiting_branch, ts_branch_wait_since,
         ts_allowed_end, ts_ll_owners, ts_policy_data;
@@ -124,6 +125,8 @@ typedef struct {
         in_fp_queue, in_latency;
     /* SyntheticTrace */
     Py_ssize_t tr_dyn;
+    /* DCRAPolicy */
+    Py_ssize_t dcra_slow_weights;
 } Offsets;
 
 typedef struct {
@@ -134,8 +137,10 @@ typedef struct {
     PyObject *levels[N_LEVELS];   /* ServiceLevel members by value */
     PyObject *result_cls;   /* AccessResult */
     PyObject *mlp_fn;       /* hierarchy.mlp_from_intervals */
-    /* exact types the in-C paths apply to (anything else calls Python) */
-    PyTypeObject *core_type, *trace_type, *instr_type, *ts_type;
+    /* exact types the in-C paths apply to (anything else calls Python),
+     * and DCRAPolicy, the owner of the slow_weights slot */
+    PyTypeObject *core_type, *trace_type, *instr_type, *ts_type,
+        *dcra_type;
     /* every Instr slot offset, for cloning a trace prototype */
     Py_ssize_t instr_offs[32];
     int n_instr_offs;
@@ -1934,8 +1939,10 @@ static PyObject *clone_instr(PyObject *proto, int64_t flags, int64_t addr)
 /* ------------------------------------------------------------------ */
 
 /* A growable int64 vector: the free list, the heaps (entries of `w`
- * int64s, compared lexicographically), the wheels' entry pools and the
- * per-slot waiter and long-latency-parent lists. */
+ * int64s, compared lexicographically, in the flat heap order heapq
+ * keeps; heap_push and heap_pop are inlined at each call site for its
+ * constant `w`), the wheels' entry pools and the per-slot waiter and
+ * long-latency-parent lists. */
 typedef struct {
     int64_t *v;
     int32_t n, cap;
@@ -1983,15 +1990,24 @@ static PyObject *ivec_list(const int64_t *v, Py_ssize_t n)
 
 /* Heap entries are unique packed stamps, cycle marks or (cycle, packed)
  * pairs: the order is strict and total, so this heap pops exactly what
- * heapq would. */
-static inline int ent_lt(const int64_t *a, const int64_t *b, int w)
+ * heapq would.  Every call site passes a constant width, and the push
+ * and pop are inlined into it, so each compiles for its own width: no
+ * division by `w`, no copy loops, and a call to ivec_reserve only to
+ * grow. */
+#if defined(__GNUC__) || defined(__clang__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
+static ALWAYS_INLINE int ent_lt(const int64_t *a, const int64_t *b, int w)
 {
     return a[0] != b[0] ? a[0] < b[0] : (w == 2 && a[1] < b[1]);
 }
 
-static int heap_push(IVec *h, int64_t k, int64_t p, int w)
+static ALWAYS_INLINE int heap_push(IVec *h, int64_t k, int64_t p, int w)
 {
-    if (ivec_reserve(h, h->n + w) < 0)
+    if (h->n + w > h->cap && ivec_reserve(h, h->n + w) < 0)
         return -1;
     int64_t e[2] = {k, p};
     Py_ssize_t pos = h->n / w;
@@ -2008,7 +2024,7 @@ static int heap_push(IVec *h, int64_t k, int64_t p, int w)
 }
 
 /* Pop the minimum of a non-empty heap into out[0..w). */
-static void heap_pop(IVec *h, int64_t *out, int w)
+static ALWAYS_INLINE void heap_pop(IVec *h, int64_t *out, int w)
 {
     int64_t last[2];
     memcpy(out, h->v, w * sizeof(int64_t));
@@ -4015,6 +4031,8 @@ typedef struct {
     /* hoisted, identity-stable objects (borrowed from slots) */
     PyObject *fetch_candidates;
     PyObject *on_ll_detect; /* owned: policy.on_ll_detect bound method */
+    PyObject *dcra;         /* owned: the DCRAPolicy whose share gate the
+                             * loop decides, else NULL */
     int olc_cleanup_only, ll_detect_is_base;
     /* immutable config scalars */
     long long mask, fetch_width, fetch_max_threads, fe_capacity,
@@ -4603,6 +4621,92 @@ static long long wake_after(Ctx *c, long long cycle, int f)
     return wake;
 }
 
+/* DCRAPolicy.can_dispatch for thread t's head, whose flags are fl:
+ * 1 to dispatch, 0 when the thread is at its share of a resource the
+ * instruction needs, -1 on error.  DCRAPolicy._limits' arithmetic in
+ * the same order: a slow thread (one with an outstanding miss) weighs
+ * its entry of the policy's slow_weights, a fast one 1.0; share = own
+ * / total, limit = size * share; blocked when count >= limit.  The
+ * list is read from its slot at every evaluation, so a hook's write in
+ * place or a new list is followed as _limits follows it. */
+static int share_gate(Ctx *c, Py_ssize_t t, int64_t fl)
+{
+    /* the slow threads first: unboxing a slot may run Python code */
+    uint64_t slow = 0;
+    for (Py_ssize_t u = 0; u < c->n; u++) {
+        long long misses = slot_ll(c->thr[u].ts, OFF.ts_outstanding_misses);
+        if (misses == -1 && PyErr_Occurred())
+            return -1;
+        if (misses > 0)
+            slow |= (uint64_t)1 << u;
+    }
+    PyObject *weights = SLOT(c->dcra, OFF.dcra_slow_weights);
+    if (weights == NULL || !PyList_CheckExact(weights)
+        || PyList_GET_SIZE(weights) != c->n) {
+        PyErr_Format(PyExc_TypeError, "policy.slow_weights must be a list "
+                     "of one weight per thread (%zd), not %R", c->n,
+                     weights != NULL ? weights : Py_None);
+        return -1;
+    }
+    double total = 0.0, own = 0.0;
+    for (Py_ssize_t u = 0; u < c->n; u++) {
+        double w = 1.0;
+        if (slow >> u & 1) {
+            PyObject *x = PyList_GET_ITEM(weights, u);
+            if (PyFloat_Check(x))
+                w = PyFloat_AS_DOUBLE(x);
+            else if (PyLong_Check(x)) {
+                w = PyLong_AsDouble(x);
+                if (w == -1.0 && PyErr_Occurred())
+                    return -1;
+            } else {
+                PyErr_Format(PyExc_TypeError, "policy.slow_weights[%zd] "
+                             "must be an int or a float, not %R", u,
+                             (PyObject *)Py_TYPE(x));
+                return -1;
+            }
+        }
+        total += w;
+        if (u == t)
+            own = w;
+    }
+    if (total == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return -1;
+    }
+    double share = own / total;
+    const int64_t *tv = c->thr[t].v;
+    return !((double)tv[TV_ROB] >= (double)c->rob_size * share
+             || ((fl & F_MEM)
+                 && (double)tv[TV_LSQ] >= (double)c->lsq_size * share)
+             || ((fl & F_FP_QUEUE)
+                 ? (double)tv[TV_FQ] >= (double)c->fp_iq_size * share
+                 : (double)tv[TV_IQ] >= (double)c->int_iq_size * share)
+             || ((fl & F_HAS_DEST)
+                 && ((fl & F_DEST_FP)
+                     ? (double)tv[TV_FP_REGS]
+                           >= (double)c->fp_rename_regs * share
+                     : (double)tv[TV_INT_REGS]
+                           >= (double)c->int_rename_regs * share)));
+}
+
+/* The policy's can_dispatch(ts, view of slot s), called: 1, 0 or -1. */
+static int call_can_dispatch(Arena *A, PyObject *can_dispatch, PyObject *ts,
+                             Py_ssize_t s)
+{
+    PyObject *v = ensure_view(A, s);
+    if (v == NULL)
+        return -1;
+    PyObject *cargs[2] = {ts, v};
+    PyObject *r = PyObject_Vectorcall(can_dispatch, cargs, 2, NULL);
+    Py_DECREF(v);
+    if (r == NULL)
+        return -1;
+    int ok = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return ok;
+}
+
 static int stage_dispatch(Ctx *c, long long cycle)
 {
     PyObject *core = c->core;
@@ -4669,17 +4773,9 @@ static int stage_dispatch(Ctx *c, long long cycle)
             }
             PyObject *can_dispatch = SLOT(core, OFF.policy_can_dispatch);
             if (can_dispatch != Py_None) {   /* None: allow-all */
-                PyObject *v = ensure_view(A, s);
-                if (v == NULL)
-                    return -1;
-                PyObject *cargs[2] = {ts, v};
-                PyObject *r = PyObject_Vectorcall(can_dispatch, cargs,
-                                                  2, NULL);
-                Py_DECREF(v);
-                if (r == NULL)
-                    return -1;
-                int ok = PyObject_IsTrue(r);
-                Py_DECREF(r);
+                int ok = c->dcra != NULL
+                    ? share_gate(c, t, fl)
+                    : call_can_dispatch(A, can_dispatch, ts, s);
                 if (ok < 0)
                     return -1;
                 if (!ok)
@@ -5263,6 +5359,7 @@ static int take_parts(Thr *T, Py_ssize_t tid)
 static void ctx_clear(Ctx *c)
 {
     Py_CLEAR(c->on_ll_detect);
+    Py_CLEAR(c->dcra);
     Py_CLEAR(c->A);
     Py_CLEAR(c->ints);
     Py_CLEAR(c->cycle_obj);
@@ -5323,6 +5420,11 @@ static int ctx_init(Ctx *c, PyObject *core)
         goto fail;
     c->olc_cleanup_only = slot_true(core, OFF.cext_olc_cleanup_only);
     c->ll_detect_is_base = slot_true(core, OFF.cext_ll_detect_is_base);
+    /* share_gate reads slow_weights at DCRAPolicy's slot offset: only
+     * an instance of it may have its gate decided here */
+    if (slot_true(core, OFF.cext_share_gate)
+        && PyObject_TypeCheck(SLOT(core, OFF.policy), g.dcra_type))
+        c->dcra = Py_NewRef(SLOT(core, OFF.policy));
     c->mask = c->A->wheel - 1;
     c->fetch_width = slot_ll(core, OFF.fetch_width);
     c->fetch_max_threads = slot_ll(core, OFF.fetch_max_threads);
@@ -6002,9 +6104,10 @@ static const char *dirty_column(Arena *A, Py_ssize_t s, long long *value,
 }
 
 /* check(core) -> str | None: the sanitizer's arena check at a
- * measurement boundary (see sanitize.py): wheel monotonicity, the free
- * list (no duplicate, every entry F_FREED and pristine, every F_FREED
- * slot on it) and the leak scan from the live roots. */
+ * measurement boundary (see sanitize.py): every ready queue's and
+ * wheel's heap in heap order, wheel monotonicity, the free list (no
+ * duplicate, every entry F_FREED and pristine, every F_FREED slot on
+ * it) and the leak scan from the live roots. */
 static PyObject *Arena_check(PyObject *self, PyObject *core)
 {
     Arena *A = (Arena *)self;
@@ -6014,6 +6117,27 @@ static PyObject *Arena_check(PyObject *self, PyObject *core)
     if (cv == NULL)
         return NULL;
     long long cycle = cv[CV_CYCLE];
+    const struct { const char *name; const IVec *h; int w; } heaps[] = {
+        {"ready_int", &A->ready[0], 1}, {"ready_ldst", &A->ready[1], 1},
+        {"ready_fp", &A->ready[2], 1}, {"ev_marks", &A->ev.marks, 1},
+        {"ev_over", &A->ev.over, 2}, {"dt_marks", &A->dt.marks, 1},
+        {"dt_over", &A->dt.over, 2}, {"wb_marks", &A->wb_marks, 1},
+        {"wb_over", &A->wb_over, 1}};
+    for (size_t k = 0; k < sizeof(heaps) / sizeof(*heaps); k++) {
+        const IVec *h = heaps[k].h;
+        int w = heaps[k].w;
+        if (h->n % w)
+            return PyUnicode_FromFormat("heap %s holds %d int64s, not "
+                                        "whole entries of %d", heaps[k].name,
+                                        h->n, w);
+        for (Py_ssize_t i = 1; i < h->n / w; i++)
+            if (ent_lt(h->v + i * w, h->v + (i - 1) / 2 * w, w))
+                return PyUnicode_FromFormat(
+                    "heap order broken: %s[%zd]=%lld sorts before its "
+                    "parent %s[%zd]=%lld", heaps[k].name, i * w,
+                    (long long)h->v[i * w], heaps[k].name, (i - 1) / 2 * w,
+                    (long long)h->v[(i - 1) / 2 * w]);
+    }
     IVec *marks[3] = {&A->ev.marks, &A->dt.marks, &A->wb_marks};
     IVec *over[3] = {&A->ev.over, &A->dt.over, &A->wb_over};
     static const char *names[3] = {"ev", "dt", "wb"};
@@ -6329,6 +6453,7 @@ static const struct OffSpec SPECS[] = {
     O("core", "_track_ll_dep", track_ll_dep),
     O("core", "_cext_olc_cleanup_only", cext_olc_cleanup_only),
     O("core", "_cext_ll_detect_is_base", cext_ll_detect_is_base),
+    O("core", "_cext_share_gate", cext_share_gate),
     O("ts", "_ints", ts_ints),
     O("ts", "waiting_branch", ts_waiting_branch),
     O("ts", "branch_wait_since", ts_branch_wait_since),
@@ -6368,6 +6493,7 @@ static const struct OffSpec SPECS[] = {
     O("instr", "op_i", in_op_i), O("instr", "fp_queue", in_fp_queue),
     O("instr", "latency", in_latency),
     O("trace", "_dyn", tr_dyn),
+    O("dcra", "slow_weights", dcra_slow_weights),
 };
 
 #undef O
@@ -6519,12 +6645,14 @@ static PyObject *setup(PyObject *self, PyObject *ns)
     Py_XSETREF(g.result_cls, result_cls);
     Py_INCREF(mlp_fn);
     Py_XSETREF(g.mlp_fn, mlp_fn);
-    /* the exact types the in-C paths apply to */
+    /* the exact types the in-C paths apply to, and DCRAPolicy, whose
+     * instances (subclasses too) own the slow_weights slot */
     {
-        static const char *keys[4] = {"core", "trace", "instr", "ts"};
-        PyTypeObject **dst[4] = {&g.core_type, &g.trace_type, &g.instr_type,
-                                 &g.ts_type};
-        for (int i = 0; i < 4; i++) {
+        static const char *keys[5] = {"core", "trace", "instr", "ts",
+                                      "dcra"};
+        PyTypeObject **dst[5] = {&g.core_type, &g.trace_type, &g.instr_type,
+                                 &g.ts_type, &g.dcra_type};
+        for (int i = 0; i < 5; i++) {
             PyTypeObject *t = type_of(ns, keys[i]);
             if (t == NULL)
                 return NULL;

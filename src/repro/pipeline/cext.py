@@ -54,7 +54,10 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   per-cycle counters (``outstanding_misses``, ``waiting_branch``,
   ``allowed_end``, ...), the policy hooks (the
   ``_is_default_hook`` elision applies unchanged, so hook-free
-  configurations never call one) and a non-base policy's
+  configurations never call one; DCRA's ``can_dispatch`` is decided
+  in C from the policy's ``slow_weights`` while it and ``_limits``
+  carry the ``_share_gate`` marker, see :class:`CextCore`) and a
+  non-base policy's
   ``fetch_order``/``fetch_pending``, ``get`` of other trace types,
   the ``Instr`` a policy reads through a view (built once per view),
   ``ThreadState.clear_owner`` at a flush, and
@@ -265,6 +268,7 @@ def _build(compiler: str) -> Path:
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
     from repro.isa.instruction import Instr
+    from repro.policies.dcra import DCRAPolicy
     from repro.workloads.spec import SlotKind
     from repro.workloads.trace import SyntheticTrace
     return {
@@ -275,6 +279,7 @@ def _setup_namespace() -> dict[str, Any]:
         "instr": Instr,
         "result": AccessResult,
         "trace": SyntheticTrace,
+        "dcra": DCRAPolicy,
         "limit_exc": SimulationLimitExceeded,
         "deadlock_exc": SimulationDeadlock,
         "levels": tuple(sorted(ServiceLevel)),
@@ -355,15 +360,28 @@ _TWINS: dict[type, str] = {MemoryHierarchy: "Hierarchy"} | {
         LLSR)}
 
 
+#: The methods DCRA's share gate is made of; while each carries the
+#: ``_share_gate`` marker (:mod:`repro.policies.dcra`), the loop decides
+#: the gate from ``policy.slow_weights`` instead of calling
+#: ``can_dispatch``.  hook-elision-lint holds this tuple to the marked
+#: methods.
+_SHARE_GATE = ("can_dispatch", "_limits")
+
+
 class CextCore(SMTCore):
     """The pipeline state as a native slot arena, driven by the compiled loop.
 
     The arena (see the module doc) replaces the object engine's record
     pool, event wheels and ready queues and takes over each thread's
     ``fe_queue``, ``window`` and ``rename_map``; ``_run_until`` is the
-    compiled loop.  The two marker slots cache the policy-class hook
+    compiled loop.  The three marker slots cache the policy-class
     markers (``getattr`` probes on the policy class), so the C side
-    reads them as plain slot loads.  :meth:`_build` makes the memory
+    reads them as plain slot loads: ``on_load_complete`` only drops
+    identity-keyed state, ``on_ll_detect`` is the no-op default, and
+    DCRA's share gate (``can_dispatch`` and the ``_limits`` it reads,
+    both marked ``_share_gate``) is the loop's to decide for a
+    ``DCRAPolicy``, which reads the policy's ``slow_weights`` slot at
+    every evaluation.  :meth:`_build` makes the memory
     hierarchy, gshare, the BTB and each thread's predictors and LLSR
     the engine's native types (the same methods and counters over C
     state), and the loop runs only those.  A config with more than
@@ -373,7 +391,7 @@ class CextCore(SMTCore):
     """
 
     __slots__ = ("_ints", "_arena", "_cext_olc_cleanup_only",
-                 "_cext_ll_detect_is_base")
+                 "_cext_ll_detect_is_base", "_cext_share_gate")
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
                  policy: FetchPolicy):
@@ -389,6 +407,9 @@ class CextCore(SMTCore):
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
         self._cext_ll_detect_is_base = bool(getattr(
             pcls.on_ll_detect, "_is_default_hook", False))
+        self._cext_share_gate = all(
+            getattr(getattr(pcls, name, None), "_share_gate", False)
+            for name in _SHARE_GATE)
 
     @staticmethod
     def _build(cls, *args):

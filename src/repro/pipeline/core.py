@@ -1110,6 +1110,9 @@ class SMTCore:
         # for producers nor execute for real (see repro.runahead.core).
         wait = not di.inv
         for src in instr.srcs:
+            if src < 0:   # a list would read register 64 + src
+                raise IndexError(
+                    f"source register {src} is outside the rename map")
             prod = rename_map[src]
             if prod is None:
                 continue
@@ -1129,6 +1132,9 @@ class SMTCore:
             di.ll_parents = tuple(parents)
         if di.has_dest:
             dest = instr.dest
+            if dest < 0:
+                raise IndexError(
+                    f"destination register {dest} is outside the rename map")
             di.old_map = rename_map[dest]
             rename_map[dest] = di
             di.refs += 1  # rename-current; the old entry's ref transfers

@@ -15,11 +15,19 @@ distances.
 ``slow_weight`` is the sharing factor C (slow threads receive C× a fast
 thread's share); 2 reproduces the published behaviour well.
 
-:meth:`DCRAPolicy.can_dispatch` runs once per dispatch attempt, so the
-share tuple is kept per (thread, set of threads with outstanding
-misses): the only inputs of :meth:`DCRAPolicy._limits` that change
-during a run.  A subclass whose shares read other state drops the cache
-(:meth:`DCRAPolicy._drop_limits`) wherever that state changes.
+The weights live in one list, :attr:`DCRAPolicy.slow_weights`: one
+float per thread, the weight that thread gets while it has an
+outstanding miss (a fast thread's is 1.0).  ``attach`` builds it, and a
+subclass changes the shares by changing its entries in place
+(:class:`~repro.policies.mlp_dcra.MLPAwareDCRAPolicy` does, at each
+long-latency detection).  :meth:`DCRAPolicy._limits` reads the list at
+every dispatch attempt.  The compiled engine decides
+:meth:`DCRAPolicy.can_dispatch` itself, in C, with ``_limits``'
+arithmetic, and reads the list from its slot at every evaluation too,
+so a new list assigned mid-run is followed like a changed entry.  It
+does so only while ``can_dispatch`` and ``_limits`` carry the
+``_share_gate`` marker set below: a subclass that overrides either is
+called, as on the object engine.
 """
 
 from __future__ import annotations
@@ -28,16 +36,10 @@ from repro.isa import Op
 from repro.policies.base import FetchPolicy
 
 
-#: Cached share tuples kept at most; past it the cache starts over.  An
-#: 8-thread run can reach 8 * 2**8 keys (an 8-thread golden cell meets
-#: about 270, most of them rarely); a small bound keeps peak memory flat.
-_LIMITS_CACHE_MAX = 64
-
-
 class DCRAPolicy(FetchPolicy):
     """Dynamically controlled resource allocation (Cazorla et al. 2004b)."""
 
-    __slots__ = ("slow_weight", "_limits_cache")
+    __slots__ = ("slow_weight", "slow_weights")
 
     name = "dcra"
 
@@ -46,37 +48,22 @@ class DCRAPolicy(FetchPolicy):
         if slow_weight < 1.0:
             raise ValueError("slow threads cannot get less than a fast share")
         self.slow_weight = slow_weight
-        self._limits_cache: dict[int, tuple[float, ...]] = {}
+        #: Per thread, its weight while it has an outstanding miss.
+        self.slow_weights: list[float] = []
 
     def attach(self, core):
         super().attach(core)
-        self._drop_limits()
-
-    def _drop_limits(self) -> None:
-        self._limits_cache.clear()
-
-    def _cached_limits(self, ts) -> tuple[float, ...]:
-        """:meth:`_limits`, kept per (tid, mask of threads with misses)."""
-        threads = self.core.threads
-        mask = 0
-        for t in threads:
-            if t.outstanding_misses > 0:
-                mask |= t.tid_bit
-        key = mask * len(threads) + ts.tid
-        cache = self._limits_cache
-        limits = cache.get(key)
-        if limits is None:
-            if len(cache) >= _LIMITS_CACHE_MAX:
-                cache.clear()
-            limits = cache[key] = self._limits(ts)
-        return limits
+        self.slow_weights = [self.slow_weight] * core.cfg.num_threads
 
     def _limits(self, ts) -> tuple[float, ...]:
-        threads = self.core.threads
-        weights = [self.slow_weight if t.outstanding_misses > 0 else 1.0
-                   for t in threads]
-        total = sum(weights)
-        share = weights[ts.tid] / total
+        slow_weights = self.slow_weights
+        # A plain left-to-right sum, as the compiled gate adds: sum()
+        # compensates float rounding from CPython 3.12 on.
+        total = 0.0
+        for t in self.core.threads:
+            total += slow_weights[t.tid] if t.outstanding_misses > 0 else 1.0
+        share = (slow_weights[ts.tid] if ts.outstanding_misses > 0
+                 else 1.0) / total
         cfg = self.core.cfg
         return (cfg.rob_size * share,
                 cfg.lsq_size * share,
@@ -86,7 +73,7 @@ class DCRAPolicy(FetchPolicy):
                 cfg.fp_rename_regs * share)
 
     def can_dispatch(self, ts, di):
-        rob, lsq, iq, fq, int_regs, fp_regs = self._cached_limits(ts)
+        rob, lsq, iq, fq, int_regs, fp_regs = self._limits(ts)
         if ts.rob_count >= rob:
             return False
         if (di.is_load or di.is_store) and ts.lsq_count >= lsq:
@@ -104,3 +91,11 @@ class DCRAPolicy(FetchPolicy):
             elif ts.int_regs >= int_regs:
                 return False
         return True
+
+
+# The share gate's verdict depends on these two methods alone, so the
+# compiled engine decides it natively while both carry the marker (on
+# the function object: an override is a different function, unmarked,
+# and is called instead).
+DCRAPolicy.can_dispatch._share_gate = True
+DCRAPolicy._limits._share_gate = True

@@ -15,7 +15,10 @@ expose its MLP.
 
 The per-thread MLP-need signal is an exponential moving average of the MLP
 distance predictions made at each long-latency detection, normalized by the
-per-thread LLSR length (the maximum observable distance).
+per-thread LLSR length (the maximum observable distance).  Each detection
+writes the thread's new weight into DCRA's ``slow_weights``, so the shares
+are DCRA's own (:meth:`~repro.policies.dcra.DCRAPolicy._limits`) and the
+compiled engine applies them natively.
 """
 
 from __future__ import annotations
@@ -46,30 +49,18 @@ class MLPAwareDCRAPolicy(DCRAPolicy):
     def attach(self, core):
         super().attach(core)
         self._mlp_need = [0.0] * core.cfg.num_threads
+        self.slow_weights = [self._weight(0.0)] * core.cfg.num_threads
+
+    def _weight(self, need: float) -> float:
+        """A slow thread's weight at MLP need ``need``."""
+        return 1.0 + (self.slow_weight - 1.0) * min(need, 1.0)
 
     def on_ll_detect(self, di: DynInstr, ts: ThreadState) -> None:
         distance = ts.mlp_pred.predict(di.instr.pc)
         need = distance / max(self.core.cfg.llsr_length - 1, 1)
         alpha = self.ema_alpha
-        self._mlp_need[ts.tid] = (
-            alpha * need + (1.0 - alpha) * self._mlp_need[ts.tid])
-        # the shares read _mlp_need, which changes only here
-        self._drop_limits()
-
-    def _limits(self, ts: ThreadState) -> tuple[float, ...]:
-        threads = self.core.threads
-        bonus = self.slow_weight - 1.0
-        weights = [
-            1.0 + bonus * min(self._mlp_need[t.tid], 1.0)
-            if t.outstanding_misses > 0 else 1.0
-            for t in threads
-        ]
-        total = sum(weights)
-        share = weights[ts.tid] / total
-        cfg = self.core.cfg
-        return (cfg.rob_size * share,
-                cfg.lsq_size * share,
-                cfg.int_iq_size * share,
-                cfg.fp_iq_size * share,
-                cfg.int_rename_regs * share,
-                cfg.fp_rename_regs * share)
+        tid = ts.tid
+        need = self._mlp_need[tid] = (
+            alpha * need + (1.0 - alpha) * self._mlp_need[tid])
+        # DCRA's shares read this entry, on both engines
+        self.slow_weights[tid] = self._weight(need)

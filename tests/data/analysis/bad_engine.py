@@ -1,8 +1,11 @@
 """Known-bad engine fixture for hook-elision-lint (parsed only).
 
 Probes ``_is_default_hook`` on a method no base class ever marks — the
-elision can never fire, so the probe is dead weight on every init.
+elision can never fire, so the probe is dead weight on every init — and
+names a share-gate method no ``_share_gate`` marker sits on.
 """
+
+_SHARE_GATE = ("can_dispatch", "_unmarked_limits")
 
 
 class Core:

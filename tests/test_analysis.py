@@ -122,11 +122,15 @@ class TestHookElisionFixture:
     def test_flags_planted_violations(self):
         findings = hook_elision.check(
             base_path=DATA / "bad_base.py",
-            engine_files=[DATA / "bad_engine.py"])
+            engine_files=[DATA / "bad_engine.py"], policy_files=[])
         text = _messages(findings)
         assert "on_fetch has a no-op default body but no" in text
         assert "on_load_complete is marked _is_default_hook" in text
         assert "probes _is_default_hook on 'on_never'" in text
+        assert ("_share_gate marker targets FetchPolicy.can_dispatch, "
+                "which is not defined") in text
+        assert ("_SHARE_GATE names ['_unmarked_limits', 'can_dispatch'] "
+                "but the _share_gate markers sit on ['can_dispatch']") in text
 
 
 class TestRegistryLintFixture:

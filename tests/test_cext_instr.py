@@ -175,12 +175,17 @@ def test_instr_is_read_only():
 
 @pytest.mark.parametrize("cls", (SMTCore, cext.CextCore))
 @pytest.mark.parametrize("instr", (Instr(0, Op.IALU, 70, (2,)),
-                                   Instr(0, Op.IALU, 4, (70,))),
-                         ids=("dest", "src"))
+                                   Instr(0, Op.IALU, 4, (70,)),
+                                   Instr(0, Op.IALU, -1, (2,)),
+                                   Instr(0, Op.IALU, 4, (-1,))),
+                         ids=("dest", "src", "negative-dest",
+                              "negative-src"))
 def test_register_outside_the_rename_map_raises(cls, instr):
-    """A register past the 64-entry rename map is an ``IndexError`` on
-    both engines (the compiled one checks when it reads the ``Instr``
-    into a row), not a write or read outside the map."""
+    """A register outside the 64-entry rename map is an ``IndexError``
+    on both engines (the compiled one checks when it reads the
+    ``Instr`` into a row, the object engine at dispatch), not a write
+    or read outside the map, nor, for a negative one, of register
+    64 + r."""
     cfg = scaled_config(num_threads=1, scale=16)
     core = cls(cfg, [StubTrace([instr, alu(1)])], make_policy("icount"))
     with pytest.raises(IndexError):

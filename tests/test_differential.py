@@ -2,18 +2,23 @@
 
 The golden matrix pins 34 fixed cells: the default config, seed 0, one
 budget.  This test draws random cells instead — any registered policy
-with its default kwargs, 1-4 threads, a trace seed, a 200-800
-instruction budget and a perturbed :class:`~repro.config.SMTConfig` —
-and asserts that every registered backend ends in the same
-:class:`~repro.pipeline.CoreStats` and cycle as the object engine.
+(``dcra`` and ``mlp_dcra`` with drawn kwargs, the others with their
+defaults), 1-4 threads, a trace seed, a 200-800 instruction budget and
+a perturbed :class:`~repro.config.SMTConfig` — and asserts that every
+registered backend ends in the same :class:`~repro.pipeline.CoreStats`
+and cycle as the object engine.  A second test draws only ``dcra`` and
+``mlp_dcra`` cells, of 1-8 threads: the compiled engine decides their
+share gate in C from the policy's ``slow_weights``.
 
 The perturbations reach knobs the golden matrix never sets but Table I
 and the ablations do: ``memory.serialize_long_latency``,
 ``memory.cancel_squashed_fills``, ``predictors.dependence_aware`` and
-``llsr_length_override``, plus the window sizes, widths, write buffer,
-prefetcher and ``fast_forward``, and the front end: the long-latency
-load predictor's kind, table and counter sizes (up to 64-bit
-counters), the MLP tables, gshare and the BTB's size and ways.  A
+``llsr_length_override``, plus the window sizes and rename registers,
+widths, write buffer, prefetcher and ``fast_forward``, ``dcra``'s
+``slow_weight`` (an int too) and ``mlp_dcra``'s ``ema_alpha``, and the
+front end: the long-latency load predictor's kind, table and counter
+sizes (up to 64-bit counters), the MLP tables, gshare and the BTB's
+size and ways.  A
 failure shrinks to one cell, printed as a ``repro.runspec/2`` document
 that ``python -m repro run`` replays.
 
@@ -50,13 +55,27 @@ from repro.experiments.profile import clear_profile_cache, profile_benchmark
 from repro.experiments.runner import default_backend
 from repro.predictors import LLL_PREDICTORS
 
-#: Every ROB size here splits evenly across 1, 2, 3 or 4 threads.
+#: Every ROB size here splits evenly across 1, 2, 3 or 4 threads; a
+#: cell of more threads rounds it down to a multiple of their number.
 _ROB_SIZES = (48, 96, 192, 240)
+
+_SLOW_WEIGHTS = st.sampled_from((1.0, 1.5, 2, 3.7))
+
+#: The kwargs drawn for a policy; any other runs with its defaults.
+_POLICY_KWARGS = {
+    "dcra": st.fixed_dictionaries({"slow_weight": _SLOW_WEIGHTS}),
+    "mlp_dcra": st.fixed_dictionaries({
+        "slow_weight": _SLOW_WEIGHTS,
+        "ema_alpha": st.sampled_from((0.05, 0.25, 0.6, 1.0))}),
+}
 
 
 @st.composite
-def cells(draw, commits=st.integers(200, 800)) -> RunSpec:
-    threads = draw(st.integers(1, 4))
+def cells(draw, commits=st.integers(200, 800),
+          thread_counts=st.integers(1, 4),
+          policies: tuple[str, ...] | None = None) -> RunSpec:
+    threads = draw(thread_counts)
+    rob_size = draw(st.sampled_from(_ROB_SIZES))
     workload = tuple(draw(st.lists(
         st.sampled_from(registry.benchmarks.names()),
         min_size=threads, max_size=threads)))
@@ -67,10 +86,12 @@ def cells(draw, commits=st.integers(200, 800)) -> RunSpec:
         cancel_squashed_fills=draw(st.booleans()))
     config = SMTConfig(
         num_threads=threads,
-        rob_size=draw(st.sampled_from(_ROB_SIZES)),
+        rob_size=rob_size - rob_size % threads,
         lsq_size=draw(st.sampled_from((16, 48, 128))),
         int_iq_size=draw(st.sampled_from((8, 24, 64))),
         fp_iq_size=draw(st.sampled_from((8, 24, 64))),
+        int_rename_regs=draw(st.sampled_from((16, 48, 100))),
+        fp_rename_regs=draw(st.sampled_from((16, 48, 100))),
         fetch_max_threads=draw(st.integers(1, 4)),
         fetch_width=draw(st.sampled_from((2, 4, 8))),
         decode_width=draw(st.sampled_from((2, 4))),
@@ -89,8 +110,9 @@ def cells(draw, commits=st.integers(200, 800)) -> RunSpec:
             lll_entries=draw(st.sampled_from((64, 2_048))),
             mlp_entries=draw(st.sampled_from((64, 2_048))),
             dependence_aware=draw(st.booleans())))
-    return RunSpec(workload=workload, config=config,
-                   policy=draw(st.sampled_from(registry.policies.names())),
+    policy = draw(st.sampled_from(policies or registry.policies.names()))
+    return RunSpec(workload=workload, config=config, policy=policy,
+                   policy_kwargs=draw(_POLICY_KWARGS.get(policy, st.just({}))),
                    max_commits=draw(commits),
                    warmup=draw(st.sampled_from((0, 100, 300))),
                    seed=draw(st.sampled_from((0, 3, 17))))
@@ -120,6 +142,13 @@ def _outcome(spec: RunSpec) -> tuple[dict, int]:
                       memory=replace(scaled_memory(),
                                      serialize_long_latency=True)))
 def test_every_backend_matches_the_object_engine(spec):
+    _assert_backends_agree(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=cells(thread_counts=st.integers(1, 8),
+                  policies=("dcra", "mlp_dcra")))
+def test_dcra_gates_match_the_object_engine(spec):
     _assert_backends_agree(spec)
 
 

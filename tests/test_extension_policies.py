@@ -1,6 +1,8 @@
 """Behavioural tests for the related-work and future-work policies:
 DG/PDG gating, learning-based partitioning, MLP-aware DCRA, and CGMT."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import scaled_config
@@ -129,11 +131,18 @@ class TestMLPAwareDCRA:
         assert policy._limits(slow) == pytest.approx(policy._limits(fast))
 
     def test_high_mlp_slow_thread_gets_full_bonus(self):
-        core = _core(("swim", "twolf"), "mlp_dcra", slow_weight=2.0)
+        # One detection whose predicted distance spans the whole LLSR,
+        # at ema_alpha 1, sets the need to 1.0 through on_ll_detect,
+        # which writes the weight the shares read.
+        core = _core(("swim", "twolf"), "mlp_dcra", slow_weight=2.0,
+                     ema_alpha=1.0)
         policy = core.policy
         slow, fast = core.threads
         slow.outstanding_misses = 1
-        policy._mlp_need[0] = 1.0
+        slow.mlp_pred.train(7, core.cfg.llsr_length - 1)
+        policy.on_ll_detect(SimpleNamespace(instr=SimpleNamespace(pc=7)),
+                            slow)
+        assert policy._mlp_need[0] == 1.0
         s_lim, f_lim = policy._limits(slow), policy._limits(fast)
         for s, f in zip(s_lim, f_lim):
             assert s == pytest.approx(2 * f)

@@ -12,8 +12,9 @@ stream buffer's lines and ``ll_loads_per_thread`` as mappings; the fill
 heap sorted.  The golden matrix and ``test_differential.py`` compare
 whole runs.
 
-The file also holds the DCRA share cache's check: cached limits equal a
-fresh ``_limits`` whatever the miss state.
+The file also holds the check of the weights DCRA keeps: the shares
+``_limits`` derives from ``slow_weights`` equal fresh ones computed from
+``slow_weight``, the MLP need and the miss state.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.perf.golden import golden_matrix, snapshot_cell
 from repro.pipeline import cext
 from repro.pipeline.core import SMTCore
 from repro.policies import make_policy
-from repro.policies.dcra import _LIMITS_CACHE_MAX
 
 from conftest import needs_cext
 
@@ -334,7 +334,7 @@ def test_native_run_makes_no_python_memory_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
-# DCRA's cached resource shares
+# DCRA's resource shares from its cached per-thread weights
 # ---------------------------------------------------------------------- #
 
 def _dcra_core(policy: str, cfg: SMTConfig) -> SMTCore:
@@ -349,10 +349,29 @@ def _dcra_core(policy: str, cfg: SMTConfig) -> SMTCore:
                                              512)],
                          ids=[f"{n}t" for n in range(1, 9)] + ["16t-w512"])
 def test_dcra_cached_limits_match_fresh(policy, cfg):
+    """``slow_weights`` caches each thread's slow weight (written at
+    ``attach`` and, for ``mlp_dcra``, at each detection); the limits
+    ``_limits`` derives from it equal limits computed from scratch."""
     core = _dcra_core(policy, cfg)
     pol = core.policy
     rnd = random.Random(cfg.num_threads)
     seen = set()
+
+    def fresh(ts):
+        bonus = pol.slow_weight - 1.0
+        weights = [
+            (1.0 + bonus * min(pol._mlp_need[t.tid], 1.0)
+             if policy == "mlp_dcra" else pol.slow_weight)
+            if t.outstanding_misses > 0 else 1.0
+            for t in core.threads]
+        total = 0.0
+        for w in weights:
+            total += w
+        share = weights[ts.tid] / total
+        return tuple(size * share for size in (
+            cfg.rob_size, cfg.lsq_size, cfg.int_iq_size, cfg.fp_iq_size,
+            cfg.int_rename_regs, cfg.fp_rename_regs))
+
     for _ in range(400):
         for ts in core.threads:
             ts.outstanding_misses = rnd.choice((0, 0, 1, 3))
@@ -364,8 +383,8 @@ def test_dcra_cached_limits_match_fresh(policy, cfg):
             pol.on_ll_detect(SimpleNamespace(instr=SimpleNamespace(pc=pc)),
                              ts)
         for ts in core.threads:
-            assert pol._cached_limits(ts) == pol._limits(ts)
+            assert pol._limits(ts) == fresh(ts)
             seen.add(pol._limits(ts))
     assert len(seen) > 1 or cfg.num_threads == 1   # one thread: one share
-    assert len(pol._limits_cache) <= _LIMITS_CACHE_MAX
+    assert len(pol.slow_weights) == cfg.num_threads
     core.detach()

@@ -10,8 +10,9 @@ fire.  On the object engine, planted double-frees and a record
 mutated while pooled raise
 :class:`~repro.pipeline.sanitize.SanitizerError` at the operation.  On
 the compiled engine's arena, a duplicate free-list entry, a non-pristine
-free slot, a leaked slot, a freed slot missing from the free list and a
-wheel mark behind the current cycle raise it from the boundary check,
+free slot, a leaked slot, a freed slot missing from the free list, a
+wheel mark behind the current cycle and a heap out of heap order raise
+it from the boundary check,
 which leaves the run's TypeError standing for a Python part the loop
 refuses.
 """
@@ -254,6 +255,22 @@ class TestCextEngineDetection:
         with pytest.raises(SanitizerError, match="non-monotonic"):
             core.sanitize_check()
         arena["ev_marks"] = marks
+        core.sanitize_check()
+
+    @pytest.mark.parametrize("heap", ("ev_marks", "ready_int"))
+    def test_heap_out_of_order_caught(self, heap):
+        # Descending entries, so each parent sorts after its children:
+        # a heap that would pop wrongly.  Every planted entry is at or
+        # past the cycle, so no head check can see it.
+        core, _ = _run(CheckedCextCore)
+        arena = core._arena
+        kept = arena[heap]
+        arena[heap] = sorted(kept + [core.cycle + 5, core.cycle + 9],
+                             reverse=True)
+        with pytest.raises(SanitizerError,
+                           match=rf"heap order broken: {heap}\[1\]"):
+            core.sanitize_check()
+        arena[heap] = kept
         core.sanitize_check()
 
 
