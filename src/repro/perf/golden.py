@@ -53,9 +53,9 @@ GOLDEN_POLICIES = ("icount", "stall", "pred_stall", "flush", "mlp_stall",
 #: Runahead rides on :class:`repro.runahead.RunaheadCore`, which
 #: overrides the per-instruction stage bodies (``_commit_one``,
 #: ``_try_dispatch``, ``_execute``, ``_complete``), walks every thread
-#: in its commit rotation and keeps its own latch-free dispatch loop —
-#: these cells pin that second code path so the two can never silently
-#: diverge.
+#: in its commit rotation and releases resources at pseudo-retirement
+#: under the base dispatch stage's latches — these cells pin that
+#: second code path so the two can never silently diverge.
 GOLDEN_RUNAHEAD_POLICIES = ("runahead", "mlp_runahead")
 
 _WORKLOADS = {

@@ -5753,12 +5753,15 @@ static PyObject *view_get_live(PyObject *self, void *closure)
     {name, view_get_ocol, view_set_ocol, NULL, (void *)(intptr_t)(col)}
 #define VLINK(name, get, arg) {name, get, NULL, NULL, (void *)(arg)}
 
-/* Every DynInstr field (engine-parity-lint checks the coverage). */
+/* Every DynInstr field (engine-parity-lint checks the coverage), and
+   no more: the refs column and the F_RETIRED/F_IN_DETECTS bits serve
+   the free list only, so a policy sees the same record on both
+   engines. */
 static PyGetSetDef View_getset[] = {
     VLINK("instr", view_get_instr, 0), VICOL("thread", C_THREAD),
     VICOL("seq", C_SEQ), VICOL("gseq", C_GSEQ),
     VICOL("pending", C_PENDING), VICOL("fe_ready", C_FE_READY),
-    VICOL("refs", C_REFS), VOCOL("predicted_ll", O_PRED_LL),
+    VOCOL("predicted_ll", O_PRED_LL),
     VOCOL("fill_line", O_FILL_LINE), VOCOL("level", O_LEVEL),
     VFLAG("in_iq", F_IN_IQ), VFLAG("iq_is_fp", F_IQ_FP),
     VFLAG("issued", F_ISSUED), VFLAG("completed", F_COMPLETED),
@@ -5766,8 +5769,7 @@ static PyGetSetDef View_getset[] = {
     VFLAG("squashed", F_SQUASHED), VFLAG("is_load", F_IS_LOAD),
     VFLAG("is_store", F_IS_STORE), VFLAG("is_branch", F_IS_BRANCH),
     VFLAG("is_ll", F_IS_LL), VFLAG("inv", F_INV),
-    VFLAG("ll_dep", F_LL_DEP), VFLAG("retired", F_RETIRED),
-    VFLAG("in_detects", F_IN_DETECTS),
+    VFLAG("ll_dep", F_LL_DEP),
     VLINK("waiter0", view_get_waiter0, 0),
     VLINK("waiters", view_get_list, 0),
     VLINK("old_map", view_get_old_map, 0),

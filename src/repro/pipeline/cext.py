@@ -371,8 +371,8 @@ _SHARE_GATE = ("can_dispatch", "_limits")
 class CextCore(SMTCore):
     """The pipeline state as a native slot arena, driven by the compiled loop.
 
-    The arena (see the module doc) replaces the object engine's record
-    pool, event wheels and ready queues and takes over each thread's
+    The arena (see the module doc) replaces the object engine's records,
+    event wheels and ready queues and takes over each thread's
     ``fe_queue``, ``window`` and ``rename_map``; ``_run_until`` is the
     compiled loop.  The three marker slots cache the policy-class
     markers (``getattr`` probes on the policy class), so the C side
@@ -429,12 +429,12 @@ class CextCore(SMTCore):
     def _adopt_arena(self, engine):
         """Swap the object engine's containers for ``engine``'s arena.
 
-        The record pool, wheels and ready queues the base class built
-        become ``None``, so a stray object-engine body fails loudly; the
+        The wheels and ready queues the base class built become
+        ``None``, so a stray object-engine body fails loudly; the
         arena takes over each thread's ``fe_queue``, ``window`` and
         ``rename_map``.  Without an engine the arena is ``None`` too.
         """
-        self._di_pool = self._ready = self._ready_by_op = None
+        self._ready = self._ready_by_op = None
         self._ready_int = self._ready_ldst = self._ready_fp = None
         self._ev_buckets = self._ev_marks = self._ev_over = None
         self._dt_buckets = self._dt_marks = self._dt_over = None

@@ -33,11 +33,13 @@ maintained candidate list updated only on stall/unstall transitions
 accounted as wait intervals, dispatch latches rejected heads against a
 resource-release epoch and head-ready times (and replays a proven
 all-blocked stall verdict without re-scanning while that epoch holds),
-the commit stage runs behind an exact head-completion gate, whole-stage
-wake latches skip provably idle fetch/dispatch cycles, and retired
-``DynInstr`` records are pool-recycled under explicit reference
-accounting.  The data layout is scan-free where the original was
-scan-heavy: completions/detections/write-buffer drains ride cycle-bucketed
+the commit stage runs behind an exact head-completion gate, and
+whole-stage wake latches skip provably idle fetch/dispatch cycles.
+Each fetch builds a fresh ``DynInstr``, which CPython frees once no
+structure holds it; only the compiled engine recycles records (its
+slot arena, :mod:`repro.pipeline.cext`).  The data layout is
+scan-free where the original was scan-heavy:
+completions/detections/write-buffer drains ride cycle-bucketed
 calendar queues (see the event wheels in ``__init__``) instead of tuple
 heaps, each thread's rename map is a flat array indexed by the dense
 architectural register number, and the dispatch/commit rotations are
@@ -70,10 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.policies.base import FetchPolicy
     from repro.workloads.trace import SyntheticTrace
 
-
-#: Upper bound on pooled DynInstr records; enough to absorb the live
-#: population of the largest configured window plus fetch queues.
-_DI_POOL_CAP = 4096
 
 #: Age order for draining a multi-entry wheel bucket (see the calendar
 #: queues in :meth:`SMTCore.__init__`): sorting by ``gseq`` reproduces
@@ -116,7 +114,7 @@ class SMTCore:
         "_fe_mask", "_heads_mask", "_rot_cache", "_full_mask",
         "_policy_on_resource_stall",
         "_release_epoch", "_committed_watermark", "_commit_pending",
-        "_di_pool", "_policy_fetch_order", "_policy_fetch_pending",
+        "_policy_fetch_order", "_policy_fetch_pending",
         "_policy_can_dispatch", "_policy_on_fetch", "_policy_on_fetch_load",
         "_policy_on_load_complete", "_n_threads",
         "_fetch_wake", "_fetch_order_is_base", "_dispatch_wake",
@@ -264,9 +262,6 @@ class SMTCore:
         # RunaheadCore keeps it set — its commit stage can make progress
         # on incomplete heads.
         self._commit_pending = False
-        # Retired-DynInstr free list (None disables pooling — RunaheadCore
-        # opts out because INV/pseudo-retire state can outlive commit).
-        self._di_pool: list[DynInstr] | None = []
         policy.attach(self)
         # Bound-method hoists for the two policy calls made every cycle.
         # The policy is attached exactly once, at construction.
@@ -497,7 +492,6 @@ class SMTCore:
                     else:
                         bucket.sort(key=_BY_GSEQ)
                 for di in bucket:
-                    di.in_detects = False
                     if di.squashed or di.completed:
                         continue
                     on_ll_detect(di, threads[di.thread])
@@ -752,41 +746,13 @@ class SMTCore:
             dependent = any(p.is_ll or p.ll_dep for p in parents)
             di.ll_dep = dependent
             di.ll_parents = None
-            for p in parents:
-                p.refs -= 1
-                if p.retired and not p.refs:
-                    self._maybe_recycle(p, ts)
         ts.llsr.commit(di.is_load and di.is_ll, instr.pc, dependent)
-        # Retire the record.  The rename-undo backref it held dies with
-        # the commit (a committed instruction can never be flushed), and
-        # the record itself returns to the pool once nothing long-lived
-        # (rename-current entry, a younger old_map, captured ll_parents)
-        # still points at it — usually via the backref decrement of the
-        # next same-register writer's commit.
-        old = di.old_map
-        if old is not None:
-            di.old_map = None
-            old.refs -= 1
-            if old.retired and not old.refs:
-                self._maybe_recycle(old, ts)
-        di.retired = True
-        if not di.refs:
-            self._maybe_recycle(di, ts)
+        # The rename-undo backref dies with the commit (a committed
+        # instruction can never be flushed).  Dropping it keeps each
+        # register's committed writers from staying chained in memory,
+        # oldest to youngest, behind the rename-current record.
+        di.old_map = None
         return True
-
-    def _maybe_recycle(self, di: DynInstr, ts: ThreadState) -> None:
-        """Return a retired, unreferenced instruction record to the pool.
-
-        Callers guarantee ``di.retired and di.refs == 0``; the remaining
-        guards exclude the rare records with a still-queued long-latency
-        detection event or a live fetch-gating ownership (both keyed on
-        object identity, so reuse would alias them).  Records that fail a
-        guard are simply left to the garbage collector.
-        """
-        pool = self._di_pool
-        if (pool is not None and len(pool) < _DI_POOL_CAP
-                and not di.in_detects and di not in ts.ll_owners):
-            pool.append(di)
 
     # ------------------------------------------------------------------ #
     # event-wheel scheduling (cold-path forms; the hot paths inline the
@@ -914,7 +880,6 @@ class SMTCore:
             if is_ll:
                 stats.ll_loads += 1
             if result.trigger:
-                di.in_detects = True
                 # Detection wheel push (detect horizons are L2-bounded,
                 # but the spill guard keeps odd configs exact).
                 when = result.detect_cycle
@@ -1119,7 +1084,6 @@ class SMTCore:
             if track_dep and (prod.is_load or prod.ll_parents is not None
                               or prod.ll_dep):
                 parents.append(prod)
-                prod.refs += 1
             if wait and not prod.completed:
                 di.pending += 1
                 if prod.waiter0 is None:
@@ -1137,8 +1101,6 @@ class SMTCore:
                     f"destination register {dest} is outside the rename map")
             di.old_map = rename_map[dest]
             rename_map[dest] = di
-            di.refs += 1  # rename-current; the old entry's ref transfers
-            #              to the old_map backref
             if di.dest_fp:
                 self.fp_regs_used += 1
                 ts.fp_regs += 1
@@ -1211,7 +1173,6 @@ class SMTCore:
         limit = self._fe_capacity - len(fe_queue)
         if budget < limit:
             limit = budget
-        pool = self._di_pool
         while count < limit:
             fetch_index = ts.fetch_index
             if not ignore_stall and allowed_end is not None \
@@ -1234,29 +1195,7 @@ class SMTCore:
                     ts.fetch_blocked_until = done
                     break
             gseq += 1
-            if pool:
-                di = pool.pop()
-                # DynInstr.reinit, inlined (one call per fetched
-                # instruction was measurable) — keep in sync.
-                di.instr = instr
-                di.thread = tid
-                di.seq = fetch_index
-                di.gseq = gseq
-                di.pending = 0
-                di.fe_ready = fe_ready
-                di.issued = False
-                di.completed = False
-                di.has_dest = instr.has_dest
-                di.dest_fp = instr.dest_fp
-                di.is_load = instr.is_load
-                di.is_store = instr.is_store
-                di.is_branch = instr.is_branch
-                di.is_ll = False
-                di.fill_line = None
-                di.ll_dep = False
-                di.retired = False
-            else:
-                di = DynInstr(instr, tid, fetch_index, gseq, fe_ready)
+            di = DynInstr(instr, tid, fetch_index, gseq, fe_ready)
             fe_append(di)
             ts.fetch_index = fetch_index + 1
             ts.icount += 1
@@ -1357,22 +1296,12 @@ class SMTCore:
                 else:
                     iq_delta += 1
             if di.has_dest:
-                # Undo the rename: the old mapping's backref transfers
-                # back to being the current entry; the squashed record
-                # drops its own current-entry ref.
+                # Undo the rename: the old mapping is current again.
                 rename_map[di.instr.dest] = di.old_map
-                di.refs -= 1
                 if di.dest_fp:
                     fp_regs_delta += 1
                 else:
                     int_regs_delta += 1
-            parents = di.ll_parents
-            if parents is not None:
-                di.ll_parents = None
-                for p in parents:
-                    p.refs -= 1
-                    if p.retired and not p.refs:
-                        self._maybe_recycle(p, ts)
             if di in ll_owners:
                 ts.clear_owner(di, cycle)
         if rob_delta:

@@ -7,7 +7,7 @@ Two representations share this module:
   RunaheadCore`, which subclasses the object engine's commit machinery).
 * The **slot layout** of the compiled ``cext`` backend's native arena
   (:mod:`repro.pipeline.cext`): every ``DynInstr`` field is a per-slot
-  column in C memory, the eleven booleans collapse into one integer
+  column in C memory, the booleans collapse into one integer
   ``flags`` word (bit layout below, mirrored by ``_cext_engine.c`` and
   cross-checked when it loads), and cross-record references become slot
   numbers.  Policies and hooks never see a raw slot: they get the C
@@ -32,12 +32,12 @@ from repro.isa import Instr
 #: ``2**SLOT_SHIFT`` slots (the arena enforces this bound when growing).
 SLOT_SHIFT = 20
 
-# ``flags`` column bit layout (one bit per DynInstr boolean, plus two of
-# the ``Instr``'s own).  The five instruction-class bits
-# (``F_HAS_DEST``, ``F_DEST_FP``, ``F_IS_LOAD``, ``F_IS_STORE``,
-# ``F_IS_BRANCH``) are copied from the immutable ``Instr`` at fetch, as
-# a fresh DynInstr copies them, and so are ``F_TAKEN``/``F_FP_QUEUE``;
-# the rest is mutable pipeline state.
+# ``flags`` column bit layout (one bit per DynInstr boolean, three for
+# the arena's free list, plus two of the ``Instr``'s own).  The five
+# instruction-class bits (``F_HAS_DEST``, ``F_DEST_FP``, ``F_IS_LOAD``,
+# ``F_IS_STORE``, ``F_IS_BRANCH``) are copied from the immutable
+# ``Instr`` at fetch, as a fresh DynInstr copies them, and so are
+# ``F_TAKEN``/``F_FP_QUEUE``; the rest is mutable pipeline state.
 F_IN_IQ = 1 << 0
 F_IQ_FP = 1 << 1
 F_ISSUED = 1 << 2
@@ -51,12 +51,15 @@ F_IS_BRANCH = 1 << 9
 F_IS_LL = 1 << 10
 F_INV = 1 << 11
 F_LL_DEP = 1 << 12
+#: The arena's reclaim guards: a slot is freed once it is retired (or
+#: squashed), holds no reference (the ``refs`` column) and has no
+#: queued long-latency detection.
 F_RETIRED = 1 << 13
 F_IN_DETECTS = 1 << 14
-#: Set while a slot sits on the free list; reinit clears it.  Guards the
-#: reclaim sites against double-freeing a slot that is reachable from
-#: more than one stale structure (e.g. a squashed instruction freed at
-#: flush whose completion event is still queued).
+#: Set while a slot sits on the arena's free list; allocation clears
+#: it.  Guards the reclaim sites against double-freeing a slot that is
+#: reachable from more than one stale structure (e.g. a squashed
+#: instruction freed at flush whose completion event is still queued).
 F_FREED = 1 << 15
 #: The arena's copies of the fetched ``Instr``'s ``taken`` and
 #: ``fp_queue``, which no ``DynInstr`` field mirrors: the fetch stage
@@ -74,14 +77,9 @@ class DynInstr:
     makes flush-and-refetch a simple index rewind); ``gseq`` is a global age
     stamp used for oldest-first issue ordering.
 
-    Records are pool-recycled by the core (see ``SMTCore._di_pool``):
-    ``refs`` counts the long-lived references that outlive the window slot
-    (the rename-map current entry, younger instructions' ``old_map``
-    undo records, and captured ``ll_parents``), ``retired`` marks
-    architectural commit, and ``in_detects`` marks a still-queued
-    long-latency detection event.  A record returns to the pool only when
-    it is retired with ``refs == 0`` and no queued detection, so a pooled
-    object is never reachable from live simulation state.
+    Each fetch builds a fresh record, which CPython frees once no
+    pipeline structure holds it.  Only the compiled engine recycles
+    instruction storage: the slots of its arena (module doc).
     """
 
     __slots__ = (
@@ -94,7 +92,6 @@ class DynInstr:
         "is_load", "is_store", "is_branch",
         "is_ll", "predicted_ll", "fill_line",
         "level", "inv", "ll_parents", "ll_dep",
-        "refs", "retired", "in_detects",
     )
 
     def __init__(self, instr: Instr, thread: int, seq: int, gseq: int,
@@ -135,52 +132,6 @@ class DynInstr:
         # the resolved transitively-dependent flag (final at commit).
         self.ll_parents: tuple[DynInstr, ...] | None = None
         self.ll_dep = False
-        self.refs = 0
-        self.retired = False
-        self.in_detects = False
-
-    def reinit(self, instr: Instr, thread: int, seq: int, gseq: int,
-               fe_ready: int) -> None:
-        """Re-arm a pooled record: ``__init__`` minus the pool invariants.
-
-        The commit-path recycle guards admit a record to the pool only
-        when it retired with no live references, so these fields are
-        *provably* already pristine and are not re-written here:
-        ``waiter0``/``waiters``/``old_map``/``ll_parents`` are ``None``
-        (drained at completion / cleared at commit), ``squashed`` and
-        ``inv`` are False (committed records are neither; RunaheadCore,
-        the only INV producer, opts out of pooling), ``in_iq`` is False
-        (issue cleared it), ``refs`` is 0 and ``in_detects`` False
-        (recycle guards).  Three further fields may carry a stale value
-        but are always written before their first possible read in the
-        new lifetime, so they are skipped too: ``iq_is_fp`` (written at
-        dispatch; every read is gated on ``in_iq``), ``predicted_ll``
-        (written at fetch for loads; every read is gated on
-        ``is_load``), and ``level`` (written at execute for loads; read
-        only for completed loads).  ``tests/test_pool.py`` cross-checks
-        a reused record against a fresh one field by field, modulo that
-        documented skip list.
-
-        The fetch loop inlines this body (``SMTCore._fetch_thread``) —
-        keep the two in sync.
-        """
-        self.instr = instr
-        self.thread = thread
-        self.seq = seq
-        self.gseq = gseq
-        self.pending = 0         # loads park -1 here as a miss marker
-        self.fe_ready = fe_ready
-        self.issued = False
-        self.completed = False
-        self.has_dest = instr.has_dest
-        self.dest_fp = instr.dest_fp
-        self.is_load = instr.is_load
-        self.is_store = instr.is_store
-        self.is_branch = instr.is_branch
-        self.is_ll = False
-        self.fill_line = None
-        self.ll_dep = False
-        self.retired = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join((

@@ -62,8 +62,9 @@ class ThreadState:
         #: flat space — see :mod:`repro.isa.instruction`), replacing the
         #: dict the dispatch loop used to hash into per source operand.
         #: ``None`` means "no in-flight producer"; flush undo writes the
-        #: ``old_map`` backref straight into the slot, so the DynInstr
-        #: pooling reference accounting is byte-for-byte the dict's.
+        #: ``old_map`` backref straight into the slot, as it did into the
+        #: dict.  The compiled engine, which recycles slots, counts this
+        #: entry as a reference in its arena's ``refs`` column.
         self.rename_map: list[DynInstr | None] = [None] * NUM_ARCH_REGS
         self.icount = 0
         self.rob_count = 0

@@ -48,9 +48,9 @@ class CGMTPolicy(LongLatencyAwarePolicy):
     def __init__(self, switch_penalty: int = 30, flush_on_switch: bool = True,
                  quantum: int = 2_000):
         super().__init__()
-        if switch_penalty < 0:
+        if not switch_penalty >= 0:   # negated: NaN fails too
             raise ValueError("switch penalty cannot be negative")
-        if quantum < 1:
+        if not quantum >= 1:
             raise ValueError("quantum must be positive")
         self.switch_penalty = switch_penalty
         self.flush_on_switch = flush_on_switch

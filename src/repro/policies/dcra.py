@@ -32,6 +32,8 @@ called, as on the object engine.
 
 from __future__ import annotations
 
+import math
+
 from repro.isa import Op
 from repro.policies.base import FetchPolicy
 
@@ -45,8 +47,12 @@ class DCRAPolicy(FetchPolicy):
 
     def __init__(self, slow_weight: float = 2.0):
         super().__init__()
-        if slow_weight < 1.0:
-            raise ValueError("slow threads cannot get less than a fast share")
+        # Not finite: NaN makes every limit NaN (no gate at all), inf
+        # leaves a fast thread beside a slow one no share.
+        if not (math.isfinite(slow_weight) and slow_weight >= 1.0):
+            raise ValueError("slow_weight must be finite and at least 1.0 "
+                             "(a slow thread's share is a fast one's "
+                             "or more)")
         self.slow_weight = slow_weight
         #: Per thread, its weight while it has an outstanding miss.
         self.slow_weights: list[float] = []

@@ -49,7 +49,7 @@ class LearningPartitionPolicy(FetchPolicy):
     def __init__(self, epoch_cycles: int = 2_000, step: float = 0.05,
                  metric: str = "throughput", min_share: float = 0.10):
         super().__init__()
-        if epoch_cycles < 10:
+        if not epoch_cycles >= 10:   # negated: NaN fails too
             raise ValueError("epoch must be at least 10 cycles")
         if not 0.0 < step < 0.5:
             raise ValueError("step must be in (0, 0.5)")

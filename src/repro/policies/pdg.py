@@ -45,7 +45,7 @@ class DataGatingPolicy(FetchPolicy):
 
     def __init__(self, threshold: int = 2):
         super().__init__()
-        if threshold < 1:
+        if not threshold >= 1:   # negated: NaN fails too
             raise ValueError("threshold must be at least 1")
         self.threshold = threshold
 
@@ -75,7 +75,7 @@ class PredictiveDataGatingPolicy(FetchPolicy):
 
     def __init__(self, threshold: int = 2, predictor_entries: int = 2048):
         super().__init__()
-        if threshold < 1:
+        if not threshold >= 1:   # negated: NaN fails too
             raise ValueError("threshold must be at least 1")
         self.threshold = threshold
         self._predictor_entries = predictor_entries

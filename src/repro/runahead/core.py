@@ -68,10 +68,6 @@ class RunaheadCore(SMTCore):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._ra = [_RunaheadState() for _ in self.threads]
-        # No DynInstr pooling: pseudo-retirement releases records without
-        # the commit-path reference accounting, and ``_RunaheadState``
-        # keeps identity references (entry, refused) past retirement.
-        self._di_pool = None
         # The commit gate stays permanently open and the commit rotation
         # unfiltered (no rotation cache): this commit stage can make
         # progress on *incomplete* heads (runahead entry,
@@ -131,46 +127,6 @@ class RunaheadCore(SMTCore):
         super()._commit(cycle)
         self._commit_pending = True
 
-    def _dispatch(self, cycle: int) -> None:
-        # The plain per-attempt loop, without the base stage's latches
-        # (blocked head, wait-until skip, dispatch wake, stall verdict).
-        # Those latches assume every resource release bumps
-        # ``_release_epoch``; pseudo-retirement releases without a bump,
-        # so on the base stage a latched rejection would outlive its
-        # cause and both runahead golden cells would change.
-        budget = self._decode_width
-        any_ready = False
-        blocked_by_resource = False
-        dispatched = 0
-        threads = self.threads
-        n = len(threads)
-        try_dispatch = self._try_dispatch
-        start = (cycle + 1) % n  # offset from commit's rotation
-        for i in range(n):
-            ts = threads[(start + i) % n]
-            if budget == 0:
-                break
-            fe = ts.fe_queue
-            while budget > 0 and fe:
-                di = fe[0]
-                if di.fe_ready > cycle:
-                    break
-                any_ready = True
-                outcome = try_dispatch(ts, di)
-                if outcome is None:
-                    fe.popleft()
-                    budget -= 1
-                    dispatched += 1
-                    continue
-                if outcome:
-                    blocked_by_resource = True
-                break
-        if dispatched:
-            self._fetch_wake = 0  # front-end pops freed fetch headroom
-        if any_ready and dispatched == 0 and blocked_by_resource:
-            self.stats.resource_stall_cycles += 1
-            self.policy.on_resource_stall(cycle)
-
     def _commit_one(self, ts: ThreadState, cycle: int) -> bool:
         ra = self._ra[ts.tid]
         if ra.active:
@@ -229,6 +185,9 @@ class RunaheadCore(SMTCore):
             else:
                 ts.int_regs -= 1
                 self.int_regs_used -= 1
+        # Shared entries were released: the dispatch stage's latched
+        # rejections and stall verdict no longer hold.
+        self._release_epoch += 1
         ts.stats.runahead_pseudo_retired += 1
         return True
 

@@ -54,7 +54,7 @@ class MLPRunaheadPolicy(MLPFlushPolicy):
 
     def __init__(self, runahead_threshold: int = 16):
         super().__init__()
-        if runahead_threshold < 1:
+        if not runahead_threshold >= 1:   # negated: NaN fails too
             raise ValueError("runahead threshold must be at least 1")
         self.runahead_threshold = runahead_threshold
 

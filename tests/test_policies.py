@@ -184,6 +184,30 @@ class TestDCRA:
                     assert ts.rob_count <= cap
 
 
+#: (policy, keyword, value) a constructor must refuse.  Each check is
+#: written ``not x >= bound``, so NaN fails it; DCRA also refuses inf
+#: (a fast thread beside a slow one would get no share).
+_OUT_OF_RANGE = [
+    ("dcra", "slow_weight", float("nan")),
+    ("dcra", "slow_weight", float("inf")),
+    ("mlp_dcra", "slow_weight", float("nan")),
+    ("mlp_dcra", "slow_weight", float("inf")),
+    ("cgmt", "switch_penalty", float("nan")),
+    ("cgmt", "quantum", float("nan")),
+    ("learning", "epoch_cycles", float("nan")),
+    ("dg", "threshold", float("nan")),
+    ("pdg", "threshold", float("nan")),
+    ("mlp_runahead", "runahead_threshold", float("nan")),
+]
+
+
+@pytest.mark.parametrize(("policy", "key", "value"), _OUT_OF_RANGE,
+                         ids=[f"{p}-{k}-{v}" for p, k, v in _OUT_OF_RANGE])
+def test_constructor_refuses_non_finite_bounds(policy, key, value):
+    with pytest.raises(ValueError):
+        make_policy(policy, **{key: value})
+
+
 class TestResourceStallAlternatives:
     def test_mlp_flush_rs_flushes_on_resource_stall(self):
         cfg = scaled_config(num_threads=2, scale=16)

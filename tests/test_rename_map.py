@@ -93,16 +93,22 @@ def _build_core(programs, dict_oracle: bool) -> SMTCore:
 
 
 def _rename_shape(core: SMTCore):
-    """Structural (identity-free) view of every thread's rename state."""
+    """Structural (identity-free) view of every thread's rename state.
+
+    A mapped producer is retired when it has left its thread's window
+    (it committed: a squashed one is never mapped).
+    """
     shape = []
     for ts in core.threads:
+        in_window = {id(di) for di in ts.window}
         regs = []
         for reg, prod in enumerate(ts.rename_map):
             if prod is None:
                 regs.append(None)
             else:
-                regs.append((reg, prod.seq, prod.gseq, prod.retired,
-                             prod.completed, prod.squashed, prod.refs))
+                regs.append((reg, prod.seq, prod.gseq,
+                             id(prod) not in in_window,
+                             prod.completed, prod.squashed))
         shape.append(regs)
     return shape
 
@@ -158,9 +164,8 @@ def _soa_rename_shape(core):
 
     The arena map holds slot numbers; project each mapped slot's columns
     onto the same (reg, seq, gseq, retired, completed, squashed) tuple
-    ``_rename_shape`` builds from record attributes.  Reference counts
-    are *not* compared: the arena counts rename-current occupancy as a
-    reference (slot lifetime), the object engine does not (GC does).
+    ``_rename_shape`` builds from records, the retired bit read from the
+    slot's ``F_RETIRED``.
     """
     shape = []
     flags, seq, gseq = (core._arena[name] for name in ("flags", "seq",
@@ -191,8 +196,8 @@ def test_cext_rename_columns_match_object_records(data):
     ``advance_to`` commit segments, since the compiled loop has no
     per-cycle ``step`` — and at every segment boundary the arena's
     slot-number map must project onto exactly the object engine's record
-    map (minus identity and refcounts), with the cycle and the
-    architectural stats equal.
+    map (minus identity), with the cycle and the architectural stats
+    equal.
     """
     draw = data.draw
     num_threads = draw(st.sampled_from((1, 2, 4)))
@@ -203,11 +208,6 @@ def test_cext_rename_columns_match_object_records(data):
     traces = [StubTrace(body, base=(tid + 1) << 33)
               for tid, body in enumerate(programs)]
     arena = CextCore(cfg, traces, make_policy("icount"))
-
-    def _obj_shape_no_refs():
-        return [[None if entry is None else entry[:6]
-                 for entry in regs]
-                for regs in _rename_shape(obj)]
 
     segments = draw(st.lists(
         st.tuples(st.integers(min_value=5, max_value=120),
@@ -228,7 +228,7 @@ def test_cext_rename_columns_match_object_records(data):
             after_seq = max(ts_o.fetch_index - 1 - rewind, 0)
             obj.flush_thread(ts_o, after_seq)
             arena.flush_thread(ts_a, after_seq)
-        assert _obj_shape_no_refs() == _soa_rename_shape(arena)
+        assert _rename_shape(obj) == _soa_rename_shape(arena)
         assert _stats_shape(obj) == _stats_shape(arena)
 
 

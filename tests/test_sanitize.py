@@ -6,15 +6,13 @@ only then — off means the module is not even imported); a sanitized
 run is bit-exact with a stock one on both backends (on the object
 engine for every golden policy, runahead through a ``step()``-driven
 twin because the sanitizer bypasses it); and the checks actually
-fire.  On the object engine, planted double-frees and a record
-mutated while pooled raise
-:class:`~repro.pipeline.sanitize.SanitizerError` at the operation.  On
-the compiled engine's arena, a duplicate free-list entry, a non-pristine
-free slot, a leaked slot, a freed slot missing from the free list, a
-wheel mark behind the current cycle and a heap out of heap order raise
-it from the boundary check,
-which leaves the run's TypeError standing for a Python part the loop
-refuses.
+fire.  On the object engine, a wheel mark behind the current cycle
+raises :class:`~repro.pipeline.sanitize.SanitizerError` at the next
+``step()``.  On the compiled engine's arena, a duplicate free-list
+entry, a non-pristine free slot, a leaked slot, a freed slot missing
+from the free list, a wheel mark behind the current cycle and a heap
+out of heap order raise it from the boundary check, which leaves the
+run's TypeError standing for a Python part the loop refuses.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.pipeline.core import SMTCore
 from repro.pipeline.dyninstr import F_FREED
 from repro.pipeline.sanitize import (
     CheckedCextCore,
-    CheckedPool,
     CheckedSMTCore,
     SanitizerError,
     checked_variant,
@@ -140,39 +137,14 @@ class TestBitExactness:
 
 
 class TestObjectEngineDetection:
-    def test_double_free_caught(self):
+    def test_wheel_mark_behind_the_cycle_caught(self):
         core, _ = _run(CheckedSMTCore)
-        pool = core._di_pool
-        assert isinstance(pool, CheckedPool) and pool
-        di = pool.pop()
-        pool.append(di)
-        with pytest.raises(SanitizerError, match="double free"):
-            pool.append(di)
-
-    def test_unretired_free_caught(self):
-        core, _ = _run(CheckedSMTCore)
-        pool = core._di_pool
-        di = pool.pop()
-        di.retired = False
-        with pytest.raises(SanitizerError, match="not retired"):
-            pool.append(di)
-        di.retired = True   # leave the pool record consistent
-
-    def test_mutated_while_pooled_caught(self):
-        core, _ = _run(CheckedSMTCore)
-        pool = core._di_pool
-        pool[-1].refs = 1
-        with pytest.raises(SanitizerError, match="mutated while pooled"):
-            pool.pop()
-
-    def test_use_after_free_scan(self):
-        core, _ = _run(CheckedSMTCore)
-        pool = core._di_pool
-        core.threads[0].window.append(pool[-1])
-        with pytest.raises(SanitizerError, match="use after free"):
-            core.sanitize_check()
-        core.threads[0].window.pop()
-        core.sanitize_check()   # restored state passes again
+        marks = list(core._ev_marks)
+        heappush(core._ev_marks, core.cycle - 1)
+        with pytest.raises(SanitizerError, match="non-monotonic"):
+            core.step()
+        core._ev_marks[:] = marks
+        core.step()   # restored state passes again
 
 
 @needs_cext
