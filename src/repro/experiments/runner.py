@@ -126,24 +126,24 @@ def core_for(policy: FetchPolicy, backend: str | None = None,
     lookup.
 
     With ``REPRO_SANITIZE`` set (see :mod:`repro.pipeline.sanitize`) the
-    stock engines are swapped for their checked subclasses — bit-exact,
-    slower, allocator invariants asserted.  The env probe is the only
-    cost when the knob is off; the sanitizer module is not even
-    imported.  Specialized cores bypass the sanitizer.
+    engines are swapped for their checked subclasses, runahead's core
+    included — bit-exact, slower, invariants asserted.  The env probe
+    is the only cost when the knob is off; the sanitizer module is not
+    even imported.
     """
-    if policy.core_class is not None:
-        return policy.core_class
-    if backend is None:
-        backend = default_backend()
-        if backend == "cext":
-            from repro.pipeline.cext import max_threads
-            if num_threads > max_threads():
-                backend = "object"
-    if backend == "object":
-        cls = SMTCore
-    else:
-        from repro import registry  # lazy: registry sits above experiments
-        cls = registry.backends.get(backend)
+    cls = policy.core_class
+    if cls is None:
+        if backend is None:
+            backend = default_backend()
+            if backend == "cext":
+                from repro.pipeline.cext import max_threads
+                if num_threads > max_threads():
+                    backend = "object"
+        if backend == "object":
+            cls = SMTCore
+        else:
+            from repro import registry  # lazy: registry sits above experiments
+            cls = registry.backends.get(backend)
     if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
         from repro.pipeline.sanitize import checked_variant
         cls = checked_variant(cls)

@@ -63,8 +63,8 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
   ``ThreadState.clear_owner`` at a flush, and
   ``ThreadState._sync_policy_stall`` when the stall predicate flips.
 * :class:`CextCore` is an :class:`~repro.pipeline.core.SMTCore`
-  subclass that swaps the object engine's records, wheels and ready
-  queues for the arena, overrides ``_run_until`` with the compiled loop,
+  subclass that swaps the object engine's records, event heaps and
+  ready queues for the arena, overrides ``_run_until`` with the compiled loop,
   ``flush_thread`` with the arena's and ``_build`` with the native
   parts and :class:`CextThreadState` threads.
   Stats are the object engine's and the threads its ``ThreadState``
@@ -372,7 +372,7 @@ class CextCore(SMTCore):
     """The pipeline state as a native slot arena, driven by the compiled loop.
 
     The arena (see the module doc) replaces the object engine's records,
-    event wheels and ready queues and takes over each thread's
+    event heaps and ready queues and takes over each thread's
     ``fe_queue``, ``window`` and ``rename_map``; ``_run_until`` is the
     compiled loop.  The three marker slots cache the policy-class
     markers (``getattr`` probes on the policy class), so the C side
@@ -390,7 +390,7 @@ class CextCore(SMTCore):
     cannot run.
     """
 
-    __slots__ = ("_ints", "_arena", "_cext_olc_cleanup_only",
+    __slots__ = ("_ints", "_arena", "_full_mask", "_cext_olc_cleanup_only",
                  "_cext_ll_detect_is_base", "_cext_share_gate")
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
@@ -402,6 +402,7 @@ class CextCore(SMTCore):
                 f" not {cfg.num_threads}; run more on backend 'object'")
         super().__init__(cfg, traces, policy)
         self._adopt_arena(engine)
+        self._full_mask = (1 << cfg.num_threads) - 1
         pcls = type(policy)
         self._cext_olc_cleanup_only = bool(getattr(
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
@@ -429,18 +430,23 @@ class CextCore(SMTCore):
     def _adopt_arena(self, engine):
         """Swap the object engine's containers for ``engine``'s arena.
 
-        The wheels and ready queues the base class built become
+        The event heaps and ready queues the base class built become
         ``None``, so a stray object-engine body fails loudly; the
         arena takes over each thread's ``fe_queue``, ``window`` and
         ``rename_map``.  Without an engine the arena is ``None`` too.
+
+        The arena's event wheels are rings of per-cycle buckets, sized
+        to a power of two past the longest memory round trip; a later
+        event spills into a heap.
         """
         self._ready = self._ready_by_op = None
         self._ready_int = self._ready_ldst = self._ready_fp = None
-        self._ev_buckets = self._ev_marks = self._ev_over = None
-        self._dt_buckets = self._dt_marks = self._dt_over = None
-        self._wb_buckets = self._wb_marks = self._wb_over = None
+        self._ev_heap = self._dt_heap = self._wb_heap = None
+        mem_cfg = self.cfg.memory
+        horizon = 2 * (mem_cfg.mem_latency + mem_cfg.tlb_miss_penalty) + 512
+        wheel = max(1024, min(1 << horizon.bit_length(), 1 << 16))
         self._arena = None if engine is None else engine.Arena(
-            self.threads, self._wheel_mask + 1, FU_CLASS_BY_OP)
+            self.threads, wheel, FU_CLASS_BY_OP)
 
     def detach(self) -> None:
         super().detach()

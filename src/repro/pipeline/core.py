@@ -22,42 +22,53 @@ can happen (no fetch-eligible thread, empty ready queues, no dispatchable or
 committable instruction) by jumping to the next scheduled event; tests
 verify cycle-exact equivalence with the naive loop.
 
-Implementation notes (perf): this file is the simulator's hot loop — every
-object-engine run bottoms out in the loop of :meth:`SMTCore._run_until`,
-the engine's one cycle body (:meth:`SMTCore.step` runs one pass of it).
-Beyond the usual local/bound-method hoists, per-op tables and config
-snapshotting, the engine is *event-driven where the original was
-per-cycle*: fetch eligibility lives in an incrementally
-maintained candidate list updated only on stall/unstall transitions
-(``ThreadState._sync_policy_stall``), branch- and policy-stall cycles are
-accounted as wait intervals, dispatch latches rejected heads against a
-resource-release epoch and head-ready times (and replays a proven
-all-blocked stall verdict without re-scanning while that epoch holds),
-the commit stage runs behind an exact head-completion gate, and
-whole-stage wake latches skip provably idle fetch/dispatch cycles.
-Each fetch builds a fresh ``DynInstr``, which CPython frees once no
-structure holds it; only the compiled engine recycles records (its
-slot arena, :mod:`repro.pipeline.cext`).  The data layout is
-scan-free where the original was scan-heavy:
-completions/detections/write-buffer drains ride cycle-bucketed
-calendar queues (see the event wheels in ``__init__``) instead of tuple
-heaps, each thread's rename map is a flat array indexed by the dense
-architectural register number, and the dispatch/commit rotations are
-filtered through activity bitmasks (``_fe_mask``/``_heads_mask``) with a
-lazily built per-(mask, start) rotation cache.  Each stage has one
-body, and the per-instruction ones are the overridable methods the
-stage loops call (``_complete``, ``_execute``, ``_commit_one``,
-``_try_dispatch``, and the policy's ``fetch_order``/``fetch_pending``),
-so a subclass hooks a mechanism by overriding one of them; the
-golden-stats matrix (``tests/test_golden_stats.py``, {1,2,4,8} threads
-x all eight paper policies plus runahead) pins the engine to the
-pre-optimization core cycle-for-cycle.
+Implementation notes (perf).  This engine is the reference every
+compiled-engine test compares against, so it keeps only the fast paths
+that measurably pay (perf/PROFILE.md, "the object engine keeps only
+the fast paths that pay") and recomputes the rest every cycle.  The compiled loop (:mod:`repro.pipeline.cext`) keeps more
+of them, and these exist *only in C*:
+
+* the calendar-queue event wheels (this engine has three plain heaps);
+* the dispatch wake latch ``_dispatch_wake`` (this engine runs the
+  dispatch stage every cycle);
+* the front-end activity mask ``_fe_mask`` (this engine's dispatch walks
+  the full rotation);
+* each thread's ``head_ready``, and the slot arena that recycles
+  instruction records (this engine builds a fresh ``DynInstr`` per
+  fetch and CPython frees it).
+
+The differential tests check each of those C copies against this engine.
+
+Every object-engine run bottoms out in the loop of
+:meth:`SMTCore._run_until`, the engine's one cycle body
+(:meth:`SMTCore.step` runs one pass of it).  Beyond local and
+bound-method hoists, per-op tables and config snapshots, the fast paths
+both engines share are these: fetch eligibility lives in an
+incrementally maintained candidate list updated only on stall/unstall
+transitions (``ThreadState._sync_policy_stall``); branch- and
+policy-stall cycles are accounted as wait intervals; dispatch latches
+rejected heads against a resource-release epoch and head-ready times,
+and replays a proven all-blocked stall verdict without re-scanning
+while that epoch holds; the commit stage runs behind an exact
+head-completion gate, its rotation filtered through the ready-head mask
+``_heads_mask`` with a lazily built per-(mask, start) rotation cache;
+the fetch wake latch skips provably idle fetch cycles; and the
+fast-forward probe jumps over cycles in which nothing can happen.
+Completions, long-latency detections and write-buffer drains wait in
+heaps, and each thread's rename map is a flat array indexed by the
+dense architectural register number.  Each stage has one body, and the
+per-instruction ones are the overridable methods the stage loops call
+(``_complete``, ``_execute``, ``_commit_one``, ``_try_dispatch``, and the
+policy's ``fetch_order``/``fetch_pending``), so a subclass hooks a
+mechanism by overriding one of them; the golden-stats matrix
+(``tests/test_golden_stats.py``, {1,2,4,8} threads x all eight paper
+policies plus runahead) pins the engine to the pre-optimization core
+cycle-for-cycle.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.branch import BTB, GShare
@@ -71,12 +82,6 @@ from repro.pipeline.thread_state import ThreadState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.policies.base import FetchPolicy
     from repro.workloads.trace import SyntheticTrace
-
-
-#: Age order for draining a multi-entry wheel bucket (see the calendar
-#: queues in :meth:`SMTCore.__init__`): sorting by ``gseq`` reproduces
-#: the old heaps' (cycle, age) pop order exactly.
-_BY_GSEQ = attrgetter("gseq")
 
 
 class SimulationDeadlock(RuntimeError):
@@ -100,9 +105,7 @@ class SMTCore:
         "_gseq", "_ready", "_ready_by_op",
         "_ready_int", "_ready_ldst", "_ready_fp",
         "_num_int_alu", "_num_ldst", "_num_fp",
-        "_wheel_mask", "_ev_buckets", "_ev_marks", "_ev_over",
-        "_dt_buckets", "_dt_marks", "_dt_over",
-        "_wb_buckets", "_wb_marks", "_wb_over", "_wb_used",
+        "_ev_heap", "_dt_heap", "_wb_heap", "_wb_used",
         "rob_used", "lsq_used", "iq_used", "fq_used",
         "int_regs_used", "fp_regs_used",
         "_fe_capacity", "stats", "_line_shift", "_measure_start",
@@ -111,13 +114,13 @@ class SMTCore:
         "_commit_width", "_decode_width", "_fetch_width",
         "_fetch_max_threads", "_frontend_depth", "_wb_entries",
         "_fast_forward", "_rotations", "_fetch_candidates",
-        "_fe_mask", "_heads_mask", "_rot_cache", "_full_mask",
+        "_heads_mask", "_rot_cache",
         "_policy_on_resource_stall",
         "_release_epoch", "_committed_watermark", "_commit_pending",
         "_policy_fetch_order", "_policy_fetch_pending",
         "_policy_can_dispatch", "_policy_on_fetch", "_policy_on_fetch_load",
         "_policy_on_load_complete", "_n_threads",
-        "_fetch_wake", "_fetch_order_is_base", "_dispatch_wake",
+        "_fetch_wake", "_fetch_order_is_base",
         "_stall_latch_until", "_stall_latch_epoch",
         "__dict__",
     )
@@ -138,39 +141,15 @@ class SMTCore:
         self.btb = build(BTB, cfg.btb_entries, cfg.btb_assoc)
         self.cycle = 0
         self._gseq = 0
-        # Calendar ("event wheel") queues for completions, long-latency
-        # detections and write-buffer drains, replacing three heaps: a
-        # ring of per-cycle buckets indexed by ``when & _wheel_mask``
-        # absorbs every in-horizon event hop with a plain list append
-        # instead of a ``(cycle, seq, di)`` tuple heappush; an int heap
-        # of *armed bucket cycles* (``*_marks``, one entry per distinct
-        # pending cycle) keeps the O(1) earliest-event peek the
-        # fast-forward probe needs; and a spill heap (``*_over``) takes
-        # the rare past-horizon schedule (``serialize_long_latency`` can
-        # defer completions arbitrarily far).  A bucket is drained
-        # exactly at its own cycle — fast-forward jumps are bounded by
-        # the armed marks, so an armed cycle is never skipped — and is
-        # sorted by ``gseq`` only when it holds several records, keeping
-        # the heap's (cycle, age) pop order exact.  The write-buffer
-        # wheel stores plain per-cycle drain *counts* with the occupancy
-        # tracked in ``_wb_used``.
-        mem_cfg = cfg.memory
-        horizon = 2 * (mem_cfg.mem_latency + mem_cfg.tlb_miss_penalty) + 512
-        wheel = max(1024, min(1 << horizon.bit_length(), 1 << 16))
-        self._wheel_mask = wheel - 1
-        # Bucket lists materialize lazily (None until a slot's first use):
-        # a fresh core allocates two flat None-arrays instead of thousands
-        # of empty lists, and the steady state reuses the same few hot
-        # buckets.  ``None`` and ``[]`` are both "empty" at the drains.
-        self._ev_buckets: list[list[DynInstr] | None] = [None] * wheel
-        self._ev_marks: list[int] = []
-        self._ev_over: list[tuple[int, int, DynInstr]] = []
-        self._dt_buckets: list[list[DynInstr] | None] = [None] * wheel
-        self._dt_marks: list[int] = []
-        self._dt_over: list[tuple[int, int, DynInstr]] = []
-        self._wb_buckets: list[int] = [0] * wheel
-        self._wb_marks: list[int] = []
-        self._wb_over: list[int] = []
+        # Event queues: completions and long-latency detections as
+        # ``(cycle, gseq, di)`` heaps (``gseq`` is unique, so they pop in
+        # (cycle, age) order and never compare records), write-buffer
+        # drains as a heap of drain cycles, with the occupancy in
+        # ``_wb_used``.  Fast-forward jumps are bounded by the heads, so
+        # every entry is drained at its own cycle.
+        self._ev_heap: list[tuple[int, int, DynInstr]] = []
+        self._dt_heap: list[tuple[int, int, DynInstr]] = []
+        self._wb_heap: list[int] = []
         self._wb_used = 0
         self._ready: dict[FuClass, list[tuple[int, DynInstr]]] = {
             FuClass.INT_ALU: [], FuClass.LDST: [], FuClass.FP: []}
@@ -223,20 +202,15 @@ class SMTCore:
         self._rotations = tuple(
             tuple(self.threads[(s + i) % n] for i in range(n))
             for s in range(n))
-        # Activity bitmasks over the thread set: ``_fe_mask`` holds the
-        # threads with a non-empty front-end queue (maintained at fetch
-        # appends, dispatch pops and flushes), ``_heads_mask`` the
+        # Activity bitmask over the thread set: ``_heads_mask`` holds the
         # threads whose ROB head is completed (maintained at completions,
         # retires and flushes).  ``_rot_cache[mask * n + start]`` lazily
         # materializes the rotation order starting at ``start`` filtered
-        # to the mask's threads, so the per-cycle dispatch/commit scans
-        # iterate only the threads that can possibly act — at 8 threads
-        # the full-rotation scans were >60% provably idle hops.  The
-        # cache covers n <= 8 (the table is n * 2^n entries); larger
-        # machines fall back to the plain full rotations.
-        self._fe_mask = 0
+        # to the mask's threads, so the per-cycle commit scan iterates
+        # only the threads that can possibly act.  The cache covers
+        # n <= 8 (the table is n * 2^n entries); larger machines fall
+        # back to the plain full rotations.
         self._heads_mask = 0
-        self._full_mask = (1 << n) - 1
         self._rot_cache: list | None = (
             [None] * (n << n) if n <= 8 else None)
         # Event-maintained fetch-eligibility structure: the policy-unstalled
@@ -299,12 +273,6 @@ class SMTCore:
         self._fetch_order_is_base = (
             getattr(cls.fetch_order, "_is_base_impl", False)
             and getattr(cls.fetch_pending, "_is_base_impl", False))
-        # Dispatch-wake latch: armed by the base dispatch stage when a
-        # full pass saw no ready head anywhere (so no resource-stall
-        # accounting can be owed) — the stage call is skipped until the
-        # earliest observed head-ready time, a fetch into an empty queue,
-        # or a flush.
-        self._dispatch_wake = 0
         # Stall-verdict latch: armed when a full dispatch pass concluded
         # "every ready head is blocked by a full shared resource" under a
         # policy whose ``on_resource_stall`` hook is the marked no-op and
@@ -425,16 +393,9 @@ class SMTCore:
         # completion drain calls ``_complete`` per due record, fetch takes
         # the policy's ``fetch_order`` and the fast-forward step asks its
         # ``fetch_pending``.
-        mask = self._wheel_mask
-        ev_buckets = self._ev_buckets
-        ev_marks = self._ev_marks
-        ev_over = self._ev_over
-        dt_buckets = self._dt_buckets
-        dt_marks = self._dt_marks
-        dt_over = self._dt_over
-        wb_buckets = self._wb_buckets
-        wb_marks = self._wb_marks
-        wb_over = self._wb_over
+        ev_heap = self._ev_heap
+        dt_heap = self._dt_heap
+        wb_heap = self._wb_heap
         ready_int = self._ready_int
         ready_ldst = self._ready_ldst
         ready_fp = self._ready_fp
@@ -454,70 +415,28 @@ class SMTCore:
         fetch_order_is_base = self._fetch_order_is_base
         while True:
             cycle = self.cycle
-            bucket = ev_buckets[cycle & mask]
-            if bucket or (ev_over and ev_over[0][0] <= cycle):
-                if bucket is None:
-                    bucket = ev_buckets[cycle & mask] = []
-                while ev_over and ev_over[0][0] <= cycle:
-                    bucket.append(heappop(ev_over)[2])
-                while ev_marks and ev_marks[0] <= cycle:
-                    heappop(ev_marks)
-                n_due = len(bucket)
-                if n_due > 1:
-                    if n_due == 2:
-                        a, b = bucket
-                        if b.gseq < a.gseq:   # age order, no key array
-                            bucket[0] = b
-                            bucket[1] = a
-                    else:
-                        bucket.sort(key=_BY_GSEQ)
-                for di in bucket:
-                    complete(di, cycle)
-                bucket.clear()
-            bucket = dt_buckets[cycle & mask]
-            if bucket or (dt_over and dt_over[0][0] <= cycle):
-                if bucket is None:
-                    bucket = dt_buckets[cycle & mask] = []
-                while dt_over and dt_over[0][0] <= cycle:
-                    bucket.append(heappop(dt_over)[2])
-                while dt_marks and dt_marks[0] <= cycle:
-                    heappop(dt_marks)
-                n_due = len(bucket)
-                if n_due > 1:
-                    if n_due == 2:
-                        a, b = bucket
-                        if b.gseq < a.gseq:   # age order, no key array
-                            bucket[0] = b
-                            bucket[1] = a
-                    else:
-                        bucket.sort(key=_BY_GSEQ)
-                for di in bucket:
-                    if di.squashed or di.completed:
-                        continue
+            # Due events pop in (cycle, age) order; nothing a handler
+            # schedules lands at or before ``cycle``.
+            while ev_heap and ev_heap[0][0] <= cycle:
+                complete(heappop(ev_heap)[2], cycle)
+            while dt_heap and dt_heap[0][0] <= cycle:
+                di = heappop(dt_heap)[2]
+                if not (di.squashed or di.completed):
                     on_ll_detect(di, threads[di.thread])
-                bucket.clear()
-            wcnt = wb_buckets[cycle & mask]
-            if wcnt:
-                wb_buckets[cycle & mask] = 0
-                self._wb_used -= wcnt
-                while wb_marks and wb_marks[0] <= cycle:
-                    heappop(wb_marks)
-            if wb_over and wb_over[0] <= cycle:
-                while wb_over and wb_over[0] <= cycle:
-                    heappop(wb_over)
-                    self._wb_used -= 1
+            while wb_heap and wb_heap[0] <= cycle:
+                heappop(wb_heap)
+                self._wb_used -= 1
             if self._commit_pending:
                 commit_stage(cycle)
             if ready_int or ready_ldst or ready_fp:
                 issue_stage(cycle)
-            if cycle >= self._dispatch_wake:
-                if (cycle < self._stall_latch_until
-                        and self._stall_latch_epoch == self._release_epoch):
-                    # Proven stall verdict still holds: account the cycle
-                    # without re-running the scan (hook is a no-op).
-                    self.stats.resource_stall_cycles += 1
-                else:
-                    dispatch_stage(cycle)
+            if (cycle < self._stall_latch_until
+                    and self._stall_latch_epoch == self._release_epoch):
+                # Proven stall verdict still holds: account the cycle
+                # without re-running the scan (hook is a no-op).
+                self.stats.resource_stall_cycles += 1
+            else:
+                dispatch_stage(cycle)
             if cycle >= self._fetch_wake:
                 order = policy_fetch_order(cycle)
                 if order:
@@ -755,47 +674,25 @@ class SMTCore:
         return True
 
     # ------------------------------------------------------------------ #
-    # event-wheel scheduling (cold-path forms; the hot paths inline the
-    # same pushes — keep them in sync)
+    # event scheduling
     # ------------------------------------------------------------------ #
 
     def _schedule_completion(self, di: DynInstr, when: int,
                              cycle: int) -> None:
         """Queue ``di``'s completion event at ``when``.
 
-        Heap-equivalent semantics: a ``when`` at or before the current
-        cycle lands at ``cycle + 1`` — exactly when the old heap would
-        have popped it (the drain for ``cycle`` has already run).
+        A ``when`` at or before the current cycle lands at ``cycle + 1``:
+        the drain for ``cycle`` has already run.
         """
         if when <= cycle:
             when = cycle + 1
-        mask = self._wheel_mask
-        if when - cycle <= mask:
-            idx = when & mask
-            bucket = self._ev_buckets[idx]
-            if bucket:
-                bucket.append(di)
-            else:
-                if bucket is None:
-                    self._ev_buckets[idx] = [di]
-                else:
-                    bucket.append(di)
-                heappush(self._ev_marks, when)
-        else:
-            heappush(self._ev_over, (when, di.gseq, di))
+        heappush(self._ev_heap, (when, di.gseq, di))
 
     def _schedule_wb_drain(self, when: int, cycle: int) -> None:
         """Occupy one write-buffer entry until ``when``."""
         if when <= cycle:
             when = cycle + 1
-        mask = self._wheel_mask
-        if when - cycle <= mask:
-            idx = when & mask
-            if not self._wb_buckets[idx]:
-                heappush(self._wb_marks, when)
-            self._wb_buckets[idx] += 1
-        else:
-            heappush(self._wb_over, when)
+        heappush(self._wb_heap, when)
         self._wb_used += 1
 
     # ------------------------------------------------------------------ #
@@ -880,48 +777,19 @@ class SMTCore:
             if is_ll:
                 stats.ll_loads += 1
             if result.trigger:
-                # Detection wheel push (detect horizons are L2-bounded,
-                # but the spill guard keeps odd configs exact).
                 when = result.detect_cycle
                 if when <= cycle:
                     when = cycle + 1
-                mask = self._wheel_mask
-                if when - cycle <= mask:
-                    idx = when & mask
-                    bucket = self._dt_buckets[idx]
-                    if bucket:
-                        bucket.append(di)
-                    else:
-                        if bucket is None:
-                            self._dt_buckets[idx] = [di]
-                        else:
-                            bucket.append(di)
-                        heappush(self._dt_marks, when)
-                else:
-                    heappush(self._dt_over, (when, di.gseq, di))
+                heappush(self._dt_heap, (when, di.gseq, di))
             di.fill_line = result.fill_line
             if result.level is not ServiceLevel.L1:
                 ts.outstanding_misses += 1
                 di.pending = -1  # marks "counted as outstanding miss"
         else:
             completion = cycle + instr.latency
-        # Completion wheel push (every path lands strictly after
-        # ``cycle``, so no clamp is needed here — see _schedule_completion
-        # for the cold-path form with the clamp).
-        mask = self._wheel_mask
-        if completion - cycle <= mask:
-            idx = completion & mask
-            bucket = self._ev_buckets[idx]
-            if bucket:
-                bucket.append(di)
-            else:
-                if bucket is None:
-                    self._ev_buckets[idx] = [di]
-                else:
-                    bucket.append(di)
-                heappush(self._ev_marks, completion)
-        else:
-            heappush(self._ev_over, (completion, di.gseq, di))
+        # Every path lands strictly after ``cycle``, so no clamp is needed
+        # here (_schedule_completion is the form with the clamp).
+        heappush(self._ev_heap, (completion, di.gseq, di))
 
     # ------------------------------------------------------------------ #
     # dispatch (rename + resource allocation)
@@ -939,30 +807,11 @@ class SMTCore:
         any_ready = False
         blocked_by_resource = False
         dispatched = 0
-        n = self._n_threads
         release_epoch = self._release_epoch
-        # The rotation (offset from commit) is filtered to the threads
-        # with a non-empty front-end queue: nothing below can act on an
-        # empty one, and at high thread counts most rotation hops were
-        # exactly that.
-        if n == 1:
-            order = self.threads
-        else:
-            rot_cache = self._rot_cache
-            slot = (cycle + 1) % n
-            fe_mask = self._fe_mask
-            if rot_cache is None or fe_mask == self._full_mask:
-                order = self._rotations[slot]
-            else:
-                key = fe_mask * n + slot
-                order = rot_cache[key]
-                if order is None:
-                    order = rot_cache[key] = tuple(
-                        ts for ts in self._rotations[slot]
-                        if fe_mask >> ts.tid & 1)
         try_dispatch = self._try_dispatch
         fe_capacity = self._fe_capacity
-        for ts in order:
+        # The rotation is offset by one from commit's.
+        for ts in self._rotations[(cycle + 1) % self._n_threads]:
             if budget == 0:
                 break
             if cycle < ts.dispatch_wait_until:
@@ -997,20 +846,6 @@ class SMTCore:
             if fe_was_full and len(fe) < fe_capacity:
                 # Pops opened fetch-queue headroom: eligibility changed.
                 self._fetch_wake = 0
-            if not fe:
-                self._fe_mask &= ~ts.tid_bit
-        if not any_ready and self._policy_can_dispatch is None:
-            # No head anywhere was through the front end: nothing to
-            # dispatch (and no resource-stall cycle to account) before the
-            # earliest observed head-ready time.  Empty queues re-arm via
-            # the fetch stage; a policy with a dispatch cap must be probed
-            # every cycle, so the latch stays disarmed for it.
-            wake = cycle + (1 << 30)
-            for ts in self.threads:
-                wait_until = ts.dispatch_wait_until
-                if cycle < wait_until < wake:
-                    wake = wait_until
-            self._dispatch_wake = wake
         if any_ready and dispatched == 0 and blocked_by_resource:
             self.stats.resource_stall_cycles += 1
             on_resource_stall = self._policy_on_resource_stall
@@ -1170,6 +1005,7 @@ class SMTCore:
         gseq = self._gseq
         allowed_end = ts.allowed_end
         count = 0
+        fe_was_empty = not fe_queue
         limit = self._fe_capacity - len(fe_queue)
         if budget < limit:
             limit = budget
@@ -1231,13 +1067,11 @@ class SMTCore:
         if count:
             # Batched: nothing inside the burst reads the fetched counter.
             ts.stats.fetched += count
-            if fe_queue and not self._fe_mask >> tid & 1:
-                # A fresh head exists where dispatch saw nothing: the
-                # queue was empty when the burst began, or a flush from
-                # a hook emptied it (and cleared the bit) mid-burst.
-                self._dispatch_wake = 0
+            if fe_was_empty:
+                # A fresh head where dispatch saw none: the stall verdict
+                # no longer holds.  (A hook's flush mid-burst has already
+                # disarmed it, in flush_thread.)
                 self._stall_latch_until = 0
-                self._fe_mask |= 1 << tid
         # The fetch index may have crossed allowed_end mid-burst; fold the
         # transition into the event-driven stall state.
         ts._sync_policy_stall(cycle)
@@ -1329,25 +1163,18 @@ class SMTCore:
             ts.stats.branch_stall_cycles += self.cycle - ts.branch_wait_since
         ts.fetch_index = after_seq + 1
         ts.last_ifetch_line = -1
-        # The squash may have removed the ROB head (or the whole window)
-        # and may have emptied the front-end queue; re-derive both
-        # activity masks.
-        bit = ts.tid_bit
+        # The squash may have removed the ROB head (or the whole window):
+        # re-derive the head mask.
         if window and window[0].completed:
-            self._heads_mask |= bit
+            self._heads_mask |= ts.tid_bit
         else:
-            self._heads_mask &= ~bit
-        if fe:
-            self._fe_mask |= bit
-        else:
-            self._fe_mask &= ~bit
+            self._heads_mask &= ~ts.tid_bit
         ts.stats.squashed += squashed
         ts.stats.flushes += 1
         # Squashing released shared resources and rewound the fetch index:
         # invalidate dispatch and fetch latches, re-derive the stall state.
         self._release_epoch += 1
         self._fetch_wake = 0
-        self._dispatch_wake = 0
         self._stall_latch_until = 0
         ts._sync_policy_stall(cycle)
         return squashed
@@ -1371,10 +1198,7 @@ class SMTCore:
     def _next_cycle(self, cycle: int) -> int:
         # The run loop has already established that nothing can fetch or
         # issue at ``nxt``; find the earliest future cycle where anything
-        # can happen, or prove the pipeline is wedged.  The wheel mark heaps
-        # are exact indexes of the pending bucket cycles (one int per
-        # armed cycle, stale marks popped at drain), so the earliest-
-        # event peeks stay O(1) without the old tuple heaps.
+        # can happen, or prove the pipeline is wedged.
         nxt = cycle + 1
         candidates = []
         wb_full = self._wb_used >= self._wb_entries
@@ -1390,18 +1214,12 @@ class SMTCore:
                 candidates.append(head_ready)
             if ts.fetch_blocked_until > nxt:
                 candidates.append(ts.fetch_blocked_until)
-        if self._ev_marks:
-            candidates.append(self._ev_marks[0])
-        if self._ev_over:
-            candidates.append(self._ev_over[0][0])
-        if self._dt_marks:
-            candidates.append(self._dt_marks[0])
-        if self._dt_over:
-            candidates.append(self._dt_over[0][0])
-        if self._wb_marks:
-            candidates.append(self._wb_marks[0])
-        if self._wb_over:
-            candidates.append(self._wb_over[0])
+        if self._ev_heap:
+            candidates.append(self._ev_heap[0][0])
+        if self._dt_heap:
+            candidates.append(self._dt_heap[0][0])
+        if self._wb_heap:
+            candidates.append(self._wb_heap[0])
         if not candidates:
             raise SimulationDeadlock(
                 f"no future events at cycle {cycle}; pipeline is wedged")

@@ -2,10 +2,10 @@
 
 ``REPRO_SANITIZE=1`` makes :func:`repro.experiments.runner.core_for`
 return *checked* engine subclasses (:class:`CheckedSMTCore`,
-:class:`CheckedCextCore`).  Only the compiled engine recycles
-instruction storage: its slot arena.  The object engine builds a fresh
-``DynInstr`` per fetch and CPython frees it, so the classic
-allocator-sanitizer checks are the arena's:
+:class:`CheckedRunaheadCore`, :class:`CheckedCextCore`).  Only the
+compiled engine recycles instruction storage: its slot arena.  The
+object engine builds a fresh ``DynInstr`` per fetch and CPython frees
+it, so the classic allocator-sanitizer checks are the arena's:
 
 * **double-free** — a slot on the free list twice;
 * **use-after-free** — a free slot whose pristine invariants were
@@ -14,15 +14,16 @@ allocator-sanitizer checks are the arena's:
   live root (front-end queues, windows, rename maps, event wheels,
   waiter/old-map/parent edges, policy-held views).
 
-Both engines are checked for **event-wheel monotonicity**: an armed
-calendar-queue entry dated before the current cycle (an event the
-fast-forward probe skipped would silently never fire).  They are
-checked at different grains:
+Both engines are checked for **event-queue monotonicity**: a queued
+event dated before the current cycle (an event the fast-forward probe
+skipped would silently never fire).  They are checked at different
+grains:
 
-* :class:`CheckedSMTCore` overrides :meth:`step`, which the object
-  engine's ``_run_until`` answers by calling ``step()`` once per cycle;
-  each call runs one pass of the engine's run loop.  Every cycle is
-  checked: the wheels before it, and after it that the cycle advanced.
+* :class:`CheckedSMTCore` and :class:`CheckedRunaheadCore` override
+  :meth:`step`, which the object engine's ``_run_until`` answers by
+  calling ``step()`` once per cycle; each call runs one pass of the
+  engine's run loop.  Every cycle is checked: the heads of the three
+  event heaps before it, and after it that the cycle advanced.
 * :class:`CheckedCextCore` runs the compiled loop unchanged and calls
   the arena's C ``check`` at every measurement boundary
   (``begin_measurement`` and ``advance_to``, also when the run fails:
@@ -67,6 +68,7 @@ import os
 
 from repro.pipeline.cext import CextCore, _engine
 from repro.pipeline.core import SMTCore
+from repro.runahead.core import RunaheadCore
 
 #: Environment variable that switches the sanitizer on ("" / "0" = off).
 SANITIZE_ENV = "REPRO_SANITIZE"
@@ -82,54 +84,37 @@ class SanitizerError(AssertionError):
 
 
 def checked_variant(cls: type) -> type:
-    """The checked subclass for a stock engine class.
-
-    Specialized cores (runahead's ``core_class``) pass through
-    unchanged: each checked class subclasses one stock engine, so a
-    specialized core would need a checked twin of its own.
-    ``tests/test_sanitize.py`` drives runahead one ``step()`` per cycle
-    against its own loop instead.
-    """
-    if cls is SMTCore:
-        return CheckedSMTCore
-    if cls is CextCore:
-        return CheckedCextCore
-    return cls
+    """The checked subclass for an engine class: one for each stock
+    engine and for runahead's ``core_class``.  Any other class (a
+    subclass defined elsewhere) passes through unchanged."""
+    return _CHECKED.get(cls, cls)
 
 
 # --------------------------------------------------------------------- #
-# object engine: event-wheel monotonicity, every cycle
+# object engine: event-queue monotonicity, every cycle
 # --------------------------------------------------------------------- #
 
-def _check_wheels(core: SMTCore, cycle: int) -> None:
-    """No armed calendar entry may be dated before the current cycle.
+def _check_event_heaps(core: SMTCore, cycle: int) -> None:
+    """No queued event may be dated before the current cycle.
 
-    Buckets drain exactly at their own cycle and every fast-forward jump
-    is bounded by the armed marks, so an entry dated ``< cycle`` before
-    cycle ``cycle`` runs is an event that was skipped and will never
-    fire.
+    The run loop drains every due entry at its cycle and every
+    fast-forward jump is bounded by the heap heads, so an entry dated
+    ``< cycle`` before cycle ``cycle`` runs is an event that was
+    skipped and will never fire.
     """
-    for name in ("_ev_marks", "_dt_marks", "_wb_marks"):
-        marks = getattr(core, name)
-        if marks and marks[0] < cycle:
+    ev, dt, wb = core._ev_heap, core._dt_heap, core._wb_heap
+    for name, head in (("_ev_heap", ev[0][0] if ev else cycle),
+                       ("_dt_heap", dt[0][0] if dt else cycle),
+                       ("_wb_heap", wb[0] if wb else cycle)):
+        if head < cycle:
             raise SanitizerError(
-                f"event wheel non-monotonic: {name}[0]={marks[0]} is "
-                f"before cycle {cycle} (skipped bucket)")
-    for name in ("_ev_over", "_dt_over"):
-        over = getattr(core, name)
-        if over and over[0][0] < cycle:
-            raise SanitizerError(
-                f"event wheel non-monotonic: {name} head due at "
-                f"{over[0][0]} is before cycle {cycle}")
-    wb_over = core._wb_over
-    if wb_over and wb_over[0] < cycle:
-        raise SanitizerError(
-            f"event wheel non-monotonic: _wb_over head due at "
-            f"{wb_over[0]} is before cycle {cycle}")
+                f"event queue non-monotonic: {name} head due at {head} "
+                f"is before cycle {cycle}")
 
 
-class CheckedSMTCore(SMTCore):
-    """Object engine with its wheels checked every cycle."""
+class _CheckedSteps:
+    """The per-cycle checks of a checked object-engine core (a mixin
+    placed before the engine class)."""
 
     __slots__ = ()
 
@@ -137,11 +122,23 @@ class CheckedSMTCore(SMTCore):
     # step() runs one pass of the same loop, so the checks see every cycle.
     def step(self) -> None:
         cycle = self.cycle
-        _check_wheels(self, cycle)
+        _check_event_heaps(self, cycle)
         super().step()
         if self.cycle <= cycle:
             raise SanitizerError(
                 f"step() did not advance the cycle (stuck at {cycle})")
+
+
+class CheckedSMTCore(_CheckedSteps, SMTCore):
+    """Object engine with its event queues checked every cycle."""
+
+    __slots__ = ()
+
+
+class CheckedRunaheadCore(_CheckedSteps, RunaheadCore):
+    """Runahead core with its event queues checked every cycle."""
+
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------- #
@@ -183,3 +180,10 @@ class CheckedCextCore(CextCore):
             problem = hierarchy.check()
         if problem is not None:
             raise SanitizerError(problem)
+
+
+_CHECKED: dict[type, type] = {
+    SMTCore: CheckedSMTCore,
+    RunaheadCore: CheckedRunaheadCore,
+    CextCore: CheckedCextCore,
+}

@@ -50,8 +50,8 @@ class ThreadState:
     def __init__(self, tid: int, trace: SyntheticTrace, cfg: SMTConfig,
                  build: Callable[..., Any] = type.__call__):
         self.tid = tid
-        #: This thread's bit in the core's activity bitmasks
-        #: (``_fe_mask`` / ``_heads_mask`` — see ``SMTCore``).
+        #: This thread's bit in the core's ready-head mask
+        #: (``_heads_mask`` — see ``SMTCore``).
         self.tid_bit = 1 << tid
         self.trace = trace
         self.fetch_index = 0
@@ -77,7 +77,7 @@ class ThreadState:
         self.waiting_branch: DynInstr | None = None
         # Cycle the current branch wait began; branch_stall_cycles is
         # accounted event-wise (wait start -> resolve/squash) instead of
-        # by a per-cycle scan — see SMTCore.step / _settle_branch_stalls.
+        # by a per-cycle scan — see SMTCore._settle_stall_accounting.
         self.branch_wait_since = 0
         # Policy state: fetch allowed up to this per-thread sequence number
         # (inclusive); None means unrestricted.  ``ll_owners`` maps each

@@ -51,7 +51,6 @@ class MLPDistanceFlushAtStallPolicy(LongLatencyAwarePolicy):
     __slots__ = ()
 
     name = "mlp_flush_rs"
-    reacts_to_resource_stall = True
 
     def on_ll_detect(self, di, ts):
         if ts.ll_owners:  # episode already anchored at the initial load
@@ -112,7 +111,6 @@ class BinaryMLPFlushAtStallPolicy(LongLatencyAwarePolicy):
     __slots__ = ()
 
     name = "binary_mlp_flush_rs"
-    reacts_to_resource_stall = True
 
     _holds_meaningful_share = MLPDistanceFlushAtStallPolicy._holds_meaningful_share
     _flush_keeping_fills = MLPDistanceFlushAtStallPolicy._flush_keeping_fills

@@ -36,9 +36,6 @@ class FetchPolicy:
     __slots__ = ("core",)
 
     name = "icount"
-    #: Set by subclasses that must observe every resource-stall cycle
-    #: (disables fast-forwarding past dispatch-blocked cycles).
-    reacts_to_resource_stall = False
     #: Declares that :meth:`on_fetch` is a no-op for anything but loads
     #: (its body is guarded by ``di.is_load``).  The core then skips the
     #: per-instruction call for non-loads — exact by declaration.

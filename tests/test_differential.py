@@ -2,13 +2,14 @@
 
 The golden matrix pins 34 fixed cells: the default config, seed 0, one
 budget.  This test draws random cells instead — any registered policy
-(``dcra`` and ``mlp_dcra`` with drawn kwargs, the others with their
-defaults), 1-4 threads, a trace seed, a 200-800 instruction budget and
-a perturbed :class:`~repro.config.SMTConfig` — and asserts that every
-registered backend ends in the same :class:`~repro.pipeline.CoreStats`
-and cycle as the object engine.  A second test draws only ``dcra`` and
-``mlp_dcra`` cells, of 1-8 threads: the compiled engine decides their
-share gate in C from the policy's ``slow_weights``.
+without a core of its own (``dcra`` and ``mlp_dcra`` with drawn kwargs,
+the others with their defaults), 1-4 threads, a trace seed, a 200-800
+instruction budget and a perturbed :class:`~repro.config.SMTConfig` —
+and asserts that every registered backend ends in the same
+:class:`~repro.pipeline.CoreStats` and cycle as the object engine.  A
+second test draws only ``dcra`` and ``mlp_dcra`` cells, of 1-8
+threads: the compiled engine decides their share gate in C from the
+policy's ``slow_weights``.
 
 The perturbations reach knobs the golden matrix never sets but Table I
 and the ablations do: ``memory.serialize_long_latency``,
@@ -31,6 +32,13 @@ left out of tier-1; the nightly ``reproduce`` workflow runs it with
 Table I is checked on its own: its profile reads the LLSR's measured
 MLP distances and the predictors' accuracies, which neither
 ``CoreStats`` nor the golden snapshot holds.
+
+Runahead (``runahead`` and ``mlp_runahead``) is not drawn: its
+policies name a ``core_class``, :class:`~repro.runahead.RunaheadCore`,
+an object-engine subclass that ``core_for`` picks ahead of the
+backend, so a cell of it would compare a run with itself.  Runahead is
+object-only until it runs on the compiled engine too; golden's two
+runahead cells and ``tests/test_runahead.py`` cover it.
 """
 
 from __future__ import annotations
@@ -68,6 +76,12 @@ _POLICY_KWARGS = {
         "slow_weight": _SLOW_WEIGHTS,
         "ema_alpha": st.sampled_from((0.05, 0.25, 0.6, 1.0))}),
 }
+
+
+#: The registered policies that run on every engine: those without a
+#: ``core_class`` of their own.
+_ENGINE_POLICIES = tuple(name for name, cls in registry.policies.items()
+                         if cls.core_class is None)
 
 
 @st.composite
@@ -110,7 +124,7 @@ def cells(draw, commits=st.integers(200, 800),
             lll_entries=draw(st.sampled_from((64, 2_048))),
             mlp_entries=draw(st.sampled_from((64, 2_048))),
             dependence_aware=draw(st.booleans())))
-    policy = draw(st.sampled_from(policies or registry.policies.names()))
+    policy = draw(st.sampled_from(policies or _ENGINE_POLICIES))
     return RunSpec(workload=workload, config=config, policy=policy,
                    policy_kwargs=draw(_POLICY_KWARGS.get(policy, st.just({}))),
                    max_commits=draw(commits),

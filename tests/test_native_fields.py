@@ -34,13 +34,12 @@ pytestmark = needs_cext
 #: The moved fields the object engine keeps with the same meaning.  The
 #: release epochs (``_release_epoch``, ``_stall_latch_epoch``, each
 #: thread's ``dispatch_blocked_epoch``) only ever compare for equality
-#: and step at different points on the two engines; ``head_ready`` is
-#: the compiled loop's own.
+#: and step at different points on the two engines; ``_fe_mask``,
+#: ``_dispatch_wake`` and ``head_ready`` are the compiled loop's own.
 CORE_FIELDS = ("cycle", "_gseq", "_wb_used", "rob_used", "lsq_used",
                "iq_used", "fq_used", "int_regs_used", "fp_regs_used",
-               "_fe_mask", "_heads_mask", "_fetch_wake", "_dispatch_wake",
-               "_stall_latch_until", "_committed_watermark",
-               "_commit_pending", "_measure_start")
+               "_heads_mask", "_fetch_wake", "_stall_latch_until",
+               "_committed_watermark", "_commit_pending", "_measure_start")
 THREAD_FIELDS = ("icount", "rob_count", "lsq_count", "iq_count", "fq_count",
                  "int_regs", "fp_regs", "fetch_index", "fetch_blocked_until",
                  "dispatch_wait_until", "last_ifetch_line")
@@ -102,7 +101,8 @@ class _FieldWriter(FetchPolicy):
     """Writes moved fields from its hooks: every 40th fetched load blocks
     its thread's fetch for 30 cycles (``ts.fetch_blocked_until`` and
     ``core._fetch_wake = 0``, as CGMT's switch does), and every load
-    completion re-arms the fetch and dispatch latches."""
+    completion re-arms the dispatch latches (``_dispatch_wake`` is the
+    compiled loop's own: on the object engine nothing reads it)."""
 
     name = "field_writer"
 

@@ -1,13 +1,13 @@
 """The REPRO_SANITIZE runtime sanitizer: wiring, exactness, detection.
 
 Pins the three contracts of :mod:`repro.pipeline.sanitize`: the env
-knob swaps the checked engine subclasses in through ``core_for`` (and
-only then — off means the module is not even imported); a sanitized
-run is bit-exact with a stock one on both backends (on the object
-engine for every golden policy, runahead through a ``step()``-driven
-twin because the sanitizer bypasses it); and the checks actually
-fire.  On the object engine, a wheel mark behind the current cycle
-raises :class:`~repro.pipeline.sanitize.SanitizerError` at the next
+knob swaps the checked engine subclasses in through ``core_for``,
+runahead's core included (and only then — off means the module is not
+even imported); a sanitized run is bit-exact with a stock one on both
+backends (on the object engine for every golden policy, runahead
+included); and the checks actually fire.  On the object engine and
+the runahead core, an event queued behind the current cycle raises
+:class:`~repro.pipeline.sanitize.SanitizerError` at the next
 ``step()``.  On the compiled engine's arena, a duplicate free-list
 entry, a non-pristine free slot, a leaked slot, a freed slot missing
 from the free list, a wheel mark behind the current cycle and a heap
@@ -33,6 +33,7 @@ from repro.pipeline.core import SMTCore
 from repro.pipeline.dyninstr import F_FREED
 from repro.pipeline.sanitize import (
     CheckedCextCore,
+    CheckedRunaheadCore,
     CheckedSMTCore,
     SanitizerError,
     checked_variant,
@@ -58,24 +59,11 @@ def _run(core_cls, commits=1_500, policy="mlp_flush"):
     return core, stats
 
 
-class _SteppedRunaheadCore(RunaheadCore):
-    """Runahead driven one ``step()`` per cycle, as the checked core is.
-
-    The sanitizer bypasses specialized cores, so this is the runahead
-    counterpart of :class:`CheckedSMTCore` for the stepping comparison.
-    """
-
-    __slots__ = ()
-
-    def step(self) -> None:
-        super().step()
-
-
-#: (policy, the run-loop core, its step()-driven twin) for every golden
-#: policy.
+#: (policy, the run-loop core, its checked step()-driven twin) for
+#: every golden policy.
 _STEPPED_TWINS = (
-    [(p, SMTCore, CheckedSMTCore) for p in GOLDEN_POLICIES]
-    + [(p, RunaheadCore, _SteppedRunaheadCore)
+    [(p, SMTCore, checked_variant(SMTCore)) for p in GOLDEN_POLICIES]
+    + [(p, RunaheadCore, checked_variant(RunaheadCore))
        for p in GOLDEN_RUNAHEAD_POLICIES])
 
 
@@ -104,10 +92,13 @@ class TestWiring:
         assert not sanitize_enabled()
         assert core_for(make_policy("icount")) is _default_core()
 
-    def test_specialized_cores_bypass(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_runahead_is_checked(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         assert core_for(make_policy("runahead")) is RunaheadCore
-        assert checked_variant(RunaheadCore) is RunaheadCore
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        for policy in GOLDEN_RUNAHEAD_POLICIES:
+            assert core_for(make_policy(policy)) is CheckedRunaheadCore
+        assert checked_variant(RunaheadCore) is CheckedRunaheadCore
 
 
 class TestBitExactness:
@@ -137,13 +128,17 @@ class TestBitExactness:
 
 
 class TestObjectEngineDetection:
-    def test_wheel_mark_behind_the_cycle_caught(self):
-        core, _ = _run(CheckedSMTCore)
-        marks = list(core._ev_marks)
-        heappush(core._ev_marks, core.cycle - 1)
-        with pytest.raises(SanitizerError, match="non-monotonic"):
+    @pytest.mark.parametrize(("core_cls", "policy"), (
+        (CheckedSMTCore, "mlp_flush"), (CheckedRunaheadCore, "runahead")),
+        ids=("CheckedSMTCore", "CheckedRunaheadCore"))
+    def test_stale_event_caught(self, core_cls, policy):
+        core, _ = _run(core_cls, policy=policy)
+        drains = list(core._wb_heap)
+        heappush(core._wb_heap, core.cycle - 1)
+        with pytest.raises(SanitizerError, match="_wb_heap head due at "
+                                                 r"\d+ is before cycle"):
             core.step()
-        core._ev_marks[:] = marks
+        core._wb_heap[:] = drains
         core.step()   # restored state passes again
 
 
