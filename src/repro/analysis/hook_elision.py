@@ -17,13 +17,8 @@ body that is just a docstring, or a docstring plus ``return
 verifies every ``getattr(..., "_is_default_hook", ...)`` probe in the
 engines targets a marked hook (an unmarked probe is dead elision
 machinery), and that every ``_is_base_impl`` /
-``_identity_keyed_cleanup`` / ``_share_gate`` marker, in ``base.py`` or
-any other policy module, targets a method that exists.  The compiled
-engine decides DCRA's share gate itself while every method named in
-``cext.py``'s ``_SHARE_GATE`` carries ``_share_gate``, so the marked
-methods must be exactly those names: a marked method the probe skips
-would let its override go unnoticed, and a name no method is marked
-for would turn the native gate off for good.
+``_identity_keyed_cleanup`` marker, in ``base.py`` or any other policy
+module, targets a method that exists.
 """
 
 from __future__ import annotations
@@ -45,14 +40,10 @@ _ENGINES = (SRC_ROOT / "repro" / "pipeline" / "core.py",
 #: The policy base class whose defaults define the elision table.
 BASE_CLASS = "FetchPolicy"
 
-_MARKERS = ("_is_default_hook", "_is_base_impl", "_identity_keyed_cleanup",
-            "_share_gate")
+_MARKERS = ("_is_default_hook", "_is_base_impl", "_identity_keyed_cleanup")
 
 #: Markers that must sit on a method their class defines.
 _METHOD_MARKERS = _MARKERS[1:]
-
-#: The engine's tuple of the methods it probes for ``_share_gate``.
-_SHARE_GATE_NAMES = "_SHARE_GATE"
 
 
 def _is_noop_body(body: list[ast.stmt]) -> bool:
@@ -134,18 +125,6 @@ def _elision_probes(tree: ast.Module) -> list[tuple[str, int]]:
     return probes
 
 
-def _share_gate_probe(tree: ast.Module) -> tuple[set[str], int] | None:
-    """The names in a module-level ``_SHARE_GATE = (...)`` and its line."""
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == _SHARE_GATE_NAMES
-                        for t in node.targets)
-                and isinstance(node.value, ast.Tuple)):
-            return ({elt.value for elt in node.value.elts
-                     if isinstance(elt, ast.Constant)}, node.lineno)
-    return None
-
-
 def check(base_path: Path | None = None,
           engine_files: Sequence[Path] | None = None,
           policy_files: Sequence[Path] | None = None) -> list[Finding]:
@@ -181,7 +160,6 @@ def check(base_path: Path | None = None,
                 f"default body is not a no-op — the engines would elide "
                 f"a call that does real work"))
 
-    share_gate: set[str] = set()
     for path in (base_path, *policy_files):
         ptree = tree if path == base_path else parse_file(path)
         pmarkers = markers if path == base_path else _markers(ptree)
@@ -193,7 +171,6 @@ def check(base_path: Path | None = None,
                         CHECKER, rel(path), line,
                         f"{marker} marker targets {cls}.{meth}, which is "
                         f"not defined on {cls}"))
-        share_gate |= {meth for _, meth, _ in pmarkers["_share_gate"]}
 
     for engine in engine_files:
         if not engine.exists():
@@ -206,12 +183,4 @@ def check(base_path: Path | None = None,
                     f"engine probes _is_default_hook on {meth!r}, which "
                     f"is never marked on {BASE_CLASS} — the elision can "
                     f"never fire"))
-        probe = _share_gate_probe(etree)
-        if probe is not None and probe[0] != share_gate:
-            findings.append(Finding(
-                CHECKER, rel(engine), probe[1],
-                f"{_SHARE_GATE_NAMES} names {sorted(probe[0])} but the "
-                f"_share_gate markers sit on {sorted(share_gate)} — an "
-                f"override of an unprobed method goes unnoticed, and an "
-                f"unmarked name turns the native gate off"))
     return findings

@@ -43,10 +43,12 @@ GOLDEN_SCHEMA = "repro.golden/1"
 
 #: Policies spanning the distinct engine paths: plain rotation, fetch
 #: gating (detected and front-end-predicted), flush/refetch,
-#: predictor-driven MLP-aware gating and flushing, and the DCRA
-#: dispatch-cap (``can_dispatch``) path, plain and MLP-weighted.  This is
-#: the full paper policy set, so no policy-side hot path can be touched
-#: without a golden cell noticing.
+#: predictor-driven MLP-aware gating and flushing, and the dispatch
+#: partition in its weights form (DCRA), plain and MLP-weighted.  This
+#: is the full paper policy set, so no policy-side hot path can be
+#: touched without a golden cell noticing.  No cell calls
+#: ``can_dispatch``: the rows form and a called gate are covered by
+#: ``tests/test_share_gate.py`` and the differential instead.
 GOLDEN_POLICIES = ("icount", "stall", "pred_stall", "flush", "mlp_stall",
                    "mlp_flush", "dcra", "mlp_dcra")
 

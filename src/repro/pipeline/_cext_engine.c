@@ -99,12 +99,10 @@ typedef struct {
         int_rename_regs, fp_rename_regs, wb_entries;
     Py_ssize_t num_int_alu, num_ldst, num_fp;
     Py_ssize_t track_ll_dep;
-    Py_ssize_t cext_olc_cleanup_only, cext_ll_detect_is_base,
-        cext_share_gate;
+    Py_ssize_t cext_olc_cleanup_only, cext_ll_detect_is_base, partition;
     /* ThreadState */
     Py_ssize_t ts_ints, ts_waiting_branch, ts_branch_wait_since,
         ts_allowed_end, ts_ll_owners, ts_policy_data;
-    Py_ssize_t ts_outstanding_misses;
     Py_ssize_t ts_stats, ts_commit_cycles;
     Py_ssize_t ts_fe_queue, ts_window, ts_rename_map;
     Py_ssize_t ts_dispatch_blocked_head;
@@ -125,8 +123,8 @@ typedef struct {
         in_fp_queue, in_latency;
     /* SyntheticTrace */
     Py_ssize_t tr_dyn;
-    /* DCRAPolicy */
-    Py_ssize_t dcra_slow_weights;
+    /* FetchPolicy: a partition's data */
+    Py_ssize_t pol_limit_rows, pol_slow_weights;
 } Offsets;
 
 typedef struct {
@@ -138,9 +136,9 @@ typedef struct {
     PyObject *result_cls;   /* AccessResult */
     PyObject *mlp_fn;       /* hierarchy.mlp_from_intervals */
     /* exact types the in-C paths apply to (anything else calls Python),
-     * and DCRAPolicy, the owner of the slow_weights slot */
+     * and FetchPolicy, the owner of the partition slots */
     PyTypeObject *core_type, *trace_type, *instr_type, *ts_type,
-        *dcra_type;
+        *policy_type;
     /* every Instr slot offset, for cloning a trace prototype */
     Py_ssize_t instr_offs[32];
     int n_instr_offs;
@@ -291,11 +289,13 @@ static const char *const CV_NAMES[N_CV] = {
 /* a thread's: its six resource counts in the order of the core's */
 enum { TV_ROB, TV_LSQ, TV_IQ, TV_FQ, TV_INT_REGS, TV_FP_REGS, TV_ICOUNT,
        TV_FETCH_INDEX, TV_FETCH_BLOCKED_UNTIL, TV_DISPATCH_WAIT_UNTIL,
-       TV_DISPATCH_BLOCKED_EPOCH, TV_LAST_IFETCH_LINE, TV_HEAD_READY, N_TV };
+       TV_DISPATCH_BLOCKED_EPOCH, TV_LAST_IFETCH_LINE, TV_HEAD_READY,
+       TV_OUTSTANDING_MISSES, N_TV };
 static const char *const TV_NAMES[N_TV] = {
     "rob_count", "lsq_count", "iq_count", "fq_count", "int_regs", "fp_regs",
     "icount", "fetch_index", "fetch_blocked_until", "dispatch_wait_until",
-    "dispatch_blocked_epoch", "last_ifetch_line", "head_ready"};
+    "dispatch_blocked_epoch", "last_ifetch_line", "head_ready",
+    "outstanding_misses"};
 #define N_INTS ((int)N_CV > (int)N_TV ? (int)N_CV : (int)N_TV)
 
 typedef struct {
@@ -4031,8 +4031,9 @@ typedef struct {
     /* hoisted, identity-stable objects (borrowed from slots) */
     PyObject *fetch_candidates;
     PyObject *on_ll_detect; /* owned: policy.on_ll_detect bound method */
-    PyObject *dcra;         /* owned: the DCRAPolicy whose share gate the
-                             * loop decides, else NULL */
+    PyObject *part;         /* owned: the policy whose dispatch partition
+                             * the loop applies, else NULL */
+    int part_rows;          /* its form: limit_rows (1), slow_weights (0) */
     int olc_cleanup_only, ll_detect_is_base;
     /* immutable config scalars */
     long long mask, fetch_width, fetch_max_threads, fe_capacity,
@@ -4212,8 +4213,7 @@ static int stage_drain(Ctx *c, long long cycle)
         PyObject *ts = c->thr[t].ts;
         int64_t *tv = c->thr[t].v;
         if ((fl & F_IS_LOAD) && A->pending[s] == -1) {
-            if (stat_add(ts, OFF.ts_outstanding_misses, -1) < 0)
-                return -1;
+            tv[TV_OUTSTANDING_MISSES] -= 1;
             A->pending[s] = 0;
         }
         if (fl & F_SQUASHED) {
@@ -4562,8 +4562,7 @@ static int issue_load(Ctx *c, Py_ssize_t s, int64_t packed, int64_t fl,
     }
     ocol_set(A->fill_line, s, fill);
     if (level != g.levels[LV_L1]) {
-        if (stat_add(ts, OFF.ts_outstanding_misses, 1) < 0)
-            goto out;
+        c->thr[t].v[TV_OUTSTANDING_MISSES] += 1;
         A->pending[s] = -1;
     }
     A->flags[s] = fl;
@@ -4621,73 +4620,97 @@ static long long wake_after(Ctx *c, long long cycle, int f)
     return wake;
 }
 
-/* DCRAPolicy.can_dispatch for thread t's head, whose flags are fl:
- * 1 to dispatch, 0 when the thread is at its share of a resource the
- * instruction needs, -1 on error.  DCRAPolicy._limits' arithmetic in
- * the same order: a slow thread (one with an outstanding miss) weighs
- * its entry of the policy's slow_weights, a fast one 1.0; share = own
- * / total, limit = size * share; blocked when count >= limit.  The
- * list is read from its slot at every evaluation, so a hook's write in
- * place or a new list is followed as _limits follows it. */
-static int share_gate(Ctx *c, Py_ssize_t t, int64_t fl)
+/* `x`, a limit or a weight, as a double: 1, or 0 when it is neither an
+ * int nor a float, or -1 on error. */
+static int number_of(PyObject *x, double *out)
 {
-    /* the slow threads first: unboxing a slot may run Python code */
-    uint64_t slow = 0;
-    for (Py_ssize_t u = 0; u < c->n; u++) {
-        long long misses = slot_ll(c->thr[u].ts, OFF.ts_outstanding_misses);
-        if (misses == -1 && PyErr_Occurred())
-            return -1;
-        if (misses > 0)
-            slow |= (uint64_t)1 << u;
-    }
-    PyObject *weights = SLOT(c->dcra, OFF.dcra_slow_weights);
-    if (weights == NULL || !PyList_CheckExact(weights)
-        || PyList_GET_SIZE(weights) != c->n) {
-        PyErr_Format(PyExc_TypeError, "policy.slow_weights must be a list "
-                     "of one weight per thread (%zd), not %R", c->n,
-                     weights != NULL ? weights : Py_None);
+    if (PyFloat_Check(x))
+        *out = PyFloat_AS_DOUBLE(x);
+    else if (!PyLong_Check(x))
+        return 0;
+    else if ((*out = PyLong_AsDouble(x)) == -1.0 && PyErr_Occurred())
+        return -1;
+    return 1;
+}
+
+/* The partition's verdict on thread t's head, whose flags are fl: 1 to
+ * dispatch, 0 when the thread is at its limit of a buffer the
+ * instruction needs (count >= limit), -1 on error.  The limits, in TV
+ * order, as SMTCore.partition_limits makes them: the thread's row of
+ * policy.limit_rows, or DCRA's share (own / total) of every size, where
+ * a thread with a miss in flight weighs its entry of
+ * policy.slow_weights and any other 1.0.  The data is read from its
+ * slot at every evaluation, so a hook's write in place or a new list
+ * is followed. */
+static int partition_allows(Ctx *c, Py_ssize_t t, int64_t fl)
+{
+    double lim[6];
+    PyObject *data = SLOT(c->part, c->part_rows ? OFF.pol_limit_rows
+                                                : OFF.pol_slow_weights);
+    if (data == NULL || !PyList_CheckExact(data)
+        || PyList_GET_SIZE(data) != c->n) {
+        PyErr_Format(PyExc_TypeError, "policy.%s must be a list of one %s "
+                     "per thread (%zd), not %R",
+                     c->part_rows ? "limit_rows" : "slow_weights",
+                     c->part_rows ? "row" : "weight", c->n,
+                     data != NULL ? data : Py_None);
         return -1;
     }
-    double total = 0.0, own = 0.0;
-    for (Py_ssize_t u = 0; u < c->n; u++) {
-        double w = 1.0;
-        if (slow >> u & 1) {
-            PyObject *x = PyList_GET_ITEM(weights, u);
-            if (PyFloat_Check(x))
-                w = PyFloat_AS_DOUBLE(x);
-            else if (PyLong_Check(x)) {
-                w = PyLong_AsDouble(x);
-                if (w == -1.0 && PyErr_Occurred())
-                    return -1;
-            } else {
+    if (c->part_rows) {
+        PyObject *row = PyList_GET_ITEM(data, t);
+        int ok = (PyTuple_CheckExact(row) || PyList_CheckExact(row))
+            && PySequence_Fast_GET_SIZE(row) == 6;
+        for (int i = 0; ok > 0 && i < 6; i++)
+            ok = number_of(PySequence_Fast_GET_ITEM(row, i), &lim[i]);
+        if (ok == 0)
+            PyErr_Format(PyExc_TypeError, "policy.limit_rows[%zd] must be "
+                         "a tuple of six ints or floats, not %R", t, row);
+        if (ok <= 0)
+            return -1;
+    } else {
+        double total = 0.0, own = 0.0;
+        for (Py_ssize_t u = 0; u < c->n; u++) {
+            double w = 1.0;
+            PyObject *x = PyList_GET_ITEM(data, u);
+            int ok = c->thr[u].v[TV_OUTSTANDING_MISSES] <= 0
+                || number_of(x, &w);
+            if (ok == 0)
                 PyErr_Format(PyExc_TypeError, "policy.slow_weights[%zd] "
                              "must be an int or a float, not %R", u,
                              (PyObject *)Py_TYPE(x));
+            if (ok <= 0)
                 return -1;
-            }
+            total += w;
+            if (u == t)
+                own = w;
         }
-        total += w;
-        if (u == t)
-            own = w;
+        if (total == 0.0) {
+            PyErr_SetString(PyExc_ZeroDivisionError,
+                            "float division by zero");
+            return -1;
+        }
+        const long long sizes[6] = {c->rob_size, c->lsq_size,
+                                    c->int_iq_size, c->fp_iq_size,
+                                    c->int_rename_regs, c->fp_rename_regs};
+        for (int i = 0; i < 6; i++)
+            lim[i] = (double)sizes[i] * (own / total);
     }
-    if (total == 0.0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-        return -1;
-    }
-    double share = own / total;
     const int64_t *tv = c->thr[t].v;
-    return !((double)tv[TV_ROB] >= (double)c->rob_size * share
-             || ((fl & F_MEM)
-                 && (double)tv[TV_LSQ] >= (double)c->lsq_size * share)
-             || ((fl & F_FP_QUEUE)
-                 ? (double)tv[TV_FQ] >= (double)c->fp_iq_size * share
-                 : (double)tv[TV_IQ] >= (double)c->int_iq_size * share)
+    return !((double)tv[TV_ROB] >= lim[TV_ROB]
+             || ((fl & F_MEM) && (double)tv[TV_LSQ] >= lim[TV_LSQ])
+             || ((fl & F_FP_QUEUE) ? (double)tv[TV_FQ] >= lim[TV_FQ]
+                                   : (double)tv[TV_IQ] >= lim[TV_IQ])
              || ((fl & F_HAS_DEST)
                  && ((fl & F_DEST_FP)
-                     ? (double)tv[TV_FP_REGS]
-                           >= (double)c->fp_rename_regs * share
-                     : (double)tv[TV_INT_REGS]
-                           >= (double)c->int_rename_regs * share)));
+                         ? (double)tv[TV_FP_REGS] >= lim[TV_FP_REGS]
+                         : (double)tv[TV_INT_REGS] >= lim[TV_INT_REGS])));
+}
+
+/* No dispatch cap (a can_dispatch override or a partition): the
+ * dispatch latches may replay a verdict. */
+static inline int uncapped(Ctx *c)
+{
+    return !c->part && SLOT(c->core, OFF.policy_can_dispatch) == Py_None;
 }
 
 /* The policy's can_dispatch(ts, view of slot s), called: 1, 0 or -1. */
@@ -4771,16 +4794,17 @@ static int stage_dispatch(Ctx *c, long long cycle)
                 blocked_by_resource = 1;
                 break;
             }
+            /* the policy's caps, not resource stalls: its hook (None:
+             * allow-all), then its partition */
             PyObject *can_dispatch = SLOT(core, OFF.policy_can_dispatch);
-            if (can_dispatch != Py_None) {   /* None: allow-all */
-                int ok = c->dcra != NULL
-                    ? share_gate(c, t, fl)
-                    : call_can_dispatch(A, can_dispatch, ts, s);
-                if (ok < 0)
-                    return -1;
-                if (!ok)
-                    break;   /* policy cap, not a resource stall */
-            }
+            int ok = can_dispatch == Py_None ? 1
+                : call_can_dispatch(A, can_dispatch, ts, s);
+            if (ok > 0 && c->part != NULL)
+                ok = partition_allows(c, t, fl);
+            if (ok < 0)
+                return -1;
+            if (!ok)
+                break;
             /* all checks passed: allocate and rename */
             cv[CV_ROB_USED] += 1;
             tv[TV_ROB] += 1;
@@ -4859,7 +4883,7 @@ static int stage_dispatch(Ctx *c, long long cycle)
         if (fe->n == 0)
             cv[CV_FE_MASK] &= ~(1LL << t);
     }
-    if (!any_ready && SLOT(core, OFF.policy_can_dispatch) == Py_None)
+    if (!any_ready && uncapped(c))
         cv[CV_DISPATCH_WAKE] = wake_after(c, cycle, TV_DISPATCH_WAIT_UNTIL);
     if (any_ready && dispatched == 0 && blocked_by_resource) {
         if (stat_add(SLOT(core, OFF.stats),
@@ -4872,7 +4896,7 @@ static int stage_dispatch(Ctx *c, long long cycle)
             if (r == NULL)
                 return -1;
             Py_DECREF(r);
-        } else if (SLOT(core, OFF.policy_can_dispatch) == Py_None) {
+        } else if (uncapped(c)) {
             cv[CV_STALL_LATCH_UNTIL] = wake_after(c, cycle,
                                                   TV_DISPATCH_WAIT_UNTIL);
             cv[CV_STALL_LATCH_EPOCH] = release_epoch;
@@ -5359,7 +5383,7 @@ static int take_parts(Thr *T, Py_ssize_t tid)
 static void ctx_clear(Ctx *c)
 {
     Py_CLEAR(c->on_ll_detect);
-    Py_CLEAR(c->dcra);
+    Py_CLEAR(c->part);
     Py_CLEAR(c->A);
     Py_CLEAR(c->ints);
     Py_CLEAR(c->cycle_obj);
@@ -5420,11 +5444,18 @@ static int ctx_init(Ctx *c, PyObject *core)
         goto fail;
     c->olc_cleanup_only = slot_true(core, OFF.cext_olc_cleanup_only);
     c->ll_detect_is_base = slot_true(core, OFF.cext_ll_detect_is_base);
-    /* share_gate reads slow_weights at DCRAPolicy's slot offset: only
-     * an instance of it may have its gate decided here */
-    if (slot_true(core, OFF.cext_share_gate)
-        && PyObject_TypeCheck(SLOT(core, OFF.policy), g.dcra_type))
-        c->dcra = Py_NewRef(SLOT(core, OFF.policy));
+    /* a partition's data sits in FetchPolicy's slots (SMTCore checked
+     * the form: "rows" or "weights") */
+    PyObject *form = SLOT(core, OFF.partition);
+    if (form != Py_None) {
+        c->part = Py_NewRef(SLOT(core, OFF.policy));
+        c->part_rows = PyUnicode_CompareWithASCIIString(form, "rows") == 0;
+        if (!PyObject_TypeCheck(c->part, g.policy_type)) {
+            PyErr_SetString(PyExc_TypeError, "a policy with a dispatch "
+                            "partition must be a FetchPolicy");
+            goto fail;
+        }
+    }
     c->mask = c->A->wheel - 1;
     c->fetch_width = slot_ll(core, OFF.fetch_width);
     c->fetch_max_threads = slot_ll(core, OFF.fetch_max_threads);
@@ -6455,14 +6486,13 @@ static const struct OffSpec SPECS[] = {
     O("core", "_track_ll_dep", track_ll_dep),
     O("core", "_cext_olc_cleanup_only", cext_olc_cleanup_only),
     O("core", "_cext_ll_detect_is_base", cext_ll_detect_is_base),
-    O("core", "_cext_share_gate", cext_share_gate),
+    O("core", "_partition", partition),
     O("ts", "_ints", ts_ints),
     O("ts", "waiting_branch", ts_waiting_branch),
     O("ts", "branch_wait_since", ts_branch_wait_since),
     O("ts", "allowed_end", ts_allowed_end),
     O("ts", "ll_owners", ts_ll_owners),
     O("ts", "policy_data", ts_policy_data),
-    O("ts", "outstanding_misses", ts_outstanding_misses),
     O("ts", "stats", ts_stats), O("ts", "commit_cycles", ts_commit_cycles),
     O("ts", "fe_queue", ts_fe_queue), O("ts", "window", ts_window),
     O("ts", "rename_map", ts_rename_map),
@@ -6495,7 +6525,8 @@ static const struct OffSpec SPECS[] = {
     O("instr", "op_i", in_op_i), O("instr", "fp_queue", in_fp_queue),
     O("instr", "latency", in_latency),
     O("trace", "_dyn", tr_dyn),
-    O("dcra", "slow_weights", dcra_slow_weights),
+    O("policy", "limit_rows", pol_limit_rows),
+    O("policy", "slow_weights", pol_slow_weights),
 };
 
 #undef O
@@ -6647,13 +6678,13 @@ static PyObject *setup(PyObject *self, PyObject *ns)
     Py_XSETREF(g.result_cls, result_cls);
     Py_INCREF(mlp_fn);
     Py_XSETREF(g.mlp_fn, mlp_fn);
-    /* the exact types the in-C paths apply to, and DCRAPolicy, whose
-     * instances (subclasses too) own the slow_weights slot */
+    /* the exact types the in-C paths apply to, and FetchPolicy, whose
+     * instances (subclasses too) own the partition slots */
     {
         static const char *keys[5] = {"core", "trace", "instr", "ts",
-                                      "dcra"};
+                                      "policy"};
         PyTypeObject **dst[5] = {&g.core_type, &g.trace_type, &g.instr_type,
-                                 &g.ts_type, &g.dcra_type};
+                                 &g.ts_type, &g.policy_type};
         for (int i = 0; i < 5; i++) {
             PyTypeObject *t = type_of(ns, keys[i]);
             if (t == NULL)

@@ -18,12 +18,12 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
 * The core's and each thread's per-cycle integers (``cycle``, the
   shared and per-thread resource counters, the wake and stall latches,
   the release epoch, ``icount``, ``fetch_index``, ``last_ifetch_line``,
-  ...) are int64 fields of a native block the object owns in its
-  ``_ints`` slot.  The stages use them in place; Python reads and
-  writes them through the engine's descriptors, installed on
-  :class:`CextCore` and :class:`CextThreadState` under the object
-  engine's names, so a hook's write is seen at once and ``core.cycle``
-  outlives ``detach()`` (``tests/test_native_fields.py``).
+  ``outstanding_misses``, ...) are int64 fields of a native block the
+  object owns in its ``_ints`` slot.  The stages use them in place;
+  Python reads and writes them through the engine's descriptors,
+  installed on :class:`CextCore` and :class:`CextThreadState` under the
+  object engine's names, so a hook's write is seen at once and
+  ``core.cycle`` outlives ``detach()`` (``tests/test_native_fields.py``).
 * The engine's ``Hierarchy``, ``GShare``, ``BTB``, ``LLSR``,
   ``MissPatternPredictor``, ``LastValuePredictor``,
   ``TwoBitMissPredictor``, ``MLPDistancePredictor`` and
@@ -51,12 +51,11 @@ This module drives the compiled engine (its history: perf/PROFILE.md):
 
   What still crosses into Python per cycle or instruction: the stats
   dataclasses' counters, the ``ThreadState`` slots that are not
-  per-cycle counters (``outstanding_misses``, ``waiting_branch``,
-  ``allowed_end``, ...), the policy hooks (the
-  ``_is_default_hook`` elision applies unchanged, so hook-free
-  configurations never call one; DCRA's ``can_dispatch`` is decided
-  in C from the policy's ``slow_weights`` while it and ``_limits``
-  carry the ``_share_gate`` marker, see :class:`CextCore`) and a
+  per-cycle counters (``waiting_branch``, ``allowed_end``, ...), the
+  policy hooks (the ``_is_default_hook`` elision applies unchanged, so
+  hook-free configurations never call one; a declared dispatch
+  partition is no hook: the loop reads the policy's ``limit_rows`` or
+  ``slow_weights`` slot and compares in C, see :class:`CextCore`) and a
   non-base policy's
   ``fetch_order``/``fetch_pending``, ``get`` of other trace types,
   the ``Instr`` a policy reads through a view (built once per view),
@@ -268,7 +267,7 @@ def _build(compiler: str) -> Path:
 def _setup_namespace() -> dict[str, Any]:
     """Everything ``_cext_engine.setup`` resolves offsets/constants from."""
     from repro.isa.instruction import Instr
-    from repro.policies.dcra import DCRAPolicy
+    from repro.policies.base import FetchPolicy
     from repro.workloads.spec import SlotKind
     from repro.workloads.trace import SyntheticTrace
     return {
@@ -279,7 +278,7 @@ def _setup_namespace() -> dict[str, Any]:
         "instr": Instr,
         "result": AccessResult,
         "trace": SyntheticTrace,
-        "dcra": DCRAPolicy,
+        "policy": FetchPolicy,
         "limit_exc": SimulationLimitExceeded,
         "deadlock_exc": SimulationDeadlock,
         "levels": tuple(sorted(ServiceLevel)),
@@ -341,8 +340,9 @@ class CextThreadState(ThreadState):
 
     Its per-cycle counters (``icount``, the six resource counts,
     ``fetch_index``, ``fetch_blocked_until``, ``dispatch_wait_until``,
-    ``dispatch_blocked_epoch``, ``last_ifetch_line`` and the compiled
-    loop's ``head_ready``) are int64 fields of a native block in
+    ``dispatch_blocked_epoch``, ``last_ifetch_line``,
+    ``outstanding_misses`` and the compiled loop's ``head_ready``) are
+    int64 fields of a native block in
     ``_ints``, which the engine's descriptors read and write under those
     names; everything else is the object engine's ``ThreadState``.
     """
@@ -360,28 +360,21 @@ _TWINS: dict[type, str] = {MemoryHierarchy: "Hierarchy"} | {
         LLSR)}
 
 
-#: The methods DCRA's share gate is made of; while each carries the
-#: ``_share_gate`` marker (:mod:`repro.policies.dcra`), the loop decides
-#: the gate from ``policy.slow_weights`` instead of calling
-#: ``can_dispatch``.  hook-elision-lint holds this tuple to the marked
-#: methods.
-_SHARE_GATE = ("can_dispatch", "_limits")
-
-
 class CextCore(SMTCore):
     """The pipeline state as a native slot arena, driven by the compiled loop.
 
     The arena (see the module doc) replaces the object engine's records,
     event heaps and ready queues and takes over each thread's
     ``fe_queue``, ``window`` and ``rename_map``; ``_run_until`` is the
-    compiled loop.  The three marker slots cache the policy-class
+    compiled loop.  The two marker slots cache the policy-class
     markers (``getattr`` probes on the policy class), so the C side
     reads them as plain slot loads: ``on_load_complete`` only drops
-    identity-keyed state, ``on_ll_detect`` is the no-op default, and
-    DCRA's share gate (``can_dispatch`` and the ``_limits`` it reads,
-    both marked ``_share_gate``) is the loop's to decide for a
-    ``DCRAPolicy``, which reads the policy's ``slow_weights`` slot at
-    every evaluation.  :meth:`_build` makes the memory
+    identity-keyed state, and ``on_ll_detect`` is the no-op default.
+    The dispatch stage applies the policy's partition
+    (``SMTCore._partition``) from the ``FetchPolicy`` slot that holds
+    its data, read at every evaluation, after any ``can_dispatch``
+    override; a row or weight list of the wrong shape or type fails
+    the run with ``TypeError``.  :meth:`_build` makes the memory
     hierarchy, gshare, the BTB and each thread's predictors and LLSR
     the engine's native types (the same methods and counters over C
     state), and the loop runs only those.  A config with more than
@@ -391,7 +384,7 @@ class CextCore(SMTCore):
     """
 
     __slots__ = ("_ints", "_arena", "_full_mask", "_cext_olc_cleanup_only",
-                 "_cext_ll_detect_is_base", "_cext_share_gate")
+                 "_cext_ll_detect_is_base")
 
     def __init__(self, cfg: SMTConfig, traces: list[SyntheticTrace],
                  policy: FetchPolicy):
@@ -408,9 +401,6 @@ class CextCore(SMTCore):
             pcls.on_load_complete, "_identity_keyed_cleanup", False))
         self._cext_ll_detect_is_base = bool(getattr(
             pcls.on_ll_detect, "_is_default_hook", False))
-        self._cext_share_gate = all(
-            getattr(getattr(pcls, name, None), "_share_gate", False)
-            for name in _SHARE_GATE)
 
     @staticmethod
     def _build(cls, *args):

@@ -121,7 +121,7 @@ class SMTCore:
         "_policy_can_dispatch", "_policy_on_fetch", "_policy_on_fetch_load",
         "_policy_on_load_complete", "_n_threads",
         "_fetch_wake", "_fetch_order_is_base",
-        "_stall_latch_until", "_stall_latch_epoch",
+        "_stall_latch_until", "_stall_latch_epoch", "_partition",
         "__dict__",
     )
 
@@ -247,6 +247,10 @@ class SMTCore:
         self._policy_can_dispatch = (
             None if getattr(cls.can_dispatch, "_is_default_hook", False)
             else policy.can_dispatch)
+        # The policy's dispatch partition (see partition_limits).
+        self._partition = cls.partition
+        if self._partition not in (None, "rows", "weights"):
+            raise ValueError(f"unknown partition {self._partition!r}")
         fetch_hook = (
             None if getattr(cls.on_fetch, "_is_default_hook", False)
             else policy.on_fetch)
@@ -276,11 +280,11 @@ class SMTCore:
         # Stall-verdict latch: armed when a full dispatch pass concluded
         # "every ready head is blocked by a full shared resource" under a
         # policy whose ``on_resource_stall`` hook is the marked no-op and
-        # with no dispatch cap.  While the release epoch is unchanged and
-        # no absent head can have arrived by time (``_stall_latch_until``
-        # bounds that; fetch into an empty queue and flushes disarm), the
-        # verdict — one resource-stall cycle — is replayed without
-        # re-running the scan.
+        # with no dispatch cap (``can_dispatch`` or a partition).  While
+        # the release epoch is unchanged and no absent head can have
+        # arrived by time (``_stall_latch_until`` bounds that; fetch into
+        # an empty queue and flushes disarm), the verdict — one
+        # resource-stall cycle — is replayed without re-running the scan.
         self._stall_latch_until = 0
         self._stall_latch_epoch = -1
 
@@ -801,8 +805,8 @@ class SMTCore:
         # with the same head and no release since, the same gate must
         # fail again (shared counters only grew), so the rejection is
         # re-asserted without re-proving it.  Policy-cap rejections
-        # (can_dispatch) are never latched — their verdict may change
-        # with any co-runner state.
+        # (can_dispatch, a partition) are never latched — their verdict
+        # may change with any co-runner state.
         budget = self._decode_width
         any_ready = False
         blocked_by_resource = False
@@ -851,7 +855,8 @@ class SMTCore:
             on_resource_stall = self._policy_on_resource_stall
             if on_resource_stall is not None:   # None: marked no-op hook
                 on_resource_stall(cycle)
-            elif self._policy_can_dispatch is None:
+            elif (self._policy_can_dispatch is None
+                  and self._partition is None):
                 # Every ready head hit a full shared resource, the hook
                 # is a no-op and there is no dispatch cap: the verdict
                 # repeats until a release (epoch, captured *before* any
@@ -889,6 +894,16 @@ class SMTCore:
         can_dispatch = self._policy_can_dispatch   # None: allow-all
         if can_dispatch is not None and not can_dispatch(ts, di):
             return False
+        if self._partition is not None:
+            rob, lsq, iq, fq, int_regs, fp_regs = self.partition_limits(ts)
+            if (ts.rob_count >= rob
+                    or (is_mem and ts.lsq_count >= lsq)
+                    or (ts.fq_count >= fq if fp_queue
+                        else ts.iq_count >= iq)
+                    or (di.has_dest
+                        and (ts.fp_regs >= fp_regs if di.dest_fp
+                             else ts.int_regs >= int_regs))):
+                return False
         # All checks passed: allocate and rename.
         self.rob_used += 1
         ts.rob_count += 1
@@ -946,6 +961,30 @@ class SMTCore:
         if di.pending == 0:
             heappush(self._ready_by_op[instr.op_i], (di.gseq, di))
         return None
+
+    def partition_limits(self, ts: ThreadState) -> tuple | None:
+        """``ts``'s six dispatch limits, in the order of
+        :func:`repro.policies.base.buffer_sizes`, under the policy's
+        partition (``None`` without one): its row of
+        ``policy.limit_rows``, or DCRA's share of every buffer, where a
+        thread with a miss in flight weighs its entry of
+        ``policy.slow_weights`` and any other 1.0."""
+        policy = self.policy
+        if self._partition == "rows":
+            return policy.limit_rows[ts.tid]
+        if self._partition is None:
+            return None
+        weights = policy.slow_weights
+        # A plain left-to-right sum, as the compiled gate adds: sum()
+        # compensates float rounding from CPython 3.12 on.
+        total = 0.0
+        for t in self.threads:
+            total += weights[t.tid] if t.outstanding_misses > 0 else 1.0
+        share = (weights[ts.tid] if ts.outstanding_misses > 0
+                 else 1.0) / total
+        return (self._rob_size * share, self._lsq_size * share,
+                self._int_iq_size * share, self._fp_iq_size * share,
+                self._int_rename_regs * share, self._fp_rename_regs * share)
 
     # ------------------------------------------------------------------ #
     # fetch

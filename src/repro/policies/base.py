@@ -33,9 +33,17 @@ _EMPTY_ORDER: tuple = ()
 class FetchPolicy:
     """Base class: plain ICOUNT with COT support for subclasses."""
 
-    __slots__ = ("core",)
+    __slots__ = ("core", "limit_rows", "slow_weights")
 
     name = "icount"
+    #: The form of the policy's dispatch partition, per-thread caps on
+    #: every shared buffer that both engines check at each dispatch
+    #: attempt, after :meth:`can_dispatch`: ``None`` (no caps),
+    #: ``"rows"`` (:attr:`limit_rows`: per thread, six limits in the
+    #: order of :func:`buffer_sizes`) or ``"weights"`` (DCRA's
+    #: :attr:`slow_weights`, one per thread; see
+    #: :meth:`repro.pipeline.core.SMTCore.partition_limits`).
+    partition: str | None = None
     #: Declares that :meth:`on_fetch` is a no-op for anything but loads
     #: (its body is guarded by ``di.is_load``).  The core then skips the
     #: per-instruction call for non-loads — exact by declaration.
@@ -48,6 +56,8 @@ class FetchPolicy:
 
     def __init__(self) -> None:
         self.core: SMTCore | None = None
+        self.limit_rows: list[tuple[float, ...]] | None = None
+        self.slow_weights: list[float] | None = None
 
     def attach(self, core: SMTCore) -> None:
         self.core = core
@@ -150,7 +160,8 @@ class FetchPolicy:
         """Called when any load's data arrives."""
 
     def can_dispatch(self, ts: ThreadState, di: DynInstr) -> bool:
-        """Resource-partitioning hook; False blocks dispatch this cycle."""
+        """Dispatch-cap hook; False blocks dispatch this cycle.  Runs
+        before the :attr:`partition` limits, which need no hook."""
         return True
 
     def on_resource_stall(self, cycle: int) -> None:
@@ -178,6 +189,13 @@ FetchPolicy.on_resource_stall._is_default_hook = True
 # automatically and are probed every cycle.
 FetchPolicy.fetch_order._is_base_impl = True
 FetchPolicy.fetch_pending._is_base_impl = True
+
+
+def buffer_sizes(cfg) -> tuple[int, ...]:
+    """The six buffers a partition caps, in the order of a limit row:
+    ROB, LSQ, int and FP issue queues, int and FP rename registers."""
+    return (cfg.rob_size, cfg.lsq_size, cfg.int_iq_size, cfg.fp_iq_size,
+            cfg.int_rename_regs, cfg.fp_rename_regs)
 
 
 class LongLatencyAwarePolicy(FetchPolicy):

@@ -13,8 +13,11 @@ for why MLP-aware fetch policies are "more responsive to dynamic workload
 behavior than learning-based resource partitioning."
 
 The shares cap each thread's occupancy of every shared buffer (ROB, LSQ,
-issue queues, rename registers) via the dispatch hook, the same enforcement
-point DCRA uses.  The epoch metric is configurable:
+issue queues, rename registers) at dispatch, as DCRA's do: each thread's
+row of limits (``partition = "rows"``) is ``size * share``, rebuilt at
+``attach`` and at each epoch.  An epoch turns in :meth:`can_dispatch`,
+which the engines call before they check the rows, so its new limits
+apply to the attempt that turns it.  The epoch metric is configurable:
 
 * ``"throughput"`` — total instructions committed per cycle (their IPC-sum
   policy);
@@ -26,8 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.isa import Op
-from repro.policies.base import FetchPolicy
+from repro.policies.base import FetchPolicy, buffer_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.dyninstr import DynInstr
@@ -45,6 +47,7 @@ class LearningPartitionPolicy(FetchPolicy):
                  "_epoch_start_commits")
 
     name = "learning"
+    partition = "rows"
 
     def __init__(self, epoch_cycles: int = 2_000, step: float = 0.05,
                  metric: str = "throughput", min_share: float = 0.10):
@@ -86,6 +89,13 @@ class LearningPartitionPolicy(FetchPolicy):
         self._epoch_start_cycle = core.cycle
         self._epoch_start_commits = [ts.stats.committed
                                      for ts in core.threads]
+        self._set_rows()
+
+    def _set_rows(self) -> None:
+        """Each thread's limits: its share of every buffer."""
+        sizes = buffer_sizes(self.core.cfg)
+        self.limit_rows = [tuple(size * share for size in sizes)
+                           for share in self.shares]
 
     def _epoch_score(self) -> float:
         core = self.core
@@ -131,6 +141,7 @@ class LearningPartitionPolicy(FetchPolicy):
             self.adopted.append(tuple(self._base_shares))
             self._trial = -1
             self._trial_scores = []
+        self._set_rows()
         self.epochs_run += 1
         core = self.core
         self._epoch_start_cycle = core.cycle
@@ -142,25 +153,9 @@ class LearningPartitionPolicy(FetchPolicy):
     # ------------------------------------------------------------------ #
 
     def can_dispatch(self, ts: ThreadState, di: DynInstr) -> bool:
+        """Turn the epoch when it is due; the engine then checks the
+        (new) :attr:`limit_rows`."""
         core = self.core
         if core.cycle - self._epoch_start_cycle >= self.epoch_cycles:
             self._advance_epoch()
-        share = self.shares[ts.tid]
-        cfg = core.cfg
-        if ts.rob_count >= cfg.rob_size * share:
-            return False
-        if (di.is_load or di.is_store) and ts.lsq_count >= cfg.lsq_size * share:
-            return False
-        op = di.instr.op
-        if op is Op.FALU or op is Op.FMUL:
-            if ts.fq_count >= cfg.fp_iq_size * share:
-                return False
-        elif ts.iq_count >= cfg.int_iq_size * share:
-            return False
-        if di.has_dest:
-            if di.dest_fp:
-                if ts.fp_regs >= cfg.fp_rename_regs * share:
-                    return False
-            elif ts.int_regs >= cfg.int_rename_regs * share:
-                return False
         return True

@@ -17,8 +17,8 @@ The per-thread MLP-need signal is an exponential moving average of the MLP
 distance predictions made at each long-latency detection, normalized by the
 per-thread LLSR length (the maximum observable distance).  Each detection
 writes the thread's new weight into DCRA's ``slow_weights``, so the shares
-are DCRA's own (:meth:`~repro.policies.dcra.DCRAPolicy._limits`) and the
-compiled engine applies them natively.
+are DCRA's own partition, which both engines apply at dispatch
+(:meth:`~repro.pipeline.core.SMTCore.partition_limits`).
 """
 
 from __future__ import annotations

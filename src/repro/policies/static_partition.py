@@ -3,48 +3,28 @@
 Every buffer resource (ROB, load/store queue, issue queues, rename register
 files) is split 1/n per thread; a thread can never allocate beyond its
 share.  The functional units remain shared.  Fetch itself follows ICOUNT.
+
+The split is declared as data (``partition = "rows"``): ``attach`` sets
+each thread's row of :attr:`~repro.policies.base.FetchPolicy.limit_rows`
+to the integer floors ``size // n``, which both engines compare against
+at every dispatch attempt, with no call into the policy.
 """
 
 from __future__ import annotations
 
-from repro.isa import Op
-from repro.policies.base import FetchPolicy
+from repro.policies.base import FetchPolicy, buffer_sizes
 
 
 class StaticPartitionPolicy(FetchPolicy):
     """Equal 1/n static split of every shared buffer resource."""
 
-    __slots__ = ("_rob_share", "_lsq_share", "_iq_share", "_fq_share",
-                 "_int_share", "_fp_share")
+    __slots__ = ()
 
     name = "static"
+    partition = "rows"
 
     def attach(self, core):
         super().attach(core)
-        cfg = core.cfg
-        n = cfg.num_threads
-        self._rob_share = cfg.rob_size // n
-        self._lsq_share = cfg.lsq_size // n
-        self._iq_share = cfg.int_iq_size // n
-        self._fq_share = cfg.fp_iq_size // n
-        self._int_share = cfg.int_rename_regs // n
-        self._fp_share = cfg.fp_rename_regs // n
-
-    def can_dispatch(self, ts, di):
-        if ts.rob_count >= self._rob_share:
-            return False
-        if (di.is_load or di.is_store) and ts.lsq_count >= self._lsq_share:
-            return False
-        op = di.instr.op
-        if op is Op.FALU or op is Op.FMUL:
-            if ts.fq_count >= self._fq_share:
-                return False
-        elif ts.iq_count >= self._iq_share:
-            return False
-        if di.has_dest:
-            if di.dest_fp:
-                if ts.fp_regs >= self._fp_share:
-                    return False
-            elif ts.int_regs >= self._int_share:
-                return False
-        return True
+        n = core.cfg.num_threads
+        row = tuple(size // n for size in buffer_sizes(core.cfg))
+        self.limit_rows = [row] * n

@@ -3,7 +3,7 @@
 ``on_fetch`` is a no-op default with no marker (every policy would pay
 the per-instruction call); ``on_load_complete`` is marked as a default
 but its body does real work (the engines would elide a live call);
-``_share_gate`` sits on ``can_dispatch``, which the class does not
+``_is_base_impl`` sits on ``fetch_order``, which the class does not
 define.
 """
 
@@ -18,4 +18,4 @@ class FetchPolicy:
 
 
 FetchPolicy.on_load_complete._is_default_hook = True
-FetchPolicy.can_dispatch._share_gate = True
+FetchPolicy.fetch_order._is_base_impl = True

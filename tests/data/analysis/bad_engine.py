@@ -1,11 +1,8 @@
 """Known-bad engine fixture for hook-elision-lint (parsed only).
 
 Probes ``_is_default_hook`` on a method no base class ever marks — the
-elision can never fire, so the probe is dead weight on every init — and
-names a share-gate method no ``_share_gate`` marker sits on.
+elision can never fire, so the probe is dead weight on every init.
 """
-
-_SHARE_GATE = ("can_dispatch", "_unmarked_limits")
 
 
 class Core:

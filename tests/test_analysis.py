@@ -127,10 +127,8 @@ class TestHookElisionFixture:
         assert "on_fetch has a no-op default body but no" in text
         assert "on_load_complete is marked _is_default_hook" in text
         assert "probes _is_default_hook on 'on_never'" in text
-        assert ("_share_gate marker targets FetchPolicy.can_dispatch, "
+        assert ("_is_base_impl marker targets FetchPolicy.fetch_order, "
                 "which is not defined") in text
-        assert ("_SHARE_GATE names ['_unmarked_limits', 'can_dispatch'] "
-                "but the _share_gate markers sit on ['can_dispatch']") in text
 
 
 class TestRegistryLintFixture:

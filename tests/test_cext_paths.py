@@ -16,7 +16,9 @@ commit stage that shifts it (and trains the thread's native MLP
 predictors in C) to the object engine's per-retire ``LLSR.commit``
 over whole runs.  A policy whose hook flushes mid-burst checks that
 the burst sees the thread's fetch index, icount and I-fetch line change
-under it.  The native memory model and
+under it.  A policy that logs its load-completion and detection hooks
+checks that events due in one cycle reach them in age order, as the
+object engine's heaps pop them.  The native memory model and
 predictors have their own files, ``test_native_hierarchy.py`` and
 ``test_native_predictors.py``.
 """
@@ -41,6 +43,7 @@ from repro.pipeline.core import (
 )
 from repro.policies import make_policy
 from repro.policies.base import FetchPolicy
+from repro.policies.flush import FlushPolicy
 from repro.pipeline.thread_state import ThreadState
 from repro.predictors import LLSR, MLPDistancePredictor
 from repro.util import mix64
@@ -532,3 +535,50 @@ def test_wedged_core_raises_deadlock(backend):
                        match=r"no future events at cycle 0; "
                              r"pipeline is wedged"):
         core.run(10)
+
+
+# ---------------------------------------------------------------------- #
+# the event wheels' due order
+# ---------------------------------------------------------------------- #
+
+class _HookOrder(FlushPolicy):
+    """``flush``, logging ``(cycle, tid, seq)`` of each load completion
+    and long-latency detection.  The override carries no cleanup
+    marker, so the compiled loop calls it for every load."""
+
+    __slots__ = ("log",)
+
+    name = "hook_order"
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def on_load_complete(self, di, ts):
+        self.log.append(("complete", self.core.cycle, ts.tid, di.seq))
+        super().on_load_complete(di, ts)
+
+    def on_ll_detect(self, di, ts):
+        self.log.append(("detect", self.core.cycle, ts.tid, di.seq))
+        super().on_ll_detect(di, ts)
+
+
+def test_due_events_reach_the_hooks_in_age_order():
+    """Events due in one cycle drain oldest first on both engines: the
+    object engine's heaps pop in (cycle, age) order, and the compiled
+    loop sorts each due bucket of its wheels by age.  Within a cycle,
+    the order of completions and detections is the order the hooks
+    see, and ``flush`` acts on it."""
+    cfg = scaled_config(num_threads=4)
+    names = ("equake", "gap", "equake", "swim")
+    outcome = []
+    for cls in (SMTCore, cext.CextCore):
+        policy = _HookOrder()
+        core = cls(cfg, [trace_for(n, cfg, t) for t, n in enumerate(names)],
+                   policy)
+        core.run(1_000, warmup=100)
+        outcome.append((policy.log, asdict(core.stats), core.cycle))
+        core.detach()
+    log = outcome[0][0]
+    assert len({entry[1:2] for entry in log}) < len(log)   # shared cycles
+    assert outcome[1] == outcome[0]

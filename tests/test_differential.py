@@ -2,21 +2,23 @@
 
 The golden matrix pins 34 fixed cells: the default config, seed 0, one
 budget.  This test draws random cells instead — any registered policy
-without a core of its own (``dcra`` and ``mlp_dcra`` with drawn kwargs,
-the others with their defaults), 1-4 threads, a trace seed, a 200-800
-instruction budget and a perturbed :class:`~repro.config.SMTConfig` —
-and asserts that every registered backend ends in the same
-:class:`~repro.pipeline.CoreStats` and cycle as the object engine.  A
-second test draws only ``dcra`` and ``mlp_dcra`` cells, of 1-8
-threads: the compiled engine decides their share gate in C from the
-policy's ``slow_weights``.
+without a core of its own (``dcra``, ``mlp_dcra`` and ``learning`` with
+drawn kwargs, the others with their defaults), 1-4 threads, a trace
+seed, a 200-800 instruction budget and a perturbed
+:class:`~repro.config.SMTConfig` — and asserts that every registered
+backend ends in the same :class:`~repro.pipeline.CoreStats` and cycle
+as the object engine.  A second test draws only the policies that
+declare a dispatch partition (``static``, ``learning``, ``dcra`` and
+``mlp_dcra``), of 1-8 threads: the compiled engine applies their
+limits in C, from the policy's ``limit_rows`` or ``slow_weights``.
 
 The perturbations reach knobs the golden matrix never sets but Table I
 and the ablations do: ``memory.serialize_long_latency``,
 ``memory.cancel_squashed_fills``, ``predictors.dependence_aware`` and
 ``llsr_length_override``, plus the window sizes and rename registers,
 widths, write buffer, prefetcher and ``fast_forward``, ``dcra``'s
-``slow_weight`` (an int too) and ``mlp_dcra``'s ``ema_alpha``, and the
+``slow_weight`` (an int too), ``mlp_dcra``'s ``ema_alpha`` and
+``learning``'s epoch length, metric and step, and the
 front end: the long-latency load predictor's kind, table and counter
 sizes (up to 64-bit counters), the MLP tables, gshare and the BTB's
 size and ways.  A
@@ -75,7 +77,14 @@ _POLICY_KWARGS = {
     "mlp_dcra": st.fixed_dictionaries({
         "slow_weight": _SLOW_WEIGHTS,
         "ema_alpha": st.sampled_from((0.05, 0.25, 0.6, 1.0))}),
+    "learning": st.fixed_dictionaries({
+        "epoch_cycles": st.sampled_from((10, 50, 500)),
+        "metric": st.sampled_from(("throughput", "hmean")),
+        "step": st.sampled_from((0.05, 0.2, 0.45))}),
 }
+
+#: The policies that declare a dispatch partition.
+_PARTITIONED = ("static", "learning", "dcra", "mlp_dcra")
 
 
 #: The registered policies that run on every engine: those without a
@@ -137,6 +146,14 @@ def _single(name: str, policy: str, **config) -> RunSpec:
                    policy, max_commits=800, warmup=300)
 
 
+def _mix(names: tuple[str, ...], policy: str, policy_kwargs=None,
+         **config) -> RunSpec:
+    return RunSpec(names, SMTConfig(num_threads=len(names),
+                                    memory=scaled_memory(), **config),
+                   policy, policy_kwargs=policy_kwargs or {},
+                   max_commits=800, warmup=100)
+
+
 def _outcome(spec: RunSpec) -> tuple[dict, int]:
     stats, core = Session(store=None).simulate(spec)
     return asdict(stats), core.cycle
@@ -160,8 +177,15 @@ def test_every_backend_matches_the_object_engine(spec):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spec=cells(thread_counts=st.integers(1, 8),
-                  policies=("dcra", "mlp_dcra")))
+@given(spec=cells(thread_counts=st.integers(1, 8), policies=_PARTITIONED))
+# Floors, not thirds: LSQ, issue queue and register sizes that three
+# threads do not divide.
+@example(spec=_mix(("mcf", "swim", "art"), "static", rob_size=96,
+                   lsq_size=16, int_iq_size=8, fp_iq_size=8,
+                   int_rename_regs=16, fp_rename_regs=16))
+# An epoch every ten cycles: its attempt applies the epoch's new limits.
+@example(spec=_mix(("mcf", "gzip"), "learning", {"epoch_cycles": 10},
+                   rob_size=96, lsq_size=16))
 def test_dcra_gates_match_the_object_engine(spec):
     _assert_backends_agree(spec)
 

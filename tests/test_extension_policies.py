@@ -124,11 +124,11 @@ class TestMLPAwareDCRA:
 
     def test_no_mlp_slow_thread_gets_no_bonus(self):
         core = _core(("mcf", "twolf"), "mlp_dcra")
-        policy = core.policy
         slow, fast = core.threads
         slow.outstanding_misses = 1
         # EMA is zero: the slow thread has shown no MLP, so shares match.
-        assert policy._limits(slow) == pytest.approx(policy._limits(fast))
+        assert core.partition_limits(slow) == pytest.approx(
+            core.partition_limits(fast))
 
     def test_high_mlp_slow_thread_gets_full_bonus(self):
         # One detection whose predicted distance spans the whole LLSR,
@@ -143,7 +143,8 @@ class TestMLPAwareDCRA:
         policy.on_ll_detect(SimpleNamespace(instr=SimpleNamespace(pc=7)),
                             slow)
         assert policy._mlp_need[0] == 1.0
-        s_lim, f_lim = policy._limits(slow), policy._limits(fast)
+        s_lim = core.partition_limits(slow)
+        f_lim = core.partition_limits(fast)
         for s, f in zip(s_lim, f_lim):
             assert s == pytest.approx(2 * f)
 

@@ -42,7 +42,8 @@ CORE_FIELDS = ("cycle", "_gseq", "_wb_used", "rob_used", "lsq_used",
                "_committed_watermark", "_commit_pending", "_measure_start")
 THREAD_FIELDS = ("icount", "rob_count", "lsq_count", "iq_count", "fq_count",
                  "int_regs", "fp_regs", "fetch_index", "fetch_blocked_until",
-                 "dispatch_wait_until", "last_ifetch_line")
+                 "dispatch_wait_until", "last_ifetch_line",
+                 "outstanding_misses")
 
 
 def _fields(core) -> dict:

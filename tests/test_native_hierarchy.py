@@ -12,9 +12,9 @@ stream buffer's lines and ``ll_loads_per_thread`` as mappings; the fill
 heap sorted.  The golden matrix and ``test_differential.py`` compare
 whole runs.
 
-The file also holds the check of the weights DCRA keeps: the shares
-``_limits`` derives from ``slow_weights`` equal fresh ones computed from
-``slow_weight``, the MLP need and the miss state.
+The file also holds the check of the weights DCRA keeps: the limits
+``SMTCore.partition_limits`` derives from ``slow_weights`` equal fresh
+ones computed from ``slow_weight``, the MLP need and the miss state.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def _dcra_core(policy: str, cfg: SMTConfig) -> SMTCore:
 def test_dcra_cached_limits_match_fresh(policy, cfg):
     """``slow_weights`` caches each thread's slow weight (written at
     ``attach`` and, for ``mlp_dcra``, at each detection); the limits
-    ``_limits`` derives from it equal limits computed from scratch."""
+    the core derives from it equal limits computed from scratch."""
     core = _dcra_core(policy, cfg)
     pol = core.policy
     rnd = random.Random(cfg.num_threads)
@@ -383,8 +383,8 @@ def test_dcra_cached_limits_match_fresh(policy, cfg):
             pol.on_ll_detect(SimpleNamespace(instr=SimpleNamespace(pc=pc)),
                              ts)
         for ts in core.threads:
-            assert pol._limits(ts) == fresh(ts)
-            seen.add(pol._limits(ts))
+            assert core.partition_limits(ts) == fresh(ts)
+            seen.add(core.partition_limits(ts))
     assert len(seen) > 1 or cfg.num_threads == 1   # one thread: one share
     assert len(pol.slow_weights) == cfg.num_threads
     core.detach()

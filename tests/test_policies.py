@@ -147,8 +147,8 @@ class TestDCRA:
         slow, fast = core.threads
         slow.outstanding_misses = 1
         fast.outstanding_misses = 0
-        slow_limits = policy._limits(slow)
-        fast_limits = policy._limits(fast)
+        slow_limits = core.partition_limits(slow)
+        fast_limits = core.partition_limits(fast)
         for s, f in zip(slow_limits, fast_limits):
             assert s == pytest.approx(2 * f)
 
@@ -159,7 +159,7 @@ class TestDCRA:
         policy = DCRAPolicy()
         core = SMTCore(cfg, traces, policy)
         a, b = core.threads
-        assert policy._limits(a) == policy._limits(b)
+        assert core.partition_limits(a) == core.partition_limits(b)
 
     def test_rejects_weight_below_one(self):
         with pytest.raises(ValueError):
